@@ -287,8 +287,7 @@ def _analytic_evaluator(spec: ParsedSpec, route: str) -> Callable[[np.ndarray], 
 
         def smu_eval(t: np.ndarray) -> el.ComplexCF:
             t = np.asarray(t, dtype=float)
-            q = ell.quadratic_form(t)
-            u = math.sqrt(q)
+            u = math.sqrt(ell.dispersion.quad(t))
             radial = np.zeros(ell.n)
             radial[0] = u
             base = sk.cf_star_unimodal(ell.generator, ell.n, radial)
@@ -376,7 +375,7 @@ def _grid_rows(
         try:
             return t, {route: evaluators[route](t) for route in routes}
         except (ConvergenceError, ArithmeticError) as exc:
-            raise ConvergenceError(f"at grid point t={list(t)}: {exc}") from exc
+            raise ConvergenceError(f"at grid point t={t.tolist()}: {exc}") from exc
 
     if workers <= 1:
         return [job(t) for t in points]
@@ -487,14 +486,7 @@ def run_sample(config: RunConfig) -> int:
         batch = _sample_batch(spec, config.mc_count, config.seed, config.workers)
     except DomainError as exc:
         raise SpecValidationError(str(exc)) from exc
-    lines = [
-        f"# {batch.provenance}",
-        f"# spec_sha256={spec.sha256} kind={spec.kind}",
-        ",".join(f"x{i + 1}" for i in range(batch.n)),
-    ]
-    for row in batch.data:
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_out(config.out_path, lines)
+    sp.batch_to_csv(batch, config.out_path, [f"spec_sha256={spec.sha256} kind={spec.kind}"])
     return EXIT_OK
 
 

@@ -5,8 +5,8 @@ generator.  Its characteristic function factors as
 exp(i t'mu) * phi(t' Sigma t) for a scalar characteristic generator phi;
 this module provides the closed forms of phi for the named families, the
 uniform-sphere characteristic function, normalizing constants, radial
-densities and matrix square roots, with the Hankel quadrature route as the
-generic fallback.
+densities and the validated dispersion matrix with its roots, with the
+Hankel quadrature route as the generic fallback.
 """
 
 from __future__ import annotations
@@ -19,18 +19,19 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergentIntegralError, DomainError, NoClosedFormError
-from .generators import (
-    DensityGenerator,
-    Family,
-    closed_moment_integral,
-    moment_exists,
+from .generators import DensityGenerator, Family, moment_exists
+from .quadrature import (
+    QuadratureControl,
+    moment_integral,
+    normalizing_constant,
+    phi_hankel,
 )
-from .quadrature import QuadratureControl, moment_integral, phi_hankel
 from .specfun import bessel_j, bessel_k, gamma_fn, hyp0f1, hyp1f1
 
 __all__ = [
     "CFMethod",
     "ComplexCF",
+    "Dispersion",
     "EllipticalSpec",
     "uniform_sphere_cf",
     "normalizing_constant",
@@ -38,7 +39,6 @@ __all__ = [
     "closed_form_generator",
     "char_generator",
     "cf",
-    "matrix_roots",
 ]
 
 _SYM_TOL = 1e-12
@@ -77,14 +77,59 @@ def _as_vector(x, n: int, name: str) -> np.ndarray:
     return arr
 
 
-def _check_symmetric(sigma: np.ndarray, name: str = "sigma") -> np.ndarray:
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise DomainError(f"{name}: must be a square matrix, got shape {sigma.shape}")
-    scale = max(1.0, float(np.abs(sigma).max()))
-    asym = float(np.abs(sigma - sigma.T).max())
-    if asym > _SYM_TOL * scale:
-        raise DomainError(f"{name}: not symmetric (max asymmetry {asym:.3e})")
-    return 0.5 * (sigma + sigma.T)
+class Dispersion:
+    """A validated dispersion matrix Sigma with its factorizations.
+
+    Checked once at construction: square (n x n when n is given), finite,
+    symmetric within 1e-12 (then symmetrised) and positive semi-definite
+    within 1e-12 of its largest eigenvalue.  The matrix, its rank, the
+    eigen-factorization and the symmetric PSD root S (S @ S = Sigma) are
+    stored read-only.
+    """
+
+    def __init__(self, sigma, n: int | None = None):
+        sigma = np.asarray(sigma, dtype=float)
+        if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
+            raise DomainError(f"sigma: must be a square matrix, got shape {sigma.shape}")
+        if n is not None and sigma.shape != (n, n):
+            raise DomainError(f"sigma: expected shape ({n}, {n}), got {sigma.shape}")
+        if not np.all(np.isfinite(sigma)):
+            raise DomainError("sigma: contains non-finite entries")
+        scale = max(1.0, float(np.abs(sigma).max()))
+        asym = float(np.abs(sigma - sigma.T).max())
+        if asym > _SYM_TOL * scale:
+            raise DomainError(f"sigma: not symmetric (max asymmetry {asym:.3e})")
+        self.matrix = 0.5 * (sigma + sigma.T)
+
+        eigvals, self.eigvecs = np.linalg.eigh(self.matrix)
+        scale = max(1.0, float(eigvals.max(initial=0.0)))
+        if eigvals.min(initial=0.0) < -_EIG_TOL * scale:
+            raise DomainError(
+                f"sigma: not positive semi-definite (min eigenvalue {eigvals.min():.3e})"
+            )
+        self.eigvals = np.clip(eigvals, 0.0, None)
+        self.rank = int(np.sum(self.eigvals > _EIG_TOL * scale))
+        root = self.eigvecs @ np.diag(np.sqrt(self.eigvals)) @ self.eigvecs.T
+        self.sym_root = 0.5 * (root + root.T)
+        for arr in (self.matrix, self.eigvals, self.eigvecs, self.sym_root):
+            arr.setflags(write=False)
+
+    def quad(self, t: np.ndarray) -> float:
+        """The quadratic form t' Sigma t, clipped at 0 against rounding."""
+        return max(float(t @ self.matrix @ t), 0.0)
+
+    def chol_factor(self) -> np.ndarray:
+        """A with A'A = Sigma; requires full rank (used by sampling)."""
+        n = self.matrix.shape[0]
+        if self.rank < n:
+            raise DomainError(f"sigma has rank {self.rank} < {n}: no Cholesky factor")
+        return np.linalg.cholesky(self.matrix).T
+
+    def inv_sym_root(self) -> np.ndarray:
+        """The inverse of the symmetric root; requires full rank."""
+        if self.rank < self.matrix.shape[0]:
+            raise DomainError(f"sigma has rank {self.rank}: singular, no inverse root")
+        return self.eigvecs @ np.diag(1.0 / np.sqrt(self.eigvals)) @ self.eigvecs.T
 
 
 class EllipticalSpec:
@@ -100,23 +145,11 @@ class EllipticalSpec:
             raise DomainError("EllipticalSpec: n must be an integer >= 1")
         self.n = int(n)
         self.mu = _as_vector(mu, self.n, "mu")
-        sigma = np.asarray(sigma, dtype=float)
-        self.sigma = _check_symmetric(sigma)
+        self.dispersion = Dispersion(sigma, self.n)
+        self.sigma = self.dispersion.matrix
         self.generator = generator
-
-        eigvals, eigvecs = np.linalg.eigh(self.sigma)
-        scale = max(1.0, float(eigvals.max(initial=0.0)))
-        if eigvals.min(initial=0.0) < -_EIG_TOL * scale:
-            raise DomainError(
-                f"sigma: not positive semi-definite (min eigenvalue {eigvals.min():.3e})"
-            )
-        self._eigvals = np.clip(eigvals, 0.0, None)
-        self._eigvecs = eigvecs
-        self.rank = int(np.sum(self._eigvals > _EIG_TOL * scale))
-
         self._validate_generator_dimension()
         self.mu.setflags(write=False)
-        self.sigma.setflags(write=False)
 
     def _validate_generator_dimension(self) -> None:
         gen, n = self.generator, self.n
@@ -142,23 +175,6 @@ class EllipticalSpec:
                     "generator: moment integral diverges (checked numerically)"
                 ) from exc
 
-    def sym_root(self) -> np.ndarray:
-        """Symmetric PSD square root of Sigma."""
-        root = self._eigvecs @ np.diag(np.sqrt(self._eigvals)) @ self._eigvecs.T
-        return 0.5 * (root + root.T)
-
-    def chol_factor(self) -> np.ndarray:
-        """A with A'A = Sigma; requires full rank (used by sampling)."""
-        if self.rank < self.n:
-            raise DomainError(
-                f"sigma has rank {self.rank} < {self.n}: no Cholesky factor"
-            )
-        return np.linalg.cholesky(self.sigma).T
-
-    def quadratic_form(self, t: np.ndarray) -> float:
-        q = float(t @ self.sigma @ t)
-        return max(q, 0.0)
-
 
 def uniform_sphere_cf(n: int, s: float) -> float:
     """CF of the uniform law on the unit sphere surface, at s = ||t||^2.
@@ -177,31 +193,11 @@ def uniform_sphere_cf(n: int, s: float) -> float:
     return gamma_fn(0.5 * n) * (2.0 / x) ** half_order * bessel_j(half_order, x)
 
 
-def normalizing_constant(
-    n: int, gen: DensityGenerator, ctl: QuadratureControl | None = None
-) -> float:
-    """c_n = Gamma(n/2) pi^(-n/2) / int_0^inf z^(n/2-1) g(z) dz.
-
-    Closed forms for the named families; numeric for custom generators.
-    """
-    closed = closed_moment_integral(gen, float(n))
-    if closed is not None:
-        if not math.isfinite(closed):
-            raise DomainError("normalizing_constant: moment integral diverges")
-        m = closed
-    else:
-        try:
-            m = moment_integral(gen, n, ctl or QuadratureControl()).value
-        except DivergentIntegralError as exc:
-            raise DomainError("normalizing_constant: moment integral diverges") from exc
-    return gamma_fn(0.5 * n) / (math.pi ** (0.5 * n) * m)
-
-
 def radial_density(spec: EllipticalSpec, v: float) -> float:
     """Density of the generating variate R at v >= 0 (full-rank specs only)."""
     if v < 0.0:
         raise DomainError("radial_density: v must be >= 0")
-    if spec.rank < spec.n:
+    if spec.dispersion.rank < spec.n:
         raise DomainError("radial_density: undefined for rank-deficient sigma")
     gen = spec.generator
     if v > gen.support_radius:
@@ -306,30 +302,8 @@ def cf(
     t = _as_vector(t, spec.n, "t")
     if not t.any():
         return ComplexCF(1.0, 0.0, 0.0, CFMethod.CLOSED_FORM)
-    q = spec.quadratic_form(t)
+    q = spec.dispersion.quad(t)
     phi, abs_err, method = char_generator(spec.generator, spec.n, q, route, ctl)
     phase = float(t @ spec.mu)
     return ComplexCF(math.cos(phase) * phi, math.sin(phase) * phi, abs_err, method)
 
-
-def matrix_roots(sigma) -> tuple[np.ndarray, np.ndarray]:
-    """(A, S) with A'A = Sigma and S the symmetric PSD root, S @ S = Sigma.
-
-    A is the Cholesky factor for positive definite Sigma; rank-deficient
-    PSD matrices fall back to an eigenfactor with the same A'A property.
-    """
-    sigma = _check_symmetric(np.asarray(sigma, dtype=float))
-    eigvals, eigvecs = np.linalg.eigh(sigma)
-    scale = max(1.0, float(eigvals.max(initial=0.0)))
-    if eigvals.min(initial=0.0) < -_EIG_TOL * scale:
-        raise DomainError(
-            f"matrix_roots: not positive semi-definite (min eigenvalue {eigvals.min():.3e})"
-        )
-    clamped = np.clip(eigvals, 0.0, None)
-    sym = eigvecs @ np.diag(np.sqrt(clamped)) @ eigvecs.T
-    sym = 0.5 * (sym + sym.T)
-    try:
-        a = np.linalg.cholesky(sigma).T
-    except np.linalg.LinAlgError:
-        a = np.diag(np.sqrt(clamped)) @ eigvecs.T
-    return a, sym

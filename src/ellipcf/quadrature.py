@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -31,6 +31,7 @@ __all__ = [
     "adaptive_interval",
     "moment_integral",
     "radial_moment",
+    "normalizing_constant",
     "integrate_bessel_oscillatory",
     "phi_hankel",
 ]
@@ -249,14 +250,31 @@ def radial_moment(
 
 
 def _moment_n(gen: DensityGenerator, n: int, ctl: QuadratureControl) -> float:
+    # int_0^inf z^(n/2-1) g(z) dz, cached on the generator: closed forms for
+    # the named families, numeric for custom generators
     key = ("moment", float(n))
     if key not in gen.moment_cache:
-        closed = closed_moment_integral(gen, float(n))
-        if closed is not None and math.isfinite(closed):
-            gen.moment_cache[key] = closed
-        else:
-            gen.moment_cache[key] = moment_integral(gen, n, ctl).value
+        moment = closed_moment_integral(gen, float(n))
+        if moment is None:
+            try:
+                moment = moment_integral(gen, n, ctl).value
+            except DivergentIntegralError as exc:
+                raise DomainError("normalizing_constant: moment integral diverges") from exc
+        if not math.isfinite(moment):
+            raise DomainError("normalizing_constant: moment integral diverges")
+        gen.moment_cache[key] = moment
     return gen.moment_cache[key]
+
+
+def normalizing_constant(
+    n: int, gen: DensityGenerator, ctl: QuadratureControl | None = None
+) -> float:
+    """c_n = Gamma(n/2) pi^(-n/2) / int_0^inf z^(n/2-1) g(z) dz.
+
+    The moment integral is cached on the generator; a divergent one raises
+    DomainError.
+    """
+    return gamma_fn(0.5 * n) / (math.pi ** (0.5 * n) * _moment_n(gen, n, ctl or _DEFAULT_CTL))
 
 
 # ---------------------------------------------------------------------------
@@ -429,19 +447,13 @@ def phi_hankel(
         except MomentUndefinedError:
             pass  # heavy tails: only the oscillatory route is available
 
-    moment_n = _moment_n(gen, n, ctl)
-    c_n = gamma_fn(0.5 * n) / (math.pi ** (0.5 * n) * moment_n)
+    c_n = normalizing_constant(n, gen, ctl)
     prefactor = c_n * (2.0 * math.pi) ** (0.5 * n) * u ** (-0.5 * (n - 2.0))
 
     def envelope(r: float) -> float:
         return r ** (0.5 * n) * gen.g(r * r)
 
-    inner = QuadratureControl(
-        abs_tol=ctl.abs_tol / max(prefactor, 1.0),
-        rel_tol=ctl.rel_tol,
-        max_panels=ctl.max_panels,
-        tail_cutoff=ctl.tail_cutoff,
-    )
+    inner = replace(ctl, abs_tol=ctl.abs_tol / max(prefactor, 1.0))
     res = integrate_bessel_oscillatory(
         envelope, 0.5 * (n - 2.0), u, inner, gen.support_radius
     )

@@ -7,15 +7,17 @@ count and any draw is replayable from its provenance line.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .elliptical import CFMethod, ComplexCF, EllipticalSpec
+from .elliptical import CFMethod, ComplexCF, EllipticalSpec, radial_density
 from .errors import DomainError
 from .generators import DensityGenerator, Family
 from .quadrature import adaptive_interval
@@ -163,35 +165,31 @@ def _radius_chunk(
     if fam is Family.BESSEL:
         v = g.gamma(p["a"] + 0.5 * n, 2.0 * p["beta"] ** 2, size=m)
         return np.sqrt(v * g.chisquare(n, size=m))
-    # custom: numeric inversion of the radial CDF
-    table = _radial_cdf_table(spec)
-    return _invert_from_table(table, g.random(m))
+    # custom: numeric inversion of the radial CDF, tabulated once per n
+    key = ("radial_cdf", n)
+    if key not in gen.moment_cache:
+        pdf = lambda v: radial_density(spec, v)
+        gen.moment_cache[key] = _cdf_table(pdf, 0.0, gen.support_radius)
+    return _invert_from_table(gen.moment_cache[key], g.random(m))
 
 
-def _radial_cdf_table(spec: EllipticalSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Tabulated radial CDF out to the 1 - 1e-10 quantile (cached)."""
-    gen = spec.generator
-    key = ("radial_cdf", spec.n)
-    if key in gen.moment_cache:
-        return gen.moment_cache[key]
-    from .elliptical import radial_density
+def _cdf_table(
+    pdf: Callable[[float], float], lo: float, hi: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tabulated CDF of a unit-mass density on [lo, hi].
 
-    pdf = lambda v: radial_density(spec, v)
-    if math.isfinite(gen.support_radius):
-        v_max = gen.support_radius
-    else:
-        v_max = 1.0
-        while v_max < 1e9:
-            tail, _, _ = adaptive_interval(pdf, v_max, 4.0 * v_max, 1e-13, 1e-13, 256)
-            body, _, _ = adaptive_interval(pdf, 0.0, v_max, 1e-12, 1e-12, 512)
-            # crude geometric continuation of the window masses
-            if body > 0.0 and tail < 1e-11 * body:
+    An infinite hi is cut where the mass of [hi, 4 hi] drops below 1e-11.
+    """
+    if math.isinf(hi):
+        hi = 1.0
+        while hi < 1e9:
+            tail, _, _ = adaptive_interval(pdf, hi, 4.0 * hi, 1e-13, 1e-13, 256)
+            if tail < 1e-11:
                 break
-            v_max *= 2.0
-    grid = np.concatenate(
-        [np.linspace(0.0, v_max / 16.0, 200), np.geomspace(v_max / 16.0, v_max, 400)]
+            hi *= 2.0
+    grid = np.unique(
+        np.concatenate([np.linspace(lo, hi, 400), np.geomspace(max(lo, hi * 1e-6), hi, 200)])
     )
-    grid = np.unique(grid)
     cdf = np.zeros_like(grid)
     acc = 0.0
     for i in range(1, len(grid)):
@@ -199,11 +197,9 @@ def _radial_cdf_table(spec: EllipticalSpec) -> tuple[np.ndarray, np.ndarray]:
         acc += seg
         cdf[i] = acc
     if cdf[-1] <= 0.0:
-        raise DomainError("sample_radius: radial density mass is zero on the grid")
+        raise DomainError("sampling: density mass is zero on the CDF grid")
     cdf /= cdf[-1]
-    table = (grid, cdf)
-    gen.moment_cache[key] = table
-    return table
+    return grid, cdf
 
 
 def _invert_from_table(table: tuple[np.ndarray, np.ndarray], u: np.ndarray) -> np.ndarray:
@@ -227,7 +223,7 @@ def sample_radius(spec: EllipticalSpec, count: int, rng: RngStream, workers: int
 
 def sample_elliptical(spec: EllipticalSpec, count: int, rng: RngStream, workers: int = 1) -> SampleBatch:
     """Rows mu + R A'U with A'A = Sigma, R and U independent."""
-    a = spec.chol_factor()  # raises for rank-deficient sigma
+    a = spec.dispersion.chol_factor()  # raises for rank-deficient sigma
 
     def chunk(i: int, m: int, g: np.random.Generator) -> np.ndarray:
         u = _unit_sphere_rows(g, m, spec.n)
@@ -258,39 +254,16 @@ def _mixing_chunk(law: MixingLaw, m: int, g: np.random.Generator) -> np.ndarray:
     if law.kind is MixingKind.INVERSE_GAMMA:
         return 1.0 / g.gamma(law.shape, 1.0 / law.scale, size=m)
     # custom density: inversion of a tabulated CDF
-    table = _mixing_cdf_table(law)
-    return _invert_from_table(table, g.random(m))
-
-
-def _mixing_cdf_table(law: MixingLaw) -> tuple[np.ndarray, np.ndarray]:
-    cached = getattr(law, "_cdf_table", None)
-    if cached is not None:
-        return cached
-    lo, hi = law.support
-    if math.isinf(hi):
-        hi = 1.0
-        while hi < 1e9:
-            tail, _, _ = adaptive_interval(law.pdf, hi, 4.0 * hi, 1e-13, 1e-13, 256)
-            if tail < 1e-11:
-                break
-            hi *= 2.0
-    grid = np.unique(np.concatenate([np.linspace(lo, hi, 400), np.geomspace(max(lo, hi * 1e-6), hi, 200)]))
-    cdf = np.zeros_like(grid)
-    acc = 0.0
-    for i in range(1, len(grid)):
-        seg, _, _ = adaptive_interval(law.pdf, grid[i - 1], grid[i], 1e-12, 1e-10, 64)
-        acc += seg
-        cdf[i] = acc
-    cdf /= cdf[-1]
-    law._cdf_table = (grid, cdf)
-    return grid, cdf
+    if law._cdf_table is None:
+        law._cdf_table = _cdf_table(law.pdf, *law.support)
+    return _invert_from_table(law._cdf_table, g.random(m))
 
 
 def sample_location_scale_mixture(
     spec: LSMixtureSpec, count: int, rng: RngStream, workers: int = 1
 ) -> SampleBatch:
     """Rows mu + V gamma + sqrt(V) Sigma^(1/2) Z, V independent of Z."""
-    s_root = spec.sym_root()
+    s_root = spec.dispersion.sym_root
 
     def chunk(i: int, m: int, g: np.random.Generator) -> np.ndarray:
         u = _unit_sphere_rows(g, m, spec.n)
@@ -311,7 +284,7 @@ def _skew_normal_chunk(spec: SkewNormalSpec, m: int, g: np.random.Generator) -> 
     # conditioning mechanism: keep the normal draw when the latent
     # alpha-projection plus independent noise is positive (acceptance 1/2)
     n = spec.n
-    s_root = spec.sym_root()
+    s_root = spec.dispersion.sym_root
     alpha = spec.alpha
     rows = []
     have = 0
@@ -397,8 +370,9 @@ def _provenance(kind: str, rng: RngStream, count: int, fingerprint: str = "") ->
 
 
 def batch_to_csv(batch: SampleBatch, path, extra_comments: Optional[list[str]] = None) -> None:
-    """Write the batch as CSV: '#' provenance comments, x1..xn header, rows."""
-    with open(path, "w", newline="") as fh:
+    """Write the batch as CSV ('-' = stdout): '#' provenance comments, x1..xn header, rows."""
+    out = contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w", newline="")
+    with out as fh:
         fh.write(f"# {batch.provenance}\n")
         for line in extra_comments or []:
             fh.write(f"# {line}\n")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+from dataclasses import replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -20,11 +21,10 @@ import numpy as np
 from .elliptical import (
     CFMethod,
     ComplexCF,
+    Dispersion,
     EllipticalSpec,
     _as_vector,
-    _check_symmetric,
     char_generator,
-    normalizing_constant,
 )
 from .errors import ConvergenceError, DomainError
 from .generators import DensityGenerator
@@ -32,6 +32,7 @@ from .quadrature import (
     QuadratureControl,
     adaptive_interval,
     integrate_bessel_oscillatory,
+    normalizing_constant,
     radial_moment,
 )
 from .specfun import gamma_fn, norm_cdf_imag, norm_cdf_imag_scaled
@@ -212,19 +213,9 @@ class LSMixtureSpec:
         self.n = n
         self.mu = _as_vector(mu, n, "mu")
         self.gamma = _as_vector(gamma, n, "gamma")
-        sigma = _check_symmetric(np.asarray(sigma, dtype=float))
-        if sigma.shape != (n, n):
-            raise DomainError(f"LSMixtureSpec: sigma must be {n}x{n}")
-        eigvals = np.linalg.eigvalsh(sigma)
-        if eigvals.min() < -1e-12 * max(1.0, eigvals.max()):
-            raise DomainError("LSMixtureSpec: sigma must be positive semi-definite")
-        self.sigma = sigma
+        self.dispersion = Dispersion(sigma, n)
+        self.sigma = self.dispersion.matrix
         self.mixing = mixing
-        shadow = EllipticalSpec(n, np.zeros(n), sigma, base.generator)
-        self._sym_root = shadow.sym_root()
-
-    def sym_root(self) -> np.ndarray:
-        return self._sym_root
 
 
 def cf_location_scale_mixture(
@@ -241,8 +232,7 @@ def cf_location_scale_mixture(
     t = _as_vector(t, spec.n, "t")
     if not t.any():
         return ComplexCF(1.0, 0.0, 0.0, CFMethod.CLOSED_FORM)
-    q = float(t @ spec.sigma @ t)
-    q = max(q, 0.0)
+    q = spec.dispersion.quad(t)
     drift = float(t @ spec.gamma)
     phase = float(t @ spec.mu)
     gen, n = spec.base.generator, spec.n
@@ -328,18 +318,13 @@ def cf_star_unimodal(
             if abs(coeff) <= ctl.rel_tol * abs(total):
                 return ComplexCF(float(total), 0.0, abs(coeff), CFMethod.HANKEL)
         raise ConvergenceError("cf_star_unimodal: small-u series did not converge")
-    c_n = normalizing_constant(n, gen)
+    c_n = normalizing_constant(n, gen, ctl)
     prefactor = 2.0 * c_n * (2.0 * math.pi) ** (0.5 * n) * u ** (-0.5 * n)
 
     def envelope(w: float) -> float:
         return -(w ** (0.5 * n + 1.0)) * gen.g_prime(w * w)
 
-    inner = QuadratureControl(
-        abs_tol=ctl.abs_tol / max(prefactor, 1.0),
-        rel_tol=ctl.rel_tol,
-        max_panels=ctl.max_panels,
-        tail_cutoff=ctl.tail_cutoff,
-    )
+    inner = replace(ctl, abs_tol=ctl.abs_tol / max(prefactor, 1.0))
     res = integrate_bessel_oscillatory(envelope, 0.5 * n, u, inner, gen.support_radius)
     return ComplexCF(
         prefactor * res.value, 0.0, abs(prefactor) * res.err_est, CFMethod.HANKEL
@@ -401,15 +386,10 @@ class GSESpec:
         k_fn: Callable[[np.ndarray], complex],
         log_psi: Optional[Callable[[float], float]] = None,
     ):
-        sigma = _check_symmetric(np.asarray(sigma, dtype=float))
-        self.n = sigma.shape[0]
+        self.dispersion = Dispersion(sigma)
+        self.sigma = self.dispersion.matrix
+        self.n = self.sigma.shape[0]
         self.mu = _as_vector(mu, self.n, "mu")
-        eigvals, eigvecs = np.linalg.eigh(sigma)
-        if eigvals.min() < -1e-12 * max(1.0, eigvals.max()):
-            raise DomainError("GSESpec: sigma must be positive semi-definite")
-        self.sigma = sigma
-        root = eigvecs @ np.diag(np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
-        self._sym_root = 0.5 * (root + root.T)
         self.psi = psi
         self.k_fn = k_fn
         self.log_psi = log_psi
@@ -425,17 +405,14 @@ class GSESpec:
                     f"GSESpec: k(t) + k(-t) != 1 (residual {resid:.3e} at a probe point)"
                 )
 
-    def sym_root(self) -> np.ndarray:
-        return self._sym_root
-
 
 def cf_gse(spec: GSESpec, t) -> ComplexCF:
     """CF of a generalized skew-elliptical law at t."""
     t = _as_vector(t, spec.n, "t")
     if not t.any():
         return ComplexCF(1.0, 0.0, 0.0, CFMethod.CLOSED_FORM)
-    q = max(float(t @ spec.sigma @ t), 0.0)
-    y = spec.sym_root() @ t
+    q = spec.dispersion.quad(t)
+    y = spec.dispersion.sym_root @ t
     phase = float(t @ spec.mu)
     rot = complex(math.cos(phase), math.sin(phase))
     if spec.log_psi is not None and hasattr(spec.k_fn, "scaled"):
@@ -467,16 +444,11 @@ def gse_affine(spec: GSESpec, a, b_matrix) -> GSESpec:
     if np.linalg.matrix_rank(b_matrix) != m:
         raise DomainError("gse_affine: B must have full row rank")
     a = _as_vector(a, m, "a")
-    new_sigma = b_matrix @ spec.sigma @ b_matrix.T
-    new_sigma = 0.5 * (new_sigma + new_sigma.T)
-    eigvals, eigvecs = np.linalg.eigh(new_sigma)
-    if eigvals.min() <= 1e-12 * max(1.0, eigvals.max()):
-        raise DomainError("gse_affine: B Sigma B' is singular; cannot rewire k")
-    inv_root = eigvecs @ np.diag(1.0 / np.sqrt(eigvals)) @ eigvecs.T
-    mapping = spec.sym_root() @ b_matrix.T @ inv_root
+    new = Dispersion(b_matrix @ spec.sigma @ b_matrix.T)
+    mapping = spec.dispersion.sym_root @ b_matrix.T @ new.inv_sym_root()
     return GSESpec(
         mu=a + b_matrix @ spec.mu,
-        sigma=new_sigma,
+        sigma=new.matrix,
         psi=spec.psi,
         k_fn=LinearMappedK(spec.k_fn, mapping),
         log_psi=spec.log_psi,
@@ -501,35 +473,27 @@ class SkewNormalSpec:
     """
 
     def __init__(self, mu, sigma, alpha, parametrization: Parametrization = Parametrization.HALF_ROOT):
-        sigma = _check_symmetric(np.asarray(sigma, dtype=float))
-        self.n = sigma.shape[0]
+        self.dispersion = Dispersion(sigma)
+        self.sigma = self.dispersion.matrix
+        self.n = self.sigma.shape[0]
         self.mu = _as_vector(mu, self.n, "mu")
         self.alpha = _as_vector(alpha, self.n, "alpha")
-        eigvals, eigvecs = np.linalg.eigh(sigma)
-        if eigvals.min() < -1e-12 * max(1.0, eigvals.max()):
-            raise DomainError("SkewNormalSpec: sigma must be positive semi-definite")
-        self.sigma = sigma
-        root = eigvecs @ np.diag(np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
-        self._sym_root = 0.5 * (root + root.T)
         if not isinstance(parametrization, Parametrization):
             raise DomainError("SkewNormalSpec: invalid parametrization")
         self.parametrization = parametrization
-
-    def sym_root(self) -> np.ndarray:
-        return self._sym_root
 
     def skew_direction(self) -> np.ndarray:
         """Vector a with the CF odd part Phi(i a' S t); k(y) = Phi(i a'y)."""
         alpha = self.alpha
         if self.parametrization is Parametrization.HALF_ROOT:
             return alpha / math.sqrt(1.0 + float(alpha @ alpha))
-        return (self._sym_root @ alpha) / math.sqrt(
+        return (self.dispersion.sym_root @ alpha) / math.sqrt(
             1.0 + float(alpha @ self.sigma @ alpha)
         )
 
     def skew_scale(self, t: np.ndarray) -> float:
         """y with the CF factor Phi(iy) at this t."""
-        return float(self.skew_direction() @ (self._sym_root @ t))
+        return float(self.skew_direction() @ (self.dispersion.sym_root @ t))
 
 
 def _sn_centered(q: float, y: float) -> complex:
@@ -544,7 +508,7 @@ def cf_skew_normal(spec: SkewNormalSpec, t) -> ComplexCF:
     t = _as_vector(t, spec.n, "t")
     if not t.any():
         return ComplexCF(1.0, 0.0, 0.0, CFMethod.CLOSED_FORM)
-    q = max(float(t @ spec.sigma @ t), 0.0)
+    q = spec.dispersion.quad(t)
     y = spec.skew_scale(t)
     phase = float(t @ spec.mu)
     out = complex(math.cos(phase), math.sin(phase)) * _sn_centered(q, y)
@@ -577,7 +541,7 @@ def cf_smsn(
     t = _as_vector(t, spec.n, "t")
     if not t.any():
         return ComplexCF(1.0, 0.0, 0.0, CFMethod.CLOSED_FORM)
-    q = max(float(t @ spec.sigma @ t), 0.0)
+    q = spec.dispersion.quad(t)
     y = spec.skew_scale(t)
     phase = float(t @ spec.mu)
 
@@ -622,7 +586,7 @@ def smsn_split(
 
     def k_n(t: np.ndarray) -> complex:
         t = _as_vector(t, spec.n, "t")
-        q = max(float(t @ spec.sigma @ t), 0.0)
+        q = spec.dispersion.quad(t)
         y = spec.skew_scale(t)
 
         def odd_part(u: float) -> complex:

@@ -4,6 +4,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from ellipcf import cli
 from ellipcf import elliptical
@@ -59,8 +60,17 @@ class TestEval:
         assert abs(float(rows[0][2]) - math.exp(-2.0)) < 1e-12
         assert float(rows[0][3]) == 0.0
 
-    def test_asymmetric_sigma_exit_2(self, tmp_path, capsys):
-        obj = normal_spec(sigma=[1.0, 0.5, 0.0, 1.0])
+    @pytest.mark.parametrize("kind", ["elliptical", "skew_normal"])
+    @pytest.mark.parametrize(
+        "sigma",
+        [[1.0, 0.5, 0.0, 1.0], [1.0, math.nan, math.nan, 1.0], [1.0, 0.0, 0.0, math.inf]],
+        ids=["asymmetric", "nan", "inf"],
+    )
+    def test_asymmetric_sigma_exit_2(self, tmp_path, capsys, sigma, kind):
+        obj = normal_spec(sigma=sigma)
+        if kind == "skew_normal":
+            del obj["generator"]
+            obj.update(kind="skew_normal", alpha=[1.0, -1.0])
         spec = write_spec(tmp_path, "bad.json", obj)
         rc = cli.main(["eval", "--spec", spec, "--grid", '{"kind":"list","points":[[1.0,0.0]]}'])
         assert rc == 2
@@ -144,6 +154,7 @@ class TestEval:
         assert rc == 3
         err = capsys.readouterr().err
         assert "1.5" in err and "numeric failure" in err
+        assert "np.float64" not in err
 
     def test_closed_unavailable_exit_2(self, tmp_path, capsys):
         obj = normal_spec()

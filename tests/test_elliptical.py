@@ -1,4 +1,4 @@
-"""Elliptical core tests: sphere CF, constants, closed forms, cf, roots."""
+"""Elliptical core tests: sphere CF, constants, closed forms, cf, dispersion."""
 
 import math
 
@@ -9,10 +9,10 @@ from numpy.testing import assert_allclose
 from ellipcf import generators as gn
 from ellipcf.elliptical import (
     CFMethod,
+    Dispersion,
     EllipticalSpec,
     cf,
     closed_form_generator,
-    matrix_roots,
     normalizing_constant,
     radial_density,
     uniform_sphere_cf,
@@ -234,32 +234,36 @@ class TestCF:
 
 
 class TestMatrixRoots:
+    """Roots of a validated Dispersion: A'A = Sigma (Cholesky) and S @ S = Sigma."""
+
     def test_identity(self):
-        a, s = matrix_roots(np.eye(3))
-        assert_allclose(a, np.eye(3), atol=1e-14)
-        assert_allclose(s, np.eye(3), atol=1e-14)
+        d = Dispersion(np.eye(3))
+        assert_allclose(d.chol_factor(), np.eye(3), atol=1e-14)
+        assert_allclose(d.sym_root, np.eye(3), atol=1e-14)
 
     def test_diagonal(self):
-        _, s = matrix_roots(np.diag([4.0, 9.0]))
-        assert_allclose(s, np.diag([2.0, 3.0]), atol=1e-13)
+        assert_allclose(Dispersion(np.diag([4.0, 9.0])).sym_root, np.diag([2.0, 3.0]), atol=1e-13)
 
     def test_random_psd_roundtrip(self):
         rng = np.random.default_rng(7)
         m = rng.normal(size=(5, 5))
         sigma = m @ m.T
-        a, s = matrix_roots(sigma)
+        d = Dispersion(sigma)
+        a, s = d.chol_factor(), d.sym_root
         assert np.abs(a.T @ a - sigma).max() < 1e-10
         assert np.abs(s @ s - sigma).max() < 1e-10
 
     def test_rank_deficient(self):
         sigma = np.array([[1.0, 1.0], [1.0, 1.0]])
-        a, s = matrix_roots(sigma)
-        assert np.abs(a.T @ a - sigma).max() < 1e-10
+        d = Dispersion(sigma)
+        s = d.sym_root
         assert np.abs(s @ s - sigma).max() < 1e-10
+        with pytest.raises(DomainError):
+            d.chol_factor()
 
     def test_asymmetric_rejected(self):
         with pytest.raises(DomainError):
-            matrix_roots(np.array([[1.0, 0.5], [0.0, 1.0]]))
+            Dispersion(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 class TestSpecValidation:
@@ -270,6 +274,8 @@ class TestSpecValidation:
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             EllipticalSpec(2, [0.0], np.eye(2), gn.normal_generator())
+        with pytest.raises(DomainError):
+            EllipticalSpec(2, np.zeros(2), np.eye(3), gn.normal_generator())
         with pytest.raises(DomainError):
             EllipticalSpec(3, np.zeros(3), np.eye(3), gn.generalized_t_generator(2, 1.0, 1))
 
@@ -288,6 +294,6 @@ class TestSpecValidation:
 
     def test_rank_recorded(self):
         spec = EllipticalSpec(3, np.zeros(3), np.diag([1.0, 1.0, 0.0]), gn.normal_generator())
-        assert spec.rank == 2
+        assert spec.dispersion.rank == 2
         with pytest.raises(DomainError):
-            spec.chol_factor()
+            spec.dispersion.chol_factor()

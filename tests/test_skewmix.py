@@ -222,7 +222,7 @@ class TestGSE:
     def test_tau_identities(self):
         sn = SkewNormalSpec([0.0, 0.0], np.eye(2), [1.5, -0.5])
         k = SkewNormalK(sn.skew_direction())
-        root = sn.sym_root()
+        root = sn.dispersion.sym_root
         assert tau_from_k(k(np.zeros(2))) == 0.0
         rng = np.random.default_rng(21)
         for _ in range(100):
