@@ -1,8 +1,11 @@
 """Adaptive panel quadrature and the Bessel-kernel radial integrals.
 
-The oscillatory integrator splits the axis at consecutive scaled Bessel
-zeros, integrates each inter-zero panel with adaptive Gauss-Legendre, and
+Every panel uses the nested Gauss-Kronrod 7/15 pair.  The oscillatory
+integrator works in the Bessel argument x = omega r, splits that axis at
+consecutive Bessel zeros, integrates each inter-zero panel adaptively, and
 accelerates the alternating panel sums with an iterated Euler transform.
+Because the panel nodes do not depend on omega, the kernel values J_nu(x)
+come from a per-order memo shared by every frequency.
 This evaluates the characteristic generator of any density generator,
 including user-supplied ones without closed forms.
 """
@@ -14,8 +17,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
-import numpy as np
-
 from .errors import (
     ConvergenceError,
     DivergentIntegralError,
@@ -23,7 +24,7 @@ from .errors import (
     MomentUndefinedError,
 )
 from .generators import DensityGenerator, closed_moment_integral, moment_exists
-from .specfun import bessel_j, bessel_j_zero, gamma_fn
+from .specfun import bessel_j, bessel_j_memoized, bessel_j_zero, gamma_fn
 
 __all__ = [
     "QuadratureControl",
@@ -63,25 +64,43 @@ class QuadResult:
 
 _DEFAULT_CTL = QuadratureControl()
 
-_G7_NODES, _G7_WEIGHTS = np.polynomial.legendre.leggauss(7)
-_G15_NODES, _G15_WEIGHTS = np.polynomial.legendre.leggauss(15)
+# QUADPACK's qk15 rule (Piessens et al. 1983): the 7 Gauss-Legendre nodes
+# are a subset of the 15 Kronrod nodes.  One (node, Kronrod weight, Gauss
+# weight) triple per symmetric pair, Gauss weight 0 off the Gauss nodes.
+_K15_PAIRS = (
+    (0.991455371120812639206854697526329, 0.022935322010529224963732008058970, 0.0),
+    (0.949107912342758524526189684047851, 0.063092092629978553290700663189204,
+     0.129484966168869693270611432679082),
+    (0.864864423359769072789712788640926, 0.104790010322250183839876322541518, 0.0),
+    (0.741531185599394439863864773280788, 0.140653259715525918745189590510238,
+     0.279705391489276667901467771423780),
+    (0.586087235467691130294144845693013, 0.169004726639267902826583426598550, 0.0),
+    (0.405845151377397166906606412076961, 0.190350578064785409913256402421014,
+     0.381830050505118944950369775488975),
+    (0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0),
+)
+_K15_CENTRE = 0.209482141084727828012999174891714
+_G7_CENTRE = 0.417959183673469387755102040816327
 
 
-def _gauss_pair(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    # 15-point value with |G15 - G7| as a conservative error estimate.
+def _kronrod_pair(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    # K15 value with |K15 - G7| as its error estimate, from 15 integrand calls
     halfw = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    v15 = halfw * sum(
-        w * f(mid + halfw * x) for x, w in zip(_G15_NODES, _G15_WEIGHTS)
-    )
-    v7 = halfw * sum(w * f(mid + halfw * x) for x, w in zip(_G7_NODES, _G7_WEIGHTS))
-    return v15, abs(v15 - v7)
+    fc = f(mid)
+    k15 = _K15_CENTRE * fc
+    g7 = _G7_CENTRE * fc
+    for x, wk, wg in _K15_PAIRS:
+        dx = halfw * x
+        pair = f(mid - dx) + f(mid + dx)
+        k15 += wk * pair
+        g7 += wg * pair
+    return halfw * k15, halfw * abs(k15 - g7)
 
 
-def _dyadic_seeds(a: float, b: float, min_cell: float = 0.25) -> tuple[float, ...]:
+def _dyadic_seeds(a: float, b: float, min_cell: float) -> tuple[float, ...]:
     # interior breakpoints halving toward the left edge, so an integrand
-    # concentrated near `a` cannot hide between the Gauss nodes of one huge
-    # panel
+    # concentrated near `a` cannot hide between the nodes of one huge panel
     width = b - a
     if width <= 8.0 * min_cell:
         return ()
@@ -98,7 +117,7 @@ def adaptive_interval(
     max_panels: int = 256,
     seeds: tuple[float, ...] = (),
 ) -> tuple[float, float, int]:
-    """Adaptive Gauss-Legendre on [a, b]: (value, err_est, panels_used).
+    """Adaptive Gauss-Kronrod 7/15 on [a, b]: (value, err_est, panels_used).
 
     Bisects the worst panel until the summed error estimate meets the
     tolerance or the panel budget runs out; never raises, callers judge the
@@ -113,7 +132,7 @@ def adaptive_interval(
     panels = 0
     seq = 0
     for pa, pb in zip(edges[:-1], edges[1:]):
-        val, err = _gauss_pair(f, pa, pb)
+        val, err = _kronrod_pair(f, pa, pb)
         heapq.heappush(heap, (-err, seq, pa, pb, val, err))
         total_val += val
         total_err += err
@@ -124,8 +143,8 @@ def adaptive_interval(
             break
         neg_err, _, pa, pb, pval, perr = heapq.heappop(heap)
         mid = 0.5 * (pa + pb)
-        lv, le = _gauss_pair(f, pa, mid)
-        rv, re = _gauss_pair(f, mid, pb)
+        lv, le = _kronrod_pair(f, pa, mid)
+        rv, re = _kronrod_pair(f, mid, pb)
         total_val += lv + rv - pval
         total_err += le + re - perr
         heapq.heappush(heap, (-le, seq, pa, mid, lv, le))
@@ -315,19 +334,32 @@ def integrate_bessel_oscillatory(
 ) -> QuadResult:
     """int_0^R f(r) J_nu(omega r) dr with R the (possibly infinite) support.
 
-    The integration axis is split at the scaled Bessel zeros; each panel is
-    integrated adaptively, and for infinite support the alternating panel
-    sums are Euler-accelerated so algebraically decaying envelopes (heavy
-    tails) still converge in a bounded panel budget.
+    Panels are integrated in x = omega r, as int f(x/omega) J_nu(x) dx / omega,
+    between consecutive Bessel zeros; each panel is integrated adaptively,
+    and for infinite support the alternating panel sums are Euler-accelerated
+    so algebraically decaying envelopes (heavy tails) still converge in a
+    bounded panel budget.  The panel nodes are the same for every omega, so
+    J_nu comes from the per-order memo; the last panel, cut short at the
+    support edge x = R omega, evaluates its kernel afresh.
     """
     if not omega > 0.0:
         raise DomainError("integrate_bessel_oscillatory: omega must be > 0")
 
-    def integrand(r: float) -> float:
-        return f(r) * _kernel(nu, omega * r)
+    def edge_integrand(x: float) -> float:
+        return f(x / omega) * _kernel(nu, x)
 
-    panel_abs = ctl.abs_tol / 64.0
+    if abs(nu) == 0.5:
+        integrand = edge_integrand  # closed forms beat a memo lookup
+    else:
+        j_nu = bessel_j_memoized(nu)
+
+        def integrand(x: float) -> float:
+            return f(x / omega) * j_nu(x)
+
+    panel_abs = ctl.abs_tol / 64.0 * omega
     panel_rel = min(ctl.rel_tol, 1e-10)
+    min_cell = 0.25 * omega
+    x_edge = support_radius * omega
 
     contributions: list[float] = []
     partials: list[float] = []
@@ -337,26 +369,28 @@ def integrate_bessel_oscillatory(
     peak = 0.0
     prev_acc: Optional[float] = None
     acc_ok_streak = 0
-    b_prev = 0.0
+    x_prev = 0.0
 
     for k in range(1, ctl.max_panels + 1):
-        zk = bessel_j_zero(nu, k) / omega
-        b_k = min(zk, support_radius)
-        if b_k <= b_prev:
+        x_k = min(bessel_j_zero(nu, k), x_edge)
+        if x_k <= x_prev:
             break
         val, err, p = adaptive_interval(
-            integrand, b_prev, b_k, panel_abs, panel_rel,
-            seeds=_dyadic_seeds(b_prev, b_k),
+            edge_integrand if x_k == x_edge else integrand,
+            x_prev, x_k, panel_abs, panel_rel,
+            seeds=_dyadic_seeds(x_prev, x_k, min_cell),
         )
+        val /= omega
+        err /= omega
         contributions.append(val)
         running += val
         partials.append(running)
         quad_err += err
         panels_used += p
         peak = max(peak, abs(val))
-        b_prev = b_k
+        x_prev = x_k
 
-        if b_k >= support_radius:
+        if x_k >= x_edge:
             # finite support exhausted: plain sum, no tail
             return QuadResult(running, quad_err, panels_used, 0.0)
 

@@ -101,12 +101,20 @@ def _run_chunks(
         idx, m = arg
         return chunk_fn(idx, m, rng.chunk_generator(idx))
 
+    def gather(parts) -> np.ndarray:
+        # copy each chunk into place as it arrives, so the draws are held
+        # once rather than as parts plus their concatenation
+        out = None
+        for idx, part in enumerate(parts):
+            if out is None:
+                out = np.empty((count,) + part.shape[1:], dtype=part.dtype)
+            out[idx * _CHUNK : idx * _CHUNK + len(part)] = part
+        return out
+
     if workers <= 1:
-        parts = [job(arg) for arg in ranges]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(job, ranges))
-    return np.concatenate(parts, axis=0)
+        return gather(map(job, ranges))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return gather(pool.map(job, ranges))
 
 
 def _unit_sphere_rows(gen: np.random.Generator, m: int, n: int) -> np.ndarray:
@@ -178,10 +186,11 @@ def _cdf_table(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tabulated CDF of a unit-mass density on [lo, hi].
 
-    An infinite hi is cut where the mass of [hi, 4 hi] drops below 1e-11.
+    An infinite hi is cut where the mass of [hi, 4 hi] drops below 1e-11,
+    searching upward from max(lo, 1).
     """
     if math.isinf(hi):
-        hi = 1.0
+        hi = max(lo, 1.0)
         while hi < 1e9:
             tail, _, _ = adaptive_interval(pdf, hi, 4.0 * hi, 1e-13, 1e-13, 256)
             if tail < 1e-11:
@@ -339,10 +348,14 @@ def empirical_cf(batch: SampleBatch, t) -> ComplexCF:
     t = np.asarray(t, dtype=float)
     if t.shape != (batch.n,):
         raise DomainError(f"empirical_cf: t must have shape ({batch.n},)")
-    phases = batch.data @ t
-    re = float(np.cos(phases).mean())
-    im = float(np.sin(phases).mean())
-    return ComplexCF(re, im, 3.0 / math.sqrt(batch.count), CFMethod.MONTE_CARLO)
+    re = im = 0.0
+    for start in range(0, batch.count, _CHUNK):  # blocks bound the temporaries
+        phases = batch.data[start:start + _CHUNK] @ t
+        re += float(np.cos(phases).sum())
+        im += float(np.sin(phases).sum())
+    return ComplexCF(
+        re / batch.count, im / batch.count, 3.0 / math.sqrt(batch.count), CFMethod.MONTE_CARLO
+    )
 
 
 def _fingerprint(*parts) -> str:
@@ -377,5 +390,8 @@ def batch_to_csv(batch: SampleBatch, path, extra_comments: Optional[list[str]] =
         for line in extra_comments or []:
             fh.write(f"# {line}\n")
         fh.write(",".join(f"x{i + 1}" for i in range(batch.n)) + "\n")
-        for row in batch.data:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        # one %-template per block of rows; "%.17g" formats as f"{v:.17g}"
+        row = ",".join(["%.17g"] * batch.n) + "\n"
+        for start in range(0, batch.count, _CHUNK):
+            block = batch.data[start:start + _CHUNK]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))

@@ -78,7 +78,7 @@ class MixingLaw:
 
     Use the factory classmethods; expectations are exact sums for the
     discrete kinds and adaptive quadrature against the density otherwise
-    (substitution v = x/(1-x) for the infinite half-line).
+    (substitution v = lo + x/(1-x) for a support [lo, inf)).
     """
 
     def __init__(
@@ -174,9 +174,9 @@ class MixingLaw:
             return sum(w * fn(p) for p, w in zip(self.points, self.weights))
         lo, hi = self.support if self.kind is MixingKind.CUSTOM_DENSITY else (0.0, math.inf)
         if math.isinf(hi):
-            # v = x/(1-x) maps [0,1) onto [lo=0 tail handled by pdf support)
+            # v = lo + x/(1-x) maps [0, 1) onto [lo, inf)
             def integrand(x: float):
-                v = x / (1.0 - x)
+                v = lo + x / (1.0 - x)
                 return fn(v) * self.pdf(v) / ((1.0 - x) * (1.0 - x))
 
             val, err, _ = adaptive_interval(integrand, 0.0, 1.0, abs_tol / 4.0, 1e-12, 512)

@@ -4,6 +4,9 @@ Bessel J of the first kind, the MacDonald function K, the hypergeometric
 series 0F1 and 1F1 (Kummer), gamma/log-gamma, Bessel-J zeros, the Dawson
 function and the standard normal CDF at a purely imaginary argument.
 
+J_nu can also be read through a bounded per-order memo
+(:func:`bessel_j_memoized`) kept with that order's cached zeros.
+
 Every truncated series honours a :class:`SeriesControl` policy and reports
 the number of terms consumed.  Non-convergence raises
 :class:`~ellipcf.errors.ConvergenceError`; a silent NaN is never returned.
@@ -26,6 +29,7 @@ __all__ = [
     "gamma_fn",
     "log_gamma_fn",
     "bessel_j",
+    "bessel_j_memoized",
     "bessel_j_zero",
     "bessel_k",
     "hyp0f1",
@@ -168,8 +172,52 @@ def bessel_j(nu: float, x: float, ctl: SeriesControl = _DEFAULT_CTL) -> float:
     return sv.value
 
 
-_JZERO_CACHE: dict[float, list[float]] = {}
+class _OrderTable:
+    """Per-order Bessel data: the positive zeros (append-only, in order)
+    and a bounded memo of J_nu values keyed by the argument."""
+
+    __slots__ = ("zeros", "j_values")
+
+    def __init__(self) -> None:
+        self.zeros: list[float] = []
+        self.j_values: dict[float, float] = {}
+
+
+_JZERO_CACHE: dict[float, _OrderTable] = {}
 _JZERO_LOCK = threading.Lock()
+
+# Entries per order before the J_nu memo is emptied and refilled.
+_J_MEMO_CAP = 1 << 14
+_J_MEMO_LOCK = threading.Lock()  # keeps the size check and insert together
+
+
+def _order_table(nu: float) -> _OrderTable:
+    table = _JZERO_CACHE.get(nu)
+    if table is None:
+        table = _JZERO_CACHE.setdefault(nu, _OrderTable())
+    return table
+
+
+def bessel_j_memoized(nu: float) -> Callable[[float], float]:
+    """x -> bessel_j(nu, x), memoized per order for repeated arguments.
+
+    The memo lives with the order's zeros, so clearing the zero cache clears
+    it too; it is emptied whenever it reaches a fixed size.  Values are
+    exactly those of bessel_j, so results never depend on the memo's state.
+    """
+    memo = _order_table(nu).j_values
+
+    def j(x: float) -> float:
+        value = memo.get(x)
+        if value is None:
+            value = bessel_j(nu, x)
+            with _J_MEMO_LOCK:
+                if len(memo) >= _J_MEMO_CAP:
+                    memo.clear()
+                memo[x] = value
+        return value
+
+    return j
 
 
 def bessel_j_zero(nu: float, k: int) -> float:
@@ -188,7 +236,7 @@ def bessel_j_zero(nu: float, k: int) -> float:
     if nu == -0.5:
         return (k - 0.5) * math.pi
 
-    zeros = _JZERO_CACHE.setdefault(nu, [])
+    zeros = _order_table(nu).zeros
     if len(zeros) >= k:  # lock-free read: the list is append-only
         return zeros[k - 1]
     with _JZERO_LOCK:

@@ -1,11 +1,14 @@
 """Quadrature engine tests: moment integrals, oscillatory route, phi."""
 
 import math
+import sys
+import threading
 
 import pytest
 from numpy.testing import assert_allclose
 
 from ellipcf import generators as gn
+from ellipcf import specfun
 from ellipcf.elliptical import closed_form_generator
 from ellipcf.errors import (
     ConvergenceError,
@@ -16,12 +19,35 @@ from ellipcf.errors import (
 from ellipcf.quadrature import (
     QuadratureControl,
     _phi_small_u_series,
+    adaptive_interval,
     integrate_bessel_oscillatory,
     moment_integral,
     phi_hankel,
     radial_moment,
 )
 from ellipcf.specfun import bessel_j, gamma_fn, hyp1f1
+
+
+class TestAdaptiveInterval:
+    def test_kronrod_rule_nested(self):
+        # K15 is exact to degree 22 and G7 to degree 13, so x^13 passes its
+        # error test on the first panel; the nested pair costs 15 calls
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x**13
+
+        val, err, panels = adaptive_interval(f, 0.0, 1.0, 1e-14, 1e-14)
+        assert panels == 1
+        assert len(calls) == 15
+        assert abs(val - 1.0 / 14.0) <= 1e-15 and err <= 1e-15
+
+    def test_complex_integrand(self):
+        # the mixing expectations integrate complex values
+        val, err, _ = adaptive_interval(lambda x: complex(math.cos(x), math.sin(x)),
+                                        0.0, 1.0, 1e-12, 1e-12)
+        assert abs(val - complex(math.sin(1.0), 1.0 - math.cos(1.0))) <= 1e-13
 
 
 class TestMomentIntegral:
@@ -188,8 +214,88 @@ class TestPhiHankel:
                     honest += 1
         assert honest >= 0.95 * total
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the integrable singularity at the Pearson II support edge is not "
+        "substituted, so err_est is far too optimistic",
+    )
+    def test_error_estimate_covers_pearson_ii_edge(self):
+        # m = -0.7, n = 2, u = 5: true error ~4e-6 against err_est ~5e-10
+        gen = gn.pearson_ii_generator(-0.7)
+        res = phi_hankel(gen, 2, 5.0)
+        assert abs(res.value - closed_form_generator(gen, 2, 25.0)) <= res.err_est
+
     def test_invalid_arguments(self):
         with pytest.raises(DomainError):
             phi_hankel(gn.normal_generator(), 0, 1.0)
         with pytest.raises(DomainError):
             phi_hankel(gn.normal_generator(), 2, -1.0)
+
+
+class TestKernelMemo:
+    GRID = (0.37, 1.0, 2.5, 4.1, 7.3, 12.0)
+
+    @staticmethod
+    def _values(gen, n, grid, cold):
+        out = {}
+        for u in grid:
+            if cold:
+                specfun._JZERO_CACHE.clear()
+            res = phi_hankel(gen, n, u)
+            out[u] = (res.value, res.err_est, res.panels_used)
+        return out
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_memo_is_transparent(self, n):
+        # a cold memo, a warm one and the reversed grid give the same bits
+        gen = gn.kotz_generator(2.0, 0.5, 1.0)
+        cold = self._values(gen, n, self.GRID, cold=True)
+        specfun._JZERO_CACHE.clear()
+        warm = self._values(gen, n, self.GRID, cold=False)
+        backward = self._values(gen, n, self.GRID[::-1], cold=False)
+        assert cold == warm == backward
+        assert len(specfun._JZERO_CACHE[0.5 * (n - 2.0)].j_values) > 0
+
+    def test_memo_stays_under_its_cap(self, monkeypatch):
+        cap = 200
+        monkeypatch.setattr(specfun, "_J_MEMO_CAP", cap)
+        specfun._JZERO_CACHE.clear()
+        gen = gn.normal_generator()
+        for i in range(40):
+            u = 0.5 + 0.37 * i
+            res = phi_hankel(gen, 2, u)
+            assert abs(res.value - math.exp(-0.5 * u * u)) <= 1e-8
+            assert 0 < len(specfun._JZERO_CACHE[0.0].j_values) <= cap
+
+    def test_memo_shared_by_threads(self, monkeypatch):
+        # more threads than cores on one small memo: every value still equals
+        # the single-threaded one and the size check never lets it overflow
+        cap = 150
+        monkeypatch.setattr(specfun, "_J_MEMO_CAP", cap)
+        gen = gn.kotz_generator(2.0, 0.5, 1.0)
+        grid = [0.3 + 0.61 * i for i in range(12)]
+        specfun._JZERO_CACHE.clear()
+        expected = [phi_hankel(gen, 2, u).value for u in grid]
+        memo = specfun._JZERO_CACHE[0.0].j_values
+        results, sizes = {}, []
+
+        def worker(idx):
+            order = grid[idx % 3:] + grid[:idx % 3]
+            results[idx] = {u: phi_hankel(gen, 2, u).value for u in order}
+            sizes.append(len(memo))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert len(results) == 8
+        for got in results.values():
+            assert [got[u] for u in grid] == expected
+        assert max(sizes) <= cap

@@ -204,6 +204,19 @@ class TestSampleLSM:
             assert abs(e.re - a.re) <= band + (a.abs_err or 0.0)
             assert abs(e.im - a.im) <= band + (a.abs_err or 0.0)
 
+    @pytest.mark.parametrize("lo", [3.0, 10.0, 50.0])
+    def test_custom_density_shifted_support(self, lo):
+        # V - lo ~ Exp(1) on (lo, inf): the normalisation check and the CDF
+        # table must both start at the lower end of the support
+        count = 2 * 10**5
+        mix = MixingLaw.custom_density(lambda v: math.exp(-(v - lo)), (lo, math.inf))
+        assert abs(mix.expectation(lambda v: v) - (lo + 1.0)) <= 1e-6
+        # X1 = V + sqrt(V) Z: mean lo + 1, variance lo + 2
+        spec = LSMixtureSpec(std_normal_base(2), np.zeros(2), [1.0, 0.0], np.eye(2), mix)
+        batch = sample_location_scale_mixture(spec, count, RNG)
+        mean = float(batch.data[:, 0].mean())
+        assert abs(mean - (lo + 1.0)) <= 5.0 * math.sqrt((lo + 2.0) / count)
+
 
 class TestSampleSkewNormal:
     def test_zero_alpha_is_normal(self):
@@ -305,6 +318,21 @@ class TestBatchCSV:
         rows = [ln for ln in lines if not ln.startswith("#")][1:]
         parsed = np.array([[float(v) for v in row.split(",")] for row in rows])
         assert np.array_equal(parsed, batch.data)
+
+    def test_block_writer_matches_per_value_format(self, tmp_path):
+        # the block template must write exactly what f"{v:.17g}" writes,
+        # also across block boundaries and on signed zero and subnormals
+        edge = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, -1e300, 0.1, 1.0 / 3.0, 123456789.0, 2.5]
+        data = RngStream(seed=3).generator().standard_normal((70000, 2))
+        data[: len(edge), 0] = edge
+        data[-len(edge):, 1] = edge
+        batch = SampleBatch(2, len(data), data, "kind=test")
+        path = tmp_path / "block.csv"
+        batch_to_csv(batch, path)
+        expected = "# kind=test\nx1,x2\n" + "".join(
+            ",".join(f"{v:.17g}" for v in row) + "\n" for row in data
+        )
+        assert path.read_text() == expected
 
     def test_batch_validation(self):
         with pytest.raises(DomainError):
