@@ -9,13 +9,14 @@ with '#'-prefixed provenance comments.  Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -40,6 +41,8 @@ EXIT_TOLERANCE_ERROR = 4
 
 _KINDS = ("elliptical", "lsm", "gse_skew_normal", "skew_normal", "smsn", "smu")
 _ROUTES = ("closed", "hankel", "mc")
+
+_BLOCK = 1 << 12  # grid points per formatted block of output rows
 
 
 @dataclass
@@ -229,8 +232,9 @@ def load_spec(path: str) -> ParsedSpec:
         raise SpecValidationError(str(exc)) from exc
 
 
-def parse_grid(text: str, n: int) -> list[np.ndarray]:
-    """Parse a grid description (JSON text or @file reference) into t-vectors."""
+def parse_grid(text: str, n: int) -> np.ndarray:
+    """Parse a grid description (JSON text or @file reference) into a (P, n)
+    array of finite t-vectors, one per row."""
     if text.startswith("@"):
         try:
             with open(text[1:]) as fh:
@@ -252,18 +256,33 @@ def parse_grid(text: str, n: int) -> list[np.ndarray]:
         num = int(obj["num"])
         if num < 1:
             raise SpecValidationError("grid.num: must be >= 1")
-        points = []
-        for value in np.linspace(float(obj["start"]), float(obj["stop"]), num):
-            t = np.zeros(n)
-            t[index] = value
-            points.append(t)
+        ends = []
+        for key in ("start", "stop"):
+            ends.append(float(obj[key]))
+            if not math.isfinite(ends[-1]):
+                raise SpecValidationError(f"grid.{key}: non-finite value")
+        points = np.zeros((num, n))
+        points[:, index] = np.linspace(*ends, num)
         return points
     if kind == "list":
         _check_fields(obj, {"kind", "points"}, set(), "grid")
         pts = obj["points"]
         if not isinstance(pts, list) or not pts:
             raise SpecValidationError("grid.points: must be a nonempty list of vectors")
-        return [_as_float_list(p, n, f"grid.points[{i}]") for i, p in enumerate(pts)]
+        try:
+            points = np.array(pts, dtype=float)
+        except (TypeError, ValueError):
+            points = None
+        if points is None or points.shape != (len(pts), n):  # name the first bad point
+            points = np.array(
+                [_as_float_list(p, n, f"grid.points[{i}]") for i, p in enumerate(pts)]
+            )
+        finite = np.isfinite(points).all(axis=1)
+        if not finite.all():
+            i = int(finite.argmin())
+            _as_float_list(pts[i], n, f"grid.points[{i}]")  # numpy reads null as nan
+            raise SpecValidationError(f"grid.points[{i}]: non-finite entry")
+        return points
     raise SpecValidationError(f"grid.kind: unknown kind {kind!r}")
 
 
@@ -276,18 +295,33 @@ def _phase_times(phi_value: float, phase: float) -> complex:
     return complex(math.cos(phase), math.sin(phase)) * phi_value
 
 
-def _analytic_evaluator(spec: ParsedSpec, route: str) -> Callable[[np.ndarray], el.ComplexCF]:
+def _closed_evaluator(spec: ParsedSpec) -> Callable[[np.ndarray], Iterator[el.ComplexCF]]:
+    """The closed route over a whole (P, n) grid: one ComplexCF per row, in order."""
+    kind = spec.kind
+    if kind in ("elliptical", "smu"):
+        return lambda ts: el.cf_rows(spec.elliptical, ts, route="closed")
+    if kind == "lsm":
+        return lambda ts: sk.cf_location_scale_mixture_rows(spec.lsm, ts, route="closed")
+    if kind == "skew_normal":
+        return lambda ts: sk.cf_skew_normal_rows(spec.skew_normal, ts)
+    if kind == "gse_skew_normal":
+        gse = sk.skew_normal_gse(spec.skew_normal)
+        return lambda ts: sk.cf_gse_rows(gse, ts)
+    if kind == "smsn":
+        return lambda ts: sk.cf_smsn_rows(spec.skew_normal, spec.mixing, ts)
+    raise SpecValidationError(f"kind: unsupported kind {kind!r}")
+
+
+def _hankel_evaluator(spec: ParsedSpec) -> Callable[[np.ndarray], el.ComplexCF]:
+    """The quadrature route at one grid point."""
     kind = spec.kind
     if kind == "elliptical":
-        return lambda t: el.cf(spec.elliptical, t, route=route)
+        return lambda t: el.cf(spec.elliptical, t, route="hankel")
     if kind == "smu":
         ell = spec.elliptical
-        if route == "closed":
-            return lambda t: el.cf(ell, t, route="closed")
 
         def smu_eval(t: np.ndarray) -> el.ComplexCF:
-            t = np.asarray(t, dtype=float)
-            u = math.sqrt(ell.dispersion.quad(t))
+            u = math.sqrt(ell.dispersion.quad_rows(t[None, :])[0])
             radial = np.zeros(ell.n)
             radial[0] = u
             base = sk.cf_star_unimodal(ell.generator, ell.n, radial)
@@ -296,19 +330,8 @@ def _analytic_evaluator(spec: ParsedSpec, route: str) -> Callable[[np.ndarray], 
 
         return smu_eval
     if kind == "lsm":
-        return lambda t: sk.cf_location_scale_mixture(spec.lsm, t, route=route)
-    if route == "hankel":
-        raise SpecValidationError(
-            f"routes: 'hankel' is not available for kind {kind!r}"
-        )
-    if kind == "skew_normal":
-        return lambda t: sk.cf_skew_normal(spec.skew_normal, t)
-    if kind == "gse_skew_normal":
-        gse = sk.skew_normal_gse(spec.skew_normal)
-        return lambda t: sk.cf_gse(gse, t)
-    if kind == "smsn":
-        return lambda t: sk.cf_smsn(spec.skew_normal, spec.mixing, t)
-    raise SpecValidationError(f"kind: unsupported kind {kind!r}")
+        return lambda t: sk.cf_location_scale_mixture(spec.lsm, t, route="hankel")
+    raise SpecValidationError(f"routes: 'hankel' is not available for kind {kind!r}")
 
 
 def _sample_batch(spec: ParsedSpec, count: int, seed: int, workers: int) -> sp.SampleBatch:
@@ -324,25 +347,28 @@ def _sample_batch(spec: ParsedSpec, count: int, seed: int, workers: int) -> sp.S
     raise SpecValidationError(f"kind: unsupported kind {spec.kind!r}")
 
 
-def _build_evaluators(
-    spec: ParsedSpec, config: RunConfig
-) -> dict[str, Callable[[np.ndarray], el.ComplexCF]]:
-    evaluators: dict[str, Callable[[np.ndarray], el.ComplexCF]] = {}
+def _build_evaluators(spec: ParsedSpec, config: RunConfig) -> dict[str, Callable]:
+    """Route -> evaluator: the closed one takes the whole grid, the others one point."""
+    evaluators: dict[str, Callable] = {}
+    probe = np.full((1, spec.n), 0.25)
     for route in config.routes:
         if route == "mc":
             if config.mc_count < 1000:
                 raise SpecValidationError("mc_count: must be >= 1000 for the mc route")
             batch = _sample_batch(spec, config.mc_count, config.seed, config.workers)
             evaluators["mc"] = lambda t, _b=batch: sp.empirical_cf(_b, t)
-        else:
-            evaluator = _analytic_evaluator(spec, route)
-            try:
-                evaluator(np.full(spec.n, 0.25))  # availability probe
-            except NoClosedFormError as exc:
-                raise SpecValidationError(f"routes: {exc}") from exc
-            except (ConvergenceError, ArithmeticError):
-                pass  # numeric trouble is judged per grid point, not here
-            evaluators[route] = evaluator
+            continue
+        evaluator = _closed_evaluator(spec) if route == "closed" else _hankel_evaluator(spec)
+        try:  # availability probe
+            if route == "closed":
+                next(evaluator(probe))
+            else:
+                evaluator(probe[0])
+        except NoClosedFormError as exc:
+            raise SpecValidationError(f"routes: {exc}") from exc
+        except (ConvergenceError, ArithmeticError):
+            pass  # numeric trouble is judged per grid point, not here
+        evaluators[route] = evaluator
     return evaluators
 
 
@@ -355,56 +381,87 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_out(out_path: str, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
-    if out_path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+def _write_out(out_path: str, parts: Iterable[str]) -> None:
+    out = contextlib.nullcontext(sys.stdout) if out_path == "-" else open(out_path, "w", newline="")
+    with out as fh:
+        for part in parts:
+            fh.write(part)
+
+
+def _pooled(evaluate: Callable, points: np.ndarray, workers: int) -> Iterator[el.ComplexCF]:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(evaluate, points)
 
 
 def _grid_rows(
-    points: list[np.ndarray],
+    points: np.ndarray,
     evaluators: dict[str, Callable],
     workers: int,
-) -> list[tuple[np.ndarray, dict[str, el.ComplexCF]]]:
-    routes = list(evaluators)
+) -> dict[str, list[el.ComplexCF]]:
+    """Each route's values at every grid point, in grid order.
 
-    def job(t: np.ndarray):
+    The closed route takes the whole grid in one stacked pass.  Hankel and
+    mc run point by point; only mc uses a thread pool (numpy releases the
+    GIL in empirical_cf, while the analytic routes are Python-bound and
+    threads only slow them).  A numeric failure names the first failing
+    point in grid order: after one route fails, later routes run only on
+    the points before it.
+    """
+    values: dict[str, list[el.ComplexCF]] = {}
+    failure = None
+    for route, evaluate in evaluators.items():
+        todo = points if failure is None else points[: failure[0]]
+        done = values[route] = []
         try:
-            return t, {route: evaluators[route](t) for route in routes}
+            if route == "closed":
+                rows = evaluate(todo)
+            elif route == "mc" and workers > 1:
+                rows = _pooled(evaluate, todo, workers)
+            else:
+                rows = map(evaluate, todo)
+            for row in rows:
+                done.append(row)
         except (ConvergenceError, ArithmeticError) as exc:
-            raise ConvergenceError(f"at grid point t={t.tolist()}: {exc}") from exc
+            failure = (len(done), exc)
+    if failure is not None:
+        index, exc = failure
+        raise ConvergenceError(f"at grid point t={points[index].tolist()}: {exc}") from exc
+    return values
 
-    if workers <= 1:
-        return [job(t) for t in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(job, points))
+
+def _eval_blocks(
+    points: np.ndarray, values: dict[str, list[el.ComplexCF]], routes: tuple[str, ...]
+) -> Iterator[str]:
+    # one %-template per block of rows; "%.17g" formats as f"{v:.17g}"
+    row = "%.17g," * (points.shape[1] + 2) + "%s,%s\n"
+    for start in range(0, len(points), _BLOCK):
+        block = points[start:start + _BLOCK].tolist()
+        cells = []
+        for i, t in enumerate(block, start):
+            for route in routes:
+                cfv = values[route][i]
+                err = "" if cfv.abs_err is None else _fmt(cfv.abs_err)
+                cells += t
+                cells += (cfv.re, cfv.im, err, cfv.method.value)
+        yield row * (len(block) * len(routes)) % tuple(cells)
 
 
 def run_eval(config: RunConfig) -> int:
     spec = load_spec(config.spec_path)
     points = parse_grid(config.grid, spec.n)
     evaluators = _build_evaluators(spec, config)
-    lines = [
+    head = (
         f"# ellipcf eval spec_sha256={spec.sha256} kind={spec.kind} "
-        f"routes={','.join(config.routes)} seed={config.seed} mc_count={config.mc_count}",
-        ",".join([f"t{i + 1}" for i in range(spec.n)] + ["re", "im", "abs_err", "method"]),
-    ]
+        f"routes={','.join(config.routes)} seed={config.seed} mc_count={config.mc_count}\n"
+        + ",".join([f"t{i + 1}" for i in range(spec.n)] + ["re", "im", "abs_err", "method"])
+        + "\n"
+    )
     try:
-        rows = _grid_rows(points, evaluators, config.workers)
+        values = _grid_rows(points, evaluators, config.workers)
     except (ConvergenceError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
-    for t, by_route in rows:
-        for route in config.routes:
-            cfv = by_route[route]
-            err = "" if cfv.abs_err is None else _fmt(cfv.abs_err)
-            lines.append(
-                ",".join([_fmt(v) for v in t] + [_fmt(cfv.re), _fmt(cfv.im), err, cfv.method.value])
-            )
-    _write_out(config.out_path, lines)
+    _write_out(config.out_path, [head, *_eval_blocks(points, values, config.routes)])
     return EXIT_OK
 
 
@@ -431,46 +488,50 @@ def run_compare(config: RunConfig) -> int:
         header += [f"re_{route}", f"im_{route}"]
     for a, b in pairs:
         header += [f"dev_{a}_{b}"]
-    lines = [
+    head = (
         f"# ellipcf compare spec_sha256={spec.sha256} kind={spec.kind} "
-        f"routes={','.join(routes)} seed={config.seed} mc_count={config.mc_count}",
-        ",".join(header),
-    ]
+        f"routes={','.join(routes)} seed={config.seed} mc_count={config.mc_count}\n"
+        + ",".join(header)
+        + "\n"
+    )
     try:
-        rows = _grid_rows(points, evaluators, config.workers)
+        values = _grid_rows(points, evaluators, config.workers)
     except (ConvergenceError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
 
+    tols = {pair: _pair_tolerance(*pair, config) for pair in pairs}
     max_dev = {pair: 0.0 for pair in pairs}
     exceed = {pair: 0 for pair in pairs}
-    for t, by_route in rows:
-        cells = [_fmt(v) for v in t]
-        for route in routes:
-            cfv = by_route[route]
-            cells += [_fmt(cfv.re), _fmt(cfv.im)]
-        for pair in pairs:
-            a, b = pair
-            va, vb = by_route[a], by_route[b]
-            dev = max(abs(va.re - vb.re), abs(va.im - vb.im))
-            cells.append(_fmt(dev))
-            max_dev[pair] = max(max_dev[pair], dev)
-            if dev > _pair_tolerance(a, b, config):
-                exceed[pair] += 1
-        lines.append(",".join(cells))
-    for pair in pairs:
-        a, b = pair
-        tol = _pair_tolerance(a, b, config)
-        lines.append(
-            f"# summary {a}-{b}: max_dev={_fmt(max_dev[pair])} tol={_fmt(tol)} "
-            f"exceedances={exceed[pair]}/{len(rows)}"
+    row = ",".join(["%.17g"] * len(header)) + "\n"  # formats as f"{v:.17g}"
+    parts = [head]
+    for start in range(0, len(points), _BLOCK):
+        block = points[start:start + _BLOCK].tolist()
+        cells = []
+        for i, t in enumerate(block, start):
+            cells += t
+            for route in routes:
+                cfv = values[route][i]
+                cells += (cfv.re, cfv.im)
+            for pair in pairs:
+                va, vb = values[pair[0]][i], values[pair[1]][i]
+                dev = max(abs(va.re - vb.re), abs(va.im - vb.im))
+                cells.append(dev)
+                max_dev[pair] = max(max_dev[pair], dev)
+                if dev > tols[pair]:
+                    exceed[pair] += 1
+        parts.append(row * len(block) % tuple(cells))
+    for (a, b) in pairs:
+        parts.append(
+            f"# summary {a}-{b}: max_dev={_fmt(max_dev[(a, b)])} tol={_fmt(tols[(a, b)])} "
+            f"exceedances={exceed[(a, b)]}/{len(points)}\n"
         )
-    _write_out(config.out_path, lines)
+    _write_out(config.out_path, parts)
     if any(exceed.values()):
         print(
             "tolerance exceedance: "
             + "; ".join(
-                f"{a}-{b}: {exceed[(a, b)]} points over {_fmt(_pair_tolerance(a, b, config))}"
+                f"{a}-{b}: {exceed[(a, b)]} points over {_fmt(tols[(a, b)])}"
                 for (a, b) in pairs
                 if exceed[(a, b)]
             ),

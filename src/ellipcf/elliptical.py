@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -39,6 +39,7 @@ __all__ = [
     "closed_form_generator",
     "char_generator",
     "cf",
+    "cf_rows",
 ]
 
 _SYM_TOL = 1e-12
@@ -68,6 +69,10 @@ class ComplexCF:
         return complex(self.re, self.im)
 
 
+# The CF value at t = 0, exact for every law.
+_ORIGIN = ComplexCF(1.0, 0.0, 0.0, CFMethod.CLOSED_FORM)
+
+
 def _as_vector(x, n: int, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.shape != (n,):
@@ -75,6 +80,37 @@ def _as_vector(x, n: int, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name}: contains non-finite entries")
     return arr
+
+
+def _as_rows(x, n: int, name: str) -> np.ndarray:
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != n:
+        raise DomainError(f"{name}: expected shape (P, {n}), got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{name}: contains non-finite entries")
+    return arr
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis of a and b, broadcast against each other.
+
+    Summed term by term in index order with elementwise operations, so a
+    row's value never depends on how many rows are stacked with it (a BLAS
+    product may group its sums differently by array size).  Overflow gives
+    inf silently, as float arithmetic does.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = a * b
+        out = terms[..., 0]
+        for i in range(1, terms.shape[-1]):
+            out = out + terms[..., i]
+    return out
+
+
+def _map_rows(core: Callable[..., ComplexCF], ts: np.ndarray, *columns) -> Iterator[ComplexCF]:
+    """core(*column entries) for each row of ts, in order; the exact 1 at t = 0."""
+    for at_origin, *args in zip((~ts.any(axis=1)).tolist(), *columns):
+        yield _ORIGIN if at_origin else core(*args)
 
 
 class Dispersion:
@@ -114,9 +150,10 @@ class Dispersion:
         for arr in (self.matrix, self.eigvals, self.eigvecs, self.sym_root):
             arr.setflags(write=False)
 
-    def quad(self, t: np.ndarray) -> float:
-        """The quadratic form t' Sigma t, clipped at 0 against rounding."""
-        return max(float(t @ self.matrix @ t), 0.0)
+    def quad_rows(self, ts: np.ndarray) -> np.ndarray:
+        """t' Sigma t for each row t of ts, clipped at 0 against rounding."""
+        sigma_t = _row_dots(ts[:, None, :], self.matrix)
+        return np.maximum(_row_dots(ts, sigma_t), 0.0)
 
     def chol_factor(self) -> np.ndarray:
         """A with A'A = Sigma; requires full rank (used by sampling)."""
@@ -292,6 +329,27 @@ def char_generator(
     return res.value, res.err_est, CFMethod.HANKEL
 
 
+def cf_rows(
+    spec: EllipticalSpec,
+    ts,
+    route: str = "auto",
+    ctl: QuadratureControl | None = None,
+) -> Iterator[ComplexCF]:
+    """exp(i t'mu) phi(t' Sigma t) at each row t of the (P, n) array ts, in order.
+
+    The quadratic forms and phases of all rows come from one array pass;
+    only phi runs point by point.
+    """
+    ts = _as_rows(ts, spec.n, "t")
+
+    def at_point(q: float, phase: float) -> ComplexCF:
+        phi, abs_err, method = char_generator(spec.generator, spec.n, q, route, ctl)
+        return ComplexCF(math.cos(phase) * phi, math.sin(phase) * phi, abs_err, method)
+
+    q = spec.dispersion.quad_rows(ts)
+    return _map_rows(at_point, ts, q.tolist(), _row_dots(ts, spec.mu).tolist())
+
+
 def cf(
     spec: EllipticalSpec,
     t,
@@ -299,11 +357,5 @@ def cf(
     ctl: QuadratureControl | None = None,
 ) -> ComplexCF:
     """Characteristic function exp(i t'mu) phi(t' Sigma t) at the point t."""
-    t = _as_vector(t, spec.n, "t")
-    if not t.any():
-        return ComplexCF(1.0, 0.0, 0.0, CFMethod.CLOSED_FORM)
-    q = spec.dispersion.quad(t)
-    phi, abs_err, method = char_generator(spec.generator, spec.n, q, route, ctl)
-    phase = float(t @ spec.mu)
-    return ComplexCF(math.cos(phase) * phi, math.sin(phase) * phi, abs_err, method)
+    return next(cf_rows(spec, _as_vector(t, spec.n, "t")[None, :], route, ctl))
 

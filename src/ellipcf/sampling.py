@@ -27,7 +27,7 @@ from .skewmix import (
     MixingLaw,
     Parametrization,
     SkewNormalSpec,
-    mixing_weight,
+    mixing_weights,
 )
 
 __all__ = [
@@ -332,8 +332,7 @@ def sample_smsn(
     def chunk(i: int, m: int, g: np.random.Generator) -> np.ndarray:
         x = _skew_normal_chunk(centered, m, g)
         xi = _mixing_chunk(mixing, m, g)
-        k = np.array([mixing_weight(mixing, float(u)) for u in xi])
-        return spec.mu + np.sqrt(k)[:, None] * x
+        return spec.mu + np.sqrt(mixing_weights(mixing, xi))[:, None] * x
 
     fp = _fingerprint(
         spec.n, spec.mu, spec.sigma, spec.alpha, spec.parametrization.value,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import replace
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -23,7 +23,10 @@ from .elliptical import (
     ComplexCF,
     Dispersion,
     EllipticalSpec,
+    _as_rows,
     _as_vector,
+    _map_rows,
+    _row_dots,
     char_generator,
 )
 from .errors import ConvergenceError, DomainError
@@ -47,15 +50,21 @@ __all__ = [
     "SkewNormalK",
     "LinearMappedK",
     "cf_location_scale_mixture",
+    "cf_location_scale_mixture_rows",
     "smu_weight_density",
     "cf_star_unimodal",
     "cf_gse",
+    "cf_gse_rows",
     "tau_from_k",
     "gse_affine",
     "skew_normal_gse",
     "cf_skew_normal",
+    "cf_skew_normal_rows",
     "cf_smsn",
+    "cf_smsn_rows",
     "smsn_split",
+    "mixing_weight",
+    "mixing_weights",
 ]
 
 _MIX_ABS_TOL = 1e-8
@@ -102,7 +111,7 @@ class MixingLaw:
         self.scale = scale
         self.density = density
         self.support = support
-        self.weight_fn = weight_fn if weight_fn is not None else (lambda u: u)
+        self.weight_fn = weight_fn  # None: k(u) = u
         self._cdf_table = None  # filled lazily by the sampler
 
     @classmethod
@@ -218,45 +227,58 @@ class LSMixtureSpec:
         self.mixing = mixing
 
 
+def cf_location_scale_mixture_rows(
+    spec: LSMixtureSpec,
+    ts,
+    route: str = "auto",
+    ctl: QuadratureControl | None = None,
+) -> Iterator[ComplexCF]:
+    """CF of the location-scale mixture at each row t of the (P, n) array ts.
+
+    exp(i t'mu) E[e^(iV t'gamma) phi(V t'Sigma t)]: t'Sigma t, t'gamma and
+    t'mu come from one array pass, the mixing expectation runs per point.
+    Degenerate and finite-discrete mixing are evaluated as exact weighted
+    sums; continuous mixing by adaptive quadrature over the mixing density.
+    """
+    ts = _as_rows(ts, spec.n, "t")
+    gen, n = spec.base.generator, spec.n
+
+    def at_point(q: float, drift: float, phase: float) -> ComplexCF:
+        method_seen: list[CFMethod] = []
+        err_seen: list[float] = []
+
+        def f(v: float) -> complex:
+            phi, err, meth = char_generator(gen, n, v * q, route, ctl)
+            method_seen.append(meth)
+            if err is not None:
+                err_seen.append(err)
+            return complex(math.cos(v * drift), math.sin(v * drift)) * phi
+
+        ev = complex(spec.mixing.expectation(f))
+        out = complex(math.cos(phase), math.sin(phase)) * ev
+        method = (
+            CFMethod.HANKEL
+            if any(m is CFMethod.HANKEL for m in method_seen)
+            else CFMethod.CLOSED_FORM
+        )
+        base_err = max(err_seen) if err_seen else 0.0
+        abs_err = base_err if spec.mixing.is_exact() else _MIX_ABS_TOL + base_err
+        return ComplexCF(out.real, out.imag, abs_err, method)
+
+    q = spec.dispersion.quad_rows(ts)
+    drift, phase = _row_dots(ts, spec.gamma), _row_dots(ts, spec.mu)
+    return _map_rows(at_point, ts, q.tolist(), drift.tolist(), phase.tolist())
+
+
 def cf_location_scale_mixture(
     spec: LSMixtureSpec,
     t,
     route: str = "auto",
     ctl: QuadratureControl | None = None,
 ) -> ComplexCF:
-    """CF of the location-scale mixture: exp(i t'mu) E[e^(iV t'gamma) phi(V t'Sigma t)].
-
-    Degenerate and finite-discrete mixing are evaluated as exact weighted
-    sums; continuous mixing by adaptive quadrature over the mixing density.
-    """
-    t = _as_vector(t, spec.n, "t")
-    if not t.any():
-        return ComplexCF(1.0, 0.0, 0.0, CFMethod.CLOSED_FORM)
-    q = spec.dispersion.quad(t)
-    drift = float(t @ spec.gamma)
-    phase = float(t @ spec.mu)
-    gen, n = spec.base.generator, spec.n
-    method_seen: list[CFMethod] = []
-    err_seen: list[float] = []
-
-    def f(v: float) -> complex:
-        phi, err, meth = char_generator(gen, n, v * q, route, ctl)
-        method_seen.append(meth)
-        if err is not None:
-            err_seen.append(err)
-        return complex(math.cos(v * drift), math.sin(v * drift)) * phi
-
-    ev = spec.mixing.expectation(f)
-    ev = complex(ev)
-    out = complex(math.cos(phase), math.sin(phase)) * ev
-    method = (
-        CFMethod.HANKEL
-        if any(m is CFMethod.HANKEL for m in method_seen)
-        else CFMethod.CLOSED_FORM
-    )
-    base_err = max(err_seen) if err_seen else 0.0
-    abs_err = base_err if spec.mixing.is_exact() else _MIX_ABS_TOL + base_err
-    return ComplexCF(out.real, out.imag, abs_err, method)
+    """CF of the location-scale mixture at the point t (see the rows form)."""
+    ts = _as_vector(t, spec.n, "t")[None, :]
+    return next(cf_location_scale_mixture_rows(spec, ts, route, ctl))
 
 
 # ---------------------------------------------------------------------------
@@ -406,21 +428,31 @@ class GSESpec:
                 )
 
 
+def cf_gse_rows(spec: GSESpec, ts) -> Iterator[ComplexCF]:
+    """CF of a generalized skew-elliptical law at each row t of the (P, n) array ts.
+
+    t'St, S^(1/2) t and t'mu come from one array pass; psi and k run per point.
+    """
+    ts = _as_rows(ts, spec.n, "t")
+    scaled = spec.log_psi is not None and hasattr(spec.k_fn, "scaled")
+
+    def at_point(q: float, y: np.ndarray, phase: float) -> ComplexCF:
+        rot = complex(math.cos(phase), math.sin(phase))
+        if scaled:
+            mant, log_scale = spec.k_fn.scaled(y)
+            out = 2.0 * math.exp(spec.log_psi(q) + log_scale) * mant * rot
+        else:
+            out = 2.0 * spec.psi(q) * spec.k_fn(y) * rot
+        return ComplexCF(out.real, out.imag, None, CFMethod.CLOSED_FORM)
+
+    q = spec.dispersion.quad_rows(ts)
+    ys = _row_dots(ts[:, None, :], spec.dispersion.sym_root)
+    return _map_rows(at_point, ts, q.tolist(), ys, _row_dots(ts, spec.mu).tolist())
+
+
 def cf_gse(spec: GSESpec, t) -> ComplexCF:
     """CF of a generalized skew-elliptical law at t."""
-    t = _as_vector(t, spec.n, "t")
-    if not t.any():
-        return ComplexCF(1.0, 0.0, 0.0, CFMethod.CLOSED_FORM)
-    q = spec.dispersion.quad(t)
-    y = spec.dispersion.sym_root @ t
-    phase = float(t @ spec.mu)
-    rot = complex(math.cos(phase), math.sin(phase))
-    if spec.log_psi is not None and hasattr(spec.k_fn, "scaled"):
-        mant, log_scale = spec.k_fn.scaled(y)
-        out = 2.0 * math.exp(spec.log_psi(q) + log_scale) * mant * rot
-    else:
-        out = 2.0 * spec.psi(q) * spec.k_fn(y) * rot
-    return ComplexCF(out.real, out.imag, None, CFMethod.CLOSED_FORM)
+    return next(cf_gse_rows(spec, _as_vector(t, spec.n, "t")[None, :]))
 
 
 def tau_from_k(k_at_minus_t: complex) -> complex:
@@ -491,9 +523,17 @@ class SkewNormalSpec:
             1.0 + float(alpha @ self.sigma @ alpha)
         )
 
-    def skew_scale(self, t: np.ndarray) -> float:
-        """y with the CF factor Phi(iy) at this t."""
-        return float(self.skew_direction() @ (self.dispersion.sym_root @ t))
+    def invariants(self, ts: np.ndarray) -> tuple[list, list, list]:
+        """t'Sigma t, the skew scale y (CF factor Phi(iy)) and t'mu for each row t.
+
+        y = a'S t = (S a)'t with a the skew direction and S the symmetric root.
+        """
+        y_dir = self.dispersion.sym_root @ self.skew_direction()
+        return (
+            self.dispersion.quad_rows(ts).tolist(),
+            _row_dots(ts, y_dir).tolist(),
+            _row_dots(ts, self.mu).tolist(),
+        )
 
 
 def _sn_centered(q: float, y: float) -> complex:
@@ -503,16 +543,21 @@ def _sn_centered(q: float, y: float) -> complex:
     return 2.0 * math.exp(log_scale - 0.5 * q) * mant
 
 
+def cf_skew_normal_rows(spec: SkewNormalSpec, ts) -> Iterator[ComplexCF]:
+    """CF of the skew-normal law, e^(i t'mu) 2 exp(-t'St/2) Phi(i y_t), at each
+    row t of the (P, n) array ts."""
+    ts = _as_rows(ts, spec.n, "t")
+
+    def at_point(q: float, y: float, phase: float) -> ComplexCF:
+        out = complex(math.cos(phase), math.sin(phase)) * _sn_centered(q, y)
+        return ComplexCF(out.real, out.imag, None, CFMethod.CLOSED_FORM)
+
+    return _map_rows(at_point, ts, *spec.invariants(ts))
+
+
 def cf_skew_normal(spec: SkewNormalSpec, t) -> ComplexCF:
     """CF of the skew-normal law: e^(i t'mu) 2 exp(-t'St/2) Phi(i y_t)."""
-    t = _as_vector(t, spec.n, "t")
-    if not t.any():
-        return ComplexCF(1.0, 0.0, 0.0, CFMethod.CLOSED_FORM)
-    q = spec.dispersion.quad(t)
-    y = spec.skew_scale(t)
-    phase = float(t @ spec.mu)
-    out = complex(math.cos(phase), math.sin(phase)) * _sn_centered(q, y)
-    return ComplexCF(out.real, out.imag, None, CFMethod.CLOSED_FORM)
+    return next(cf_skew_normal_rows(spec, _as_vector(t, spec.n, "t")[None, :]))
 
 
 def skew_normal_gse(spec: SkewNormalSpec) -> GSESpec:
@@ -526,48 +571,68 @@ def skew_normal_gse(spec: SkewNormalSpec) -> GSESpec:
     )
 
 
+def cf_smsn_rows(spec: SkewNormalSpec, mixing: MixingLaw, ts) -> Iterator[ComplexCF]:
+    """CF of a scale mixture of skew-normals, e^(i t'mu) E[c_sn(sqrt(k(u)) t)],
+    at each row t of the (P, n) array ts.
+
+    Exact for degenerate/finite-discrete mixing, adaptive quadrature
+    otherwise.
+    """
+    ts = _as_rows(ts, spec.n, "t")
+    abs_err = None if mixing.is_exact() else _MIX_ABS_TOL
+
+    def at_point(q: float, y: float, phase: float) -> ComplexCF:
+        def f(u: float) -> complex:
+            kv = mixing_weight(mixing, u)
+            return _sn_centered(kv * q, math.sqrt(kv) * y)
+
+        out = complex(math.cos(phase), math.sin(phase)) * complex(mixing.expectation(f))
+        return ComplexCF(out.real, out.imag, abs_err, CFMethod.CLOSED_FORM)
+
+    return _map_rows(at_point, ts, *spec.invariants(ts))
+
+
 def cf_smsn(
     spec: SkewNormalSpec,
     mixing: MixingLaw,
     t,
     check_split: bool = False,
 ) -> ComplexCF:
-    """CF of a scale mixture of skew-normals: e^(i t'mu) E[c_sn(sqrt(k(u)) t)].
+    """CF of a scale mixture of skew-normals at the point t (see the rows form).
 
-    Exact for degenerate/finite-discrete mixing, adaptive quadrature
-    otherwise.  With ``check_split`` the (psi, k_n) decomposition is also
-    assembled and the two values are required to agree.
+    With ``check_split`` the (psi, k_n) decomposition is also assembled and
+    the two values are required to agree.
     """
     t = _as_vector(t, spec.n, "t")
-    if not t.any():
-        return ComplexCF(1.0, 0.0, 0.0, CFMethod.CLOSED_FORM)
-    q = spec.dispersion.quad(t)
-    y = spec.skew_scale(t)
-    phase = float(t @ spec.mu)
-
-    def f(u: float) -> complex:
-        kv = mixing_weight(mixing, u)
-        return _sn_centered(kv * q, math.sqrt(kv) * y)
-
-    ev = complex(mixing.expectation(f))
-    out = complex(math.cos(phase), math.sin(phase)) * ev
-    abs_err = None if mixing.is_exact() else _MIX_ABS_TOL
-    result = ComplexCF(out.real, out.imag, abs_err, CFMethod.CLOSED_FORM)
-    if check_split:
+    result = next(cf_smsn_rows(spec, mixing, t[None, :]))
+    if check_split and t.any():
         psi, k_n = smsn_split(spec, mixing)
+        (q,), _, (phase,) = spec.invariants(t[None, :])
         split_val = 2.0 * complex(math.cos(phase), math.sin(phase)) * psi(q) * k_n(t)
-        if abs(split_val - out) > 1e-9:
+        if abs(split_val - result.value) > 1e-9:
             raise ConvergenceError(
-                f"cf_smsn: split assembly deviates by {abs(split_val - out):.3e}"
+                f"cf_smsn: split assembly deviates by {abs(split_val - result.value):.3e}"
             )
     return result
 
 
 def mixing_weight(mixing: MixingLaw, u: float) -> float:
-    kv = mixing.weight_fn(u)
+    """The weight k(u) of one mixing draw; must be >= 0."""
+    kv = u if mixing.weight_fn is None else mixing.weight_fn(u)
     if not kv >= 0.0:
         raise DomainError(f"mixing weight k({u}) = {kv} is negative")
     return float(kv)
+
+
+def mixing_weights(mixing: MixingLaw, us: np.ndarray) -> np.ndarray:
+    """k(u) for an array of mixing draws: one array check for the default
+    k(u) = u, a call per draw for a supplied weight function."""
+    if mixing.weight_fn is not None:
+        return np.array([mixing_weight(mixing, float(u)) for u in us])
+    bad = ~(us >= 0.0)
+    if bad.any():
+        mixing_weight(mixing, float(us[bad.argmax()]))  # raises, naming the draw
+    return us
 
 
 def smsn_split(
@@ -586,8 +651,7 @@ def smsn_split(
 
     def k_n(t: np.ndarray) -> complex:
         t = _as_vector(t, spec.n, "t")
-        q = spec.dispersion.quad(t)
-        y = spec.skew_scale(t)
+        (q,), (y,), _ = spec.invariants(t[None, :])
 
         def odd_part(u: float) -> complex:
             kv = mixing_weight(mixing, u)

@@ -19,8 +19,6 @@ import threading
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
@@ -284,58 +282,128 @@ def _extend_zero_cache(zeros: list[float], nu: float, k: int) -> float:
 # MacDonald function K
 # ---------------------------------------------------------------------------
 
-_GL20_NODES, _GL20_WEIGHTS = np.polynomial.legendre.leggauss(20)
+# Taylor coefficients of 1/Gamma(1+z) about z = 0 (Abramowitz & Stegun 6.1.34,
+# recomputed to double precision); the terms past z^20 are below 1e-17 for
+# |z| <= 1/2.
+_RGAMMA_TAYLOR = (
+    1.0,
+    0.57721566490153286,
+    -0.65587807152025388,
+    -0.042002635034095236,
+    0.16653861138229149,
+    -0.042197734555544337,
+    -0.0096219715278769736,
+    0.0072189432466630995,
+    -0.0011651675918590651,
+    -0.00021524167411495097,
+    0.00012805028238811619,
+    -0.000020134854780788239,
+    -0.0000012504934821426707,
+    0.0000011330272319816959,
+    -0.00000020563384169776071,
+    0.0000000061160951044814158,
+    0.0000000050020076444692229,
+    -0.0000000011812745704870201,
+    0.00000000010434267116911005,
+    0.0000000000077822634399050713,
+    -0.0000000000036968056186422057,
+)
+
+_K_EPS = 1e-16  # relative size of the last term kept
+_K_MAX_TERMS = 500
 
 
-def _bessel_k_half_integer(m: int, x: float) -> float:
-    # K_{m+1/2} by upward recurrence from the exact K_{1/2}; stable since K
-    # grows with the order.
-    k_half = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x)
-    if m == 0:
-        return k_half
-    prev = k_half
-    cur = k_half * (1.0 + 1.0 / x)  # K_{3/2}
-    order = 1.5
-    while order < m + 0.5:
-        prev, cur = cur, prev + (2.0 * order / x) * cur
-        order += 1.0
-    return cur
+def _temme_gammas(mu: float) -> tuple[float, float]:
+    # (1/G(1-mu) - 1/G(1+mu)) / (2 mu) and (1/G(1-mu) + 1/G(1+mu)) / 2 from the
+    # odd and even Taylor terms (Horner in mu^2), free of the 0/0 at mu = 0
+    mu2 = mu * mu
+    odd = even = 0.0
+    for k in range(len(_RGAMMA_TAYLOR) - 1, -1, -1):
+        if k % 2:
+            odd = odd * mu2 + _RGAMMA_TAYLOR[k]
+        else:
+            even = even * mu2 + _RGAMMA_TAYLOR[k]
+    return -odd, even
 
 
-def _bessel_k_integral(nu: float, x: float) -> float:
-    # K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt, scaled by e^x so the
-    # integrand starts at 1; truncated where it drops below ~1e-20.
-    target = 46.0
-    t_up = 3.0
-    for _ in range(40):
-        t_new = math.acosh(1.0 + (target + nu * t_up) / x)
-        if abs(t_new - t_up) < 1e-9:
-            t_up = t_new
-            break
-        t_up = t_new
+def _bessel_k_temme(mu: float, x: float) -> tuple[float, float]:
+    # Temme's series (Temme 1975) for (K_mu, K_{mu+1}), |mu| <= 1/2, x <= 2
+    gam1, gam2 = _temme_gammas(mu)
+    half = 0.5 * x
+    pimu = math.pi * mu
+    fact = pimu / math.sin(pimu) if mu != 0.0 else 1.0
+    d = -math.log(half)
+    e = mu * d
+    fact2 = math.sinh(e) / e if e != 0.0 else 1.0
+    f = fact * (gam1 * math.cosh(e) + gam2 * fact2 * d)
+    e = math.exp(e)
+    p = 0.5 * e / (gam2 - mu * gam1)  # (x/2)^-mu Gamma(1+mu) / 2
+    q = 0.5 / (e * (gam2 + mu * gam1))  # (x/2)^mu Gamma(1-mu) / 2
+    k_mu, k_next = f, p
+    c = 1.0
+    quarter_sq = half * half
+    for i in range(1, _K_MAX_TERMS):
+        f = (i * f + p + q) / (i * i - mu * mu)
+        c *= quarter_sq / i
+        p /= i - mu
+        q /= i + mu
+        term = c * f
+        k_mu += term
+        k_next += c * (p - i * f)
+        if abs(term) < _K_EPS * abs(k_mu):
+            return k_mu, k_next / half
+    raise ConvergenceError(f"bessel_k: Temme series did not converge (mu={mu}, x={x})")
 
-    n_panels = int(max(12.0, t_up * max(math.sqrt(x), nu / 6.0, 1.0)))
-    n_panels = min(n_panels, 800)
-    edges = np.linspace(0.0, t_up, n_panels + 1)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        halfw = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        t = mid + halfw * _GL20_NODES
-        vals = np.exp(-x * (np.cosh(t) - 1.0)) * np.cosh(nu * t)
-        total += halfw * float(_GL20_WEIGHTS @ vals)
-    return math.exp(-x) * total
+
+def _bessel_k_steed(mu: float, x: float) -> tuple[float, float]:
+    # Steed's continued fraction CF2 (Thompson & Barnett 1987) for
+    # (K_mu, K_{mu+1}), |mu| <= 1/2; used for x > 2
+    b = 2.0 * (1.0 + x)
+    d = 1.0 / b
+    h = delh = d
+    q1, q2 = 0.0, 1.0
+    a1 = 0.25 - mu * mu
+    q = c = a1
+    a = -a1
+    s = 1.0 + q * delh
+    for i in range(2, _K_MAX_TERMS):
+        a -= 2.0 * (i - 1)
+        c = -a * c / i
+        q1, q2 = q2, (q1 - b * q2) / a
+        q += c * q2
+        b += 2.0
+        d = 1.0 / (b + a * d)
+        delh = (b * d - 1.0) * delh
+        h += delh
+        dels = q * delh
+        s += dels
+        if abs(dels) < _K_EPS * abs(s):
+            k_mu = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) / s
+            return k_mu, k_mu * (mu + x + 0.5 - a1 * h) / x
+    raise ConvergenceError(f"bessel_k: continued fraction did not converge (mu={mu}, x={x})")
 
 
 def bessel_k(nu: float, x: float) -> float:
-    """MacDonald function K_nu(x) for x > 0; K is even in the order."""
+    """MacDonald function K_nu(x) for x > 0; K is even in the order.
+
+    K_mu and K_{mu+1} at the reduced order mu = nu - round(nu), |mu| <= 1/2,
+    come from Temme's series for x <= 2 and Steed's continued fraction
+    otherwise; forward recurrence, stable for K, then reaches nu.
+    """
     if not x > 0.0:
         raise DomainError(f"bessel_k: requires x > 0, got {x}")
     nu = abs(nu)
-    two_nu = 2.0 * nu
-    if abs(two_nu - round(two_nu)) < 1e-12 and round(two_nu) % 2 == 1:
-        return _bessel_k_half_integer(int(round(two_nu)) // 2, x)
-    return _bessel_k_integral(nu, x)
+    steps = int(nu + 0.5)
+    mu = nu - steps
+    # at mu = -1/2 the fraction stops after one term with the exact
+    # K_{1/2} = sqrt(pi/(2x)) e^-x, so half-integer orders take it at any x
+    if x > 2.0 or mu == -0.5:
+        k_mu, k_next = _bessel_k_steed(mu, x)
+    else:
+        k_mu, k_next = _bessel_k_temme(mu, x)
+    for i in range(1, steps + 1):
+        k_mu, k_next = k_next, k_mu + 2.0 * (mu + i) / x * k_next
+    return k_mu
 
 
 # ---------------------------------------------------------------------------

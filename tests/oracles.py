@@ -90,6 +90,12 @@ def erfi_integral(y: float) -> float:
     return 2.0 / math.sqrt(math.pi) * simpson(lambda t: math.exp(t * t), 0.0, y)
 
 
+def bessel_k_mp(nu: float, x: float, dps: int = 40) -> float:
+    """K_nu(x) from mpmath's arbitrary-precision besselk."""
+    with mp.workdps(dps):
+        return float(mp.besselk(mp.mpf(nu), mp.mpf(x)))
+
+
 def bessel_k_half_recurrence(half_orders: int, x: float) -> float:
     """K_{m+1/2}(x) from the exact K_{+-1/2} seeds and the upward recurrence
     K_{nu+1} = K_{nu-1} + (2 nu / x) K_nu."""

@@ -8,6 +8,8 @@ import pytest
 
 from ellipcf import cli
 from ellipcf import elliptical
+from ellipcf import skewmix
+from ellipcf.errors import ConvergenceError
 
 
 def write_spec(tmp_path, name, obj):
@@ -156,6 +158,64 @@ class TestEval:
         assert "1.5" in err and "numeric failure" in err
         assert "np.float64" not in err
 
+    @pytest.mark.parametrize(
+        "grid, named",
+        [
+            ('{"kind":"list","points":[[1.0,0.0],[NaN,0.0]]}', "grid.points[1]: non-finite entry"),
+            ('{"kind":"list","points":[[0.0,0.0],[1.0,1.0],[1.0,-Infinity]]}',
+             "grid.points[2]: non-finite entry"),
+            ('{"kind":"list","points":[[1.0,null]]}', "grid.points[0]: non-numeric entry"),
+            ('{"kind":"axis","index":0,"start":0.0,"stop":Infinity,"num":3}',
+             "grid.stop: non-finite value"),
+        ],
+    )
+    def test_non_finite_grid_point_exit_2(self, tmp_path, capsys, grid, named):
+        spec = write_spec(tmp_path, "n.json", normal_spec())
+        rc = cli.main(["eval", "--spec", spec, "--grid", grid])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+
+    def test_stacked_failure_names_first_failing_point(self, tmp_path, capsys, monkeypatch):
+        real = elliptical.closed_form_generator
+
+        def breaks_above_q3(gen, n, q):
+            if q > 3.0:
+                raise ConvergenceError("synthetic series breakdown")
+            return real(gen, n, q)
+
+        monkeypatch.setattr(elliptical, "closed_form_generator", breaks_above_q3)
+        spec = write_spec(tmp_path, "n.json", normal_spec())
+        rc = cli.main([
+            "eval", "--spec", spec,
+            "--grid", '{"kind":"list","points":[[0.5,0.0],[0.0,2.5],[3.0,0.0]]}',
+        ])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "at grid point t=[0.0, 2.5]: synthetic series breakdown" in err
+
+    def test_failure_named_in_grid_order_across_routes(self, tmp_path, capsys, monkeypatch):
+        # closed fails from the third point on, hankel from the second: the
+        # message names the second point, as a point-by-point sweep would
+        real = elliptical.closed_form_generator
+
+        def closed_breaks(gen, n, q):
+            if q > 5.0:
+                raise ConvergenceError("closed breakdown")
+            return real(gen, n, q)
+
+        def hankel_breaks(gen, n, u, ctl=None):
+            raise ConvergenceError("hankel breakdown")
+
+        monkeypatch.setattr(elliptical, "closed_form_generator", closed_breaks)
+        monkeypatch.setattr(elliptical, "phi_hankel", hankel_breaks)
+        spec = write_spec(tmp_path, "n.json", normal_spec())
+        rc = cli.main([
+            "compare", "--spec", spec, "--routes", "closed,hankel",
+            "--grid", '{"kind":"list","points":[[0.0,0.0],[2.0,0.0],[2.5,0.0]]}',
+        ])
+        assert rc == 3
+        assert "at grid point t=[2.0, 0.0]: hankel breakdown" in capsys.readouterr().err
+
     def test_closed_unavailable_exit_2(self, tmp_path, capsys):
         obj = normal_spec()
         obj["generator"] = {"family": "kotz", "params": {"N": 2.0, "r": 0.5, "s": 0.75}}
@@ -165,6 +225,110 @@ class TestEval:
             "--grid", '{"kind":"list","points":[[1.0,0.0]]}',
         ])
         assert rc == 2
+
+
+def _closed_specs():
+    """One spec per kind with a closed route, with correlated sigma and a
+    nonzero mu; smu shares the elliptical path."""
+    sigma = [1.0, 0.3, 0.3, 2.0]
+    base = {"schema": 1, "n": 2, "mu": [0.2, -0.1], "sigma": sigma}
+    finite = {"kind": "finite_discrete", "points": [0.5, 1.0, 2.5], "weights": [0.3, 0.5, 0.2]}
+    inv_gamma = {"kind": "inverse_gamma", "shape": 3.0, "scale": 2.0}
+    t_gen = {"family": "generalized_t", "params": {"s": 2.0, "m": 4}}
+    return {
+        "elliptical": dict(base, kind="elliptical", generator=t_gen),
+        "smu": dict(base, kind="smu", generator={"family": "normal"}),
+        "lsm_finite": dict(base, kind="lsm", gamma=[0.4, 0.1], generator=t_gen, mixing=finite),
+        "lsm_invgamma": dict(base, kind="lsm", gamma=[0.4, 0.1],
+                             generator={"family": "normal"}, mixing=inv_gamma),
+        "skew_normal": dict(base, kind="skew_normal", alpha=[2.0, -0.5]),
+        "gse_skew_normal": dict(base, kind="gse_skew_normal", alpha=[2.0, -0.5],
+                                parametrization="full_sigma"),
+        "smsn_finite": dict(base, kind="smsn", alpha=[2.0, -0.5], mixing=finite),
+        "smsn_invgamma": dict(base, kind="smsn", alpha=[2.0, -0.5], mixing=inv_gamma),
+    }
+
+
+def _per_point(spec):
+    if spec.kind in ("elliptical", "smu"):
+        return lambda t: elliptical.cf(spec.elliptical, t, route="closed")
+    if spec.kind == "lsm":
+        return lambda t: skewmix.cf_location_scale_mixture(spec.lsm, t, route="closed")
+    if spec.kind == "skew_normal":
+        return lambda t: skewmix.cf_skew_normal(spec.skew_normal, t)
+    if spec.kind == "gse_skew_normal":
+        gse = skewmix.skew_normal_gse(spec.skew_normal)
+        return lambda t: skewmix.cf_gse(gse, t)
+    return lambda t: skewmix.cf_smsn(spec.skew_normal, spec.mixing, t)
+
+
+class TestGridPath:
+    @pytest.mark.parametrize("key", list(_closed_specs()))
+    def test_grid_equals_per_point_bitwise(self, tmp_path, key):
+        spec_path = write_spec(tmp_path, "s.json", _closed_specs()[key])
+        rng = np.random.default_rng(5)
+        points = [[0.0, 0.0]] + rng.uniform(-3.0, 3.0, (40, 2)).tolist() + [[-0.0, 0.0]]
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"kind": "list", "points": points}))
+        out = tmp_path / "out.csv"
+        rc = cli.main(["eval", "--spec", spec_path, "--grid", f"@{grid}", "--out", str(out)])
+        assert rc == 0
+        _, _, rows = parse_result_csv(out.read_text())
+        per_point = _per_point(cli.load_spec(spec_path))
+        assert len(rows) == len(points)
+        for t, row in zip(points, rows):
+            want = per_point(np.array(t))
+            assert [float(v) for v in row[:2]] == t
+            assert float(row[2]) == want.re and float(row[3]) == want.im
+            assert (None if row[4] == "" else float(row[4])) == want.abs_err
+            assert row[5] == want.method.value
+
+    def test_block_writer_matches_per_value_format(self, monkeypatch):
+        monkeypatch.setattr(cli, "_BLOCK", 2)  # several blocks, one cut mid-grid
+        cfv, method = elliptical.ComplexCF, elliptical.CFMethod
+        points = np.array(
+            [[0.0, 0.0], [-0.0, 5e-324], [1e-300, -2.5], [3.0, 1.0 / 3.0], [7.0, -0.0]]
+        )
+        values = {
+            "closed": [
+                cfv(1.0, 0.0, 0.0, method.CLOSED_FORM),
+                cfv(-0.0, 5e-324, None, method.CLOSED_FORM),
+                cfv(0.1, -1.0 / 3.0, 1e-8, method.CLOSED_FORM),
+                cfv(math.pi, -0.0, None, method.CLOSED_FORM),
+                cfv(1e-320, 2.0**-1074, 0.0, method.CLOSED_FORM),
+            ],
+            "hankel": [
+                cfv(1.0, 0.0, 0.0, method.CLOSED_FORM),
+                cfv(0.5, -5e-324, 2.5e-11, method.HANKEL),
+                cfv(-1e300, 0.0, None, method.HANKEL),
+                cfv(math.e, 1e-17, 3e-16, method.HANKEL),
+                cfv(0.0, -0.0, 1e-300, method.HANKEL),
+            ],
+        }
+        routes = ("closed", "hankel")
+        expected = ""
+        for i, t in enumerate(points):
+            for route in routes:
+                c = values[route][i]
+                err = "" if c.abs_err is None else f"{c.abs_err:.17g}"
+                cells = [f"{v:.17g}" for v in t]
+                cells += [f"{c.re:.17g}", f"{c.im:.17g}", err, c.method.value]
+                expected += ",".join(cells) + "\n"
+        assert "".join(cli._eval_blocks(points, values, routes)) == expected
+        assert expected.startswith("0,0,1,0,0,closed\n")
+        assert "-0,4.9406564584124654e-324,-0,4.9406564584124654e-324,,closed\n" in expected
+
+    def test_analytic_routes_run_without_threads(self, tmp_path, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("thread pool started for an analytic route")
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+        spec = write_spec(tmp_path, "n.json", normal_spec())
+        rc = cli.main([
+            "compare", "--spec", spec, "--routes", "closed,hankel", "--workers", "4",
+            "--grid", '{"kind":"axis","index":0,"start":0.0,"stop":3.0,"num":5}',
+        ])
+        assert rc == 0
 
 
 class TestCompare:

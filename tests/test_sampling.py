@@ -16,6 +16,7 @@ from ellipcf.skewmix import (
     cf_location_scale_mixture,
     cf_skew_normal,
     cf_smsn,
+    mixing_weights,
 )
 from ellipcf.sampling import (
     RngStream,
@@ -257,6 +258,26 @@ class TestSampleSMSN:
             a = cf_smsn(sn, mix, t)
             assert abs(e.re - a.re) <= band + (a.abs_err or 0.0)
             assert abs(e.im - a.im) <= band + (a.abs_err or 0.0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_default_weight_matches_per_draw_weight(self, workers):
+        # the array path for k(u) = u must draw exactly what the per-draw
+        # weight-function path draws
+        sn = SkewNormalSpec([0.1, -0.2], np.eye(2), [2.0, -1.0])
+        plain = MixingLaw.inverse_gamma(3.0, 2.0)
+        custom = MixingLaw.inverse_gamma(3.0, 2.0, weight_fn=lambda u: u)
+        a = sample_smsn(sn, plain, 70000, RNG, workers)
+        b = sample_smsn(sn, custom, 70000, RNG, 1)
+        assert np.array_equal(a.data, b.data)
+
+    def test_negative_weight_named(self):
+        with pytest.raises(DomainError, match=r"k\(-2.0\)"):
+            mixing_weights(MixingLaw.degenerate(1.0), np.array([1.0, -2.0, -3.0]))
+        with pytest.raises(DomainError, match=r"k\(nan\)"):
+            mixing_weights(MixingLaw.degenerate(1.0), np.array([1.0, math.nan]))
+        flipped = MixingLaw.degenerate(1.0, weight_fn=lambda u: -u)
+        with pytest.raises(DomainError, match=r"k\(1.0\) = -1.0"):
+            mixing_weights(flipped, np.array([1.0]))
 
 
 class TestEmpiricalCF:

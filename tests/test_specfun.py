@@ -145,6 +145,15 @@ class TestBesselK:
         )
         assert_allclose(bessel_k(1.0, 2.0), ref, rtol=1e-11)
 
+    # Temme's series serves x <= 2 and Steed's continued fraction x > 2, both
+    # at the reduced order |mu| <= 1/2 (here 0, +-0.3, 0.2, +-0.49 and the
+    # half-integer -1/2), then forward recurrence
+    @pytest.mark.parametrize("nu", [0.0, 0.3, 1.0, 1.3, 2.0, 2.7, 4.2, 0.5, 1.5, 3.5, 0.49, 2.51])
+    def test_against_mpmath_oracle(self, nu):
+        xs = list(np.geomspace(1e-3, 60.0, 37)) + [1.9999999, 2.0, 2.0000001, 1.5, 2.5]
+        for x in xs:
+            assert_allclose(bessel_k(nu, x), oracles.bessel_k_mp(nu, x), rtol=1e-13)
+
     def test_positive_and_domain(self):
         assert bessel_k(2.3, 0.01) > 0.0
         with pytest.raises(DomainError):
