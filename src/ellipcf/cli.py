@@ -74,6 +74,30 @@ def _check_fields(obj: dict, required: set[str], optional: set[str], path: str) 
             raise SpecValidationError(f"{path}.{key}: missing required field")
 
 
+def _number(value, path: str) -> float:
+    """A JSON number as a float; null, strings and booleans are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecValidationError(f"{path}: expected a number, got {json.dumps(value)}")
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer past float range
+        raise SpecValidationError(f"{path}: number out of range") from exc
+
+
+def _integer(value, path: str) -> int:
+    """A JSON number with an integral value (3 or 3.0) as an int."""
+    number = _number(value, path)
+    if not number.is_integer():
+        raise SpecValidationError(f"{path}: expected an integer, got {json.dumps(value)}")
+    return int(number)
+
+
+def _number_list(value, path: str) -> list[float]:
+    if not isinstance(value, list):
+        raise SpecValidationError(f"{path}: expected a list of numbers")
+    return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
 def _as_float_list(value, length: int, path: str) -> np.ndarray:
     if not isinstance(value, list) or len(value) != length:
         raise SpecValidationError(f"{path}: expected a list of {length} numbers")
@@ -97,36 +121,33 @@ def _parse_generator(obj, n: int, path: str = "generator") -> gn.DensityGenerato
     if not isinstance(params, dict):
         raise SpecValidationError(f"{path}.params: expected an object")
 
-    def need(keys: set[str]) -> None:
+    def need(*keys: str) -> list[float]:
         for key in params:
             if key not in keys:
                 raise SpecValidationError(f"{path}.params.{key}: unknown parameter")
         for key in keys:
             if key not in params:
                 raise SpecValidationError(f"{path}.params.{key}: missing parameter")
+        return [_number(params[key], f"{path}.params.{key}") for key in keys]
 
     try:
         if family == "normal":
-            need(set())
+            need()
             return gn.normal_generator()
         if family == "uniform_ball":
-            need(set())
+            need()
             return gn.uniform_ball_generator()
         if family == "generalized_t":
-            need({"s", "m"})
-            return gn.generalized_t_generator(n, float(params["s"]), int(params["m"]))
+            s, m = need("s", "m")
+            return gn.generalized_t_generator(n, s, _integer(m, f"{path}.params.m"))
         if family == "pearson_ii":
-            need({"m"})
-            return gn.pearson_ii_generator(float(params["m"]))
+            return gn.pearson_ii_generator(*need("m"))
         if family == "pearson_vii":
-            need({"N", "s"})
-            return gn.pearson_vii_generator(float(params["N"]), float(params["s"]))
+            return gn.pearson_vii_generator(*need("N", "s"))
         if family == "kotz":
-            need({"N", "r", "s"})
-            return gn.kotz_generator(float(params["N"]), float(params["r"]), float(params["s"]))
+            return gn.kotz_generator(*need("N", "r", "s"))
         if family == "bessel":
-            need({"a", "beta"})
-            return gn.bessel_generator(float(params["a"]), float(params["beta"]))
+            return gn.bessel_generator(*need("a", "beta"))
     except DomainError as exc:
         raise SpecValidationError(f"{path}.params: {exc}") from exc
     raise SpecValidationError(f"{path}.family: unknown family {family!r}")
@@ -139,13 +160,18 @@ def _parse_mixing(obj, path: str = "mixing") -> sk.MixingLaw:
     try:
         if kind == "degenerate":
             _check_fields(obj, {"kind", "v0"}, set(), path)
-            return sk.MixingLaw.degenerate(float(obj["v0"]))
+            return sk.MixingLaw.degenerate(_number(obj["v0"], f"{path}.v0"))
         if kind == "finite_discrete":
             _check_fields(obj, {"kind", "points", "weights"}, set(), path)
-            return sk.MixingLaw.finite_discrete(obj["points"], obj["weights"])
+            return sk.MixingLaw.finite_discrete(
+                _number_list(obj["points"], f"{path}.points"),
+                _number_list(obj["weights"], f"{path}.weights"),
+            )
         if kind == "inverse_gamma":
             _check_fields(obj, {"kind", "shape", "scale"}, set(), path)
-            return sk.MixingLaw.inverse_gamma(float(obj["shape"]), float(obj["scale"]))
+            return sk.MixingLaw.inverse_gamma(
+                _number(obj["shape"], f"{path}.shape"), _number(obj["scale"], f"{path}.scale")
+            )
     except DomainError as exc:
         raise SpecValidationError(f"{path}: {exc}") from exc
     raise SpecValidationError(f"{path}.kind: unknown mixing kind {kind!r}")
@@ -184,10 +210,7 @@ def load_spec(path: str) -> ParsedSpec:
     if kind not in _KINDS:
         raise SpecValidationError(f"kind: unknown kind {kind!r} (expected one of {_KINDS})")
     base_fields = {"schema", "kind", "n", "mu", "sigma"}
-    try:
-        n = int(obj.get("n"))
-    except (TypeError, ValueError) as exc:
-        raise SpecValidationError("n: must be an integer") from exc
+    n = _integer(obj.get("n"), "n")
     if n < 1:
         raise SpecValidationError("n: must be >= 1")
 
@@ -250,15 +273,15 @@ def parse_grid(text: str, n: int) -> np.ndarray:
     kind = obj.get("kind")
     if kind == "axis":
         _check_fields(obj, {"kind", "index", "start", "stop", "num"}, set(), "grid")
-        index = int(obj["index"])
+        index = _integer(obj["index"], "grid.index")
         if not 0 <= index < n:
             raise SpecValidationError(f"grid.index: must be in [0, {n})")
-        num = int(obj["num"])
+        num = _integer(obj["num"], "grid.num")
         if num < 1:
             raise SpecValidationError("grid.num: must be >= 1")
         ends = []
         for key in ("start", "stop"):
-            ends.append(float(obj[key]))
+            ends.append(_number(obj[key], f"grid.{key}"))
             if not math.isfinite(ends[-1]):
                 raise SpecValidationError(f"grid.{key}: non-finite value")
         points = np.zeros((num, n))

@@ -1,9 +1,12 @@
 """Adaptive panel quadrature and the Bessel-kernel radial integrals.
 
-Every panel uses the nested Gauss-Kronrod 7/15 pair.  The oscillatory
-integrator works in the Bessel argument x = omega r, splits that axis at
-consecutive Bessel zeros, integrates each inter-zero panel adaptively, and
-accelerates the alternating panel sums with an iterated Euler transform.
+Every panel uses the nested Gauss-Kronrod 7/15 pair, for one scalar
+integrand (adaptive_interval) or for many integrands advanced in lockstep
+on arrays (adaptive_rows, which makes adaptive_interval's decisions for
+each of them).  The oscillatory integrator works in the Bessel argument
+x = omega r, splits that axis at consecutive Bessel zeros, integrates
+each inter-zero panel adaptively, and accelerates the alternating panel
+sums with an iterated Euler transform.
 Because the panel nodes do not depend on omega, the kernel values J_nu(x)
 come from a per-order memo shared by every frequency.
 This evaluates the characteristic generator of any density generator,
@@ -16,6 +19,8 @@ import heapq
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
+
+import numpy as np
 
 from .errors import (
     ConvergenceError,
@@ -30,6 +35,7 @@ __all__ = [
     "QuadratureControl",
     "QuadResult",
     "adaptive_interval",
+    "adaptive_rows",
     "moment_integral",
     "radial_moment",
     "normalizing_constant",
@@ -152,6 +158,155 @@ def adaptive_interval(
         seq += 2
         panels += 1
     return total_val, total_err, panels
+
+
+# The lockstep form below keeps _K15_PAIRS and _kronrod_pair's order of
+# nodes and sums.  adaptive_interval stays the scalar form for scalar
+# integrands (Bessel panels, moments, CDF tables): numpy's per-call overhead
+# makes one 15-node array panel about twice as slow as the Python loop.
+# Node offsets in _kronrod_pair's evaluation order: the centre, then each
+# symmetric pair as (mid - dx, mid + dx).
+_K15_OFFSETS = np.array([0.0] + [s * x for x, _, _ in _K15_PAIRS for s in (-1.0, 1.0)])
+_K15_G7_WEIGHTS = np.array([(wk, wg) for _, wk, wg in _K15_PAIRS])
+_K15_G7_CENTRE = np.array([_K15_CENTRE, _G7_CENTRE])
+
+
+def _kronrod_rows(fv: np.ndarray, halfw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # _kronrod_pair on node values fv[..., 15, 2] (real and imaginary parts),
+    # with the same sums in the same order: (value [..., 2], error [...]).
+    # Axis -2 of the sums holds the K15 and the G7 sum side by side.
+    pairs = (fv[..., 1::2, :] + fv[..., 2::2, :])[..., None, :]
+    terms = _K15_G7_WEIGHTS[:, :, None] * pairs
+    sums = _K15_G7_CENTRE[:, None] * fv[..., :1, :]
+    for i in range(len(_K15_PAIRS)):
+        sums = sums + terms[..., i, :, :]
+    d = sums[..., 0, :] - sums[..., 1, :]
+    return halfw[..., None] * sums[..., 0, :], halfw * np.hypot(d[..., 0], d[..., 1])
+
+
+def _call_rows(f, ids: np.ndarray, x: np.ndarray, failures: dict):
+    # f(ids[:, None], x); if that raises, again row by row, so that one row's
+    # failure cannot cost the others their values.  Returns the values of
+    # the rows that succeeded and their mask; a row whose call raises has
+    # its exception recorded in failures, for the caller to raise at its row.
+    try:
+        return np.asarray(f(ids[:, None], x)), np.ones(len(ids), dtype=bool)
+    except Exception as exc:  # attributed to its row, raised again there
+        if len(ids) == 1:
+            failures[int(ids[0])] = exc
+            return np.zeros((0, x.shape[1])), np.zeros(1, dtype=bool)
+    parts, ok = [np.zeros((0, x.shape[1]))], np.ones(len(ids), dtype=bool)
+    for i in range(len(ids)):
+        try:
+            parts.append(np.asarray(f(ids[i:i + 1, None], x[i:i + 1])))
+        except Exception as exc:  # as above
+            failures[int(ids[i])] = exc
+            ok[i] = False
+    return np.concatenate(parts), ok
+
+
+def adaptive_rows(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    count: int,
+    a: float,
+    b: float,
+    abs_tol: float,
+    rel_tol: float,
+    max_panels: int = 256,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """adaptive_interval on [a, b] for `count` integrands at once, in lockstep.
+
+    f(rows, x) evaluates integrand rows[i, 0] at the nodes x[i] (rows is an
+    integer (k, 1) array, x a (k, m) array) and returns x's shape, real or
+    complex.  Every round bisects the worst panel (the older one on a tie)
+    of each row still above its tolerance and under max_panels, with one
+    call of f for all of them.  Sums over the nodes run elementwise in node
+    order, so each row gets the value, error and panel count that
+    adaptive_interval gives its integrand alone, whatever else is in the
+    batch.
+
+    Returns (values, errs, panels, failures).  A row whose integrand raises
+    drops out: its exception is failures[row] and its value and error are
+    nan.  Like adaptive_interval, it never raises for an unmet tolerance.
+    """
+    failures: dict = {}
+    if b <= a:
+        return np.zeros(count), np.zeros(count), np.zeros(count, dtype=int), failures
+    values = np.full((count, 2), np.nan)
+    errs = np.full(count, np.nan)
+    panels = np.zeros(count, dtype=int)
+    is_complex = False
+
+    def evaluate(ids, lo, hi):
+        # panels [lo, hi] of shape (k, P): the values (k', P, 2) and errors
+        # (k', P) of the rows that did not fail, and their mask
+        nonlocal is_complex
+        halfw, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
+        x = mid[..., None] + halfw[..., None] * _K15_OFFSETS
+        fv, ok = _call_rows(f, ids, x.reshape(len(ids), -1), failures)
+        is_complex = is_complex or np.iscomplexobj(fv)
+        if not ok.all():
+            x, halfw = x[ok], halfw[ok]
+        parts = np.ascontiguousarray(fv, dtype=complex).view(float).reshape(x.shape + (2,))
+        val, err = _kronrod_rows(parts, halfw)
+        return val, err, ok
+
+    # per row still running: its id, its panels (bounds, value, error and
+    # heap sequence number, one column each) and its running totals
+    ids = np.arange(count)
+    lo, hi = np.full((count, 1), float(a)), np.full((count, 1), float(b))
+    val, err, ok = evaluate(ids, lo, hi)
+    ids, lo, hi = ids[ok], lo[ok], hi[ok]
+    seq = np.zeros((len(ids), 1), dtype=np.int64)
+    total_val, total_err = 0.0 + val[:, 0], 0.0 + err[:, 0]
+    used = np.ones(len(ids), dtype=int)
+    step = 0
+    while len(ids):
+        done = (used >= max_panels) | (
+            total_err <= np.fmax(abs_tol, rel_tol * np.hypot(total_val[:, 0], total_val[:, 1]))
+        )
+        if done.any():
+            finished = ids[done]
+            values[finished], errs[finished], panels[finished] = (
+                total_val[done], total_err[done], used[done]
+            )
+            ids, lo, hi, val, err, seq, total_val, total_err, used = (
+                z[~done] for z in (ids, lo, hi, val, err, seq, total_val, total_err, used)
+            )
+            if not len(ids):
+                break
+        # bisect each row's worst panel: largest error, then oldest
+        worst = err.max(axis=1)
+        j = np.where(err == worst[:, None], seq, np.iinfo(np.int64).max).argmin(axis=1)
+        r = np.arange(len(ids))
+        pa, pb = lo[r, j], hi[r, j]
+        mid = 0.5 * (pa + pb)
+        pa, pb, mid = pa[:, None], pb[:, None], mid[:, None]
+        cval, cerr, ok = evaluate(ids, np.concatenate((pa, mid), axis=1), np.concatenate((mid, pb), axis=1))
+        pval, perr = val[r, j], err[r, j]
+        if not ok.all():
+            ids, lo, hi, val, err, seq, total_val, total_err, used, j, pb, mid, pval, perr = (
+                z[ok] for z in (
+                    ids, lo, hi, val, err, seq, total_val, total_err, used, j, pb, mid, pval, perr
+                )
+            )
+        total_val = total_val + ((cval[:, 0] + cval[:, 1]) - pval)
+        total_err = total_err + ((cerr[:, 0] + cerr[:, 1]) - perr)
+        used = used + 1
+        step += 1
+        # the left half takes the popped slot, the right half a new one
+        r = np.arange(len(ids))
+        hi[r, j], val[r, j], err[r, j], seq[r, j] = mid[:, 0], cval[:, 0], cerr[:, 0], 2 * step - 1
+        lo = np.concatenate((lo, mid), axis=1)
+        hi = np.concatenate((hi, pb), axis=1)
+        val = np.concatenate((val, cval[:, 1:]), axis=1)
+        err = np.concatenate((err, cerr[:, 1:]), axis=1)
+        seq = np.concatenate((seq, np.full((len(ids), 1), 2 * step)), axis=1)
+    if not is_complex:
+        return values[:, 0].copy(), errs, panels, failures
+    out = np.empty(count, dtype=complex)
+    out.real, out.imag = values[:, 0], values[:, 1]
+    return out, errs, panels, failures
 
 
 def moment_integral(

@@ -7,6 +7,14 @@ their affine closure, the skew-normal CF and its scale mixtures.
 Skewness enters a CF only through an odd complex factor k with
 k(t) + k(-t) = 1; all evaluators here assemble that factor in log scale
 where a growing exponential must cancel against a Gaussian envelope.
+
+The grid forms (``*_rows``) compute blocks of grid points as arrays: the
+skew-normal factor through the array Dawson function, and mixing
+expectations for every point of a block at once
+(:meth:`MixingLaw.expectation_rows`, lockstep quadrature for continuous
+laws).  Complex products are formed from their real parts in the order
+Python's complex arithmetic uses, so a point's value does not depend on
+the block it is computed in.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .elliptical import (
+    _ORIGIN,
     CFMethod,
     ComplexCF,
     Dispersion,
@@ -33,12 +42,13 @@ from .errors import ConvergenceError, DomainError
 from .generators import DensityGenerator
 from .quadrature import (
     QuadratureControl,
-    adaptive_interval,
+    _call_rows,
+    adaptive_rows,
     integrate_bessel_oscillatory,
     normalizing_constant,
     radial_moment,
 )
-from .specfun import gamma_fn, norm_cdf_imag, norm_cdf_imag_scaled
+from .specfun import _complex, gamma_fn, norm_cdf_imag, norm_cdf_imag_scaled
 
 __all__ = [
     "MixingKind",
@@ -68,6 +78,49 @@ __all__ = [
 ]
 
 _MIX_ABS_TOL = 1e-8
+
+# Rows per array pass of the grid forms; bounds their per-row temporaries.
+_CHUNK = 1 << 10
+
+
+def _times_ratio(g, p, den):
+    # (g * p) / den rounded per component, as Python's complex arithmetic
+    # does it (numpy's complex division multiplies by a reciprocal instead)
+    g = np.asarray(g)
+    if np.iscomplexobj(g):
+        return _complex(g.real * p / den, g.imag * p / den)
+    return g * p / den
+
+
+def _rotate(z: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # e^(i phase) z as (re, im), with the products and sums of Python's
+    # complex multiply
+    c, s = np.cos(phase), np.sin(phase)
+    return c * z.real - s * z.imag, c * z.imag + s * z.real
+
+
+def _closed_values(re: np.ndarray, im: np.ndarray, abs_err) -> list[ComplexCF]:
+    method = CFMethod.CLOSED_FORM
+    return [ComplexCF(r, i, abs_err, method) for r, i in zip(re.tolist(), im.tolist())]
+
+
+def _emit_rows(ts: np.ndarray, evaluate) -> Iterator[ComplexCF]:
+    """ComplexCF for each row of ts, in order, in array passes of _CHUNK rows.
+
+    evaluate(sl) returns the values of the rows ts[sl] and a dict of failed
+    rows (index within sl -> exception); a failed row raises its exception
+    when it is reached, and t = 0 gives the exact 1.
+    """
+    for start in range(0, len(ts), _CHUNK):
+        sl = slice(start, start + _CHUNK)
+        values, failures = evaluate(sl)
+        for i, (at_origin, value) in enumerate(zip((~ts[sl].any(axis=1)).tolist(), values)):
+            if at_origin:
+                yield _ORIGIN
+            elif i in failures:
+                raise failures[i]
+            else:
+                yield value
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +166,8 @@ class MixingLaw:
         self.support = support
         self.weight_fn = weight_fn  # None: k(u) = u
         self._cdf_table = None  # filled lazily by the sampler
+        if kind is MixingKind.INVERSE_GAMMA:  # log of the density's constant
+            self._log_norm = shape * math.log(scale) - math.lgamma(shape)
 
     @classmethod
     def degenerate(cls, v0: float, weight_fn=None) -> "MixingLaw":
@@ -160,45 +215,92 @@ class MixingLaw:
             )
         return law
 
-    def pdf(self, v: float) -> float:
+    def pdf(self, v):
+        """Mixing density at v, a float or an array of them."""
+        if self.kind not in (MixingKind.INVERSE_GAMMA, MixingKind.CUSTOM_DENSITY):
+            raise DomainError(f"MixingLaw.pdf: {self.kind.value} has no density")
+        if np.ndim(v):
+            v = np.asarray(v, dtype=float)
+            if self.kind is MixingKind.CUSTOM_DENSITY:
+                return np.array([self.pdf(x) for x in v.ravel().tolist()]).reshape(v.shape)
+            out = np.zeros(v.shape)
+            pos = v > 0.0
+            out[pos] = self._inverse_gamma_pdf(v[pos], np.log, np.exp)
+            return out
         if self.kind is MixingKind.INVERSE_GAMMA:
-            if v <= 0.0:
-                return 0.0
-            a, b = self.shape, self.scale
-            return math.exp(
-                a * math.log(b) - math.lgamma(a) - (a + 1.0) * math.log(v) - b / v
-            )
-        if self.kind is MixingKind.CUSTOM_DENSITY:
-            lo, hi = self.support
-            if v < lo or v > hi:
-                return 0.0
-            return self.density(v)
-        raise DomainError(f"MixingLaw.pdf: {self.kind.value} has no density")
+            return self._inverse_gamma_pdf(v, math.log, math.exp) if v > 0.0 else 0.0
+        lo, hi = self.support
+        if v < lo or v > hi:
+            return 0.0
+        return self.density(v)
 
-    def expectation(self, fn: Callable[[float], complex], abs_tol: float = _MIX_ABS_TOL):
-        """E[fn(V)]: exact for the discrete kinds, quadrature otherwise."""
-        if self.kind is MixingKind.DEGENERATE:
-            return fn(self.v0)
-        if self.kind is MixingKind.FINITE_DISCRETE:
-            return sum(w * fn(p) for p, w in zip(self.points, self.weights))
+    def _inverse_gamma_pdf(self, v, log, exp):
+        # b^a / Gamma(a) v^(-a-1) e^(-b/v) for v > 0, with the log of the
+        # constant computed once; floats go through the math module, whose
+        # bits the scalar density has always had
+        return exp((self._log_norm - (self.shape + 1.0) * log(v)) - self.scale / v)
+
+    def expectation_rows(self, fn, count: int, abs_tol: float = _MIX_ABS_TOL):
+        """E[fn(rows, V)] for `count` integrands at once: (values, failures).
+
+        fn(rows, v) takes an integer (k, 1) array of row indices and a (k, m)
+        array of mixing values, and returns v's shape, real or complex;
+        rows[i, 0] names the integrand at the values v[i].  Exact sums for
+        the discrete kinds, one fn call for all rows and points; otherwise
+        quadrature against the density with quadrature.adaptive_rows, one fn
+        call per round (substitution v = lo + x/(1-x) for a support
+        [lo, inf)).  A row whose fn call raises, or whose quadrature error
+        exceeds abs_tol, gets its exception in failures (row -> exception)
+        and a nan value; no other row changes.
+        """
+        failures: dict = {}
+        if self.is_exact():
+            if self.kind is MixingKind.DEGENERATE:
+                points, weights = np.array([self.v0]), None
+            else:
+                points, weights = self.points, self.weights
+            ids = np.arange(count)
+            vals, ok = _call_rows(fn, ids, np.tile(points, (count, 1)), failures)
+            if weights is None:
+                total = vals[:, 0]
+            else:
+                total = 0
+                for j, w in enumerate(weights):
+                    total = total + w * vals[:, j]  # in point order, as sum() adds
+            out = np.full(count, np.nan, dtype=np.result_type(total, float))
+            out[ok] = total
+            return out, failures
         lo, hi = self.support if self.kind is MixingKind.CUSTOM_DENSITY else (0.0, math.inf)
         if math.isinf(hi):
             # v = lo + x/(1-x) maps [0, 1) onto [lo, inf)
-            def integrand(x: float):
+            def integrand(rows, x):
                 v = lo + x / (1.0 - x)
-                return fn(v) * self.pdf(v) / ((1.0 - x) * (1.0 - x))
+                return _times_ratio(fn(rows, v), self.pdf(v), (1.0 - x) * (1.0 - x))
 
-            val, err, _ = adaptive_interval(integrand, 0.0, 1.0, abs_tol / 4.0, 1e-12, 512)
+            a, b = 0.0, 1.0
         else:
-            def integrand(v: float):
-                return fn(v) * self.pdf(v)
+            def integrand(rows, v):
+                return _times_ratio(fn(rows, v), self.pdf(v), 1.0)
 
-            val, err, _ = adaptive_interval(integrand, lo, hi, abs_tol / 4.0, 1e-12, 512)
-        if err > abs_tol:
-            raise ConvergenceError(
-                f"MixingLaw.expectation: quadrature error {err:.2e} exceeds {abs_tol:.2e}"
+            a, b = lo, hi
+        vals, errs, _, failures = adaptive_rows(integrand, count, a, b, abs_tol / 4.0, 1e-12, 512)
+        for row in np.flatnonzero(errs > abs_tol).tolist():
+            failures[row] = ConvergenceError(
+                f"MixingLaw.expectation: quadrature error {errs[row]:.2e} exceeds {abs_tol:.2e}"
             )
-        return val
+            vals[row] = np.nan
+        return vals, failures
+
+    def expectation(self, fn: Callable[[float], complex], abs_tol: float = _MIX_ABS_TOL):
+        """E[fn(V)] for a scalar fn: the one-row case of expectation_rows."""
+
+        def at_values(rows, v):
+            return np.array([fn(x) for x in v.ravel().tolist()]).reshape(v.shape)
+
+        values, failures = self.expectation_rows(at_values, 1, abs_tol)
+        if failures:
+            raise failures[0]
+        return values[0].item()
 
     def is_exact(self) -> bool:
         return self.kind in (MixingKind.DEGENERATE, MixingKind.FINITE_DISCRETE)
@@ -236,38 +338,50 @@ def cf_location_scale_mixture_rows(
     """CF of the location-scale mixture at each row t of the (P, n) array ts.
 
     exp(i t'mu) E[e^(iV t'gamma) phi(V t'Sigma t)]: t'Sigma t, t'gamma and
-    t'mu come from one array pass, the mixing expectation runs per point.
-    Degenerate and finite-discrete mixing are evaluated as exact weighted
-    sums; continuous mixing by adaptive quadrature over the mixing density.
+    t'mu come from one array pass, and the mixing expectation runs for a
+    block of rows at once (MixingLaw.expectation_rows), with phi evaluated
+    point by point at its nodes.  Degenerate and finite-discrete mixing are
+    exact weighted sums; continuous mixing is adaptive quadrature over the
+    mixing density.  A row whose phi fails raises when it is reached.
     """
     ts = _as_rows(ts, spec.n, "t")
     gen, n = spec.base.generator, spec.n
-
-    def at_point(q: float, drift: float, phase: float) -> ComplexCF:
-        method_seen: list[CFMethod] = []
-        err_seen: list[float] = []
-
-        def f(v: float) -> complex:
-            phi, err, meth = char_generator(gen, n, v * q, route, ctl)
-            method_seen.append(meth)
-            if err is not None:
-                err_seen.append(err)
-            return complex(math.cos(v * drift), math.sin(v * drift)) * phi
-
-        ev = complex(spec.mixing.expectation(f))
-        out = complex(math.cos(phase), math.sin(phase)) * ev
-        method = (
-            CFMethod.HANKEL
-            if any(m is CFMethod.HANKEL for m in method_seen)
-            else CFMethod.CLOSED_FORM
-        )
-        base_err = max(err_seen) if err_seen else 0.0
-        abs_err = base_err if spec.mixing.is_exact() else _MIX_ABS_TOL + base_err
-        return ComplexCF(out.real, out.imag, abs_err, method)
-
     q = spec.dispersion.quad_rows(ts)
     drift, phase = _row_dots(ts, spec.gamma), _row_dots(ts, spec.mu)
-    return _map_rows(at_point, ts, q.tolist(), drift.tolist(), phase.tolist())
+
+    def evaluate(sl: slice):
+        qs, drifts = q[sl], drift[sl]
+        q_list = qs.tolist()
+        base_err = [0.0] * len(q_list)
+        hankel = [False] * len(q_list)
+
+        def f(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+            phi = []
+            for row, vs in zip(rows[:, 0].tolist(), v.tolist()):
+                for x in vs:
+                    value, err, meth = char_generator(gen, n, x * q_list[row], route, ctl)
+                    hankel[row] = hankel[row] or meth is CFMethod.HANKEL
+                    if err is not None:
+                        base_err[row] = max(base_err[row], err)
+                    phi.append(value)
+            phi = np.array(phi).reshape(v.shape)
+            vd = v * drifts[rows]
+            return _complex(np.cos(vd) * phi, np.sin(vd) * phi)
+
+        ev, failures = spec.mixing.expectation_rows(f, len(q_list))
+        re, im = _rotate(ev, phase[sl])
+        exact = spec.mixing.is_exact()
+        values = [
+            ComplexCF(
+                r, i,
+                err if exact else _MIX_ABS_TOL + err,
+                CFMethod.HANKEL if used_hankel else CFMethod.CLOSED_FORM,
+            )
+            for r, i, err, used_hankel in zip(re.tolist(), im.tolist(), base_err, hankel)
+        ]
+        return values, failures
+
+    return _emit_rows(ts, evaluate)
 
 
 def cf_location_scale_mixture(
@@ -362,33 +476,48 @@ class SkewNormalK:
     """The built-in skew-normal odd factor: k(y) = Phi(i a'y).
 
     Exposes a scaled form (mantissa, log_scale) so callers can cancel the
-    exp(y^2/2) growth against their Gaussian envelope.
+    exp(y^2/2) growth against their Gaussian envelope.  y may stack points
+    along leading axes, y[..., n]; one point gives a complex.
     """
 
     def __init__(self, direction):
         self.direction = np.asarray(direction, dtype=float)
 
-    def __call__(self, y) -> complex:
-        return norm_cdf_imag(float(self.direction @ np.asarray(y, dtype=float)))
+    def __call__(self, y):
+        return norm_cdf_imag(_row_dots(np.asarray(y, dtype=float), self.direction))
 
-    def scaled(self, y) -> tuple[complex, float]:
-        return norm_cdf_imag_scaled(float(self.direction @ np.asarray(y, dtype=float)))
+    def scaled(self, y):
+        return norm_cdf_imag_scaled(_row_dots(np.asarray(y, dtype=float), self.direction))
 
 
 class LinearMappedK:
-    """k composed with a linear map: preserves k(t) + k(-t) = 1."""
+    """k composed with a linear map: preserves k(t) + k(-t) = 1.
+
+    Maps y[..., n] to (M y)[..., m]; stacked points reach the inner k as
+    stacked points.
+    """
 
     def __init__(self, inner, matrix):
         self.inner = inner
         self.matrix = np.asarray(matrix, dtype=float)
 
-    def __call__(self, y) -> complex:
-        return self.inner(self.matrix @ np.asarray(y, dtype=float))
+    def _map(self, y) -> np.ndarray:
+        return _row_dots(np.asarray(y, dtype=float)[..., None, :], self.matrix)
 
-    def scaled(self, y) -> tuple[complex, float]:
+    def __call__(self, y):
+        return self.inner(self._map(y))
+
+    def scaled(self, y):
         if not hasattr(self.inner, "scaled"):
             raise AttributeError("inner k function has no scaled form")
-        return self.inner.scaled(self.matrix @ np.asarray(y, dtype=float))
+        return self.inner.scaled(self._map(y))
+
+
+def _takes_rows(k_fn) -> bool:
+    # the built-in k functions, which accept stacked points
+    while isinstance(k_fn, LinearMappedK):
+        k_fn = k_fn.inner
+    return isinstance(k_fn, SkewNormalK)
 
 
 class GSESpec:
@@ -431,9 +560,23 @@ class GSESpec:
 def cf_gse_rows(spec: GSESpec, ts) -> Iterator[ComplexCF]:
     """CF of a generalized skew-elliptical law at each row t of the (P, n) array ts.
 
-    t'St, S^(1/2) t and t'mu come from one array pass; psi and k run per point.
+    t'St, S^(1/2) t and t'mu come from one array pass.  With log_psi and a
+    built-in k (SkewNormalK, possibly behind LinearMappedK) the rest is
+    array passes too, so log_psi must then accept an array of q; any other
+    psi, log_psi or k runs point by point.
     """
     ts = _as_rows(ts, spec.n, "t")
+    q = spec.dispersion.quad_rows(ts)
+    ys = _row_dots(ts[:, None, :], spec.dispersion.sym_root)
+    phase = _row_dots(ts, spec.mu)
+    if spec.log_psi is not None and _takes_rows(spec.k_fn):
+
+        def evaluate(sl: slice):
+            mant, log_scale = spec.k_fn.scaled(ys[sl])
+            z = 2.0 * np.exp(spec.log_psi(q[sl]) + log_scale) * mant
+            return _closed_values(*_rotate(z, phase[sl]), None), {}
+
+        return _emit_rows(ts, evaluate)
     scaled = spec.log_psi is not None and hasattr(spec.k_fn, "scaled")
 
     def at_point(q: float, y: np.ndarray, phase: float) -> ComplexCF:
@@ -445,9 +588,7 @@ def cf_gse_rows(spec: GSESpec, ts) -> Iterator[ComplexCF]:
             out = 2.0 * spec.psi(q) * spec.k_fn(y) * rot
         return ComplexCF(out.real, out.imag, None, CFMethod.CLOSED_FORM)
 
-    q = spec.dispersion.quad_rows(ts)
-    ys = _row_dots(ts[:, None, :], spec.dispersion.sym_root)
-    return _map_rows(at_point, ts, q.tolist(), ys, _row_dots(ts, spec.mu).tolist())
+    return _map_rows(at_point, ts, q.tolist(), ys, phase.tolist())
 
 
 def cf_gse(spec: GSESpec, t) -> ComplexCF:
@@ -523,36 +664,32 @@ class SkewNormalSpec:
             1.0 + float(alpha @ self.sigma @ alpha)
         )
 
-    def invariants(self, ts: np.ndarray) -> tuple[list, list, list]:
+    def invariants(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """t'Sigma t, the skew scale y (CF factor Phi(iy)) and t'mu for each row t.
 
         y = a'S t = (S a)'t with a the skew direction and S the symmetric root.
         """
         y_dir = self.dispersion.sym_root @ self.skew_direction()
-        return (
-            self.dispersion.quad_rows(ts).tolist(),
-            _row_dots(ts, y_dir).tolist(),
-            _row_dots(ts, self.mu).tolist(),
-        )
+        return self.dispersion.quad_rows(ts), _row_dots(ts, y_dir), _row_dots(ts, self.mu)
 
 
-def _sn_centered(q: float, y: float) -> complex:
+def _sn_centered(q: np.ndarray, y: np.ndarray) -> np.ndarray:
     # 2 exp(-q/2) Phi(iy) assembled as 2 exp((y^2 - q)/2) * mantissa; the
     # exponent is <= 0 by Cauchy-Schwarz, so this never overflows.
     mant, log_scale = norm_cdf_imag_scaled(y)
-    return 2.0 * math.exp(log_scale - 0.5 * q) * mant
+    return 2.0 * np.exp(log_scale - 0.5 * q) * mant
 
 
 def cf_skew_normal_rows(spec: SkewNormalSpec, ts) -> Iterator[ComplexCF]:
     """CF of the skew-normal law, e^(i t'mu) 2 exp(-t'St/2) Phi(i y_t), at each
-    row t of the (P, n) array ts."""
+    row t of the (P, n) array ts, in array passes."""
     ts = _as_rows(ts, spec.n, "t")
+    q, y, phase = spec.invariants(ts)
 
-    def at_point(q: float, y: float, phase: float) -> ComplexCF:
-        out = complex(math.cos(phase), math.sin(phase)) * _sn_centered(q, y)
-        return ComplexCF(out.real, out.imag, None, CFMethod.CLOSED_FORM)
+    def evaluate(sl: slice):
+        return _closed_values(*_rotate(_sn_centered(q[sl], y[sl]), phase[sl]), None), {}
 
-    return _map_rows(at_point, ts, *spec.invariants(ts))
+    return _emit_rows(ts, evaluate)
 
 
 def cf_skew_normal(spec: SkewNormalSpec, t) -> ComplexCF:
@@ -573,23 +710,26 @@ def skew_normal_gse(spec: SkewNormalSpec) -> GSESpec:
 
 def cf_smsn_rows(spec: SkewNormalSpec, mixing: MixingLaw, ts) -> Iterator[ComplexCF]:
     """CF of a scale mixture of skew-normals, e^(i t'mu) E[c_sn(sqrt(k(u)) t)],
-    at each row t of the (P, n) array ts.
+    at each row t of the (P, n) array ts, in array passes.
 
     Exact for degenerate/finite-discrete mixing, adaptive quadrature
-    otherwise.
+    otherwise (MixingLaw.expectation_rows).
     """
     ts = _as_rows(ts, spec.n, "t")
+    q, y, phase = spec.invariants(ts)
     abs_err = None if mixing.is_exact() else _MIX_ABS_TOL
 
-    def at_point(q: float, y: float, phase: float) -> ComplexCF:
-        def f(u: float) -> complex:
-            kv = mixing_weight(mixing, u)
-            return _sn_centered(kv * q, math.sqrt(kv) * y)
+    def evaluate(sl: slice):
+        qs, ys = q[sl], y[sl]
 
-        out = complex(math.cos(phase), math.sin(phase)) * complex(mixing.expectation(f))
-        return ComplexCF(out.real, out.imag, abs_err, CFMethod.CLOSED_FORM)
+        def f(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+            kv = mixing_weights(mixing, u)
+            return _sn_centered(kv * qs[rows], np.sqrt(kv) * ys[rows])
 
-    return _map_rows(at_point, ts, *spec.invariants(ts))
+        ev, failures = mixing.expectation_rows(f, len(qs))
+        return _closed_values(*_rotate(ev, phase[sl]), abs_err), failures
+
+    return _emit_rows(ts, evaluate)
 
 
 def cf_smsn(
@@ -628,10 +768,10 @@ def mixing_weights(mixing: MixingLaw, us: np.ndarray) -> np.ndarray:
     """k(u) for an array of mixing draws: one array check for the default
     k(u) = u, a call per draw for a supplied weight function."""
     if mixing.weight_fn is not None:
-        return np.array([mixing_weight(mixing, float(u)) for u in us])
+        return np.array([mixing_weight(mixing, u) for u in us.ravel().tolist()]).reshape(us.shape)
     bad = ~(us >= 0.0)
     if bad.any():
-        mixing_weight(mixing, float(us[bad.argmax()]))  # raises, naming the draw
+        mixing_weight(mixing, float(us.ravel()[bad.ravel().argmax()]))  # raises, naming it
     return us
 
 

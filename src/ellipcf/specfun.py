@@ -4,6 +4,11 @@ Bessel J of the first kind, the MacDonald function K, the hypergeometric
 series 0F1 and 1F1 (Kummer), gamma/log-gamma, Bessel-J zeros, the Dawson
 function and the standard normal CDF at a purely imaginary argument.
 
+The Dawson function, erfi and the normal CDF at iy take floats or numpy
+arrays: Dawson's integral is one fixed sequence of array operations
+(Rybicki's sampling-theorem sum) whose value at a point does not depend on
+the array around it.
+
 J_nu can also be read through a bounded per-order memo
 (:func:`bessel_j_memoized`) kept with that order's cached zeros.
 
@@ -15,9 +20,12 @@ the number of terms consumed.  Non-convergence raises
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
@@ -495,72 +503,107 @@ def hyp1f1(alpha: float, gamma: float, z: float, ctl: SeriesControl = _DEFAULT_C
 # Dawson function and the normal CDF at imaginary argument
 # ---------------------------------------------------------------------------
 
-
-def dawson(x: float) -> float:
-    """Dawson integral D(x) = exp(-x^2) * int_0^x exp(t^2) dt."""
-    ax = abs(x)
-    if ax == 0.0:
-        return 0.0
-    if ax <= 6.0:
-        # exp(-x^2) * series for the inner integral; all terms positive, so
-        # no cancellation, only benign dynamic range.
-        xsq = ax * ax
-        u = ax  # x^(2k+1) / k!
-        total = ax
-        for k in range(1, 200):
-            u *= xsq / k
-            term = u / (2 * k + 1)
-            total += term
-            if term <= 1e-17 * total:
-                break
-        val = math.exp(-xsq) * total
-    else:
-        # asymptotic series D(x) ~ 1/(2x) sum (2k-1)!!/(2x^2)^k, far past
-        # optimal truncation accuracy at |x| > 6
-        inv2xsq = 1.0 / (2.0 * ax * ax)
-        term = 1.0
-        total = 1.0
-        for k in range(1, 60):
-            term *= (2 * k - 1) * inv2xsq
-            total += term
-            if term <= 1e-17 * total:
-                break
-        val = total / (2.0 * ax)
-    return val if x > 0 else -val
+# Rybicki's sampling-theorem sum (Rybicki 1989): with h = 1/4 the sampling
+# error is about exp(-(pi / 2h)^2) = 7e-18, and the offsets past 25h carry
+# weights exp(-(kh)^2) below 1e-17.
+_RYBICKI_K = np.arange(1.0, 26.0, 2.0)  # odd offsets k, in units of h
+_RYBICKI_W = np.exp(-(0.25 * _RYBICKI_K) ** 2) / math.sqrt(math.pi)
+# Past this |x|, D(x) = 1/(2x) to double precision; the sum runs at the cap.
+_DAWSON_CAP = 2.0**60
 
 
-def erfi(x: float) -> float:
-    """Imaginary error function erfi(x) = 2/sqrt(pi) * exp(x^2) * D(x)."""
-    return 2.0 / math.sqrt(math.pi) * math.exp(x * x) * dawson(x)
+def dawson(x):
+    """Dawson integral D(x) = exp(-x^2) * int_0^x exp(t^2) dt.
+
+    Takes a float or an array; the same fixed sequence of array operations
+    serves every |x|.  Rybicki's form
+    D(x) = pi^(-1/2) sum over odd n of exp(-(x - nh)^2) / n
+    is summed about the even n0 with n0 h nearest |x|: writing x = n0 h + x',
+    each pair n = n0 +- k contributes
+    w_k [cosh(2hkx') (1/(n0+k) + 1/(n0-k)) + sinh(2hkx') (1/(n0+k) - 1/(n0-k))],
+    which stays free of cancellation at n0 = 0, so small |x| needs no
+    separate series.
+    """
+    x = np.asarray(x, dtype=float)
+    ax = np.abs(x)
+    capped = np.minimum(ax, _DAWSON_CAP)
+    n0 = 2.0 * np.floor(2.0 * capped + 0.5)
+    xp = capped - 0.25 * n0  # exact, |xp| <= h
+    kx = (0.5 * xp)[..., None] * _RYBICKI_K
+    n0 = n0[..., None]
+    u = 1.0 / (n0 + _RYBICKI_K)
+    v = 1.0 / (n0 - _RYBICKI_K)
+    total = (_RYBICKI_W * (np.cosh(kx) * (u + v) + np.sinh(kx) * (u - v))).sum(axis=-1)
+    # past the cap D(x) = D(cap) * cap / |x| to double precision
+    val = np.exp(-xp * xp) * total * (_DAWSON_CAP / np.maximum(ax, _DAWSON_CAP))
+    out = np.copysign(val, x) + 0.0  # odd, with D(-0) = +0
+    return out if out.ndim else float(out)
 
 
-def norm_cdf_imag_scaled(y: float) -> tuple[complex, float]:
+def _complex(re, im):
+    # re + i im assembled exactly (no complex multiply); a complex for 0-d
+    if np.ndim(re) == 0 and np.ndim(im) == 0:
+        return complex(float(re), float(im))
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _first(values, mask) -> float:
+    # the first entry of values where mask holds, as a float
+    return float(np.asarray(values).ravel()[np.asarray(mask).ravel().argmax()])
+
+
+_EXP_MAX = math.log(sys.float_info.max)
+
+
+def erfi(x):
+    """Imaginary error function erfi(x) = 2/sqrt(pi) * exp(x^2) * D(x).
+
+    Takes a float or an array; raises OverflowError once exp(x^2) leaves
+    float range.
+    """
+    x = np.asarray(x, dtype=float)
+    over = x * x > _EXP_MAX
+    if over.any():
+        raise OverflowError(f"erfi overflows at x={_first(x, over)}")
+    out = 2.0 / math.sqrt(math.pi) * np.exp(x * x) * dawson(x)
+    return out if np.ndim(out) else float(out)
+
+
+def norm_cdf_imag_scaled(y):
     """Standard normal CDF at iy as (mantissa, log_scale).
 
     Phi(iy) = mantissa * exp(log_scale) with log_scale = y^2/2.  The mantissa
     is bounded (|Re| <= 1/2, |Im| <= 0.31), so callers can cancel the growing
-    exponential against their own decaying one before exponentiating.
+    exponential against their own decaying one before exponentiating.  A
+    float gives (complex, float), an array gives (complex array, array).
     """
-    if not math.isfinite(y):
-        raise DomainError(f"norm_cdf_imag_scaled: y must be finite, got {y}")
+    y = np.asarray(y, dtype=float)
+    finite = np.isfinite(y)
+    if not finite.all():
+        raise DomainError(
+            f"norm_cdf_imag_scaled: y must be finite, got {_first(y, ~finite)}"
+        )
     log_scale = 0.5 * y * y
-    mantissa = complex(
-        0.5 * math.exp(-log_scale),
-        dawson(y / math.sqrt(2.0)) / math.sqrt(math.pi),
+    mantissa = _complex(
+        0.5 * np.exp(-log_scale), dawson(y / math.sqrt(2.0)) / math.sqrt(math.pi)
     )
-    return mantissa, log_scale
+    return mantissa, (log_scale if log_scale.ndim else float(log_scale))
 
 
-def norm_cdf_imag(y: float) -> complex:
+def norm_cdf_imag(y):
     """Standard normal CDF at the purely imaginary point iy.
 
-    Phi(iy) = 1/2 + (i/2) erfi(y / sqrt(2)).  Raises OverflowError once the
-    exponential scale exceeds float range; use the scaled variant there.
+    Phi(iy) = 1/2 + (i/2) erfi(y / sqrt(2)), for a float or an array.  Raises
+    OverflowError once the exponential scale exceeds float range; use the
+    scaled variant there.
     """
     mantissa, log_scale = norm_cdf_imag_scaled(y)
-    if log_scale > 709.0:
+    over = np.asarray(log_scale) > 709.0
+    if over.any():
         raise OverflowError(
-            f"norm_cdf_imag overflows at y={y}; use norm_cdf_imag_scaled"
+            f"norm_cdf_imag overflows at y={_first(y, over)}; use norm_cdf_imag_scaled"
         )
-    scale = math.exp(log_scale)
-    return complex(0.5, scale * mantissa.imag)
+    return _complex(0.5, np.exp(log_scale) * np.imag(mantissa))

@@ -90,6 +90,13 @@ def erfi_integral(y: float) -> float:
     return 2.0 / math.sqrt(math.pi) * simpson(lambda t: math.exp(t * t), 0.0, y)
 
 
+def dawson_mp(x: float, dps: int = 40) -> float:
+    """Dawson's integral (sqrt(pi)/2) exp(-x^2) erfi(x) from mpmath's erfi."""
+    with mp.workdps(dps):
+        x_mp = mp.mpf(x)
+        return float(mp.sqrt(mp.pi) / 2 * mp.exp(-x_mp * x_mp) * mp.erfi(x_mp))
+
+
 def bessel_k_mp(nu: float, x: float, dps: int = 40) -> float:
     """K_nu(x) from mpmath's arbitrary-precision besselk."""
     with mp.workdps(dps):

@@ -193,6 +193,40 @@ class TestEval:
         err = capsys.readouterr().err
         assert "at grid point t=[0.0, 2.5]: synthetic series breakdown" in err
 
+    @pytest.mark.parametrize("kind", ["lsm", "smsn"])
+    def test_mixture_failure_names_first_failing_point(self, tmp_path, capsys, monkeypatch, kind):
+        # the rows of a mixture grid are computed together; a failing row
+        # still fails alone, and the first one in grid order is named
+        finite = {"kind": "finite_discrete", "points": [0.5, 1.0, 2.5], "weights": [0.3, 0.5, 0.2]}
+        if kind == "lsm":
+            real = skewmix.char_generator
+
+            def breaks(gen, n, q, route="auto", ctl=None):
+                if q > 20.0:
+                    raise ConvergenceError("synthetic series breakdown")
+                return real(gen, n, q, route, ctl)
+
+            monkeypatch.setattr(skewmix, "char_generator", breaks)
+            obj = dict(normal_spec(), kind="lsm", gamma=[0.4, 0.1], mixing=finite)
+        else:
+            real = skewmix.norm_cdf_imag_scaled
+
+            def breaks(y):
+                if (abs(np.asarray(y)) > 3.0).any():
+                    raise ConvergenceError("synthetic series breakdown")
+                return real(y)
+
+            monkeypatch.setattr(skewmix, "norm_cdf_imag_scaled", breaks)
+            obj = dict(normal_spec(), kind="smsn", alpha=[1.0, 0.0], mixing=finite)
+            del obj["generator"]
+        spec = write_spec(tmp_path, "m.json", obj)
+        rc = cli.main([
+            "eval", "--spec", spec,
+            "--grid", '{"kind":"list","points":[[0.5,0.0],[0.0,0.3],[3.5,0.0],[4.0,0.0]]}',
+        ])
+        assert rc == 3
+        assert "at grid point t=[3.5, 0.0]: synthetic series breakdown" in capsys.readouterr().err
+
     def test_failure_named_in_grid_order_across_routes(self, tmp_path, capsys, monkeypatch):
         # closed fails from the third point on, hankel from the second: the
         # message names the second point, as a point-by-point sweep would
@@ -225,6 +259,92 @@ class TestEval:
             "--grid", '{"kind":"list","points":[[1.0,0.0]]}',
         ])
         assert rc == 2
+
+
+def _with(obj, path, value):
+    """A deep copy of obj with the entry at the key path set to value."""
+    obj = json.loads(json.dumps(obj))
+    inner = obj
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return obj
+
+
+def _gen_spec(family, params):
+    return dict(normal_spec(), generator={"family": family, "params": params})
+
+
+def _lsm_spec(mixing):
+    return dict(normal_spec(), kind="lsm", gamma=[0.4, 0.1], mixing=mixing)
+
+
+_AXIS = {"kind": "axis", "index": 0, "start": 0.0, "stop": 1.0, "num": 3}
+_DEGENERATE = {"kind": "degenerate", "v0": 1.0}
+_FINITE = {"kind": "finite_discrete", "points": [0.5, 2.0], "weights": [0.4, 0.6]}
+_INV_GAMMA = {"kind": "inverse_gamma", "shape": 3.0, "scale": 2.0}
+
+
+class TestFieldTypes:
+    """Spec and grid fields must be JSON numbers, integral where an integer
+    is meant; anything else is exit 2 naming the field, never a traceback
+    and never a silent truncation."""
+
+    @pytest.mark.parametrize(
+        "spec, grid, named",
+        [
+            (_with(normal_spec(), ["n"], 2.5), _AXIS, "n: expected an integer, got 2.5"),
+            (_with(normal_spec(), ["n"], "2"), _AXIS, 'n: expected a number, got "2"'),
+            (_gen_spec("generalized_t", {"s": 2.0, "m": 3.5}), _AXIS,
+             "generator.params.m: expected an integer, got 3.5"),
+            (_gen_spec("generalized_t", {"s": 2.0, "m": "x"}), _AXIS,
+             'generator.params.m: expected a number, got "x"'),
+            (_gen_spec("pearson_vii", {"N": 2.3, "s": None}), _AXIS,
+             "generator.params.s: expected a number, got null"),
+            (_gen_spec("pearson_ii", {"m": True}), _AXIS,
+             "generator.params.m: expected a number, got true"),
+            (_lsm_spec(_with(_DEGENERATE, ["v0"], "1")), _AXIS,
+             'mixing.v0: expected a number, got "1"'),
+            (_lsm_spec(_with(_INV_GAMMA, ["shape"], None)), _AXIS,
+             "mixing.shape: expected a number, got null"),
+            (_lsm_spec(_with(_INV_GAMMA, ["scale"], "x")), _AXIS,
+             'mixing.scale: expected a number, got "x"'),
+            (_lsm_spec(_with(_FINITE, ["points"], [None, 2.0])), _AXIS,
+             "mixing.points[0]: expected a number, got null"),
+            (_lsm_spec(_with(_FINITE, ["weights"], "abc")), _AXIS,
+             "mixing.weights: expected a list of numbers"),
+            (normal_spec(), _with(_AXIS, ["index"], 0.7),
+             "grid.index: expected an integer, got 0.7"),
+            (normal_spec(), _with(_AXIS, ["index"], "a"),
+             'grid.index: expected a number, got "a"'),
+            (normal_spec(), _with(_AXIS, ["num"], 2.9), "grid.num: expected an integer, got 2.9"),
+            (normal_spec(), _with(_AXIS, ["num"], None), "grid.num: expected a number, got null"),
+            (normal_spec(), _with(_AXIS, ["start"], "x"),
+             'grid.start: expected a number, got "x"'),
+            (normal_spec(), _with(_AXIS, ["stop"], None),
+             "grid.stop: expected a number, got null"),
+        ],
+        ids=[
+            "n-fraction", "n-string", "gen-t-m-fraction", "gen-t-m-string", "pearson7-s-null",
+            "pearson2-m-bool", "v0-string", "shape-null", "scale-string", "points-null",
+            "weights-string", "index-fraction", "index-string", "num-fraction", "num-null",
+            "start-string", "stop-null",
+        ],
+    )
+    def test_bad_field_exit_2(self, tmp_path, capsys, spec, grid, named):
+        path = write_spec(tmp_path, "s.json", spec)
+        rc = cli.main(["eval", "--spec", path, "--grid", json.dumps(grid)])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+
+    def test_integral_floats_accepted(self, tmp_path, capsys):
+        spec = _with(_gen_spec("generalized_t", {"s": 2.0, "m": 3.0}), ["n"], 2.0)
+        grid = dict(_AXIS, index=1.0, num=3.0)
+        path = write_spec(tmp_path, "s.json", spec)
+        rc = cli.main(["eval", "--spec", path, "--grid", json.dumps(grid)])
+        assert rc == 0
+        _, _, rows = parse_result_csv(capsys.readouterr().out)
+        assert [row[:2] for row in rows] == [["0", "0"], ["0", "0.5"], ["0", "1"]]
 
 
 def _closed_specs():

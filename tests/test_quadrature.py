@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
@@ -20,6 +21,7 @@ from ellipcf.quadrature import (
     QuadratureControl,
     _phi_small_u_series,
     adaptive_interval,
+    adaptive_rows,
     integrate_bessel_oscillatory,
     moment_integral,
     phi_hankel,
@@ -48,6 +50,59 @@ class TestAdaptiveInterval:
         val, err, _ = adaptive_interval(lambda x: complex(math.cos(x), math.sin(x)),
                                         0.0, 1.0, 1e-12, 1e-12)
         assert abs(val - complex(math.sin(1.0), 1.0 - math.cos(1.0))) <= 1e-13
+
+
+class TestAdaptiveRows:
+    """The lockstep form makes adaptive_interval's decisions for every row."""
+
+    PARAMS = np.geomspace(0.3, 60.0, 40)
+
+    @staticmethod
+    def rows_integrand(params):
+        # + - * / and sqrt only, so array and scalar values round alike
+        def f(rows, x):
+            p = params[rows]
+            out = np.empty(x.shape, dtype=complex)
+            out.real = np.sqrt(x) / (1.0 + p * x * x)
+            out.imag = x / (1.0 + p * x) - 0.25
+            return out
+
+        return f
+
+    @pytest.mark.parametrize("tols", [(1e-12, 1e-12, 512), (1e-6, 1e-9, 4)])
+    def test_bitwise_equal_to_adaptive_interval(self, tols):
+        vals, errs, panels, failures = adaptive_rows(
+            self.rows_integrand(self.PARAMS), 40, 0.0, 3.0, *tols
+        )
+        assert not failures and panels.max() > 1
+        for i, p in enumerate(self.PARAMS.tolist()):
+            want = adaptive_interval(
+                lambda x: complex(math.sqrt(x) / (1.0 + p * x * x), x / (1.0 + p * x) - 0.25),
+                0.0, 3.0, *tols,
+            )
+            assert (complex(vals[i]), float(errs[i]), int(panels[i])) == want
+
+    def test_real_integrand_stays_real(self):
+        vals, errs, panels, _ = adaptive_rows(
+            lambda rows, x: x * x * self.PARAMS[rows], 40, 0.0, 1.0, 1e-12, 1e-12
+        )
+        assert vals.dtype == float and (panels == 1).all()
+        assert_allclose(vals, self.PARAMS / 3.0, rtol=1e-15)
+
+    def test_raising_row_drops_out_alone(self):
+        good = self.rows_integrand(self.PARAMS)
+
+        def f(rows, x):
+            if (rows == 5).any():
+                raise ArithmeticError("row 5 breaks")
+            return good(rows, x)
+
+        clean = adaptive_rows(good, 40, 0.0, 3.0, 1e-12, 1e-12)[0]
+        vals, errs, panels, failures = adaptive_rows(f, 40, 0.0, 3.0, 1e-12, 1e-12)
+        assert list(failures) == [5] and str(failures[5]) == "row 5 breaks"
+        assert np.isnan(vals[5]) and np.isnan(errs[5]) and panels[5] == 0
+        keep = np.arange(40) != 5
+        assert vals[keep].tobytes() == clean[keep].tobytes()
 
 
 class TestMomentIntegral:

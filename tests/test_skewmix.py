@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from ellipcf import generators as gn
 from ellipcf.elliptical import EllipticalSpec, cf, closed_form_generator
-from ellipcf.errors import DomainError
+from ellipcf.errors import ConvergenceError, DomainError
 from ellipcf.quadrature import adaptive_interval, phi_hankel
 from ellipcf.skewmix import (
     GSESpec,
@@ -18,6 +18,7 @@ from ellipcf.skewmix import (
     SkewNormalK,
     SkewNormalSpec,
     cf_gse,
+    cf_gse_rows,
     cf_location_scale_mixture,
     cf_skew_normal,
     cf_smsn,
@@ -53,6 +54,92 @@ class TestMixingLaw:
         # E[V] = scale / (shape - 1)
         law = MixingLaw.inverse_gamma(3.0, 4.0)
         assert_allclose(law.expectation(lambda v: v), 2.0, atol=1e-7)
+
+
+def _rational(a, v):
+    # a complex integrand built from + - * / only, so its array and scalar
+    # forms round identically
+    return 1.0 / (1.0 + a * v) + 1j * (v / (1.0 + a * v * v))
+
+
+def _rational_rows(a, v):
+    out = np.empty(np.broadcast(a, v).shape, dtype=complex)
+    out.real = 1.0 / (1.0 + a * v)
+    out.imag = v / (1.0 + a * v * v)
+    return out
+
+
+class TestExpectationRows:
+    LAW = MixingLaw.inverse_gamma(3.0, 2.0)
+
+    @staticmethod
+    def fn_for(params, fail_at=None, wild_at=None):
+        def fn(rows, v):
+            a = params[rows]
+            if fail_at is not None and (a == fail_at).any():
+                raise ConvergenceError("synthetic integrand failure")
+            out = _rational_rows(a, v)
+            if wild_at is not None:
+                out = np.where(a == wild_at, np.cos(300.0 * v), out)
+            return out
+
+        return fn
+
+    @pytest.mark.parametrize("size", [1, 2, 300])
+    def test_rows_equal_one_row_calls_bitwise(self, size):
+        rng = np.random.default_rng(size)
+        params = rng.permutation(np.geomspace(0.05, 40.0, 300))[:size]
+        values, failures = self.LAW.expectation_rows(self.fn_for(params), size)
+        assert not failures and values.dtype == complex
+        for i in rng.permutation(size):
+            one, _ = self.LAW.expectation_rows(self.fn_for(params[i:i + 1]), 1)
+            assert values[i:i + 1].tobytes() == one.tobytes()
+        # the scalar form is the one-row case
+        a = float(params[0])
+        scalar = self.LAW.expectation(lambda v: _rational(a, v))
+        assert np.array([scalar]).tobytes() == values[:1].tobytes()
+
+    def test_failed_rows_fail_alone_with_scalar_messages(self):
+        params = np.geomspace(0.05, 40.0, 40)
+        clean, _ = self.LAW.expectation_rows(self.fn_for(params), 40)
+        bad_fn = self.fn_for(params, fail_at=params[7], wild_at=params[23])
+        values, failures = self.LAW.expectation_rows(bad_fn, 40)
+        assert sorted(failures) == [7, 23]
+        others = np.delete(np.arange(40), [7, 23])
+        assert values[others].tobytes() == clean[others].tobytes()
+        assert np.isnan(values[[7, 23]]).all()
+        # the messages the scalar expectation raises for the same integrands
+        with pytest.raises(ConvergenceError) as raised:
+            self.LAW.expectation(lambda v: bad_fn(np.array([[7]]), np.array([[v]]))[0, 0])
+        assert str(failures[7]) == str(raised.value) == "synthetic integrand failure"
+        with pytest.raises(ConvergenceError) as raised:
+            self.LAW.expectation(lambda v: math.cos(300.0 * v))
+        assert str(failures[23]) == str(raised.value)
+        assert str(raised.value).startswith("MixingLaw.expectation: quadrature error ")
+        assert str(raised.value).endswith(" exceeds 1.00e-08")
+
+    def test_discrete_kinds_one_call(self):
+        calls = []
+
+        def fn(rows, v):
+            calls.append(v.shape)
+            return _rational_rows(np.arange(1.0, 4.0)[rows], v)
+
+        law = MixingLaw.finite_discrete([0.5, 1.0, 2.5], [0.3, 0.5, 0.2])
+        values, failures = law.expectation_rows(fn, 3)
+        assert calls == [(3, 3)] and not failures
+        for a, got in zip((1.0, 2.0, 3.0), values):
+            want = sum(w * _rational(a, p) for p, w in zip(law.points, law.weights))
+            assert got == want
+        values, _ = MixingLaw.degenerate(2.0).expectation_rows(fn, 3)
+        assert values.tolist() == [_rational(a, 2.0) for a in (1.0, 2.0, 3.0)]
+
+    def test_pdf_takes_arrays(self):
+        v = np.array([[-1.0, 0.0, 0.3], [1.0, 2.5, 40.0]])
+        got = self.LAW.pdf(v)
+        assert got.shape == v.shape
+        assert_allclose(got, [[self.LAW.pdf(float(x)) for x in row] for row in v], rtol=1e-15)
+        assert got[0, 0] == got[0, 1] == 0.0
 
 
 class TestLocationScaleMixture:
@@ -255,6 +342,21 @@ class TestGSE:
             phase = complex(math.cos(float(a @ t)), math.sin(float(a @ t)))
             rhs = phase * cf_gse(gse, b.T @ t).value
             assert abs(lhs - rhs) <= 1e-12
+
+    def test_stacked_k_matches_point_calls(self):
+        # built-in k functions take stacked points; the GSE grid form uses
+        # them in array passes and must agree bitwise with one-point calls
+        sn = SkewNormalSpec([0.3, -1.0, 0.5], np.diag([1.0, 2.0, 0.5]), [1.0, 0.0, -1.0])
+        mapped = gse_affine(skew_normal_gse(sn), [0.2, -0.4], [[1.0, 0.5, 0.0], [0.0, 1.0, 2.0]])
+        rng = np.random.default_rng(51)
+        ys = rng.normal(size=(40, 2)) * 2.0
+        stacked_k, (mant, log_scale) = mapped.k_fn(ys), mapped.k_fn.scaled(ys)
+        for i, y in enumerate(ys):
+            assert stacked_k[i] == mapped.k_fn(y)
+            assert (mant[i], log_scale[i]) == mapped.k_fn.scaled(y)
+        ts = np.vstack([np.zeros(2), ys])
+        for t, row in zip(ts, cf_gse_rows(mapped, ts)):
+            assert row == cf_gse(mapped, t)
 
     def test_affine_rank_checked(self):
         sn = SkewNormalSpec([0.0, 0.0], np.eye(2), [1.0, 0.0])

@@ -265,3 +265,65 @@ class TestNormCdfImag:
             )
             assert_allclose(dawson(x), d_series, rtol=1e-10)
         assert dawson(-1.0) == -dawson(1.0)
+
+
+class TestArrayDawson:
+    """The one array Dawson against mpmath (oracles.dawson_mp).
+
+    The rtols are the measured maxima on these points, rounded up: 6.7e-16
+    for dawson and 1.0e-15 for the mantissa's imaginary part, which adds
+    the roundings of y/sqrt(2) and of the 1/sqrt(pi) scale.
+    """
+
+    POINTS = [
+        0.0, 1e-300, -1e-300, 1e-8, -1e-8, 0.1, -0.1,
+        math.nextafter(6.0, 0.0), 6.0, math.nextafter(6.0, 7.0), -6.0,  # old switch
+        12.0, 40.0, 1e3, 1e150,
+    ]
+    DAWSON_RTOL = 1e-15
+    MANTISSA_RTOL = 1.5e-15
+
+    def grid(self):
+        rng = np.random.default_rng(2026)
+        return np.concatenate([self.POINTS, rng.uniform(-40.0, 40.0, 4000)])
+
+    def test_against_mpmath(self):
+        xs = self.grid()
+        want = np.array([oracles.dawson_mp(x) for x in xs])
+        assert_allclose(dawson(xs), want, rtol=self.DAWSON_RTOL, atol=0.0)
+
+    def test_norm_cdf_imag_scaled_against_mpmath(self):
+        ys = self.grid()[:-1]  # y^2/2 must stay finite
+        ys = ys[np.abs(ys) < 1e3]
+        mantissa, log_scale = norm_cdf_imag_scaled(ys)
+        want_im = [oracles.dawson_mp(y / math.sqrt(2.0)) / math.sqrt(math.pi) for y in ys]
+        assert_allclose(mantissa.imag, want_im, rtol=self.MANTISSA_RTOL, atol=0.0)
+        assert_allclose(mantissa.real, 0.5 * np.exp(-0.5 * ys * ys), rtol=4.5e-16, atol=0.0)
+        assert np.array_equal(log_scale, 0.5 * ys * ys)
+
+    def test_shapes_and_scalars(self):
+        xs = self.grid()[:60]
+        flat = dawson(xs)
+        square = dawson(xs.reshape(6, 10))
+        assert square.shape == (6, 10) and np.array_equal(square.ravel(), flat)
+        singles = [dawson(x) for x in xs.tolist()]
+        assert all(type(v) is float for v in singles)
+        assert singles == flat.tolist()  # bits do not depend on the batch
+        mantissa, log_scale = norm_cdf_imag_scaled(0.7)
+        assert type(mantissa) is complex and type(log_scale) is float
+        assert norm_cdf_imag_scaled(np.array([0.7]))[0][0] == mantissa
+        assert type(norm_cdf_imag(0.7)) is complex
+        assert norm_cdf_imag(np.array([0.7]))[0] == norm_cdf_imag(0.7)
+
+    def test_odd_and_edges(self):
+        assert dawson(-0.0) == 0.0 and math.copysign(1.0, dawson(-0.0)) == 1.0
+        assert dawson(math.inf) == 0.0 and dawson(-math.inf) == 0.0
+        assert_allclose(dawson(1e300), 0.5e-300, rtol=4.5e-16)  # 1/(2x) past the cap
+        xs = self.grid()
+        assert np.array_equal(dawson(-xs), -dawson(xs))
+
+    def test_non_finite_named(self):
+        with pytest.raises(DomainError, match="got nan"):
+            norm_cdf_imag_scaled(np.array([0.5, math.nan]))
+        with pytest.raises(OverflowError, match="y=60.0"):
+            norm_cdf_imag(np.array([1.0, 60.0]))
