@@ -11,11 +11,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import itertools
 import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
@@ -41,6 +43,7 @@ EXIT_TOLERANCE_ERROR = 4
 
 _KINDS = ("elliptical", "lsm", "gse_skew_normal", "skew_normal", "smsn", "smu")
 _ROUTES = ("closed", "hankel", "mc")
+_NUMERIC_ERRORS = (ConvergenceError, ArithmeticError)  # exit 3; other errors exit 2
 
 _BLOCK = 1 << 12  # grid points per formatted block of output rows
 
@@ -102,8 +105,8 @@ def _as_float_list(value, length: int, path: str) -> np.ndarray:
     if not isinstance(value, list) or len(value) != length:
         raise SpecValidationError(f"{path}: expected a list of {length} numbers")
     try:
-        return np.array([float(v) for v in value])
-    except (TypeError, ValueError) as exc:
+        return np.array([_number(v, path) for v in value])
+    except SpecValidationError as exc:
         raise SpecValidationError(f"{path}: non-numeric entry") from exc
 
 
@@ -294,17 +297,19 @@ def parse_grid(text: str, n: int) -> np.ndarray:
             raise SpecValidationError("grid.points: must be a nonempty list of vectors")
         try:
             points = np.array(pts, dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             points = None
-        if points is None or points.shape != (len(pts), n):  # name the first bad point
+        if (  # numpy also reads numeric strings, booleans and null (as nan)
+            points is None
+            or points.shape != (len(pts), n)
+            or not set(map(type, itertools.chain.from_iterable(pts))) <= {int, float}
+        ):  # name the first bad point
             points = np.array(
                 [_as_float_list(p, n, f"grid.points[{i}]") for i, p in enumerate(pts)]
             )
         finite = np.isfinite(points).all(axis=1)
         if not finite.all():
-            i = int(finite.argmin())
-            _as_float_list(pts[i], n, f"grid.points[{i}]")  # numpy reads null as nan
-            raise SpecValidationError(f"grid.points[{i}]: non-finite entry")
+            raise SpecValidationError(f"grid.points[{int(finite.argmin())}]: non-finite entry")
         return points
     raise SpecValidationError(f"grid.kind: unknown kind {kind!r}")
 
@@ -314,17 +319,17 @@ def parse_grid(text: str, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _phase_times(phi_value: float, phase: float) -> complex:
-    return complex(math.cos(phase), math.sin(phase)) * phi_value
-
-
-def _closed_evaluator(spec: ParsedSpec) -> Callable[[np.ndarray], Iterator[el.ComplexCF]]:
-    """The closed route over a whole (P, n) grid: one ComplexCF per row, in order."""
+def _analytic_evaluator(spec: ParsedSpec, route: str) -> Callable[[np.ndarray], el.CFRows]:
+    """The closed or the hankel route: (P, n) grid -> CFRows."""
     kind = spec.kind
-    if kind in ("elliptical", "smu"):
-        return lambda ts: el.cf_rows(spec.elliptical, ts, route="closed")
+    if kind == "elliptical" or (kind, route) == ("smu", "closed"):
+        return lambda ts: el.cf_rows(spec.elliptical, ts, route=route)
     if kind == "lsm":
-        return lambda ts: sk.cf_location_scale_mixture_rows(spec.lsm, ts, route="closed")
+        return lambda ts: sk.cf_location_scale_mixture_rows(spec.lsm, ts, route=route)
+    if kind == "smu":
+        return partial(_smu_rows, spec.elliptical)
+    if route == "hankel":
+        raise SpecValidationError(f"routes: 'hankel' is not available for kind {kind!r}")
     if kind == "skew_normal":
         return lambda ts: sk.cf_skew_normal_rows(spec.skew_normal, ts)
     if kind == "gse_skew_normal":
@@ -335,26 +340,26 @@ def _closed_evaluator(spec: ParsedSpec) -> Callable[[np.ndarray], Iterator[el.Co
     raise SpecValidationError(f"kind: unsupported kind {kind!r}")
 
 
-def _hankel_evaluator(spec: ParsedSpec) -> Callable[[np.ndarray], el.ComplexCF]:
-    """The quadrature route at one grid point."""
-    kind = spec.kind
-    if kind == "elliptical":
-        return lambda t: el.cf(spec.elliptical, t, route="hankel")
-    if kind == "smu":
-        ell = spec.elliptical
+def _smu_rows(ell: el.EllipticalSpec, ts: np.ndarray) -> el.CFRows:
+    """The star-unimodal route (the hankel route of smu), point by point."""
 
-        def smu_eval(t: np.ndarray) -> el.ComplexCF:
-            u = math.sqrt(ell.dispersion.quad_rows(t[None, :])[0])
-            radial = np.zeros(ell.n)
-            radial[0] = u
-            base = sk.cf_star_unimodal(ell.generator, ell.n, radial)
-            out = _phase_times(base.re, float(t @ ell.mu))
-            return el.ComplexCF(out.real, out.imag, base.abs_err, base.method)
+    def at_point(u: float, t: np.ndarray) -> el.ComplexCF:
+        base = sk.cf_star_unimodal(ell.generator, ell.n, [u])  # depends on ||t||_Sigma = u only
+        phase = float(t @ ell.mu)
+        out = complex(math.cos(phase), math.sin(phase)) * base.re
+        return el.ComplexCF(out.real, out.imag, base.abs_err, base.method)
 
-        return smu_eval
-    if kind == "lsm":
-        return lambda t: sk.cf_location_scale_mixture(spec.lsm, t, route="hankel")
-    raise SpecValidationError(f"routes: 'hankel' is not available for kind {kind!r}")
+    return el.CFRows.collect(map(at_point, np.sqrt(ell.dispersion.quad_rows(ts)).tolist(), ts))
+
+
+def _mc_rows(batch: sp.SampleBatch, workers: int, ts: np.ndarray) -> el.CFRows:
+    """The empirical CF point by point; with workers > 1 on a thread pool
+    (numpy releases the GIL in empirical_cf, while the analytic routes are
+    Python-bound and threads only slow them)."""
+    if workers <= 1:
+        return el.CFRows.collect(sp.empirical_cf(batch, t) for t in ts)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return el.CFRows.collect(pool.map(partial(sp.empirical_cf, batch), ts))
 
 
 def _sample_batch(spec: ParsedSpec, count: int, seed: int, workers: int) -> sp.SampleBatch:
@@ -371,7 +376,7 @@ def _sample_batch(spec: ParsedSpec, count: int, seed: int, workers: int) -> sp.S
 
 
 def _build_evaluators(spec: ParsedSpec, config: RunConfig) -> dict[str, Callable]:
-    """Route -> evaluator: the closed one takes the whole grid, the others one point."""
+    """Route -> evaluator, each mapping a (P, n) grid to its CFRows."""
     evaluators: dict[str, Callable] = {}
     probe = np.full((1, spec.n), 0.25)
     for route in config.routes:
@@ -379,18 +384,15 @@ def _build_evaluators(spec: ParsedSpec, config: RunConfig) -> dict[str, Callable
             if config.mc_count < 1000:
                 raise SpecValidationError("mc_count: must be >= 1000 for the mc route")
             batch = _sample_batch(spec, config.mc_count, config.seed, config.workers)
-            evaluators["mc"] = lambda t, _b=batch: sp.empirical_cf(_b, t)
+            evaluators["mc"] = partial(_mc_rows, batch, config.workers)
             continue
-        evaluator = _closed_evaluator(spec) if route == "closed" else _hankel_evaluator(spec)
-        try:  # availability probe
-            if route == "closed":
-                next(evaluator(probe))
-            else:
-                evaluator(probe[0])
-        except NoClosedFormError as exc:
-            raise SpecValidationError(f"routes: {exc}") from exc
-        except (ConvergenceError, ArithmeticError):
-            pass  # numeric trouble is judged per grid point, not here
+        evaluator = _analytic_evaluator(spec, route)
+        error = evaluator(probe).error  # availability probe
+        if isinstance(error, NoClosedFormError):
+            raise SpecValidationError(f"routes: {error}") from error
+        # numeric trouble at the probe is judged per grid point, not here
+        if error is not None and not isinstance(error, _NUMERIC_ERRORS):
+            raise error
         evaluators[route] = evaluator
     return evaluators
 
@@ -411,79 +413,68 @@ def _write_out(out_path: str, parts: Iterable[str]) -> None:
             fh.write(part)
 
 
-def _pooled(evaluate: Callable, points: np.ndarray, workers: int) -> Iterator[el.ComplexCF]:
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(evaluate, points)
-
-
-def _grid_rows(
-    points: np.ndarray,
-    evaluators: dict[str, Callable],
-    workers: int,
-) -> dict[str, list[el.ComplexCF]]:
+def _grid_rows(points: np.ndarray, evaluators: dict[str, Callable]) -> dict[str, el.CFRows]:
     """Each route's values at every grid point, in grid order.
 
-    The closed route takes the whole grid in one stacked pass.  Hankel and
-    mc run point by point; only mc uses a thread pool (numpy releases the
-    GIL in empirical_cf, while the analytic routes are Python-bound and
-    threads only slow them).  A numeric failure names the first failing
-    point in grid order: after one route fails, later routes run only on
-    the points before it.
+    A numeric failure names the first failing point in grid order: after
+    one route fails, later routes run only on the points before it.  Any
+    other error a route records is raised as it is.
     """
-    values: dict[str, list[el.ComplexCF]] = {}
-    failure = None
+    values: dict[str, el.CFRows] = {}
+    end, failure = len(points), None
     for route, evaluate in evaluators.items():
-        todo = points if failure is None else points[: failure[0]]
-        done = values[route] = []
-        try:
-            if route == "closed":
-                rows = evaluate(todo)
-            elif route == "mc" and workers > 1:
-                rows = _pooled(evaluate, todo, workers)
-            else:
-                rows = map(evaluate, todo)
-            for row in rows:
-                done.append(row)
-        except (ConvergenceError, ArithmeticError) as exc:
-            failure = (len(done), exc)
+        rows = values[route] = evaluate(points[:end])
+        if rows.error is not None:
+            if not isinstance(rows.error, _NUMERIC_ERRORS):
+                raise rows.error
+            end, failure = len(rows), rows.error
     if failure is not None:
-        index, exc = failure
-        raise ConvergenceError(f"at grid point t={points[index].tolist()}: {exc}") from exc
+        raise ConvergenceError(f"at grid point t={points[end].tolist()}: {failure}") from failure
     return values
 
 
 def _eval_blocks(
-    points: np.ndarray, values: dict[str, list[el.ComplexCF]], routes: tuple[str, ...]
+    points: np.ndarray, values: dict[str, el.CFRows], routes: tuple[str, ...]
 ) -> Iterator[str]:
     # one %-template per block of rows; "%.17g" formats as f"{v:.17g}"
-    row = "%.17g," * (points.shape[1] + 2) + "%s,%s\n"
+    n = points.shape[1]
+    row = "%.17g," * (n + 2) + "%s,%s\n"
     for start in range(0, len(points), _BLOCK):
-        block = points[start:start + _BLOCK].tolist()
-        cells = []
-        for i, t in enumerate(block, start):
-            for route in routes:
-                cfv = values[route][i]
-                err = "" if cfv.abs_err is None else _fmt(cfv.abs_err)
-                cells += t
-                cells += (cfv.re, cfv.im, err, cfv.method.value)
-        yield row * (len(block) * len(routes)) % tuple(cells)
+        sl = slice(start, start + _BLOCK)
+        block = points[sl]
+        cells = np.empty((len(block), len(routes), n + 4), dtype=object)
+        cells[:, :, :n] = block[:, None, :]
+        for j, route in enumerate(routes):
+            rows = values[route]
+            cells[:, j, n] = rows.re[sl]
+            cells[:, j, n + 1] = rows.im[sl]
+            errs = rows.abs_err[sl].tolist()  # nan: no estimate, an empty cell
+            cells[:, j, n + 2] = ["" if math.isnan(e) else _fmt(e) for e in errs]
+            cells[:, j, n + 3] = rows.method[sl]
+        yield row * (len(block) * len(routes)) % tuple(cells.ravel().tolist())
+
+
+def _grid_run(config: RunConfig) -> tuple[ParsedSpec, np.ndarray, dict[str, el.CFRows]]:
+    """The spec, the grid and every route's values on it; a numeric failure
+    raises, for main to exit 3."""
+    spec = load_spec(config.spec_path)
+    points = parse_grid(config.grid, spec.n)
+    return spec, points, _grid_rows(points, _build_evaluators(spec, config))
+
+
+def _head(config: RunConfig, spec: ParsedSpec, columns: list[str]) -> str:
+    """The provenance line and the CSV header, t columns first."""
+    return (
+        f"# ellipcf {config.command} spec_sha256={spec.sha256} kind={spec.kind} "
+        f"routes={','.join(config.routes)} seed={config.seed} mc_count={config.mc_count}\n"
+        + ",".join([f"t{i + 1}" for i in range(spec.n)] + columns)
+        + "\n"
+    )
 
 
 def run_eval(config: RunConfig) -> int:
-    spec = load_spec(config.spec_path)
-    points = parse_grid(config.grid, spec.n)
-    evaluators = _build_evaluators(spec, config)
-    head = (
-        f"# ellipcf eval spec_sha256={spec.sha256} kind={spec.kind} "
-        f"routes={','.join(config.routes)} seed={config.seed} mc_count={config.mc_count}\n"
-        + ",".join([f"t{i + 1}" for i in range(spec.n)] + ["re", "im", "abs_err", "method"])
-        + "\n"
-    )
-    try:
-        values = _grid_rows(points, evaluators, config.workers)
-    except (ConvergenceError, ArithmeticError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC_ERROR
+    spec, points, values = _grid_run(config)
+    head = _head(config, spec, ["re", "im", "abs_err", "method"])
     _write_out(config.out_path, [head, *_eval_blocks(points, values, config.routes)])
     return EXIT_OK
 
@@ -500,50 +491,29 @@ def _pair_tolerance(route_a: str, route_b: str, config: RunConfig) -> float:
 def run_compare(config: RunConfig) -> int:
     if len(config.routes) < 2:
         raise SpecValidationError("routes: compare needs at least two routes")
-    spec = load_spec(config.spec_path)
-    points = parse_grid(config.grid, spec.n)
-    evaluators = _build_evaluators(spec, config)
-    routes = list(config.routes)
-    pairs = [(a, b) for i, a in enumerate(routes) for b in routes[i + 1 :]]
-
-    header = [f"t{i + 1}" for i in range(spec.n)]
+    spec, points, values = _grid_run(config)
+    routes = config.routes
+    names, columns = [], [points]
     for route in routes:
-        header += [f"re_{route}", f"im_{route}"]
+        names += [f"re_{route}", f"im_{route}"]
+        columns += [values[route].re, values[route].im]
+    pairs = [(a, b) for i, a in enumerate(routes) for b in routes[i + 1 :]]
+    tols, max_dev, exceed = {}, {}, {}
     for a, b in pairs:
-        header += [f"dev_{a}_{b}"]
-    head = (
-        f"# ellipcf compare spec_sha256={spec.sha256} kind={spec.kind} "
-        f"routes={','.join(routes)} seed={config.seed} mc_count={config.mc_count}\n"
-        + ",".join(header)
-        + "\n"
-    )
-    try:
-        values = _grid_rows(points, evaluators, config.workers)
-    except (ConvergenceError, ArithmeticError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC_ERROR
-
-    tols = {pair: _pair_tolerance(*pair, config) for pair in pairs}
-    max_dev = {pair: 0.0 for pair in pairs}
-    exceed = {pair: 0 for pair in pairs}
-    row = ",".join(["%.17g"] * len(header)) + "\n"  # formats as f"{v:.17g}"
-    parts = [head]
+        d_re = np.abs(values[a].re - values[b].re)
+        d_im = np.abs(values[a].im - values[b].im)
+        dev = np.where(d_im > d_re, d_im, d_re)  # max(d_re, d_im), nan cases included
+        tols[a, b] = _pair_tolerance(a, b, config)
+        max_dev[a, b] = float(np.fmax.reduce(dev, initial=0.0))  # skips nan, as max() did
+        exceed[a, b] = int(np.count_nonzero(dev > tols[a, b]))
+        names.append(f"dev_{a}_{b}")
+        columns.append(dev)
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"  # formats as f"{v:.17g}"
+    parts = [_head(config, spec, names)]
     for start in range(0, len(points), _BLOCK):
-        block = points[start:start + _BLOCK].tolist()
-        cells = []
-        for i, t in enumerate(block, start):
-            cells += t
-            for route in routes:
-                cfv = values[route][i]
-                cells += (cfv.re, cfv.im)
-            for pair in pairs:
-                va, vb = values[pair[0]][i], values[pair[1]][i]
-                dev = max(abs(va.re - vb.re), abs(va.im - vb.im))
-                cells.append(dev)
-                max_dev[pair] = max(max_dev[pair], dev)
-                if dev > tols[pair]:
-                    exceed[pair] += 1
-        parts.append(row * len(block) % tuple(cells))
+        block = table[start:start + _BLOCK]
+        parts.append(row * len(block) % tuple(block.ravel().tolist()))
     for (a, b) in pairs:
         parts.append(
             f"# summary {a}-{b}: max_dev={_fmt(max_dev[(a, b)])} tol={_fmt(tols[(a, b)])} "
@@ -690,7 +660,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SpecValidationError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
-    except (ConvergenceError, ArithmeticError) as exc:
+    except _NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
     except EllipcfError as exc:

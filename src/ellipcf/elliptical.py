@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .specfun import bessel_j, bessel_k, gamma_fn, hyp0f1, hyp1f1
 __all__ = [
     "CFMethod",
     "ComplexCF",
+    "CFRows",
     "Dispersion",
     "EllipticalSpec",
     "uniform_sphere_cf",
@@ -73,6 +74,47 @@ class ComplexCF:
 _ORIGIN = ComplexCF(1.0, 0.0, 0.0, CFMethod.CLOSED_FORM)
 
 
+@dataclass(eq=False)
+class CFRows:
+    """A characteristic function on the rows of a grid, in grid order.
+
+    re, im and abs_err are float arrays and method an array of CFMethod
+    values ("closed", "hankel", "mc"), one entry per row before the first
+    failing row; abs_err is nan where a route gives no error estimate.
+    error is the exception of that failing row, whose index is len(rows),
+    or None when every row was computed.
+    """
+
+    re: np.ndarray
+    im: np.ndarray
+    abs_err: np.ndarray
+    method: np.ndarray
+    error: Optional[Exception] = None
+
+    @classmethod
+    def collect(cls, values: Iterable[ComplexCF]) -> "CFRows":
+        """The values in order, up to the first one whose computation raises."""
+        done, error = [], None
+        try:
+            for value in values:
+                done.append(value)
+        except Exception as exc:  # recorded at its row; row() raises it again
+            error = exc
+        cols = np.array([(v.re, v.im, v.abs_err) for v in done], dtype=float)  # None: nan
+        re, im, abs_err = cols.reshape(-1, 3).T
+        return cls(re, im, abs_err, np.array([v.method.value for v in done]), error)
+
+    def __len__(self) -> int:
+        return len(self.re)
+
+    def row(self, i: int) -> ComplexCF:
+        """Row i as a ComplexCF; from the failing row on, raises its exception."""
+        if i >= len(self) and self.error is not None:
+            raise self.error
+        re, im, err = float(self.re[i]), float(self.im[i]), float(self.abs_err[i])
+        return ComplexCF(re, im, None if math.isnan(err) else err, CFMethod(self.method[i]))
+
+
 def _as_vector(x, n: int, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.shape != (n,):
@@ -105,12 +147,6 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         for i in range(1, terms.shape[-1]):
             out = out + terms[..., i]
     return out
-
-
-def _map_rows(core: Callable[..., ComplexCF], ts: np.ndarray, *columns) -> Iterator[ComplexCF]:
-    """core(*column entries) for each row of ts, in order; the exact 1 at t = 0."""
-    for at_origin, *args in zip((~ts.any(axis=1)).tolist(), *columns):
-        yield _ORIGIN if at_origin else core(*args)
 
 
 class Dispersion:
@@ -334,20 +370,22 @@ def cf_rows(
     ts,
     route: str = "auto",
     ctl: QuadratureControl | None = None,
-) -> Iterator[ComplexCF]:
+) -> CFRows:
     """exp(i t'mu) phi(t' Sigma t) at each row t of the (P, n) array ts, in order.
 
     The quadratic forms and phases of all rows come from one array pass;
-    only phi runs point by point.
+    only phi runs point by point, up to the first row where it raises.
     """
     ts = _as_rows(ts, spec.n, "t")
 
-    def at_point(q: float, phase: float) -> ComplexCF:
+    def at_point(at_origin: bool, q: float, phase: float) -> ComplexCF:
+        if at_origin:
+            return _ORIGIN
         phi, abs_err, method = char_generator(spec.generator, spec.n, q, route, ctl)
         return ComplexCF(math.cos(phase) * phi, math.sin(phase) * phi, abs_err, method)
 
-    q = spec.dispersion.quad_rows(ts)
-    return _map_rows(at_point, ts, q.tolist(), _row_dots(ts, spec.mu).tolist())
+    q, phase = spec.dispersion.quad_rows(ts), _row_dots(ts, spec.mu)
+    return CFRows.collect(map(at_point, (~ts.any(axis=1)).tolist(), q.tolist(), phase.tolist()))
 
 
 def cf(
@@ -357,5 +395,4 @@ def cf(
     ctl: QuadratureControl | None = None,
 ) -> ComplexCF:
     """Characteristic function exp(i t'mu) phi(t' Sigma t) at the point t."""
-    return next(cf_rows(spec, _as_vector(t, spec.n, "t")[None, :], route, ctl))
-
+    return cf_rows(spec, _as_vector(t, spec.n, "t")[None, :], route, ctl).row(0)

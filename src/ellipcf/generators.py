@@ -22,7 +22,6 @@ __all__ = [
     "normal_generator",
     "uniform_ball_generator",
     "generalized_t_generator",
-    "cauchy_generator",
     "pearson_ii_generator",
     "pearson_vii_generator",
     "kotz_generator",
@@ -104,11 +103,6 @@ def generalized_t_generator(n: int, s: float, m: int) -> DensityGenerator:
         g=lambda z: (1.0 + z / s) ** (-e),
         g_prime=lambda z: -(e / s) * (1.0 + z / s) ** (-e - 1.0),
     )
-
-
-def cauchy_generator(n: int) -> DensityGenerator:
-    """Multivariate Cauchy: the generalized t with s = m = 1."""
-    return generalized_t_generator(n, 1.0, 1)
 
 
 def pearson_ii_generator(m: float) -> DensityGenerator:

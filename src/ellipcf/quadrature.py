@@ -607,7 +607,7 @@ def _phi_small_u_series(
         total += term
         if abs(term) <= ctl.rel_tol * abs(total):
             return QuadResult(total, abs(term) + 1e-16, 0, 0.0)
-    raise ConvergenceError("phi_hankel: small-u moment series did not converge")
+    raise ConvergenceError("small-u moment series did not converge")
 
 
 def phi_hankel(

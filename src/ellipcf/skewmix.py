@@ -12,9 +12,11 @@ The grid forms (``*_rows``) compute blocks of grid points as arrays: the
 skew-normal factor through the array Dawson function, and mixing
 expectations for every point of a block at once
 (:meth:`MixingLaw.expectation_rows`, lockstep quadrature for continuous
-laws).  Complex products are formed from their real parts in the order
-Python's complex arithmetic uses, so a point's value does not depend on
-the block it is computed in.
+laws).  They return an :class:`~ellipcf.elliptical.CFRows`, which ends
+at the first failing row and holds its exception; the per-point
+functions are its row 0.  Complex products are formed from their real
+parts in the order Python's complex arithmetic uses, so a point's value
+does not depend on the block it is computed in.
 """
 
 from __future__ import annotations
@@ -22,31 +24,31 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import replace
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .elliptical import (
     _ORIGIN,
     CFMethod,
+    CFRows,
     ComplexCF,
     Dispersion,
     EllipticalSpec,
     _as_rows,
     _as_vector,
-    _map_rows,
     _row_dots,
     char_generator,
 )
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, MomentUndefinedError
 from .generators import DensityGenerator
 from .quadrature import (
     QuadratureControl,
     _call_rows,
+    _phi_small_u_series,
     adaptive_rows,
     integrate_bessel_oscillatory,
     normalizing_constant,
-    radial_moment,
 )
 from .specfun import _complex, gamma_fn, norm_cdf_imag, norm_cdf_imag_scaled
 
@@ -65,7 +67,6 @@ __all__ = [
     "cf_star_unimodal",
     "cf_gse",
     "cf_gse_rows",
-    "tau_from_k",
     "gse_affine",
     "skew_normal_gse",
     "cf_skew_normal",
@@ -99,28 +100,34 @@ def _rotate(z: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c * z.real - s * z.imag, c * z.imag + s * z.real
 
 
-def _closed_values(re: np.ndarray, im: np.ndarray, abs_err) -> list[ComplexCF]:
-    method = CFMethod.CLOSED_FORM
-    return [ComplexCF(r, i, abs_err, method) for r, i in zip(re.tolist(), im.tolist())]
+def _chunk_rows(ts: np.ndarray, evaluate) -> CFRows:
+    """The CF at the rows of ts, in array passes of _CHUNK rows.
 
-
-def _emit_rows(ts: np.ndarray, evaluate) -> Iterator[ComplexCF]:
-    """ComplexCF for each row of ts, in order, in array passes of _CHUNK rows.
-
-    evaluate(sl) returns the values of the rows ts[sl] and a dict of failed
-    rows (index within sl -> exception); a failed row raises its exception
-    when it is reached, and t = 0 gives the exact 1.
+    evaluate(sl) returns the rows ts[sl] as (re, im, abs_err, method,
+    failures), abs_err (nan: no estimate) and method as arrays or one value
+    for all rows, and failures mapping an index within sl to its exception.
+    The passes stop at the first failing row; an exception out of evaluate
+    itself fails its pass at the first row.  t = 0 gives the exact 1.
     """
-    for start in range(0, len(ts), _CHUNK):
+    count = len(ts)
+    re, im, abs_err = np.empty((3, count))
+    method = np.empty(count, dtype="<U6")
+    at_origin = ~ts.any(axis=1)
+    end, error = count, None
+    for start in range(0, count, _CHUNK):
         sl = slice(start, start + _CHUNK)
-        values, failures = evaluate(sl)
-        for i, (at_origin, value) in enumerate(zip((~ts[sl].any(axis=1)).tolist(), values)):
-            if at_origin:
-                yield _ORIGIN
-            elif i in failures:
-                raise failures[i]
-            else:
-                yield value
+        try:
+            re[sl], im[sl], abs_err[sl], method[sl], failures = evaluate(sl)
+        except Exception as exc:  # recorded at the pass's first row
+            end, error = start, exc
+            break
+        failed = sorted(i for i in failures if not at_origin[start + i])
+        if failed:
+            end, error = start + failed[0], failures[failed[0]]
+            break
+    re[at_origin], im[at_origin], abs_err[at_origin] = 1.0, 0.0, 0.0
+    method[at_origin] = CFMethod.CLOSED_FORM.value
+    return CFRows(re[:end], im[:end], abs_err[:end], method[:end], error)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +341,7 @@ def cf_location_scale_mixture_rows(
     ts,
     route: str = "auto",
     ctl: QuadratureControl | None = None,
-) -> Iterator[ComplexCF]:
+) -> CFRows:
     """CF of the location-scale mixture at each row t of the (P, n) array ts.
 
     exp(i t'mu) E[e^(iV t'gamma) phi(V t'Sigma t)]: t'Sigma t, t'gamma and
@@ -342,7 +349,7 @@ def cf_location_scale_mixture_rows(
     block of rows at once (MixingLaw.expectation_rows), with phi evaluated
     point by point at its nodes.  Degenerate and finite-discrete mixing are
     exact weighted sums; continuous mixing is adaptive quadrature over the
-    mixing density.  A row whose phi fails raises when it is reached.
+    mixing density.  The rows stop at the first one whose phi fails.
     """
     ts = _as_rows(ts, spec.n, "t")
     gen, n = spec.base.generator, spec.n
@@ -369,19 +376,11 @@ def cf_location_scale_mixture_rows(
             return _complex(np.cos(vd) * phi, np.sin(vd) * phi)
 
         ev, failures = spec.mixing.expectation_rows(f, len(q_list))
-        re, im = _rotate(ev, phase[sl])
-        exact = spec.mixing.is_exact()
-        values = [
-            ComplexCF(
-                r, i,
-                err if exact else _MIX_ABS_TOL + err,
-                CFMethod.HANKEL if used_hankel else CFMethod.CLOSED_FORM,
-            )
-            for r, i, err, used_hankel in zip(re.tolist(), im.tolist(), base_err, hankel)
-        ]
-        return values, failures
+        abs_err = np.array(base_err) + (0.0 if spec.mixing.is_exact() else _MIX_ABS_TOL)
+        method = np.where(hankel, CFMethod.HANKEL.value, CFMethod.CLOSED_FORM.value)
+        return (*_rotate(ev, phase[sl]), abs_err, method, failures)
 
-    return _emit_rows(ts, evaluate)
+    return _chunk_rows(ts, evaluate)
 
 
 def cf_location_scale_mixture(
@@ -392,7 +391,7 @@ def cf_location_scale_mixture(
 ) -> ComplexCF:
     """CF of the location-scale mixture at the point t (see the rows form)."""
     ts = _as_vector(t, spec.n, "t")[None, :]
-    return next(cf_location_scale_mixture_rows(spec, ts, route, ctl))
+    return cf_location_scale_mixture_rows(spec, ts, route, ctl).row(0)
 
 
 # ---------------------------------------------------------------------------
@@ -445,15 +444,13 @@ def cf_star_unimodal(
     if u == 0.0:
         return ComplexCF(1.0, 0.0, 0.0, CFMethod.HANKEL)
     if u < 1e-3:
-        # ball-kernel moment series: E[W^(2k)] = ((n+2k)/n) E[R^(2k)]
-        mqsq = -0.25 * u * u
-        total, coeff = 1.0, 1.0
-        for k in range(1, 30):
-            coeff *= mqsq / ((0.5 * n + k) * k)
-            total += coeff * (n + 2.0 * k) / n * radial_moment(gen, n, k)
-            if abs(coeff) <= ctl.rel_tol * abs(total):
-                return ComplexCF(float(total), 0.0, abs(coeff), CFMethod.HANKEL)
-        raise ConvergenceError("cf_star_unimodal: small-u series did not converge")
+        # the ball-kernel series in E[W^(2k)] = ((n+2k)/n) E[R^(2k)] is
+        # term by term phi_hankel's series in E[R^(2k)]
+        try:
+            res = _phi_small_u_series(gen, n, u, ctl)
+            return ComplexCF(res.value, 0.0, res.err_est, CFMethod.HANKEL)
+        except MomentUndefinedError:
+            pass  # heavy tails: only the oscillatory route is available
     c_n = normalizing_constant(n, gen, ctl)
     prefactor = 2.0 * c_n * (2.0 * math.pi) ** (0.5 * n) * u ** (-0.5 * n)
 
@@ -557,13 +554,14 @@ class GSESpec:
                 )
 
 
-def cf_gse_rows(spec: GSESpec, ts) -> Iterator[ComplexCF]:
+def cf_gse_rows(spec: GSESpec, ts) -> CFRows:
     """CF of a generalized skew-elliptical law at each row t of the (P, n) array ts.
 
     t'St, S^(1/2) t and t'mu come from one array pass.  With log_psi and a
     built-in k (SkewNormalK, possibly behind LinearMappedK) the rest is
     array passes too, so log_psi must then accept an array of q; any other
-    psi, log_psi or k runs point by point.
+    psi, log_psi or k runs point by point, up to the first row where it
+    raises.
     """
     ts = _as_rows(ts, spec.n, "t")
     q = spec.dispersion.quad_rows(ts)
@@ -574,12 +572,14 @@ def cf_gse_rows(spec: GSESpec, ts) -> Iterator[ComplexCF]:
         def evaluate(sl: slice):
             mant, log_scale = spec.k_fn.scaled(ys[sl])
             z = 2.0 * np.exp(spec.log_psi(q[sl]) + log_scale) * mant
-            return _closed_values(*_rotate(z, phase[sl]), None), {}
+            return (*_rotate(z, phase[sl]), math.nan, CFMethod.CLOSED_FORM.value, {})
 
-        return _emit_rows(ts, evaluate)
+        return _chunk_rows(ts, evaluate)
     scaled = spec.log_psi is not None and hasattr(spec.k_fn, "scaled")
 
-    def at_point(q: float, y: np.ndarray, phase: float) -> ComplexCF:
+    def at_point(at_origin: bool, q: float, y: np.ndarray, phase: float) -> ComplexCF:
+        if at_origin:
+            return _ORIGIN
         rot = complex(math.cos(phase), math.sin(phase))
         if scaled:
             mant, log_scale = spec.k_fn.scaled(y)
@@ -588,17 +588,12 @@ def cf_gse_rows(spec: GSESpec, ts) -> Iterator[ComplexCF]:
             out = 2.0 * spec.psi(q) * spec.k_fn(y) * rot
         return ComplexCF(out.real, out.imag, None, CFMethod.CLOSED_FORM)
 
-    return _map_rows(at_point, ts, q.tolist(), ys, phase.tolist())
+    return CFRows.collect(map(at_point, (~ts.any(axis=1)).tolist(), q.tolist(), ys, phase.tolist()))
 
 
 def cf_gse(spec: GSESpec, t) -> ComplexCF:
     """CF of a generalized skew-elliptical law at t."""
-    return next(cf_gse_rows(spec, _as_vector(t, spec.n, "t")[None, :]))
-
-
-def tau_from_k(k_at_minus_t: complex) -> complex:
-    """Odd tilt tau(t) = 1 - 2 k_n(-t); vanishes for symmetric laws."""
-    return 1.0 - 2.0 * k_at_minus_t
+    return cf_gse_rows(spec, _as_vector(t, spec.n, "t")[None, :]).row(0)
 
 
 def gse_affine(spec: GSESpec, a, b_matrix) -> GSESpec:
@@ -680,21 +675,22 @@ def _sn_centered(q: np.ndarray, y: np.ndarray) -> np.ndarray:
     return 2.0 * np.exp(log_scale - 0.5 * q) * mant
 
 
-def cf_skew_normal_rows(spec: SkewNormalSpec, ts) -> Iterator[ComplexCF]:
+def cf_skew_normal_rows(spec: SkewNormalSpec, ts) -> CFRows:
     """CF of the skew-normal law, e^(i t'mu) 2 exp(-t'St/2) Phi(i y_t), at each
     row t of the (P, n) array ts, in array passes."""
     ts = _as_rows(ts, spec.n, "t")
     q, y, phase = spec.invariants(ts)
 
     def evaluate(sl: slice):
-        return _closed_values(*_rotate(_sn_centered(q[sl], y[sl]), phase[sl]), None), {}
+        z = _sn_centered(q[sl], y[sl])
+        return (*_rotate(z, phase[sl]), math.nan, CFMethod.CLOSED_FORM.value, {})
 
-    return _emit_rows(ts, evaluate)
+    return _chunk_rows(ts, evaluate)
 
 
 def cf_skew_normal(spec: SkewNormalSpec, t) -> ComplexCF:
     """CF of the skew-normal law: e^(i t'mu) 2 exp(-t'St/2) Phi(i y_t)."""
-    return next(cf_skew_normal_rows(spec, _as_vector(t, spec.n, "t")[None, :]))
+    return cf_skew_normal_rows(spec, _as_vector(t, spec.n, "t")[None, :]).row(0)
 
 
 def skew_normal_gse(spec: SkewNormalSpec) -> GSESpec:
@@ -708,7 +704,7 @@ def skew_normal_gse(spec: SkewNormalSpec) -> GSESpec:
     )
 
 
-def cf_smsn_rows(spec: SkewNormalSpec, mixing: MixingLaw, ts) -> Iterator[ComplexCF]:
+def cf_smsn_rows(spec: SkewNormalSpec, mixing: MixingLaw, ts) -> CFRows:
     """CF of a scale mixture of skew-normals, e^(i t'mu) E[c_sn(sqrt(k(u)) t)],
     at each row t of the (P, n) array ts, in array passes.
 
@@ -717,7 +713,7 @@ def cf_smsn_rows(spec: SkewNormalSpec, mixing: MixingLaw, ts) -> Iterator[Comple
     """
     ts = _as_rows(ts, spec.n, "t")
     q, y, phase = spec.invariants(ts)
-    abs_err = None if mixing.is_exact() else _MIX_ABS_TOL
+    abs_err = math.nan if mixing.is_exact() else _MIX_ABS_TOL
 
     def evaluate(sl: slice):
         qs, ys = q[sl], y[sl]
@@ -727,9 +723,9 @@ def cf_smsn_rows(spec: SkewNormalSpec, mixing: MixingLaw, ts) -> Iterator[Comple
             return _sn_centered(kv * qs[rows], np.sqrt(kv) * ys[rows])
 
         ev, failures = mixing.expectation_rows(f, len(qs))
-        return _closed_values(*_rotate(ev, phase[sl]), abs_err), failures
+        return (*_rotate(ev, phase[sl]), abs_err, CFMethod.CLOSED_FORM.value, failures)
 
-    return _emit_rows(ts, evaluate)
+    return _chunk_rows(ts, evaluate)
 
 
 def cf_smsn(
@@ -744,7 +740,7 @@ def cf_smsn(
     the two values are required to agree.
     """
     t = _as_vector(t, spec.n, "t")
-    result = next(cf_smsn_rows(spec, mixing, t[None, :]))
+    result = cf_smsn_rows(spec, mixing, t[None, :]).row(0)
     if check_split and t.any():
         psi, k_n = smsn_split(spec, mixing)
         (q,), _, (phase,) = spec.invariants(t[None, :])

@@ -66,7 +66,7 @@ def closed_form_families(n):
         ("normal", gn.normal_generator()),
         ("uniform_ball", gn.uniform_ball_generator()),
         ("generalized_t(s=2,m=3)", gn.generalized_t_generator(n, 2.0, 3)),
-        ("cauchy", gn.cauchy_generator(n)),
+        ("cauchy", gn.generalized_t_generator(n, 1.0, 1)),
         ("pearson_ii(m=1)", gn.pearson_ii_generator(1.0)),
         (f"pearson_vii(N={0.5 * n + 1.25},s=1.5)", gn.pearson_vii_generator(0.5 * n + 1.25, 1.5)),
         ("kotz(N=2,r=0.5,s=1)", gn.kotz_generator(2.0, 0.5, 1.0)),
@@ -124,7 +124,7 @@ def test_criterion_3_closed_vs_monte_carlo(report):
     rng = RngStream(seed=310562, stream_id=0)
     families = [
         ("normal", gn.normal_generator()),
-        ("cauchy", gn.cauchy_generator(2)),
+        ("cauchy", gn.generalized_t_generator(2, 1.0, 1)),
         ("generalized_t(m=3)", gn.generalized_t_generator(2, 3.0, 3)),
         ("pearson_ii(m=1)", gn.pearson_ii_generator(1.0)),
         ("uniform_ball", gn.uniform_ball_generator()),

@@ -9,7 +9,7 @@ import pytest
 from ellipcf import cli
 from ellipcf import elliptical
 from ellipcf import skewmix
-from ellipcf.errors import ConvergenceError
+from ellipcf.errors import ConvergenceError, DomainError
 
 
 def write_spec(tmp_path, name, obj):
@@ -250,6 +250,20 @@ class TestEval:
         assert rc == 3
         assert "at grid point t=[2.0, 0.0]: hankel breakdown" in capsys.readouterr().err
 
+    def test_smu_hankel_small_u_heavy_tail(self, tmp_path, capsys):
+        # E[R^4] does not exist for this t: the star route's small-u series
+        # must give way to its oscillatory integral, not fail
+        obj = dict(_gen_spec("generalized_t", {"s": 3.0, "m": 3}), kind="smu")
+        spec = write_spec(tmp_path, "smu.json", obj)
+        rc = cli.main([
+            "eval", "--spec", spec, "--routes", "hankel",
+            "--grid", '{"kind":"list","points":[[5e-4,0.0]]}',
+        ])
+        assert rc == 0
+        _, _, rows = parse_result_csv(capsys.readouterr().out)
+        assert abs(float(rows[0][2]) - 0.99999962521644) <= 1e-12
+        assert rows[0][5] == "hankel"
+
     def test_closed_unavailable_exit_2(self, tmp_path, capsys):
         obj = normal_spec()
         obj["generator"] = {"family": "kotz", "params": {"N": 2.0, "r": 0.5, "s": 0.75}}
@@ -277,6 +291,12 @@ def _gen_spec(family, params):
 
 def _lsm_spec(mixing):
     return dict(normal_spec(), kind="lsm", gamma=[0.4, 0.1], mixing=mixing)
+
+
+def _skew_spec(alpha):
+    obj = dict(normal_spec(), kind="skew_normal", alpha=alpha)
+    del obj["generator"]
+    return obj
 
 
 _AXIS = {"kind": "axis", "index": 0, "start": 0.0, "stop": 1.0, "num": 3}
@@ -323,12 +343,23 @@ class TestFieldTypes:
              'grid.start: expected a number, got "x"'),
             (normal_spec(), _with(_AXIS, ["stop"], None),
              "grid.stop: expected a number, got null"),
+            (_with(normal_spec(), ["mu"], ["0.5", True]), _AXIS, "mu: non-numeric entry"),
+            (_with(normal_spec(), ["sigma"], [1.0, 0.0, False, 1.0]), _AXIS,
+             "sigma: non-numeric entry"),
+            (_with(_lsm_spec(_DEGENERATE), ["gamma"], [0.4, "0.1"]), _AXIS,
+             "gamma: non-numeric entry"),
+            (_skew_spec([True, 0.0]), _AXIS, "alpha: non-numeric entry"),
+            (normal_spec(), {"kind": "list", "points": [["1.0", False]]},
+             "grid.points[0]: non-numeric entry"),
+            (normal_spec(), {"kind": "list", "points": [[1.0, 0.0], [True, 0.0]]},
+             "grid.points[1]: non-numeric entry"),
         ],
         ids=[
             "n-fraction", "n-string", "gen-t-m-fraction", "gen-t-m-string", "pearson7-s-null",
             "pearson2-m-bool", "v0-string", "shape-null", "scale-string", "points-null",
             "weights-string", "index-fraction", "index-string", "num-fraction", "num-null",
-            "start-string", "stop-null",
+            "start-string", "stop-null", "mu-string-bool", "sigma-bool", "gamma-string",
+            "alpha-bool", "point-string-bool", "point-bool",
         ],
     )
     def test_bad_field_exit_2(self, tmp_path, capsys, spec, grid, named):
@@ -369,11 +400,22 @@ def _closed_specs():
     }
 
 
-def _per_point(spec):
+def _star_unimodal_point(ell, t):
+    # the hankel route of smu at one point: the star route at ||t||_Sigma
+    u = math.sqrt(ell.dispersion.quad_rows(t[None, :])[0])
+    base = skewmix.cf_star_unimodal(ell.generator, ell.n, [u, 0.0])
+    phase = float(t @ ell.mu)
+    value = complex(math.cos(phase), math.sin(phase)) * base.re
+    return elliptical.ComplexCF(value.real, value.imag, base.abs_err, base.method)
+
+
+def _per_point(spec, route="closed"):
+    if spec.kind == "smu" and route == "hankel":
+        return lambda t: _star_unimodal_point(spec.elliptical, t)
     if spec.kind in ("elliptical", "smu"):
-        return lambda t: elliptical.cf(spec.elliptical, t, route="closed")
+        return lambda t: elliptical.cf(spec.elliptical, t, route=route)
     if spec.kind == "lsm":
-        return lambda t: skewmix.cf_location_scale_mixture(spec.lsm, t, route="closed")
+        return lambda t: skewmix.cf_location_scale_mixture(spec.lsm, t, route=route)
     if spec.kind == "skew_normal":
         return lambda t: skewmix.cf_skew_normal(spec.skew_normal, t)
     if spec.kind == "gse_skew_normal":
@@ -383,18 +425,24 @@ def _per_point(spec):
 
 
 class TestGridPath:
-    @pytest.mark.parametrize("key", list(_closed_specs()))
-    def test_grid_equals_per_point_bitwise(self, tmp_path, key):
+    @pytest.mark.parametrize(
+        "key, route",
+        [pytest.param(key, "closed", id=key) for key in _closed_specs()]
+        + [pytest.param(key, "hankel", id=f"{key}-hankel")
+           for key in ("elliptical", "smu", "lsm_finite")],
+    )
+    def test_grid_equals_per_point_bitwise(self, tmp_path, key, route):
         spec_path = write_spec(tmp_path, "s.json", _closed_specs()[key])
         rng = np.random.default_rng(5)
         points = [[0.0, 0.0]] + rng.uniform(-3.0, 3.0, (40, 2)).tolist() + [[-0.0, 0.0]]
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"kind": "list", "points": points}))
         out = tmp_path / "out.csv"
-        rc = cli.main(["eval", "--spec", spec_path, "--grid", f"@{grid}", "--out", str(out)])
+        rc = cli.main(["eval", "--spec", spec_path, "--grid", f"@{grid}", "--routes", route,
+                       "--out", str(out)])
         assert rc == 0
         _, _, rows = parse_result_csv(out.read_text())
-        per_point = _per_point(cli.load_spec(spec_path))
+        per_point = _per_point(cli.load_spec(spec_path), route)
         assert len(rows) == len(points)
         for t, row in zip(points, rows):
             want = per_point(np.array(t))
@@ -434,9 +482,39 @@ class TestGridPath:
                 cells = [f"{v:.17g}" for v in t]
                 cells += [f"{c.re:.17g}", f"{c.im:.17g}", err, c.method.value]
                 expected += ",".join(cells) + "\n"
-        assert "".join(cli._eval_blocks(points, values, routes)) == expected
+        rows = {route: elliptical.CFRows.collect(values[route]) for route in routes}
+        assert "".join(cli._eval_blocks(points, rows, routes)) == expected
         assert expected.startswith("0,0,1,0,0,closed\n")
         assert "-0,4.9406564584124654e-324,-0,4.9406564584124654e-324,,closed\n" in expected
+
+    @pytest.mark.parametrize(
+        "error, code, prefix",
+        [(ConvergenceError, 3, "numeric failure: at grid point t=[1.5, 0.0]: "),
+         (DomainError, 2, "spec error: ")],
+        ids=["numeric", "domain"],
+    )
+    def test_failure_in_later_chunk(self, tmp_path, capsys, monkeypatch, error, code, prefix):
+        # 12 points in array passes of 4 rows: row 5 (second pass) fails, so
+        # the third pass is never computed; a non-numeric error stays exit 2
+        monkeypatch.setattr(skewmix, "_CHUNK", 4)
+        points = [[0.25 * (i + 1), 0.0] for i in range(12)]
+        row_of_q = {t[0] * t[0]: i for i, t in enumerate(points)}  # v = 1: q = t1^2
+        seen = set()
+        real = skewmix.char_generator
+
+        def core(gen, n, q, route="auto", ctl=None):
+            row = row_of_q.get(q)  # None: the route's availability probe
+            seen.add(row)
+            if row == 5:
+                raise error("synthetic breakdown")
+            return real(gen, n, q, route, ctl)
+
+        monkeypatch.setattr(skewmix, "char_generator", core)
+        spec = write_spec(tmp_path, "m.json", _lsm_spec(_DEGENERATE))
+        grid = json.dumps({"kind": "list", "points": points})
+        assert cli.main(["eval", "--spec", spec, "--grid", grid]) == code
+        assert prefix + "synthetic breakdown" in capsys.readouterr().err
+        assert seen - {None} == set(range(8))
 
     def test_analytic_routes_run_without_threads(self, tmp_path, capsys, monkeypatch):
         def no_pool(*args, **kwargs):

@@ -30,7 +30,7 @@ def closed_families(n):
         gn.normal_generator(),
         gn.uniform_ball_generator(),
         gn.generalized_t_generator(n, 2.0, 3),
-        gn.cauchy_generator(n),
+        gn.generalized_t_generator(n, 1.0, 1),
         gn.pearson_ii_generator(1.0),
         gn.pearson_vii_generator(0.5 * n + 1.25, 1.5),
         gn.kotz_generator(2.0, 0.5, 1.0),
@@ -145,7 +145,9 @@ class TestRadialDensity:
 class TestClosedFormGenerator:
     def test_cauchy_value(self):
         assert_allclose(
-            closed_form_generator(gn.cauchy_generator(2), 2, 4.0), math.exp(-2.0), rtol=1e-12
+            closed_form_generator(gn.generalized_t_generator(2, 1.0, 1), 2, 4.0),
+            math.exp(-2.0),
+            rtol=1e-12,
         )
 
     def test_normal_value(self):
@@ -185,7 +187,8 @@ class TestClosedFormGenerator:
 
 class TestCF:
     def test_unit_at_origin(self):
-        spec = EllipticalSpec(3, [1.0, -2.0, 0.5], np.diag([1.0, 2.0, 0.5]), gn.cauchy_generator(3))
+        cauchy = gn.generalized_t_generator(3, 1.0, 1)
+        spec = EllipticalSpec(3, [1.0, -2.0, 0.5], np.diag([1.0, 2.0, 0.5]), cauchy)
         val = cf(spec, np.zeros(3))
         assert val.re == 1.0 and val.im == 0.0
 

@@ -141,7 +141,7 @@ class TestMomentIntegral:
 
 class TestRadialMoment:
     def test_zeroth_is_one(self):
-        for gen in (gn.normal_generator(), gn.cauchy_generator(2)):
+        for gen in (gn.normal_generator(), gn.generalized_t_generator(2, 1.0, 1)):
             assert radial_moment(gen, 2, 0) == 1.0
 
     def test_normal_chi_square_moment(self):
@@ -154,7 +154,7 @@ class TestRadialMoment:
 
     def test_heavy_tail_moment_refused(self):
         with pytest.raises(MomentUndefinedError):
-            radial_moment(gn.cauchy_generator(2), 2, 1)
+            radial_moment(gn.generalized_t_generator(2, 1.0, 1), 2, 1)
         with pytest.raises(MomentUndefinedError):
             radial_moment(gn.generalized_t_generator(2, 3.0, 3), 2, 2)  # 2k=4 > m=3
 
@@ -206,7 +206,8 @@ class TestPhiHankel:
         assert_allclose(res.value, hyp1f1(2.0, 1.0, -0.5), atol=1e-8)
 
     def test_unit_at_origin(self):
-        for gen in (gn.normal_generator(), gn.cauchy_generator(2), gn.uniform_ball_generator()):
+        cauchy = gn.generalized_t_generator(2, 1.0, 1)
+        for gen in (gn.normal_generator(), cauchy, gn.uniform_ball_generator()):
             res = phi_hankel(gen, 2, 0.0)
             assert res.value == 1.0 and res.err_est == 0.0
 
@@ -223,7 +224,7 @@ class TestPhiHankel:
 
     def test_heavy_tail_small_u_uses_oscillatory(self):
         # Cauchy has no moments: the small-u path must still work
-        res = phi_hankel(gn.cauchy_generator(1), 1, 5e-4)
+        res = phi_hankel(gn.generalized_t_generator(1, 1.0, 1), 1, 5e-4)
         assert_allclose(res.value, math.exp(-5e-4), atol=1e-6)
 
     def test_monotone_tolerance(self):
@@ -231,7 +232,7 @@ class TestPhiHankel:
         # float-plateau slack)
         cases = [
             (gn.normal_generator(), 2, 1.0),
-            (gn.cauchy_generator(2), 2, 4.0),
+            (gn.generalized_t_generator(2, 1.0, 1), 2, 4.0),
             (gn.kotz_generator(2.0, 0.5, 1.0), 3, 1.0),
         ]
         for gen, n, q in cases:

@@ -27,7 +27,6 @@ from ellipcf.skewmix import (
     skew_normal_gse,
     smsn_split,
     smu_weight_density,
-    tau_from_k,
 )
 
 
@@ -271,6 +270,19 @@ class TestStarUnimodal:
             hank = phi_hankel(gen, 2, u).value
             assert abs(smu - hank) <= 1e-6
 
+    @pytest.mark.parametrize(
+        "gen",
+        [gn.normal_generator(), gn.pearson_ii_generator(1.5), gn.generalized_t_generator(2, 3.0, 3)],
+        ids=["normal", "pearson_ii", "t_s3_m3"],
+    )
+    def test_small_u_series_matches_closed_form(self, gen):
+        # below u = 1e-3 the route takes phi_hankel's moment series, and its
+        # oscillatory integral where a moment is missing (E[R^4] for the t)
+        u = 5e-4
+        val = cf_star_unimodal(gen, 2, [u, 0.0])
+        dev = abs(val.re - closed_form_generator(gen, 2, u * u))
+        assert dev <= val.abs_err and dev <= 1e-6
+
 
 class TestGSE:
     def test_constant_half_recovers_symmetric(self):
@@ -310,14 +322,14 @@ class TestGSE:
         sn = SkewNormalSpec([0.0, 0.0], np.eye(2), [1.5, -0.5])
         k = SkewNormalK(sn.skew_direction())
         root = sn.dispersion.sym_root
-        assert tau_from_k(k(np.zeros(2))) == 0.0
+        assert 1.0 - 2.0 * k(np.zeros(2)) == 0.0  # tau(t) = 1 - 2 k(-t)
         rng = np.random.default_rng(21)
         for _ in range(100):
             t = rng.normal(size=2)
             k_t = k(root @ t)
-            tau = tau_from_k(k(root @ -t))
+            tau = 1.0 - 2.0 * k(root @ -t)
             assert abs(2.0 * k_t - (1.0 + tau)) <= 1e-12
-            assert abs(tau + tau_from_k(k(root @ t))) <= 1e-12  # odd
+            assert abs(tau + (1.0 - 2.0 * k(root @ t))) <= 1e-12  # odd
 
     def test_affine_identity_map(self):
         sn = SkewNormalSpec([0.1, 0.2], [[1.0, 0.2], [0.2, 2.0]], [0.5, 1.0])
@@ -355,8 +367,9 @@ class TestGSE:
             assert stacked_k[i] == mapped.k_fn(y)
             assert (mant[i], log_scale[i]) == mapped.k_fn.scaled(y)
         ts = np.vstack([np.zeros(2), ys])
-        for t, row in zip(ts, cf_gse_rows(mapped, ts)):
-            assert row == cf_gse(mapped, t)
+        rows = cf_gse_rows(mapped, ts)
+        for i, t in enumerate(ts):
+            assert rows.row(i) == cf_gse(mapped, t)
 
     def test_affine_rank_checked(self):
         sn = SkewNormalSpec([0.0, 0.0], np.eye(2), [1.0, 0.0])
