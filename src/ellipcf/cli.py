@@ -15,7 +15,6 @@ import itertools
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Iterator, Optional
@@ -352,16 +351,6 @@ def _smu_rows(ell: el.EllipticalSpec, ts: np.ndarray) -> el.CFRows:
     return el.CFRows.collect(map(at_point, np.sqrt(ell.dispersion.quad_rows(ts)).tolist(), ts))
 
 
-def _mc_rows(batch: sp.SampleBatch, workers: int, ts: np.ndarray) -> el.CFRows:
-    """The empirical CF point by point; with workers > 1 on a thread pool
-    (numpy releases the GIL in empirical_cf, while the analytic routes are
-    Python-bound and threads only slow them)."""
-    if workers <= 1:
-        return el.CFRows.collect(sp.empirical_cf(batch, t) for t in ts)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return el.CFRows.collect(pool.map(partial(sp.empirical_cf, batch), ts))
-
-
 def _sample_batch(spec: ParsedSpec, count: int, seed: int, workers: int) -> sp.SampleBatch:
     rng = sp.RngStream(seed=seed)
     if spec.kind in ("elliptical", "smu"):
@@ -384,7 +373,7 @@ def _build_evaluators(spec: ParsedSpec, config: RunConfig) -> dict[str, Callable
             if config.mc_count < 1000:
                 raise SpecValidationError("mc_count: must be >= 1000 for the mc route")
             batch = _sample_batch(spec, config.mc_count, config.seed, config.workers)
-            evaluators["mc"] = partial(_mc_rows, batch, config.workers)
+            evaluators["mc"] = partial(sp.empirical_cf_rows, batch, workers=config.workers)
             continue
         evaluator = _analytic_evaluator(spec, route)
         error = evaluator(probe).error  # availability probe

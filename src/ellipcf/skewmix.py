@@ -63,7 +63,6 @@ __all__ = [
     "LinearMappedK",
     "cf_location_scale_mixture",
     "cf_location_scale_mixture_rows",
-    "smu_weight_density",
     "cf_star_unimodal",
     "cf_gse",
     "cf_gse_rows",
@@ -107,7 +106,8 @@ def _chunk_rows(ts: np.ndarray, evaluate) -> CFRows:
     failures), abs_err (nan: no estimate) and method as arrays or one value
     for all rows, and failures mapping an index within sl to its exception.
     The passes stop at the first failing row; an exception out of evaluate
-    itself fails its pass at the first row.  t = 0 gives the exact 1.
+    itself fails its pass at the first row, and a row whose value is not
+    finite fails with an OverflowError.  t = 0 gives the exact 1.
     """
     count = len(ts)
     re, im, abs_err = np.empty((3, count))
@@ -121,6 +121,9 @@ def _chunk_rows(ts: np.ndarray, evaluate) -> CFRows:
         except Exception as exc:  # recorded at the pass's first row
             end, error = start, exc
             break
+        finite = np.isfinite(re[sl]) & np.isfinite(im[sl])
+        for i in np.flatnonzero(~finite).tolist():  # never a silent nan or inf
+            failures.setdefault(i, OverflowError("the value is not finite: an intermediate overflows"))
         failed = sorted(i for i in failures if not at_origin[start + i])
         if failed:
             end, error = start + failed[0], failures[failed[0]]
@@ -414,7 +417,7 @@ def _check_star_unimodal(gen: DensityGenerator) -> None:
         raise DomainError("not star unimodal: g' > 0 detected on the support")
 
 
-def smu_weight_density(gen: DensityGenerator, n: int, w: float) -> float:
+def _smu_weight_density(gen: DensityGenerator, n: int, w: float) -> float:
     """Density of the radial weight W in the X = W * (uniform ball) representation.
 
     f_W(w) = -(4 pi^(n/2) / (n Gamma(n/2))) c_n w^(n+1) g'(w^2); requires a
@@ -571,7 +574,8 @@ def cf_gse_rows(spec: GSESpec, ts) -> CFRows:
 
         def evaluate(sl: slice):
             mant, log_scale = spec.k_fn.scaled(ys[sl])
-            z = 2.0 * np.exp(spec.log_psi(q[sl]) + log_scale) * mant
+            with np.errstate(invalid="ignore"):  # -inf + inf where t'St overflows: a failing row
+                z = 2.0 * np.exp(spec.log_psi(q[sl]) + log_scale) * mant
             return (*_rotate(z, phase[sl]), math.nan, CFMethod.CLOSED_FORM.value, {})
 
         return _chunk_rows(ts, evaluate)
@@ -670,8 +674,10 @@ class SkewNormalSpec:
 
 def _sn_centered(q: np.ndarray, y: np.ndarray) -> np.ndarray:
     # 2 exp(-q/2) Phi(iy) assembled as 2 exp((y^2 - q)/2) * mantissa; the
-    # exponent is <= 0 by Cauchy-Schwarz, so this never overflows.
-    mant, log_scale = norm_cdf_imag_scaled(y)
+    # exponent is <= -(1 - |a|^2) q/2 < 0 by Cauchy-Schwarz, so this never
+    # overflows, and where q overflows the value underflows to 0: y, which
+    # may overflow with q, is taken as 0 there, so no inf - inf arises.
+    mant, log_scale = norm_cdf_imag_scaled(np.where(q == np.inf, 0.0, y))
     return 2.0 * np.exp(log_scale - 0.5 * q) * mant
 
 
@@ -720,7 +726,12 @@ def cf_smsn_rows(spec: SkewNormalSpec, mixing: MixingLaw, ts) -> CFRows:
 
         def f(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
             kv = mixing_weights(mixing, u)
-            return _sn_centered(kv * qs[rows], np.sqrt(kv) * ys[rows])
+            # k = 0 is a point mass at mu, whose centered CF is 1 even where t'St
+            # overflows (no 0 * inf)
+            live = kv > 0.0
+            kq = np.multiply(kv, qs[rows], out=np.zeros_like(kv), where=live)
+            ky = np.multiply(np.sqrt(kv), ys[rows], out=np.zeros_like(kv), where=live)
+            return _sn_centered(kq, ky)
 
         ev, failures = mixing.expectation_rows(f, len(qs))
         return (*_rotate(ev, phase[sl]), abs_err, CFMethod.CLOSED_FORM.value, failures)

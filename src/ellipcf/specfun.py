@@ -586,7 +586,8 @@ def norm_cdf_imag_scaled(y):
         raise DomainError(
             f"norm_cdf_imag_scaled: y must be finite, got {_first(y, ~finite)}"
         )
-    log_scale = 0.5 * y * y
+    with np.errstate(over="ignore"):  # y^2 overflows to an infinite log_scale
+        log_scale = 0.5 * y * y
     mantissa = _complex(
         0.5 * np.exp(-log_scale), dawson(y / math.sqrt(2.0)) / math.sqrt(math.pi)
     )

@@ -97,6 +97,15 @@ def dawson_mp(x: float, dps: int = 40) -> float:
         return float(mp.sqrt(mp.pi) / 2 * mp.exp(-x_mp * x_mp) * mp.erfi(x_mp))
 
 
+def cos_sin_mp(phi: float, dps: int = 40) -> tuple[float, float]:
+    """(cos phi, sin phi) of the exact binary value of phi from mpmath, with
+    enough digits beyond the exponent that the reduction by 2 pi is exact."""
+    exponent = 0 if phi == 0.0 else max(0, math.frexp(phi)[1])
+    with mp.workdps(dps + int(0.31 * exponent)):
+        x = mp.mpf(phi)
+        return float(mp.cos(x)), float(mp.sin(x))
+
+
 def bessel_k_mp(nu: float, x: float, dps: int = 40) -> float:
     """K_nu(x) from mpmath's arbitrary-precision besselk."""
     with mp.workdps(dps):

@@ -40,7 +40,7 @@ from ellipcf.skewmix import (
     gse_affine,
     skew_normal_gse,
     smsn_split,
-    smu_weight_density,
+    _smu_weight_density,
 )
 from ellipcf.specfun import bessel_j, gamma_fn, hyp0f1
 
@@ -322,7 +322,7 @@ def test_criterion_8_smu_route(report):
         for s in (0.75, 1.5):
             gen = gn.kotz_generator(1.0, 0.5, s)  # power-exponential profile
             val, _, _ = adaptive_interval(
-                lambda x: smu_weight_density(gen, n, x / (1.0 - x)) / (1.0 - x) ** 2,
+                lambda x: _smu_weight_density(gen, n, x / (1.0 - x)) / (1.0 - x) ** 2,
                 0.0,
                 1.0 - 1e-12,
                 1e-10,

@@ -8,6 +8,7 @@ import pytest
 
 from ellipcf import cli
 from ellipcf import elliptical
+from ellipcf import sampling
 from ellipcf import skewmix
 from ellipcf.errors import ConvergenceError, DomainError
 
@@ -424,6 +425,43 @@ def _per_point(spec, route="closed"):
     return lambda t: skewmix.cf_smsn(spec.skew_normal, spec.mixing, t)
 
 
+class TestOverflow:
+    """Where t'x or t'St overflows a route returns the true value or exits 3
+    naming the point; never nan with exit 0, never a numpy warning."""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_mc_overflowing_phase_exits_3(self, tmp_path, capsys, workers):
+        spec = write_spec(tmp_path, "s.json", _skew_spec([2.0, -1.0]))
+        grid = json.dumps({"kind": "list", "points": [[0.5, 0.0], [1.7e308, 1.7e308]]})
+        rc = cli.main(["eval", "--spec", spec, "--grid", grid, "--routes", "mc",
+                       "--mc-count", "1000", "--workers", workers])
+        out, err = capsys.readouterr()
+        assert rc == 3 and out == ""
+        assert "at grid point t=[1.7e+308, 1.7e+308]" in err and "overflows" in err
+
+    @pytest.mark.parametrize(
+        "kind,mixing,code",
+        [("skew_normal", None, 0), ("gse_skew_normal", None, 3), ("smsn", _FINITE, 0),
+         ("smsn", _INV_GAMMA, 0)],
+        ids=["skew_normal", "gse_skew_normal", "smsn-finite", "smsn-inverse_gamma"],
+    )
+    def test_closed_overflowing_quadratic_form(self, tmp_path, capsys, kind, mixing, code):
+        obj = dict(_skew_spec([2.0, -1.0]), kind=kind)
+        if mixing is not None:
+            obj["mixing"] = mixing
+        spec = write_spec(tmp_path, "s.json", obj)
+        grid = json.dumps({"kind": "list", "points": [[0.3, 0.2], [1e200, 0.0]]})
+        rc = cli.main(["eval", "--spec", spec, "--grid", grid, "--routes", "closed"])
+        out, err = capsys.readouterr()
+        assert rc == code and "nan" not in out
+        if code == 3:
+            assert "at grid point t=[1e+200, 0.0]" in err
+            return
+        _, _, rows = parse_result_csv(out)
+        tol = float(rows[1][4] or 0.0)
+        assert abs(float(rows[1][2])) <= tol and abs(float(rows[1][3])) <= tol
+
+
 class TestGridPath:
     @pytest.mark.parametrize(
         "key, route",
@@ -520,7 +558,7 @@ class TestGridPath:
         def no_pool(*args, **kwargs):
             raise AssertionError("thread pool started for an analytic route")
 
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(sampling, "ThreadPoolExecutor", no_pool)  # the package's only pool
         spec = write_spec(tmp_path, "n.json", normal_spec())
         rc = cli.main([
             "compare", "--spec", spec, "--routes", "closed,hankel", "--workers", "4",

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from ellipcf import generators as gn
+from ellipcf import sampling
 from ellipcf.elliptical import EllipticalSpec, cf, uniform_sphere_cf
 from ellipcf.errors import DomainError
 from ellipcf.skewmix import (
@@ -23,13 +25,14 @@ from ellipcf.sampling import (
     SampleBatch,
     batch_to_csv,
     empirical_cf,
-    sample_ball,
+    empirical_cf_rows,
     sample_elliptical,
     sample_location_scale_mixture,
     sample_radius,
     sample_skew_normal,
     sample_smsn,
     sample_sphere,
+    _sample_ball,
 )
 from ellipcf.specfun import hyp0f1
 
@@ -76,18 +79,18 @@ class TestSphereAndBall:
         assert abs(e.re - want) <= band and abs(e.im) <= band
 
     def test_ball_norms_inside(self):
-        batch = sample_ball(3, 50000, RNG)
+        batch = _sample_ball(3, 50000, RNG)
         assert np.linalg.norm(batch.data, axis=1).max() <= 1.0
 
     def test_ball_second_moment(self):
         for n in (2, 3):
-            batch = sample_ball(n, 200000, RNG)
+            batch = _sample_ball(n, 200000, RNG)
             m2 = (batch.data**2).sum(axis=1).mean()
             assert abs(m2 - n / (n + 2.0)) <= 5.0 / math.sqrt(batch.count)
 
     def test_ball_cf_matches_0f1(self):
         count = 10**6
-        batch = sample_ball(2, count, RNG, workers=4)
+        batch = _sample_ball(2, count, RNG, workers=4)
         for s in (1.0, 4.0):
             e = empirical_cf(batch, [math.sqrt(s), 0.0])
             want = hyp0f1(2.0, -0.25 * s)
@@ -299,6 +302,80 @@ class TestEmpiricalCF:
         assert abs(e.re - math.exp(-0.5)) <= 4.0 / math.sqrt(count)
 
 
+class TestCosSinKernel:
+    """cos and sin from one half-angle tan, against mpmath per element."""
+
+    def test_against_mpmath(self):
+        rng = np.random.default_rng(20261018)
+        mags = 10.0 ** rng.uniform(-300.0, 300.0, 1500)
+        special = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.7e308, np.finfo(float).max]
+        for k in (1, 2, 3, 7, 100, 10**6, 10**12):
+            for x in (k * math.pi, 0.5 * k * math.pi):
+                special += [np.nextafter(x, 0.0), x, np.nextafter(x, math.inf)]
+        phases = np.concatenate([mags, special])
+        phases = np.concatenate([phases, -phases])
+        cos, sin = sampling._cos_sin(phases.copy())
+        want = np.array([oracles.cos_sin_mp(float(p)) for p in phases])
+        assert np.abs(cos - want[:, 0]).max() <= 1e-15
+        assert np.abs(sin - want[:, 1]).max() <= 1e-15
+
+
+class TestEmpiricalCFRows:
+    COUNT = 10**5 + 17  # two full blocks and a short one
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        spec = EllipticalSpec(2, [0.2, -0.1], [[1.0, 0.3], [0.3, 2.0]], gn.normal_generator())
+        return sample_elliptical(spec, self.COUNT, RngStream(seed=5, stream_id=1))
+
+    @pytest.fixture(scope="class")
+    def ts(self):
+        pts = np.random.default_rng(3).normal(scale=2.0, size=(9, 2))
+        pts[[2, 6]] = 0.0  # origin rows among the others
+        return pts
+
+    def test_bitwise_across_workers(self, batch, ts):
+        rows = [empirical_cf_rows(batch, ts, workers=w) for w in (1, 2, 3)]
+        for other in rows[1:]:
+            assert other.re.tobytes() == rows[0].re.tobytes()
+            assert other.im.tobytes() == rows[0].im.tobytes()
+
+    def test_rows_equal_point_calls(self, batch, ts):
+        rows = empirical_cf_rows(batch, ts)
+        for i, t in enumerate(ts):
+            assert rows.row(i) == empirical_cf(batch, t)
+
+    def test_origin_rows_exact(self, batch, ts):
+        rows = empirical_cf_rows(batch, ts)
+        for i in (2, 6):
+            assert (rows.re[i], rows.im[i]) == (1.0, 0.0)
+            assert rows.abs_err[i] == 3.0 / math.sqrt(batch.count)
+        assert set(rows.method) == {"mc"}
+
+    def test_near_libm_cos_sin_over_same_blocks(self, batch, ts):
+        rows = empirical_cf_rows(batch, ts)
+        for i, t in enumerate(ts):
+            re = im = 0.0
+            for start in range(0, batch.count, sampling._CHUNK):
+                phases = batch.data[start:start + sampling._CHUNK] @ t
+                re += float(np.cos(phases).sum())
+                im += float(np.sin(phases).sum())
+            assert abs(rows.re[i] - re / batch.count) <= 1e-15
+            assert abs(rows.im[i] - im / batch.count) <= 1e-15
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_overflowing_point_fails_alone(self, batch, ts, workers):
+        bad = np.array([[1.7e308, 1.7e308]])
+        grid = np.concatenate([ts[:4], bad, ts[4:]])
+        rows = empirical_cf_rows(batch, grid, workers=workers)
+        assert len(rows) == 4 and isinstance(rows.error, OverflowError)
+        whole = empirical_cf_rows(batch, ts[:4])
+        assert rows.re.tobytes() == whole.re.tobytes()
+        assert rows.im.tobytes() == whole.im.tobytes()
+        with pytest.raises(OverflowError, match="t'x overflows"):
+            rows.row(4)
+
+
 class TestDeterminism:
     def test_bit_identical_across_workers(self):
         spec = std_normal_base(3)
@@ -327,7 +404,7 @@ class TestDeterminism:
 
 class TestBatchCSV:
     def test_round_trip(self, tmp_path):
-        batch = sample_ball(2, 500, RNG)
+        batch = _sample_ball(2, 500, RNG)
         path = tmp_path / "batch.csv"
         batch_to_csv(batch, path, extra_comments=["spec_sha256=abc"])
         lines = path.read_text().splitlines()

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ellipcf import generators as gn
-from ellipcf.elliptical import EllipticalSpec, cf, closed_form_generator
+from ellipcf.elliptical import EllipticalSpec, cf, cf_rows, closed_form_generator
 from ellipcf.errors import ConvergenceError, DomainError
 from ellipcf.quadrature import adaptive_interval, phi_hankel
 from ellipcf.skewmix import (
@@ -21,12 +21,14 @@ from ellipcf.skewmix import (
     cf_gse_rows,
     cf_location_scale_mixture,
     cf_skew_normal,
+    cf_skew_normal_rows,
     cf_smsn,
+    cf_smsn_rows,
     cf_star_unimodal,
     gse_affine,
     skew_normal_gse,
     smsn_split,
-    smu_weight_density,
+    _smu_weight_density,
 )
 
 
@@ -221,7 +223,7 @@ class TestStarUnimodal:
         ]
         for gen, n in cases:
             val, _, _ = adaptive_interval(
-                lambda x: smu_weight_density(gen, n, x / (1.0 - x)) / (1.0 - x) ** 2,
+                lambda x: _smu_weight_density(gen, n, x / (1.0 - x)) / (1.0 - x) ** 2,
                 0.0,
                 1.0 - 1e-12,
                 1e-10,
@@ -235,13 +237,13 @@ class TestStarUnimodal:
         # for the standard normal in R^1 the weight has E[W^2] = 3
         gen = gn.normal_generator()
         val, _, _ = adaptive_interval(
-            lambda w: w * w * smu_weight_density(gen, 1, w), 0.0, 40.0, 1e-10, 1e-10, 2000
+            lambda w: w * w * _smu_weight_density(gen, 1, w), 0.0, 40.0, 1e-10, 1e-10, 2000
         )
         assert_allclose(val, 3.0, rtol=1e-8)
 
     def test_flat_generator_rejected(self):
         with pytest.raises(DomainError):
-            smu_weight_density(gn.uniform_ball_generator(), 2, 0.5)
+            _smu_weight_density(gn.uniform_ball_generator(), 2, 0.5)
         with pytest.raises(DomainError):
             cf_star_unimodal(gn.pearson_ii_generator(0.0), 2, [1.0, 0.0])
 
@@ -420,6 +422,34 @@ class TestSkewNormal:
             assert abs(a.value) <= 1.0 + 1e-12
 
 
+    @pytest.mark.parametrize("alpha", [[2.0, -1.0], [0.0, 0.0]], ids=["skewed", "alpha0"])
+    @pytest.mark.parametrize("kind", ["skew_normal", "gse", "smsn_finite", "smsn_inverse_gamma"])
+    def test_overflowing_quadratic_form(self, kind, alpha):
+        # at t = (1e200, 0) t'St overflows and the CF underflows to 0, the
+        # value of the normal law (the alpha = 0 skew normal) there
+        sn = SkewNormalSpec([0.1, -0.2], [[1.0, 0.3], [0.3, 1.0]], alpha)
+        ts = np.array([[0.3, 0.2], [1e200, 0.0]])
+        normal = cf_rows(EllipticalSpec(2, sn.mu, sn.sigma, gn.normal_generator()), ts)
+        assert (normal.re[1], normal.im[1]) == (0.0, 0.0)
+        rows = {
+            "skew_normal": lambda: cf_skew_normal_rows(sn, ts),
+            "gse": lambda: cf_gse_rows(skew_normal_gse(sn), ts),
+            "smsn_finite": lambda: cf_smsn_rows(sn, MixingLaw.finite_discrete([0.5, 2.0], [0.4, 0.6]), ts),
+            "smsn_inverse_gamma": lambda: cf_smsn_rows(sn, MixingLaw.inverse_gamma(3.0, 2.0), ts),
+        }[kind]()
+        if kind == "gse" and any(alpha):
+            # psi(q) -> 0 against k's exp(y^2/2) -> inf: not decided in float
+            # range for a general psi, so the row fails by name
+            assert len(rows) == 1 and isinstance(rows.error, OverflowError)
+            return
+        assert len(rows) == 2 and rows.error is None
+        tol = 0.0 if math.isnan(rows.abs_err[1]) else rows.abs_err[1]
+        assert abs(rows.re[1]) <= tol and abs(rows.im[1]) <= tol
+        if not any(alpha) and not kind.startswith("smsn"):
+            assert abs(rows.re[0] - normal.re[0]) <= 1e-15
+            assert abs(rows.im[0] - normal.im[0]) <= 1e-15
+
+
 class TestScaleMixtureSkewNormal:
     def test_degenerate_unit_weight_recovers_skew_normal(self):
         sn = SkewNormalSpec([0.3, 0.0], [[2.0, 0.3], [0.3, 1.0]], [1.0, -2.0])
@@ -452,6 +482,16 @@ class TestScaleMixtureSkewNormal:
         sn = SkewNormalSpec([0.0], [[1.0]], [1.0])
         mix = MixingLaw.finite_discrete([0.5, 1.5], [0.5, 0.5])
         cf_smsn(sn, mix, [0.7], check_split=True)  # must not raise
+
+    def test_point_mass_at_zero_with_overflowing_quadratic_form(self):
+        # a zero mixing point is a point mass at mu: it keeps its share
+        # e^(i t'mu) where t'St overflows, while the other points give 0
+        sn = SkewNormalSpec([0.1, -0.2], [[1.0, 0.3], [0.3, 1.0]], [2.0, -0.5])
+        mix = MixingLaw.finite_discrete([0.0, 1.0], [0.5, 0.5])
+        rows = cf_smsn_rows(sn, mix, np.array([[1e200, 0.0]]))
+        want = 0.5 * complex(math.cos(1e199), math.sin(1e199))
+        assert rows.error is None
+        assert abs(complex(rows.re[0], rows.im[0]) - want) <= 1e-15
 
     def test_inverse_gamma_skew_t_hermitian(self):
         sn = SkewNormalSpec([0.0], [[1.0]], [2.0])
