@@ -14,17 +14,21 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
+
+# A CLI process runs BLAS on one thread: its only parallelism is --workers, and an
+# idle OpenBLAS pool busy-waits.  Once numpy is loaded (library use) nothing is set.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
 from . import elliptical as el
 from . import generators as gn
-from . import sampling as sp
-from . import skewmix as sk
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -32,6 +36,10 @@ from .errors import (
     NoClosedFormError,
     SpecValidationError,
 )
+
+if TYPE_CHECKING:  # skewmix and sampling are imported by the commands that use them
+    from . import sampling as sp
+    from . import skewmix as sk
 
 __all__ = ["main", "RunConfig", "load_spec", "parse_grid"]
 
@@ -156,6 +164,8 @@ def _parse_generator(obj, n: int, path: str = "generator") -> gn.DensityGenerato
 
 
 def _parse_mixing(obj, path: str = "mixing") -> sk.MixingLaw:
+    from . import skewmix as sk
+
     if not isinstance(obj, dict):
         raise SpecValidationError(f"{path}: expected an object")
     kind = obj.get("kind")
@@ -223,6 +233,8 @@ def load_spec(path: str) -> ParsedSpec:
             sigma = _parse_sigma(obj["sigma"], n, "sigma")
             gen = _parse_generator(obj["generator"], n)
             return ParsedSpec(kind, n, sha, elliptical=el.EllipticalSpec(n, mu, sigma, gen))
+        from . import skewmix as sk
+
         if kind == "lsm":
             _check_fields(obj, base_fields | {"generator", "gamma", "mixing"}, set(), "spec")
             mu = _as_float_list(obj["mu"], n, "mu")
@@ -323,6 +335,8 @@ def _analytic_evaluator(spec: ParsedSpec, route: str) -> Callable[[np.ndarray], 
     kind = spec.kind
     if kind == "elliptical" or (kind, route) == ("smu", "closed"):
         return lambda ts: el.cf_rows(spec.elliptical, ts, route=route)
+    from . import skewmix as sk
+
     if kind == "lsm":
         return lambda ts: sk.cf_location_scale_mixture_rows(spec.lsm, ts, route=route)
     if kind == "smu":
@@ -341,6 +355,7 @@ def _analytic_evaluator(spec: ParsedSpec, route: str) -> Callable[[np.ndarray], 
 
 def _smu_rows(ell: el.EllipticalSpec, ts: np.ndarray) -> el.CFRows:
     """The star-unimodal route (the hankel route of smu), point by point."""
+    from . import skewmix as sk
 
     def at_point(u: float, t: np.ndarray) -> el.ComplexCF:
         base = sk.cf_star_unimodal(ell.generator, ell.n, [u])  # depends on ||t||_Sigma = u only
@@ -352,6 +367,8 @@ def _smu_rows(ell: el.EllipticalSpec, ts: np.ndarray) -> el.CFRows:
 
 
 def _sample_batch(spec: ParsedSpec, count: int, seed: int, workers: int) -> sp.SampleBatch:
+    from . import sampling as sp
+
     rng = sp.RngStream(seed=seed)
     if spec.kind in ("elliptical", "smu"):
         return sp.sample_elliptical(spec.elliptical, count, rng, workers)
@@ -372,6 +389,8 @@ def _build_evaluators(spec: ParsedSpec, config: RunConfig) -> dict[str, Callable
         if route == "mc":
             if config.mc_count < 1000:
                 raise SpecValidationError("mc_count: must be >= 1000 for the mc route")
+            from . import sampling as sp
+
             batch = _sample_batch(spec, config.mc_count, config.seed, config.workers)
             evaluators["mc"] = partial(sp.empirical_cf_rows, batch, workers=config.workers)
             continue
@@ -524,6 +543,8 @@ def run_compare(config: RunConfig) -> int:
 
 
 def run_sample(config: RunConfig) -> int:
+    from . import sampling as sp
+
     spec = load_spec(config.spec_path)
     try:
         batch = _sample_batch(spec, config.mc_count, config.seed, config.workers)

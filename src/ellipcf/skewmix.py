@@ -476,8 +476,9 @@ class SkewNormalK:
     """The built-in skew-normal odd factor: k(y) = Phi(i a'y).
 
     Exposes a scaled form (mantissa, log_scale) so callers can cancel the
-    exp(y^2/2) growth against their Gaussian envelope.  y may stack points
-    along leading axes, y[..., n]; one point gives a complex.
+    exp(y^2/2) growth against their Gaussian envelope; where y or a'y
+    overflows, its mantissa is nan, so the caller's value is not finite.  y
+    may stack points along leading axes, y[..., n]; one point gives a complex.
     """
 
     def __init__(self, direction):
@@ -487,7 +488,12 @@ class SkewNormalK:
         return norm_cdf_imag(_row_dots(np.asarray(y, dtype=float), self.direction))
 
     def scaled(self, y):
-        return norm_cdf_imag_scaled(_row_dots(np.asarray(y, dtype=float), self.direction))
+        x = _row_dots(np.asarray(y, dtype=float), self.direction)
+        finite = np.isfinite(x)
+        if finite.all():
+            return norm_cdf_imag_scaled(x)
+        mant, log_scale = norm_cdf_imag_scaled(np.where(finite, x, 0.0))
+        return np.where(finite, mant, np.nan), log_scale
 
 
 class LinearMappedK:

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ellipcf
 from ellipcf import cli
 from ellipcf import elliptical
 from ellipcf import sampling
@@ -461,6 +466,20 @@ class TestOverflow:
         tol = float(rows[1][4] or 0.0)
         assert abs(float(rows[1][2])) <= tol and abs(float(rows[1][3])) <= tol
 
+    def test_gse_overflowing_root_exits_3(self, tmp_path, capsys):
+        # S^(1/2) t and a'y overflow: a failing row, not a spec error (exit 2)
+        obj = {
+            "schema": 1, "kind": "gse_skew_normal", "n": 3, "mu": [0.1, -0.2, 0.3],
+            "sigma": [1.0, 0.3, 0.09, 0.3, 1.0, 0.3, 0.09, 0.3, 1.0],
+            "alpha": [2.0, 0.5, -1.0], "parametrization": "full_sigma",
+        }
+        spec = write_spec(tmp_path, "g.json", obj)
+        grid = json.dumps({"kind": "list", "points": [[1.0, 0.5, 0.0], [1.7e308, 1.7e308, 0.0]]})
+        rc = cli.main(["eval", "--spec", spec, "--grid", grid, "--routes", "closed"])
+        out, err = capsys.readouterr()
+        assert rc == 3 and out == ""
+        assert "at grid point t=[1.7e+308, 1.7e+308, 0.0]" in err and "overflows" in err
+
 
 class TestGridPath:
     @pytest.mark.parametrize(
@@ -714,3 +733,64 @@ class TestCompareDeterminism:
             assert rc == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestStartup:
+    """A CLI process imports only what its command uses and runs BLAS on one
+    thread unless OPENBLAS_NUM_THREADS says otherwise; library use leaves
+    the environment alone.  Each case runs in a fresh interpreter."""
+
+    # python -m ellipcf.cli, reporting the loaded modules and the BLAS thread
+    # setting on stderr at exit
+    AS_MAIN = (
+        "import atexit, os, runpy, sys\n"
+        "atexit.register(lambda: print(os.environ.get('OPENBLAS_NUM_THREADS'),"
+        " *sorted(sys.modules), file=sys.stderr))\n"
+        "sys.argv = ['ellipcf', *sys.argv[1:]]\n"
+        "runpy.run_module('ellipcf.cli', run_name='__main__')\n"
+    )
+    # the console script's entry point, ellipcf.cli:main
+    CONSOLE = (
+        "import os, sys\n"
+        "from ellipcf.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'), file=sys.stderr)\n"
+        "sys.exit(rc)\n"
+    )
+
+    @staticmethod
+    def _python(code, *args, blas_threads=None):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        src = str(Path(ellipcf.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if blas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
+        proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stderr.split()
+
+    @staticmethod
+    def _eval_args(tmp_path, route):
+        spec = write_spec(tmp_path, "n.json", normal_spec())
+        return ["eval", "--spec", spec, "--routes", route,
+                "--grid", '{"kind":"list","points":[[0.5,0.2]]}']
+
+    @pytest.mark.parametrize("route", ["closed", "hankel"])
+    def test_elliptical_eval_skips_skewmix_and_sampling(self, tmp_path, route):
+        modules = self._python(self.AS_MAIN, *self._eval_args(tmp_path, route))[1:]
+        assert "ellipcf.elliptical" in modules
+        for name in ("ellipcf.skewmix", "ellipcf.sampling", "concurrent.futures"):
+            assert name not in modules
+
+    @pytest.mark.parametrize("preset, seen", [(None, "1"), ("2", "2")])
+    @pytest.mark.parametrize("entry", ["AS_MAIN", "CONSOLE"])
+    def test_cli_process_blas_threads(self, tmp_path, entry, preset, seen):
+        report = self._python(getattr(self, entry), *self._eval_args(tmp_path, "closed"),
+                              blas_threads=preset)
+        assert report[0] == seen
+
+    def test_library_import_leaves_environment(self):
+        code = ("import os, sys, numpy, ellipcf.cli\n"
+                "print(os.environ.get('OPENBLAS_NUM_THREADS'), file=sys.stderr)\n")
+        assert self._python(code) == ["None"]

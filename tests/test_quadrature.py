@@ -281,6 +281,26 @@ class TestPhiHankel:
         res = phi_hankel(gen, 2, 5.0)
         assert abs(res.value - closed_form_generator(gen, 2, 25.0)) <= res.err_est
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=ConvergenceError,
+        reason="the not-decaying check fires while r^(n/2) g(r^2) still rises to its "
+        "peak, and a finite support edge gets no substitution",
+    )
+    @pytest.mark.parametrize(
+        "gen, n, u",
+        [
+            (gn.generalized_t_generator(2, 2.0, 3), 2, 200.0),
+            (gn.generalized_t_generator(5, 2.0, 3), 5, 200.0),
+            (gn.uniform_ball_generator(), 3, 100.0),
+        ],
+        ids=["t-n2-u200", "t-n5-u200", "ball-n3-u100"],
+    )
+    def test_high_frequency_matches_closed_form(self, gen, n, u):
+        # closed values: 4.13e-121 for both t cases, -2.602e-4 for the ball
+        res = phi_hankel(gen, n, u)
+        assert abs(res.value - closed_form_generator(gen, n, u * u)) <= 1e-6
+
     def test_invalid_arguments(self):
         with pytest.raises(DomainError):
             phi_hankel(gn.normal_generator(), 0, 1.0)

@@ -184,6 +184,22 @@ class TestLocationScaleMixture:
                 cf_location_scale_mixture(spec, t).re - closed_form_generator(gent, 2, q)
             ) <= 1e-7
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=ConvergenceError,
+        reason="the mixing quadrature probes large v, where phi_hankel of the "
+        "uniform-ball base fails its not-decaying check",
+    )
+    def test_hankel_route_uniform_ball_inverse_gamma(self):
+        base = EllipticalSpec(2, np.zeros(2), np.eye(2), gn.uniform_ball_generator())
+        spec = LSMixtureSpec(
+            base, np.zeros(2), [0.5, -0.3], np.eye(2), MixingLaw.inverse_gamma(3.0, 2.0)
+        )
+        closed = cf_location_scale_mixture(spec, [0.7, 0.4], route="closed")
+        assert abs(closed.value - complex(0.889708905732111, 0.19145425863621557)) <= 1e-8
+        hankel = cf_location_scale_mixture(spec, [0.7, 0.4], route="hankel")
+        assert abs(hankel.value - closed.value) <= 1e-6
+
     def test_drift_gives_imaginary_part(self):
         spec = LSMixtureSpec(
             std_normal_base(2), np.zeros(2), [1.0, 0.0], np.eye(2),
