@@ -21,7 +21,8 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 # A CLI process runs BLAS on one thread: its only parallelism is --workers, and an
-# idle OpenBLAS pool busy-waits.  Once numpy is loaded (library use) nothing is set.
+# idle OpenBLAS pool busy-waits.  Nothing is set if numpy is already loaded; any
+# process that imports this module before numpy gets one BLAS thread too.
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 

@@ -490,10 +490,8 @@ class SkewNormalK:
     def scaled(self, y):
         x = _row_dots(np.asarray(y, dtype=float), self.direction)
         finite = np.isfinite(x)
-        if finite.all():
-            return norm_cdf_imag_scaled(x)
         mant, log_scale = norm_cdf_imag_scaled(np.where(finite, x, 0.0))
-        return np.where(finite, mant, np.nan), log_scale
+        return np.where(finite, mant, np.nan)[()], log_scale  # [()]: one point, a complex
 
 
 class LinearMappedK:
