@@ -28,6 +28,7 @@ if "numpy" not in sys.modules:
 
 import numpy as np
 
+from . import _csvout
 from . import elliptical as el
 from . import generators as gn
 from .errors import (
@@ -48,12 +49,13 @@ EXIT_OK = 0
 EXIT_SPEC_ERROR = 2
 EXIT_NUMERIC_ERROR = 3
 EXIT_TOLERANCE_ERROR = 4
+EXIT_OUTPUT_CLOSED = 141  # 128 + SIGPIPE: the reader of the output went away
 
 _KINDS = ("elliptical", "lsm", "gse_skew_normal", "skew_normal", "smsn", "smu")
 _ROUTES = ("closed", "hankel", "mc")
 _NUMERIC_ERRORS = (ConvergenceError, ArithmeticError)  # exit 3; other errors exit 2
 
-_BLOCK = 1 << 12  # grid points per formatted block of output rows
+_BLOCK = 1 << 10  # grid points per formatted block of eval rows
 
 
 @dataclass
@@ -415,11 +417,21 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_out(out_path: str, parts: Iterable[str]) -> None:
-    out = contextlib.nullcontext(sys.stdout) if out_path == "-" else open(out_path, "w", newline="")
-    with out as fh:
-        for part in parts:
-            fh.write(part)
+@contextlib.contextmanager
+def _output_errors(out_path: str) -> Iterator[None]:
+    """An output that cannot be written exits 2 naming it; a closed pipe
+    passes through, for main to end quietly."""
+    try:
+        yield
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise SpecValidationError(f"out: cannot write {out_path!r}: {exc.strerror or exc}") from exc
+
+
+def _write_out(out_path: str, parts: Iterable[bytes]) -> None:
+    with _output_errors(out_path):
+        _csvout.write(out_path, parts)
 
 
 def _grid_rows(points: np.ndarray, evaluators: dict[str, Callable]) -> dict[str, el.CFRows]:
@@ -444,23 +456,27 @@ def _grid_rows(points: np.ndarray, evaluators: dict[str, Callable]) -> dict[str,
 
 def _eval_blocks(
     points: np.ndarray, values: dict[str, el.CFRows], routes: tuple[str, ...]
-) -> Iterator[str]:
-    # one %-template per block of rows; "%.17g" formats as f"{v:.17g}"
+) -> Iterator[bytes]:
+    """Rows t, re, im, abs_err, method for each point and route, in blocks;
+    abs_err is an empty cell where it is nan (no estimate)."""
     n = points.shape[1]
-    row = "%.17g," * (n + 2) + "%s,%s\n"
     for start in range(0, len(points), _BLOCK):
         sl = slice(start, start + _BLOCK)
-        block = points[sl]
-        cells = np.empty((len(block), len(routes), n + 4), dtype=object)
-        cells[:, :, :n] = block[:, None, :]
+        table = np.empty((len(points[sl]), len(routes), n + 4))
+        table[:, :, :n] = points[sl, None, :]
         for j, route in enumerate(routes):
             rows = values[route]
-            cells[:, j, n] = rows.re[sl]
-            cells[:, j, n + 1] = rows.im[sl]
-            errs = rows.abs_err[sl].tolist()  # nan: no estimate, an empty cell
-            cells[:, j, n + 2] = ["" if math.isnan(e) else _fmt(e) for e in errs]
-            cells[:, j, n + 3] = rows.method[sl]
-        yield row * (len(block) * len(routes)) % tuple(cells.ravel().tolist())
+            table[:, j, n:n + 3] = np.column_stack([rows.re[sl], rows.im[sl], rows.abs_err[sl]])
+        table = table.reshape(-1, n + 4)
+        no_err = np.isnan(table[:, n + 2])
+        table[no_err, n + 2] = 1.0  # blanked below, as is the 1.0 that holds the method's cell
+        table[:, n + 3] = 1.0
+        cells = _csvout.cells(table)
+        cells[no_err, n + 2, :-1] = 0
+        width = cells.shape[2] - 1
+        methods = np.stack([values[route].method[sl] for route in routes], axis=1).reshape(-1)
+        cells[:, n + 3, :-1] = np.asarray(methods, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+        yield _csvout.join(cells)
 
 
 def _grid_run(config: RunConfig) -> tuple[ParsedSpec, np.ndarray, dict[str, el.CFRows]]:
@@ -483,23 +499,41 @@ def _head(config: RunConfig, spec: ParsedSpec, columns: list[str]) -> str:
 
 def run_eval(config: RunConfig) -> int:
     spec, points, values = _grid_run(config)
-    head = _head(config, spec, ["re", "im", "abs_err", "method"])
+    head = _head(config, spec, ["re", "im", "abs_err", "method"]).encode()
     _write_out(config.out_path, [head, *_eval_blocks(points, values, config.routes)])
     return EXIT_OK
 
 
-def _pair_tolerance(route_a: str, route_b: str, config: RunConfig) -> float:
-    key = f"{route_a}-{route_b}"
-    if key in config.tol_overrides:
-        return float(config.tol_overrides[key])
-    if "mc" in (route_a, route_b):
-        return config.mc_band / math.sqrt(config.mc_count)
-    return config.tol_analytic
+def _tolerance(name: str, value: float) -> float:
+    if not (math.isfinite(value) and value >= 0.0):
+        raise SpecValidationError(f"{name}: must be a finite number >= 0, got {value!r}")
+    return value
+
+
+def _tol_overrides(config: RunConfig) -> dict[tuple[str, str], float]:
+    """The --tol overrides, keyed by route pair in route order whichever order
+    the flag names it in.  Every tolerance flag is checked: a pair outside the
+    requested routes, or a tolerance that is negative or not finite, is an
+    error naming its flag."""
+    _tolerance("tol-analytic", config.tol_analytic)
+    _tolerance("mc-band", config.mc_band)
+    routes = config.routes
+    overrides = {}
+    for key, value in config.tol_overrides.items():
+        a, _, b = key.partition("-")
+        if a == b or a not in routes or b not in routes:
+            raise SpecValidationError(
+                f"tol: pair {key!r} is not among the requested routes {','.join(routes)}"
+            )
+        pair = (a, b) if routes.index(a) < routes.index(b) else (b, a)
+        overrides[pair] = _tolerance(f"tol {key}", float(value))
+    return overrides
 
 
 def run_compare(config: RunConfig) -> int:
     if len(config.routes) < 2:
         raise SpecValidationError("routes: compare needs at least two routes")
+    overrides = _tol_overrides(config)
     spec, points, values = _grid_run(config)
     routes = config.routes
     names, columns = [], [points]
@@ -512,21 +546,19 @@ def run_compare(config: RunConfig) -> int:
         d_re = np.abs(values[a].re - values[b].re)
         d_im = np.abs(values[a].im - values[b].im)
         dev = np.where(d_im > d_re, d_im, d_re)  # max(d_re, d_im), nan cases included
-        tols[a, b] = _pair_tolerance(a, b, config)
+        default = config.mc_band / math.sqrt(config.mc_count) if "mc" in (a, b) else config.tol_analytic
+        tols[a, b] = overrides.get((a, b), default)
         max_dev[a, b] = float(np.fmax.reduce(dev, initial=0.0))  # skips nan, as max() did
         exceed[a, b] = int(np.count_nonzero(dev > tols[a, b]))
         names.append(f"dev_{a}_{b}")
         columns.append(dev)
     table = np.column_stack(columns)
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"  # formats as f"{v:.17g}"
-    parts = [_head(config, spec, names)]
-    for start in range(0, len(points), _BLOCK):
-        block = table[start:start + _BLOCK]
-        parts.append(row * len(block) % tuple(block.ravel().tolist()))
+    parts = [_head(config, spec, names).encode()]
+    parts.append(_csvout.rows(table))
     for (a, b) in pairs:
         parts.append(
             f"# summary {a}-{b}: max_dev={_fmt(max_dev[(a, b)])} tol={_fmt(tols[(a, b)])} "
-            f"exceedances={exceed[(a, b)]}/{len(points)}\n"
+            f"exceedances={exceed[(a, b)]}/{len(points)}\n".encode()
         )
     _write_out(config.out_path, parts)
     if any(exceed.values()):
@@ -551,7 +583,8 @@ def run_sample(config: RunConfig) -> int:
         batch = _sample_batch(spec, config.mc_count, config.seed, config.workers)
     except DomainError as exc:
         raise SpecValidationError(str(exc)) from exc
-    sp.batch_to_csv(batch, config.out_path, [f"spec_sha256={spec.sha256} kind={spec.kind}"])
+    with _output_errors(config.out_path):
+        sp.batch_to_csv(batch, config.out_path, [f"spec_sha256={spec.sha256} kind={spec.kind}"])
     return EXIT_OK
 
 
@@ -633,6 +666,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if len(set(routes)) != len(routes):
             raise SpecValidationError("routes: duplicate route")
         grid = args.grid
+    if args.workers < 1:
+        raise SpecValidationError(f"workers: must be >= 1, got {args.workers}")
     overrides = {}
     for item in getattr(args, "tol", []):
         if "=" not in item:
@@ -677,6 +712,21 @@ def main(argv: Optional[list[str]] = None) -> int:
     except EllipcfError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
+    except BrokenPipeError:  # e.g. `ellipcf sample ... | head`: stop quietly
+        if args.out == "-":  # so that the flush at exit cannot fail again
+            _stdout_to_devnull()
+        return EXIT_OUTPUT_CLOSED
+
+
+def _stdout_to_devnull() -> None:
+    """Point stdout's file descriptor at the null device, if it has one."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # no file descriptor behind stdout
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -14,16 +14,16 @@ worker count.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
+import itertools
 import math
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import _csvout
 from .elliptical import (
     CFMethod,
     CFRows,
@@ -452,14 +452,8 @@ def _provenance(kind: str, rng: RngStream, count: int, fingerprint: str = "") ->
 
 def batch_to_csv(batch: SampleBatch, path, extra_comments: Optional[list[str]] = None) -> None:
     """Write the batch as CSV ('-' = stdout): '#' provenance comments, x1..xn header, rows."""
-    out = contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w", newline="")
-    with out as fh:
-        fh.write(f"# {batch.provenance}\n")
-        for line in extra_comments or []:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(f"x{i + 1}" for i in range(batch.n)) + "\n")
-        # one %-template per block of rows; "%.17g" formats as f"{v:.17g}"
-        row = ",".join(["%.17g"] * batch.n) + "\n"
-        for start in range(0, batch.count, _CHUNK):
-            block = batch.data[start:start + _CHUNK]
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+    comments = [batch.provenance, *(extra_comments or [])]
+    head = "".join(f"# {line}\n" for line in comments)
+    head += ",".join(f"x{i + 1}" for i in range(batch.n)) + "\n"
+    blocks = (_csvout.rows(batch.data[s:s + _CHUNK]) for s in range(0, batch.count, _CHUNK))
+    _csvout.write(path, itertools.chain([head.encode()], blocks))

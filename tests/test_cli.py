@@ -1,5 +1,6 @@
 """CLI tests: spec validation, exit-code contract, CSV schema, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -540,7 +541,7 @@ class TestGridPath:
                 cells += [f"{c.re:.17g}", f"{c.im:.17g}", err, c.method.value]
                 expected += ",".join(cells) + "\n"
         rows = {route: elliptical.CFRows.collect(values[route]) for route in routes}
-        assert "".join(cli._eval_blocks(points, rows, routes)) == expected
+        assert b"".join(cli._eval_blocks(points, rows, routes)).decode() == expected
         assert expected.startswith("0,0,1,0,0,closed\n")
         assert "-0,4.9406564584124654e-324,-0,4.9406564584124654e-324,,closed\n" in expected
 
@@ -794,3 +795,125 @@ class TestStartup:
         code = ("import os, sys, numpy, ellipcf.cli\n"
                 "print(os.environ.get('OPENBLAS_NUM_THREADS'), file=sys.stderr)\n")
         assert self._python(code) == ["None"]
+
+
+class TestGoldenBytes:
+    """sha256 of whole CLI outputs, captured before the CSV writers moved to
+    one formatter.  The numbers do not depend on the BLAS kernel or on
+    numpy's SIMD dispatch (the hashes held under OPENBLAS_CORETYPE=Sandybridge
+    and with AVX-512 disabled): the sample has a diagonal power-of-two Sigma,
+    and eval and compare run the closed and hankel routes only."""
+
+    HEAVY_N3 = ('{"schema":1,"kind":"elliptical","n":3,"mu":[0.5,-0.25,0],'
+                '"sigma":[4,0,0,0,1,0,0,0,0.25],'
+                '"generator":{"family":"pearson_vii","params":{"N":1.6,"s":1.0}}}')
+    KOTZ_N3 = ('{"schema":1,"kind":"elliptical","n":3,"mu":[0.1,-0.2,0.3],'
+               '"sigma":[1,0.3,0.09,0.3,1,0.3,0.09,0.3,1],'
+               '"generator":{"family":"kotz","params":{"N":1,"r":0.5,"s":1}}}')
+    AXIS = '{"kind":"axis","index":0,"start":0,"stop":30,"num":61}'
+
+    @pytest.mark.parametrize("spec, args, sha256", [
+        # 40000 draws (two sampler chunks), 39 cells in exponent notation
+        ("HEAVY_N3", ["sample", "--count", "40000", "--seed", "7"],
+         "f9d725c4421b7cc547ef9e2f4616db709e466c46d55bf092a2272f8edae242a8"),
+        # closed values down to 1e-196 (24-character cells), closed abs_err empty
+        ("KOTZ_N3", ["eval", "--routes", "closed,hankel", "--grid", AXIS],
+         "fe64fa8c403964ca6df8a182ea0a14d07bc4ee68506a1ee9dd1aeaeed0f0dc34"),
+        ("KOTZ_N3", ["compare", "--routes", "closed,hankel", "--grid", AXIS],
+         "145eefa4796cea1ef2594337e351d9aa058bb475af6c67be1aadb927190dbb37"),
+    ], ids=["sample", "eval", "compare"])
+    def test_output_sha256(self, tmp_path, spec, args, sha256):
+        path = tmp_path / "spec.json"
+        path.write_text(getattr(self, spec))
+        out = tmp_path / "out.csv"
+        assert cli.main([*args, "--spec", str(path), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+class TestCompareGates:
+    GRID = '{"kind":"list","points":[[0.5,0.0],[1.0,0.5]]}'
+
+    def _compare(self, tmp_path, *extra):
+        spec = write_spec(tmp_path, "n.json", normal_spec())
+        return cli.main(["compare", "--spec", spec, "--routes", "closed,mc", "--mc-count",
+                         "1000", "--grid", self.GRID, "--out", str(tmp_path / "c.csv"), *extra])
+
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--tol-analytic", "nan", "tol-analytic"),
+        ("--tol-analytic", "-1e-6", "tol-analytic"),
+        ("--mc-band", "nan", "mc-band"),
+        ("--mc-band", "inf", "mc-band"),
+        ("--mc-band", "-4", "mc-band"),
+        ("--tol", "closed-mc=nan", "tol closed-mc"),
+        ("--tol", "mc-closed=-0.5", "tol mc-closed"),
+    ])
+    def test_bad_tolerance_exits_2(self, tmp_path, capsys, flag, value, named):
+        assert self._compare(tmp_path, f"{flag}={value}") == 2  # '=': a value may start with '-'
+        assert f"spec error: {named}: must be a finite number >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("pair", ["closed-mc", "mc-closed"])
+    def test_override_in_either_order(self, tmp_path, capsys, pair):
+        assert self._compare(tmp_path, "--tol", f"{pair}=1e-30") == 4
+        summary = (tmp_path / "c.csv").read_text().splitlines()[-1]
+        assert "tol=1.0000000000000001e-30 exceedances=2/2" in summary
+
+    @pytest.mark.parametrize("pair", ["closed-xx", "closed-hankel", "mc-mc", "closed"])
+    def test_pair_outside_routes_exits_2(self, tmp_path, capsys, pair):
+        assert self._compare(tmp_path, "--tol", f"{pair}=1") == 2
+        err = capsys.readouterr().err
+        assert f"tol: pair {pair!r} is not among the requested routes closed,mc" in err
+
+
+class TestOutputErrors:
+    @pytest.mark.parametrize("command", ["sample", "eval", "compare"])
+    def test_unwritable_out_exits_2_naming_it(self, tmp_path, capsys, command):
+        spec = write_spec(tmp_path, "n.json", normal_spec())
+        out = str(tmp_path / "missing" / "x.csv")
+        args = {"sample": ["--count", "100"],
+                "eval": ["--grid", '{"kind":"list","points":[[1.0,0.0]]}'],
+                "compare": ["--grid", '{"kind":"list","points":[[1.0,0.0]]}',
+                            "--routes", "closed,hankel"]}[command]
+        assert cli.main([command, "--spec", spec, *args, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"spec error: out: cannot write {out!r}: ")
+        assert "Traceback" not in err
+
+    def test_failed_computation_creates_no_file(self, tmp_path, capsys, monkeypatch):
+        def broken(gen, n, u, ctl=None):
+            raise ConvergenceError("synthetic quadrature breakdown")
+
+        monkeypatch.setattr(elliptical, "phi_hankel", broken)
+        out = tmp_path / "x.csv"
+        spec = write_spec(tmp_path, "n.json", normal_spec())
+        assert cli.main(["eval", "--spec", spec, "--routes", "hankel", "--out", str(out),
+                         "--grid", '{"kind":"list","points":[[1.5,0.0]]}']) == 3
+        rank_1 = write_spec(tmp_path, "r.json", normal_spec(sigma=[1.0, 0.0, 0.0, 0.0]))
+        assert cli.main(["sample", "--spec", rank_1, "--count", "100", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_closed_stdout_ends_quietly(self, tmp_path):
+        spec = write_spec(tmp_path, "n.json", normal_spec())
+        env = dict(os.environ)
+        src = str(Path(ellipcf.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ellipcf.cli", "sample", "--spec", spec, "--count", "200000",
+             "--out", "-"], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline().startswith(b"# kind=elliptical")
+        proc.stdout.close()  # the reader goes away, as `| head -1` does
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == cli.EXIT_OUTPUT_CLOSED == 141
+        assert err == b""
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    @pytest.mark.parametrize("command", ["sample", "eval", "compare"])
+    def test_non_positive_workers_exit_2(self, tmp_path, capsys, command, workers):
+        spec = write_spec(tmp_path, "n.json", normal_spec())
+        args = [] if command == "sample" else [
+            "--grid", '{"kind":"list","points":[[1.0,0.0]]}', "--routes", "closed,hankel"]
+        assert cli.main([command, "--spec", spec, *args, "--workers", workers]) == 2
+        assert f"spec error: workers: must be >= 1, got {workers}" in capsys.readouterr().err
