@@ -27,6 +27,7 @@ separator still fits.
 
 from __future__ import annotations
 
+import os
 import sys
 from typing import Iterable
 
@@ -40,7 +41,9 @@ _A, _B, _C, _D = np.ix_(*[np.arange(10)] * 4)
 _DIGITS4 = ((_A | _B << 8 | _C << 16 | _D << 24) + 0x30303030).reshape(-1)
 _ZEROS4 = ((_D == 0) * (1 + (_C == 0) * (1 + (_B == 0) * (1 + (_A == 0))))).reshape(-1)
 
-_BLOCK_VALUES = 1 << 14  # values per cells() call in rows(): about 4 MB of work arrays
+# values per cells() call in rows(): about 2 MB of work arrays, held once per
+# thread that formats (sample formats its chunks on the worker pool)
+_BLOCK_VALUES = 1 << 13
 
 _POW10 = 10.0 ** np.arange(23)  # exact doubles
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
@@ -164,10 +167,20 @@ def rows(block: np.ndarray) -> bytes:
 
 
 def write(path, parts: Iterable[bytes]) -> None:
-    """Write the parts to the file at path, or to stdout for '-'."""
+    """Write the parts to the file at path, or to stdout for '-'.
+
+    The parts may be computed as they are written.  If one fails, a regular
+    file at path is removed, so that a failed run leaves no partial output.
+    """
     if path != "-":
-        with open(path, "wb") as fh:
-            fh.writelines(parts)
+        fh = open(path, "wb")
+        try:
+            with fh:
+                fh.writelines(parts)
+        except BaseException:
+            if os.path.isfile(path):
+                os.remove(path)
+            raise
         return
     stream = getattr(sys.stdout, "buffer", None)
     if stream is None:  # a text-only stdout, such as io.StringIO

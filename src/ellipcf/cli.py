@@ -369,18 +369,19 @@ def _smu_rows(ell: el.EllipticalSpec, ts: np.ndarray) -> el.CFRows:
     return el.CFRows.collect(map(at_point, np.sqrt(ell.dispersion.quad_rows(ts)).tolist(), ts))
 
 
-def _sample_batch(spec: ParsedSpec, count: int, seed: int, workers: int) -> sp.SampleBatch:
+def _sampler(spec: ParsedSpec) -> sp.Sampler:
+    """The sampler of the spec's law, for sample and for the mc route; its
+    set-up (a Cholesky factor, say) raises here."""
     from . import sampling as sp
 
-    rng = sp.RngStream(seed=seed)
     if spec.kind in ("elliptical", "smu"):
-        return sp.sample_elliptical(spec.elliptical, count, rng, workers)
+        return sp.elliptical_sampler(spec.elliptical)
     if spec.kind == "lsm":
-        return sp.sample_location_scale_mixture(spec.lsm, count, rng, workers)
+        return sp.lsm_sampler(spec.lsm)
     if spec.kind in ("skew_normal", "gse_skew_normal"):
-        return sp.sample_skew_normal(spec.skew_normal, count, rng, workers)
+        return sp.skew_normal_sampler(spec.skew_normal)
     if spec.kind == "smsn":
-        return sp.sample_smsn(spec.skew_normal, spec.mixing, count, rng, workers)
+        return sp.smsn_sampler(spec.skew_normal, spec.mixing)
     raise SpecValidationError(f"kind: unsupported kind {spec.kind!r}")
 
 
@@ -390,12 +391,19 @@ def _build_evaluators(spec: ParsedSpec, config: RunConfig) -> dict[str, Callable
     probe = np.full((1, spec.n), 0.25)
     for route in config.routes:
         if route == "mc":
-            if config.mc_count < 1000:
-                raise SpecValidationError("mc_count: must be >= 1000 for the mc route")
             from . import sampling as sp
 
-            batch = _sample_batch(spec, config.mc_count, config.seed, config.workers)
-            evaluators["mc"] = partial(sp.empirical_cf_rows, batch, workers=config.workers)
+            if config.mc_count < 1000:
+                raise SpecValidationError("mc_count: must be >= 1000 for the mc route")
+            if config.mc_count > sp.MAX_COUNT:
+                raise SpecValidationError(
+                    f"mc_count: must be <= 2^55 = {sp.MAX_COUNT}, got {config.mc_count}"
+                )
+            # the draws are made and reduced chunk by chunk when the route runs
+            evaluators["mc"] = partial(
+                _sampler(spec).empirical_cf_rows,
+                count=config.mc_count, rng=sp.RngStream(seed=config.seed), workers=config.workers,
+            )
             continue
         evaluator = _analytic_evaluator(spec, route)
         error = evaluator(probe).error  # availability probe
@@ -579,12 +587,11 @@ def run_sample(config: RunConfig) -> int:
     from . import sampling as sp
 
     spec = load_spec(config.spec_path)
-    try:
-        batch = _sample_batch(spec, config.mc_count, config.seed, config.workers)
-    except DomainError as exc:
-        raise SpecValidationError(str(exc)) from exc
-    with _output_errors(config.out_path):
-        sp.batch_to_csv(batch, config.out_path, [f"spec_sha256={spec.sha256} kind={spec.kind}"])
+    parts = _sampler(spec).csv(  # checks the count; draws as the output is written
+        config.mc_count, sp.RngStream(seed=config.seed), config.workers,
+        [f"spec_sha256={spec.sha256} kind={spec.kind}"],
+    )
+    _write_out(config.out_path, parts)
     return EXIT_OK
 
 

@@ -1,15 +1,21 @@
 """Stochastic-representation samplers and the Monte-Carlo CF oracle.
 
-Sampling is chunked over counter-based Philox streams keyed by
-(seed, derived stream id), so batches are bit-identical for any worker
-count and any draw is replayable from its provenance line.
+Each law has a Sampler whose draw function gives the rows of one chunk from
+that chunk's counter-based Philox stream, keyed by (seed, stream id, chunk
+index).  Sampler.chunks draws the chunks on the worker pool and passes each
+one straight to a reduction, with at most 2 x workers chunks in flight, so
+memory does not grow with the draw count: the CLI reduces chunks to CSV
+text (sample) or to the cos and sin sums of the empirical CF (the mc route).
+The sample_* functions gather the chunks into one SampleBatch.  Chunks have
+a fixed size and their results come back in chunk order, so every result is
+bit-identical for any worker count, and any draw is replayable from its
+provenance line.
 
 The oracle is the empirical CF (1/N) sum exp(i t'X_j) of Feuerverger and
-Mureika (1977).  empirical_cf_rows takes a whole grid in one pass over the
-draws, in the same blocks: one job per block sums cos and sin of t'x for
-every grid point, both from one vectorized tan of the half angle, and the
-block sums are added in block order, so the result does not depend on the
-worker count.
+Mureika (1977).  It takes a whole grid in one pass over the draws, one chunk
+of draws at a time.  For every grid point a chunk gives its sums of cos and
+sin of t'x, both from one vectorized tan of the half angle.  The chunk sums
+are added in chunk order, so the result does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -17,9 +23,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 import numpy as np
 
@@ -46,8 +53,14 @@ from .skewmix import (
 )
 
 __all__ = [
+    "MAX_COUNT",
     "RngStream",
     "SampleBatch",
+    "Sampler",
+    "elliptical_sampler",
+    "lsm_sampler",
+    "skew_normal_sampler",
+    "smsn_sampler",
     "sample_sphere",
     "sample_radius",
     "sample_elliptical",
@@ -59,27 +72,47 @@ __all__ = [
     "batch_to_csv",
 ]
 
-_CHUNK = 1 << 15  # rows per stream; fixed so worker count cannot matter
+_CHUNK = 1 << 15  # rows per chunk; fixed so worker count cannot matter
+
+# A chunk's Philox key is (seed, stream id << 40 | chunk index): 24 bits of
+# stream id and 40 of chunk index fill the second 64-bit word, so every
+# (stream, chunk) pair has its own key.
+_CHUNK_BITS = 40
+_STREAM_BITS = 64 - _CHUNK_BITS
+MAX_COUNT = _CHUNK << _CHUNK_BITS  # 2^55 draws per stream
 
 _MASK64 = (1 << 64) - 1
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
 class RngStream:
-    """A reproducible counter-based random stream (seed, stream_id)."""
+    """A reproducible counter-based random stream (seed, stream_id), with
+    0 <= stream_id < 2^24."""
 
     seed: int
     stream_id: int = 0
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.stream_id < 1 << _STREAM_BITS:
+            raise DomainError(f"RngStream: stream_id must be in [0, 2^24), got {self.stream_id}")
+
     def generator(self) -> np.random.Generator:
-        key = np.array([self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
+        key = np.array([self.seed & _MASK64, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
     def chunk_generator(self, chunk: int) -> np.random.Generator:
-        # derived stream: disjoint by construction for chunk < 2^40
-        sub = ((self.stream_id & _MASK64) << 40) ^ (chunk & ((1 << 40) - 1))
-        key = np.array([self.seed & _MASK64, sub & _MASK64], dtype=np.uint64)
+        if not 0 <= chunk < 1 << _CHUNK_BITS:
+            raise DomainError(f"RngStream: chunk must be in [0, 2^40), got {chunk}")
+        key = np.array([self.seed & _MASK64, self.stream_id << _CHUNK_BITS | chunk], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
+
+
+def _finite(rows: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(rows)):
+        raise DomainError("SampleBatch: non-finite entries in data")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -98,66 +131,150 @@ class SampleBatch:
             raise DomainError(
                 f"SampleBatch: data shape {self.data.shape} != ({self.count}, {self.n})"
             )
-        if not np.all(np.isfinite(self.data)):
-            raise DomainError("SampleBatch: non-finite entries in data")
+        _finite(self.data)
 
 
-def _run_chunks(
-    count: int,
-    rng: RngStream,
-    workers: int,
-    chunk_fn: Callable[[int, int, np.random.Generator], np.ndarray],
-) -> np.ndarray:
+def _ordered_map(fn: Callable[..., T], items: Iterable, workers: int) -> Iterator[T]:
+    """fn(item) for each item, in item order.  With workers > 1 the calls run
+    on a thread pool that holds at most 2 * workers of them at a time, taking
+    items only as earlier calls finish."""
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    items = iter(items)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque(pool.submit(fn, item) for item in itertools.islice(items, 2 * workers))
+        while pending:
+            result = pending.popleft().result()
+            pending.extend(pool.submit(fn, item) for item in itertools.islice(items, 1))
+            yield result
+
+
+def _chunk_results(
+    count: int, rng: RngStream, workers: int, job: Callable[[int, np.random.Generator], T]
+) -> Iterator[T]:
+    """job(m, generator) for each chunk of count draws, in chunk order, where
+    chunk i has m rows and rng's chunk-i generator.  The count is checked
+    here, before any chunk is drawn."""
     if count < 1:
         raise DomainError("count must be >= 1")
-    ranges = [(i, min(_CHUNK, count - i * _CHUNK)) for i in range((count + _CHUNK - 1) // _CHUNK)]
+    if count > MAX_COUNT:
+        raise DomainError(f"count must be <= 2^55 = {MAX_COUNT}, got {count}")
 
-    def job(arg):
-        idx, m = arg
-        return chunk_fn(idx, m, rng.chunk_generator(idx))
+    def run(i: int) -> T:
+        return job(min(_CHUNK, count - i * _CHUNK), rng.chunk_generator(i))
 
-    def gather(parts) -> np.ndarray:
-        # copy each chunk into place as it arrives, so the draws are held
-        # once rather than as parts plus their concatenation
-        out = None
-        for idx, part in enumerate(parts):
-            if out is None:
-                out = np.empty((count,) + part.shape[1:], dtype=part.dtype)
-            out[idx * _CHUNK : idx * _CHUNK + len(part)] = part
-        return out
+    return _ordered_map(run, range((count + _CHUNK - 1) // _CHUNK), workers)
 
-    if workers <= 1:
-        return gather(map(job, ranges))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return gather(pool.map(job, ranges))
+
+def _gather(parts: Iterable[np.ndarray], count: int) -> np.ndarray:
+    # copy each chunk into place as it arrives, so the draws are held once
+    # rather than as parts plus their concatenation
+    out = None
+    for idx, part in enumerate(parts):
+        if out is None:
+            out = np.empty((count,) + part.shape[1:], dtype=part.dtype)
+        out[idx * _CHUNK : idx * _CHUNK + len(part)] = part
+    return out
+
+
+@dataclass(frozen=True)
+class Sampler:
+    """The draws of one law, chunk by chunk: draw(m, generator) gives m rows
+    from one chunk's generator.  kind and fingerprint name the law in the
+    provenance line."""
+
+    kind: str
+    n: int
+    draw: Callable[[int, np.random.Generator], np.ndarray]
+    fingerprint: str = ""
+
+    def provenance(self, rng: RngStream, count: int) -> str:
+        return _provenance(self.kind, rng, count, self.fingerprint)
+
+    def chunks(
+        self,
+        count: int,
+        rng: RngStream,
+        workers: int = 1,
+        reduce: Optional[Callable[[np.ndarray], T]] = None,
+    ) -> Iterator:
+        """reduce(rows) for the rows of each chunk of count draws, in chunk
+        order (the rows themselves without reduce).  Chunks are drawn and
+        reduced on workers threads, at most 2 * workers at a time.  The count
+        is checked before any draw; a chunk holding a non-finite draw raises
+        SampleBatch's DomainError."""
+
+        def job(m: int, gen: np.random.Generator):
+            rows = _finite(self.draw(m, gen))
+            return rows if reduce is None else reduce(rows)
+
+        return _chunk_results(count, rng, workers, job)
+
+    def batch(self, count: int, rng: RngStream, workers: int = 1) -> SampleBatch:
+        """All count draws as one SampleBatch."""
+        data = _gather(self.chunks(count, rng, workers), count)
+        return SampleBatch(self.n, count, data, self.provenance(rng, count))
+
+    def csv(
+        self,
+        count: int,
+        rng: RngStream,
+        workers: int = 1,
+        extra_comments: Optional[list[str]] = None,
+    ) -> Iterator[bytes]:
+        """The bytes batch_to_csv writes for self.batch(count, rng, workers),
+        in parts: each chunk is formatted on the worker pool as it is drawn.
+        The count is checked here, before any draw."""
+        head = _csv_head(self.provenance(rng, count), self.n, extra_comments)
+        return itertools.chain([head], self.chunks(count, rng, workers, _csvout.rows))
+
+    def empirical_cf_rows(self, ts, count: int, rng: RngStream, workers: int = 1) -> CFRows:
+        """empirical_cf_rows(self.batch(count, rng, workers), ts, workers),
+        bit for bit, without holding the batch: each chunk is reduced to its
+        cos and sin sums as it is drawn."""
+        return _cf_rows(
+            ts, self.n, count,
+            lambda points: self.chunks(count, rng, workers, lambda rows: _block_sums(rows, points)),
+        )
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=1), bit for bit.  Below 8 columns numpy sums
+    each row's squares left to right, as the column sum here does, at an
+    eighth of the cost; from 8 columns its pairwise sum takes another order."""
+    if x.shape[1] >= 8:
+        return np.linalg.norm(x, axis=1)
+    sq = x[:, 0] * x[:, 0]
+    for j in range(1, x.shape[1]):
+        sq += x[:, j] * x[:, j]
+    return np.sqrt(sq, out=sq)
 
 
 def _unit_sphere_rows(gen: np.random.Generator, m: int, n: int) -> np.ndarray:
     x = gen.standard_normal((m, n))
-    norms = np.linalg.norm(x, axis=1)
+    norms = _row_norms(x)
     while np.any(norms == 0.0):  # probability ~0; keeps rows well-defined
         bad = norms == 0.0
         x[bad] = gen.standard_normal((int(bad.sum()), n))
-        norms = np.linalg.norm(x, axis=1)
+        norms = _row_norms(x)
     return x / norms[:, None]
 
 
 def sample_sphere(n: int, count: int, rng: RngStream, workers: int = 1) -> SampleBatch:
     """Uniform draws on the unit sphere surface in R^n."""
-    data = _run_chunks(count, rng, workers, lambda i, m, g: _unit_sphere_rows(g, m, n))
-    return SampleBatch(n, count, data, _provenance("sphere", rng, count))
+    return Sampler("sphere", n, lambda m, g: _unit_sphere_rows(g, m, n)).batch(count, rng, workers)
 
 
 def _sample_ball(n: int, count: int, rng: RngStream, workers: int = 1) -> SampleBatch:
     """Uniform draws inside the unit ball: radius CDF inverse U^(1/n)."""
 
-    def chunk(i: int, m: int, g: np.random.Generator) -> np.ndarray:
+    def draw(m: int, g: np.random.Generator) -> np.ndarray:
         u = _unit_sphere_rows(g, m, n)
         r = g.random(m) ** (1.0 / n)
         return r[:, None] * u
 
-    data = _run_chunks(count, rng, workers, chunk)
-    return SampleBatch(n, count, data, _provenance("ball", rng, count))
+    return Sampler("ball", n, draw).batch(count, rng, workers)
 
 
 def _radius_chunk(
@@ -242,21 +359,25 @@ def sample_radius(spec: EllipticalSpec, count: int, rng: RngStream, workers: int
     gamma-ratio, generalized-gamma, gamma scale mixtures); custom
     generators invert a tabulated radial CDF.
     """
-    return _run_chunks(count, rng, workers, lambda i, m, g: _radius_chunk(spec, m, g))
+    return _gather(_chunk_results(count, rng, workers, lambda m, g: _radius_chunk(spec, m, g)), count)
 
 
-def sample_elliptical(spec: EllipticalSpec, count: int, rng: RngStream, workers: int = 1) -> SampleBatch:
+def elliptical_sampler(spec: EllipticalSpec) -> Sampler:
     """Rows mu + R A'U with A'A = Sigma, R and U independent."""
     a = spec.dispersion.chol_factor()  # raises for rank-deficient sigma
 
-    def chunk(i: int, m: int, g: np.random.Generator) -> np.ndarray:
+    def draw(m: int, g: np.random.Generator) -> np.ndarray:
         u = _unit_sphere_rows(g, m, spec.n)
         r = _radius_chunk(spec, m, g)
         return spec.mu + (r[:, None] * u) @ a
 
     fp = _fingerprint(_gen_parts(spec.generator), spec.n, spec.mu, spec.sigma)
-    data = _run_chunks(count, rng, workers, chunk)
-    return SampleBatch(spec.n, count, data, _provenance("elliptical", rng, count, fp))
+    return Sampler("elliptical", spec.n, draw, fp)
+
+
+def sample_elliptical(spec: EllipticalSpec, count: int, rng: RngStream, workers: int = 1) -> SampleBatch:
+    """count draws of elliptical_sampler(spec) as one batch."""
+    return elliptical_sampler(spec).batch(count, rng, workers)
 
 
 def _mixing_parts(law: MixingLaw):
@@ -283,13 +404,11 @@ def _mixing_chunk(law: MixingLaw, m: int, g: np.random.Generator) -> np.ndarray:
     return _invert_from_table(law._cdf_table, g.random(m))
 
 
-def sample_location_scale_mixture(
-    spec: LSMixtureSpec, count: int, rng: RngStream, workers: int = 1
-) -> SampleBatch:
+def lsm_sampler(spec: LSMixtureSpec) -> Sampler:
     """Rows mu + V gamma + sqrt(V) Sigma^(1/2) Z, V independent of Z."""
     s_root = spec.dispersion.sym_root
 
-    def chunk(i: int, m: int, g: np.random.Generator) -> np.ndarray:
+    def draw(m: int, g: np.random.Generator) -> np.ndarray:
         u = _unit_sphere_rows(g, m, spec.n)
         r = _radius_chunk(spec.base, m, g)
         v = _mixing_chunk(spec.mixing, m, g)
@@ -300,8 +419,14 @@ def sample_location_scale_mixture(
         _gen_parts(spec.base.generator), spec.n, spec.mu, spec.gamma, spec.sigma,
         _mixing_parts(spec.mixing),
     )
-    data = _run_chunks(count, rng, workers, chunk)
-    return SampleBatch(spec.n, count, data, _provenance("lsm", rng, count, fp))
+    return Sampler("lsm", spec.n, draw, fp)
+
+
+def sample_location_scale_mixture(
+    spec: LSMixtureSpec, count: int, rng: RngStream, workers: int = 1
+) -> SampleBatch:
+    """count draws of lsm_sampler(spec) as one batch."""
+    return lsm_sampler(spec).batch(count, rng, workers)
 
 
 def _skew_normal_chunk(spec: SkewNormalSpec, m: int, g: np.random.Generator) -> np.ndarray:
@@ -327,24 +452,26 @@ def _skew_normal_chunk(spec: SkewNormalSpec, m: int, g: np.random.Generator) -> 
     return spec.mu + np.concatenate(rows, axis=0)
 
 
+def skew_normal_sampler(spec: SkewNormalSpec) -> Sampler:
+    """Rejection draws from the skew-normal law (either parametrization)."""
+    fp = _fingerprint(spec.n, spec.mu, spec.sigma, spec.alpha, spec.parametrization.value)
+    return Sampler("skew_normal", spec.n, lambda m, g: _skew_normal_chunk(spec, m, g), fp)
+
+
 def sample_skew_normal(
     spec: SkewNormalSpec, count: int, rng: RngStream, workers: int = 1
 ) -> SampleBatch:
-    """Rejection draws from the skew-normal law (either parametrization)."""
-    fp = _fingerprint(spec.n, spec.mu, spec.sigma, spec.alpha, spec.parametrization.value)
-    data = _run_chunks(count, rng, workers, lambda i, m, g: _skew_normal_chunk(spec, m, g))
-    return SampleBatch(spec.n, count, data, _provenance("skew_normal", rng, count, fp))
+    """count draws of skew_normal_sampler(spec) as one batch."""
+    return skew_normal_sampler(spec).batch(count, rng, workers)
 
 
-def sample_smsn(
-    spec: SkewNormalSpec, mixing: MixingLaw, count: int, rng: RngStream, workers: int = 1
-) -> SampleBatch:
+def smsn_sampler(spec: SkewNormalSpec, mixing: MixingLaw) -> Sampler:
     """Scale mixture of skew-normals: mu + sqrt(k(xi)) X, X skew-normal(0, Sigma, alpha)."""
     centered = SkewNormalSpec(
         np.zeros(spec.n), spec.sigma, spec.alpha, spec.parametrization
     )
 
-    def chunk(i: int, m: int, g: np.random.Generator) -> np.ndarray:
+    def draw(m: int, g: np.random.Generator) -> np.ndarray:
         x = _skew_normal_chunk(centered, m, g)
         xi = _mixing_chunk(mixing, m, g)
         return spec.mu + np.sqrt(mixing_weights(mixing, xi))[:, None] * x
@@ -353,8 +480,14 @@ def sample_smsn(
         spec.n, spec.mu, spec.sigma, spec.alpha, spec.parametrization.value,
         _mixing_parts(mixing),
     )
-    data = _run_chunks(count, rng, workers, chunk)
-    return SampleBatch(spec.n, count, data, _provenance("smsn", rng, count, fp))
+    return Sampler("smsn", spec.n, draw, fp)
+
+
+def sample_smsn(
+    spec: SkewNormalSpec, mixing: MixingLaw, count: int, rng: RngStream, workers: int = 1
+) -> SampleBatch:
+    """count draws of smsn_sampler(spec, mixing) as one batch."""
+    return smsn_sampler(spec, mixing).batch(count, rng, workers)
 
 
 def _cos_sin(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -376,49 +509,60 @@ def _cos_sin(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cos, sin
 
 
-def empirical_cf_rows(batch: SampleBatch, ts, workers: int = 1) -> CFRows:
-    """Monte-Carlo CF estimate (1/N) sum exp(i t'X_j), abs_err = 3/sqrt(N),
-    at each row t of the (P, n) array ts, in one pass over the batch.
+def _block_sums(block: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """(P, 2): the sums of cos and sin of t'x over the draws x of the block,
+    for each row t of points."""
+    sums = np.empty((len(points), 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is the check
+        for i, t in enumerate(points):
+            cos, sin = _cos_sin(block @ t)
+            sums[i] = cos.sum(), sin.sum()
+    return sums
 
-    Each job takes one _CHUNK block of draws and returns, for every grid
-    point, the block's sums of cos and sin of t'x; the block sums are added
-    in block order, so the result is the same for any worker count.  t = 0 gives (1, 0) without a pass.  A point where t'x
-    overflows is the failing row: it and the rows after it are dropped and
-    an OverflowError is recorded.
-    """
-    ts = _as_rows(ts, batch.n, "t")
+
+def _cf_rows(
+    ts, n: int, count: int, block_sums: Callable[[np.ndarray], Iterable[np.ndarray]]
+) -> CFRows:
+    """The empirical CF at the rows of ts from count draws, where
+    block_sums(points) gives _block_sums of each block of draws, in block
+    order, for the nonzero rows of ts."""
+    ts = _as_rows(ts, n, "t")
     live = np.flatnonzero(ts.any(axis=1))
-    points = ts[live]
-
-    def block_sums(start: int) -> np.ndarray:
-        block = batch.data[start:start + _CHUNK]
-        sums = np.empty((len(points), 2))
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is the check
-            for i, t in enumerate(points):
-                cos, sin = _cos_sin(block @ t)
-                sums[i] = cos.sum(), sin.sum()
-        return sums
-
-    starts = range(0, batch.count, _CHUNK) if len(live) else ()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(block_sums, starts))
-    else:
-        parts = map(block_sums, starts)
     total = np.zeros((len(live), 2))
-    for part in parts:  # in block order: the same float adds for any worker count
+    for part in block_sums(ts[live]):  # in block order: the same float adds for any worker count
         total += part
-    re, im = np.full(len(ts), float(batch.count)), np.zeros(len(ts))  # origin: sum of cos 0
+    re, im = np.full(len(ts), float(count)), np.zeros(len(ts))  # origin: sum of cos 0
     re[live], im[live] = total.T
     bad = ~np.isfinite(re + im)
     end = int(bad.argmax()) if bad.any() else len(ts)
     return CFRows(
-        re[:end] / batch.count,
-        im[:end] / batch.count,
-        np.full(end, 3.0 / math.sqrt(batch.count)),
+        re[:end] / count,
+        im[:end] / count,
+        np.full(end, 3.0 / math.sqrt(count)),
         np.full(end, CFMethod.MONTE_CARLO.value),
         OverflowError("empirical_cf: the phase t'x overflows") if end < len(ts) else None,
     )
+
+
+def empirical_cf_rows(batch: SampleBatch, ts, workers: int = 1) -> CFRows:
+    """Monte-Carlo CF estimate (1/N) sum exp(i t'X_j), abs_err = 3/sqrt(N),
+    at each row t of the (P, n) array ts, in one pass over the batch.
+
+    Each thread job takes one _CHUNK block of draws.  For every grid point
+    it returns the block's sums of cos and sin of t'x.  The block sums are
+    added in block order, so the result is the same for any worker count.
+    t = 0 gives (1, 0) without a pass.  A point where t'x overflows is the
+    failing row: it and the rows after it are dropped, and an
+    OverflowError is recorded.
+    """
+
+    def block_sums(points: np.ndarray) -> Iterator[np.ndarray]:
+        starts = range(0, batch.count, _CHUNK) if len(points) else ()
+        return _ordered_map(
+            lambda s: _block_sums(batch.data[s:s + _CHUNK], points), starts, workers
+        )
+
+    return _cf_rows(ts, batch.n, batch.count, block_sums)
 
 
 def empirical_cf(batch: SampleBatch, t) -> ComplexCF:
@@ -450,10 +594,14 @@ def _provenance(kind: str, rng: RngStream, count: int, fingerprint: str = "") ->
     )
 
 
+def _csv_head(provenance: str, n: int, extra_comments: Optional[list[str]]) -> bytes:
+    """The '#' comment lines, provenance first, and the x1..xn header."""
+    comments = [provenance, *(extra_comments or [])]
+    head = "".join(f"# {line}\n" for line in comments)
+    return (head + ",".join(f"x{i + 1}" for i in range(n)) + "\n").encode()
+
+
 def batch_to_csv(batch: SampleBatch, path, extra_comments: Optional[list[str]] = None) -> None:
     """Write the batch as CSV ('-' = stdout): '#' provenance comments, x1..xn header, rows."""
-    comments = [batch.provenance, *(extra_comments or [])]
-    head = "".join(f"# {line}\n" for line in comments)
-    head += ",".join(f"x{i + 1}" for i in range(batch.n)) + "\n"
     blocks = (_csvout.rows(batch.data[s:s + _CHUNK]) for s in range(0, batch.count, _CHUNK))
-    _csvout.write(path, itertools.chain([head.encode()], blocks))
+    _csvout.write(path, itertools.chain([_csv_head(batch.provenance, batch.n, extra_comments)], blocks))

@@ -917,3 +917,71 @@ class TestWorkers:
             "--grid", '{"kind":"list","points":[[1.0,0.0]]}', "--routes", "closed,hankel"]
         assert cli.main([command, "--spec", spec, *args, "--workers", workers]) == 2
         assert f"spec error: workers: must be >= 1, got {workers}" in capsys.readouterr().err
+
+
+class TestStreamedDraws:
+    """The mc route and sample hold one chunk of draws per job, whatever the count."""
+
+    @pytest.mark.parametrize("command, named", [("eval", "mc_count: must"),
+                                                ("compare", "mc_count: must"),
+                                                ("sample", "count must")])
+    def test_count_past_key_space_exits_2(self, tmp_path, capsys, monkeypatch, command, named):
+        # 2^55 draws use every chunk key of a stream; past that, chunks would repeat
+        def no_draws(*args):
+            raise AssertionError("drew before checking the count")
+
+        monkeypatch.setattr(sampling, "_ordered_map", no_draws)
+        spec = write_spec(tmp_path, "n.json", normal_spec())
+        out = tmp_path / "x.csv"
+        count = "99999999999999999999"
+        args = ["--count", count] if command == "sample" else [
+            "--mc-count", count, "--routes", "closed,mc",
+            "--grid", '{"kind":"list","points":[[1.0,0.0]]}']
+        assert cli.main([command, "--spec", spec, *args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"spec error: {named} be <= 2^55 = 36028797018963968, got {count}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_non_finite_draw_in_later_chunk_leaves_no_file(self, tmp_path, capsys, monkeypatch,
+                                                           existing):
+        radius = sampling._radius_chunk
+        calls = []
+
+        def overflowing(spec, m, g):
+            calls.append(m)
+            r = radius(spec, m, g)
+            if len(calls) == 3:
+                r[-1] = np.nan
+            return r
+
+        monkeypatch.setattr(sampling, "_radius_chunk", overflowing)
+        spec = write_spec(tmp_path, "n.json", normal_spec())
+        out = tmp_path / "x.csv"
+        if existing:
+            out.write_text("old\n")
+        assert cli.main(["sample", "--spec", spec, "--count", "100000", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "spec error: SampleBatch: non-finite entries in data\n"
+        assert not out.exists()
+
+    def test_peak_memory_does_not_grow_with_count(self, tmp_path):
+        import tracemalloc
+
+        spec = write_spec(tmp_path, "n.json", normal_spec())
+        # sample on one worker: with two, how many formatted chunks wait for
+        # the writer depends on thread timing (at most 2 x workers of them)
+        commands = {
+            "eval": ["eval", "--spec", spec, "--routes", "mc", "--workers", "2", "--grid",
+                     '{"kind":"list","points":[[0.5,0.25],[0.0,0.0],[2.0,-1.0]]}', "--mc-count"],
+            "sample": ["sample", "--spec", spec, "--workers", "1", "--count"],
+        }
+        for name, argv in commands.items():
+            peaks = []
+            for count in (400_000, 4_000_000):
+                tracemalloc.start()
+                try:
+                    assert cli.main([*argv, str(count), "--out", os.devnull]) == 0
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[1] - peaks[0] < 2 * 2**20, (name, peaks)

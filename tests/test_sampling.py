@@ -435,3 +435,124 @@ class TestBatchCSV:
     def test_batch_validation(self):
         with pytest.raises(DomainError):
             SampleBatch(2, 2, np.array([[1.0, np.nan], [0.0, 0.0]]), "x")
+
+
+class TestStreamedChunks:
+    """A sampler's chunks, reduced as they are drawn, give the bytes of the
+    whole batch: the mc route's rows and the sample command's CSV."""
+
+    COUNT = 10**5 + 17  # three full chunks and a short one
+
+    @staticmethod
+    def samplers():
+        sn = SkewNormalSpec([0.3, -0.2], [[1.0, 0.4], [0.4, 1.5]], [2.0, -1.0])
+        mixing = MixingLaw.inverse_gamma(3.0, 2.0)
+        t3 = EllipticalSpec(2, [0.2, -0.1], [[1.0, 0.3], [0.3, 2.0]],
+                            gn.generalized_t_generator(2, 3.0, 3))
+        lsm = LSMixtureSpec(std_normal_base(2), [0.1, 0.0], [0.5, -0.3], [[2.0, 0.2], [0.2, 1.0]],
+                            MixingLaw.finite_discrete([0.5, 2.0], [0.3, 0.7]))
+        return {
+            "elliptical": (sampling.elliptical_sampler(t3),
+                           lambda c, r, w: sample_elliptical(t3, c, r, w)),
+            "lsm": (sampling.lsm_sampler(lsm),
+                    lambda c, r, w: sample_location_scale_mixture(lsm, c, r, w)),
+            "skew_normal": (sampling.skew_normal_sampler(sn),
+                            lambda c, r, w: sample_skew_normal(sn, c, r, w)),
+            "smsn": (sampling.smsn_sampler(sn, mixing),
+                     lambda c, r, w: sample_smsn(sn, mixing, c, r, w)),
+        }
+
+    GRID = np.array([[0.7, -0.4], [0.0, 0.0], [2.5, 1.0], [1.7e308, 1.7e308], [0.1, 0.2]])
+
+    @pytest.mark.parametrize("kind", ["elliptical", "lsm", "skew_normal", "smsn"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_mc_rows_bitwise_equal_batch(self, kind, workers):
+        sampler, sample = self.samplers()[kind]
+        rng = RngStream(seed=11, stream_id=3)
+        streamed = sampler.empirical_cf_rows(self.GRID, self.COUNT, rng, workers)
+        whole = empirical_cf_rows(sample(self.COUNT, rng, workers), self.GRID, workers)
+        assert len(streamed) == len(whole) == 3  # the overflowing point fails
+        assert isinstance(streamed.error, OverflowError) and isinstance(whole.error, OverflowError)
+        for name in ("re", "im", "abs_err"):
+            assert getattr(streamed, name).tobytes() == getattr(whole, name).tobytes()
+        assert (streamed.re[1], streamed.im[1]) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("kind", ["elliptical", "lsm", "skew_normal", "smsn"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_csv_bytes_equal_batch(self, tmp_path, kind, workers):
+        sampler, sample = self.samplers()[kind]
+        rng = RngStream(seed=12)
+        path = tmp_path / "batch.csv"
+        batch_to_csv(sample(self.COUNT, rng, 1), path, ["spec_sha256=abc"])
+        streamed = b"".join(sampler.csv(self.COUNT, rng, workers, ["spec_sha256=abc"]))
+        assert streamed == path.read_bytes()
+
+    def test_count_checked_before_any_draw(self):
+        calls = []
+        sampler = sampling.Sampler("test", 1, lambda m, g: calls.append(m) or np.zeros((m, 1)))
+        with pytest.raises(DomainError, match=r"count must be <= 2\^55"):
+            sampler.chunks(sampling.MAX_COUNT + 1, RNG)
+        with pytest.raises(DomainError, match="count must be >= 1"):
+            sampler.csv(0, RNG)
+        assert calls == []
+        assert sampling.MAX_COUNT == 2**55
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_finite_chunk_raises_batch_error(self, workers):
+        def draw(m, g):
+            rows = g.standard_normal((m, 2))
+            if m < sampling._CHUNK:  # the last, short chunk
+                rows[-1, 0] = np.inf
+            return rows
+
+        sampler = sampling.Sampler("test", 2, draw)
+        with pytest.raises(DomainError, match="^SampleBatch: non-finite entries in data$"):
+            list(sampler.chunks(3 * sampling._CHUNK + 5, RNG, workers))
+        with pytest.raises(DomainError, match="^SampleBatch: non-finite entries in data$"):
+            sampler.batch(3 * sampling._CHUNK + 5, RNG, workers)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_bounded_submissions(self, workers):
+        taken = []
+
+        def items():
+            for i in range(1000):
+                taken.append(i)
+                yield i
+
+        for consumed, value in enumerate(sampling._ordered_map(lambda i: 2 * i, items(), workers)):
+            assert value == 2 * consumed
+            assert len(taken) <= consumed + 1 + 2 * workers
+        assert len(taken) == 1000
+
+
+class TestRngStreamKeys:
+    def test_stream_id_outside_24_bits_rejected(self):
+        # the stream id fills the top 24 bits of the key's second word: a
+        # larger one would repeat the draws of another stream
+        for bad in (2**24, -1, 2**64):
+            with pytest.raises(DomainError, match="stream_id"):
+                RngStream(7, bad)
+        top = RngStream(7, 2**24 - 1).chunk_generator(5).standard_normal(4)
+        assert not np.array_equal(top, RngStream(7, 0).chunk_generator(5).standard_normal(4))
+
+    def test_chunk_index_outside_40_bits_rejected(self):
+        stream = RngStream(7, 1)
+        last = stream.chunk_generator(2**40 - 1).standard_normal(4)
+        assert not np.array_equal(last, RngStream(7, 2).chunk_generator(0).standard_normal(4))
+        with pytest.raises(DomainError, match="chunk"):
+            stream.chunk_generator(2**40)
+
+    def test_keys_unchanged(self):
+        # (seed, stream << 40 | chunk): the layout every recorded draw used
+        key = np.array([9, (3 << 40) | 17], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key)).standard_normal(4)
+        assert np.array_equal(RngStream(9, 3).chunk_generator(17).standard_normal(4), want)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_row_norms_bitwise_equal_linalg_norm(n):
+    x = np.random.default_rng(n).standard_normal((4099, n)) * np.logspace(-150, 150, n)
+    x[0] = 0.0
+    x[1, 0] = 1e-320
+    assert sampling._row_norms(x).tobytes() == np.linalg.norm(x, axis=1).tobytes()
