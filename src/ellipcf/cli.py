@@ -675,6 +675,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         grid = args.grid
     if args.workers < 1:
         raise SpecValidationError(f"workers: must be >= 1, got {args.workers}")
+    if not 0 <= args.seed < 1 << 64:
+        raise SpecValidationError(f"seed: must be in [0, 2^64), got {args.seed}")
     overrides = {}
     for item in getattr(args, "tol", []):
         if "=" not in item:

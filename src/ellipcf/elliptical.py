@@ -6,7 +6,8 @@ exp(i t'mu) * phi(t' Sigma t) for a scalar characteristic generator phi;
 this module provides the closed forms of phi for the named families, the
 uniform-sphere characteristic function, normalizing constants, radial
 densities and the validated dispersion matrix with its roots, with the
-Hankel quadrature route as the generic fallback.
+Hankel quadrature route as the generic fallback.  The grid forms run the
+Hankel route for all their rows in one call of phi_hankel_rows.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from .quadrature import (
     QuadratureControl,
     moment_integral,
     normalizing_constant,
-    phi_hankel,
+    phi_hankel_rows,
 )
-from .specfun import bessel_j, bessel_k, gamma_fn, hyp0f1, hyp1f1
+from .specfun import _elementwise, bessel_j, bessel_k, gamma_fn, hyp0f1, hyp1f1
 
 __all__ = [
     "CFMethod",
@@ -39,6 +40,7 @@ __all__ = [
     "radial_density",
     "closed_form_generator",
     "char_generator",
+    "char_generator_rows",
     "cf",
     "cf_rows",
 ]
@@ -345,6 +347,52 @@ def closed_form_generator(gen: DensityGenerator, n: int, q: float) -> float:
     )
 
 
+def char_generator_rows(
+    gen: DensityGenerator,
+    n: int,
+    qs,
+    route: str = "auto",
+    ctl: QuadratureControl | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """phi(q) at every q of the array qs by the requested route.
+
+    Returns (values, abs_err, method, failures): abs_err is nan where the
+    route gives no estimate (closed forms), method holds CFMethod values,
+    and failures maps a row to the exception its computation raised (its
+    value is nan).  The closed form runs point by point; the rows it does
+    not serve (route "hankel", or "auto" without a closed form) go through
+    phi_hankel_rows in one call.
+    """
+    if route not in ("auto", "closed", "hankel"):
+        raise DomainError(f"char_generator: unknown route {route!r}")
+    qs = np.asarray(qs, dtype=float).reshape(-1)
+    values, abs_err = np.full(len(qs), np.nan), np.full(len(qs), np.nan)
+    method = np.full(len(qs), CFMethod.CLOSED_FORM.value)
+    failures: dict = {}
+    hankel = list(range(len(qs))) if route == "hankel" else []
+    if route != "hankel":
+        for i, q in enumerate(qs.tolist()):
+            try:
+                values[i] = closed_form_generator(gen, n, q)
+            except NoClosedFormError as exc:
+                if route == "closed":
+                    failures[i] = exc
+                else:
+                    hankel.append(i)
+            except Exception as exc:  # raised again at its row
+                failures[i] = exc
+    if hankel:
+        idx = np.array(hankel)
+        try:
+            res = phi_hankel_rows(gen, n, np.sqrt(qs[idx]), ctl or QuadratureControl())
+        except Exception as exc:  # raised again at each of its rows
+            failures.update(dict.fromkeys(hankel, exc))
+        else:
+            values[idx], abs_err[idx], method[idx] = res.value, res.err_est, CFMethod.HANKEL.value
+            failures.update({hankel[i]: exc for i, exc in res.failures.items()})
+    return values, abs_err, method, failures
+
+
 def char_generator(
     gen: DensityGenerator,
     n: int,
@@ -353,16 +401,11 @@ def char_generator(
     ctl: QuadratureControl | None = None,
 ) -> tuple[float, Optional[float], CFMethod]:
     """phi(q) by the requested route: (value, abs_err, method)."""
-    if route not in ("auto", "closed", "hankel"):
-        raise DomainError(f"char_generator: unknown route {route!r}")
-    if route in ("auto", "closed"):
-        try:
-            return closed_form_generator(gen, n, q), None, CFMethod.CLOSED_FORM
-        except NoClosedFormError:
-            if route == "closed":
-                raise
-    res = phi_hankel(gen, n, math.sqrt(q), ctl or QuadratureControl())
-    return res.value, res.err_est, CFMethod.HANKEL
+    values, abs_err, method, failures = char_generator_rows(gen, n, [q], route, ctl)
+    if failures:
+        raise failures[0]
+    err = float(abs_err[0])
+    return float(values[0]), None if math.isnan(err) else err, CFMethod(method[0])
 
 
 def cf_rows(
@@ -373,19 +416,23 @@ def cf_rows(
 ) -> CFRows:
     """exp(i t'mu) phi(t' Sigma t) at each row t of the (P, n) array ts, in order.
 
-    The quadratic forms and phases of all rows come from one array pass;
-    only phi runs point by point, up to the first row where it raises.
+    The quadratic forms and phases of all rows come from one array pass, and
+    phi from one call of char_generator_rows; the rows end at the first one
+    whose phi raises.  t = 0 gives the exact 1.
     """
     ts = _as_rows(ts, spec.n, "t")
-
-    def at_point(at_origin: bool, q: float, phase: float) -> ComplexCF:
-        if at_origin:
-            return _ORIGIN
-        phi, abs_err, method = char_generator(spec.generator, spec.n, q, route, ctl)
-        return ComplexCF(math.cos(phase) * phi, math.sin(phase) * phi, abs_err, method)
-
     q, phase = spec.dispersion.quad_rows(ts), _row_dots(ts, spec.mu)
-    return CFRows.collect(map(at_point, (~ts.any(axis=1)).tolist(), q.tolist(), phase.tolist()))
+    at_origin = ~ts.any(axis=1)
+    rest = np.flatnonzero(~at_origin)
+    phi, abs_err, method, failures = char_generator_rows(spec.generator, spec.n, q[rest], route, ctl)
+    re, im = np.ones(len(ts)), np.zeros(len(ts))
+    err, methods = np.zeros(len(ts)), np.full(len(ts), CFMethod.CLOSED_FORM.value)
+    re[rest] = _elementwise(math.cos, phase[rest]) * phi
+    im[rest] = _elementwise(math.sin, phase[rest]) * phi
+    err[rest], methods[rest] = abs_err, method
+    end = int(rest[min(failures)]) if failures else len(ts)
+    error = failures[min(failures)] if failures else None
+    return CFRows(re[:end], im[:end], err[:end], methods[:end], error)
 
 
 def cf(

@@ -3,7 +3,9 @@
 A generator is the scalar map g on [0, inf) appearing in the elliptical
 density c_n |Sigma|^{-1/2} g((x-mu)' Sigma^{-1} (x-mu)).  Named families
 carry closed-form moment integrals and analytic derivatives; custom
-generators fall back to numeric treatment everywhere.
+generators fall back to numeric treatment everywhere.  The normal, uniform
+ball, generalized t, Pearson II, Pearson VII and Kotz families also carry an
+array profile with the scalar g's values bit for bit.
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+import numpy as np
+
 from .errors import DomainError
-from .specfun import bessel_k, gamma_fn, log_gamma_fn
+from .specfun import _elementwise, _power, bessel_k, gamma_fn, log_gamma_fn
 
 __all__ = [
     "Family",
@@ -49,7 +53,8 @@ class DensityGenerator:
 
     ``support_radius`` is expressed in the radius variable v, so g(z) lives
     on z in [0, support_radius**2].  ``g_prime`` is dg/dz where available
-    (needed only by the star-unimodal route).
+    (needed only by the star-unimodal route).  ``g_rows``, where set, is g
+    on a float array, entry by entry the same values as g.
     """
 
     family: Family
@@ -58,9 +63,17 @@ class DensityGenerator:
     g_prime: Optional[Callable[[float], float]] = None
     support_radius: float = math.inf
     moment_cache: dict = field(default_factory=dict, repr=False)
+    g_rows: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
 
     def __call__(self, z: float) -> float:
         return self.g(z)
+
+    def g_array(self, z: np.ndarray) -> np.ndarray:
+        """g at every entry of the float array z: the array profile where the
+        family has one, else g called entry by entry."""
+        if self.g_rows is not None:
+            return self.g_rows(z)
+        return _elementwise(self.g, z)
 
 
 def normal_generator() -> DensityGenerator:
@@ -70,6 +83,7 @@ def normal_generator() -> DensityGenerator:
         params={},
         g=lambda z: math.exp(-0.5 * z),
         g_prime=lambda z: -0.5 * math.exp(-0.5 * z),
+        g_rows=lambda z: _elementwise(math.exp, -0.5 * z),
     )
 
 
@@ -81,6 +95,7 @@ def uniform_ball_generator() -> DensityGenerator:
         g=lambda z: 1.0 if z <= 1.0 else 0.0,
         g_prime=lambda z: 0.0,
         support_radius=1.0,
+        g_rows=lambda z: np.where(z <= 1.0, 1.0, 0.0),
     )
 
 
@@ -102,6 +117,7 @@ def generalized_t_generator(n: int, s: float, m: int) -> DensityGenerator:
         params={"n": float(n), "s": float(s), "m": float(m)},
         g=lambda z: (1.0 + z / s) ** (-e),
         g_prime=lambda z: -(e / s) * (1.0 + z / s) ** (-e - 1.0),
+        g_rows=lambda z: _power(1.0 + z / s, -e),
     )
 
 
@@ -120,12 +136,19 @@ def pearson_ii_generator(m: float) -> DensityGenerator:
             return 0.0
         return -m * (1.0 - z) ** (m - 1.0)
 
+    def g_rows(z: np.ndarray) -> np.ndarray:
+        out = np.zeros(z.shape)
+        inside = ~(z >= 1.0)
+        out[inside] = _power(1.0 - z[inside], m)
+        return out
+
     return DensityGenerator(
         family=Family.PEARSON_II,
         params={"m": float(m)},
         g=g,
         g_prime=g_prime,
         support_radius=1.0,
+        g_rows=g_rows,
     )
 
 
@@ -140,6 +163,7 @@ def pearson_vii_generator(big_n: float, s: float) -> DensityGenerator:
         params={"N": float(big_n), "s": float(s)},
         g=lambda z: (1.0 + z / s) ** (-big_n),
         g_prime=lambda z: -(big_n / s) * (1.0 + z / s) ** (-big_n - 1.0),
+        g_rows=lambda z: _power(1.0 + z / s, -big_n),
     )
 
 
@@ -148,12 +172,19 @@ def kotz_generator(big_n: float, r: float, s: float) -> DensityGenerator:
     if not (r > 0.0 and s > 0.0):
         raise DomainError("kotz_generator: requires r > 0 and s > 0")
 
+    at_zero = 1.0 if big_n == 1.0 else (0.0 if big_n > 1.0 else math.inf)
+
     def g(z: float) -> float:
         if z <= 0.0:
-            if big_n == 1.0:
-                return 1.0
-            return 0.0 if big_n > 1.0 else math.inf
+            return at_zero
         return z ** (big_n - 1.0) * math.exp(-r * z**s)
+
+    def g_rows(z: np.ndarray) -> np.ndarray:
+        out = np.full(z.shape, at_zero)
+        pos = ~(z <= 0.0)
+        zp = z[pos]
+        out[pos] = _power(zp, big_n - 1.0) * _elementwise(math.exp, -r * _power(zp, s))
+        return out
 
     def g_prime(z: float) -> float:
         if z <= 0.0:
@@ -165,6 +196,7 @@ def kotz_generator(big_n: float, r: float, s: float) -> DensityGenerator:
         params={"N": float(big_n), "r": float(r), "s": float(s)},
         g=g,
         g_prime=g_prime,
+        g_rows=g_rows,
     )
 
 

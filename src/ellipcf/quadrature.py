@@ -7,10 +7,12 @@ each of them).  The oscillatory integrator works in the Bessel argument
 x = omega r, splits that axis at consecutive Bessel zeros, integrates
 each inter-zero panel adaptively, and accelerates the alternating panel
 sums with an iterated Euler transform.
-Because the panel nodes do not depend on omega, the kernel values J_nu(x)
-come from a per-order memo shared by every frequency.
-This evaluates the characteristic generator of any density generator,
-including user-supplied ones without closed forms.
+It runs a whole set of frequencies in lockstep: every round integrates the
+next Bessel panel for all rows still running in one adaptive_rows call,
+and applies the exit rules to all of them as array masks; a single
+frequency is the one-row case.  This evaluates the characteristic
+generator of any density generator, including user-supplied ones without
+closed forms, on a whole grid at once (phi_hankel_rows).
 """
 
 from __future__ import annotations
@@ -29,11 +31,12 @@ from .errors import (
     MomentUndefinedError,
 )
 from .generators import DensityGenerator, closed_moment_integral, moment_exists
-from .specfun import bessel_j, bessel_j_memoized, bessel_j_zero, gamma_fn
+from .specfun import _elementwise, _power, bessel_j_rows, bessel_j_zero, gamma_fn
 
 __all__ = [
     "QuadratureControl",
     "QuadResult",
+    "QuadRows",
     "adaptive_interval",
     "adaptive_rows",
     "moment_integral",
@@ -41,6 +44,7 @@ __all__ = [
     "normalizing_constant",
     "integrate_bessel_oscillatory",
     "phi_hankel",
+    "phi_hankel_rows",
 ]
 
 
@@ -66,6 +70,30 @@ class QuadResult:
     err_est: float
     panels_used: int
     tail_bound: float
+
+
+@dataclass(frozen=True)
+class QuadRows:
+    """QuadResult's fields for many rows, one array entry per row.
+
+    failures maps a row to the exception its computation raised; that row's
+    entries are nan (panels_used 0).
+    """
+
+    value: np.ndarray
+    err_est: np.ndarray
+    panels_used: np.ndarray
+    tail_bound: np.ndarray
+    failures: dict
+
+    def row(self, i: int) -> QuadResult:
+        """Row i as a QuadResult; a failed row raises its exception."""
+        if i in self.failures:
+            raise self.failures[i]
+        return QuadResult(
+            float(self.value[i]), float(self.err_est[i]),
+            int(self.panels_used[i]), float(self.tail_bound[i]),
+        )
 
 
 _DEFAULT_CTL = QuadratureControl()
@@ -162,8 +190,8 @@ def adaptive_interval(
 
 # The lockstep form below keeps _K15_PAIRS and _kronrod_pair's order of
 # nodes and sums.  adaptive_interval stays the scalar form for scalar
-# integrands (Bessel panels, moments, CDF tables): numpy's per-call overhead
-# makes one 15-node array panel about twice as slow as the Python loop.
+# integrands (moments, CDF tables): numpy's per-call overhead makes one
+# 15-node array panel about twice as slow as the Python loop.
 # Node offsets in _kronrod_pair's evaluation order: the centre, then each
 # symmetric pair as (mid - dx, mid + dx).
 _K15_OFFSETS = np.array([0.0] + [s * x for x, _, _ in _K15_PAIRS for s in (-1.0, 1.0)])
@@ -188,19 +216,20 @@ def _call_rows(f, ids: np.ndarray, x: np.ndarray, failures: dict):
     # f(ids[:, None], x); if that raises, again row by row, so that one row's
     # failure cannot cost the others their values.  Returns the values of
     # the rows that succeeded and their mask; a row whose call raises has
-    # its exception recorded in failures, for the caller to raise at its row.
+    # its exception recorded in failures, for the caller to raise at its row
+    # (an id that appears more than once keeps its first exception).
     try:
         return np.asarray(f(ids[:, None], x)), np.ones(len(ids), dtype=bool)
     except Exception as exc:  # attributed to its row, raised again there
         if len(ids) == 1:
-            failures[int(ids[0])] = exc
+            failures.setdefault(int(ids[0]), exc)
             return np.zeros((0, x.shape[1])), np.zeros(1, dtype=bool)
     parts, ok = [np.zeros((0, x.shape[1]))], np.ones(len(ids), dtype=bool)
     for i in range(len(ids)):
         try:
             parts.append(np.asarray(f(ids[i:i + 1, None], x[i:i + 1])))
         except Exception as exc:  # as above
-            failures[int(ids[i])] = exc
+            failures.setdefault(int(ids[i]), exc)
             ok[i] = False
     return np.concatenate(parts), ok
 
@@ -208,33 +237,42 @@ def _call_rows(f, ids: np.ndarray, x: np.ndarray, failures: dict):
 def adaptive_rows(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     count: int,
-    a: float,
-    b: float,
-    abs_tol: float,
+    a,
+    b,
+    abs_tol,
     rel_tol: float,
     max_panels: int = 256,
+    seeds: Optional[list] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """adaptive_interval on [a, b] for `count` integrands at once, in lockstep.
 
     f(rows, x) evaluates integrand rows[i, 0] at the nodes x[i] (rows is an
     integer (k, 1) array, x a (k, m) array) and returns x's shape, real or
-    complex.  Every round bisects the worst panel (the older one on a tie)
-    of each row still above its tolerance and under max_panels, with one
-    call of f for all of them.  Sums over the nodes run elementwise in node
-    order, so each row gets the value, error and panel count that
-    adaptive_interval gives its integrand alone, whatever else is in the
-    batch.
+    complex.  a, b and abs_tol are floats, or arrays with one entry per
+    row; seeds, if given, holds each row's interior breakpoints, as
+    adaptive_interval's seeds.  The panels of every row's initial partition
+    take one call of f; then every round bisects the worst panel (the older
+    one on a tie) of each row still above its tolerance and under
+    max_panels, with one call of f for all of them.  Sums over the nodes
+    run elementwise in node order, so each row gets the value, error and
+    panel count that adaptive_interval gives its integrand alone, whatever
+    else is in the batch.
 
     Returns (values, errs, panels, failures).  A row whose integrand raises
     drops out: its exception is failures[row] and its value and error are
     nan.  Like adaptive_interval, it never raises for an unmet tolerance.
     """
     failures: dict = {}
-    if b <= a:
-        return np.zeros(count), np.zeros(count), np.zeros(count, dtype=int), failures
+    a, b, abs_tol = (
+        np.full(count, v) if np.ndim(v) == 0 else np.asarray(v, dtype=float) for v in (a, b, abs_tol)
+    )
     values = np.full((count, 2), np.nan)
     errs = np.full(count, np.nan)
     panels = np.zeros(count, dtype=int)
+    empty = b <= a
+    values[empty], errs[empty] = 0.0, 0.0
+    if empty.all():
+        return values[:, 0].copy(), errs, panels, failures
     is_complex = False
 
     def evaluate(ids, lo, hi):
@@ -251,27 +289,61 @@ def adaptive_rows(
         val, err = _kronrod_rows(parts, halfw)
         return val, err, ok
 
+    # the initial partition of every row: its panels in order, one per entry
+    owner = np.flatnonzero(~empty)
+    lo, hi = a[owner], b[owner]
+    if seeds is not None:
+        edges = [
+            [pa, *[x for x in seeds[i] if pa < x < pb], pb]
+            for i, pa, pb in zip(owner.tolist(), lo.tolist(), hi.tolist())
+        ]
+        owner = np.repeat(owner, [len(e) - 1 for e in edges])
+        lo = np.array([x for e in edges for x in e[:-1]])
+        hi = np.array([x for e in edges for x in e[1:]])
+    val, err, ok = evaluate(owner, lo[:, None], hi[:, None])
+    if failures:
+        keep = ~np.isin(owner[ok], list(failures))
+        owner, lo, hi = owner[ok][keep], lo[ok][keep], hi[ok][keep]
+        val, err = val[keep], err[keep]
+    val, err = val[:, 0], err[:, 0]
+
     # per row still running: its id, its panels (bounds, value, error and
-    # heap sequence number, one column each) and its running totals
-    ids = np.arange(count)
-    lo, hi = np.full((count, 1), float(a)), np.full((count, 1), float(b))
-    val, err, ok = evaluate(ids, lo, hi)
-    ids, lo, hi = ids[ok], lo[ok], hi[ok]
-    seq = np.zeros((len(ids), 1), dtype=np.int64)
+    # heap sequence number, one column each, padded after the initial ones),
+    # its running totals and its number of initial panels
+    if seeds is None:
+        ids, first, initial = owner, np.arange(len(owner)), np.ones(len(owner), dtype=int)
+    else:
+        ids, first, initial = np.unique(owner, return_index=True, return_counts=True)
+    row = np.repeat(np.arange(len(ids)), initial)
+    col = np.arange(len(owner)) - first[row]
+    width = int(initial.max(initial=1))
+    lo_p, hi_p = np.zeros((len(ids), width)), np.zeros((len(ids), width))
+    val_p, err_p = np.zeros((len(ids), width, 2)), np.zeros((len(ids), width))
+    seq = np.full((len(ids), width), np.iinfo(np.int64).max)
+    lo_p[row, col], hi_p[row, col], val_p[row, col], err_p[row, col], seq[row, col] = lo, hi, val, err, col
+    lo, hi, val, err = lo_p, hi_p, val_p, err_p
+    # summed in panel order, as adaptive_interval does; the zero padding
+    # adds exactly nothing to a sum that starts from +0.0
     total_val, total_err = 0.0 + val[:, 0], 0.0 + err[:, 0]
-    used = np.ones(len(ids), dtype=int)
+    for j in range(1, width):
+        total_val, total_err = total_val + val[:, j], total_err + err[:, j]
+    err[seq == np.iinfo(np.int64).max] = -np.inf  # padding is never the worst panel
+    used = initial
+    tol = abs_tol[ids]
     step = 0
     while len(ids):
         done = (used >= max_panels) | (
-            total_err <= np.fmax(abs_tol, rel_tol * np.hypot(total_val[:, 0], total_val[:, 1]))
+            total_err <= np.fmax(tol, rel_tol * np.hypot(total_val[:, 0], total_val[:, 1]))
         )
         if done.any():
             finished = ids[done]
             values[finished], errs[finished], panels[finished] = (
                 total_val[done], total_err[done], used[done]
             )
-            ids, lo, hi, val, err, seq, total_val, total_err, used = (
-                z[~done] for z in (ids, lo, hi, val, err, seq, total_val, total_err, used)
+            ids, lo, hi, val, err, seq, total_val, total_err, used, initial, tol = (
+                z[~done] for z in (
+                    ids, lo, hi, val, err, seq, total_val, total_err, used, initial, tol
+                )
             )
             if not len(ids):
                 break
@@ -285,23 +357,25 @@ def adaptive_rows(
         cval, cerr, ok = evaluate(ids, np.concatenate((pa, mid), axis=1), np.concatenate((mid, pb), axis=1))
         pval, perr = val[r, j], err[r, j]
         if not ok.all():
-            ids, lo, hi, val, err, seq, total_val, total_err, used, j, pb, mid, pval, perr = (
+            ids, lo, hi, val, err, seq, total_val, total_err, used, initial, tol, j, pb, mid, pval, perr = (
                 z[ok] for z in (
-                    ids, lo, hi, val, err, seq, total_val, total_err, used, j, pb, mid, pval, perr
+                    ids, lo, hi, val, err, seq, total_val, total_err, used, initial, tol,
+                    j, pb, mid, pval, perr,
                 )
             )
         total_val = total_val + ((cval[:, 0] + cval[:, 1]) - pval)
         total_err = total_err + ((cerr[:, 0] + cerr[:, 1]) - perr)
         used = used + 1
         step += 1
-        # the left half takes the popped slot, the right half a new one
+        # the left half takes the popped slot, the right half a new one; the
+        # halves are numbered on from the row's initial panels
         r = np.arange(len(ids))
-        hi[r, j], val[r, j], err[r, j], seq[r, j] = mid[:, 0], cval[:, 0], cerr[:, 0], 2 * step - 1
+        hi[r, j], val[r, j], err[r, j], seq[r, j] = mid[:, 0], cval[:, 0], cerr[:, 0], initial + 2 * step - 2
         lo = np.concatenate((lo, mid), axis=1)
         hi = np.concatenate((hi, pb), axis=1)
         val = np.concatenate((val, cval[:, 1:]), axis=1)
         err = np.concatenate((err, cerr[:, 1:]), axis=1)
-        seq = np.concatenate((seq, np.full((len(ids), 1), 2 * step)), axis=1)
+        seq = np.concatenate((seq, (initial + 2 * step - 1)[:, None]), axis=1)
     if not is_complex:
         return values[:, 0].copy(), errs, panels, failures
     out = np.empty(count, dtype=complex)
@@ -456,28 +530,204 @@ def normalizing_constant(
 # ---------------------------------------------------------------------------
 
 
-def _kernel(nu: float, x: float) -> float:
-    # J_nu with closed forms at nu = +-1/2 (avoids the nu < 0 series branch
-    # for the one-dimensional cosine case).
-    if x == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
-    if nu == -0.5:
-        return math.sqrt(2.0 / (math.pi * x)) * math.cos(x)
-    if nu == 0.5:
-        return math.sqrt(2.0 / (math.pi * x)) * math.sin(x)
-    return bessel_j(nu, x)
-
-
-def _euler_accelerate(partial_sums: list[float]) -> tuple[float, float]:
-    # Iterated averaging of the partial-sum sequence; returns the deepest
-    # diagonal value and the size of its last refinement.
-    row = list(partial_sums)
-    last = row[-1]
-    prev = last
-    while len(row) > 1:
-        row = [0.5 * (row[i] + row[i + 1]) for i in range(len(row) - 1)]
-        prev, last = last, row[-1]
+def _euler_rows(partials: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Iterated averaging of each row's partial sums from column start[i] on:
+    # the deepest diagonal value and the size of its last refinement.  After
+    # d averagings the last column depends on the last d + 1 columns only,
+    # so one pass over the longest tail serves every row, each row's pair
+    # read off at its own depth.
+    length = partials.shape[1] - start
+    table = partials[:, partials.shape[1] - length.max(initial=1):]
+    diagonal = [table[:, -1]]
+    while table.shape[1] > 1:
+        table = 0.5 * (table[:, :-1] + table[:, 1:])
+        diagonal.append(table[:, -1])
+    diagonal, r = np.column_stack(diagonal), np.arange(len(start))
+    last, prev = diagonal[r, length - 1], diagonal[r, np.maximum(length - 2, 0)]
     return last, abs(last - prev)
+
+
+# Bessel panels per round of the oscillatory engine, from 2 doubling up to
+# this.  A round's panels take one adaptive_rows call, so the per-round cost
+# of the array passes is shared by several panels; a row that exits within
+# a round wastes at most the rest of it.
+_ROUND_PANELS = 8
+
+
+def _oscillatory_rows(
+    envelope: Callable[[np.ndarray], np.ndarray],
+    nu: float,
+    omegas: np.ndarray,
+    abs_tols: np.ndarray,
+    ctl: QuadratureControl,
+    support_radius: float,
+) -> QuadRows:
+    # int_0^R envelope(r) J_nu(omega_i r) dr for every row i, each to its own
+    # abs_tols[i]: integrate_bessel_oscillatory for all rows in lockstep.
+    # envelope maps an array of radii to its values, entry by entry.  Every
+    # round integrates the next few Bessel panels of every row still running;
+    # the exit rules then run on each panel in turn, as array masks, and a
+    # row leaves at its first panel where one fires.
+    count = len(omegas)
+    value, err_est, tail = np.full(count, np.nan), np.full(count, np.nan), np.full(count, np.nan)
+    panels_used = np.zeros(count, dtype=int)
+    failures: dict = {}
+    panel_rel = min(ctl.rel_tol, 1e-10)
+    # the state of every row still running after `done` panels, one entry
+    # (or one row of panel history) per row
+    zero = np.zeros(count)
+    live = {
+        "id": np.arange(count), "omega": omegas, "tol": abs_tols,
+        "panel_abs": abs_tols / 64.0 * omegas, "min_cell": 0.25 * omegas,
+        "x_edge": support_radius * omegas, "x_prev": zero, "running": zero,
+        "quad_err": zero, "panels": np.zeros(count, dtype=int), "peak": zero,
+        "prev_acc": zero, "streak": np.zeros(count, dtype=int),
+        "contrib": np.zeros((count, 0)), "partial": np.zeros((count, 0)),
+    }
+
+    def settle(rows, ids, val, err, tl, used):
+        value[ids], err_est[ids], tail[ids], panels_used[ids] = val[rows], err[rows], tl[rows], used[rows]
+
+    def give_up(ids, contrib, partial, quad_err, used, tol):
+        # rows out of panels: the accelerated sum of all their panels if it
+        # is close enough, else a ConvergenceError
+        ok = np.zeros(len(ids), dtype=bool)
+        if contrib.shape[1] >= 10:  # the Euler step has run
+            acc, resid = _euler_rows(partial, np.zeros(len(ids), dtype=int))
+            err = np.maximum(resid * 4.0, quad_err)
+            ok = err <= 10.0 * np.maximum(tol, ctl.rel_tol * abs(acc))
+            settle(ok, ids[ok], acc, err, abs(contrib[:, -1]), used)
+        for i in ids[~ok].tolist():
+            failures[i] = ConvergenceError(
+                f"integrate_bessel_oscillatory: no convergence within {ctl.max_panels} panels"
+            )
+
+    done, width = 0, 1
+    while len(live["id"]) and done < ctl.max_panels:
+        width = min(2 * width, _ROUND_PANELS, ctl.max_panels - done)
+        ks = np.arange(done + 1, done + width + 1)
+        rows = len(live["id"])
+        # panel j of row i is [lo[i, j], hi[i, j]], cut short at the support edge
+        zeros, top = [], live["x_edge"].max()
+        for k in ks.tolist():  # no zeros past every row's support edge
+            zeros.append(bessel_j_zero(nu, k) if not zeros or zeros[-1] < top else zeros[-1])
+        hi = np.minimum(np.array(zeros), live["x_edge"][:, None])
+        lo = np.column_stack((live["x_prev"], hi[:, :-1]))
+        cell = np.repeat(live["min_cell"], width)
+        wide = (hi - lo).ravel() > 8.0 * cell
+        seeds = None
+        if wide.any():
+            seeds = [_dyadic_seeds(*args) if w else () for w, *args in
+                     zip(wide.tolist(), lo.ravel().tolist(), hi.ravel().tolist(), cell.tolist())]
+        omega = np.repeat(live["omega"], width)
+
+        def integrand(entries, x):
+            # panels share nodes: J_nu once per distinct row of x
+            if len(x) == 1:
+                return envelope(x / omega[entries]) * bessel_j_rows(nu, x)
+            keys = np.ascontiguousarray(x).view(np.dtype((np.void, x.itemsize * x.shape[1])))
+            _, first, back = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+            return envelope(x / omega[entries]) * bessel_j_rows(nu, x[first])[back.ravel()]
+
+        val, err, p, raised = adaptive_rows(
+            integrand, rows * width, lo.ravel(), hi.ravel(),
+            np.repeat(live["panel_abs"], width), panel_rel, seeds=seeds,
+        )
+        val, err = (val / omega).reshape(rows, width), (err / omega).reshape(rows, width)
+        failed = np.zeros(rows * width, dtype=bool)
+        failed[list(raised)] = True
+        failed = failed.reshape(rows, width)
+
+        # each panel's state, as the scalar loop reaches it
+        contrib = np.concatenate((live["contrib"], val), axis=1)
+        running = np.cumsum(np.column_stack((live["running"], val)), axis=1)[:, 1:]
+        partial = np.concatenate((live["partial"], running), axis=1)
+        quad_err = np.cumsum(np.column_stack((live["quad_err"], err)), axis=1)[:, 1:]
+        used = np.cumsum(np.column_stack((live["panels"], p.reshape(rows, width))), axis=1)[:, 1:]
+        peak = np.maximum.accumulate(np.column_stack((live["peak"], abs(val))), axis=1)[:, 1:]
+        last = abs(val)
+
+        # the exit rules, in their order at each panel: the panel is empty
+        # (the loop breaks before it), its integrand raises, the finite
+        # support is exhausted (plain sum, no tail), the envelope has decayed
+        # below the cutoff (geometric tail bound), the Euler-accelerated sums
+        # agree (every even k >= 10), the envelope is not decaying (k >= 16)
+        stuck = hi <= lo
+        edge = hi >= live["x_edge"][:, None]
+        tol = np.maximum(live["tol"][:, None], ctl.rel_tol * abs(running))
+        cutoff = np.maximum(ctl.tail_cutoff * np.maximum(peak, 1e-300), 1e-300)
+        cut = (last <= cutoff) & (last <= 0.01 * tol)
+        agreed = np.zeros((rows, width), dtype=bool)
+        acc_at, acc_err = np.zeros((rows, width)), np.zeros((rows, width))
+        prev_acc, streak = live["prev_acc"], live["streak"]
+        for j, k in enumerate(ks.tolist()):
+            if k >= 10 and k % 2 == 0:
+                acc, resid = _euler_rows(partial[:, :k], abs(contrib[:, :k]).argmax(axis=1))
+                tol_acc = 0.25 * np.maximum(live["tol"], ctl.rel_tol * abs(acc))
+                change = abs(acc - prev_acc)
+                # at k = 10 there is no earlier estimate to agree with
+                agree = (change < tol_acc) & (resid < tol_acc) & (k > 10)
+                streak = np.where(agree, streak + 1, 0)
+                prev_acc = acc
+                agreed[:, j] = streak >= 2
+                acc_at[:, j] = acc
+                acc_err[:, j] = np.maximum(np.maximum(resid * 4.0, change * 2.0), quad_err[:, j])
+        c = abs(np.concatenate((np.zeros((rows, 3)), contrib), axis=1))[:, done:]
+        rising = (c[:, 3:] > c[:, 2:-1]) & (c[:, 2:-1] > c[:, 1:-2]) & (c[:, 1:-2] > c[:, :-3])
+        rising &= (c[:, 3:] > peak * 0.5) & (ks >= 16)
+
+        rules = np.stack((stuck, failed, edge, cut, agreed, rising))  # (rule, row, panel)
+        fired = rules.any(axis=0)
+        leaving = fired.any(axis=1)
+        r = np.flatnonzero(leaving)
+        j = fired[r].argmax(axis=1)
+        rule = rules[:, r, j].argmax(axis=0)
+        ids = live["id"][r]
+        for name, code in (("stuck", 0), ("failed", 1), ("edge", 2), ("cut", 3), ("agreed", 4), ("rising", 5)):
+            on = rule == code
+            if not on.any():
+                continue
+            ri, ji, idi = r[on], j[on], ids[on]
+            if name == "stuck":
+                for i, row, panel in zip(idi.tolist(), ri.tolist(), ji.tolist()):
+                    before = done + panel
+                    give_up(
+                        np.array([i]), contrib[row:row + 1, :before], partial[row:row + 1, :before],
+                        np.array([live["quad_err"][row] if panel == 0 else quad_err[row, panel - 1]]),
+                        np.array([live["panels"][row] if panel == 0 else used[row, panel - 1]]),
+                        live["tol"][row:row + 1],
+                    )
+            elif name == "failed":
+                for i, row, panel in zip(idi.tolist(), ri.tolist(), ji.tolist()):
+                    failures[i] = raised[row * width + panel]
+            elif name == "rising":
+                for i in idi.tolist():
+                    failures[i] = ConvergenceError(
+                        "integrate_bessel_oscillatory: envelope is not decaying"
+                    )
+            else:
+                at = np.arange(len(ri))
+                pick = lambda m: m[ri, ji]  # noqa: E731
+                if name == "edge":
+                    settle(at, idi, pick(running), pick(quad_err), np.zeros(len(ri)), pick(used))
+                elif name == "cut":
+                    settle(at, idi, pick(running), pick(quad_err) + pick(last), pick(last), pick(used))
+                else:
+                    settle(at, idi, pick(acc_at), pick(acc_err), pick(last), pick(used))
+
+        stay = ~leaving
+        live.update(
+            x_prev=hi[:, -1], running=running[:, -1], quad_err=quad_err[:, -1],
+            panels=used[:, -1], peak=peak[:, -1], prev_acc=prev_acc, streak=streak,
+            contrib=contrib, partial=partial,
+        )
+        for key in live:
+            live[key] = live[key][stay]
+        done += width
+
+    if len(live["id"]):
+        give_up(live["id"], live["contrib"], live["partial"], live["quad_err"], live["panels"], live["tol"])
+    return QuadRows(value, err_est, panels_used, tail, failures)
 
 
 def integrate_bessel_oscillatory(
@@ -493,98 +743,16 @@ def integrate_bessel_oscillatory(
     between consecutive Bessel zeros; each panel is integrated adaptively,
     and for infinite support the alternating panel sums are Euler-accelerated
     so algebraically decaying envelopes (heavy tails) still converge in a
-    bounded panel budget.  The panel nodes are the same for every omega, so
-    J_nu comes from the per-order memo; the last panel, cut short at the
-    support edge x = R omega, evaluates its kernel afresh.
+    bounded panel budget.  The one-row case of the lockstep engine behind
+    phi_hankel_rows, with f called point by point.
     """
     if not omega > 0.0:
         raise DomainError("integrate_bessel_oscillatory: omega must be > 0")
-
-    def edge_integrand(x: float) -> float:
-        return f(x / omega) * _kernel(nu, x)
-
-    if abs(nu) == 0.5:
-        integrand = edge_integrand  # closed forms beat a memo lookup
-    else:
-        j_nu = bessel_j_memoized(nu)
-
-        def integrand(x: float) -> float:
-            return f(x / omega) * j_nu(x)
-
-    panel_abs = ctl.abs_tol / 64.0 * omega
-    panel_rel = min(ctl.rel_tol, 1e-10)
-    min_cell = 0.25 * omega
-    x_edge = support_radius * omega
-
-    contributions: list[float] = []
-    partials: list[float] = []
-    quad_err = 0.0
-    panels_used = 0
-    running = 0.0
-    peak = 0.0
-    prev_acc: Optional[float] = None
-    acc_ok_streak = 0
-    x_prev = 0.0
-
-    for k in range(1, ctl.max_panels + 1):
-        x_k = min(bessel_j_zero(nu, k), x_edge)
-        if x_k <= x_prev:
-            break
-        val, err, p = adaptive_interval(
-            edge_integrand if x_k == x_edge else integrand,
-            x_prev, x_k, panel_abs, panel_rel,
-            seeds=_dyadic_seeds(x_prev, x_k, min_cell),
-        )
-        val /= omega
-        err /= omega
-        contributions.append(val)
-        running += val
-        partials.append(running)
-        quad_err += err
-        panels_used += p
-        peak = max(peak, abs(val))
-        x_prev = x_k
-
-        if x_k >= x_edge:
-            # finite support exhausted: plain sum, no tail
-            return QuadResult(running, quad_err, panels_used, 0.0)
-
-        tol = max(ctl.abs_tol, ctl.rel_tol * abs(running))
-        if abs(val) <= max(ctl.tail_cutoff * max(peak, 1e-300), 1e-300) and abs(
-            val
-        ) <= 0.01 * tol:
-            # envelope has decayed below the cutoff: geometric tail bound
-            tail = abs(val)
-            return QuadResult(running, quad_err + tail, panels_used, tail)
-
-        if k >= 10 and k % 2 == 0:
-            start = contributions.index(max(contributions, key=abs))
-            acc, resid = _euler_accelerate(partials[start:])
-            tol_acc = 0.25 * max(ctl.abs_tol, ctl.rel_tol * abs(acc))
-            if prev_acc is not None and abs(acc - prev_acc) < tol_acc and resid < tol_acc:
-                acc_ok_streak += 1
-                if acc_ok_streak >= 2:
-                    err_est = max(resid * 4.0, abs(acc - prev_acc) * 2.0, quad_err)
-                    return QuadResult(acc, err_est, panels_used, abs(val))
-            else:
-                acc_ok_streak = 0
-            prev_acc = acc
-
-        if k >= 16:
-            c = contributions
-            if abs(c[-1]) > abs(c[-2]) > abs(c[-3]) > abs(c[-4]) and abs(c[-1]) > peak * 0.5:
-                raise ConvergenceError(
-                    "integrate_bessel_oscillatory: envelope is not decaying"
-                )
-
-    if prev_acc is not None:
-        acc, resid = _euler_accelerate(partials)
-        err_est = max(resid * 4.0, quad_err)
-        if err_est <= 10.0 * max(ctl.abs_tol, ctl.rel_tol * abs(acc)):
-            return QuadResult(acc, err_est, panels_used, abs(contributions[-1]))
-    raise ConvergenceError(
-        f"integrate_bessel_oscillatory: no convergence within {ctl.max_panels} panels"
+    res = _oscillatory_rows(
+        lambda r: _elementwise(f, r), nu, np.array([float(omega)]),
+        np.array([ctl.abs_tol]), ctl, support_radius,
     )
+    return res.row(0)
 
 
 # ---------------------------------------------------------------------------
@@ -610,45 +778,89 @@ def _phi_small_u_series(
     raise ConvergenceError("small-u moment series did not converge")
 
 
+# Rows per pass of the oscillatory engine; bounds its per-row panel history.
+_ROWS = 1 << 10
+
+
+def phi_hankel_rows(
+    gen: DensityGenerator,
+    n: int,
+    us,
+    ctl: QuadratureControl = _DEFAULT_CTL,
+) -> QuadRows:
+    """Characteristic generator phi(u^2) at every u of the array us.
+
+    phi(u^2) = c_n (2 pi)^(n/2) u^(-(n-2)/2) *
+               int_0^inf r^(n/2) J_((n-2)/2)(r u) g(r^2) dr
+
+    u = 0 gives exactly 1.  Below u = 1e-3 the removable u-singularity is
+    sidestepped with a moment series (for generators whose moments exist).
+    Every other u goes through the oscillatory engine, all of them in
+    lockstep, panel by panel, with the generator's array profile.  Each row
+    gets the bits it would get alone; a row whose computation raises has
+    its exception in the result's failures.
+    """
+    if n < 1:
+        raise DomainError("phi_hankel: dimension must be >= 1")
+    us = np.asarray(us, dtype=float).reshape(-1)
+    if (us < 0.0).any():
+        raise DomainError("phi_hankel: u must be >= 0")
+    count = len(us)
+    value, err_est, tail = np.full(count, np.nan), np.full(count, np.nan), np.full(count, np.nan)
+    panels_used = np.zeros(count, dtype=int)
+    failures: dict = {}
+
+    def put(i, res: QuadResult):
+        value[i], err_est[i], panels_used[i], tail[i] = (
+            res.value, res.err_est, res.panels_used, res.tail_bound
+        )
+
+    rows, prefactors, tols = [], [], []
+    head = None
+    for i, u in enumerate(us.tolist()):
+        try:
+            if u == 0.0:
+                put(i, QuadResult(1.0, 0.0, 0, 0.0))
+                continue
+            if u < 1e-3:
+                try:
+                    put(i, _phi_small_u_series(gen, n, u, ctl))
+                    continue
+                except MomentUndefinedError:
+                    pass  # heavy tails: only the oscillatory route is available
+            if head is None:
+                head = normalizing_constant(n, gen, ctl) * (2.0 * math.pi) ** (0.5 * n)
+            prefactor = head * u ** (-0.5 * (n - 2.0))
+            tols.append(replace(ctl, abs_tol=ctl.abs_tol / max(prefactor, 1.0)).abs_tol)
+            prefactors.append(prefactor)
+            rows.append(i)
+        except Exception as exc:  # raised again at its row
+            failures[i] = exc
+
+    def envelope(r: np.ndarray) -> np.ndarray:
+        return _power(r, 0.5 * n) * gen.g_array(r * r)
+
+    for start in range(0, len(rows), _ROWS):
+        sl = slice(start, start + _ROWS)
+        idx, pref = np.array(rows[sl]), np.array(prefactors[sl])
+        res = _oscillatory_rows(
+            envelope, 0.5 * (n - 2.0), us[idx], np.array(tols[sl]), ctl, gen.support_radius
+        )
+        value[idx], err_est[idx] = pref * res.value, abs(pref) * res.err_est
+        panels_used[idx], tail[idx] = res.panels_used, abs(pref) * res.tail_bound
+        failures.update({int(idx[i]): exc for i, exc in res.failures.items()})
+    for i in failures:
+        value[i] = err_est[i] = tail[i] = np.nan
+        panels_used[i] = 0
+    return QuadRows(value, err_est, panels_used, tail, dict(sorted(failures.items())))
+
+
 def phi_hankel(
     gen: DensityGenerator,
     n: int,
     u: float,
     ctl: QuadratureControl = _DEFAULT_CTL,
 ) -> QuadResult:
-    """Characteristic generator phi(u^2) by the radial Bessel integral.
-
-    phi(u^2) = c_n (2 pi)^(n/2) u^(-(n-2)/2) *
-               int_0^inf r^(n/2) J_((n-2)/2)(r u) g(r^2) dr
-
-    u = 0 returns exactly 1.  Below u = 1e-3 the removable u-singularity is
-    sidestepped with a moment series (for generators whose moments exist).
-    """
-    if n < 1:
-        raise DomainError("phi_hankel: dimension must be >= 1")
-    if u < 0.0:
-        raise DomainError("phi_hankel: u must be >= 0")
-    if u == 0.0:
-        return QuadResult(1.0, 0.0, 0, 0.0)
-    if u < 1e-3:
-        try:
-            return _phi_small_u_series(gen, n, u, ctl)
-        except MomentUndefinedError:
-            pass  # heavy tails: only the oscillatory route is available
-
-    c_n = normalizing_constant(n, gen, ctl)
-    prefactor = c_n * (2.0 * math.pi) ** (0.5 * n) * u ** (-0.5 * (n - 2.0))
-
-    def envelope(r: float) -> float:
-        return r ** (0.5 * n) * gen.g(r * r)
-
-    inner = replace(ctl, abs_tol=ctl.abs_tol / max(prefactor, 1.0))
-    res = integrate_bessel_oscillatory(
-        envelope, 0.5 * (n - 2.0), u, inner, gen.support_radius
-    )
-    return QuadResult(
-        prefactor * res.value,
-        abs(prefactor) * res.err_est,
-        res.panels_used,
-        abs(prefactor) * res.tail_bound,
-    )
+    """Characteristic generator phi(u^2) by the radial Bessel integral: the
+    one-row case of phi_hankel_rows."""
+    return phi_hankel_rows(gen, n, [u], ctl).row(0)

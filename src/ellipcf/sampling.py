@@ -81,31 +81,27 @@ _CHUNK_BITS = 40
 _STREAM_BITS = 64 - _CHUNK_BITS
 MAX_COUNT = _CHUNK << _CHUNK_BITS  # 2^55 draws per stream
 
-_MASK64 = (1 << 64) - 1
-
 T = TypeVar("T")
 
 
 @dataclass(frozen=True)
 class RngStream:
     """A reproducible counter-based random stream (seed, stream_id), with
-    0 <= stream_id < 2^24."""
+    0 <= seed < 2^64 and 0 <= stream_id < 2^24."""
 
     seed: int
     stream_id: int = 0
 
     def __post_init__(self) -> None:
+        if not 0 <= self.seed < 1 << 64:
+            raise DomainError(f"RngStream: seed must be in [0, 2^64), got {self.seed}")
         if not 0 <= self.stream_id < 1 << _STREAM_BITS:
             raise DomainError(f"RngStream: stream_id must be in [0, 2^24), got {self.stream_id}")
-
-    def generator(self) -> np.random.Generator:
-        key = np.array([self.seed & _MASK64, self.stream_id], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
 
     def chunk_generator(self, chunk: int) -> np.random.Generator:
         if not 0 <= chunk < 1 << _CHUNK_BITS:
             raise DomainError(f"RngStream: chunk must be in [0, 2^40), got {chunk}")
-        key = np.array([self.seed & _MASK64, self.stream_id << _CHUNK_BITS | chunk], dtype=np.uint64)
+        key = np.array([self.seed, self.stream_id << _CHUNK_BITS | chunk], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -38,7 +38,7 @@ from .elliptical import (
     _as_rows,
     _as_vector,
     _row_dots,
-    char_generator,
+    char_generator_rows,
 )
 from .errors import ConvergenceError, DomainError, MomentUndefinedError
 from .generators import DensityGenerator
@@ -349,10 +349,11 @@ def cf_location_scale_mixture_rows(
 
     exp(i t'mu) E[e^(iV t'gamma) phi(V t'Sigma t)]: t'Sigma t, t'gamma and
     t'mu come from one array pass, and the mixing expectation runs for a
-    block of rows at once (MixingLaw.expectation_rows), with phi evaluated
-    point by point at its nodes.  Degenerate and finite-discrete mixing are
-    exact weighted sums; continuous mixing is adaptive quadrature over the
-    mixing density.  The rows stop at the first one whose phi fails.
+    block of rows at once (MixingLaw.expectation_rows), with phi at all of
+    a round's nodes from one call of char_generator_rows.  Degenerate and
+    finite-discrete mixing are exact weighted sums; continuous mixing is
+    adaptive quadrature over the mixing density.  The rows stop at the first
+    one whose phi fails.
     """
     ts = _as_rows(ts, spec.n, "t")
     gen, n = spec.base.generator, spec.n
@@ -361,25 +362,22 @@ def cf_location_scale_mixture_rows(
 
     def evaluate(sl: slice):
         qs, drifts = q[sl], drift[sl]
-        q_list = qs.tolist()
-        base_err = [0.0] * len(q_list)
-        hankel = [False] * len(q_list)
+        base_err = np.zeros(len(qs))
+        hankel = np.zeros(len(qs), dtype=bool)
 
         def f(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
-            phi = []
-            for row, vs in zip(rows[:, 0].tolist(), v.tolist()):
-                for x in vs:
-                    value, err, meth = char_generator(gen, n, x * q_list[row], route, ctl)
-                    hankel[row] = hankel[row] or meth is CFMethod.HANKEL
-                    if err is not None:
-                        base_err[row] = max(base_err[row], err)
-                    phi.append(value)
-            phi = np.array(phi).reshape(v.shape)
+            phi, err, meth, failures = char_generator_rows(gen, n, v * qs[rows], route, ctl)
+            if failures:
+                raise failures[min(failures)]
+            phi, err, meth = phi.reshape(v.shape), err.reshape(v.shape), meth.reshape(v.shape)
+            hankel[rows[:, 0]] |= (meth == CFMethod.HANKEL.value).any(axis=1)
+            # the largest estimate among a row's nodes, nan (closed form) ignored
+            base_err[rows[:, 0]] = np.fmax(base_err[rows[:, 0]], np.fmax.reduce(err, axis=1))
             vd = v * drifts[rows]
             return _complex(np.cos(vd) * phi, np.sin(vd) * phi)
 
-        ev, failures = spec.mixing.expectation_rows(f, len(q_list))
-        abs_err = np.array(base_err) + (0.0 if spec.mixing.is_exact() else _MIX_ABS_TOL)
+        ev, failures = spec.mixing.expectation_rows(f, len(qs))
+        abs_err = base_err + (0.0 if spec.mixing.is_exact() else _MIX_ABS_TOL)
         method = np.where(hankel, CFMethod.HANKEL.value, CFMethod.CLOSED_FORM.value)
         return (*_rotate(ev, phase[sl]), abs_err, method, failures)
 

@@ -9,8 +9,9 @@ arrays: Dawson's integral is one fixed sequence of array operations
 (Rybicki's sampling-theorem sum) whose value at a point does not depend on
 the array around it.
 
-J_nu can also be read through a bounded per-order memo
-(:func:`bessel_j_memoized`) kept with that order's cached zeros.
+J_nu also has an array form (:func:`bessel_j_rows`) that runs bessel_j's
+series and Hankel expansion in lockstep over every entry, with bessel_j's
+branches and stopping rule per entry.
 
 Every truncated series honours a :class:`SeriesControl` policy and reports
 the number of terms consumed.  Non-convergence raises
@@ -23,6 +24,8 @@ import math
 import sys
 import threading
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -35,7 +38,7 @@ __all__ = [
     "gamma_fn",
     "log_gamma_fn",
     "bessel_j",
-    "bessel_j_memoized",
+    "bessel_j_rows",
     "bessel_j_zero",
     "bessel_k",
     "hyp0f1",
@@ -178,52 +181,164 @@ def bessel_j(nu: float, x: float, ctl: SeriesControl = _DEFAULT_CTL) -> float:
     return sv.value
 
 
-class _OrderTable:
-    """Per-order Bessel data: the positive zeros (append-only, in order)
-    and a bounded memo of J_nu values keyed by the argument."""
+def _elementwise(fn: Callable, x: np.ndarray, *args: float) -> np.ndarray:
+    """fn(entry, *args) for every entry of the float array x, in x's shape.
 
-    __slots__ = ("zeros", "j_values")
-
-    def __init__(self) -> None:
-        self.zeros: list[float] = []
-        self.j_values: dict[float, float] = {}
-
-
-_JZERO_CACHE: dict[float, _OrderTable] = {}
-_JZERO_LOCK = threading.Lock()
-
-# Entries per order before the J_nu memo is emptied and refilled.
-_J_MEMO_CAP = 1 << 14
-_J_MEMO_LOCK = threading.Lock()  # keeps the size check and insert together
-
-
-def _order_table(nu: float) -> _OrderTable:
-    table = _JZERO_CACHE.get(nu)
-    if table is None:
-        table = _JZERO_CACHE.setdefault(nu, _OrderTable())
-    return table
-
-
-def bessel_j_memoized(nu: float) -> Callable[[float], float]:
-    """x -> bessel_j(nu, x), memoized per order for repeated arguments.
-
-    The memo lives with the order's zeros, so clearing the zero cache clears
-    it too; it is emptied whenever it reaches a fixed size.  Values are
-    exactly those of bessel_j, so results never depend on the memo's state.
+    The array forms send exp, pow, sin and cos through here: the math
+    module's values are those of the scalar forms bit for bit, where numpy's
+    depend on its SIMD dispatch (its AVX-512 exp and pow round differently).
     """
-    memo = _order_table(nu).j_values
+    values = map(fn, x.ravel().tolist(), *(repeat(a) for a in args))
+    return np.fromiter(values, float, x.size).reshape(x.shape)
 
-    def j(x: float) -> float:
-        value = memo.get(x)
-        if value is None:
-            value = bessel_j(nu, x)
-            with _J_MEMO_LOCK:
-                if len(memo) >= _J_MEMO_CAP:
-                    memo.clear()
-                memo[x] = value
-        return value
 
-    return j
+# Series terms per array pass of _bessel_j_series_rows; below x = 12 the
+# series stops after about 30.
+_J_SERIES_BLOCK = 32
+
+
+def _power(x: np.ndarray, e: float) -> np.ndarray:
+    """x ** e entry by entry, with the bits of the scalar power; pow gives
+    exactly 1 and x at the exponents 0 and 1, so those make no calls."""
+    if e == 0.0:
+        return np.ones(x.shape)
+    if e == 1.0:
+        return x.copy()
+    return _elementwise(pow, x, e)
+
+
+def _bessel_j_series_rows(nu: float, x: np.ndarray, ctl: SeriesControl):
+    # _bessel_j_series at every entry of x: (values, converged, terms used).
+    # Terms come in blocks of columns; cumprod and cumsum run along a row in
+    # order, so every term and partial sum is the scalar loop's.
+    half = 0.5 * x
+    if nu > 30.0:
+        lead = _elementwise(math.exp, nu * _elementwise(math.log, half) - log_gamma_fn(nu + 1.0))
+    else:
+        lead = _power(half, nu) / gamma_fn(nu + 1.0)
+    value, terms = lead.copy(), np.full(len(x), ctl.max_terms)
+    converged = np.zeros(len(x), dtype=bool)
+    live = np.arange(len(x))
+    msq, kmin = -(half * half), 0.5 * x
+    term, total, small = np.ones(len(x)), np.ones(len(x)), np.zeros(len(x), dtype=bool)
+    for k0 in range(1, ctl.max_terms + 1, _J_SERIES_BLOCK):
+        if not len(live):
+            break
+        ks = np.arange(k0, min(k0 + _J_SERIES_BLOCK, ctl.max_terms + 1))
+        block = np.cumprod(np.column_stack((term, msq[:, None] / (ks * (nu + ks)))), axis=1)[:, 1:]
+        sums = np.cumsum(np.column_stack((total, block)), axis=1)[:, 1:]
+        cond = (abs(block) <= ctl.rel_tol * abs(sums)) & (ks >= kmin[:, None])
+        stop = cond & np.column_stack((small, cond[:, :-1]))  # two small terms in a row
+        done = stop.any(axis=1)
+        at = stop.argmax(axis=1)[done]
+        value[live[done]] *= sums[done, at]
+        terms[live[done]], converged[live[done]] = ks[at], True
+        term, total, small = block[:, -1], sums[:, -1], cond[:, -1]
+        live, msq, kmin, term, total, small = (
+            z[~done] for z in (live, msq, kmin, term, total, small)
+        )
+    value[live] *= total
+    return value, converged, terms
+
+
+# The Hankel expansion's term indices j and their constants, per column.
+_HANKEL_J = np.arange(1, 80)
+_HANKEL_ODD_SQ = ((2 * _HANKEL_J - 1) ** 2).astype(float)
+_HANKEL_SIGN = np.where((np.where(_HANKEL_J % 2 == 1, _HANKEL_J - 1, _HANKEL_J) // 2) % 2 == 0, 1.0, -1.0)
+
+
+def _bessel_j_asymptotic_rows(nu: float, x: np.ndarray):
+    # _bessel_j_asymptotic at every entry of x: (values, converged, terms used).
+    # The terms come as columns, each entry then cut where the scalar loop
+    # stops: before its first term past the smallest so far (from j = 3 on),
+    # or after its first term below 1e-18.  cumprod and cumsum run along a
+    # row in order, as the scalar loop multiplies and adds.  Entries not cut
+    # within the first 16 (then 32) terms are done again with more.
+    value, converged = np.empty(len(x)), np.empty(len(x), dtype=bool)
+    terms = np.empty(len(x), dtype=int)
+    todo = np.arange(len(x))
+    for width in (16, 32, len(_HANKEL_J)):
+        if not len(todo):
+            break
+        xs = x[todo]
+        with np.errstate(over="ignore", invalid="ignore"):  # past the cut, unused
+            c = np.cumprod(
+                (4.0 * nu * nu - _HANKEL_ODD_SQ[:width]) / ((8.0 * _HANKEL_J[:width]) * xs[:, None]),
+                axis=1,
+            )
+        ac = abs(c)
+        smallest = np.minimum(np.minimum.accumulate(ac, axis=1), 1.0)
+        cut = np.zeros(ac.shape, dtype=bool)
+        cut[:, 2:] = ac[:, 2:] >= smallest[:, 1:-1]  # divergence onset: stop before j
+        cut[:, 1:] |= ac[:, :-1] < 1e-18  # stop after j - 1
+        found = cut.any(axis=1)
+        here = todo
+        if width < len(_HANKEL_J):
+            here, todo = todo[found], todo[~found]
+            xs, c, smallest, cut, found = xs[found], c[found], smallest[found], cut[found], found[found]
+        count = np.where(found, cut.argmax(axis=1), width)
+        signed = np.where(_HANKEL_J[:width] <= count[:, None], _HANKEL_SIGN[:width] * c, 0.0)
+        signed[:, 1] += 1.0  # P starts from 1, Q from 0
+        w = xs - nu * (0.5 * math.pi) - 0.25 * math.pi
+        value[here] = np.sqrt(2.0 / (math.pi * xs)) * (
+            _elementwise(math.cos, w) * signed[:, 1::2].cumsum(axis=1)[:, -1]
+            - _elementwise(math.sin, w) * signed[:, 0::2].cumsum(axis=1)[:, -1]
+        )
+        converged[here] = smallest[np.arange(len(xs)), count - 1] < 1e-10
+        terms[here] = count + 1
+    return value, converged, terms
+
+
+def bessel_j_rows(nu: float, x, ctl: SeriesControl = _DEFAULT_CTL) -> np.ndarray:
+    """bessel_j(nu, .) at every entry of the array x, in lockstep.
+
+    Every entry takes bessel_j's branch (series below max(12, 2|nu|), the
+    Hankel expansion above) and stopping rule, so its value equals
+    bessel_j's whatever else is in the array; nu = +-1/2 is evaluated in
+    closed form, sqrt(2/(pi x)) times cos or sin.  Raises as bessel_j does,
+    naming the first entry that fails.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    ok = (flat >= 0.0) & (flat < math.inf)
+    if not ok.all():
+        raise DomainError(f"bessel_j: x must be finite and >= 0, got {flat[(~ok).argmax()]}")
+    if nu <= -1.0:
+        raise DomainError(f"bessel_j: order must satisfy nu > -1, got {nu}")
+    zero = flat == 0.0
+    if not zero.any():
+        return _bessel_j_positive(nu, flat, ctl).reshape(x.shape)
+    if nu < 0.0:
+        raise DomainError("bessel_j: J_nu diverges at x=0 for nu < 0")
+    out = np.full(flat.shape, 1.0 if nu == 0.0 else 0.0)
+    out[~zero] = _bessel_j_positive(nu, flat[~zero], ctl)
+    return out.reshape(x.shape)
+
+
+def _bessel_j_positive(nu: float, x: np.ndarray, ctl: SeriesControl) -> np.ndarray:
+    # bessel_j_rows on the 1-d array x > 0: each branch on its own entries
+    if abs(nu) == 0.5:
+        trig = math.sin if nu > 0.0 else math.cos
+        return np.sqrt(2.0 / (math.pi * x)) * _elementwise(trig, x)
+    series = x < max(_J_SWITCH_BASE, 2.0 * abs(nu))
+    out, converged, terms = np.empty(len(x)), np.empty(len(x), dtype=bool), np.empty(len(x), dtype=int)
+    for branch, evaluate in ((series, partial(_bessel_j_series_rows, ctl=ctl)),
+                             (~series, _bessel_j_asymptotic_rows)):
+        if branch.all():
+            out, converged, terms = evaluate(nu, x)
+        elif branch.any():
+            out[branch], converged[branch], terms[branch] = evaluate(nu, x[branch])
+    if not converged.all():
+        i = (~converged).argmax()
+        raise ConvergenceError(
+            f"bessel_j(nu={nu}, x={x[i]}) did not converge after {terms[i]} terms"
+        )
+    return out
+
+
+# The positive zeros of J_nu per order, each list append-only and in order.
+_JZERO_CACHE: dict[float, list[float]] = {}
+_JZERO_LOCK = threading.Lock()
 
 
 def bessel_j_zero(nu: float, k: int) -> float:
@@ -242,7 +357,9 @@ def bessel_j_zero(nu: float, k: int) -> float:
     if nu == -0.5:
         return (k - 0.5) * math.pi
 
-    zeros = _order_table(nu).zeros
+    zeros = _JZERO_CACHE.get(nu)
+    if zeros is None:
+        zeros = _JZERO_CACHE.setdefault(nu, [])
     if len(zeros) >= k:  # lock-free read: the list is append-only
         return zeros[k - 1]
     with _JZERO_LOCK:

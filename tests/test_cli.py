@@ -151,10 +151,10 @@ class TestEval:
         from ellipcf import quadrature
         from ellipcf.errors import ConvergenceError
 
-        def broken(gen, n, u, ctl=None):
+        def broken(gen, n, us, ctl=None):
             raise ConvergenceError("synthetic quadrature breakdown")
 
-        monkeypatch.setattr(elliptical, "phi_hankel", broken)
+        monkeypatch.setattr(elliptical, "phi_hankel_rows", broken)
         spec = write_spec(tmp_path, "n.json", normal_spec())
         rc = cli.main([
             "eval", "--spec", spec, "--routes", "hankel",
@@ -206,14 +206,14 @@ class TestEval:
         # still fails alone, and the first one in grid order is named
         finite = {"kind": "finite_discrete", "points": [0.5, 1.0, 2.5], "weights": [0.3, 0.5, 0.2]}
         if kind == "lsm":
-            real = skewmix.char_generator
+            real = skewmix.char_generator_rows
 
-            def breaks(gen, n, q, route="auto", ctl=None):
-                if q > 20.0:
+            def breaks(gen, n, qs, route="auto", ctl=None):
+                if (np.asarray(qs) > 20.0).any():
                     raise ConvergenceError("synthetic series breakdown")
-                return real(gen, n, q, route, ctl)
+                return real(gen, n, qs, route, ctl)
 
-            monkeypatch.setattr(skewmix, "char_generator", breaks)
+            monkeypatch.setattr(skewmix, "char_generator_rows", breaks)
             obj = dict(normal_spec(), kind="lsm", gamma=[0.4, 0.1], mixing=finite)
         else:
             real = skewmix.norm_cdf_imag_scaled
@@ -244,11 +244,11 @@ class TestEval:
                 raise ConvergenceError("closed breakdown")
             return real(gen, n, q)
 
-        def hankel_breaks(gen, n, u, ctl=None):
+        def hankel_breaks(gen, n, us, ctl=None):
             raise ConvergenceError("hankel breakdown")
 
         monkeypatch.setattr(elliptical, "closed_form_generator", closed_breaks)
-        monkeypatch.setattr(elliptical, "phi_hankel", hankel_breaks)
+        monkeypatch.setattr(elliptical, "phi_hankel_rows", hankel_breaks)
         spec = write_spec(tmp_path, "n.json", normal_spec())
         rc = cli.main([
             "compare", "--spec", spec, "--routes", "closed,hankel",
@@ -558,16 +558,16 @@ class TestGridPath:
         points = [[0.25 * (i + 1), 0.0] for i in range(12)]
         row_of_q = {t[0] * t[0]: i for i, t in enumerate(points)}  # v = 1: q = t1^2
         seen = set()
-        real = skewmix.char_generator
+        real = skewmix.char_generator_rows
 
-        def core(gen, n, q, route="auto", ctl=None):
-            row = row_of_q.get(q)  # None: the route's availability probe
-            seen.add(row)
-            if row == 5:
+        def core(gen, n, qs, route="auto", ctl=None):
+            rows = {row_of_q.get(q) for q in np.ravel(qs).tolist()}  # None: the availability probe
+            seen.update(rows)
+            if 5 in rows:
                 raise error("synthetic breakdown")
-            return real(gen, n, q, route, ctl)
+            return real(gen, n, qs, route, ctl)
 
-        monkeypatch.setattr(skewmix, "char_generator", core)
+        monkeypatch.setattr(skewmix, "char_generator_rows", core)
         spec = write_spec(tmp_path, "m.json", _lsm_spec(_DEGENERATE))
         grid = json.dumps({"kind": "list", "points": points})
         assert cli.main(["eval", "--spec", spec, "--grid", grid]) == code
@@ -880,10 +880,10 @@ class TestOutputErrors:
         assert "Traceback" not in err
 
     def test_failed_computation_creates_no_file(self, tmp_path, capsys, monkeypatch):
-        def broken(gen, n, u, ctl=None):
+        def broken(gen, n, us, ctl=None):
             raise ConvergenceError("synthetic quadrature breakdown")
 
-        monkeypatch.setattr(elliptical, "phi_hankel", broken)
+        monkeypatch.setattr(elliptical, "phi_hankel_rows", broken)
         out = tmp_path / "x.csv"
         spec = write_spec(tmp_path, "n.json", normal_spec())
         assert cli.main(["eval", "--spec", spec, "--routes", "hankel", "--out", str(out),
@@ -917,6 +917,25 @@ class TestWorkers:
             "--grid", '{"kind":"list","points":[[1.0,0.0]]}', "--routes", "closed,hankel"]
         assert cli.main([command, "--spec", spec, *args, "--workers", workers]) == 2
         assert f"spec error: workers: must be >= 1, got {workers}" in capsys.readouterr().err
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("seed", [str(2**64), "-1"])
+    @pytest.mark.parametrize("command", ["sample", "eval", "compare"])
+    def test_seed_outside_64_bits_exits_2(self, tmp_path, capsys, command, seed):
+        # 2^64 would draw what seed 0 draws, and -1 what 2^64 - 1 draws
+        spec = write_spec(tmp_path, "n.json", normal_spec())
+        out = tmp_path / "x.csv"
+        args = ["--count", "1000"] if command == "sample" else [
+            "--grid", '{"kind":"list","points":[[1.0,0.0]]}', "--routes", "closed,mc"]
+        assert cli.main([command, "--spec", spec, *args, f"--seed={seed}", "--out", str(out)]) == 2
+        assert f"spec error: seed: must be in [0, 2^64), got {seed}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_seed_accepted(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "n.json", normal_spec())
+        assert cli.main(["sample", "--spec", spec, "--count", "1000", "--seed", str(2**64 - 1)]) == 0
+        assert f"seed={2**64 - 1}" in capsys.readouterr().out
 
 
 class TestStreamedDraws:

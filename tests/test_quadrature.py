@@ -25,6 +25,7 @@ from ellipcf.quadrature import (
     integrate_bessel_oscillatory,
     moment_integral,
     phi_hankel,
+    phi_hankel_rows,
     radial_moment,
 )
 from ellipcf.specfun import bessel_j, gamma_fn, hyp1f1
@@ -79,6 +80,24 @@ class TestAdaptiveRows:
             want = adaptive_interval(
                 lambda x: complex(math.sqrt(x) / (1.0 + p * x * x), x / (1.0 + p * x) - 0.25),
                 0.0, 3.0, *tols,
+            )
+            assert (complex(vals[i]), float(errs[i]), int(panels[i])) == want
+
+    def test_per_row_bounds_seeds_and_tolerances(self):
+        # each row on its own interval, initial partition and abs_tol, with
+        # empty intervals among them, still as adaptive_interval
+        rng = np.random.default_rng(8)
+        lo = rng.uniform(0.0, 1.0, 40)
+        hi = lo + rng.uniform(-0.5, 3.0, 40)
+        tols = np.geomspace(1e-13, 1e-5, 40)
+        seeds = [tuple(np.sort(rng.uniform(-1.0, 4.0, i % 5)).tolist()) for i in range(40)]
+        f = self.rows_integrand(self.PARAMS)
+        vals, errs, panels, failures = adaptive_rows(f, 40, lo, hi, tols, 1e-12, 64, seeds=seeds)
+        assert not failures and (panels == 0).any() and panels.max() > 1
+        for i, p in enumerate(self.PARAMS.tolist()):
+            want = adaptive_interval(
+                lambda x: complex(math.sqrt(x) / (1.0 + p * x * x), x / (1.0 + p * x) - 0.25),
+                lo[i], hi[i], tols[i], 1e-12, 64, seeds[i],
             )
             assert (complex(vals[i]), float(errs[i]), int(panels[i])) == want
 
@@ -308,58 +327,86 @@ class TestPhiHankel:
             phi_hankel(gn.normal_generator(), 2, -1.0)
 
 
-class TestKernelMemo:
-    GRID = (0.37, 1.0, 2.5, 4.1, 7.3, 12.0)
+class TestPhiHankelRows:
+    """The lockstep engine: every row gets the bits of its one-point call."""
+
+    CASES = [
+        (gn.normal_generator(), 1),
+        (gn.normal_generator(), 3),
+        (gn.generalized_t_generator(2, 3.0, 3), 2),
+        (gn.generalized_t_generator(5, 3.0, 3), 5),
+        (gn.pearson_ii_generator(1.5), 3),
+        (gn.kotz_generator(2.0, 0.5, 0.75), 2),
+        (gn.bessel_generator(0.5, 1.0), 2),
+        (gn.custom_generator(lambda z: (1.0 + z) ** -3.0), 2),
+    ]
+    # u = 0, the moment series below 1e-3, dyadic seeds up to u ~ 1.6 (the
+    # first Bessel panel wider than 8 cells of u/4), and the far panels
+    US = [0.0, 4e-4, 2e-3, 0.05, 0.3, 0.9, 1.7, 3.3, 6.1, 11.9]
 
     @staticmethod
-    def _values(gen, n, grid, cold):
-        out = {}
-        for u in grid:
-            if cold:
-                specfun._JZERO_CACHE.clear()
-            res = phi_hankel(gen, n, u)
-            out[u] = (res.value, res.err_est, res.panels_used)
-        return out
+    def _bits(res):
+        return (res.value, res.err_est, res.panels_used, res.tail_bound)
+
+    @pytest.mark.parametrize("gen, n", CASES, ids=["normal1", "normal3", "t2", "t5", "pearson2",
+                                                    "kotz075", "bessel", "custom"])
+    def test_rows_equal_one_point_calls(self, gen, n):
+        rng = np.random.default_rng(n)
+        us = np.array(self.US + rng.uniform(0.01, 12.0, 10).tolist())
+        points = [self._bits(phi_hankel(gen, n, u)) for u in us.tolist()]
+        for order in (np.arange(len(us)), rng.permutation(len(us)), np.arange(len(us))[::-1]):
+            rows = phi_hankel_rows(gen, n, us[order])
+            assert not rows.failures
+            assert [self._bits(rows.row(i)) for i in range(len(us))] == [points[i] for i in order]
+        # a row alongside one that fails computes as alone
+        assert self._bits(phi_hankel_rows(gen, n, [1e9, 1.7]).row(1)) == points[self.US.index(1.7)]
+
+    def test_failed_row_fails_alone(self):
+        # u = 200 runs into the pinned not-decaying defect; its neighbours do not
+        gen = gn.generalized_t_generator(2, 2.0, 3)
+        rows = phi_hankel_rows(gen, 2, [1.0, 200.0, 0.0, 3.0])
+        assert list(rows.failures) == [1]
+        with pytest.raises(ConvergenceError, match="envelope is not decaying") as raised:
+            phi_hankel(gen, 2, 200.0)
+        assert str(rows.failures[1]) == str(raised.value)
+        assert np.isnan(rows.value[1]) and rows.panels_used[1] == 0
+        for i, u in ((0, 1.0), (2, 0.0), (3, 3.0)):
+            assert self._bits(rows.row(i)) == self._bits(phi_hankel(gen, 2, u))
+        with pytest.raises(ConvergenceError):
+            rows.row(1)
+
+    GRID = (0.37, 1.0, 2.5, 4.1, 7.3, 12.0)
 
     @pytest.mark.parametrize("n", [2, 5])
-    def test_memo_is_transparent(self, n):
-        # a cold memo, a warm one and the reversed grid give the same bits
+    def test_cold_warm_and_reversed_grids(self, n):
+        # an empty zero cache, a filled one and the reversed grid give the same bits
         gen = gn.kotz_generator(2.0, 0.5, 1.0)
-        cold = self._values(gen, n, self.GRID, cold=True)
+        cold = {}
+        for u in self.GRID:
+            specfun._JZERO_CACHE.clear()
+            cold[u] = self._bits(phi_hankel_rows(gen, n, [u]).row(0))
         specfun._JZERO_CACHE.clear()
-        warm = self._values(gen, n, self.GRID, cold=False)
-        backward = self._values(gen, n, self.GRID[::-1], cold=False)
-        assert cold == warm == backward
-        assert len(specfun._JZERO_CACHE[0.5 * (n - 2.0)].j_values) > 0
+        warm = phi_hankel_rows(gen, n, self.GRID)
+        backward = phi_hankel_rows(gen, n, self.GRID[::-1])
+        assert [self._bits(warm.row(i)) for i in range(6)] == [cold[u] for u in self.GRID]
+        assert [self._bits(backward.row(i)) for i in range(6)] == [cold[u] for u in self.GRID[::-1]]
+        assert len(specfun._JZERO_CACHE[0.5 * (n - 2.0)]) > 0
 
-    def test_memo_stays_under_its_cap(self, monkeypatch):
-        cap = 200
-        monkeypatch.setattr(specfun, "_J_MEMO_CAP", cap)
-        specfun._JZERO_CACHE.clear()
-        gen = gn.normal_generator()
-        for i in range(40):
-            u = 0.5 + 0.37 * i
-            res = phi_hankel(gen, 2, u)
-            assert abs(res.value - math.exp(-0.5 * u * u)) <= 1e-8
-            assert 0 < len(specfun._JZERO_CACHE[0.0].j_values) <= cap
-
-    def test_memo_shared_by_threads(self, monkeypatch):
-        # more threads than cores on one small memo: every value still equals
-        # the single-threaded one and the size check never lets it overflow
-        cap = 150
-        monkeypatch.setattr(specfun, "_J_MEMO_CAP", cap)
+    def test_shared_by_threads(self):
+        # more threads than cores on one zero cache, started empty: every
+        # value still equals the single-threaded one
         gen = gn.kotz_generator(2.0, 0.5, 1.0)
         grid = [0.3 + 0.61 * i for i in range(12)]
         specfun._JZERO_CACHE.clear()
-        expected = [phi_hankel(gen, 2, u).value for u in grid]
-        memo = specfun._JZERO_CACHE[0.0].j_values
-        results, sizes = {}, []
+        expected = phi_hankel_rows(gen, 2, grid).value.tolist()
+        results = {}
 
         def worker(idx):
             order = grid[idx % 3:] + grid[:idx % 3]
-            results[idx] = {u: phi_hankel(gen, 2, u).value for u in order}
-            sizes.append(len(memo))
+            got = phi_hankel_rows(gen, 2, order).value.tolist()
+            results[idx] = dict(zip(order, got))
 
+        specfun._JZERO_CACHE.clear()
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -374,4 +421,3 @@ class TestKernelMemo:
         assert len(results) == 8
         for got in results.values():
             assert [got[u] for u in grid] == expected
-        assert max(sizes) <= cap

@@ -421,7 +421,7 @@ class TestBatchCSV:
         # the block template must write exactly what f"{v:.17g}" writes,
         # also across block boundaries and on signed zero and subnormals
         edge = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, -1e300, 0.1, 1.0 / 3.0, 123456789.0, 2.5]
-        data = RngStream(seed=3).generator().standard_normal((70000, 2))
+        data = RngStream(seed=3).chunk_generator(0).standard_normal((70000, 2))
         data[: len(edge), 0] = edge
         data[-len(edge):, 1] = edge
         batch = SampleBatch(2, len(data), data, "kind=test")
@@ -535,6 +535,15 @@ class TestRngStreamKeys:
                 RngStream(7, bad)
         top = RngStream(7, 2**24 - 1).chunk_generator(5).standard_normal(4)
         assert not np.array_equal(top, RngStream(7, 0).chunk_generator(5).standard_normal(4))
+
+    def test_seed_outside_64_bits_rejected(self):
+        # the seed is the key's first 64-bit word: a larger or negative one
+        # would repeat the draws of another seed
+        for bad in (2**64, -1):
+            with pytest.raises(DomainError, match="seed"):
+                RngStream(bad)
+        top = RngStream(2**64 - 1).chunk_generator(0).standard_normal(4)
+        assert not np.array_equal(top, RngStream(0).chunk_generator(0).standard_normal(4))
 
     def test_chunk_index_outside_40_bits_rejected(self):
         stream = RngStream(7, 1)

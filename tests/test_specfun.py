@@ -11,6 +11,7 @@ from ellipcf.errors import ConvergenceError, DomainError
 from ellipcf.specfun import (
     SeriesControl,
     bessel_j,
+    bessel_j_rows,
     bessel_j_zero,
     bessel_k,
     dawson,
@@ -87,6 +88,34 @@ class TestBesselJ:
     def test_non_convergence_reported(self):
         with pytest.raises(ConvergenceError):
             bessel_j(0.0, 11.0, SeriesControl(rel_tol=1e-14, max_terms=3))
+
+
+class TestBesselJRows:
+    @pytest.mark.parametrize("nu", [0.0, 1.0, 1.5, 2.5])
+    def test_within_2_ulp_of_bessel_j(self, nu):
+        # seeded x on both sides of the series / Hankel-expansion switch at 12
+        rng = np.random.default_rng(int(10 * nu))
+        x = np.concatenate([rng.uniform(0.0, 12.0, 400), rng.uniform(12.0, 300.0, 400), [0.0, 12.0]])
+        got = bessel_j_rows(nu, x.reshape(2, -1)).ravel()
+        want = np.array([bessel_j(nu, v) for v in x.tolist()])
+        assert (np.abs(got - want) <= 2.0 * np.spacing(np.abs(want))).all()
+
+    def test_half_orders_in_closed_form(self):
+        x = np.linspace(0.01, 50.0, 500)
+        assert_allclose(bessel_j_rows(0.5, x), np.sqrt(2.0 / (np.pi * x)) * np.sin(x), rtol=0, atol=1e-15)
+        assert_allclose(bessel_j_rows(-0.5, x), np.sqrt(2.0 / (np.pi * x)) * np.cos(x), rtol=0, atol=1e-15)
+
+    def test_errors_as_bessel_j(self):
+        with pytest.raises(DomainError):
+            bessel_j_rows(0.0, [1.0, -1.0])
+        with pytest.raises(DomainError):
+            bessel_j_rows(-0.5, [1.0, 0.0])
+        ctl = SeriesControl(rel_tol=1e-14, max_terms=3)
+        with pytest.raises(ConvergenceError) as raised:
+            bessel_j_rows(0.0, [20.0, 11.0, 5.0], ctl)
+        with pytest.raises(ConvergenceError) as scalar:
+            bessel_j(0.0, 11.0, ctl)
+        assert str(raised.value) == str(scalar.value)
 
 
 class TestBesselJZero:
