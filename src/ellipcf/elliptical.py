@@ -39,7 +39,6 @@ __all__ = [
     "normalizing_constant",
     "radial_density",
     "closed_form_generator",
-    "char_generator",
     "char_generator_rows",
     "cf",
     "cf_rows",
@@ -364,7 +363,7 @@ def char_generator_rows(
     phi_hankel_rows in one call.
     """
     if route not in ("auto", "closed", "hankel"):
-        raise DomainError(f"char_generator: unknown route {route!r}")
+        raise DomainError(f"char_generator_rows: unknown route {route!r}")
     qs = np.asarray(qs, dtype=float).reshape(-1)
     values, abs_err = np.full(len(qs), np.nan), np.full(len(qs), np.nan)
     method = np.full(len(qs), CFMethod.CLOSED_FORM.value)
@@ -391,21 +390,6 @@ def char_generator_rows(
             values[idx], abs_err[idx], method[idx] = res.value, res.err_est, CFMethod.HANKEL.value
             failures.update({hankel[i]: exc for i, exc in res.failures.items()})
     return values, abs_err, method, failures
-
-
-def char_generator(
-    gen: DensityGenerator,
-    n: int,
-    q: float,
-    route: str = "auto",
-    ctl: QuadratureControl | None = None,
-) -> tuple[float, Optional[float], CFMethod]:
-    """phi(q) by the requested route: (value, abs_err, method)."""
-    values, abs_err, method, failures = char_generator_rows(gen, n, [q], route, ctl)
-    if failures:
-        raise failures[0]
-    err = float(abs_err[0])
-    return float(values[0]), None if math.isnan(err) else err, CFMethod(method[0])
 
 
 def cf_rows(

@@ -585,9 +585,6 @@ def _oscillatory_rows(
         "contrib": np.zeros((count, 0)), "partial": np.zeros((count, 0)),
     }
 
-    def settle(rows, ids, val, err, tl, used):
-        value[ids], err_est[ids], tail[ids], panels_used[ids] = val[rows], err[rows], tl[rows], used[rows]
-
     def give_up(ids, contrib, partial, quad_err, used, tol):
         # rows out of panels: the accelerated sum of all their panels if it
         # is close enough, else a ConvergenceError
@@ -596,7 +593,8 @@ def _oscillatory_rows(
             acc, resid = _euler_rows(partial, np.zeros(len(ids), dtype=int))
             err = np.maximum(resid * 4.0, quad_err)
             ok = err <= 10.0 * np.maximum(tol, ctl.rel_tol * abs(acc))
-            settle(ok, ids[ok], acc, err, abs(contrib[:, -1]), used)
+            value[ids[ok]], err_est[ids[ok]], tail[ids[ok]] = acc[ok], err[ok], abs(contrib[ok, -1])
+            panels_used[ids[ok]] = used[ok]
         for i in ids[~ok].tolist():
             failures[i] = ConvergenceError(
                 f"integrate_bessel_oscillatory: no convergence within {ctl.max_panels} panels"
@@ -683,37 +681,27 @@ def _oscillatory_rows(
         j = fired[r].argmax(axis=1)
         rule = rules[:, r, j].argmax(axis=0)
         ids = live["id"][r]
-        for name, code in (("stuck", 0), ("failed", 1), ("edge", 2), ("cut", 3), ("agreed", 4), ("rising", 5)):
+        # the rows that leave with a value: (value, err_est, tail_bound) per rule
+        for code, (val, err, tl) in {2: (running, quad_err, np.zeros_like(last)),
+                                     3: (running, quad_err + last, last),
+                                     4: (acc_at, acc_err, last)}.items():
             on = rule == code
-            if not on.any():
-                continue
-            ri, ji, idi = r[on], j[on], ids[on]
-            if name == "stuck":
-                for i, row, panel in zip(idi.tolist(), ri.tolist(), ji.tolist()):
-                    before = done + panel
-                    give_up(
-                        np.array([i]), contrib[row:row + 1, :before], partial[row:row + 1, :before],
-                        np.array([live["quad_err"][row] if panel == 0 else quad_err[row, panel - 1]]),
-                        np.array([live["panels"][row] if panel == 0 else used[row, panel - 1]]),
-                        live["tol"][row:row + 1],
-                    )
-            elif name == "failed":
-                for i, row, panel in zip(idi.tolist(), ri.tolist(), ji.tolist()):
-                    failures[i] = raised[row * width + panel]
-            elif name == "rising":
-                for i in idi.tolist():
-                    failures[i] = ConvergenceError(
-                        "integrate_bessel_oscillatory: envelope is not decaying"
-                    )
-            else:
-                at = np.arange(len(ri))
-                pick = lambda m: m[ri, ji]  # noqa: E731
-                if name == "edge":
-                    settle(at, idi, pick(running), pick(quad_err), np.zeros(len(ri)), pick(used))
-                elif name == "cut":
-                    settle(at, idi, pick(running), pick(quad_err) + pick(last), pick(last), pick(used))
-                else:
-                    settle(at, idi, pick(acc_at), pick(acc_err), pick(last), pick(used))
+            at = (r[on], j[on])
+            value[ids[on]], err_est[ids[on]], tail[ids[on]] = val[at], err[at], tl[at]
+            panels_used[ids[on]] = used[at]
+        for i, row, panel, code in zip(ids.tolist(), r.tolist(), j.tolist(), rule.tolist()):
+            if code == 0:  # the scalar loop breaks before an empty panel
+                before = done + panel
+                give_up(
+                    np.array([i]), contrib[row:row + 1, :before], partial[row:row + 1, :before],
+                    np.array([live["quad_err"][row] if panel == 0 else quad_err[row, panel - 1]]),
+                    np.array([live["panels"][row] if panel == 0 else used[row, panel - 1]]),
+                    live["tol"][row:row + 1],
+                )
+            elif code == 1:
+                failures[i] = raised[row * width + panel]
+            elif code == 5:
+                failures[i] = ConvergenceError("integrate_bessel_oscillatory: envelope is not decaying")
 
         stay = ~leaving
         live.update(

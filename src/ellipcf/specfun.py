@@ -249,43 +249,44 @@ _HANKEL_SIGN = np.where((np.where(_HANKEL_J % 2 == 1, _HANKEL_J - 1, _HANKEL_J) 
 
 def _bessel_j_asymptotic_rows(nu: float, x: np.ndarray):
     # _bessel_j_asymptotic at every entry of x: (values, converged, terms used).
-    # The terms come as columns, each entry then cut where the scalar loop
-    # stops: before its first term past the smallest so far (from j = 3 on),
-    # or after its first term below 1e-18.  cumprod and cumsum run along a
-    # row in order, as the scalar loop multiplies and adds.  Entries not cut
-    # within the first 16 (then 32) terms are done again with more.
+    # The terms come in blocks of 16 columns, each entry cut where the
+    # scalar loop stops: before its first term past the smallest so far
+    # (from j = 3 on), or after its first term below 1e-18.  cumprod, the
+    # running minimum and cumsum continue along a row in order, as the
+    # scalar loop multiplies, compares and adds.
     value, converged = np.empty(len(x)), np.empty(len(x), dtype=bool)
     terms = np.empty(len(x), dtype=int)
-    todo = np.arange(len(x))
-    for width in (16, 32, len(_HANKEL_J)):
-        if not len(todo):
+    live, xs = np.arange(len(x)), x
+    c, best, p_sum, q_sum = np.ones(len(x)), np.ones(len(x)), np.ones(len(x)), np.zeros(len(x))
+    tiny = np.zeros(len(x), dtype=bool)
+    for j0 in range(0, len(_HANKEL_J), 16):
+        if not len(live):
             break
-        xs = x[todo]
+        j = _HANKEL_J[j0:j0 + 16]
         with np.errstate(over="ignore", invalid="ignore"):  # past the cut, unused
-            c = np.cumprod(
-                (4.0 * nu * nu - _HANKEL_ODD_SQ[:width]) / ((8.0 * _HANKEL_J[:width]) * xs[:, None]),
-                axis=1,
-            )
-        ac = abs(c)
-        smallest = np.minimum(np.minimum.accumulate(ac, axis=1), 1.0)
-        cut = np.zeros(ac.shape, dtype=bool)
-        cut[:, 2:] = ac[:, 2:] >= smallest[:, 1:-1]  # divergence onset: stop before j
+            cj = np.cumprod(np.column_stack((c, (4.0 * nu * nu - _HANKEL_ODD_SQ[j0:j0 + 16])
+                                             / ((8.0 * j) * xs[:, None]))), axis=1)[:, 1:]
+        ac = abs(cj)
+        smallest = np.minimum.accumulate(np.column_stack((best, ac)), axis=1)
+        cut = (ac >= smallest[:, :-1]) & (j > 2)  # divergence onset: stop before j
+        cut[:, 0] |= tiny
         cut[:, 1:] |= ac[:, :-1] < 1e-18  # stop after j - 1
-        found = cut.any(axis=1)
-        here = todo
-        if width < len(_HANKEL_J):
-            here, todo = todo[found], todo[~found]
-            xs, c, smallest, cut, found = xs[found], c[found], smallest[found], cut[found], found[found]
-        count = np.where(found, cut.argmax(axis=1), width)
-        signed = np.where(_HANKEL_J[:width] <= count[:, None], _HANKEL_SIGN[:width] * c, 0.0)
-        signed[:, 1] += 1.0  # P starts from 1, Q from 0
-        w = xs - nu * (0.5 * math.pi) - 0.25 * math.pi
-        value[here] = np.sqrt(2.0 / (math.pi * xs)) * (
-            _elementwise(math.cos, w) * signed[:, 1::2].cumsum(axis=1)[:, -1]
-            - _elementwise(math.sin, w) * signed[:, 0::2].cumsum(axis=1)[:, -1]
+        found = cut.any(axis=1) | (j0 + len(j) == len(_HANKEL_J))
+        count = np.where(cut.any(axis=1), cut.argmax(axis=1), len(j))
+        signed = np.where(np.arange(len(j)) < count[:, None], _HANKEL_SIGN[j0:j0 + 16] * cj, 0.0)
+        q_sum = np.cumsum(np.column_stack((q_sum, signed[:, j % 2 == 1])), axis=1)[:, -1]
+        p_sum = np.cumsum(np.column_stack((p_sum, signed[:, j % 2 == 0])), axis=1)[:, -1]
+        if found.any():
+            i, w = live[found], xs[found] - nu * (0.5 * math.pi) - 0.25 * math.pi
+            value[i] = np.sqrt(2.0 / (math.pi * xs[found])) * (
+                _elementwise(math.cos, w) * p_sum[found] - _elementwise(math.sin, w) * q_sum[found]
+            )
+            converged[i] = smallest[found, count[found]] < 1e-10
+            terms[i] = j0 + count[found] + 1
+        c, best, tiny = cj[:, -1], smallest[:, -1], ac[:, -1] < 1e-18
+        live, xs, c, best, tiny, p_sum, q_sum = (
+            z[~found] for z in (live, xs, c, best, tiny, p_sum, q_sum)
         )
-        converged[here] = smallest[np.arange(len(xs)), count - 1] < 1e-10
-        terms[here] = count + 1
     return value, converged, terms
 
 

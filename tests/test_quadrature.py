@@ -375,6 +375,23 @@ class TestPhiHankelRows:
         with pytest.raises(ConvergenceError):
             rows.row(1)
 
+    @pytest.mark.parametrize("max_panels", [9, 12, 17])
+    def test_panel_budget_as_one_point_calls(self, max_panels):
+        # rows that run out of panels settle on the Euler sum or fail, each
+        # as it would alone, with the same message
+        gen, ctl = gn.generalized_t_generator(2, 3.0, 3), QuadratureControl(max_panels=max_panels)
+        us = [0.3, 1.1, 4.0, 9.5, 0.0]
+        rows = phi_hankel_rows(gen, 2, us, ctl)
+        assert rows.failures
+        for i, u in enumerate(us):
+            try:
+                want = self._bits(phi_hankel(gen, 2, u, ctl))
+            except ConvergenceError as exc:
+                assert str(rows.failures[i]) == str(exc)
+                assert str(exc).endswith(f"no convergence within {max_panels} panels")
+            else:
+                assert i not in rows.failures and self._bits(rows.row(i)) == want
+
     GRID = (0.37, 1.0, 2.5, 4.1, 7.3, 12.0)
 
     @pytest.mark.parametrize("n", [2, 5])
