@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -530,20 +530,25 @@ def normalizing_constant(
 # ---------------------------------------------------------------------------
 
 
-def _euler_rows(partials: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Iterated averaging of each row's partial sums from column start[i] on:
-    # the deepest diagonal value and the size of its last refinement.  After
-    # d averagings the last column depends on the last d + 1 columns only,
-    # so one pass over the longest tail serves every row, each row's pair
-    # read off at its own depth.
-    length = partials.shape[1] - start
-    table = partials[:, partials.shape[1] - length.max(initial=1):]
-    diagonal = [table[:, -1]]
-    while table.shape[1] > 1:
+def _euler_rows(partials: np.ndarray, starts: np.ndarray, ends) -> tuple[np.ndarray, np.ndarray]:
+    # Iterated averaging of each row's partial sums, for several spans at
+    # once: span m of row i is partials[i, starts[i, m]:ends[m]].  Returns
+    # the deepest diagonal values and the sizes of their last refinement,
+    # each (rows, spans).  After d averagings an entry depends on d + 1
+    # consecutive columns only, so one pass over the widest span serves
+    # every row and span, each read off at its own depth and end.
+    ends = np.asarray(ends)
+    length = ends - starts
+    first = int(starts.min(initial=ends.max() - 1))
+    table = partials[:, first:ends.max()]
+    at = ends - 1 - first  # the column of each span's last entry
+    diagonal = [table[:, at]]
+    for depth in range(1, int(length.max(initial=1))):
         table = 0.5 * (table[:, :-1] + table[:, 1:])
-        diagonal.append(table[:, -1])
-    diagonal, r = np.column_stack(diagonal), np.arange(len(start))
-    last, prev = diagonal[r, length - 1], diagonal[r, np.maximum(length - 2, 0)]
+        diagonal.append(table[:, np.maximum(at - depth, 0)])
+    diagonal = np.stack(diagonal)
+    r, m = np.indices(length.shape)
+    last, prev = diagonal[length - 1, r, m], diagonal[np.maximum(length - 2, 0), r, m]
     return last, abs(last - prev)
 
 
@@ -590,7 +595,7 @@ def _oscillatory_rows(
         # is close enough, else a ConvergenceError
         ok = np.zeros(len(ids), dtype=bool)
         if contrib.shape[1] >= 10:  # the Euler step has run
-            acc, resid = _euler_rows(partial, np.zeros(len(ids), dtype=int))
+            acc, resid = (z[:, 0] for z in _euler_rows(partial, np.zeros((len(ids), 1), dtype=int), [partial.shape[1]]))
             err = np.maximum(resid * 4.0, quad_err)
             ok = err <= 10.0 * np.maximum(tol, ctl.rel_tol * abs(acc))
             value[ids[ok]], err_est[ids[ok]], tail[ids[ok]] = acc[ok], err[ok], abs(contrib[ok, -1])
@@ -658,18 +663,22 @@ def _oscillatory_rows(
         agreed = np.zeros((rows, width), dtype=bool)
         acc_at, acc_err = np.zeros((rows, width)), np.zeros((rows, width))
         prev_acc, streak = live["prev_acc"], live["streak"]
-        for j, k in enumerate(ks.tolist()):
-            if k >= 10 and k % 2 == 0:
-                acc, resid = _euler_rows(partial[:, :k], abs(contrib[:, :k]).argmax(axis=1))
-                tol_acc = 0.25 * np.maximum(live["tol"], ctl.rel_tol * abs(acc))
-                change = abs(acc - prev_acc)
-                # at k = 10 there is no earlier estimate to agree with
-                agree = (change < tol_acc) & (resid < tol_acc) & (k > 10)
-                streak = np.where(agree, streak + 1, 0)
-                prev_acc = acc
-                agreed[:, j] = streak >= 2
-                acc_at[:, j] = acc
-                acc_err[:, j] = np.maximum(np.maximum(resid * 4.0, change * 2.0), quad_err[:, j])
+        euler = [j for j, k in enumerate(ks.tolist()) if k >= 10 and k % 2 == 0]
+        if euler:
+            ends = ks[euler]  # each from the first largest panel so far
+            starts = np.column_stack([abs(contrib[:, :k]).argmax(axis=1) for k in ends.tolist()])
+            accs, resids = _euler_rows(partial, starts, ends)
+        for m, (j, k) in enumerate(zip(euler, ks[euler].tolist())):
+            acc, resid = accs[:, m], resids[:, m]
+            tol_acc = 0.25 * np.maximum(live["tol"], ctl.rel_tol * abs(acc))
+            change = abs(acc - prev_acc)
+            # at k = 10 there is no earlier estimate to agree with
+            agree = (change < tol_acc) & (resid < tol_acc) & (k > 10)
+            streak = np.where(agree, streak + 1, 0)
+            prev_acc = acc
+            agreed[:, j] = streak >= 2
+            acc_at[:, j] = acc
+            acc_err[:, j] = np.maximum(np.maximum(resid * 4.0, change * 2.0), quad_err[:, j])
         c = abs(np.concatenate((np.zeros((rows, 3)), contrib), axis=1))[:, done:]
         rising = (c[:, 3:] > c[:, 2:-1]) & (c[:, 2:-1] > c[:, 1:-2]) & (c[:, 1:-2] > c[:, :-3])
         rising &= (c[:, 3:] > peak * 0.5) & (ks >= 16)
@@ -819,7 +828,10 @@ def phi_hankel_rows(
             if head is None:
                 head = normalizing_constant(n, gen, ctl) * (2.0 * math.pi) ** (0.5 * n)
             prefactor = head * u ** (-0.5 * (n - 2.0))
-            tols.append(replace(ctl, abs_tol=ctl.abs_tol / max(prefactor, 1.0)).abs_tol)
+            tol = ctl.abs_tol / max(prefactor, 1.0)
+            if not tol > 0.0:  # as QuadratureControl refuses it
+                raise DomainError("QuadratureControl tolerances must be positive")
+            tols.append(tol)
             prefactors.append(prefactor)
             rows.append(i)
         except Exception as exc:  # raised again at its row

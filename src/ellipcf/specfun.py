@@ -249,44 +249,50 @@ _HANKEL_SIGN = np.where((np.where(_HANKEL_J % 2 == 1, _HANKEL_J - 1, _HANKEL_J) 
 
 def _bessel_j_asymptotic_rows(nu: float, x: np.ndarray):
     # _bessel_j_asymptotic at every entry of x: (values, converged, terms used).
-    # The terms come in blocks of 16 columns, each entry cut where the
+    # The terms come in blocks of 24 columns, each entry cut where the
     # scalar loop stops: before its first term past the smallest so far
     # (from j = 3 on), or after its first term below 1e-18.  cumprod, the
     # running minimum and cumsum continue along a row in order, as the
-    # scalar loop multiplies, compares and adds.
+    # scalar loop multiplies, compares and adds; Q's terms sit in the even
+    # columns (odd j) and P's in the odd ones, so one cumsum over column
+    # pairs sums both.
     value, converged = np.empty(len(x)), np.empty(len(x), dtype=bool)
     terms = np.empty(len(x), dtype=int)
     live, xs = np.arange(len(x)), x
-    c, best, p_sum, q_sum = np.ones(len(x)), np.ones(len(x)), np.ones(len(x)), np.zeros(len(x))
+    c, best, sums = np.ones(len(x)), np.ones(len(x)), np.zeros((len(x), 2))
+    sums[:, 1] = 1.0  # Q from 0, P from 1
     tiny = np.zeros(len(x), dtype=bool)
-    for j0 in range(0, len(_HANKEL_J), 16):
+    for j0 in range(0, len(_HANKEL_J), 24):
         if not len(live):
             break
-        j = _HANKEL_J[j0:j0 + 16]
+        j = _HANKEL_J[j0:j0 + 24]
+        table = np.empty((len(xs), len(j) + 1))
+        table[:, 0] = c
         with np.errstate(over="ignore", invalid="ignore"):  # past the cut, unused
-            cj = np.cumprod(np.column_stack((c, (4.0 * nu * nu - _HANKEL_ODD_SQ[j0:j0 + 16])
-                                             / ((8.0 * j) * xs[:, None]))), axis=1)[:, 1:]
+            np.divide(4.0 * nu * nu - _HANKEL_ODD_SQ[j0:j0 + 24], (8.0 * j) * xs[:, None], out=table[:, 1:])
+            cj = np.cumprod(table, axis=1)[:, 1:]
         ac = abs(cj)
-        smallest = np.minimum.accumulate(np.column_stack((best, ac)), axis=1)
+        table[:, 0], table[:, 1:] = best, ac
+        smallest = np.minimum.accumulate(table, axis=1)
         cut = (ac >= smallest[:, :-1]) & (j > 2)  # divergence onset: stop before j
         cut[:, 0] |= tiny
         cut[:, 1:] |= ac[:, :-1] < 1e-18  # stop after j - 1
-        found = cut.any(axis=1) | (j0 + len(j) == len(_HANKEL_J))
-        count = np.where(cut.any(axis=1), cut.argmax(axis=1), len(j))
-        signed = np.where(np.arange(len(j)) < count[:, None], _HANKEL_SIGN[j0:j0 + 16] * cj, 0.0)
-        q_sum = np.cumsum(np.column_stack((q_sum, signed[:, j % 2 == 1])), axis=1)[:, -1]
-        p_sum = np.cumsum(np.column_stack((p_sum, signed[:, j % 2 == 0])), axis=1)[:, -1]
+        stopped = cut.any(axis=1)
+        count = np.where(stopped, cut.argmax(axis=1), len(j))
+        signed = np.zeros((len(xs), len(j) + len(j) % 2))
+        signed[:, :len(j)] = np.where(np.arange(len(j)) < count[:, None], _HANKEL_SIGN[j0:j0 + 24] * cj, 0.0)
+        signed[:, :2] += sums
+        sums = signed.reshape(len(xs), -1, 2).cumsum(axis=1)[:, -1]
+        found = stopped | (j0 + len(j) == len(_HANKEL_J))
         if found.any():
             i, w = live[found], xs[found] - nu * (0.5 * math.pi) - 0.25 * math.pi
             value[i] = np.sqrt(2.0 / (math.pi * xs[found])) * (
-                _elementwise(math.cos, w) * p_sum[found] - _elementwise(math.sin, w) * q_sum[found]
+                _elementwise(math.cos, w) * sums[found, 1] - _elementwise(math.sin, w) * sums[found, 0]
             )
             converged[i] = smallest[found, count[found]] < 1e-10
             terms[i] = j0 + count[found] + 1
         c, best, tiny = cj[:, -1], smallest[:, -1], ac[:, -1] < 1e-18
-        live, xs, c, best, tiny, p_sum, q_sum = (
-            z[~found] for z in (live, xs, c, best, tiny, p_sum, q_sum)
-        )
+        live, xs, c, best, tiny, sums = (z[~found] for z in (live, xs, c, best, tiny, sums))
     return value, converged, terms
 
 
