@@ -408,7 +408,9 @@ def cf_rows(
     q, phase = spec.dispersion.quad_rows(ts), _row_dots(ts, spec.mu)
     at_origin = ~ts.any(axis=1)
     rest = np.flatnonzero(~at_origin)
-    phi, abs_err, method, failures = char_generator_rows(spec.generator, spec.n, q[rest], route, ctl)
+    phi, abs_err, method, failures = char_generator_rows(
+        spec.generator, spec.n, q[rest], route, ctl
+    )
     re, im = np.ones(len(ts)), np.zeros(len(ts))
     err, methods = np.zeros(len(ts)), np.full(len(ts), CFMethod.CLOSED_FORM.value)
     re[rest] = _elementwise(math.cos, phase[rest]) * phi

@@ -320,7 +320,8 @@ def adaptive_rows(
     lo_p, hi_p = np.zeros((len(ids), width)), np.zeros((len(ids), width))
     val_p, err_p = np.zeros((len(ids), width, 2)), np.zeros((len(ids), width))
     seq = np.full((len(ids), width), np.iinfo(np.int64).max)
-    lo_p[row, col], hi_p[row, col], val_p[row, col], err_p[row, col], seq[row, col] = lo, hi, val, err, col
+    lo_p[row, col], hi_p[row, col], seq[row, col] = lo, hi, col
+    val_p[row, col], err_p[row, col] = val, err
     lo, hi, val, err = lo_p, hi_p, val_p, err_p
     # summed in panel order, as adaptive_interval does; the zero padding
     # adds exactly nothing to a sum that starts from +0.0
@@ -354,10 +355,13 @@ def adaptive_rows(
         pa, pb = lo[r, j], hi[r, j]
         mid = 0.5 * (pa + pb)
         pa, pb, mid = pa[:, None], pb[:, None], mid[:, None]
-        cval, cerr, ok = evaluate(ids, np.concatenate((pa, mid), axis=1), np.concatenate((mid, pb), axis=1))
+        cval, cerr, ok = evaluate(
+            ids, np.concatenate((pa, mid), axis=1), np.concatenate((mid, pb), axis=1)
+        )
         pval, perr = val[r, j], err[r, j]
         if not ok.all():
-            ids, lo, hi, val, err, seq, total_val, total_err, used, initial, tol, j, pb, mid, pval, perr = (
+            (ids, lo, hi, val, err, seq, total_val, total_err, used, initial, tol,
+             j, pb, mid, pval, perr) = (
                 z[ok] for z in (
                     ids, lo, hi, val, err, seq, total_val, total_err, used, initial, tol,
                     j, pb, mid, pval, perr,
@@ -370,7 +374,8 @@ def adaptive_rows(
         # the left half takes the popped slot, the right half a new one; the
         # halves are numbered on from the row's initial panels
         r = np.arange(len(ids))
-        hi[r, j], val[r, j], err[r, j], seq[r, j] = mid[:, 0], cval[:, 0], cerr[:, 0], initial + 2 * step - 2
+        hi[r, j], val[r, j], err[r, j] = mid[:, 0], cval[:, 0], cerr[:, 0]
+        seq[r, j] = initial + 2 * step - 2
         lo = np.concatenate((lo, mid), axis=1)
         hi = np.concatenate((hi, pb), axis=1)
         val = np.concatenate((val, cval[:, 1:]), axis=1)
@@ -590,21 +595,7 @@ def _oscillatory_rows(
         "contrib": np.zeros((count, 0)), "partial": np.zeros((count, 0)),
     }
 
-    def give_up(ids, contrib, partial, quad_err, used, tol):
-        # rows out of panels: the accelerated sum of all their panels if it
-        # is close enough, else a ConvergenceError
-        ok = np.zeros(len(ids), dtype=bool)
-        if contrib.shape[1] >= 10:  # the Euler step has run
-            acc, resid = (z[:, 0] for z in _euler_rows(partial, np.zeros((len(ids), 1), dtype=int), [partial.shape[1]]))
-            err = np.maximum(resid * 4.0, quad_err)
-            ok = err <= 10.0 * np.maximum(tol, ctl.rel_tol * abs(acc))
-            value[ids[ok]], err_est[ids[ok]], tail[ids[ok]] = acc[ok], err[ok], abs(contrib[ok, -1])
-            panels_used[ids[ok]] = used[ok]
-        for i in ids[~ok].tolist():
-            failures[i] = ConvergenceError(
-                f"integrate_bessel_oscillatory: no convergence within {ctl.max_panels} panels"
-            )
-
+    no_convergence = f"integrate_bessel_oscillatory: no convergence within {ctl.max_panels} panels"
     done, width = 0, 1
     while len(live["id"]) and done < ctl.max_panels:
         width = min(2 * width, _ROUND_PANELS, ctl.max_panels - done)
@@ -691,26 +682,24 @@ def _oscillatory_rows(
         rule = rules[:, r, j].argmax(axis=0)
         ids = live["id"][r]
         # the rows that leave with a value: (value, err_est, tail_bound) per rule
-        for code, (val, err, tl) in {2: (running, quad_err, np.zeros_like(last)),
-                                     3: (running, quad_err + last, last),
-                                     4: (acc_at, acc_err, last)}.items():
+        for code, (v, e, tl) in {2: (running, quad_err, np.zeros_like(last)),
+                                 3: (running, quad_err + last, last),
+                                 4: (acc_at, acc_err, last)}.items():
             on = rule == code
             at = (r[on], j[on])
-            value[ids[on]], err_est[ids[on]], tail[ids[on]] = val[at], err[at], tl[at]
+            value[ids[on]], err_est[ids[on]], tail[ids[on]] = v[at], e[at], tl[at]
             panels_used[ids[on]] = used[at]
         for i, row, panel, code in zip(ids.tolist(), r.tolist(), j.tolist(), rule.tolist()):
-            if code == 0:  # the scalar loop breaks before an empty panel
-                before = done + panel
-                give_up(
-                    np.array([i]), contrib[row:row + 1, :before], partial[row:row + 1, :before],
-                    np.array([live["quad_err"][row] if panel == 0 else quad_err[row, panel - 1]]),
-                    np.array([live["panels"][row] if panel == 0 else used[row, panel - 1]]),
-                    live["tol"][row:row + 1],
-                )
+            if code == 0:
+                # a panel is empty only at a support edge at x = 0, before
+                # any panel: the scalar loop breaks with nothing summed
+                failures[i] = ConvergenceError(no_convergence)
             elif code == 1:
                 failures[i] = raised[row * width + panel]
             elif code == 5:
-                failures[i] = ConvergenceError("integrate_bessel_oscillatory: envelope is not decaying")
+                failures[i] = ConvergenceError(
+                    "integrate_bessel_oscillatory: envelope is not decaying"
+                )
 
         stay = ~leaving
         live.update(
@@ -722,8 +711,18 @@ def _oscillatory_rows(
             live[key] = live[key][stay]
         done += width
 
-    if len(live["id"]):
-        give_up(live["id"], live["contrib"], live["partial"], live["quad_err"], live["panels"], live["tol"])
+    # rows out of panels: the accelerated sum of all their panels if it is
+    # close enough (the Euler step has run), else a ConvergenceError
+    ids, ok = live["id"], np.zeros(len(live["id"]), dtype=bool)
+    if len(ids) and done >= 10:
+        acc, resid = _euler_rows(live["partial"], np.zeros((len(ids), 1), dtype=int), [done])
+        acc, resid = acc[:, 0], resid[:, 0]
+        err = np.maximum(resid * 4.0, live["quad_err"])
+        ok = err <= 10.0 * np.maximum(live["tol"], ctl.rel_tol * abs(acc))
+        value[ids[ok]], err_est[ids[ok]], panels_used[ids[ok]] = acc[ok], err[ok], live["panels"][ok]
+        tail[ids[ok]] = abs(live["contrib"][ok, -1])
+    for i in ids[~ok].tolist():
+        failures[i] = ConvergenceError(no_convergence)
     return QuadRows(value, err_est, panels_used, tail, failures)
 
 

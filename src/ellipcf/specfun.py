@@ -244,7 +244,7 @@ def _bessel_j_series_rows(nu: float, x: np.ndarray, ctl: SeriesControl):
 # The Hankel expansion's term indices j and their constants, per column.
 _HANKEL_J = np.arange(1, 80)
 _HANKEL_ODD_SQ = ((2 * _HANKEL_J - 1) ** 2).astype(float)
-_HANKEL_SIGN = np.where((np.where(_HANKEL_J % 2 == 1, _HANKEL_J - 1, _HANKEL_J) // 2) % 2 == 0, 1.0, -1.0)
+_HANKEL_SIGN = np.where((_HANKEL_J - _HANKEL_J % 2) // 2 % 2 == 0, 1.0, -1.0)
 
 
 def _bessel_j_asymptotic_rows(nu: float, x: np.ndarray):
@@ -269,7 +269,8 @@ def _bessel_j_asymptotic_rows(nu: float, x: np.ndarray):
         table = np.empty((len(xs), len(j) + 1))
         table[:, 0] = c
         with np.errstate(over="ignore", invalid="ignore"):  # past the cut, unused
-            np.divide(4.0 * nu * nu - _HANKEL_ODD_SQ[j0:j0 + 24], (8.0 * j) * xs[:, None], out=table[:, 1:])
+            np.divide(4.0 * nu * nu - _HANKEL_ODD_SQ[j0:j0 + 24], (8.0 * j) * xs[:, None],
+                      out=table[:, 1:])
             cj = np.cumprod(table, axis=1)[:, 1:]
         ac = abs(cj)
         table[:, 0], table[:, 1:] = best, ac

@@ -209,6 +209,11 @@ class TestOscillatory:
         with pytest.raises(ConvergenceError):
             integrate_bessel_oscillatory(lambda r: r, 0.0, 1.0)
 
+    def test_support_edge_at_zero_sums_nothing(self):
+        # R omega underflows to 0: the first panel is empty, nothing is summed
+        with pytest.raises(ConvergenceError, match="no convergence within 400 panels"):
+            integrate_bessel_oscillatory(lambda r: 1.0, 0.0, 1e-30, support_radius=1e-300)
+
     def test_invalid_omega(self):
         with pytest.raises(DomainError):
             integrate_bessel_oscillatory(lambda r: math.exp(-r), 0.0, 0.0)
