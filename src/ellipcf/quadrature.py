@@ -8,7 +8,7 @@ x = omega r, splits that axis at consecutive Bessel zeros, integrates
 each inter-zero panel adaptively, and accelerates the alternating panel
 sums with an iterated Euler transform.
 It runs a whole set of frequencies in lockstep: every round integrates the
-next Bessel panel for all rows still running in one adaptive_rows call,
+next few Bessel panels of all rows still running in one adaptive_rows call,
 and applies the exit rules to all of them as array masks; a single
 frequency is the one-row case.  This evaluates the characteristic
 generator of any density generator, including user-supplied ones without
@@ -264,7 +264,8 @@ def adaptive_rows(
     """
     failures: dict = {}
     a, b, abs_tol = (
-        np.full(count, v) if np.ndim(v) == 0 else np.asarray(v, dtype=float) for v in (a, b, abs_tol)
+        np.full(count, float(v)) if np.ndim(v) == 0 else np.asarray(v, dtype=float)
+        for v in (a, b, abs_tol)
     )
     values = np.full((count, 2), np.nan)
     errs = np.full(count, np.nan)

@@ -192,11 +192,6 @@ def _elementwise(fn: Callable, x: np.ndarray, *args: float) -> np.ndarray:
     return np.fromiter(values, float, x.size).reshape(x.shape)
 
 
-# Series terms per array pass of _bessel_j_series_rows; below x = 12 the
-# series stops after about 30.
-_J_SERIES_BLOCK = 32
-
-
 def _power(x: np.ndarray, e: float) -> np.ndarray:
     """x ** e entry by entry, with the bits of the scalar power; pow gives
     exactly 1 and x at the exponents 0 and 1, so those make no calls."""
@@ -205,6 +200,11 @@ def _power(x: np.ndarray, e: float) -> np.ndarray:
     if e == 1.0:
         return x.copy()
     return _elementwise(pow, x, e)
+
+
+# Series terms per array pass of _bessel_j_series_rows; below x = 12 the
+# series stops after about 30.
+_J_SERIES_BLOCK = 32
 
 
 def _bessel_j_series_rows(nu: float, x: np.ndarray, ctl: SeriesControl):
@@ -241,7 +241,10 @@ def _bessel_j_series_rows(nu: float, x: np.ndarray, ctl: SeriesControl):
     return value, converged, terms
 
 
-# The Hankel expansion's term indices j and their constants, per column.
+# The Hankel expansion's term indices j and their constants, per column, and
+# its terms per array pass (at order 0 the loop runs 25 to 35 terms for x
+# from 12 to 20, and at most 23 past x = 25).
+_HANKEL_BLOCK = 24
 _HANKEL_J = np.arange(1, 80)
 _HANKEL_ODD_SQ = ((2 * _HANKEL_J - 1) ** 2).astype(float)
 _HANKEL_SIGN = np.where((_HANKEL_J - _HANKEL_J % 2) // 2 % 2 == 0, 1.0, -1.0)
@@ -249,7 +252,7 @@ _HANKEL_SIGN = np.where((_HANKEL_J - _HANKEL_J % 2) // 2 % 2 == 0, 1.0, -1.0)
 
 def _bessel_j_asymptotic_rows(nu: float, x: np.ndarray):
     # _bessel_j_asymptotic at every entry of x: (values, converged, terms used).
-    # The terms come in blocks of 24 columns, each entry cut where the
+    # The terms come in blocks of columns, each entry cut where the
     # scalar loop stops: before its first term past the smallest so far
     # (from j = 3 on), or after its first term below 1e-18.  cumprod, the
     # running minimum and cumsum continue along a row in order, as the
@@ -262,14 +265,15 @@ def _bessel_j_asymptotic_rows(nu: float, x: np.ndarray):
     c, best, sums = np.ones(len(x)), np.ones(len(x)), np.zeros((len(x), 2))
     sums[:, 1] = 1.0  # Q from 0, P from 1
     tiny = np.zeros(len(x), dtype=bool)
-    for j0 in range(0, len(_HANKEL_J), 24):
+    for j0 in range(0, len(_HANKEL_J), _HANKEL_BLOCK):
         if not len(live):
             break
-        j = _HANKEL_J[j0:j0 + 24]
-        table = np.empty((len(xs), len(j) + 1))
+        block = slice(j0, j0 + _HANKEL_BLOCK)
+        j = _HANKEL_J[block]
+        table = np.empty((len(xs), len(j) + 1))  # the carried value, then this block's
         table[:, 0] = c
         with np.errstate(over="ignore", invalid="ignore"):  # past the cut, unused
-            np.divide(4.0 * nu * nu - _HANKEL_ODD_SQ[j0:j0 + 24], (8.0 * j) * xs[:, None],
+            np.divide(4.0 * nu * nu - _HANKEL_ODD_SQ[block], (8.0 * j) * xs[:, None],
                       out=table[:, 1:])
             cj = np.cumprod(table, axis=1)[:, 1:]
         ac = abs(cj)
@@ -281,7 +285,8 @@ def _bessel_j_asymptotic_rows(nu: float, x: np.ndarray):
         stopped = cut.any(axis=1)
         count = np.where(stopped, cut.argmax(axis=1), len(j))
         signed = np.zeros((len(xs), len(j) + len(j) % 2))
-        signed[:, :len(j)] = np.where(np.arange(len(j)) < count[:, None], _HANKEL_SIGN[j0:j0 + 24] * cj, 0.0)
+        kept = np.arange(len(j)) < count[:, None]
+        signed[:, :len(j)] = np.where(kept, _HANKEL_SIGN[block] * cj, 0.0)
         signed[:, :2] += sums
         sums = signed.reshape(len(xs), -1, 2).cumsum(axis=1)[:, -1]
         found = stopped | (j0 + len(j) == len(_HANKEL_J))
