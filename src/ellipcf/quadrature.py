@@ -775,8 +775,9 @@ def _phi_small_u_series(
     raise ConvergenceError("small-u moment series did not converge")
 
 
-# Rows per pass of the oscillatory engine; bounds its per-row panel history.
-_ROWS = 1 << 10
+# Rows per pass of the oscillatory engine: bounds the memory a pass holds
+# (a round's nodes and every row's panel history).
+_ROWS = 1 << 9
 
 
 def phi_hankel_rows(
