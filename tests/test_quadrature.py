@@ -363,7 +363,7 @@ class TestPhiHankelRows:
             rows = phi_hankel_rows(gen, n, us[order])
             assert not rows.failures
             assert [self._bits(rows.row(i)) for i in range(len(us))] == [points[i] for i in order]
-        # a row alongside one that fails computes as alone
+        # a row alongside a far one (u = 1e9 leaves in its first round) computes as alone
         assert self._bits(phi_hankel_rows(gen, n, [1e9, 1.7]).row(1)) == points[self.US.index(1.7)]
 
     def test_failed_row_fails_alone(self):
