@@ -195,21 +195,28 @@ def adaptive_interval(
 # Node offsets in _kronrod_pair's evaluation order: the centre, then each
 # symmetric pair as (mid - dx, mid + dx).
 _K15_OFFSETS = np.array([0.0] + [s * x for x, _, _ in _K15_PAIRS for s in (-1.0, 1.0)])
+_NO_PANEL = np.iinfo(np.int64).max  # the heap number of a padding slot
 _K15_G7_WEIGHTS = np.array([(wk, wg) for _, wk, wg in _K15_PAIRS])
 _K15_G7_CENTRE = np.array([_K15_CENTRE, _G7_CENTRE])
 
 
+def _magnitude(v: np.ndarray) -> np.ndarray:
+    # |v| of values stored as [..., (real,)] or [..., (real, imaginary)];
+    # hypot(x, 0) is |x|, so a real value gets the bits of its complex form
+    return abs(v[..., 0]) if v.shape[-1] == 1 else np.hypot(v[..., 0], v[..., 1])
+
+
 def _kronrod_rows(fv: np.ndarray, halfw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # _kronrod_pair on node values fv[..., 15, 2] (real and imaginary parts),
-    # with the same sums in the same order: (value [..., 2], error [...]).
-    # Axis -2 of the sums holds the K15 and the G7 sum side by side.
+    # _kronrod_pair on node values fv[..., 15, C] (C = 1: real, C = 2: real
+    # and imaginary parts), with the same sums in the same order: (value
+    # [..., C], error [...]).  Axis -2 of the sums holds the K15 and the G7
+    # sum side by side.
     pairs = (fv[..., 1::2, :] + fv[..., 2::2, :])[..., None, :]
     terms = _K15_G7_WEIGHTS[:, :, None] * pairs
     sums = _K15_G7_CENTRE[:, None] * fv[..., :1, :]
     for i in range(len(_K15_PAIRS)):
         sums = sums + terms[..., i, :, :]
-    d = sums[..., 0, :] - sums[..., 1, :]
-    return halfw[..., None] * sums[..., 0, :], halfw * np.hypot(d[..., 0], d[..., 1])
+    return halfw[..., None] * sums[..., 0, :], halfw * _magnitude(sums[..., 0, :] - sums[..., 1, :])
 
 
 def _call_rows(f, ids: np.ndarray, x: np.ndarray, failures: dict):
@@ -274,19 +281,25 @@ def adaptive_rows(
     values[empty], errs[empty] = 0.0, 0.0
     if empty.all():
         return values[:, 0].copy(), errs, panels, failures
-    is_complex = False
+    is_complex = None  # set by the first call of f
 
     def evaluate(ids, lo, hi):
-        # panels [lo, hi] of shape (k, P): the values (k', P, 2) and errors
+        # panels [lo, hi] of shape (k, P): the values (k', P, C) and errors
         # (k', P) of the rows that did not fail, and their mask
         nonlocal is_complex
         halfw, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
         x = mid[..., None] + halfw[..., None] * _K15_OFFSETS
         fv, ok = _call_rows(f, ids, x.reshape(len(ids), -1), failures)
-        is_complex = is_complex or np.iscomplexobj(fv)
+        if is_complex is None:
+            is_complex = np.iscomplexobj(fv)
+        elif np.iscomplexobj(fv) and not is_complex:
+            raise TypeError("adaptive_rows: f turned complex after a real first call")
         if not ok.all():
             x, halfw = x[ok], halfw[ok]
-        parts = np.ascontiguousarray(fv, dtype=complex).view(float).reshape(x.shape + (2,))
+        if is_complex:
+            parts = np.ascontiguousarray(fv, dtype=complex).view(float).reshape(x.shape + (2,))
+        else:
+            parts = np.asarray(fv, dtype=float).reshape(x.shape + (1,))
         val, err = _kronrod_rows(parts, halfw)
         return val, err, ok
 
@@ -319,8 +332,8 @@ def adaptive_rows(
     col = np.arange(len(owner)) - first[row]
     width = int(initial.max(initial=1))
     lo_p, hi_p = np.zeros((len(ids), width)), np.zeros((len(ids), width))
-    val_p, err_p = np.zeros((len(ids), width, 2)), np.zeros((len(ids), width))
-    seq = np.full((len(ids), width), np.iinfo(np.int64).max)
+    val_p, err_p = np.zeros((len(ids), width, val.shape[-1])), np.zeros((len(ids), width))
+    seq = np.full((len(ids), width), _NO_PANEL)
     lo_p[row, col], hi_p[row, col], seq[row, col] = lo, hi, col
     val_p[row, col], err_p[row, col] = val, err
     lo, hi, val, err = lo_p, hi_p, val_p, err_p
@@ -329,17 +342,20 @@ def adaptive_rows(
     total_val, total_err = 0.0 + val[:, 0], 0.0 + err[:, 0]
     for j in range(1, width):
         total_val, total_err = total_val + val[:, j], total_err + err[:, j]
-    err[seq == np.iinfo(np.int64).max] = -np.inf  # padding is never the worst panel
+    err[seq == _NO_PANEL] = -np.inf  # padding is never the worst panel
     used = initial
     tol = abs_tol[ids]
     step = 0
     while len(ids):
         done = (used >= max_panels) | (
-            total_err <= np.fmax(tol, rel_tol * np.hypot(total_val[:, 0], total_val[:, 1]))
+            total_err <= np.fmax(tol, rel_tol * _magnitude(total_val))
         )
+        if done.all():
+            values[ids, :total_val.shape[1]], errs[ids], panels[ids] = total_val, total_err, used
+            break
         if done.any():
             finished = ids[done]
-            values[finished], errs[finished], panels[finished] = (
+            values[finished, :total_val.shape[1]], errs[finished], panels[finished] = (
                 total_val[done], total_err[done], used[done]
             )
             ids, lo, hi, val, err, seq, total_val, total_err, used, initial, tol = (
@@ -347,11 +363,9 @@ def adaptive_rows(
                     ids, lo, hi, val, err, seq, total_val, total_err, used, initial, tol
                 )
             )
-            if not len(ids):
-                break
         # bisect each row's worst panel: largest error, then oldest
         worst = err.max(axis=1)
-        j = np.where(err == worst[:, None], seq, np.iinfo(np.int64).max).argmin(axis=1)
+        j = np.where(err == worst[:, None], seq, _NO_PANEL).argmin(axis=1)
         r = np.arange(len(ids))
         pa, pb = lo[r, j], hi[r, j]
         mid = 0.5 * (pa + pb)
@@ -617,8 +631,9 @@ def _oscillatory_rows(
         omega = np.repeat(live["omega"], width)
 
         def integrand(entries, x):
-            # panels share nodes: J_nu once per distinct row of x
-            if len(x) == 1:
+            # the rows share panels, and so nodes: J_nu once per distinct row
+            # of x (a single row's panels are all distinct)
+            if rows == 1 or len(x) == 1:
                 return envelope(x / omega[entries]) * bessel_j_rows(nu, x)
             keys = np.ascontiguousarray(x).view(np.dtype((np.void, x.itemsize * x.shape[1])))
             _, first, back = np.unique(keys.ravel(), return_index=True, return_inverse=True)
@@ -678,38 +693,40 @@ def _oscillatory_rows(
         rules = np.stack((stuck, failed, edge, cut, agreed, rising))  # (rule, row, panel)
         fired = rules.any(axis=0)
         leaving = fired.any(axis=1)
-        r = np.flatnonzero(leaving)
-        j = fired[r].argmax(axis=1)
-        rule = rules[:, r, j].argmax(axis=0)
-        ids = live["id"][r]
-        # the rows that leave with a value: (value, err_est, tail_bound) per rule
-        for code, (v, e, tl) in {2: (running, quad_err, np.zeros_like(last)),
-                                 3: (running, quad_err + last, last),
-                                 4: (acc_at, acc_err, last)}.items():
-            on = rule == code
-            at = (r[on], j[on])
-            value[ids[on]], err_est[ids[on]], tail[ids[on]] = v[at], e[at], tl[at]
-            panels_used[ids[on]] = used[at]
-        for i, row, panel, code in zip(ids.tolist(), r.tolist(), j.tolist(), rule.tolist()):
-            if code == 0:
-                # a panel is empty only at a support edge at x = 0, before
-                # any panel: the scalar loop breaks with nothing summed
-                failures[i] = ConvergenceError(no_convergence)
-            elif code == 1:
-                failures[i] = raised[row * width + panel]
-            elif code == 5:
-                failures[i] = ConvergenceError(
-                    "integrate_bessel_oscillatory: envelope is not decaying"
-                )
+        some_leave = leaving.any()
+        if some_leave:
+            r = np.flatnonzero(leaving)
+            j = fired[r].argmax(axis=1)
+            rule = rules[:, r, j].argmax(axis=0)
+            ids = live["id"][r]
+            # the rows that leave with a value: (value, err_est, tail_bound) per rule
+            for code, (v, e, tl) in {2: (running, quad_err, np.zeros_like(last)),
+                                     3: (running, quad_err + last, last),
+                                     4: (acc_at, acc_err, last)}.items():
+                on = rule == code
+                at = (r[on], j[on])
+                value[ids[on]], err_est[ids[on]], tail[ids[on]] = v[at], e[at], tl[at]
+                panels_used[ids[on]] = used[at]
+            for i, row, panel, code in zip(ids.tolist(), r.tolist(), j.tolist(), rule.tolist()):
+                if code == 0:
+                    # a panel is empty only at a support edge at x = 0, before
+                    # any panel: the scalar loop breaks with nothing summed
+                    failures[i] = ConvergenceError(no_convergence)
+                elif code == 1:
+                    failures[i] = raised[row * width + panel]
+                elif code == 5:
+                    failures[i] = ConvergenceError(
+                        "integrate_bessel_oscillatory: envelope is not decaying"
+                    )
 
-        stay = ~leaving
         live.update(
             x_prev=hi[:, -1], running=running[:, -1], quad_err=quad_err[:, -1],
             panels=used[:, -1], peak=peak[:, -1], prev_acc=prev_acc, streak=streak,
             contrib=contrib, partial=partial,
         )
-        for key in live:
-            live[key] = live[key][stay]
+        if some_leave:
+            for key in live:
+                live[key] = live[key][~leaving]
         done += width
 
     # rows out of panels: the accelerated sum of all their panels if it is

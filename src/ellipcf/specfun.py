@@ -187,9 +187,16 @@ def _elementwise(fn: Callable, x: np.ndarray, *args: float) -> np.ndarray:
     The array forms send exp, pow, sin and cos through here: the math
     module's values are those of the scalar forms bit for bit, where numpy's
     depend on its SIMD dispatch (its AVX-512 exp and pow round differently).
+    Entries go through in slices of 4096, so the Python floats alive at once
+    fit the interpreter's existing memory instead of fresh pages.
     """
-    values = map(fn, x.ravel().tolist(), *(repeat(a) for a in args))
-    return np.fromiter(values, float, x.size).reshape(x.shape)
+    flat, out = x.ravel(), np.empty(x.size)
+    for start in range(0, x.size, 4096):
+        part = flat[start:start + 4096]
+        out[start:start + 4096] = np.fromiter(
+            map(fn, part.tolist(), *(repeat(a) for a in args)), float, len(part)
+        )
+    return out.reshape(x.shape)
 
 
 def _power(x: np.ndarray, e: float) -> np.ndarray:

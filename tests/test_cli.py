@@ -148,7 +148,6 @@ class TestEval:
         assert "mc_count" in capsys.readouterr().err
 
     def test_numeric_failure_exit_3_names_grid_point(self, tmp_path, capsys, monkeypatch):
-        from ellipcf import quadrature
         from ellipcf.errors import ConvergenceError
 
         def broken(gen, n, us, ctl=None):

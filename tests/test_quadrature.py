@@ -108,6 +108,16 @@ class TestAdaptiveRows:
         assert vals.dtype == float and (panels == 1).all()
         assert_allclose(vals, self.PARAMS / 3.0, rtol=1e-15)
 
+    def test_integrand_type_fixed_by_first_call(self):
+        # real node values are summed as one component; an integrand that
+        # turns complex later is refused rather than losing its imaginary part
+        def f(rows, x):
+            wobble = np.cos(40.0 * x)
+            return wobble if x.shape[1] == 15 else wobble + 0j
+
+        with pytest.raises(TypeError, match="turned complex"):
+            adaptive_rows(f, 3, 0.0, 3.0, 1e-12, 1e-12)
+
     def test_raising_row_drops_out_alone(self):
         good = self.rows_integrand(self.PARAMS)
 
