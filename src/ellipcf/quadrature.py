@@ -72,19 +72,20 @@ class QuadResult:
     tail_bound: float
 
 
-@dataclass(frozen=True)
 class QuadRows:
     """QuadResult's fields for many rows, one array entry per row.
 
     failures maps a row to the exception its computation raised; that row's
-    entries are nan (panels_used 0).
+    entries are nan (panels_used 0).  A plain class: a frozen dataclass
+    costs a quarter of a millisecond to build at every import.
     """
 
-    value: np.ndarray
-    err_est: np.ndarray
-    panels_used: np.ndarray
-    tail_bound: np.ndarray
-    failures: dict
+    __slots__ = ("value", "err_est", "panels_used", "tail_bound", "failures")
+
+    def __init__(self, value: np.ndarray, err_est: np.ndarray, panels_used: np.ndarray,
+                 tail_bound: np.ndarray, failures: dict):
+        self.value, self.err_est, self.panels_used = value, err_est, panels_used
+        self.tail_bound, self.failures = tail_bound, failures
 
     def row(self, i: int) -> QuadResult:
         """Row i as a QuadResult; a failed row raises its exception."""
