@@ -649,7 +649,7 @@ def _oscillatory_rows(
         failed[list(raised)] = True
         failed = failed.reshape(rows, width)
 
-        # each panel's state, as the scalar loop reaches it
+        # each panel's state, summed panel after panel
         contrib = np.concatenate((live["contrib"], val), axis=1)
         running = np.cumsum(np.column_stack((live["running"], val)), axis=1)[:, 1:]
         partial = np.concatenate((live["partial"], running), axis=1)
@@ -659,7 +659,7 @@ def _oscillatory_rows(
         last = abs(val)
 
         # the exit rules, in their order at each panel: the panel is empty
-        # (the loop breaks before it), its integrand raises, the finite
+        # (the sum stops before it), its integrand raises, the finite
         # support is exhausted (plain sum, no tail), the envelope has decayed
         # below the cutoff (geometric tail bound), the Euler-accelerated sums
         # agree (every even k >= 10), the envelope is not decaying (k >= 16)
@@ -711,7 +711,7 @@ def _oscillatory_rows(
             for i, row, panel, code in zip(ids.tolist(), r.tolist(), j.tolist(), rule.tolist()):
                 if code == 0:
                     # a panel is empty only at a support edge at x = 0, before
-                    # any panel: the scalar loop breaks with nothing summed
+                    # any panel: nothing is summed, and no panel budget helps
                     failures[i] = ConvergenceError(no_convergence)
                 elif code == 1:
                     failures[i] = raised[row * width + panel]
