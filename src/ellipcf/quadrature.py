@@ -580,6 +580,9 @@ def _euler_rows(partials: np.ndarray, starts: np.ndarray, ends) -> tuple[np.ndar
 _ROUND_PANELS = 8
 
 
+# Float arithmetic as in Python: an inf or nan panel passes through the sums
+# silently, with none of numpy's RuntimeWarnings.
+@np.errstate(invalid="ignore", over="ignore")
 def _oscillatory_rows(
     envelope: Callable[[np.ndarray], np.ndarray],
     nu: float,
@@ -655,9 +658,12 @@ def _oscillatory_rows(
         partial = np.concatenate((live["partial"], running), axis=1)
         quad_err = np.cumsum(np.column_stack((live["quad_err"], err)), axis=1)[:, 1:]
         used = np.cumsum(np.column_stack((live["panels"], p.reshape(rows, width))), axis=1)[:, 1:]
-        peak = np.maximum.accumulate(np.column_stack((live["peak"], abs(val))), axis=1)[:, 1:]
+        peak = np.fmax.accumulate(np.column_stack((live["peak"], abs(val))), axis=1)[:, 1:]
         last = abs(val)
 
+        # (fmax and the where below take a larger of two values as Python's
+        # max does, the first unless the second is larger: a nan panel sum
+        # leaves the peak, the tolerances and the error sums as they were)
         # the exit rules, in their order at each panel: the panel is empty
         # (the sum stops before it), its integrand raises, the finite
         # support is exhausted (plain sum, no tail), the envelope has decayed
@@ -665,8 +671,8 @@ def _oscillatory_rows(
         # agree (every even k >= 10), the envelope is not decaying (k >= 16)
         stuck = hi <= lo
         edge = hi >= live["x_edge"][:, None]
-        tol = np.maximum(live["tol"][:, None], ctl.rel_tol * abs(running))
-        cutoff = np.maximum(ctl.tail_cutoff * np.maximum(peak, 1e-300), 1e-300)
+        tol = np.fmax(live["tol"][:, None], ctl.rel_tol * abs(running))
+        cutoff = np.fmax(ctl.tail_cutoff * np.fmax(peak, 1e-300), 1e-300)
         cut = (last <= cutoff) & (last <= 0.01 * tol)
         agreed = np.zeros((rows, width), dtype=bool)
         acc_at, acc_err = np.zeros((rows, width)), np.zeros((rows, width))
@@ -678,7 +684,7 @@ def _oscillatory_rows(
             accs, resids = _euler_rows(partial, starts, ends)
         for m, (j, k) in enumerate(zip(euler, ks[euler].tolist())):
             acc, resid = accs[:, m], resids[:, m]
-            tol_acc = 0.25 * np.maximum(live["tol"], ctl.rel_tol * abs(acc))
+            tol_acc = 0.25 * np.fmax(live["tol"], ctl.rel_tol * abs(acc))
             change = abs(acc - prev_acc)
             # at k = 10 there is no earlier estimate to agree with
             agree = (change < tol_acc) & (resid < tol_acc) & (k > 10)
@@ -686,7 +692,7 @@ def _oscillatory_rows(
             prev_acc = acc
             agreed[:, j] = streak >= 2
             acc_at[:, j] = acc
-            acc_err[:, j] = np.maximum(np.maximum(resid * 4.0, change * 2.0), quad_err[:, j])
+            acc_err[:, j] = np.fmax(np.fmax(resid * 4.0, change * 2.0), quad_err[:, j])
         c = abs(np.concatenate((np.zeros((rows, 3)), contrib), axis=1))[:, done:]
         rising = (c[:, 3:] > c[:, 2:-1]) & (c[:, 2:-1] > c[:, 1:-2]) & (c[:, 1:-2] > c[:, :-3])
         rising &= (c[:, 3:] > peak * 0.5) & (ks >= 16)
@@ -736,8 +742,8 @@ def _oscillatory_rows(
     if len(ids) and done >= 10:
         acc, resid = _euler_rows(live["partial"], np.zeros((len(ids), 1), dtype=int), [done])
         acc, resid = acc[:, 0], resid[:, 0]
-        err = np.maximum(resid * 4.0, live["quad_err"])
-        ok = err <= 10.0 * np.maximum(live["tol"], ctl.rel_tol * abs(acc))
+        err = np.where(live["quad_err"] > resid * 4.0, live["quad_err"], resid * 4.0)
+        ok = err <= 10.0 * np.fmax(live["tol"], ctl.rel_tol * abs(acc))
         value[ids[ok]], err_est[ids[ok]], panels_used[ids[ok]] = acc[ok], err[ok], live["panels"][ok]
         tail[ids[ok]] = abs(live["contrib"][ok, -1])
     for i in ids[~ok].tolist():
