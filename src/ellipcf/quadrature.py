@@ -279,9 +279,10 @@ def adaptive_rows(
     errs = np.full(count, np.nan)
     panels = np.zeros(count, dtype=int)
     empty = b <= a
-    values[empty], errs[empty] = 0.0, 0.0
-    if empty.all():
-        return values[:, 0].copy(), errs, panels, failures
+    if empty.any():
+        values[empty], errs[empty] = 0.0, 0.0
+        if empty.all():
+            return values[:, 0].copy(), errs, panels, failures
     is_complex = None  # set by the first call of f
 
     def evaluate(ids, lo, hi):
@@ -325,23 +326,25 @@ def adaptive_rows(
     # per row still running: its id, its panels (bounds, value, error and
     # heap sequence number, one column each, padded after the initial ones),
     # its running totals and its number of initial panels
-    if seeds is None:
-        ids, first, initial = owner, np.arange(len(owner)), np.ones(len(owner), dtype=int)
+    if seeds is None:  # one initial panel per row
+        ids, initial = owner, np.ones(len(owner), dtype=int)
+        lo, hi, val, err = lo[:, None], hi[:, None], val[:, None], err[:, None]
+        seq = np.zeros((len(ids), 1), dtype=np.int64)
     else:
         ids, first, initial = np.unique(owner, return_index=True, return_counts=True)
-    row = np.repeat(np.arange(len(ids)), initial)
-    col = np.arange(len(owner)) - first[row]
-    width = int(initial.max(initial=1))
-    lo_p, hi_p = np.zeros((len(ids), width)), np.zeros((len(ids), width))
-    val_p, err_p = np.zeros((len(ids), width, val.shape[-1])), np.zeros((len(ids), width))
-    seq = np.full((len(ids), width), _NO_PANEL)
-    lo_p[row, col], hi_p[row, col], seq[row, col] = lo, hi, col
-    val_p[row, col], err_p[row, col] = val, err
-    lo, hi, val, err = lo_p, hi_p, val_p, err_p
+        row = np.repeat(np.arange(len(ids)), initial)
+        col = np.arange(len(owner)) - first[row]
+        width = int(initial.max(initial=1))
+        lo_p, hi_p = np.zeros((len(ids), width)), np.zeros((len(ids), width))
+        val_p, err_p = np.zeros((len(ids), width, val.shape[-1])), np.zeros((len(ids), width))
+        seq = np.full((len(ids), width), _NO_PANEL)
+        lo_p[row, col], hi_p[row, col], seq[row, col] = lo, hi, col
+        val_p[row, col], err_p[row, col] = val, err
+        lo, hi, val, err = lo_p, hi_p, val_p, err_p
     # summed in panel order, as adaptive_interval does; the zero padding
     # adds exactly nothing to a sum that starts from +0.0
     total_val, total_err = 0.0 + val[:, 0], 0.0 + err[:, 0]
-    for j in range(1, width):
+    for j in range(1, val.shape[1]):
         total_val, total_err = total_val + val[:, j], total_err + err[:, j]
     err[seq == _NO_PANEL] = -np.inf  # padding is never the worst panel
     used = initial
@@ -648,9 +651,9 @@ def _oscillatory_rows(
             np.repeat(live["panel_abs"], width), panel_rel, seeds=seeds,
         )
         val, err = (val / omega).reshape(rows, width), (err / omega).reshape(rows, width)
-        failed = np.zeros(rows * width, dtype=bool)
-        failed[list(raised)] = True
-        failed = failed.reshape(rows, width)
+        failed = np.zeros((rows, width), dtype=bool)
+        if raised:
+            failed.flat[list(raised)] = True
 
         # each panel's state, summed panel after panel
         contrib = np.concatenate((live["contrib"], val), axis=1)
