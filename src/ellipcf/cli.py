@@ -343,6 +343,7 @@ def _analytic_evaluator(spec: ParsedSpec, route: str) -> Callable[[np.ndarray], 
     if kind == "lsm":
         return lambda ts: sk.cf_location_scale_mixture_rows(spec.lsm, ts, route=route)
     if kind == "smu":
+        sk._check_star_unimodal(spec.elliptical.generator)  # a spec error, before any point
         return partial(_smu_rows, spec.elliptical)
     if route == "hankel":
         raise SpecValidationError(f"routes: 'hankel' is not available for kind {kind!r}")
@@ -405,14 +406,14 @@ def _build_evaluators(spec: ParsedSpec, config: RunConfig) -> dict[str, Callable
                 count=config.mc_count, rng=sp.RngStream(seed=config.seed), workers=config.workers,
             )
             continue
-        evaluator = _analytic_evaluator(spec, route)
-        error = evaluator(probe).error  # availability probe
-        if isinstance(error, NoClosedFormError):
-            raise SpecValidationError(f"routes: {error}") from error
-        # numeric trouble at the probe is judged per grid point, not here
-        if error is not None and not isinstance(error, _NUMERIC_ERRORS):
-            raise error
-        evaluators[route] = evaluator
+        evaluator = evaluators[route] = _analytic_evaluator(spec, route)
+        if route == "closed":  # availability probe: only a closed form can be missing
+            error = evaluator(probe).error
+            if isinstance(error, NoClosedFormError):
+                raise SpecValidationError(f"routes: {error}") from error
+            # numeric trouble at the probe is judged per grid point, not here
+            if error is not None and not isinstance(error, _NUMERIC_ERRORS):
+                raise error
     return evaluators
 
 

@@ -21,12 +21,7 @@ import numpy as np
 
 from .errors import DivergentIntegralError, DomainError, NoClosedFormError
 from .generators import DensityGenerator, Family, moment_exists
-from .quadrature import (
-    QuadratureControl,
-    moment_integral,
-    normalizing_constant,
-    phi_hankel_rows,
-)
+from .quadrature import moment_integral, normalizing_constant, phi_hankel_rows
 from .specfun import _elementwise, bessel_j, bessel_k, gamma_fn, hyp0f1, hyp1f1
 
 __all__ = [
@@ -347,11 +342,7 @@ def closed_form_generator(gen: DensityGenerator, n: int, q: float) -> float:
 
 
 def char_generator_rows(
-    gen: DensityGenerator,
-    n: int,
-    qs,
-    route: str = "auto",
-    ctl: QuadratureControl | None = None,
+    gen: DensityGenerator, n: int, qs, route: str = "auto"
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """phi(q) at every q of the array qs by the requested route.
 
@@ -383,7 +374,7 @@ def char_generator_rows(
     if hankel:
         idx = np.array(hankel)
         try:
-            res = phi_hankel_rows(gen, n, np.sqrt(qs[idx]), ctl or QuadratureControl())
+            res = phi_hankel_rows(gen, n, np.sqrt(qs[idx]))
         except Exception as exc:  # raised again at each of its rows
             failures.update(dict.fromkeys(hankel, exc))
         else:
@@ -392,12 +383,7 @@ def char_generator_rows(
     return values, abs_err, method, failures
 
 
-def cf_rows(
-    spec: EllipticalSpec,
-    ts,
-    route: str = "auto",
-    ctl: QuadratureControl | None = None,
-) -> CFRows:
+def cf_rows(spec: EllipticalSpec, ts, route: str = "auto") -> CFRows:
     """exp(i t'mu) phi(t' Sigma t) at each row t of the (P, n) array ts, in order.
 
     The quadratic forms and phases of all rows come from one array pass, and
@@ -408,9 +394,7 @@ def cf_rows(
     q, phase = spec.dispersion.quad_rows(ts), _row_dots(ts, spec.mu)
     at_origin = ~ts.any(axis=1)
     rest = np.flatnonzero(~at_origin)
-    phi, abs_err, method, failures = char_generator_rows(
-        spec.generator, spec.n, q[rest], route, ctl
-    )
+    phi, abs_err, method, failures = char_generator_rows(spec.generator, spec.n, q[rest], route)
     re, im = np.ones(len(ts)), np.zeros(len(ts))
     err, methods = np.zeros(len(ts)), np.full(len(ts), CFMethod.CLOSED_FORM.value)
     re[rest] = _elementwise(math.cos, phase[rest]) * phi
@@ -421,11 +405,6 @@ def cf_rows(
     return CFRows(re[:end], im[:end], err[:end], methods[:end], error)
 
 
-def cf(
-    spec: EllipticalSpec,
-    t,
-    route: str = "auto",
-    ctl: QuadratureControl | None = None,
-) -> ComplexCF:
+def cf(spec: EllipticalSpec, t, route: str = "auto") -> ComplexCF:
     """Characteristic function exp(i t'mu) phi(t' Sigma t) at the point t."""
-    return cf_rows(spec, _as_vector(t, spec.n, "t")[None, :], route, ctl).row(0)
+    return cf_rows(spec, _as_vector(t, spec.n, "t")[None, :], route).row(0)

@@ -34,7 +34,6 @@ from .generators import DensityGenerator, closed_moment_integral, moment_exists
 from .specfun import _elementwise, _power, bessel_j_rows, bessel_j_zero, gamma_fn
 
 __all__ = [
-    "QuadratureControl",
     "QuadResult",
     "QuadRows",
     "adaptive_interval",
@@ -46,22 +45,6 @@ __all__ = [
     "phi_hankel",
     "phi_hankel_rows",
 ]
-
-
-@dataclass(frozen=True)
-class QuadratureControl:
-    """Error targets and resource limits for the quadrature routines."""
-
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
-    max_panels: int = 400
-    tail_cutoff: float = 1e-16
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise DomainError("QuadratureControl tolerances must be positive")
-        if self.max_panels < 2:
-            raise DomainError("QuadratureControl.max_panels must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -97,7 +80,12 @@ class QuadRows:
         )
 
 
-_DEFAULT_CTL = QuadratureControl()
+# The accuracy policy of every routine here: error targets, the Bessel-panel
+# budget of the oscillatory engine and its envelope cutoff (relative to the
+# largest panel so far).
+_ABS_TOL = _REL_TOL = 1e-9
+_MAX_PANELS = 400
+_TAIL_CUTOFF = 1e-16
 
 # QUADPACK's qk15 rule (Piessens et al. 1983): the 7 Gauss-Legendre nodes
 # are a subset of the 15 Kronrod nodes.  One (node, Kronrod weight, Gauss
@@ -407,9 +395,7 @@ def adaptive_rows(
     return out, errs, panels, failures
 
 
-def moment_integral(
-    gen: DensityGenerator, n: int, ctl: QuadratureControl = _DEFAULT_CTL
-) -> QuadResult:
+def moment_integral(gen: DensityGenerator, n: int) -> QuadResult:
     """int_0^inf z^(n/2-1) g(z) dz by adaptive panels, always numerically.
 
     Written in the radius variable (z = w^2) so the n = 1 endpoint is
@@ -418,14 +404,8 @@ def moment_integral(
     support is handled with doubling windows and a geometric tail estimate;
     a non-shrinking tail raises DivergentIntegralError.
     """
-    return _radial_power_integral(gen, float(n), ctl)
-
-
-def _radial_power_integral(
-    gen: DensityGenerator, d: float, ctl: QuadratureControl
-) -> QuadResult:
-    # 2 * int_0^R w^(d-1) g(w^2) dw with R = support radius (maybe inf).
-    g = gen.g
+    # 2 * int_0^R w^(d-1) g(w^2) dw with R = support radius (maybe inf)
+    g, d = gen.g, float(n)
 
     def first_window(y: float) -> float:
         # w = y^3 on [0, 1]: integrand 3 y^2 * y^(3(d-1)) g(y^6)
@@ -435,24 +415,20 @@ def _radial_power_integral(
         return w ** (d - 1.0) * g(w * w)
 
     radius = gen.support_radius
-    win_abs = 0.125 * ctl.abs_tol
+    win_abs, win_rel = 0.125 * _ABS_TOL, 0.125 * _REL_TOL
     if radius <= 1.0:
         val, err, panels = adaptive_interval(
             lambda y: first_window(y) if y**3 < radius else 0.0,
             0.0,
             radius ** (1.0 / 3.0),
             win_abs,
-            0.125 * ctl.rel_tol,
+            win_rel,
         )
         return QuadResult(2.0 * val, 2.0 * err, panels, 0.0)
 
-    total, err_total, panels = adaptive_interval(
-        first_window, 0.0, 1.0, win_abs, 0.125 * ctl.rel_tol
-    )
+    total, err_total, panels = adaptive_interval(first_window, 0.0, 1.0, win_abs, win_rel)
     if math.isfinite(radius):
-        val, err, p = adaptive_interval(
-            w_integrand, 1.0, radius, win_abs, 0.125 * ctl.rel_tol
-        )
+        val, err, p = adaptive_interval(w_integrand, 1.0, radius, win_abs, win_rel)
         return QuadResult(2.0 * (total + val), 2.0 * (err_total + err), panels + p, 0.0)
 
     lo = 1.0
@@ -460,11 +436,11 @@ def _radial_power_integral(
     flat_streak = 0
     for _ in range(100):
         hi = 2.0 * lo
-        wval, werr, p = adaptive_interval(w_integrand, lo, hi, win_abs, 0.125 * ctl.rel_tol)
+        wval, werr, p = adaptive_interval(w_integrand, lo, hi, win_abs, win_rel)
         total += wval
         err_total += werr
         panels += p
-        thresh = 0.5 * max(ctl.abs_tol, ctl.rel_tol * abs(total))
+        thresh = 0.5 * max(_ABS_TOL, _REL_TOL * abs(total))
         if prev_window is not None and prev_window > 0.0:
             ratio = wval / prev_window
             if wval >= 0.999 * prev_window and abs(wval) > thresh:
@@ -488,40 +464,32 @@ def _radial_power_integral(
     raise DivergentIntegralError("moment integral: tail bound did not converge")
 
 
-def radial_moment(
-    gen: DensityGenerator, n: int, k: int, ctl: QuadratureControl = _DEFAULT_CTL
-) -> float:
+def radial_moment(gen: DensityGenerator, n: int, k: int) -> float:
     """E[R^(2k)] under the radial density of the generator in dimension n.
 
     Equals the ratio of moment integrals at dimension parameters n + 2k and
-    n.  Raises MomentUndefinedError when the moment does not exist, which
+    n: gamma ratios for the named families, quadrature for custom ones.
+    Raises MomentUndefinedError when the moment does not exist, which
     disables the small-argument series route for that generator.
     """
     if k < 0:
         raise DomainError("radial_moment: k must be >= 0")
     if k == 0:
         return 1.0
-    key = ("radial_moment", n, k)
-    if key in gen.moment_cache:
-        return gen.moment_cache[key]
-    exists = moment_exists(gen, n + 2.0 * k)
-    if exists is False:
+    if moment_exists(gen, n + 2.0 * k) is False:
         raise MomentUndefinedError(
             f"E[R^{2 * k}] does not exist for family {gen.family.value} in dimension {n}"
         )
     try:
-        num = _radial_power_integral(gen, n + 2.0 * k, ctl)
-    except DivergentIntegralError as exc:
+        num = _moment_n(gen, n + 2 * k)
+    except DomainError as exc:
         raise MomentUndefinedError(
             f"E[R^{2 * k}] appears divergent for this generator (dimension {n})"
         ) from exc
-    den = _moment_n(gen, n, ctl)
-    value = num.value / den
-    gen.moment_cache[key] = value
-    return value
+    return num / _moment_n(gen, n)
 
 
-def _moment_n(gen: DensityGenerator, n: int, ctl: QuadratureControl) -> float:
+def _moment_n(gen: DensityGenerator, n: int) -> float:
     # int_0^inf z^(n/2-1) g(z) dz, cached on the generator: closed forms for
     # the named families, numeric for custom generators
     key = ("moment", float(n))
@@ -529,7 +497,7 @@ def _moment_n(gen: DensityGenerator, n: int, ctl: QuadratureControl) -> float:
         moment = closed_moment_integral(gen, float(n))
         if moment is None:
             try:
-                moment = moment_integral(gen, n, ctl).value
+                moment = moment_integral(gen, n).value
             except DivergentIntegralError as exc:
                 raise DomainError("normalizing_constant: moment integral diverges") from exc
         if not math.isfinite(moment):
@@ -538,15 +506,13 @@ def _moment_n(gen: DensityGenerator, n: int, ctl: QuadratureControl) -> float:
     return gen.moment_cache[key]
 
 
-def normalizing_constant(
-    n: int, gen: DensityGenerator, ctl: QuadratureControl | None = None
-) -> float:
+def normalizing_constant(n: int, gen: DensityGenerator) -> float:
     """c_n = Gamma(n/2) pi^(-n/2) / int_0^inf z^(n/2-1) g(z) dz.
 
     The moment integral is cached on the generator; a divergent one raises
     DomainError.
     """
-    return gamma_fn(0.5 * n) / (math.pi ** (0.5 * n) * _moment_n(gen, n, ctl or _DEFAULT_CTL))
+    return gamma_fn(0.5 * n) / (math.pi ** (0.5 * n) * _moment_n(gen, n))
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +557,6 @@ def _oscillatory_rows(
     nu: float,
     omegas: np.ndarray,
     abs_tols: np.ndarray,
-    ctl: QuadratureControl,
     support_radius: float,
 ) -> QuadRows:
     # int_0^R envelope(r) J_nu(omega_i r) dr for every row i, each to its own
@@ -604,7 +569,7 @@ def _oscillatory_rows(
     value, err_est, tail = np.full(count, np.nan), np.full(count, np.nan), np.full(count, np.nan)
     panels_used = np.zeros(count, dtype=int)
     failures: dict = {}
-    panel_rel = min(ctl.rel_tol, 1e-10)
+    panel_rel = min(_REL_TOL, 1e-10)
     # the state of every row still running after `done` panels, one entry
     # (or one row of panel history) per row
     zero = np.zeros(count)
@@ -617,10 +582,10 @@ def _oscillatory_rows(
         "contrib": np.zeros((count, 0)), "partial": np.zeros((count, 0)),
     }
 
-    no_convergence = f"integrate_bessel_oscillatory: no convergence within {ctl.max_panels} panels"
+    no_convergence = f"integrate_bessel_oscillatory: no convergence within {_MAX_PANELS} panels"
     done, width = 0, 1
-    while len(live["id"]) and done < ctl.max_panels:
-        width = min(2 * width, _ROUND_PANELS, ctl.max_panels - done)
+    while len(live["id"]) and done < _MAX_PANELS:
+        width = min(2 * width, _ROUND_PANELS, _MAX_PANELS - done)
         ks = np.arange(done + 1, done + width + 1)
         rows = len(live["id"])
         # panel j of row i is [lo[i, j], hi[i, j]], cut short at the support edge
@@ -674,8 +639,8 @@ def _oscillatory_rows(
         # agree (every even k >= 10), the envelope is not decaying (k >= 16)
         stuck = hi <= lo
         edge = hi >= live["x_edge"][:, None]
-        tol = np.fmax(live["tol"][:, None], ctl.rel_tol * abs(running))
-        cutoff = np.fmax(ctl.tail_cutoff * np.fmax(peak, 1e-300), 1e-300)
+        tol = np.fmax(live["tol"][:, None], _REL_TOL * abs(running))
+        cutoff = np.fmax(_TAIL_CUTOFF * np.fmax(peak, 1e-300), 1e-300)
         cut = (last <= cutoff) & (last <= 0.01 * tol)
         agreed = np.zeros((rows, width), dtype=bool)
         acc_at, acc_err = np.zeros((rows, width)), np.zeros((rows, width))
@@ -687,7 +652,7 @@ def _oscillatory_rows(
             accs, resids = _euler_rows(partial, starts, ends)
         for m, (j, k) in enumerate(zip(euler, ks[euler].tolist())):
             acc, resid = accs[:, m], resids[:, m]
-            tol_acc = 0.25 * np.fmax(live["tol"], ctl.rel_tol * abs(acc))
+            tol_acc = 0.25 * np.fmax(live["tol"], _REL_TOL * abs(acc))
             change = abs(acc - prev_acc)
             # at k = 10 there is no earlier estimate to agree with
             agree = (change < tol_acc) & (resid < tol_acc) & (k > 10)
@@ -746,7 +711,7 @@ def _oscillatory_rows(
         acc, resid = _euler_rows(live["partial"], np.zeros((len(ids), 1), dtype=int), [done])
         acc, resid = acc[:, 0], resid[:, 0]
         err = np.where(live["quad_err"] > resid * 4.0, live["quad_err"], resid * 4.0)
-        ok = err <= 10.0 * np.fmax(live["tol"], ctl.rel_tol * abs(acc))
+        ok = err <= 10.0 * np.fmax(live["tol"], _REL_TOL * abs(acc))
         value[ids[ok]], err_est[ids[ok]], panels_used[ids[ok]] = acc[ok], err[ok], live["panels"][ok]
         tail[ids[ok]] = abs(live["contrib"][ok, -1])
     for i in ids[~ok].tolist():
@@ -758,7 +723,6 @@ def integrate_bessel_oscillatory(
     f: Callable[[float], float],
     nu: float,
     omega: float,
-    ctl: QuadratureControl = _DEFAULT_CTL,
     support_radius: float = math.inf,
 ) -> QuadResult:
     """int_0^R f(r) J_nu(omega r) dr with R the (possibly infinite) support.
@@ -774,7 +738,7 @@ def integrate_bessel_oscillatory(
         raise DomainError("integrate_bessel_oscillatory: omega must be > 0")
     res = _oscillatory_rows(
         lambda r: _elementwise(f, r), nu, np.array([float(omega)]),
-        np.array([ctl.abs_tol]), ctl, support_radius,
+        np.array([_ABS_TOL]), support_radius,
     )
     return res.row(0)
 
@@ -784,9 +748,7 @@ def integrate_bessel_oscillatory(
 # ---------------------------------------------------------------------------
 
 
-def _phi_small_u_series(
-    gen: DensityGenerator, n: int, u: float, ctl: QuadratureControl
-) -> QuadResult:
+def _phi_small_u_series(gen: DensityGenerator, n: int, u: float) -> QuadResult:
     # phi(u^2) = sum_k (-u^2/4)^k / ((n/2)_k k!) * E[R^(2k)], valid for any
     # generator possessing the needed moments; raises MomentUndefinedError
     # otherwise so the caller can fall back to the oscillatory route.
@@ -795,11 +757,19 @@ def _phi_small_u_series(
     coeff = 1.0
     for k in range(1, 30):
         coeff *= mqsq / ((0.5 * n + k - 1.0) * k)
-        term = coeff * radial_moment(gen, n, k, ctl)
+        term = coeff * radial_moment(gen, n, k)
         total += term
-        if abs(term) <= ctl.rel_tol * abs(total):
+        if abs(term) <= _REL_TOL * abs(total):
             return QuadResult(total, abs(term) + 1e-16, 0, 0.0)
     raise ConvergenceError("small-u moment series did not converge")
+
+
+def _oscillatory_tol(prefactor: float) -> float:
+    # the engine's absolute target for an integral that prefactor multiplies
+    tol = _ABS_TOL / max(prefactor, 1.0)
+    if not tol > 0.0:
+        raise DomainError(f"phi_hankel: no positive tolerance under the prefactor {prefactor}")
+    return tol
 
 
 # Rows per pass of the oscillatory engine: bounds the memory a pass holds
@@ -807,12 +777,7 @@ def _phi_small_u_series(
 _ROWS = 1 << 9
 
 
-def phi_hankel_rows(
-    gen: DensityGenerator,
-    n: int,
-    us,
-    ctl: QuadratureControl = _DEFAULT_CTL,
-) -> QuadRows:
+def phi_hankel_rows(gen: DensityGenerator, n: int, us) -> QuadRows:
     """Characteristic generator phi(u^2) at every u of the array us.
 
     phi(u^2) = c_n (2 pi)^(n/2) u^(-(n-2)/2) *
@@ -849,17 +814,14 @@ def phi_hankel_rows(
                 continue
             if u < 1e-3:
                 try:
-                    put(i, _phi_small_u_series(gen, n, u, ctl))
+                    put(i, _phi_small_u_series(gen, n, u))
                     continue
                 except MomentUndefinedError:
                     pass  # heavy tails: only the oscillatory route is available
             if head is None:
-                head = normalizing_constant(n, gen, ctl) * (2.0 * math.pi) ** (0.5 * n)
+                head = normalizing_constant(n, gen) * (2.0 * math.pi) ** (0.5 * n)
             prefactor = head * u ** (-0.5 * (n - 2.0))
-            tol = ctl.abs_tol / max(prefactor, 1.0)
-            if not tol > 0.0:  # as QuadratureControl refuses it
-                raise DomainError("QuadratureControl tolerances must be positive")
-            tols.append(tol)
+            tols.append(_oscillatory_tol(prefactor))
             prefactors.append(prefactor)
             rows.append(i)
         except Exception as exc:  # raised again at its row
@@ -872,7 +834,7 @@ def phi_hankel_rows(
         sl = slice(start, start + _ROWS)
         idx, pref = np.array(rows[sl]), np.array(prefactors[sl])
         res = _oscillatory_rows(
-            envelope, 0.5 * (n - 2.0), us[idx], np.array(tols[sl]), ctl, gen.support_radius
+            envelope, 0.5 * (n - 2.0), us[idx], np.array(tols[sl]), gen.support_radius
         )
         value[idx], err_est[idx] = pref * res.value, abs(pref) * res.err_est
         panels_used[idx], tail[idx] = res.panels_used, abs(pref) * res.tail_bound
@@ -883,12 +845,7 @@ def phi_hankel_rows(
     return QuadRows(value, err_est, panels_used, tail, dict(sorted(failures.items())))
 
 
-def phi_hankel(
-    gen: DensityGenerator,
-    n: int,
-    u: float,
-    ctl: QuadratureControl = _DEFAULT_CTL,
-) -> QuadResult:
+def phi_hankel(gen: DensityGenerator, n: int, u: float) -> QuadResult:
     """Characteristic generator phi(u^2) by the radial Bessel integral: the
     one-row case of phi_hankel_rows."""
-    return phi_hankel_rows(gen, n, [u], ctl).row(0)
+    return phi_hankel_rows(gen, n, [u]).row(0)

@@ -62,7 +62,6 @@ __all__ = [
     "skew_normal_sampler",
     "smsn_sampler",
     "sample_sphere",
-    "sample_radius",
     "sample_elliptical",
     "sample_location_scale_mixture",
     "sample_skew_normal",
@@ -262,17 +261,6 @@ def sample_sphere(n: int, count: int, rng: RngStream, workers: int = 1) -> Sampl
     return Sampler("sphere", n, lambda m, g: _unit_sphere_rows(g, m, n)).batch(count, rng, workers)
 
 
-def _sample_ball(n: int, count: int, rng: RngStream, workers: int = 1) -> SampleBatch:
-    """Uniform draws inside the unit ball: radius CDF inverse U^(1/n)."""
-
-    def draw(m: int, g: np.random.Generator) -> np.ndarray:
-        u = _unit_sphere_rows(g, m, n)
-        r = g.random(m) ** (1.0 / n)
-        return r[:, None] * u
-
-    return Sampler("ball", n, draw).batch(count, rng, workers)
-
-
 def _radius_chunk(
     spec: EllipticalSpec, m: int, g: np.random.Generator
 ) -> np.ndarray:
@@ -346,16 +334,6 @@ def _invert_from_table(table: tuple[np.ndarray, np.ndarray], u: np.ndarray) -> n
     g0, g1 = grid[idx - 1], grid[idx]
     frac = np.where(c1 > c0, (u - c0) / np.where(c1 > c0, c1 - c0, 1.0), 0.5)
     return g0 + frac.clip(0.0, 1.0) * (g1 - g0)
-
-
-def sample_radius(spec: EllipticalSpec, count: int, rng: RngStream, workers: int = 1) -> np.ndarray:
-    """Draws of the generating variate R for this spec.
-
-    Named families use exact distributional shortcuts (chi-square, beta,
-    gamma-ratio, generalized-gamma, gamma scale mixtures); custom
-    generators invert a tabulated radial CDF.
-    """
-    return _gather(_chunk_results(count, rng, workers, lambda m, g: _radius_chunk(spec, m, g)), count)
 
 
 def elliptical_sampler(spec: EllipticalSpec) -> Sampler:

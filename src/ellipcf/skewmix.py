@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,14 +42,14 @@ from .elliptical import (
 from .errors import ConvergenceError, DomainError, MomentUndefinedError
 from .generators import DensityGenerator
 from .quadrature import (
-    QuadratureControl,
     _call_rows,
+    _oscillatory_rows,
+    _oscillatory_tol,
     _phi_small_u_series,
     adaptive_rows,
-    integrate_bessel_oscillatory,
     normalizing_constant,
 )
-from .specfun import _complex, gamma_fn, norm_cdf_imag, norm_cdf_imag_scaled
+from .specfun import _complex, _elementwise, gamma_fn, norm_cdf_imag, norm_cdf_imag_scaled
 
 __all__ = [
     "MixingKind",
@@ -250,7 +249,7 @@ class MixingLaw:
         # bits the scalar density has always had
         return exp((self._log_norm - (self.shape + 1.0) * log(v)) - self.scale / v)
 
-    def expectation_rows(self, fn, count: int, abs_tol: float = _MIX_ABS_TOL):
+    def expectation_rows(self, fn, count: int):
         """E[fn(rows, V)] for `count` integrands at once: (values, failures).
 
         fn(rows, v) takes an integer (k, 1) array of row indices and a (k, m)
@@ -260,7 +259,7 @@ class MixingLaw:
         quadrature against the density with quadrature.adaptive_rows, one fn
         call per round (substitution v = lo + x/(1-x) for a support
         [lo, inf)).  A row whose fn call raises, or whose quadrature error
-        exceeds abs_tol, gets its exception in failures (row -> exception)
+        exceeds _MIX_ABS_TOL, gets its exception in failures (row -> exception)
         and a nan value; no other row changes.
         """
         failures: dict = {}
@@ -293,21 +292,21 @@ class MixingLaw:
                 return _times_ratio(fn(rows, v), self.pdf(v), 1.0)
 
             a, b = lo, hi
-        vals, errs, _, failures = adaptive_rows(integrand, count, a, b, abs_tol / 4.0, 1e-12, 512)
-        for row in np.flatnonzero(errs > abs_tol).tolist():
+        vals, errs, _, failures = adaptive_rows(integrand, count, a, b, _MIX_ABS_TOL / 4.0, 1e-12, 512)
+        for row in np.flatnonzero(errs > _MIX_ABS_TOL).tolist():
             failures[row] = ConvergenceError(
-                f"MixingLaw.expectation: quadrature error {errs[row]:.2e} exceeds {abs_tol:.2e}"
+                f"MixingLaw.expectation: quadrature error {errs[row]:.2e} exceeds {_MIX_ABS_TOL:.2e}"
             )
             vals[row] = np.nan
         return vals, failures
 
-    def expectation(self, fn: Callable[[float], complex], abs_tol: float = _MIX_ABS_TOL):
+    def expectation(self, fn: Callable[[float], complex]):
         """E[fn(V)] for a scalar fn: the one-row case of expectation_rows."""
 
         def at_values(rows, v):
             return np.array([fn(x) for x in v.ravel().tolist()]).reshape(v.shape)
 
-        values, failures = self.expectation_rows(at_values, 1, abs_tol)
+        values, failures = self.expectation_rows(at_values, 1)
         if failures:
             raise failures[0]
         return values[0].item()
@@ -339,12 +338,7 @@ class LSMixtureSpec:
         self.mixing = mixing
 
 
-def cf_location_scale_mixture_rows(
-    spec: LSMixtureSpec,
-    ts,
-    route: str = "auto",
-    ctl: QuadratureControl | None = None,
-) -> CFRows:
+def cf_location_scale_mixture_rows(spec: LSMixtureSpec, ts, route: str = "auto") -> CFRows:
     """CF of the location-scale mixture at each row t of the (P, n) array ts.
 
     exp(i t'mu) E[e^(iV t'gamma) phi(V t'Sigma t)]: t'Sigma t, t'gamma and
@@ -366,7 +360,7 @@ def cf_location_scale_mixture_rows(
         hankel = np.zeros(len(qs), dtype=bool)
 
         def f(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
-            phi, err, meth, failures = char_generator_rows(gen, n, v * qs[rows], route, ctl)
+            phi, err, meth, failures = char_generator_rows(gen, n, v * qs[rows], route)
             if failures:
                 raise failures[min(failures)]
             phi, err, meth = phi.reshape(v.shape), err.reshape(v.shape), meth.reshape(v.shape)
@@ -384,15 +378,10 @@ def cf_location_scale_mixture_rows(
     return _chunk_rows(ts, evaluate)
 
 
-def cf_location_scale_mixture(
-    spec: LSMixtureSpec,
-    t,
-    route: str = "auto",
-    ctl: QuadratureControl | None = None,
-) -> ComplexCF:
+def cf_location_scale_mixture(spec: LSMixtureSpec, t, route: str = "auto") -> ComplexCF:
     """CF of the location-scale mixture at the point t (see the rows form)."""
     ts = _as_vector(t, spec.n, "t")[None, :]
-    return cf_location_scale_mixture_rows(spec, ts, route, ctl).row(0)
+    return cf_location_scale_mixture_rows(spec, ts, route).row(0)
 
 
 # ---------------------------------------------------------------------------
@@ -431,16 +420,13 @@ def _smu_weight_density(gen: DensityGenerator, n: int, w: float) -> float:
     return -lead * w ** (n + 1) * gen.g_prime(w * w)
 
 
-def cf_star_unimodal(
-    gen: DensityGenerator, n: int, t, ctl: QuadratureControl | None = None
-) -> ComplexCF:
+def cf_star_unimodal(gen: DensityGenerator, n: int, t) -> ComplexCF:
     """CF through the scale-mixture-of-uniforms route (real-valued).
 
     2 c_n (2 pi)^(n/2) ||t||^(-n/2) int_0^inf w^(n/2+1) J_(n/2)(w||t||) (-g'(w^2)) dw
     """
     t = np.asarray(t, dtype=float).reshape(-1)
     _check_star_unimodal(gen)
-    ctl = ctl or QuadratureControl()
     u = float(np.linalg.norm(t))
     if u == 0.0:
         return ComplexCF(1.0, 0.0, 0.0, CFMethod.HANKEL)
@@ -448,18 +434,20 @@ def cf_star_unimodal(
         # the ball-kernel series in E[W^(2k)] = ((n+2k)/n) E[R^(2k)] is
         # term by term phi_hankel's series in E[R^(2k)]
         try:
-            res = _phi_small_u_series(gen, n, u, ctl)
+            res = _phi_small_u_series(gen, n, u)
             return ComplexCF(res.value, 0.0, res.err_est, CFMethod.HANKEL)
         except MomentUndefinedError:
             pass  # heavy tails: only the oscillatory route is available
-    c_n = normalizing_constant(n, gen, ctl)
+    c_n = normalizing_constant(n, gen)
     prefactor = 2.0 * c_n * (2.0 * math.pi) ** (0.5 * n) * u ** (-0.5 * n)
 
     def envelope(w: float) -> float:
         return -(w ** (0.5 * n + 1.0)) * gen.g_prime(w * w)
 
-    inner = replace(ctl, abs_tol=ctl.abs_tol / max(prefactor, 1.0))
-    res = integrate_bessel_oscillatory(envelope, 0.5 * n, u, inner, gen.support_radius)
+    res = _oscillatory_rows(
+        lambda w: _elementwise(envelope, w), 0.5 * n, np.array([u]),
+        np.array([_oscillatory_tol(prefactor)]), gen.support_radius,
+    ).row(0)
     return ComplexCF(
         prefactor * res.value, 0.0, abs(prefactor) * res.err_est, CFMethod.HANKEL
     )

@@ -13,8 +13,8 @@ J_nu also has an array form (:func:`bessel_j_rows`) that runs bessel_j's
 series and Hankel expansion in lockstep over every entry, with bessel_j's
 branches and stopping rule per entry.
 
-Every truncated series honours a :class:`SeriesControl` policy and reports
-the number of terms consumed.  Non-convergence raises
+Every truncated series stops at a relative term size of 1e-14, within at
+most 500 terms, and reports the number of terms consumed.  Non-convergence raises
 :class:`~ellipcf.errors.ConvergenceError`; a silent NaN is never returned.
 """
 
@@ -24,7 +24,6 @@ import math
 import sys
 import threading
 from dataclasses import dataclass
-from functools import partial
 from itertools import repeat
 from typing import Callable
 
@@ -33,7 +32,6 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "SeriesControl",
     "SpecialValue",
     "gamma_fn",
     "log_gamma_fn",
@@ -51,20 +49,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for power series."""
-
-    rel_tol: float = 1e-14
-    max_terms: int = 500
-
-    def __post_init__(self) -> None:
-        if not self.rel_tol > 0.0:
-            raise DomainError("SeriesControl.rel_tol must be positive")
-        if self.max_terms < 1:
-            raise DomainError("SeriesControl.max_terms must be >= 1")
-
-
-@dataclass(frozen=True)
 class SpecialValue:
     """A series result with its convergence diagnostics.
 
@@ -76,7 +60,10 @@ class SpecialValue:
     converged: bool
 
 
-_DEFAULT_CTL = SeriesControl()
+# Every truncated series stops after two consecutive terms below this
+# fraction of the running sum, and fails past this many terms.
+_SERIES_REL_TOL = 1e-14
+_SERIES_MAX_TERMS = 500
 
 # Series / asymptotic switchover for J_nu.  Keeps the float64 series below
 # ~5e-13 cancellation error while the Hankel expansion is already usable.
@@ -106,7 +93,7 @@ def log_gamma_fn(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _bessel_j_series(nu: float, x: float, ctl: SeriesControl) -> SpecialValue:
+def _bessel_j_series(nu: float, x: float) -> SpecialValue:
     # J_nu(x) = (x/2)^nu / Gamma(nu+1) * sum_k (-x^2/4)^k / (k! (nu+1)_k)
     half = 0.5 * x
     if nu > 30.0:
@@ -118,16 +105,16 @@ def _bessel_j_series(nu: float, x: float, ctl: SeriesControl) -> SpecialValue:
     total = 1.0
     small_streak = 0
     kmin = 0.5 * x  # term magnitudes peak near k ~ x/2
-    for k in range(1, ctl.max_terms + 1):
+    for k in range(1, _SERIES_MAX_TERMS + 1):
         term *= msq / (k * (nu + k))
         total += term
-        if abs(term) <= ctl.rel_tol * abs(total) and k >= kmin:
+        if abs(term) <= _SERIES_REL_TOL * abs(total) and k >= kmin:
             small_streak += 1
             if small_streak >= 2:
                 return SpecialValue(lead * total, k, True)
         else:
             small_streak = 0
-    return SpecialValue(lead * total, ctl.max_terms, False)
+    return SpecialValue(lead * total, _SERIES_MAX_TERMS, False)
 
 
 def _bessel_j_asymptotic(nu: float, x: float) -> SpecialValue:
@@ -158,7 +145,7 @@ def _bessel_j_asymptotic(nu: float, x: float) -> SpecialValue:
     return SpecialValue(value, terms, best < 1e-10)
 
 
-def bessel_j(nu: float, x: float, ctl: SeriesControl = _DEFAULT_CTL) -> float:
+def bessel_j(nu: float, x: float) -> float:
     """Bessel function of the first kind, real order nu > -1, x >= 0."""
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"bessel_j: x must be finite and >= 0, got {x}")
@@ -171,7 +158,7 @@ def bessel_j(nu: float, x: float, ctl: SeriesControl = _DEFAULT_CTL) -> float:
             return 0.0
         raise DomainError("bessel_j: J_nu diverges at x=0 for nu < 0")
     if x < max(_J_SWITCH_BASE, 2.0 * abs(nu)):
-        sv = _bessel_j_series(nu, x, ctl)
+        sv = _bessel_j_series(nu, x)
     else:
         sv = _bessel_j_asymptotic(nu, x)
     if not sv.converged:
@@ -214,7 +201,7 @@ def _power(x: np.ndarray, e: float) -> np.ndarray:
 _J_SERIES_BLOCK = 32
 
 
-def _bessel_j_series_rows(nu: float, x: np.ndarray, ctl: SeriesControl):
+def _bessel_j_series_rows(nu: float, x: np.ndarray):
     # _bessel_j_series at every entry of x: (values, converged, terms used).
     # Terms come in blocks of columns; cumprod and cumsum run along a row in
     # order, so every term and partial sum is the scalar loop's.
@@ -223,18 +210,18 @@ def _bessel_j_series_rows(nu: float, x: np.ndarray, ctl: SeriesControl):
         lead = _elementwise(math.exp, nu * _elementwise(math.log, half) - log_gamma_fn(nu + 1.0))
     else:
         lead = _power(half, nu) / gamma_fn(nu + 1.0)
-    value, terms = lead.copy(), np.full(len(x), ctl.max_terms)
+    value, terms = lead.copy(), np.full(len(x), _SERIES_MAX_TERMS)
     converged = np.zeros(len(x), dtype=bool)
     live = np.arange(len(x))
     msq, kmin = -(half * half), 0.5 * x
     term, total, small = np.ones(len(x)), np.ones(len(x)), np.zeros(len(x), dtype=bool)
-    for k0 in range(1, ctl.max_terms + 1, _J_SERIES_BLOCK):
+    for k0 in range(1, _SERIES_MAX_TERMS + 1, _J_SERIES_BLOCK):
         if not len(live):
             break
-        ks = np.arange(k0, min(k0 + _J_SERIES_BLOCK, ctl.max_terms + 1))
+        ks = np.arange(k0, min(k0 + _J_SERIES_BLOCK, _SERIES_MAX_TERMS + 1))
         block = np.cumprod(np.column_stack((term, msq[:, None] / (ks * (nu + ks)))), axis=1)[:, 1:]
         sums = np.cumsum(np.column_stack((total, block)), axis=1)[:, 1:]
-        cond = (abs(block) <= ctl.rel_tol * abs(sums)) & (ks >= kmin[:, None])
+        cond = (abs(block) <= _SERIES_REL_TOL * abs(sums)) & (ks >= kmin[:, None])
         stop = cond & np.column_stack((small, cond[:, :-1]))  # two small terms in a row
         done = stop.any(axis=1)
         at = stop.argmax(axis=1)[done]
@@ -309,7 +296,7 @@ def _bessel_j_asymptotic_rows(nu: float, x: np.ndarray):
     return value, converged, terms
 
 
-def bessel_j_rows(nu: float, x, ctl: SeriesControl = _DEFAULT_CTL) -> np.ndarray:
+def bessel_j_rows(nu: float, x) -> np.ndarray:
     """bessel_j(nu, .) at every entry of the array x, in lockstep.
 
     Every entry takes bessel_j's branch (series below max(12, 2|nu|), the
@@ -327,22 +314,22 @@ def bessel_j_rows(nu: float, x, ctl: SeriesControl = _DEFAULT_CTL) -> np.ndarray
         raise DomainError(f"bessel_j: order must satisfy nu > -1, got {nu}")
     zero = flat == 0.0
     if not zero.any():
-        return _bessel_j_positive(nu, flat, ctl).reshape(x.shape)
+        return _bessel_j_positive(nu, flat).reshape(x.shape)
     if nu < 0.0:
         raise DomainError("bessel_j: J_nu diverges at x=0 for nu < 0")
     out = np.full(flat.shape, 1.0 if nu == 0.0 else 0.0)
-    out[~zero] = _bessel_j_positive(nu, flat[~zero], ctl)
+    out[~zero] = _bessel_j_positive(nu, flat[~zero])
     return out.reshape(x.shape)
 
 
-def _bessel_j_positive(nu: float, x: np.ndarray, ctl: SeriesControl) -> np.ndarray:
+def _bessel_j_positive(nu: float, x: np.ndarray) -> np.ndarray:
     # bessel_j_rows on the 1-d array x > 0: each branch on its own entries
     if abs(nu) == 0.5:
         trig = math.sin if nu > 0.0 else math.cos
         return np.sqrt(2.0 / (math.pi * x)) * _elementwise(trig, x)
     series = x < max(_J_SWITCH_BASE, 2.0 * abs(nu))
     out, converged, terms = np.empty(len(x)), np.empty(len(x), dtype=bool), np.empty(len(x), dtype=int)
-    for branch, evaluate in ((series, partial(_bessel_j_series_rows, ctl=ctl)),
+    for branch, evaluate in ((series, _bessel_j_series_rows),
                              (~series, _bessel_j_asymptotic_rows)):
         if branch.all():
             out, converged, terms = evaluate(nu, x)
@@ -562,28 +549,28 @@ def _check_not_pole(gamma: float, name: str) -> None:
 
 
 def _sum_ratio_series(
-    ratio: Callable[[int], float], ctl: SeriesControl, kmin: float
+    ratio: Callable[[int], float], kmin: float
 ) -> SpecialValue:
     # Sum 1 + t_1 + t_2 + ... with t_{k} = t_{k-1} * ratio(k-1); stops after
     # two consecutive negligible terms past the term-magnitude peak.
     term = 1.0
     total = 1.0
     small_streak = 0
-    for k in range(1, ctl.max_terms + 1):
+    for k in range(1, _SERIES_MAX_TERMS + 1):
         term *= ratio(k - 1)
         total += term
         if term == 0.0:
             return SpecialValue(total, k, True)  # terminating series
-        if abs(term) <= ctl.rel_tol * abs(total) and k >= kmin:
+        if abs(term) <= _SERIES_REL_TOL * abs(total) and k >= kmin:
             small_streak += 1
             if small_streak >= 2:
                 return SpecialValue(total, k, True)
         else:
             small_streak = 0
-    return SpecialValue(total, ctl.max_terms, False)
+    return SpecialValue(total, _SERIES_MAX_TERMS, False)
 
 
-def hyp0f1(gamma: float, z: float, ctl: SeriesControl = _DEFAULT_CTL) -> float:
+def hyp0f1(gamma: float, z: float) -> float:
     """Generalized hypergeometric series 0F1(gamma; z).
 
     Large negative z is evaluated through Bessel J (the two functions are
@@ -597,7 +584,7 @@ def hyp0f1(gamma: float, z: float, ctl: SeriesControl = _DEFAULT_CTL) -> float:
         x = 2.0 * math.sqrt(-z)
         return gamma_fn(gamma) * (0.5 * x) ** (1.0 - gamma) * bessel_j(gamma - 1.0, x)
     sv = _sum_ratio_series(
-        lambda k: z / ((k + 1.0) * (gamma + k)), ctl, 2.0 * math.sqrt(abs(z))
+        lambda k: z / ((k + 1.0) * (gamma + k)), 2.0 * math.sqrt(abs(z))
     )
     if not sv.converged:
         raise ConvergenceError(
@@ -606,7 +593,7 @@ def hyp0f1(gamma: float, z: float, ctl: SeriesControl = _DEFAULT_CTL) -> float:
     return sv.value
 
 
-def hyp1f1(alpha: float, gamma: float, z: float, ctl: SeriesControl = _DEFAULT_CTL) -> float:
+def hyp1f1(alpha: float, gamma: float, z: float) -> float:
     """Kummer's confluent hypergeometric function 1F1(alpha; gamma; z).
 
     Negative arguments go through the Kummer transform
@@ -620,12 +607,12 @@ def hyp1f1(alpha: float, gamma: float, z: float, ctl: SeriesControl = _DEFAULT_C
     if z < 0.0:
         a2 = gamma - alpha
         sv = _sum_ratio_series(
-            lambda k: (a2 + k) * (-z) / ((gamma + k) * (k + 1.0)), ctl, abs(z)
+            lambda k: (a2 + k) * (-z) / ((gamma + k) * (k + 1.0)), abs(z)
         )
         scale = math.exp(z)
     else:
         sv = _sum_ratio_series(
-            lambda k: (alpha + k) * z / ((gamma + k) * (k + 1.0)), ctl, abs(z)
+            lambda k: (alpha + k) * z / ((gamma + k) * (k + 1.0)), abs(z)
         )
         scale = 1.0
     if not sv.converged:

@@ -14,6 +14,7 @@ import pytest
 import ellipcf
 from ellipcf import cli
 from ellipcf import elliptical
+from ellipcf import quadrature
 from ellipcf import sampling
 from ellipcf import skewmix
 from ellipcf.errors import ConvergenceError, DomainError
@@ -150,7 +151,7 @@ class TestEval:
     def test_numeric_failure_exit_3_names_grid_point(self, tmp_path, capsys, monkeypatch):
         from ellipcf.errors import ConvergenceError
 
-        def broken(gen, n, us, ctl=None):
+        def broken(gen, n, us):
             raise ConvergenceError("synthetic quadrature breakdown")
 
         monkeypatch.setattr(elliptical, "phi_hankel_rows", broken)
@@ -207,10 +208,10 @@ class TestEval:
         if kind == "lsm":
             real = skewmix.char_generator_rows
 
-            def breaks(gen, n, qs, route="auto", ctl=None):
+            def breaks(gen, n, qs, route="auto"):
                 if (np.asarray(qs) > 20.0).any():
                     raise ConvergenceError("synthetic series breakdown")
-                return real(gen, n, qs, route, ctl)
+                return real(gen, n, qs, route)
 
             monkeypatch.setattr(skewmix, "char_generator_rows", breaks)
             obj = dict(normal_spec(), kind="lsm", gamma=[0.4, 0.1], mixing=finite)
@@ -243,7 +244,7 @@ class TestEval:
                 raise ConvergenceError("closed breakdown")
             return real(gen, n, q)
 
-        def hankel_breaks(gen, n, us, ctl=None):
+        def hankel_breaks(gen, n, us):
             raise ConvergenceError("hankel breakdown")
 
         monkeypatch.setattr(elliptical, "closed_form_generator", closed_breaks)
@@ -269,6 +270,48 @@ class TestEval:
         _, _, rows = parse_result_csv(capsys.readouterr().out)
         assert abs(float(rows[0][2]) - 0.99999962521644) <= 1e-12
         assert rows[0][5] == "hankel"
+
+    @pytest.mark.parametrize("kind", ["elliptical", "smu"])
+    def test_origin_only_hankel_runs_no_quadrature(self, tmp_path, capsys, monkeypatch, kind):
+        # the hankel route is always available: nothing is integrated before the grid
+        calls = []
+        real = quadrature._oscillatory_rows
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "_oscillatory_rows", counted)
+        monkeypatch.setattr(skewmix, "_oscillatory_rows", counted)
+        obj = dict(_gen_spec("pearson_vii", {"N": 2.0, "s": 1.0}), kind=kind)
+        spec = write_spec(tmp_path, "p7.json", obj)
+        rc = cli.main(["eval", "--spec", spec, "--routes", "hankel",
+                       "--grid", '{"kind":"list","points":[[0.0,0.0]]}'])
+        assert rc == 0 and not calls
+        _, _, rows = parse_result_csv(capsys.readouterr().out)
+        assert float(rows[0][2]) == 1.0
+
+    @pytest.mark.parametrize(
+        "routes, points",
+        [("hankel", [[0.0, 0.0]]), ("hankel", [[0.5, 0.0], [1.5, 0.0]]),
+         ("closed,hankel", [[0.5, 0.0], [1.5, 0.0]])],
+        ids=["origin", "nonzero", "closed-fails-first"],
+    )
+    def test_smu_not_star_unimodal_is_spec_error(self, tmp_path, capsys, monkeypatch, routes, points):
+        # a Kotz N = 2 generator rises from the origin: the star route is
+        # refused as the evaluator is built, before any grid point, even where
+        # the closed route fails numerically at the first point
+        def closed_breaks(gen, n, q):
+            raise ConvergenceError("closed breakdown")
+
+        if routes.startswith("closed"):
+            monkeypatch.setattr(elliptical, "closed_form_generator", closed_breaks)
+        obj = dict(_gen_spec("kotz", {"N": 2.0, "r": 0.5, "s": 1.0}), kind="smu")
+        spec = write_spec(tmp_path, "smu.json", obj)
+        grid = json.dumps({"kind": "list", "points": points})
+        assert cli.main(["eval", "--spec", spec, "--routes", routes, "--grid", grid]) == 2
+        err = capsys.readouterr().err
+        assert "spec error: not star unimodal: g' > 0 detected on the support" in err
 
     def test_closed_unavailable_exit_2(self, tmp_path, capsys):
         obj = normal_spec()
@@ -559,12 +602,12 @@ class TestGridPath:
         seen = set()
         real = skewmix.char_generator_rows
 
-        def core(gen, n, qs, route="auto", ctl=None):
+        def core(gen, n, qs, route="auto"):
             rows = {row_of_q.get(q) for q in np.ravel(qs).tolist()}  # None: the availability probe
             seen.update(rows)
             if 5 in rows:
                 raise error("synthetic breakdown")
-            return real(gen, n, qs, route, ctl)
+            return real(gen, n, qs, route)
 
         monkeypatch.setattr(skewmix, "char_generator_rows", core)
         spec = write_spec(tmp_path, "m.json", _lsm_spec(_DEGENERATE))
@@ -879,7 +922,7 @@ class TestOutputErrors:
         assert "Traceback" not in err
 
     def test_failed_computation_creates_no_file(self, tmp_path, capsys, monkeypatch):
-        def broken(gen, n, us, ctl=None):
+        def broken(gen, n, us):
             raise ConvergenceError("synthetic quadrature breakdown")
 
         monkeypatch.setattr(elliptical, "phi_hankel_rows", broken)

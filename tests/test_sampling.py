@@ -28,11 +28,9 @@ from ellipcf.sampling import (
     empirical_cf_rows,
     sample_elliptical,
     sample_location_scale_mixture,
-    sample_radius,
     sample_skew_normal,
     sample_smsn,
     sample_sphere,
-    _sample_ball,
 )
 from ellipcf.specfun import hyp0f1
 
@@ -61,6 +59,17 @@ def std_normal_base(n):
     return EllipticalSpec(n, np.zeros(n), np.eye(n), gn.normal_generator())
 
 
+def sample_ball(n, count, rng, workers=1):
+    # uniform draws inside the unit ball: the uniform_ball law at mu = 0, Sigma = I
+    spec = EllipticalSpec(n, np.zeros(n), np.eye(n), gn.uniform_ball_generator())
+    return sampling.elliptical_sampler(spec).batch(count, rng, workers)
+
+
+def sample_radius(spec, count, rng):
+    # draws of the generating variate R: the row norms of a law at mu = 0, Sigma = I
+    return np.linalg.norm(sampling.elliptical_sampler(spec).batch(count, rng).data, axis=1)
+
+
 class TestSphereAndBall:
     def test_sphere_norms_exact(self):
         batch = sample_sphere(3, 50000, RNG)
@@ -79,18 +88,18 @@ class TestSphereAndBall:
         assert abs(e.re - want) <= band and abs(e.im) <= band
 
     def test_ball_norms_inside(self):
-        batch = _sample_ball(3, 50000, RNG)
+        batch = sample_ball(3, 50000, RNG)
         assert np.linalg.norm(batch.data, axis=1).max() <= 1.0
 
     def test_ball_second_moment(self):
         for n in (2, 3):
-            batch = _sample_ball(n, 200000, RNG)
+            batch = sample_ball(n, 200000, RNG)
             m2 = (batch.data**2).sum(axis=1).mean()
             assert abs(m2 - n / (n + 2.0)) <= 5.0 / math.sqrt(batch.count)
 
     def test_ball_cf_matches_0f1(self):
         count = 10**6
-        batch = _sample_ball(2, count, RNG, workers=4)
+        batch = sample_ball(2, count, RNG, workers=4)
         for s in (1.0, 4.0):
             e = empirical_cf(batch, [math.sqrt(s), 0.0])
             want = hyp0f1(2.0, -0.25 * s)
@@ -404,7 +413,7 @@ class TestDeterminism:
 
 class TestBatchCSV:
     def test_round_trip(self, tmp_path):
-        batch = _sample_ball(2, 500, RNG)
+        batch = sample_ball(2, 500, RNG)
         path = tmp_path / "batch.csv"
         batch_to_csv(batch, path, extra_comments=["spec_sha256=abc"])
         lines = path.read_text().splitlines()
