@@ -259,8 +259,8 @@ class MixingLaw:
         quadrature against the density with quadrature.adaptive_rows, one fn
         call per round (substitution v = lo + x/(1-x) for a support
         [lo, inf)).  A row whose fn call raises, or whose quadrature error
-        exceeds _MIX_ABS_TOL, gets its exception in failures (row -> exception)
-        and a nan value; no other row changes.
+        exceeds _MIX_ABS_TOL (1e-8), gets its exception in failures (row ->
+        exception) and a nan value; no other row changes.
         """
         failures: dict = {}
         if self.is_exact():

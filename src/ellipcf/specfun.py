@@ -14,8 +14,9 @@ series and Hankel expansion in lockstep over every entry, with bessel_j's
 branches and stopping rule per entry.
 
 Every truncated series stops at a relative term size of 1e-14, within at
-most 500 terms, and reports the number of terms consumed.  Non-convergence raises
-:class:`~ellipcf.errors.ConvergenceError`; a silent NaN is never returned.
+most 500 terms, and reports the number of terms consumed.  Non-convergence
+raises :class:`~ellipcf.errors.ConvergenceError`; a silent NaN is never
+returned.
 """
 
 from __future__ import annotations
@@ -548,9 +549,7 @@ def _check_not_pole(gamma: float, name: str) -> None:
         raise DomainError(f"{name}: lower parameter {gamma} is a nonpositive integer")
 
 
-def _sum_ratio_series(
-    ratio: Callable[[int], float], kmin: float
-) -> SpecialValue:
+def _sum_ratio_series(ratio: Callable[[int], float], kmin: float) -> SpecialValue:
     # Sum 1 + t_1 + t_2 + ... with t_{k} = t_{k-1} * ratio(k-1); stops after
     # two consecutive negligible terms past the term-magnitude peak.
     term = 1.0
