@@ -51,9 +51,42 @@ class TestAdaptiveInterval:
                                         0.0, 1.0, 1e-12, 1e-12)
         assert abs(val - complex(math.sin(1.0), 1.0 - math.cos(1.0))) <= 1e-13
 
+    # (integrand, a, b, abs_tol, rel_tol, max_panels, seeds) -> float.hex of
+    # the value's parts and of err_est, and the panel count: the Gauss-Kronrod
+    # decisions (nodes, sums, which panel is bisected, when to stop) pinned
+    # to the bit
+    PINNED = {
+        "real": ((lambda x: 1.0 / (1.0 + 25.0 * x * x), -1.0, 1.0, 1e-13, 1e-13, 256, ()),
+                 ("0x1.1945c10eaa046p-1",), "0x1.de00000000000p-49", 14),
+        "complex": ((lambda x: complex(math.cos(x), math.sin(x)), 0.0, 20.0, 1e-12, 1e-12, 256, ()),
+                    ("0x1.d36d8f55d3ce6p-1", "0x1.2f0fde34dabdfp-1"), "0x1.08ab68b3f7800p-41", 8),
+        "seeded": ((math.sqrt, 0.0, 1.0, 1e-12, 1e-12, 256, (1e-3, 0.01, 0.1, 0.5, 2.0)),
+                   ("0x1.55555555555cbp-1",), "0x1.ff90caa9b9b4ep-41", 21),
+        "capped": ((lambda x: math.sqrt(abs(x - 0.3)), 0.0, 1.0, 1e-14, 1e-14, 4, ()),
+                   ("0x1.ffa8589ec26d5p-2",), "0x1.aeb6a1db024c0p-11", 4),
+    }
+
+    @pytest.mark.parametrize("case", list(PINNED))
+    def test_decisions_pinned(self, case):
+        args, value, err, panels = self.PINNED[case]
+        val, err_est, used = adaptive_interval(*args)
+        parts = (val.real, val.imag) if isinstance(val, complex) else (val,)
+        assert tuple(float.hex(p) for p in parts) == value
+        assert (float.hex(err_est), used) == (err, panels)
+
+    def test_integrand_exception_propagates(self):
+        def f(x):
+            if x > 0.5:
+                raise ArithmeticError("past 0.5")
+            return x
+
+        with pytest.raises(ArithmeticError, match="past 0.5"):
+            adaptive_interval(f, 0.0, 1.0, 1e-12, 1e-12)
+
 
 class TestAdaptiveRows:
-    """The lockstep form makes adaptive_interval's decisions for every row."""
+    """Every row of the lockstep engine gets the bits of its own one-row
+    run (adaptive_interval), whatever else is in the batch."""
 
     PARAMS = np.geomspace(0.3, 60.0, 40)
 
