@@ -358,16 +358,19 @@ def _analytic_evaluator(spec: ParsedSpec, route: str) -> Callable[[np.ndarray], 
 
 
 def _smu_rows(ell: el.EllipticalSpec, ts: np.ndarray) -> el.CFRows:
-    """The star-unimodal route (the hankel route of smu), point by point."""
+    """The star-unimodal route (the hankel route of smu): one grid call on
+    u = ||t||_Sigma, each row then turned by e^(i t'mu)."""
     from . import skewmix as sk
 
-    def at_point(u: float, t: np.ndarray) -> el.ComplexCF:
-        base = sk.cf_star_unimodal(ell.generator, ell.n, [u])  # depends on ||t||_Sigma = u only
-        phase = float(t @ ell.mu)
-        out = complex(math.cos(phase), math.sin(phase)) * base.re
-        return el.ComplexCF(out.real, out.imag, base.abs_err, base.method)
+    def values() -> Iterator[el.ComplexCF]:
+        res = sk.star_unimodal_rows(ell.generator, ell.n, np.sqrt(ell.dispersion.quad_rows(ts)))
+        for i, t in enumerate(ts):
+            base = res.row(i)  # raises the row's failure
+            phase = float(t @ ell.mu)  # per row: a batched product may round otherwise
+            out = complex(math.cos(phase), math.sin(phase)) * base.value
+            yield el.ComplexCF(out.real, out.imag, base.err_est, el.CFMethod.HANKEL)
 
-    return el.CFRows.collect(map(at_point, np.sqrt(ell.dispersion.quad_rows(ts)).tolist(), ts))
+    return el.CFRows.collect(values())
 
 
 def _sampler(spec: ParsedSpec) -> sp.Sampler:

@@ -1,12 +1,12 @@
 """Adaptive panel quadrature and the Bessel-kernel radial integrals.
 
-Every panel uses the nested Gauss-Kronrod 7/15 pair, for one scalar
-integrand (adaptive_interval) or for many integrands advanced in lockstep
-on arrays (adaptive_rows, which makes adaptive_interval's decisions for
-each of them).  The oscillatory integrator works in the Bessel argument
-x = omega r, splits that axis at consecutive Bessel zeros, integrates
-each inter-zero panel adaptively, and accelerates the alternating panel
-sums with an iterated Euler transform.
+Every panel uses the nested Gauss-Kronrod 7/15 pair, in one engine that
+advances many integrands in lockstep on arrays (adaptive_rows); a scalar
+integrand is its one-row case (adaptive_interval).  The oscillatory
+integrator works in the Bessel argument x = omega r, splits that axis at
+consecutive Bessel zeros, integrates each inter-zero panel adaptively,
+and accelerates the alternating panel sums with an iterated Euler
+transform.
 It runs a whole set of frequencies in lockstep: every round integrates the
 next few Bessel panels of all rows still running in one adaptive_rows call,
 and applies the exit rules to all of them as array masks; a single
@@ -17,7 +17,6 @@ closed forms, on a whole grid at once (phi_hankel_rows).
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -102,23 +101,14 @@ _K15_PAIRS = (
      0.381830050505118944950369775488975),
     (0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0),
 )
-_K15_CENTRE = 0.209482141084727828012999174891714
-_G7_CENTRE = 0.417959183673469387755102040816327
-
-
-def _kronrod_pair(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    # K15 value with |K15 - G7| as its error estimate, from 15 integrand calls
-    halfw = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fc = f(mid)
-    k15 = _K15_CENTRE * fc
-    g7 = _G7_CENTRE * fc
-    for x, wk, wg in _K15_PAIRS:
-        dx = halfw * x
-        pair = f(mid - dx) + f(mid + dx)
-        k15 += wk * pair
-        g7 += wg * pair
-    return halfw * k15, halfw * abs(k15 - g7)
+# Node offsets in evaluation order: the centre, then each symmetric pair as
+# (mid - dx, mid + dx); the centre's Kronrod and Gauss weights.
+_K15_OFFSETS = np.array([0.0] + [s * x for x, _, _ in _K15_PAIRS for s in (-1.0, 1.0)])
+_K15_G7_WEIGHTS = np.array([(wk, wg) for _, wk, wg in _K15_PAIRS])
+_K15_G7_CENTRE = np.array(
+    [0.209482141084727828012999174891714, 0.417959183673469387755102040816327]
+)
+_NO_PANEL = np.iinfo(np.int64).max  # the sequence number of a padding slot
 
 
 def _dyadic_seeds(a: float, b: float, min_cell: float) -> tuple[float, ...]:
@@ -129,6 +119,11 @@ def _dyadic_seeds(a: float, b: float, min_cell: float) -> tuple[float, ...]:
         return ()
     levels = min(48, int(math.ceil(math.log2(width / min_cell))))
     return tuple(a + width * 2.0 ** (-j) for j in range(levels, 0, -1))
+
+
+def _node_by_node(f: Callable[[float], complex]) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    # a scalar integrand as adaptive_rows' f: called at each node in turn
+    return lambda rows, x: np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def adaptive_interval(
@@ -142,51 +137,18 @@ def adaptive_interval(
 ) -> tuple[float, float, int]:
     """Adaptive Gauss-Kronrod 7/15 on [a, b]: (value, err_est, panels_used).
 
-    Bisects the worst panel until the summed error estimate meets the
-    tolerance or the panel budget runs out; never raises, callers judge the
-    returned estimate.  `seeds` are interior breakpoints of the initial
-    partition.
+    The one-row case of adaptive_rows, with f called node by node: bisects
+    the worst panel until the summed error estimate meets the tolerance or
+    the panel budget runs out.  Never raises for an unmet tolerance, callers
+    judge the returned estimate; an exception of f is raised again.
+    `seeds` are interior breakpoints of the initial partition.
     """
-    if b <= a:
-        return 0.0, 0.0, 0
-    edges = [a, *[s for s in seeds if a < s < b], b]
-    heap = []
-    total_val = total_err = 0.0
-    panels = 0
-    seq = 0
-    for pa, pb in zip(edges[:-1], edges[1:]):
-        val, err = _kronrod_pair(f, pa, pb)
-        heapq.heappush(heap, (-err, seq, pa, pb, val, err))
-        total_val += val
-        total_err += err
-        panels += 1
-        seq += 1
-    while panels < max_panels:
-        if total_err <= max(abs_tol, rel_tol * abs(total_val)):
-            break
-        neg_err, _, pa, pb, pval, perr = heapq.heappop(heap)
-        mid = 0.5 * (pa + pb)
-        lv, le = _kronrod_pair(f, pa, mid)
-        rv, re = _kronrod_pair(f, mid, pb)
-        total_val += lv + rv - pval
-        total_err += le + re - perr
-        heapq.heappush(heap, (-le, seq, pa, mid, lv, le))
-        heapq.heappush(heap, (-re, seq + 1, mid, pb, rv, re))
-        seq += 2
-        panels += 1
-    return total_val, total_err, panels
-
-
-# The lockstep form below keeps _K15_PAIRS and _kronrod_pair's order of
-# nodes and sums.  adaptive_interval stays the scalar form for scalar
-# integrands (moments, CDF tables): numpy's per-call overhead makes one
-# 15-node array panel about twice as slow as the Python loop.
-# Node offsets in _kronrod_pair's evaluation order: the centre, then each
-# symmetric pair as (mid - dx, mid + dx).
-_K15_OFFSETS = np.array([0.0] + [s * x for x, _, _ in _K15_PAIRS for s in (-1.0, 1.0)])
-_NO_PANEL = np.iinfo(np.int64).max  # the heap number of a padding slot
-_K15_G7_WEIGHTS = np.array([(wk, wg) for _, wk, wg in _K15_PAIRS])
-_K15_G7_CENTRE = np.array([_K15_CENTRE, _G7_CENTRE])
+    vals, errs, panels, failures = adaptive_rows(
+        _node_by_node(f), 1, a, b, abs_tol, rel_tol, max_panels, [seeds] if seeds else None
+    )
+    if failures:
+        raise failures[0]
+    return vals[0].item(), float(errs[0]), int(panels[0])
 
 
 def _magnitude(v: np.ndarray) -> np.ndarray:
@@ -196,10 +158,10 @@ def _magnitude(v: np.ndarray) -> np.ndarray:
 
 
 def _kronrod_rows(fv: np.ndarray, halfw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # _kronrod_pair on node values fv[..., 15, C] (C = 1: real, C = 2: real
-    # and imaginary parts), with the same sums in the same order: (value
-    # [..., C], error [...]).  Axis -2 of the sums holds the K15 and the G7
-    # sum side by side.
+    # The K15 value and |K15 - G7| as its error on node values fv[..., 15, C]
+    # (C = 1: real, C = 2: real and imaginary parts), summed elementwise in
+    # node order: (value [..., C], error [...]).  Axis -2 of the sums holds
+    # the K15 and the G7 sum side by side.
     pairs = (fv[..., 1::2, :] + fv[..., 2::2, :])[..., None, :]
     terms = _K15_G7_WEIGHTS[:, :, None] * pairs
     sums = _K15_G7_CENTRE[:, None] * fv[..., :1, :]
@@ -240,23 +202,24 @@ def adaptive_rows(
     max_panels: int = 256,
     seeds: Optional[list] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-    """adaptive_interval on [a, b] for `count` integrands at once, in lockstep.
+    """Adaptive Gauss-Kronrod 7/15 on [a, b] for `count` integrands at once.
 
     f(rows, x) evaluates integrand rows[i, 0] at the nodes x[i] (rows is an
     integer (k, 1) array, x a (k, m) array) and returns x's shape, real or
     complex.  a, b and abs_tol are floats, or arrays with one entry per
-    row; seeds, if given, holds each row's interior breakpoints, as
-    adaptive_interval's seeds.  The panels of every row's initial partition
-    take one call of f; then every round bisects the worst panel (the older
-    one on a tie) of each row still above its tolerance and under
-    max_panels, with one call of f for all of them.  Sums over the nodes
-    run elementwise in node order, so each row gets the value, error and
-    panel count that adaptive_interval gives its integrand alone, whatever
-    else is in the batch.
+    row; seeds, if given, holds each row's interior breakpoints of its
+    initial partition.  The panels of every row's initial partition take
+    one call of f; then every round bisects the worst panel (the older one
+    on a tie) of each row still above its tolerance (the summed error
+    estimate against max(abs_tol, rel_tol |value|)) and under max_panels,
+    with one call of f for all of them.  Sums over the nodes run
+    elementwise in node order, so each row gets the value, error and panel
+    count of its own one-row run, whatever else is in the batch.
 
     Returns (values, errs, panels, failures).  A row whose integrand raises
     drops out: its exception is failures[row] and its value and error are
-    nan.  Like adaptive_interval, it never raises for an unmet tolerance.
+    nan.  It never raises for an unmet tolerance; callers judge the
+    returned estimates.
     """
     failures: dict = {}
     a, b, abs_tol = (
@@ -312,7 +275,7 @@ def adaptive_rows(
     val, err = val[:, 0], err[:, 0]
 
     # per row still running: its id, its panels (bounds, value, error and
-    # heap sequence number, one column each, padded after the initial ones),
+    # sequence number, one column each, padded after the initial ones),
     # its running totals and its number of initial panels
     if seeds is None:  # one initial panel per row
         ids, initial = owner, np.ones(len(owner), dtype=int)
@@ -329,7 +292,7 @@ def adaptive_rows(
         lo_p[row, col], hi_p[row, col], seq[row, col] = lo, hi, col
         val_p[row, col], err_p[row, col] = val, err
         lo, hi, val, err = lo_p, hi_p, val_p, err_p
-    # summed in panel order, as adaptive_interval does; the zero padding
+    # summed in panel order; the zero padding
     # adds exactly nothing to a sum that starts from +0.0
     total_val, total_err = 0.0 + val[:, 0], 0.0 + err[:, 0]
     for j in range(1, val.shape[1]):
@@ -777,19 +740,16 @@ def _oscillatory_tol(prefactor: float) -> float:
 _ROWS = 1 << 9
 
 
-def phi_hankel_rows(gen: DensityGenerator, n: int, us) -> QuadRows:
-    """Characteristic generator phi(u^2) at every u of the array us.
-
-    phi(u^2) = c_n (2 pi)^(n/2) u^(-(n-2)/2) *
-               int_0^inf r^(n/2) J_((n-2)/2)(r u) g(r^2) dr
-
-    u = 0 gives exactly 1.  Below u = 1e-3 the removable u-singularity is
-    sidestepped with a moment series (for generators whose moments exist).
-    Every other u goes through the oscillatory engine, all of them in
-    lockstep, panel by panel, with the generator's array profile.  Each row
-    gets the bits it would get alone; a row whose computation raises has
-    its exception in the result's failures.
-    """
+def _bessel_transform_rows(
+    gen: DensityGenerator, n: int, us, nu: float,
+    envelope: Callable[[np.ndarray], np.ndarray], scale: float,
+) -> QuadRows:
+    # phi(u^2) = scale c_n (2 pi)^(n/2) u^(-nu) int_0^R envelope(r) J_nu(u r) dr
+    # at every u of the array us: the front end of phi_hankel_rows and of the
+    # star route's grid form.  u = 0 gives exactly 1 and 0 < u < 1e-3 the
+    # moment series; every other u goes through the oscillatory engine, all
+    # of them in lockstep, in passes of _ROWS rows.  envelope maps an array
+    # of radii to its values, entry by entry.
     if n < 1:
         raise DomainError("phi_hankel: dimension must be >= 1")
     us = np.asarray(us, dtype=float).reshape(-1)
@@ -819,23 +779,18 @@ def phi_hankel_rows(gen: DensityGenerator, n: int, us) -> QuadRows:
                 except MomentUndefinedError:
                     pass  # heavy tails: only the oscillatory route is available
             if head is None:
-                head = normalizing_constant(n, gen) * (2.0 * math.pi) ** (0.5 * n)
-            prefactor = head * u ** (-0.5 * (n - 2.0))
+                head = scale * (normalizing_constant(n, gen) * (2.0 * math.pi) ** (0.5 * n))
+            prefactor = head * u ** (-nu)
             tols.append(_oscillatory_tol(prefactor))
             prefactors.append(prefactor)
             rows.append(i)
         except Exception as exc:  # raised again at its row
             failures[i] = exc
 
-    def envelope(r: np.ndarray) -> np.ndarray:
-        return _power(r, 0.5 * n) * gen.g_array(r * r)
-
     for start in range(0, len(rows), _ROWS):
         sl = slice(start, start + _ROWS)
         idx, pref = np.array(rows[sl]), np.array(prefactors[sl])
-        res = _oscillatory_rows(
-            envelope, 0.5 * (n - 2.0), us[idx], np.array(tols[sl]), gen.support_radius
-        )
+        res = _oscillatory_rows(envelope, nu, us[idx], np.array(tols[sl]), gen.support_radius)
         value[idx], err_est[idx] = pref * res.value, abs(pref) * res.err_est
         panels_used[idx], tail[idx] = res.panels_used, abs(pref) * res.tail_bound
         failures.update({int(idx[i]): exc for i, exc in res.failures.items()})
@@ -843,6 +798,26 @@ def phi_hankel_rows(gen: DensityGenerator, n: int, us) -> QuadRows:
         value[i] = err_est[i] = tail[i] = np.nan
         panels_used[i] = 0
     return QuadRows(value, err_est, panels_used, tail, dict(sorted(failures.items())))
+
+
+def phi_hankel_rows(gen: DensityGenerator, n: int, us) -> QuadRows:
+    """Characteristic generator phi(u^2) at every u of the array us.
+
+    phi(u^2) = c_n (2 pi)^(n/2) u^(-(n-2)/2) *
+               int_0^inf r^(n/2) J_((n-2)/2)(r u) g(r^2) dr
+
+    u = 0 gives exactly 1.  Below u = 1e-3 the removable u-singularity is
+    sidestepped with a moment series (for generators whose moments exist).
+    Every other u goes through the oscillatory engine, all of them in
+    lockstep, panel by panel, with the generator's array profile.  Each row
+    gets the bits it would get alone; a row whose computation raises has
+    its exception in the result's failures.
+    """
+
+    def envelope(r: np.ndarray) -> np.ndarray:
+        return _power(r, 0.5 * n) * gen.g_array(r * r)
+
+    return _bessel_transform_rows(gen, n, us, 0.5 * (n - 2.0), envelope, 1.0)
 
 
 def phi_hankel(gen: DensityGenerator, n: int, u: float) -> QuadResult:

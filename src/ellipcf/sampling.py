@@ -42,7 +42,7 @@ from .elliptical import (
 )
 from .errors import DomainError
 from .generators import DensityGenerator, Family
-from .quadrature import adaptive_interval
+from .quadrature import _node_by_node, adaptive_interval, adaptive_rows
 from .skewmix import (
     LSMixtureSpec,
     MixingKind,
@@ -315,12 +315,14 @@ def _cdf_table(
     grid = np.unique(
         np.concatenate([np.linspace(lo, hi, 400), np.geomspace(max(lo, hi * 1e-6), hi, 200)])
     )
+    # every segment in one lockstep call, their masses summed in grid order
+    segs, _, _, failures = adaptive_rows(
+        _node_by_node(pdf), len(grid) - 1, grid[:-1], grid[1:], 1e-12, 1e-10, 64
+    )
+    if failures:
+        raise failures[min(failures)]
     cdf = np.zeros_like(grid)
-    acc = 0.0
-    for i in range(1, len(grid)):
-        seg, _, _ = adaptive_interval(pdf, grid[i - 1], grid[i], 1e-12, 1e-10, 64)
-        acc += seg
-        cdf[i] = acc
+    cdf[1:] = np.cumsum(segs)
     if cdf[-1] <= 0.0:
         raise DomainError("sampling: density mass is zero on the CDF grid")
     cdf /= cdf[-1]

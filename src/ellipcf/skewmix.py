@@ -39,13 +39,13 @@ from .elliptical import (
     _row_dots,
     char_generator_rows,
 )
-from .errors import ConvergenceError, DomainError, MomentUndefinedError
+from .errors import ConvergenceError, DomainError
 from .generators import DensityGenerator
 from .quadrature import (
+    QuadRows,
+    _bessel_transform_rows,
     _call_rows,
-    _oscillatory_rows,
-    _oscillatory_tol,
-    _phi_small_u_series,
+    _node_by_node,
     adaptive_rows,
     normalizing_constant,
 )
@@ -63,6 +63,7 @@ __all__ = [
     "cf_location_scale_mixture",
     "cf_location_scale_mixture_rows",
     "cf_star_unimodal",
+    "star_unimodal_rows",
     "cf_gse",
     "cf_gse_rows",
     "gse_affine",
@@ -303,10 +304,7 @@ class MixingLaw:
     def expectation(self, fn: Callable[[float], complex]):
         """E[fn(V)] for a scalar fn: the one-row case of expectation_rows."""
 
-        def at_values(rows, v):
-            return np.array([fn(x) for x in v.ravel().tolist()]).reshape(v.shape)
-
-        values, failures = self.expectation_rows(at_values, 1)
+        values, failures = self.expectation_rows(_node_by_node(fn), 1)
         if failures:
             raise failures[0]
         return values[0].item()
@@ -420,37 +418,32 @@ def _smu_weight_density(gen: DensityGenerator, n: int, w: float) -> float:
     return -lead * w ** (n + 1) * gen.g_prime(w * w)
 
 
-def cf_star_unimodal(gen: DensityGenerator, n: int, t) -> ComplexCF:
-    """CF through the scale-mixture-of-uniforms route (real-valued).
+def star_unimodal_rows(gen: DensityGenerator, n: int, us) -> QuadRows:
+    """phi(u^2) through the scale-mixture-of-uniforms route at every u of us.
 
-    2 c_n (2 pi)^(n/2) ||t||^(-n/2) int_0^inf w^(n/2+1) J_(n/2)(w||t||) (-g'(w^2)) dw
+    2 c_n (2 pi)^(n/2) u^(-n/2) int_0^inf w^(n/2+1) J_(n/2)(w u) (-g'(w^2)) dw
+
+    phi_hankel_rows' front end with the order n/2 and the envelope
+    -w^(n/2+1) g'(w^2), g' called entry by entry: u = 0 gives exactly 1,
+    0 < u < 1e-3 the moment series (the ball-kernel series in
+    E[W^(2k)] = ((n+2k)/n) E[R^(2k)] is term by term phi_hankel's series in
+    E[R^(2k)]), every other u the oscillatory engine, in lockstep.  A
+    generator that is not star unimodal raises DomainError.
     """
-    t = np.asarray(t, dtype=float).reshape(-1)
     _check_star_unimodal(gen)
-    u = float(np.linalg.norm(t))
-    if u == 0.0:
-        return ComplexCF(1.0, 0.0, 0.0, CFMethod.HANKEL)
-    if u < 1e-3:
-        # the ball-kernel series in E[W^(2k)] = ((n+2k)/n) E[R^(2k)] is
-        # term by term phi_hankel's series in E[R^(2k)]
-        try:
-            res = _phi_small_u_series(gen, n, u)
-            return ComplexCF(res.value, 0.0, res.err_est, CFMethod.HANKEL)
-        except MomentUndefinedError:
-            pass  # heavy tails: only the oscillatory route is available
-    c_n = normalizing_constant(n, gen)
-    prefactor = 2.0 * c_n * (2.0 * math.pi) ** (0.5 * n) * u ** (-0.5 * n)
 
     def envelope(w: float) -> float:
         return -(w ** (0.5 * n + 1.0)) * gen.g_prime(w * w)
 
-    res = _oscillatory_rows(
-        lambda w: _elementwise(envelope, w), 0.5 * n, np.array([u]),
-        np.array([_oscillatory_tol(prefactor)]), gen.support_radius,
-    ).row(0)
-    return ComplexCF(
-        prefactor * res.value, 0.0, abs(prefactor) * res.err_est, CFMethod.HANKEL
-    )
+    return _bessel_transform_rows(gen, n, us, 0.5 * n, lambda w: _elementwise(envelope, w), 2.0)
+
+
+def cf_star_unimodal(gen: DensityGenerator, n: int, t) -> ComplexCF:
+    """CF through the scale-mixture-of-uniforms route (real-valued) at the
+    point t: row 0 of star_unimodal_rows at u = ||t||."""
+    u = float(np.linalg.norm(np.asarray(t, dtype=float).reshape(-1)))
+    res = star_unimodal_rows(gen, n, [u]).row(0)
+    return ComplexCF(res.value, 0.0, res.err_est, CFMethod.HANKEL)
 
 
 # ---------------------------------------------------------------------------
@@ -729,28 +722,9 @@ def cf_smsn_rows(spec: SkewNormalSpec, mixing: MixingLaw, ts) -> CFRows:
     return _chunk_rows(ts, evaluate)
 
 
-def cf_smsn(
-    spec: SkewNormalSpec,
-    mixing: MixingLaw,
-    t,
-    check_split: bool = False,
-) -> ComplexCF:
-    """CF of a scale mixture of skew-normals at the point t (see the rows form).
-
-    With ``check_split`` the (psi, k_n) decomposition is also assembled and
-    the two values are required to agree.
-    """
-    t = _as_vector(t, spec.n, "t")
-    result = cf_smsn_rows(spec, mixing, t[None, :]).row(0)
-    if check_split and t.any():
-        psi, k_n = smsn_split(spec, mixing)
-        (q,), _, (phase,) = spec.invariants(t[None, :])
-        split_val = 2.0 * complex(math.cos(phase), math.sin(phase)) * psi(q) * k_n(t)
-        if abs(split_val - result.value) > 1e-9:
-            raise ConvergenceError(
-                f"cf_smsn: split assembly deviates by {abs(split_val - result.value):.3e}"
-            )
-    return result
+def cf_smsn(spec: SkewNormalSpec, mixing: MixingLaw, t) -> ComplexCF:
+    """CF of a scale mixture of skew-normals at the point t (see the rows form)."""
+    return cf_smsn_rows(spec, mixing, _as_vector(t, spec.n, "t")[None, :]).row(0)
 
 
 def mixing_weight(mixing: MixingLaw, u: float) -> float:

@@ -282,7 +282,6 @@ class TestEval:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(quadrature, "_oscillatory_rows", counted)
-        monkeypatch.setattr(skewmix, "_oscillatory_rows", counted)
         obj = dict(_gen_spec("pearson_vii", {"N": 2.0, "s": 1.0}), kind=kind)
         spec = write_spec(tmp_path, "p7.json", obj)
         rc = cli.main(["eval", "--spec", spec, "--routes", "hankel",

@@ -494,11 +494,6 @@ class TestScaleMixtureSkewNormal:
             direct = cf_smsn(sn, mix, t).value
             assert abs(assembled - direct) <= 1e-9
 
-    def test_check_split_flag(self):
-        sn = SkewNormalSpec([0.0], [[1.0]], [1.0])
-        mix = MixingLaw.finite_discrete([0.5, 1.5], [0.5, 0.5])
-        cf_smsn(sn, mix, [0.7], check_split=True)  # must not raise
-
     def test_point_mass_at_zero_with_overflowing_quadratic_form(self):
         # a zero mixing point is a point mass at mu: it keeps its share
         # e^(i t'mu) where t'St overflows, while the other points give 0
