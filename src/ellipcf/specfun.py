@@ -528,9 +528,12 @@ def bessel_k(nu: float, x: float) -> float:
     nu = abs(nu)
     steps = int(nu + 0.5)
     mu = nu - steps
-    # at mu = -1/2 the fraction stops after one term with the exact
-    # K_{1/2} = sqrt(pi/(2x)) e^-x, so half-integer orders take it at any x
-    if x > 2.0 or mu == -0.5:
+    # half-integer orders start from the exact K_{-1/2} = K_{1/2} =
+    # sqrt(pi/(2x)) e^-x at any x (the fraction's K_{mu+1} would round a
+    # small x away in mu + x + 1/2)
+    if mu == -0.5:
+        k_mu = k_next = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x)
+    elif x > 2.0:
         k_mu, k_next = _bessel_k_steed(mu, x)
     else:
         k_mu, k_next = _bessel_k_temme(mu, x)

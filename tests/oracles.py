@@ -112,6 +112,17 @@ def bessel_k_mp(nu: float, x: float, dps: int = 40) -> float:
         return float(mp.besselk(mp.mpf(nu), mp.mpf(x)))
 
 
+def pearson_vii_phi_mp(n: int, big_n: float, s: float, q: float, dps: int = 40) -> float:
+    """The Pearson VII characteristic generator phi(q) in mpmath:
+    2^(n/2-N+1) / Gamma(N-n/2) s^(N/2-n/4) u^(N-n/2) K_(n/2-N)(sqrt(s) u), u = sqrt(q)."""
+    with mp.workdps(dps):
+        n, big_n, s, u = mp.mpf(n), mp.mpf(big_n), mp.mpf(s), mp.sqrt(mp.mpf(q))
+        return float(
+            2 ** (n / 2 - big_n + 1) / mp.gamma(big_n - n / 2) * s ** (big_n / 2 - n / 4)
+            * u ** (big_n - n / 2) * mp.besselk(n / 2 - big_n, mp.sqrt(s) * u)
+        )
+
+
 def bessel_k_half_recurrence(half_orders: int, x: float) -> float:
     """K_{m+1/2}(x) from the exact K_{+-1/2} seeds and the upward recurrence
     K_{nu+1} = K_{nu-1} + (2 nu / x) K_nu."""

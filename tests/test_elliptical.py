@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import oracles
 from ellipcf import generators as gn
 from ellipcf.elliptical import (
     CFMethod,
@@ -167,6 +168,14 @@ class TestClosedFormGenerator:
                 pvii = closed_form_generator(gn.pearson_vii_generator(0.5 * (n + m), s), n, q)
                 gent = closed_form_generator(gn.generalized_t_generator(n, s, m), n, q)
                 assert abs(pvii - gent) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_pearson_vii_half_integer_order_near_origin(self, n):
+        # odd n puts K at a half-integer order, where a small argument once
+        # lost 1e-11 relative to the recurrence's first step
+        q = 1e-12  # u = 1e-6
+        got = closed_form_generator(gn.pearson_vii_generator(6.0, 1.5), n, q)
+        assert_allclose(got, oracles.pearson_vii_phi_mp(n, 6.0, 1.5, q), rtol=1e-15)
 
     def test_bessel_at_origin(self):
         assert closed_form_generator(gn.bessel_generator(0.5, 2.0), 3, 0.0) == 1.0
