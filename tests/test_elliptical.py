@@ -171,8 +171,8 @@ class TestClosedFormGenerator:
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_pearson_vii_half_integer_order_near_origin(self, n):
-        # odd n puts K at a half-integer order, where a small argument once
-        # lost 1e-11 relative to the recurrence's first step
+        # odd n puts K at a half-integer order, and a small u makes its
+        # argument small, where the recurrence's seeds must be exact
         q = 1e-12  # u = 1e-6
         got = closed_form_generator(gn.pearson_vii_generator(6.0, 1.5), n, q)
         assert_allclose(got, oracles.pearson_vii_phi_mp(n, 6.0, 1.5, q), rtol=1e-15)

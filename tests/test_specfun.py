@@ -184,8 +184,9 @@ class TestBesselK:
         for x in xs:
             assert_allclose(bessel_k(nu, x), oracles.bessel_k_mp(nu, x), rtol=1e-13)
 
-    # at half-integer orders the reduced order is -1/2, where K_{1/2} = K_{-1/2};
-    # a fraction step (-1/2 + x) + 1/2 used to round a small x away
+    # at half-integer orders the reduced order is -1/2, where both seeds of
+    # the recurrence are the exact K_{1/2} = K_{-1/2}; a small x is the case
+    # where a seed formed from (-1/2 + x) + 1/2 would round x away
     @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 3.5, 4.5])
     def test_half_integer_orders_at_small_x(self, nu):
         for x in (1e-9, 1e-7, 1.2e-6, 1.0, 10.0):
