@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import itertools
 import json
@@ -43,7 +44,7 @@ if TYPE_CHECKING:  # skewmix and sampling are imported by the commands that use 
     from . import sampling as sp
     from . import skewmix as sk
 
-__all__ = ["main", "RunConfig", "load_spec", "parse_grid"]
+__all__ = ["main", "entry", "RunConfig", "load_spec", "parse_grid"]
 
 EXIT_OK = 0
 EXIT_SPEC_ERROR = 2
@@ -742,5 +743,15 @@ def _stdout_to_devnull() -> None:
     os.close(devnull)
 
 
+def entry(argv: Optional[list[str]] = None) -> int:
+    """The process entry of `python -m ellipcf.cli` and of the `ellipcf`
+    console script: main(argv), then the heap frozen, so that the
+    collections at interpreter exit skip the objects the imports made.  The
+    process ends right after; library callers and tests use main."""
+    code = main(argv)
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

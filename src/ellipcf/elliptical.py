@@ -4,10 +4,15 @@ An elliptical law is (mu, Sigma, g): location, dispersion and a density
 generator.  Its characteristic function factors as
 exp(i t'mu) * phi(t' Sigma t) for a scalar characteristic generator phi;
 this module provides the closed forms of phi for the named families, the
-uniform-sphere characteristic function, normalizing constants, radial
-densities and the validated dispersion matrix with its roots, with the
-Hankel quadrature route as the generic fallback.  The grid forms run the
-Hankel route for all their rows in one call of phi_hankel_rows.
+uniform-sphere characteristic function, radial densities and the
+validated dispersion matrix with its roots, with the Hankel quadrature
+route as the generic fallback.  The grid forms run the Hankel route for
+all their rows in one call of phi_hankel_rows.
+
+The quadrature module is imported by the functions that integrate: the
+hankel rows of char_generator_rows, the numeric moment check of a custom
+generator and radial_density.  The closed forms of the named families run
+without it.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ import numpy as np
 
 from .errors import DivergentIntegralError, DomainError, NoClosedFormError
 from .generators import DensityGenerator, Family, moment_exists
-from .quadrature import moment_integral, normalizing_constant, phi_hankel_rows
 from .specfun import _elementwise, bessel_j, bessel_k, gamma_fn, hyp0f1, hyp1f1
 
 __all__ = [
@@ -31,7 +35,6 @@ __all__ = [
     "Dispersion",
     "EllipticalSpec",
     "uniform_sphere_cf",
-    "normalizing_constant",
     "radial_density",
     "closed_form_generator",
     "char_generator_rows",
@@ -237,6 +240,8 @@ class EllipticalSpec:
         if exists is False:
             raise DomainError("generator: moment integral diverges in this dimension")
         if exists is None:
+            from .quadrature import moment_integral
+
             try:
                 moment_integral(gen, n)
             except DivergentIntegralError as exc:
@@ -271,6 +276,8 @@ def radial_density(spec: EllipticalSpec, v: float) -> float:
     gen = spec.generator
     if v > gen.support_radius:
         return 0.0
+    from .quadrature import normalizing_constant
+
     n = spec.n
     c_n = normalizing_constant(n, gen)
     return c_n * 2.0 * math.pi ** (0.5 * n) / gamma_fn(0.5 * n) * v ** (n - 1) * gen.g(v * v)
@@ -372,6 +379,8 @@ def char_generator_rows(
             except Exception as exc:  # raised again at its row
                 failures[i] = exc
     if hankel:
+        from .quadrature import phi_hankel_rows
+
         idx = np.array(hankel)
         try:
             res = phi_hankel_rows(gen, n, np.sqrt(qs[idx]))

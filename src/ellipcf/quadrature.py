@@ -80,10 +80,11 @@ class QuadRows:
 
 
 # The accuracy policy of every routine here: error targets, the Bessel-panel
-# budget of the oscillatory engine and its envelope cutoff (relative to the
-# largest panel so far).
+# budget of the oscillatory engine, the Gauss-Kronrod panel budget of each
+# Bessel panel and the envelope cutoff (relative to the largest panel so far).
 _ABS_TOL = _REL_TOL = 1e-9
 _MAX_PANELS = 400
+_PANEL_BUDGET = 256
 _TAIL_CUTOFF = 1e-16
 
 # QUADPACK's qk15 rule (Piessens et al. 1983): the 7 Gauss-Legendre nodes
@@ -112,12 +113,18 @@ _NO_PANEL = np.iinfo(np.int64).max  # the sequence number of a padding slot
 
 
 def _dyadic_seeds(a: float, b: float, min_cell: float) -> tuple[float, ...]:
-    # interior breakpoints halving toward the left edge, so an integrand
-    # concentrated near `a` cannot hide between the nodes of one huge panel
+    # interior breakpoints halving toward the left edge down to min_cell, so
+    # an integrand concentrated near `a` cannot hide between the nodes of one
+    # huge panel; halvings that would not fit in the panel budget raise
     width = b - a
     if width <= 8.0 * min_cell:
         return ()
-    levels = min(48, int(math.ceil(math.log2(width / min_cell))))
+    if not width <= min_cell * 2.0 ** (_PANEL_BUDGET - 1):
+        raise ConvergenceError(
+            f"integrate_bessel_oscillatory: a panel of width {width:.6g} needs more than "
+            f"{_PANEL_BUDGET} subpanels to resolve cells of {min_cell:.6g}"
+        )
+    levels = int(math.ceil(math.log2(width / min_cell)))
     return tuple(a + width * 2.0 ** (-j) for j in range(levels, 0, -1))
 
 
@@ -559,10 +566,17 @@ def _oscillatory_rows(
         lo = np.column_stack((live["x_prev"], hi[:, :-1]))
         cell = np.repeat(live["min_cell"], width)
         wide = (hi - lo).ravel() > 8.0 * cell
-        seeds = None
+        seeds, unresolved = None, {}
         if wide.any():
-            seeds = [_dyadic_seeds(*args) if w else () for w, *args in
-                     zip(wide.tolist(), lo.ravel().tolist(), hi.ravel().tolist(), cell.tolist())]
+            seeds = []
+            for e, (w, *args) in enumerate(
+                zip(wide.tolist(), lo.ravel().tolist(), hi.ravel().tolist(), cell.tolist())
+            ):
+                try:
+                    seeds.append(_dyadic_seeds(*args) if w else ())
+                except ConvergenceError as exc:  # fails its row at this panel
+                    seeds.append(())
+                    unresolved[e] = exc
         omega = np.repeat(live["omega"], width)
 
         def integrand(entries, x):
@@ -576,8 +590,9 @@ def _oscillatory_rows(
 
         val, err, p, raised = adaptive_rows(
             integrand, rows * width, lo.ravel(), hi.ravel(),
-            np.repeat(live["panel_abs"], width), panel_rel, seeds=seeds,
+            np.repeat(live["panel_abs"], width), panel_rel, _PANEL_BUDGET, seeds,
         )
+        raised.update(unresolved)
         val, err = (val / omega).reshape(rows, width), (err / omega).reshape(rows, width)
         failed = np.zeros((rows, width), dtype=bool)
         if raised:

@@ -16,6 +16,11 @@ Mureika (1977).  It takes a whole grid in one pass over the draws, one chunk
 of draws at a time.  For every grid point a chunk gives its sums of cos and
 sin of t'x, both from one vectorized tan of the half angle.  The chunk sums
 are added in chunk order, so the result does not depend on the worker count.
+
+The skewmix module is imported by the samplers of the lsm, skew-normal and
+smsn laws, and the quadrature module by the CDF tables of custom
+densities: the elliptical samplers of the named families run without
+either.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, TypeVar
 
 import numpy as np
 
@@ -42,15 +47,9 @@ from .elliptical import (
 )
 from .errors import DomainError
 from .generators import DensityGenerator, Family
-from .quadrature import _node_by_node, adaptive_interval, adaptive_rows
-from .skewmix import (
-    LSMixtureSpec,
-    MixingKind,
-    MixingLaw,
-    Parametrization,
-    SkewNormalSpec,
-    mixing_weights,
-)
+
+if TYPE_CHECKING:  # imported by the samplers that use them
+    from .skewmix import LSMixtureSpec, MixingLaw, SkewNormalSpec
 
 __all__ = [
     "MAX_COUNT",
@@ -227,11 +226,14 @@ class Sampler:
     def empirical_cf_rows(self, ts, count: int, rng: RngStream, workers: int = 1) -> CFRows:
         """empirical_cf_rows(self.batch(count, rng, workers), ts, workers),
         bit for bit, without holding the batch: each chunk is reduced to its
-        cos and sin sums as it is drawn."""
-        return _cf_rows(
-            ts, self.n, count,
-            lambda points: self.chunks(count, rng, workers, lambda rows: _block_sums(rows, points)),
-        )
+        cos and sin sums as it is drawn.  The count is checked even when no
+        row needs a draw (every t = 0), and then nothing is drawn."""
+
+        def block_sums(points: np.ndarray) -> Iterator[np.ndarray]:
+            chunks = self.chunks(count, rng, workers, lambda rows: _block_sums(rows, points))
+            return chunks if len(points) else ()
+
+        return _cf_rows(ts, self.n, count, block_sums)
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -305,6 +307,8 @@ def _cdf_table(
     An infinite hi is cut where the mass of [hi, 4 hi] drops below 1e-11,
     searching upward from max(lo, 1).
     """
+    from .quadrature import _node_by_node, adaptive_interval, adaptive_rows
+
     if math.isinf(hi):
         hi = max(lo, 1.0)
         while hi < 1e9:
@@ -368,6 +372,8 @@ def _mixing_parts(law: MixingLaw):
 
 
 def _mixing_chunk(law: MixingLaw, m: int, g: np.random.Generator) -> np.ndarray:
+    from .skewmix import MixingKind
+
     if law.kind is MixingKind.DEGENERATE:
         return np.full(m, law.v0)
     if law.kind is MixingKind.FINITE_DISCRETE:
@@ -408,6 +414,8 @@ def sample_location_scale_mixture(
 def _skew_normal_chunk(spec: SkewNormalSpec, m: int, g: np.random.Generator) -> np.ndarray:
     # conditioning mechanism: keep the normal draw when the latent
     # alpha-projection plus independent noise is positive (acceptance 1/2)
+    from .skewmix import Parametrization
+
     n = spec.n
     s_root = spec.dispersion.sym_root
     alpha = spec.alpha
@@ -443,6 +451,8 @@ def sample_skew_normal(
 
 def smsn_sampler(spec: SkewNormalSpec, mixing: MixingLaw) -> Sampler:
     """Scale mixture of skew-normals: mu + sqrt(k(xi)) X, X skew-normal(0, Sigma, alpha)."""
+    from .skewmix import SkewNormalSpec, mixing_weights
+
     centered = SkewNormalSpec(
         np.zeros(spec.n), spec.sigma, spec.alpha, spec.parametrization
     )

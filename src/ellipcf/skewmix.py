@@ -17,13 +17,17 @@ at the first failing row and holds its exception; the per-point
 functions are its row 0.  Complex products are formed from their real
 parts in the order Python's complex arithmetic uses, so a point's value
 does not depend on the block it is computed in.
+
+The quadrature module is imported by the functions that integrate: mixing
+expectations, the star route and the smu weight density with its
+normalizing constant.  The skew-normal and GSE closed forms run without it.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -41,15 +45,10 @@ from .elliptical import (
 )
 from .errors import ConvergenceError, DomainError
 from .generators import DensityGenerator
-from .quadrature import (
-    QuadRows,
-    _bessel_transform_rows,
-    _call_rows,
-    _node_by_node,
-    adaptive_rows,
-    normalizing_constant,
-)
 from .specfun import _complex, _elementwise, gamma_fn, norm_cdf_imag, norm_cdf_imag_scaled
+
+if TYPE_CHECKING:  # quadrature is imported by the functions that integrate
+    from .quadrature import QuadRows
 
 __all__ = [
     "MixingKind",
@@ -263,6 +262,8 @@ class MixingLaw:
         exceeds _MIX_ABS_TOL (1e-8), gets its exception in failures (row ->
         exception) and a nan value; no other row changes.
         """
+        from .quadrature import _call_rows, adaptive_rows
+
         failures: dict = {}
         if self.is_exact():
             if self.kind is MixingKind.DEGENERATE:
@@ -303,6 +304,7 @@ class MixingLaw:
 
     def expectation(self, fn: Callable[[float], complex]):
         """E[fn(V)] for a scalar fn: the one-row case of expectation_rows."""
+        from .quadrature import _node_by_node
 
         values, failures = self.expectation_rows(_node_by_node(fn), 1)
         if failures:
@@ -413,6 +415,8 @@ def _smu_weight_density(gen: DensityGenerator, n: int, w: float) -> float:
     _check_star_unimodal(gen)
     if w > gen.support_radius:
         return 0.0
+    from .quadrature import normalizing_constant
+
     c_n = normalizing_constant(n, gen)
     lead = 4.0 * math.pi ** (0.5 * n) / (n * gamma_fn(0.5 * n)) * c_n
     return -lead * w ** (n + 1) * gen.g_prime(w * w)
@@ -430,6 +434,8 @@ def star_unimodal_rows(gen: DensityGenerator, n: int, us) -> QuadRows:
     E[R^(2k)]), every other u the oscillatory engine, in lockstep.  A
     generator that is not star unimodal raises DomainError.
     """
+    from .quadrature import _bessel_transform_rows
+
     _check_star_unimodal(gen)
 
     def envelope(w: float) -> float:

@@ -154,7 +154,7 @@ class TestEval:
         def broken(gen, n, us):
             raise ConvergenceError("synthetic quadrature breakdown")
 
-        monkeypatch.setattr(elliptical, "phi_hankel_rows", broken)
+        monkeypatch.setattr(quadrature, "phi_hankel_rows", broken)
         spec = write_spec(tmp_path, "n.json", normal_spec())
         rc = cli.main([
             "eval", "--spec", spec, "--routes", "hankel",
@@ -248,7 +248,7 @@ class TestEval:
             raise ConvergenceError("hankel breakdown")
 
         monkeypatch.setattr(elliptical, "closed_form_generator", closed_breaks)
-        monkeypatch.setattr(elliptical, "phi_hankel_rows", hankel_breaks)
+        monkeypatch.setattr(quadrature, "phi_hankel_rows", hankel_breaks)
         spec = write_spec(tmp_path, "n.json", normal_spec())
         rc = cli.main([
             "compare", "--spec", spec, "--routes", "closed,hankel",
@@ -778,25 +778,34 @@ class TestCompareDeterminism:
 
 
 class TestStartup:
-    """A CLI process imports only what its command uses and runs BLAS on one
-    thread unless OPENBLAS_NUM_THREADS says otherwise; library use leaves
-    the environment alone.  Each case runs in a fresh interpreter."""
+    """A CLI process imports only what its command uses, runs BLAS on one
+    thread unless OPENBLAS_NUM_THREADS says otherwise, and freezes its heap
+    before exit; library use leaves the environment and the collector alone.
+    Each case runs in a fresh interpreter."""
 
-    # python -m ellipcf.cli, reporting the loaded modules and the BLAS thread
-    # setting on stderr at exit
+    # python -m ellipcf.cli, reporting the BLAS thread setting, the frozen
+    # object count and the loaded modules on stderr at exit
     AS_MAIN = (
-        "import atexit, os, runpy, sys\n"
+        "import atexit, gc, os, runpy, sys\n"
         "atexit.register(lambda: print(os.environ.get('OPENBLAS_NUM_THREADS'),"
-        " *sorted(sys.modules), file=sys.stderr))\n"
+        " gc.get_freeze_count(), *sorted(sys.modules), file=sys.stderr))\n"
         "sys.argv = ['ellipcf', *sys.argv[1:]]\n"
         "runpy.run_module('ellipcf.cli', run_name='__main__')\n"
     )
-    # the console script's entry point, ellipcf.cli:main
+    # the console script's entry point, ellipcf.cli:entry
     CONSOLE = (
-        "import os, sys\n"
-        "from ellipcf.cli import main\n"
-        "rc = main(sys.argv[1:])\n"
-        "print(os.environ.get('OPENBLAS_NUM_THREADS'), file=sys.stderr)\n"
+        "import gc, os, sys\n"
+        "from ellipcf.cli import entry\n"
+        "rc = entry(sys.argv[1:])\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'), gc.get_freeze_count(), file=sys.stderr)\n"
+        "sys.exit(rc)\n"
+    )
+    # cli.main called as a library function
+    IN_PROCESS = (
+        "import gc, sys\n"
+        "from ellipcf import cli\n"
+        "rc = cli.main(sys.argv[1:])\n"
+        "print(gc.get_freeze_count(), file=sys.stderr)\n"
         "sys.exit(rc)\n"
     )
 
@@ -820,10 +829,44 @@ class TestStartup:
 
     @pytest.mark.parametrize("route", ["closed", "hankel"])
     def test_elliptical_eval_skips_skewmix_and_sampling(self, tmp_path, route):
-        modules = self._python(self.AS_MAIN, *self._eval_args(tmp_path, route))[1:]
+        modules = self._python(self.AS_MAIN, *self._eval_args(tmp_path, route))[2:]
         assert "ellipcf.elliptical" in modules
         for name in ("ellipcf.skewmix", "ellipcf.sampling", "concurrent.futures"):
             assert name not in modules
+        assert ("ellipcf.quadrature" in modules) == (route == "hankel")
+
+    @pytest.mark.parametrize("kind", ["elliptical", "skew_normal", "gse_skew_normal"])
+    def test_closed_route_skips_quadrature(self, tmp_path, kind):
+        obj = normal_spec()
+        if kind != "elliptical":
+            obj = dict(obj, kind=kind, alpha=[1.0, -0.5])
+            del obj["generator"]
+        spec = write_spec(tmp_path, "s.json", obj)
+        grid = '{"kind":"list","points":[[0.5,0.2],[0.0,0.0]]}'
+        for command in ("eval", "compare"):
+            routes = "closed" if command == "eval" else "closed,mc"
+            modules = self._python(self.AS_MAIN, command, "--spec", spec, "--routes", routes,
+                                   "--grid", grid, "--mc-count", "1000")[2:]
+            assert ("ellipcf.skewmix" in modules) == (kind != "elliptical")
+            assert "ellipcf.quadrature" not in modules, command
+
+    def test_elliptical_draws_skip_skewmix_and_quadrature(self, tmp_path):
+        spec = write_spec(tmp_path, "n.json", normal_spec())
+        for args in (["compare", "--routes", "closed,mc", "--mc-count", "1000",
+                      "--grid", '{"kind":"list","points":[[0.5,0.2]]}'],
+                     ["sample", "--count", "1000"]):
+            modules = self._python(self.AS_MAIN, *args, "--spec", spec, "--out", os.devnull)[2:]
+            assert "ellipcf.sampling" in modules
+            for name in ("ellipcf.skewmix", "ellipcf.quadrature"):
+                assert name not in modules, (args[0], name)
+
+    @pytest.mark.parametrize("entry", ["AS_MAIN", "CONSOLE"])
+    def test_process_entry_freezes_heap(self, tmp_path, entry):
+        report = self._python(getattr(self, entry), *self._eval_args(tmp_path, "closed"))
+        assert int(report[1]) > 0
+
+    def test_main_in_process_leaves_heap_unfrozen(self, tmp_path):
+        assert self._python(self.IN_PROCESS, *self._eval_args(tmp_path, "closed")) == ["0"]
 
     @pytest.mark.parametrize("preset, seen", [(None, "1"), ("2", "2")])
     @pytest.mark.parametrize("entry", ["AS_MAIN", "CONSOLE"])
@@ -924,7 +967,7 @@ class TestOutputErrors:
         def broken(gen, n, us):
             raise ConvergenceError("synthetic quadrature breakdown")
 
-        monkeypatch.setattr(elliptical, "phi_hankel_rows", broken)
+        monkeypatch.setattr(quadrature, "phi_hankel_rows", broken)
         out = tmp_path / "x.csv"
         spec = write_spec(tmp_path, "n.json", normal_spec())
         assert cli.main(["eval", "--spec", spec, "--routes", "hankel", "--out", str(out),
@@ -1001,6 +1044,28 @@ class TestStreamedDraws:
         assert capsys.readouterr().err == (
             f"spec error: {named} be <= 2^55 = 36028797018963968, got {count}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_all_origin_grid_draws_nothing(self, tmp_path, capsys, monkeypatch, workers):
+        # t = 0 is exactly 1 on the mc route: no grid row needs a draw
+        calls = []
+        sphere = sampling._unit_sphere_rows
+        monkeypatch.setattr(sampling, "_unit_sphere_rows",
+                            lambda g, m, n: calls.append(m) or sphere(g, m, n))
+        spec = write_spec(tmp_path, "n.json", normal_spec())
+        assert cli.main(["compare", "--spec", spec, "--routes", "closed,mc", "--seed", "3",
+                         "--grid", '{"kind":"list","points":[[0,0],[0,0]]}',
+                         "--mc-count", "10000000", "--workers", workers]) == 0
+        assert calls == []
+        sha = cli.load_spec(spec).sha256
+        assert capsys.readouterr().out == (
+            f"# ellipcf compare spec_sha256={sha} kind=elliptical routes=closed,mc seed=3"
+            " mc_count=10000000\n"
+            "t1,t2,re_closed,im_closed,re_mc,im_mc,dev_closed_mc\n"
+            "0,0,1,0,1,0,0\n"
+            "0,0,1,0,1,0,0\n"
+            "# summary closed-mc: max_dev=0 tol=0.0012649110640673518 exceedances=0/2\n"
+        )
 
     @pytest.mark.parametrize("existing", [False, True])
     def test_non_finite_draw_in_later_chunk_leaves_no_file(self, tmp_path, capsys, monkeypatch,

@@ -14,12 +14,11 @@ from ellipcf.elliptical import (
     EllipticalSpec,
     cf,
     closed_form_generator,
-    normalizing_constant,
     radial_density,
     uniform_sphere_cf,
 )
 from ellipcf.errors import DomainError, NoClosedFormError
-from ellipcf.quadrature import adaptive_interval
+from ellipcf.quadrature import adaptive_interval, normalizing_constant
 from ellipcf.specfun import bessel_j, gamma_fn, hyp0f1
 
 J0_FIRST_ZERO = 2.404825557695766

@@ -309,6 +309,23 @@ class TestPhiHankel:
         res = phi_hankel(gn.generalized_t_generator(1, 1.0, 1), 1, 5e-4)
         assert_allclose(res.value, math.exp(-5e-4), atol=1e-6)
 
+    @pytest.mark.parametrize("u", [1e-20, 1e-30, 1e-50, 1e-100, 1e-300])
+    def test_heavy_tail_tiny_u_honest_or_named_failure(self, u):
+        # Pearson VII N = 2 in n = 2 has no E[R^2], so every u goes through
+        # the oscillatory engine; its first Bessel panel spans r up to ~2.4/u
+        # and must be split down to r ~ 1, where the envelope lives, or the
+        # row fails by name.  phi(u^2) = 1 to within u^2 log(1/u).
+        gen = gn.pearson_vii_generator(2.0, 1.0)
+        rows = phi_hankel_rows(gen, 2, [u, 1.0])
+        assert rows.row(1) == phi_hankel(gen, 2, 1.0)
+        try:
+            res = phi_hankel(gen, 2, u)
+        except ConvergenceError as exc:
+            assert "subpanels" in str(exc) and str(rows.failures[0]) == str(exc)
+        else:
+            assert abs(res.value - 1.0) <= res.err_est
+            assert rows.row(0) == res
+
     def test_error_estimate_honesty(self):
         # true error <= 10 * err_est on >= 95% of the closed-form grid
         fams = [

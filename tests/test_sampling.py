@@ -507,6 +507,21 @@ class TestStreamedChunks:
         assert sampling.MAX_COUNT == 2**55
 
     @pytest.mark.parametrize("workers", [1, 2])
+    def test_all_origin_grid_draws_nothing(self, workers):
+        calls = []
+        sampler = sampling.Sampler("test", 2, lambda m, g: calls.append(m) or np.zeros((m, 2)))
+        rows = sampler.empirical_cf_rows(np.zeros((3, 2)), 10**6, RNG, workers)
+        assert calls == []
+        assert rows.re.tolist() == [1.0] * 3 and rows.im.tolist() == [0.0] * 3
+        assert rows.abs_err.tolist() == [3e-3] * 3 and rows.error is None
+        # the count is still checked first
+        with pytest.raises(DomainError, match=r"count must be <= 2\^55"):
+            sampler.empirical_cf_rows(np.zeros((1, 2)), sampling.MAX_COUNT + 1, RNG, workers)
+        with pytest.raises(DomainError, match="count must be >= 1"):
+            sampler.empirical_cf_rows(np.zeros((1, 2)), 0, RNG, workers)
+        assert calls == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_non_finite_chunk_raises_batch_error(self, workers):
         def draw(m, g):
             rows = g.standard_normal((m, 2))

@@ -28,6 +28,7 @@ from ellipcf.skewmix import (
     gse_affine,
     skew_normal_gse,
     smsn_split,
+    star_unimodal_rows,
     _smu_weight_density,
 )
 
@@ -300,6 +301,18 @@ class TestStarUnimodal:
         val = cf_star_unimodal(gen, 2, [u, 0.0])
         dev = abs(val.re - closed_form_generator(gen, 2, u * u))
         assert dev <= val.abs_err and dev <= 1e-6
+
+    @pytest.mark.parametrize("u", [1e-20, 1e-30, 1e-50, 1e-100, 1e-300])
+    def test_heavy_tail_tiny_u_honest_or_named_failure(self, u):
+        # the star route shares the hankel route's engine: its first Bessel
+        # panel must also be split down to w ~ 1, or the row fails by name
+        gen = gn.pearson_vii_generator(2.0, 1.0)
+        try:
+            res = star_unimodal_rows(gen, 2, [u]).row(0)
+        except ConvergenceError as exc:
+            assert "subpanels" in str(exc)
+        else:
+            assert abs(res.value - closed_form_generator(gen, 2, u * u)) <= res.err_est
 
 
 class TestGSE:
