@@ -345,7 +345,7 @@ def _analytic_evaluator(spec: ParsedSpec, route: str) -> Callable[[np.ndarray], 
         return lambda ts: sk.cf_location_scale_mixture_rows(spec.lsm, ts, route=route)
     if kind == "smu":
         sk._check_star_unimodal(spec.elliptical.generator)  # a spec error, before any point
-        return partial(_smu_rows, spec.elliptical)
+        return partial(sk.cf_star_unimodal_rows, spec.elliptical)
     if route == "hankel":
         raise SpecValidationError(f"routes: 'hankel' is not available for kind {kind!r}")
     if kind == "skew_normal":
@@ -356,22 +356,6 @@ def _analytic_evaluator(spec: ParsedSpec, route: str) -> Callable[[np.ndarray], 
     if kind == "smsn":
         return lambda ts: sk.cf_smsn_rows(spec.skew_normal, spec.mixing, ts)
     raise SpecValidationError(f"kind: unsupported kind {kind!r}")
-
-
-def _smu_rows(ell: el.EllipticalSpec, ts: np.ndarray) -> el.CFRows:
-    """The star-unimodal route (the hankel route of smu): one grid call on
-    u = ||t||_Sigma, each row then turned by e^(i t'mu)."""
-    from . import skewmix as sk
-
-    def values() -> Iterator[el.ComplexCF]:
-        res = sk.star_unimodal_rows(ell.generator, ell.n, np.sqrt(ell.dispersion.quad_rows(ts)))
-        for i, t in enumerate(ts):
-            base = res.row(i)  # raises the row's failure
-            phase = float(t @ ell.mu)  # per row: a batched product may round otherwise
-            out = complex(math.cos(phase), math.sin(phase)) * base.value
-            yield el.ComplexCF(out.real, out.imag, base.err_est, el.CFMethod.HANKEL)
-
-    return el.CFRows.collect(values())
 
 
 def _sampler(spec: ParsedSpec) -> sp.Sampler:

@@ -4,10 +4,16 @@ An elliptical law is (mu, Sigma, g): location, dispersion and a density
 generator.  Its characteristic function factors as
 exp(i t'mu) * phi(t' Sigma t) for a scalar characteristic generator phi;
 this module provides the closed forms of phi for the named families, the
-uniform-sphere characteristic function, radial densities and the
-validated dispersion matrix with its roots, with the Hankel quadrature
-route as the generic fallback.  The grid forms run the Hankel route for
-all their rows in one call of phi_hankel_rows.
+Hankel quadrature route for every generator, the uniform-sphere
+characteristic function, radial densities and the validated dispersion
+matrix with its roots.  Every route is named: "closed" (a closed form,
+NoClosedFormError where the family has none) or "hankel".
+
+Every closed and hankel grid form, here and in skewmix, builds its CFRows
+with _chunk_rows: passes of _CHUNK rows, t = 0 the exact (1, 0, 0,
+"closed"), a non-finite value an OverflowError at its row, and the grid
+ending at the first failing row other than the origin.  The hankel rows of
+a pass go through phi_hankel_rows in one call.
 
 The quadrature module is imported by the functions that integrate: the
 hankel rows of char_generator_rows, the numeric moment check of a custom
@@ -20,7 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -44,6 +50,9 @@ __all__ = [
 
 _SYM_TOL = 1e-12
 _EIG_TOL = 1e-12
+
+# Rows per array pass of the grid forms; bounds their per-row temporaries.
+_CHUNK = 1 << 10
 
 
 class CFMethod(enum.Enum):
@@ -69,10 +78,6 @@ class ComplexCF:
         return complex(self.re, self.im)
 
 
-# The CF value at t = 0, exact for every law.
-_ORIGIN = ComplexCF(1.0, 0.0, 0.0, CFMethod.CLOSED_FORM)
-
-
 @dataclass(eq=False)
 class CFRows:
     """A characteristic function on the rows of a grid, in grid order.
@@ -90,19 +95,6 @@ class CFRows:
     method: np.ndarray
     error: Optional[Exception] = None
 
-    @classmethod
-    def collect(cls, values: Iterable[ComplexCF]) -> "CFRows":
-        """The values in order, up to the first one whose computation raises."""
-        done, error = [], None
-        try:
-            for value in values:
-                done.append(value)
-        except Exception as exc:  # recorded at its row; row() raises it again
-            error = exc
-        cols = np.array([(v.re, v.im, v.abs_err) for v in done], dtype=float)  # None: nan
-        re, im, abs_err = cols.reshape(-1, 3).T
-        return cls(re, im, abs_err, np.array([v.method.value for v in done]), error)
-
     def __len__(self) -> int:
         return len(self.re)
 
@@ -112,6 +104,40 @@ class CFRows:
             raise self.error
         re, im, err = float(self.re[i]), float(self.im[i]), float(self.abs_err[i])
         return ComplexCF(re, im, None if math.isnan(err) else err, CFMethod(self.method[i]))
+
+
+def _chunk_rows(ts: np.ndarray, evaluate) -> CFRows:
+    """The CF at the rows of ts, in array passes of _CHUNK rows.
+
+    evaluate(sl) returns the rows ts[sl] as (re, im, abs_err, method,
+    failures), abs_err (nan: no estimate) and method as arrays or one value
+    for all rows, and failures mapping an index within sl to its exception.
+    An exception out of evaluate itself fails every row of its pass, and a
+    row whose value is not finite fails with an OverflowError.  t = 0 gives
+    the exact 1, whatever evaluate made of it; the passes stop at the first
+    other failing row.
+    """
+    count = len(ts)
+    re, im, abs_err = np.empty((3, count))
+    method = np.empty(count, dtype="<U6")
+    at_origin = ~ts.any(axis=1)
+    end, error = count, None
+    for start in range(0, count, _CHUNK):
+        sl = slice(start, start + _CHUNK)
+        try:
+            re[sl], im[sl], abs_err[sl], method[sl], failures = evaluate(sl)
+        except Exception as exc:  # raised again at each row of the pass
+            failures = dict.fromkeys(range(len(at_origin[sl])), exc)
+        finite = np.isfinite(re[sl]) & np.isfinite(im[sl])
+        for i in np.flatnonzero(~finite).tolist():  # never a silent nan or inf
+            failures.setdefault(i, OverflowError("the value is not finite: an intermediate overflows"))
+        failed = sorted(i for i in failures if not at_origin[start + i])
+        if failed:
+            end, error = start + failed[0], failures[failed[0]]
+            break
+    re[at_origin], im[at_origin], abs_err[at_origin] = 1.0, 0.0, 0.0
+    method[at_origin] = CFMethod.CLOSED_FORM.value
+    return CFRows(re[:end], im[:end], abs_err[:end], method[:end], error)
 
 
 def _as_vector(x, n: int, name: str) -> np.ndarray:
@@ -287,7 +313,7 @@ def closed_form_generator(gen: DensityGenerator, n: int, q: float) -> float:
     """Closed-form characteristic generator phi(q), q = t' Sigma t.
 
     Raises NoClosedFormError for (family, parameter) combinations without
-    one; callers fall back to the Hankel quadrature route.
+    one; the Hankel route (route="hankel") serves every generator.
     """
     if q < 0.0:
         raise DomainError("closed_form_generator: q must be >= 0")
@@ -349,71 +375,50 @@ def closed_form_generator(gen: DensityGenerator, n: int, q: float) -> float:
 
 
 def char_generator_rows(
-    gen: DensityGenerator, n: int, qs, route: str = "auto"
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-    """phi(q) at every q of the array qs by the requested route.
+    gen: DensityGenerator, n: int, qs, route: str = "closed"
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    """phi(q) at every q of the array qs by the route "closed" or "hankel".
 
-    Returns (values, abs_err, method, failures): abs_err is nan where the
-    route gives no estimate (closed forms), method holds CFMethod values,
-    and failures maps a row to the exception its computation raised (its
-    value is nan).  The closed form runs point by point; the rows it does
-    not serve (route "hankel", or "auto" without a closed form) go through
-    phi_hankel_rows in one call.
+    Returns (values, abs_err, failures): abs_err is nan on the closed route
+    (no estimate), and failures maps a row to the exception its computation
+    raised (its value is nan); a family without a closed form fails every
+    row of the closed route with NoClosedFormError.  The closed form runs
+    point by point, the hankel route through phi_hankel_rows in one call.
     """
-    if route not in ("auto", "closed", "hankel"):
+    if route not in ("closed", "hankel"):
         raise DomainError(f"char_generator_rows: unknown route {route!r}")
     qs = np.asarray(qs, dtype=float).reshape(-1)
-    values, abs_err = np.full(len(qs), np.nan), np.full(len(qs), np.nan)
-    method = np.full(len(qs), CFMethod.CLOSED_FORM.value)
-    failures: dict = {}
-    hankel = list(range(len(qs))) if route == "hankel" else []
-    if route != "hankel":
-        for i, q in enumerate(qs.tolist()):
-            try:
-                values[i] = closed_form_generator(gen, n, q)
-            except NoClosedFormError as exc:
-                if route == "closed":
-                    failures[i] = exc
-                else:
-                    hankel.append(i)
-            except Exception as exc:  # raised again at its row
-                failures[i] = exc
-    if hankel:
+    if route == "hankel":
         from .quadrature import phi_hankel_rows
 
-        idx = np.array(hankel)
+        res = phi_hankel_rows(gen, n, np.sqrt(qs))
+        return res.value, res.err_est, res.failures
+    values, failures = np.full(len(qs), np.nan), {}
+    for i, q in enumerate(qs.tolist()):
         try:
-            res = phi_hankel_rows(gen, n, np.sqrt(qs[idx]))
-        except Exception as exc:  # raised again at each of its rows
-            failures.update(dict.fromkeys(hankel, exc))
-        else:
-            values[idx], abs_err[idx], method[idx] = res.value, res.err_est, CFMethod.HANKEL.value
-            failures.update({hankel[i]: exc for i, exc in res.failures.items()})
-    return values, abs_err, method, failures
+            values[i] = closed_form_generator(gen, n, q)
+        except Exception as exc:  # raised again at its row
+            failures[i] = exc
+    return values, np.full(len(qs), np.nan), failures
 
 
-def cf_rows(spec: EllipticalSpec, ts, route: str = "auto") -> CFRows:
+def cf_rows(spec: EllipticalSpec, ts, route: str = "closed") -> CFRows:
     """exp(i t'mu) phi(t' Sigma t) at each row t of the (P, n) array ts, in order.
 
-    The quadratic forms and phases of all rows come from one array pass, and
-    phi from one call of char_generator_rows; the rows end at the first one
-    whose phi raises.  t = 0 gives the exact 1.
+    The quadratic forms and phases of all rows come from one array pass,
+    and phi from one call of char_generator_rows per pass of _chunk_rows.
     """
     ts = _as_rows(ts, spec.n, "t")
     q, phase = spec.dispersion.quad_rows(ts), _row_dots(ts, spec.mu)
-    at_origin = ~ts.any(axis=1)
-    rest = np.flatnonzero(~at_origin)
-    phi, abs_err, method, failures = char_generator_rows(spec.generator, spec.n, q[rest], route)
-    re, im = np.ones(len(ts)), np.zeros(len(ts))
-    err, methods = np.zeros(len(ts)), np.full(len(ts), CFMethod.CLOSED_FORM.value)
-    re[rest] = _elementwise(math.cos, phase[rest]) * phi
-    im[rest] = _elementwise(math.sin, phase[rest]) * phi
-    err[rest], methods[rest] = abs_err, method
-    end = int(rest[min(failures)]) if failures else len(ts)
-    error = failures[min(failures)] if failures else None
-    return CFRows(re[:end], im[:end], err[:end], methods[:end], error)
+
+    def evaluate(sl: slice):
+        phi, abs_err, failures = char_generator_rows(spec.generator, spec.n, q[sl], route)
+        re, im = _elementwise(math.cos, phase[sl]) * phi, _elementwise(math.sin, phase[sl]) * phi
+        return re, im, abs_err, route, failures
+
+    return _chunk_rows(ts, evaluate)
 
 
-def cf(spec: EllipticalSpec, t, route: str = "auto") -> ComplexCF:
+def cf(spec: EllipticalSpec, t, route: str = "closed") -> ComplexCF:
     """Characteristic function exp(i t'mu) phi(t' Sigma t) at the point t."""
     return cf_rows(spec, _as_vector(t, spec.n, "t")[None, :], route).row(0)

@@ -23,7 +23,7 @@ class DivergentIntegralError(ConvergenceError):
 class NoClosedFormError(EllipcfError, LookupError):
     """No closed-form characteristic generator for this family/parameters.
 
-    Callers should fall back to the Hankel quadrature route.
+    The Hankel quadrature route (route="hankel") serves every generator.
     """
 
 

@@ -30,7 +30,15 @@ from .errors import (
     MomentUndefinedError,
 )
 from .generators import DensityGenerator, closed_moment_integral, moment_exists
-from .specfun import _elementwise, _power, bessel_j_rows, bessel_j_zero, gamma_fn
+from .specfun import (
+    _call_rows,
+    _elementwise,
+    _node_by_node,
+    _power,
+    bessel_j_rows,
+    bessel_j_zero,
+    gamma_fn,
+)
 
 __all__ = [
     "QuadResult",
@@ -128,11 +136,6 @@ def _dyadic_seeds(a: float, b: float, min_cell: float) -> tuple[float, ...]:
     return tuple(a + width * 2.0 ** (-j) for j in range(levels, 0, -1))
 
 
-def _node_by_node(f: Callable[[float], complex]) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    # a scalar integrand as adaptive_rows' f: called at each node in turn
-    return lambda rows, x: np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
-
-
 def adaptive_interval(
     f: Callable[[float], float],
     a: float,
@@ -175,28 +178,6 @@ def _kronrod_rows(fv: np.ndarray, halfw: np.ndarray) -> tuple[np.ndarray, np.nda
     for i in range(len(_K15_PAIRS)):
         sums = sums + terms[..., i, :, :]
     return halfw[..., None] * sums[..., 0, :], halfw * _magnitude(sums[..., 0, :] - sums[..., 1, :])
-
-
-def _call_rows(f, ids: np.ndarray, x: np.ndarray, failures: dict):
-    # f(ids[:, None], x); if that raises, again row by row, so that one row's
-    # failure cannot cost the others their values.  Returns the values of
-    # the rows that succeeded and their mask; a row whose call raises has
-    # its exception recorded in failures, for the caller to raise at its row
-    # (an id that appears more than once keeps its first exception).
-    try:
-        return np.asarray(f(ids[:, None], x)), np.ones(len(ids), dtype=bool)
-    except Exception as exc:  # attributed to its row, raised again there
-        if len(ids) == 1:
-            failures.setdefault(int(ids[0]), exc)
-            return np.zeros((0, x.shape[1])), np.zeros(1, dtype=bool)
-    parts, ok = [np.zeros((0, x.shape[1]))], np.ones(len(ids), dtype=bool)
-    for i in range(len(ids)):
-        try:
-            parts.append(np.asarray(f(ids[i:i + 1, None], x[i:i + 1])))
-        except Exception as exc:  # as above
-            failures.setdefault(int(ids[i]), exc)
-            ok[i] = False
-    return np.concatenate(parts), ok
 
 
 def adaptive_rows(

@@ -47,6 +47,7 @@ from .elliptical import (
 )
 from .errors import DomainError
 from .generators import DensityGenerator, Family
+from .specfun import _node_by_node
 
 if TYPE_CHECKING:  # imported by the samplers that use them
     from .skewmix import LSMixtureSpec, MixingLaw, SkewNormalSpec
@@ -307,7 +308,7 @@ def _cdf_table(
     An infinite hi is cut where the mass of [hi, 4 hi] drops below 1e-11,
     searching upward from max(lo, 1).
     """
-    from .quadrature import _node_by_node, adaptive_interval, adaptive_rows
+    from .quadrature import adaptive_interval, adaptive_rows
 
     if math.isinf(hi):
         hi = max(lo, 1.0)

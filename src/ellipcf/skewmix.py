@@ -8,19 +8,23 @@ Skewness enters a CF only through an odd complex factor k with
 k(t) + k(-t) = 1; all evaluators here assemble that factor in log scale
 where a growing exponential must cancel against a Gaussian envelope.
 
-The grid forms (``*_rows``) compute blocks of grid points as arrays: the
+The grid forms (``*_rows``) compute passes of grid points as arrays: the
 skew-normal factor through the array Dawson function, and mixing
-expectations for every point of a block at once
+expectations for every point of a pass at once
 (:meth:`MixingLaw.expectation_rows`, lockstep quadrature for continuous
-laws).  They return an :class:`~ellipcf.elliptical.CFRows`, which ends
-at the first failing row and holds its exception; the per-point
-functions are its row 0.  Complex products are formed from their real
-parts in the order Python's complex arithmetic uses, so a point's value
-does not depend on the block it is computed in.
+laws).  Each one builds its :class:`~ellipcf.elliptical.CFRows` with
+elliptical's one builder, ``_chunk_rows`` (t = 0 exact, a non-finite
+value a failing row, the grid ending at the first failing row); the
+per-point functions are its row 0.  The star route's grid form,
+cf_star_unimodal_rows, is the hankel route of the CLI's smu kind.  Complex
+products are formed from their real parts in the order Python's complex
+arithmetic uses, so a point's value does not depend on the pass it is
+computed in.
 
-The quadrature module is imported by the functions that integrate: mixing
-expectations, the star route and the smu weight density with its
-normalizing constant.  The skew-normal and GSE closed forms run without it.
+The quadrature module is imported by the functions that integrate:
+continuous mixing expectations, the star route and the smu weight density
+with its normalizing constant.  The skew-normal and GSE closed forms and
+the exact (degenerate, finite discrete) mixing sums run without it.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 
 from .elliptical import (
-    _ORIGIN,
     CFMethod,
     CFRows,
     ComplexCF,
@@ -40,12 +43,21 @@ from .elliptical import (
     EllipticalSpec,
     _as_rows,
     _as_vector,
+    _chunk_rows,
     _row_dots,
     char_generator_rows,
 )
 from .errors import ConvergenceError, DomainError
 from .generators import DensityGenerator
-from .specfun import _complex, _elementwise, gamma_fn, norm_cdf_imag, norm_cdf_imag_scaled
+from .specfun import (
+    _call_rows,
+    _complex,
+    _elementwise,
+    _node_by_node,
+    gamma_fn,
+    norm_cdf_imag,
+    norm_cdf_imag_scaled,
+)
 
 if TYPE_CHECKING:  # quadrature is imported by the functions that integrate
     from .quadrature import QuadRows
@@ -62,6 +74,7 @@ __all__ = [
     "cf_location_scale_mixture",
     "cf_location_scale_mixture_rows",
     "cf_star_unimodal",
+    "cf_star_unimodal_rows",
     "star_unimodal_rows",
     "cf_gse",
     "cf_gse_rows",
@@ -78,9 +91,6 @@ __all__ = [
 
 _MIX_ABS_TOL = 1e-8
 
-# Rows per array pass of the grid forms; bounds their per-row temporaries.
-_CHUNK = 1 << 10
-
 
 def _times_ratio(g, p, den):
     # (g * p) / den rounded per component, as Python's complex arithmetic
@@ -96,40 +106,6 @@ def _rotate(z: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # complex multiply
     c, s = np.cos(phase), np.sin(phase)
     return c * z.real - s * z.imag, c * z.imag + s * z.real
-
-
-def _chunk_rows(ts: np.ndarray, evaluate) -> CFRows:
-    """The CF at the rows of ts, in array passes of _CHUNK rows.
-
-    evaluate(sl) returns the rows ts[sl] as (re, im, abs_err, method,
-    failures), abs_err (nan: no estimate) and method as arrays or one value
-    for all rows, and failures mapping an index within sl to its exception.
-    The passes stop at the first failing row; an exception out of evaluate
-    itself fails its pass at the first row, and a row whose value is not
-    finite fails with an OverflowError.  t = 0 gives the exact 1.
-    """
-    count = len(ts)
-    re, im, abs_err = np.empty((3, count))
-    method = np.empty(count, dtype="<U6")
-    at_origin = ~ts.any(axis=1)
-    end, error = count, None
-    for start in range(0, count, _CHUNK):
-        sl = slice(start, start + _CHUNK)
-        try:
-            re[sl], im[sl], abs_err[sl], method[sl], failures = evaluate(sl)
-        except Exception as exc:  # recorded at the pass's first row
-            end, error = start, exc
-            break
-        finite = np.isfinite(re[sl]) & np.isfinite(im[sl])
-        for i in np.flatnonzero(~finite).tolist():  # never a silent nan or inf
-            failures.setdefault(i, OverflowError("the value is not finite: an intermediate overflows"))
-        failed = sorted(i for i in failures if not at_origin[start + i])
-        if failed:
-            end, error = start + failed[0], failures[failed[0]]
-            break
-    re[at_origin], im[at_origin], abs_err[at_origin] = 1.0, 0.0, 0.0
-    method[at_origin] = CFMethod.CLOSED_FORM.value
-    return CFRows(re[:end], im[:end], abs_err[:end], method[:end], error)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +238,6 @@ class MixingLaw:
         exceeds _MIX_ABS_TOL (1e-8), gets its exception in failures (row ->
         exception) and a nan value; no other row changes.
         """
-        from .quadrature import _call_rows, adaptive_rows
-
         failures: dict = {}
         if self.is_exact():
             if self.kind is MixingKind.DEGENERATE:
@@ -281,6 +255,8 @@ class MixingLaw:
             out = np.full(count, np.nan, dtype=np.result_type(total, float))
             out[ok] = total
             return out, failures
+        from .quadrature import adaptive_rows  # continuous laws only
+
         lo, hi = self.support if self.kind is MixingKind.CUSTOM_DENSITY else (0.0, math.inf)
         if math.isinf(hi):
             # v = lo + x/(1-x) maps [0, 1) onto [lo, inf)
@@ -304,8 +280,6 @@ class MixingLaw:
 
     def expectation(self, fn: Callable[[float], complex]):
         """E[fn(V)] for a scalar fn: the one-row case of expectation_rows."""
-        from .quadrature import _node_by_node
-
         values, failures = self.expectation_rows(_node_by_node(fn), 1)
         if failures:
             raise failures[0]
@@ -338,7 +312,7 @@ class LSMixtureSpec:
         self.mixing = mixing
 
 
-def cf_location_scale_mixture_rows(spec: LSMixtureSpec, ts, route: str = "auto") -> CFRows:
+def cf_location_scale_mixture_rows(spec: LSMixtureSpec, ts, route: str = "closed") -> CFRows:
     """CF of the location-scale mixture at each row t of the (P, n) array ts.
 
     exp(i t'mu) E[e^(iV t'gamma) phi(V t'Sigma t)]: t'Sigma t, t'gamma and
@@ -346,8 +320,8 @@ def cf_location_scale_mixture_rows(spec: LSMixtureSpec, ts, route: str = "auto")
     block of rows at once (MixingLaw.expectation_rows), with phi at all of
     a round's nodes from one call of char_generator_rows.  Degenerate and
     finite-discrete mixing are exact weighted sums; continuous mixing is
-    adaptive quadrature over the mixing density.  The rows stop at the first
-    one whose phi fails.
+    adaptive quadrature over the mixing density.  route ("closed" or
+    "hankel") is the route of phi.
     """
     ts = _as_rows(ts, spec.n, "t")
     gen, n = spec.base.generator, spec.n
@@ -357,14 +331,12 @@ def cf_location_scale_mixture_rows(spec: LSMixtureSpec, ts, route: str = "auto")
     def evaluate(sl: slice):
         qs, drifts = q[sl], drift[sl]
         base_err = np.zeros(len(qs))
-        hankel = np.zeros(len(qs), dtype=bool)
 
         def f(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
-            phi, err, meth, failures = char_generator_rows(gen, n, v * qs[rows], route)
+            phi, err, failures = char_generator_rows(gen, n, v * qs[rows], route)
             if failures:
                 raise failures[min(failures)]
-            phi, err, meth = phi.reshape(v.shape), err.reshape(v.shape), meth.reshape(v.shape)
-            hankel[rows[:, 0]] |= (meth == CFMethod.HANKEL.value).any(axis=1)
+            phi, err = phi.reshape(v.shape), err.reshape(v.shape)
             # the largest estimate among a row's nodes, nan (closed form) ignored
             base_err[rows[:, 0]] = np.fmax(base_err[rows[:, 0]], np.fmax.reduce(err, axis=1))
             vd = v * drifts[rows]
@@ -372,13 +344,12 @@ def cf_location_scale_mixture_rows(spec: LSMixtureSpec, ts, route: str = "auto")
 
         ev, failures = spec.mixing.expectation_rows(f, len(qs))
         abs_err = base_err + (0.0 if spec.mixing.is_exact() else _MIX_ABS_TOL)
-        method = np.where(hankel, CFMethod.HANKEL.value, CFMethod.CLOSED_FORM.value)
-        return (*_rotate(ev, phase[sl]), abs_err, method, failures)
+        return (*_rotate(ev, phase[sl]), abs_err, route, failures)
 
     return _chunk_rows(ts, evaluate)
 
 
-def cf_location_scale_mixture(spec: LSMixtureSpec, t, route: str = "auto") -> ComplexCF:
+def cf_location_scale_mixture(spec: LSMixtureSpec, t, route: str = "closed") -> ComplexCF:
     """CF of the location-scale mixture at the point t (see the rows form)."""
     ts = _as_vector(t, spec.n, "t")[None, :]
     return cf_location_scale_mixture_rows(spec, ts, route).row(0)
@@ -446,10 +417,29 @@ def star_unimodal_rows(gen: DensityGenerator, n: int, us) -> QuadRows:
 
 def cf_star_unimodal(gen: DensityGenerator, n: int, t) -> ComplexCF:
     """CF through the scale-mixture-of-uniforms route (real-valued) at the
-    point t: row 0 of star_unimodal_rows at u = ||t||."""
+    point t: row 0 of star_unimodal_rows at u = ||t||, "closed" at u = 0
+    as every grid form's origin."""
     u = float(np.linalg.norm(np.asarray(t, dtype=float).reshape(-1)))
     res = star_unimodal_rows(gen, n, [u]).row(0)
-    return ComplexCF(res.value, 0.0, res.err_est, CFMethod.HANKEL)
+    return ComplexCF(res.value, 0.0, res.err_est, CFMethod.HANKEL if u else CFMethod.CLOSED_FORM)
+
+
+def cf_star_unimodal_rows(spec: EllipticalSpec, ts) -> CFRows:
+    """The star route of an elliptical law, e^(i t'mu) phi(t'St) with phi
+    from star_unimodal_rows at u = ||t||_Sigma, at each row t of the (P, n)
+    array ts: one star_unimodal_rows call per pass of _chunk_rows."""
+    ts = _as_rows(ts, spec.n, "t")
+    us = np.sqrt(spec.dispersion.quad_rows(ts))
+
+    def evaluate(sl: slice):
+        res = star_unimodal_rows(spec.generator, spec.n, us[sl])
+        out = np.empty(len(res.value), dtype=complex)
+        for i, (t, value) in enumerate(zip(ts[sl], res.value.tolist())):
+            phase = float(t @ spec.mu)  # per row: a batched product may round otherwise
+            out[i] = complex(math.cos(phase), math.sin(phase)) * value
+        return out.real, out.imag, res.err_est, CFMethod.HANKEL.value, res.failures
+
+    return _chunk_rows(ts, evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +542,8 @@ def cf_gse_rows(spec: GSESpec, ts) -> CFRows:
     t'St, S^(1/2) t and t'mu come from one array pass.  With log_psi and a
     built-in k (SkewNormalK, possibly behind LinearMappedK) the rest is
     array passes too, so log_psi must then accept an array of q; any other
-    psi, log_psi or k runs point by point, up to the first row where it
-    raises.
+    psi, log_psi or k runs point by point, a point's exception failing its
+    row.
     """
     ts = _as_rows(ts, spec.n, "t")
     q = spec.dispersion.quad_rows(ts)
@@ -570,18 +560,23 @@ def cf_gse_rows(spec: GSESpec, ts) -> CFRows:
         return _chunk_rows(ts, evaluate)
     scaled = spec.log_psi is not None and hasattr(spec.k_fn, "scaled")
 
-    def at_point(at_origin: bool, q: float, y: np.ndarray, phase: float) -> ComplexCF:
-        if at_origin:
-            return _ORIGIN
-        rot = complex(math.cos(phase), math.sin(phase))
-        if scaled:
-            mant, log_scale = spec.k_fn.scaled(y)
-            out = 2.0 * math.exp(spec.log_psi(q) + log_scale) * mant * rot
-        else:
-            out = 2.0 * spec.psi(q) * spec.k_fn(y) * rot
-        return ComplexCF(out.real, out.imag, None, CFMethod.CLOSED_FORM)
+    def evaluate(sl: slice):  # point by point, each point's exception at its row
+        re, im = np.full((2, len(q[sl])), np.nan)
+        failures = {}
+        for i, (qi, y, p) in enumerate(zip(q[sl].tolist(), ys[sl], phase[sl].tolist())):
+            try:
+                rot = complex(math.cos(p), math.sin(p))
+                if scaled:
+                    mant, log_scale = spec.k_fn.scaled(y)
+                    out = 2.0 * math.exp(spec.log_psi(qi) + log_scale) * mant * rot
+                else:
+                    out = 2.0 * spec.psi(qi) * spec.k_fn(y) * rot
+                re[i], im[i] = out.real, out.imag
+            except Exception as exc:  # raised again at its row
+                failures[i] = exc
+        return re, im, math.nan, CFMethod.CLOSED_FORM.value, failures
 
-    return CFRows.collect(map(at_point, (~ts.any(axis=1)).tolist(), q.tolist(), ys, phase.tolist()))
+    return _chunk_rows(ts, evaluate)
 
 
 def cf_gse(spec: GSESpec, t) -> ComplexCF:

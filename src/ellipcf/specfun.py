@@ -187,6 +187,35 @@ def _elementwise(fn: Callable, x: np.ndarray, *args: float) -> np.ndarray:
     return out.reshape(x.shape)
 
 
+def _call_rows(f, ids: np.ndarray, x: np.ndarray, failures: dict):
+    # f(ids[:, None], x), the call of an array integrand (quadrature's
+    # adaptive_rows, a mixing law's exact sums); if that raises, again row by
+    # row, so that one row's
+    # failure cannot cost the others their values.  Returns the values of
+    # the rows that succeeded and their mask; a row whose call raises has
+    # its exception recorded in failures, for the caller to raise at its row
+    # (an id that appears more than once keeps its first exception).
+    try:
+        return np.asarray(f(ids[:, None], x)), np.ones(len(ids), dtype=bool)
+    except Exception as exc:  # attributed to its row, raised again there
+        if len(ids) == 1:
+            failures.setdefault(int(ids[0]), exc)
+            return np.zeros((0, x.shape[1])), np.zeros(1, dtype=bool)
+    parts, ok = [np.zeros((0, x.shape[1]))], np.ones(len(ids), dtype=bool)
+    for i in range(len(ids)):
+        try:
+            parts.append(np.asarray(f(ids[i:i + 1, None], x[i:i + 1])))
+        except Exception as exc:  # as above
+            failures.setdefault(int(ids[i]), exc)
+            ok[i] = False
+    return np.concatenate(parts), ok
+
+
+def _node_by_node(f: Callable[[float], complex]) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    # a scalar integrand as adaptive_rows' f: called at each node in turn
+    return lambda rows, x: np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
 def _power(x: np.ndarray, e: float) -> np.ndarray:
     """x ** e entry by entry, with the bits of the scalar power; pow gives
     exactly 1 and x at the exponents 0 and 1, so those make no calls."""
@@ -577,9 +606,12 @@ def hyp0f1(gamma: float, z: float) -> float:
 
     Large negative z is evaluated through Bessel J (the two functions are
     related by an exact identity); the direct float64 series would lose all
-    accuracy to cancellation there.
+    accuracy to cancellation there.  An infinite z (an overflowed argument)
+    raises OverflowError.
     """
     _check_not_pole(gamma, "hyp0f1")
+    if math.isinf(z):
+        raise OverflowError(f"hyp0f1: z = {z}: an intermediate overflows")
     if z == 0.0:
         return 1.0
     if z < _HYP0F1_NEG_SWITCH:

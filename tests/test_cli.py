@@ -208,7 +208,7 @@ class TestEval:
         if kind == "lsm":
             real = skewmix.char_generator_rows
 
-            def breaks(gen, n, qs, route="auto"):
+            def breaks(gen, n, qs, route="closed"):
                 if (np.asarray(qs) > 20.0).any():
                     raise ConvergenceError("synthetic series breakdown")
                 return real(gen, n, qs, route)
@@ -508,6 +508,41 @@ class TestOverflow:
         tol = float(rows[1][4] or 0.0)
         assert abs(float(rows[1][2])) <= tol and abs(float(rows[1][3])) <= tol
 
+    @pytest.mark.parametrize(
+        "family, params, code",
+        [("normal", {}, 0), ("uniform_ball", {}, 3), ("generalized_t", {"s": 3, "m": 3}, 3),
+         ("pearson_ii", {"m": 1}, 3), ("pearson_vii", {"N": 2, "s": 1}, 3),
+         ("kotz", {"N": 2, "r": 0.5, "s": 1}, 3), ("bessel", {"a": 0.5, "beta": 1}, 0)],
+        ids=["normal", "uniform_ball", "generalized_t", "pearson_ii", "pearson_vii", "kotz",
+             "bessel"],
+    )
+    def test_elliptical_closed_overflowing_quadratic_form(self, tmp_path, capsys, family,
+                                                          params, code):
+        # t'St overflows: the true value 0, or exit 3 naming the point
+        spec = write_spec(tmp_path, "e.json",
+                          dict(normal_spec(), generator={"family": family, "params": params}))
+        grid = json.dumps({"kind": "list", "points": [[0.3, 0.2], [1e200, 0.0]]})
+        rc = cli.main(["eval", "--spec", spec, "--grid", grid, "--routes", "closed"])
+        out, err = capsys.readouterr()
+        assert rc == code and "nan" not in out
+        if code == 3:
+            assert out == "" and err.startswith("numeric failure: at grid point t=[1e+200, 0.0]")
+            return
+        _, _, rows = parse_result_csv(out)
+        assert float(rows[1][2]) == 0.0 and float(rows[1][3]) == 0.0
+
+    @pytest.mark.parametrize("kind", ["elliptical", "smu"])
+    def test_generalized_t_closed_overflow_exits_3(self, tmp_path, capsys, kind):
+        # K_(m/2) at an infinite argument times an infinite power: nan, never printed
+        obj = dict(normal_spec(mu=[0.1, -0.2]), kind=kind,
+                   generator={"family": "generalized_t", "params": {"s": 3, "m": 3}})
+        spec = write_spec(tmp_path, "t.json", obj)
+        grid = json.dumps({"kind": "list", "points": [[0.5, 0.0], [1e160, 0.0]]})
+        rc = cli.main(["eval", "--spec", spec, "--grid", grid, "--routes", "closed"])
+        out, err = capsys.readouterr()
+        assert rc == 3 and out == ""
+        assert "at grid point t=[1e+160, 0.0]: the value is not finite" in err
+
     def test_gse_overflowing_root_exits_3(self, tmp_path, capsys):
         # S^(1/2) t and a'y overflow: a failing row, not a spec error (exit 2)
         obj = {
@@ -581,7 +616,15 @@ class TestGridPath:
                 cells = [f"{v:.17g}" for v in t]
                 cells += [f"{c.re:.17g}", f"{c.im:.17g}", err, c.method.value]
                 expected += ",".join(cells) + "\n"
-        rows = {route: elliptical.CFRows.collect(values[route]) for route in routes}
+        rows = {
+            route: elliptical.CFRows(
+                np.array([c.re for c in values[route]]),
+                np.array([c.im for c in values[route]]),
+                np.array([math.nan if c.abs_err is None else c.abs_err for c in values[route]]),
+                np.array([c.method.value for c in values[route]]),
+            )
+            for route in routes
+        }
         assert b"".join(cli._eval_blocks(points, rows, routes)).decode() == expected
         assert expected.startswith("0,0,1,0,0,closed\n")
         assert "-0,4.9406564584124654e-324,-0,4.9406564584124654e-324,,closed\n" in expected
@@ -595,13 +638,13 @@ class TestGridPath:
     def test_failure_in_later_chunk(self, tmp_path, capsys, monkeypatch, error, code, prefix):
         # 12 points in array passes of 4 rows: row 5 (second pass) fails, so
         # the third pass is never computed; a non-numeric error stays exit 2
-        monkeypatch.setattr(skewmix, "_CHUNK", 4)
+        monkeypatch.setattr(elliptical, "_CHUNK", 4)
         points = [[0.25 * (i + 1), 0.0] for i in range(12)]
         row_of_q = {t[0] * t[0]: i for i, t in enumerate(points)}  # v = 1: q = t1^2
         seen = set()
         real = skewmix.char_generator_rows
 
-        def core(gen, n, qs, route="auto"):
+        def core(gen, n, qs, route="closed"):
             rows = {row_of_q.get(q) for q in np.ravel(qs).tolist()}  # None: the availability probe
             seen.update(rows)
             if 5 in rows:
@@ -835,12 +878,19 @@ class TestStartup:
             assert name not in modules
         assert ("ellipcf.quadrature" in modules) == (route == "hankel")
 
-    @pytest.mark.parametrize("kind", ["elliptical", "skew_normal", "gse_skew_normal"])
+    @pytest.mark.parametrize(
+        "kind", ["elliptical", "skew_normal", "gse_skew_normal", "lsm", "smsn"]
+    )
     def test_closed_route_skips_quadrature(self, tmp_path, kind):
+        # the mixtures have exact (finite_discrete) mixing: sums, no quadrature
         obj = normal_spec()
-        if kind != "elliptical":
+        if kind == "lsm":
+            obj = dict(obj, kind=kind, gamma=[0.4, 0.1], mixing=_FINITE)
+        elif kind != "elliptical":
             obj = dict(obj, kind=kind, alpha=[1.0, -0.5])
             del obj["generator"]
+            if kind == "smsn":
+                obj["mixing"] = _FINITE
         spec = write_spec(tmp_path, "s.json", obj)
         grid = '{"kind":"list","points":[[0.5,0.2],[0.0,0.0]]}'
         for command in ("eval", "compare"):

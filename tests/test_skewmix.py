@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ellipcf import elliptical, skewmix
 from ellipcf import generators as gn
-from ellipcf.elliptical import EllipticalSpec, cf, cf_rows, closed_form_generator
+from ellipcf.elliptical import CFMethod, ComplexCF, EllipticalSpec, cf, cf_rows, closed_form_generator
 from ellipcf.errors import ConvergenceError, DomainError
 from ellipcf.quadrature import adaptive_interval, phi_hankel
 from ellipcf.skewmix import (
@@ -20,11 +21,13 @@ from ellipcf.skewmix import (
     cf_gse,
     cf_gse_rows,
     cf_location_scale_mixture,
+    cf_location_scale_mixture_rows,
     cf_skew_normal,
     cf_skew_normal_rows,
     cf_smsn,
     cf_smsn_rows,
     cf_star_unimodal,
+    cf_star_unimodal_rows,
     gse_affine,
     skew_normal_gse,
     smsn_split,
@@ -525,3 +528,161 @@ class TestScaleMixtureSkewNormal:
             b = cf_smsn(sn, mix, [-t])
             assert abs(a.value - b.value.conjugate()) <= 1e-7
             assert abs(a.value) <= 1.0 + 1e-7
+
+
+# ---------------------------------------------------------------------------
+# The one grid builder, elliptical._chunk_rows, seen through every analytic form
+# ---------------------------------------------------------------------------
+
+_SIGMA = np.array([[1.0, 0.3], [0.3, 1.0]])
+_MU = np.array([0.1, -0.2])
+_TS = np.array([[0.0, 0.0]] + [[0.3 * i, 0.1 * (i % 3)] for i in range(1, 12)])
+_FAIL = 5  # a row of the second pass at 4 rows per pass
+_Q_FAIL = float(elliptical.Dispersion(_SIGMA).quad_rows(_TS)[_FAIL])
+
+
+def _t3():
+    return EllipticalSpec(2, _MU, _SIGMA, gn.generalized_t_generator(2, 3.0, 3))
+
+
+def _lsm():
+    base = EllipticalSpec(2, np.zeros(2), np.eye(2), gn.generalized_t_generator(2, 3.0, 3))
+    return LSMixtureSpec(base, _MU, [0.4, 0.1], _SIGMA, MixingLaw.degenerate(1.0))
+
+
+def _sn():
+    return SkewNormalSpec(_MU, _SIGMA, [2.0, -0.5])
+
+
+def _injected(*args):
+    return ConvergenceError("injected")
+
+
+def _break_phi(monkeypatch, module):
+    # module.char_generator_rows fails the rows at q = _Q_FAIL
+    real = module.char_generator_rows
+
+    def phi(gen, n, qs, route="closed"):
+        values, err, failures = real(gen, n, qs, route)
+        for i in np.flatnonzero(np.ravel(qs) == _Q_FAIL).tolist():
+            values[i], failures[i] = math.nan, _injected()
+        return values, err, failures
+
+    monkeypatch.setattr(module, "char_generator_rows", phi)
+
+
+def _break_star(monkeypatch):
+    real = skewmix.star_unimodal_rows
+
+    def star(gen, n, us):
+        res = real(gen, n, us)
+        for i in np.flatnonzero(np.asarray(us) == math.sqrt(_Q_FAIL)).tolist():
+            res.value[i], res.failures[i] = math.nan, _injected()
+        return res
+
+    monkeypatch.setattr(skewmix, "star_unimodal_rows", star)
+
+
+def _break_sn(monkeypatch, fail):
+    # skewmix._sn_centered at q = _Q_FAIL: nan (fail = None) or raises
+    real = skewmix._sn_centered
+
+    def sn(q, y):
+        if fail is not None and (q == _Q_FAIL).any():
+            raise fail()
+        return np.where(q == _Q_FAIL, math.nan, real(q, y))
+
+    monkeypatch.setattr(skewmix, "_sn_centered", sn)
+
+
+class _PlainK:
+    """A custom k without a scaled form: cf_gse_rows runs point by point."""
+
+    def __init__(self, direction):
+        self.inner = SkewNormalK(direction)
+
+    def __call__(self, y):
+        return self.inner(y)
+
+
+def _gse_array(broken):
+    sn = _sn()
+
+    def log_psi(q):
+        return np.where(q == _Q_FAIL, math.nan, -0.5 * q) if broken else -0.5 * q
+
+    return GSESpec(_MU, _SIGMA, lambda q: math.exp(-0.5 * q), SkewNormalK(sn.skew_direction()),
+                   log_psi)
+
+
+def _gse_point(broken):
+    def psi(q):
+        if broken and q == _Q_FAIL:
+            raise _injected()
+        return math.exp(-0.5 * q)
+
+    return GSESpec(_MU, _SIGMA, psi, _PlainK(_sn().skew_direction()))
+
+
+# case -> (the grid form, the failure injection, the exception of the failing row)
+_FORMS = {
+    "cf_rows-closed": (lambda ts, broken: cf_rows(_t3(), ts, "closed"),
+                       lambda mp: _break_phi(mp, elliptical), ConvergenceError),
+    "cf_rows-hankel": (lambda ts, broken: cf_rows(_t3(), ts, "hankel"),
+                       lambda mp: _break_phi(mp, elliptical), ConvergenceError),
+    "star": (lambda ts, broken: cf_star_unimodal_rows(_t3(), ts), _break_star, ConvergenceError),
+    "lsm-closed": (lambda ts, broken: cf_location_scale_mixture_rows(_lsm(), ts, "closed"),
+                   lambda mp: _break_phi(mp, skewmix), ConvergenceError),
+    "lsm-hankel": (lambda ts, broken: cf_location_scale_mixture_rows(_lsm(), ts, "hankel"),
+                   lambda mp: _break_phi(mp, skewmix), ConvergenceError),
+    "skew_normal": (lambda ts, broken: cf_skew_normal_rows(_sn(), ts),
+                    lambda mp: _break_sn(mp, None), OverflowError),
+    "gse-array": (lambda ts, broken: cf_gse_rows(_gse_array(broken), ts),
+                  lambda mp: None, OverflowError),
+    "gse-per_point": (lambda ts, broken: cf_gse_rows(_gse_point(broken), ts),
+                      lambda mp: None, ConvergenceError),
+    "smsn": (lambda ts, broken: cf_smsn_rows(_sn(), MixingLaw.degenerate(1.0), ts),
+             lambda mp: _break_sn(mp, _injected), ConvergenceError),
+}
+
+
+@pytest.mark.parametrize("case", list(_FORMS))
+class TestGridBuilder:
+    """Every closed and hankel grid form keeps one contract: t = 0 is
+    (1, 0, 0, "closed"), a row's bits do not depend on the pass it is
+    computed in, and the first failing row ends the grid with its exception."""
+
+    def test_origin_row_is_exact(self, case):
+        rows = _FORMS[case][0](_TS, False)
+        assert rows.error is None and len(rows) == len(_TS)
+        assert rows.row(0) == ComplexCF(1.0, 0.0, 0.0, CFMethod.CLOSED_FORM)
+        assert set(rows.method[1:]) == {"hankel" if "hankel" in case or case == "star" else "closed"}
+
+    def test_passes_keep_the_bits(self, monkeypatch, case):
+        form = _FORMS[case][0]
+        whole = form(_TS, False)
+        monkeypatch.setattr(elliptical, "_CHUNK", 4)
+        passes = form(_TS, False)
+        assert passes.error is None
+        for name in ("re", "im", "abs_err", "method"):
+            assert getattr(passes, name).tobytes() == getattr(whole, name).tobytes(), name
+
+    def test_failing_row_ends_the_grid(self, monkeypatch, case):
+        form, inject, error = _FORMS[case]
+        whole = form(_TS, False)
+        monkeypatch.setattr(elliptical, "_CHUNK", 4)
+        inject(monkeypatch)
+        real, passes = elliptical._chunk_rows, []
+
+        def spy(ts, evaluate):
+            return real(ts, lambda sl: passes.append(sl.start) or evaluate(sl))
+
+        for module in (elliptical, skewmix):
+            monkeypatch.setattr(module, "_chunk_rows", spy)
+        rows = form(_TS, True)
+        assert passes == [0, 4]  # the third pass is never computed
+        assert len(rows) == _FAIL and isinstance(rows.error, error)
+        assert rows.re.tobytes() == whole.re[:_FAIL].tobytes()
+        assert rows.im.tobytes() == whole.im[:_FAIL].tobytes()
+        with pytest.raises(error):
+            rows.row(_FAIL)
