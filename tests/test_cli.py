@@ -945,6 +945,18 @@ class TestGoldenBytes:
                '"sigma":[1,0.3,0.09,0.3,1,0.3,0.09,0.3,1],'
                '"generator":{"family":"kotz","params":{"N":1,"r":0.5,"s":1}}}')
     AXIS = '{"kind":"axis","index":0,"start":0,"stop":30,"num":61}'
+    # the rewritten chunk kernels: n = 2, Sigma = diag(4, 0.25) and power-of-two
+    # mu, alpha and gamma, so every product of a matmul is exact
+    _BASE = '"n":2,"mu":[0.5,-0.25],"sigma":[4,0,0,0.25]'
+    SN_HALF = '{"schema":1,"kind":"skew_normal",' + _BASE + ',"alpha":[2,-0.5]}'
+    SN_FULL = ('{"schema":1,"kind":"skew_normal",' + _BASE
+               + ',"alpha":[2,-0.5],"parametrization":"full_sigma"}')
+    LSM_FINITE = ('{"schema":1,"kind":"lsm",' + _BASE + ',"gamma":[0.5,0.25],'
+                  '"generator":{"family":"normal"},'
+                  '"mixing":{"kind":"finite_discrete","points":[0.5,2],"weights":[0.25,0.75]}}')
+    SMSN_INVGAMMA = ('{"schema":1,"kind":"smsn",' + _BASE + ',"alpha":[2,-0.5],'
+                     '"mixing":{"kind":"inverse_gamma","shape":3,"scale":2}}')
+    SAMPLE = ["sample", "--count", "40000", "--seed", "7"]
 
     @pytest.mark.parametrize("spec, args, sha256", [
         # 40000 draws (two sampler chunks), 39 cells in exponent notation
@@ -955,7 +967,17 @@ class TestGoldenBytes:
          "fe64fa8c403964ca6df8a182ea0a14d07bc4ee68506a1ee9dd1aeaeed0f0dc34"),
         ("KOTZ_N3", ["compare", "--routes", "closed,hankel", "--grid", AXIS],
          "145eefa4796cea1ef2594337e351d9aa058bb475af6c67be1aadb927190dbb37"),
-    ], ids=["sample", "eval", "compare"])
+        ("SN_HALF", SAMPLE,
+         "9d5085d631a9c88b0eeb6b60110bf54330d00b85d596bbe2f98c38b86606318d"),
+        ("SN_FULL", SAMPLE,
+         "1d71aa475c5d5281163feb1700a8ea4e8abc7fdfe917654076c9628123b33e9f"),
+        ("LSM_FINITE", SAMPLE,
+         "ef6a23ed89905412b2ce98f17ad3686cf5d19cfe2ac6113df930c7df51a77fdf"),
+        ("SMSN_INVGAMMA", SAMPLE,
+         "af38ee24cb3f3e5f5bdeb8407433c87f8ee46eff3668667b91e555e5a1abae50"),
+    ], ids=["sample", "eval", "compare", "sample-skew_normal-half_root",
+            "sample-skew_normal-full_sigma", "sample-lsm-finite_discrete",
+            "sample-smsn-inverse_gamma"])
     def test_output_sha256(self, tmp_path, spec, args, sha256):
         path = tmp_path / "spec.json"
         path.write_text(getattr(self, spec))
@@ -997,6 +1019,46 @@ class TestCompareGates:
         assert self._compare(tmp_path, "--tol", f"{pair}=1") == 2
         err = capsys.readouterr().err
         assert f"tol: pair {pair!r} is not among the requested routes closed,mc" in err
+
+
+class TestArgChecks:
+    """--routes and --tol are checked before the spec file is read: a bad value
+    exits 2 with its message even where the spec does not exist."""
+
+    GRID = '{"kind":"list","points":[[0.5,0.0]]}'
+
+    @pytest.mark.parametrize("routes, message", [
+        ("", "routes: empty route list"),
+        (" , ,", "routes: empty route list"),
+        ("closed,bogus", "routes: unknown route 'bogus'"),
+        ("closed,mc,closed", "routes: duplicate route"),
+        (" hankel , hankel", "routes: duplicate route"),
+    ])
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    def test_bad_routes_exit_2(self, tmp_path, capsys, command, routes, message):
+        out = tmp_path / "x.csv"
+        rc = cli.main([command, "--spec", str(tmp_path / "missing.json"), "--grid", self.GRID,
+                       f"--routes={routes}", "--out", str(out)])
+        assert rc == 2 and capsys.readouterr().err == f"spec error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("item, message", [
+        ("closed-mc", "tol: expected PAIR=VALUE, got 'closed-mc'"),
+        ("closed-mc=tight", "tol: non-numeric tolerance in 'closed-mc=tight'"),
+        ("closed-mc=", "tol: non-numeric tolerance in 'closed-mc='"),
+    ])
+    def test_bad_tol_item_exits_2(self, tmp_path, capsys, item, message):
+        out = tmp_path / "x.csv"
+        rc = cli.main(["compare", "--spec", str(tmp_path / "missing.json"), "--grid", self.GRID,
+                       "--routes", "closed,mc", "--tol", "closed-mc=1", "--tol", item,
+                       "--out", str(out)])
+        assert rc == 2 and capsys.readouterr().err == f"spec error: {message}\n"
+        assert not out.exists()
+
+    def test_routes_checked_before_workers_and_tol(self, tmp_path, capsys):
+        rc = cli.main(["compare", "--spec", str(tmp_path / "missing.json"), "--grid", self.GRID,
+                       "--routes", "closed,closed", "--workers", "0", "--tol", "x"])
+        assert rc == 2 and capsys.readouterr().err == "spec error: routes: duplicate route\n"
 
 
 class TestOutputErrors:

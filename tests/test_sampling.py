@@ -246,6 +246,39 @@ class TestSampleSkewNormal:
         skew = float(((x - x.mean()) ** 3).mean() / x.std() ** 3)
         assert skew > 5.0 * math.sqrt(6.0 / b.count)
 
+    @staticmethod
+    def _masked_chunk(spec, m, g):
+        # the rejection step by boolean masks and one concatenation
+        s_root, rows, have = spec.dispersion.sym_root, [], 0
+        while have < m:
+            block = max(64, int(2.3 * (m - have)))
+            w = g.standard_normal((block, spec.n))
+            eps = g.standard_normal(block)
+            if spec.parametrization is Parametrization.HALF_ROOT:
+                keep = w[(w @ spec.alpha + eps) > 0.0] @ s_root
+            else:
+                y = w @ s_root
+                keep = y[(y @ spec.alpha + eps) > 0.0]
+            rows.append(keep[: m - have])
+            have += len(rows[-1])
+        return spec.mu + np.concatenate(rows, axis=0)
+
+    @pytest.mark.parametrize("par", [Parametrization.HALF_ROOT, Parametrization.FULL_SIGMA])
+    def test_multi_block_chunk_matches_masked_formula(self, par):
+        sn = SkewNormalSpec([0.3, -0.2], [[1.0, 0.3], [0.3, 2.0]], [2.0, -0.5], par)
+        m = 60
+        for seed in range(1000):  # the first seed whose first candidate block falls short
+            g = RngStream(seed).chunk_generator(0)
+            w, eps = g.standard_normal((138, 2)), g.standard_normal(138)  # int(2.3 m) rows
+            y = w if par is Parametrization.HALF_ROOT else w @ sn.dispersion.sym_root
+            if np.count_nonzero((y @ sn.alpha + eps) > 0.0) < m:
+                break
+        else:
+            pytest.fail("no seed below 1000 needs a second block")
+        got = sampling._skew_normal_chunk(sn, m, RngStream(seed).chunk_generator(0))
+        want = self._masked_chunk(sn, m, RngStream(seed).chunk_generator(0))
+        assert got.shape == (m, 2) and got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("par", [Parametrization.HALF_ROOT, Parametrization.FULL_SIGMA])
     def test_cf_oracle_both_parametrizations(self, par):
         count = 2 * 10**5
