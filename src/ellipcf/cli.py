@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
@@ -44,7 +44,7 @@ if TYPE_CHECKING:  # skewmix and sampling are imported by the commands that use 
     from . import sampling as sp
     from . import skewmix as sk
 
-__all__ = ["main", "entry", "RunConfig", "load_spec", "parse_grid"]
+__all__ = ["main", "entry", "load_spec", "parse_grid"]
 
 EXIT_OK = 0
 EXIT_SPEC_ERROR = 2
@@ -57,21 +57,6 @@ _ROUTES = ("closed", "hankel", "mc")
 _NUMERIC_ERRORS = (ConvergenceError, ArithmeticError)  # exit 3; other errors exit 2
 
 _BLOCK = 1 << 10  # grid points per formatted block of eval rows
-
-
-@dataclass
-class RunConfig:
-    command: str
-    spec_path: str
-    grid: Optional[dict] = None
-    routes: tuple[str, ...] = ("closed",)
-    mc_count: int = 100000
-    seed: int = 0
-    out_path: str = "-"
-    workers: int = 1
-    tol_analytic: float = 1e-6
-    mc_band: float = 4.0
-    tol_overrides: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -374,24 +359,24 @@ def _sampler(spec: ParsedSpec) -> sp.Sampler:
     raise SpecValidationError(f"kind: unsupported kind {spec.kind!r}")
 
 
-def _build_evaluators(spec: ParsedSpec, config: RunConfig) -> dict[str, Callable]:
+def _build_evaluators(spec: ParsedSpec, args: argparse.Namespace) -> dict[str, Callable]:
     """Route -> evaluator, each mapping a (P, n) grid to its CFRows."""
     evaluators: dict[str, Callable] = {}
     probe = np.full((1, spec.n), 0.25)
-    for route in config.routes:
+    for route in args.routes:
         if route == "mc":
             from . import sampling as sp
 
-            if config.mc_count < 1000:
+            if args.mc_count < 1000:
                 raise SpecValidationError("mc_count: must be >= 1000 for the mc route")
-            if config.mc_count > sp.MAX_COUNT:
+            if args.mc_count > sp.MAX_COUNT:
                 raise SpecValidationError(
-                    f"mc_count: must be <= 2^55 = {sp.MAX_COUNT}, got {config.mc_count}"
+                    f"mc_count: must be <= 2^55 = {sp.MAX_COUNT}, got {args.mc_count}"
                 )
             # the draws are made and reduced chunk by chunk when the route runs
             evaluators["mc"] = partial(
                 _sampler(spec).empirical_cf_rows,
-                count=config.mc_count, rng=sp.RngStream(seed=config.seed), workers=config.workers,
+                count=args.mc_count, rng=sp.RngStream(seed=args.seed), workers=args.workers,
             )
             continue
         evaluator = evaluators[route] = _analytic_evaluator(spec, route)
@@ -476,28 +461,28 @@ def _eval_blocks(
         yield _csvout.join(cells)
 
 
-def _grid_run(config: RunConfig) -> tuple[ParsedSpec, np.ndarray, dict[str, el.CFRows]]:
+def _grid_run(args: argparse.Namespace) -> tuple[ParsedSpec, np.ndarray, dict[str, el.CFRows]]:
     """The spec, the grid and every route's values on it; a numeric failure
     raises, for main to exit 3."""
-    spec = load_spec(config.spec_path)
-    points = parse_grid(config.grid, spec.n)
-    return spec, points, _grid_rows(points, _build_evaluators(spec, config))
+    spec = load_spec(args.spec)
+    points = parse_grid(args.grid, spec.n)
+    return spec, points, _grid_rows(points, _build_evaluators(spec, args))
 
 
-def _head(config: RunConfig, spec: ParsedSpec, columns: list[str]) -> str:
+def _head(args: argparse.Namespace, spec: ParsedSpec, columns: list[str]) -> str:
     """The provenance line and the CSV header, t columns first."""
     return (
-        f"# ellipcf {config.command} spec_sha256={spec.sha256} kind={spec.kind} "
-        f"routes={','.join(config.routes)} seed={config.seed} mc_count={config.mc_count}\n"
+        f"# ellipcf {args.command} spec_sha256={spec.sha256} kind={spec.kind} "
+        f"routes={','.join(args.routes)} seed={args.seed} mc_count={args.mc_count}\n"
         + ",".join([f"t{i + 1}" for i in range(spec.n)] + columns)
         + "\n"
     )
 
 
-def run_eval(config: RunConfig) -> int:
-    spec, points, values = _grid_run(config)
-    head = _head(config, spec, ["re", "im", "abs_err", "method"]).encode()
-    _write_out(config.out_path, [head, *_eval_blocks(points, values, config.routes)])
+def run_eval(args: argparse.Namespace) -> int:
+    spec, points, values = _grid_run(args)
+    head = _head(args, spec, ["re", "im", "abs_err", "method"]).encode()
+    _write_out(args.out, [head, *_eval_blocks(points, values, args.routes)])
     return EXIT_OK
 
 
@@ -507,32 +492,32 @@ def _tolerance(name: str, value: float) -> float:
     return value
 
 
-def _tol_overrides(config: RunConfig) -> dict[tuple[str, str], float]:
+def _tol_overrides(args: argparse.Namespace) -> dict[tuple[str, str], float]:
     """The --tol overrides, keyed by route pair in route order whichever order
     the flag names it in.  Every tolerance flag is checked: a pair outside the
     requested routes, or a tolerance that is negative or not finite, is an
     error naming its flag."""
-    _tolerance("tol-analytic", config.tol_analytic)
-    _tolerance("mc-band", config.mc_band)
-    routes = config.routes
+    _tolerance("tol-analytic", args.tol_analytic)
+    _tolerance("mc-band", args.mc_band)
+    routes = args.routes
     overrides = {}
-    for key, value in config.tol_overrides.items():
+    for key, value in args.tol.items():
         a, _, b = key.partition("-")
         if a == b or a not in routes or b not in routes:
             raise SpecValidationError(
                 f"tol: pair {key!r} is not among the requested routes {','.join(routes)}"
             )
         pair = (a, b) if routes.index(a) < routes.index(b) else (b, a)
-        overrides[pair] = _tolerance(f"tol {key}", float(value))
+        overrides[pair] = _tolerance(f"tol {key}", value)
     return overrides
 
 
-def run_compare(config: RunConfig) -> int:
-    if len(config.routes) < 2:
+def run_compare(args: argparse.Namespace) -> int:
+    routes = args.routes
+    if len(routes) < 2:
         raise SpecValidationError("routes: compare needs at least two routes")
-    overrides = _tol_overrides(config)
-    spec, points, values = _grid_run(config)
-    routes = config.routes
+    overrides = _tol_overrides(args)
+    spec, points, values = _grid_run(args)
     names, columns = [], [points]
     for route in routes:
         names += [f"re_{route}", f"im_{route}"]
@@ -543,21 +528,21 @@ def run_compare(config: RunConfig) -> int:
         d_re = np.abs(values[a].re - values[b].re)
         d_im = np.abs(values[a].im - values[b].im)
         dev = np.where(d_im > d_re, d_im, d_re)  # max(d_re, d_im), nan cases included
-        default = config.mc_band / math.sqrt(config.mc_count) if "mc" in (a, b) else config.tol_analytic
+        default = args.mc_band / math.sqrt(args.mc_count) if "mc" in (a, b) else args.tol_analytic
         tols[a, b] = overrides.get((a, b), default)
         max_dev[a, b] = float(np.fmax.reduce(dev, initial=0.0))  # skips nan, as max() did
         exceed[a, b] = int(np.count_nonzero(dev > tols[a, b]))
         names.append(f"dev_{a}_{b}")
         columns.append(dev)
     table = np.column_stack(columns)
-    parts = [_head(config, spec, names).encode()]
+    parts = [_head(args, spec, names).encode()]
     parts.append(_csvout.rows(table))
     for (a, b) in pairs:
         parts.append(
             f"# summary {a}-{b}: max_dev={_fmt(max_dev[(a, b)])} tol={_fmt(tols[(a, b)])} "
             f"exceedances={exceed[(a, b)]}/{len(points)}\n".encode()
         )
-    _write_out(config.out_path, parts)
+    _write_out(args.out, parts)
     if any(exceed.values()):
         print(
             "tolerance exceedance: "
@@ -572,16 +557,19 @@ def run_compare(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def run_sample(config: RunConfig) -> int:
+def run_sample(args: argparse.Namespace) -> int:
     from . import sampling as sp
 
-    spec = load_spec(config.spec_path)
+    spec = load_spec(args.spec)
     parts = _sampler(spec).csv(  # checks the count; draws as the output is written
-        config.mc_count, sp.RngStream(seed=config.seed), config.workers,
+        args.mc_count, sp.RngStream(seed=args.seed), args.workers,
         [f"spec_sha256={spec.sha256} kind={spec.kind}"],
     )
-    _write_out(config.out_path, parts)
+    _write_out(args.out, parts)
     return EXIT_OK
+
+
+_COMMANDS = {"eval": run_eval, "compare": run_compare, "sample": run_sample}
 
 
 # ---------------------------------------------------------------------------
@@ -642,65 +630,46 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sample = sub.add_parser("sample", help="draw from the spec and emit CSV")
     p_sample.add_argument("--spec", required=True)
-    p_sample.add_argument("--count", type=int, default=100000, help="number of draws")
+    p_sample.add_argument(
+        "--count", dest="mc_count", metavar="COUNT", type=int, default=100000,
+        help="number of draws",
+    )
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--workers", type=int, default=1)
     p_sample.add_argument("--out", default="-")
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    routes: tuple[str, ...] = ()
-    grid = None
-    if args.command in ("eval", "compare"):
-        routes = tuple(r.strip() for r in args.routes.split(",") if r.strip())
-        if not routes:
-            raise SpecValidationError("routes: empty route list")
-        for route in routes:
-            if route not in _ROUTES:
-                raise SpecValidationError(f"routes: unknown route {route!r}")
-        if len(set(routes)) != len(routes):
-            raise SpecValidationError("routes: duplicate route")
-        grid = args.grid
-    if args.workers < 1:
-        raise SpecValidationError(f"workers: must be >= 1, got {args.workers}")
-    if not 0 <= args.seed < 1 << 64:
-        raise SpecValidationError(f"seed: must be in [0, 2^64), got {args.seed}")
-    overrides = {}
-    for item in getattr(args, "tol", []):
-        if "=" not in item:
-            raise SpecValidationError(f"tol: expected PAIR=VALUE, got {item!r}")
-        pair, _, value = item.partition("=")
-        try:
-            overrides[pair] = float(value)
-        except ValueError as exc:
-            raise SpecValidationError(f"tol: non-numeric tolerance in {item!r}") from exc
-    mc_count = args.count if args.command == "sample" else args.mc_count
-    return RunConfig(
-        command=args.command,
-        spec_path=args.spec,
-        grid=grid,
-        routes=routes,
-        mc_count=mc_count,
-        seed=args.seed,
-        out_path=args.out,
-        workers=args.workers,
-        tol_analytic=getattr(args, "tol_analytic", 1e-6),
-        mc_band=getattr(args, "mc_band", 4.0),
-        tol_overrides=overrides,
-    )
+def _tol_item(item: str) -> tuple[str, float]:
+    """A --tol PAIR=VALUE item as (pair, value)."""
+    if "=" not in item:
+        raise SpecValidationError(f"tol: expected PAIR=VALUE, got {item!r}")
+    pair, _, value = item.partition("=")
+    try:
+        return pair, float(value)
+    except ValueError as exc:
+        raise SpecValidationError(f"tol: non-numeric tolerance in {item!r}") from exc
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    try:
-        config = _config_from_args(args)
-        if config.command == "eval":
-            return run_eval(config)
-        if config.command == "compare":
-            return run_compare(config)
-        return run_sample(config)
+    args = _build_parser().parse_args(argv)
+    try:  # the namespace is checked in place before any file is read
+        if args.command != "sample":
+            args.routes = tuple(r.strip() for r in args.routes.split(",") if r.strip())
+            if not args.routes:
+                raise SpecValidationError("routes: empty route list")
+            for route in args.routes:
+                if route not in _ROUTES:
+                    raise SpecValidationError(f"routes: unknown route {route!r}")
+            if len(set(args.routes)) != len(args.routes):
+                raise SpecValidationError("routes: duplicate route")
+        if args.workers < 1:
+            raise SpecValidationError(f"workers: must be >= 1, got {args.workers}")
+        if not 0 <= args.seed < 1 << 64:
+            raise SpecValidationError(f"seed: must be in [0, 2^64), got {args.seed}")
+        if args.command == "compare":
+            args.tol = dict(map(_tol_item, args.tol))
+        return _COMMANDS[args.command](args)
     except SpecValidationError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR

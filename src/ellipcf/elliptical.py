@@ -12,8 +12,9 @@ NoClosedFormError where the family has none) or "hankel".
 Every closed and hankel grid form, here and in skewmix, builds its CFRows
 with _chunk_rows: passes of _CHUNK rows, t = 0 the exact (1, 0, 0,
 "closed"), a non-finite value an OverflowError at its row, and the grid
-ending at the first failing row other than the origin.  The hankel rows of
-a pass go through phi_hankel_rows in one call.
+ending at the first failing row other than the origin.  Each one applies
+e^(i t'mu) with _rotate.  The hankel rows of a pass go through
+phi_hankel_rows in one call.
 
 The quadrature module is imported by the functions that integrate: the
 hankel rows of char_generator_rows, the numeric moment check of a custom
@@ -138,6 +139,21 @@ def _chunk_rows(ts: np.ndarray, evaluate) -> CFRows:
     re[at_origin], im[at_origin], abs_err[at_origin] = 1.0, 0.0, 0.0
     method[at_origin] = CFMethod.CLOSED_FORM.value
     return CFRows(re[:end], im[:end], abs_err[:end], method[:end], error)
+
+
+def _rotate(z: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """e^(i phase) z as (re, im), the one phase rotation of the closed and
+    hankel grid forms.  A real z gives the real products (cos z, sin z), a
+    complex z the products and sums of Python's complex multiply.  cos and
+    sin come from libm (_elementwise); a phase that is not finite (t'mu
+    overflowed) is nan, and _chunk_rows fails any row whose result is not
+    finite, so no warning is raised for one."""
+    phase = np.where(np.isfinite(phase), phase, np.nan)
+    c, s = _elementwise(math.cos, phase), _elementwise(math.sin, phase)
+    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf, or a sum past the range
+        if np.iscomplexobj(z):
+            return c * z.real - s * z.imag, c * z.imag + s * z.real
+        return c * z, s * z
 
 
 def _as_vector(x, n: int, name: str) -> np.ndarray:
@@ -413,8 +429,7 @@ def cf_rows(spec: EllipticalSpec, ts, route: str = "closed") -> CFRows:
 
     def evaluate(sl: slice):
         phi, abs_err, failures = char_generator_rows(spec.generator, spec.n, q[sl], route)
-        re, im = _elementwise(math.cos, phase[sl]) * phi, _elementwise(math.sin, phase[sl]) * phi
-        return re, im, abs_err, route, failures
+        return (*_rotate(phi, phase[sl]), abs_err, route, failures)
 
     return _chunk_rows(ts, evaluate)
 

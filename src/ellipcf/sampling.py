@@ -256,7 +256,8 @@ def _unit_sphere_rows(gen: np.random.Generator, m: int, n: int) -> np.ndarray:
         bad = norms == 0.0
         x[bad] = gen.standard_normal((int(bad.sum()), n))
         norms = _row_norms(x)
-    return x / norms[:, None]
+    x /= norms[:, None]
+    return x
 
 
 def sample_sphere(n: int, count: int, rng: RngStream, workers: int = 1) -> SampleBatch:
@@ -277,14 +278,12 @@ def _radius_chunk(
         return g.random(m) ** (1.0 / n)
     if fam is Family.PEARSON_II:
         return np.sqrt(g.beta(0.5 * n, p["m"] + 1.0, size=m))
-    if fam is Family.GENERALIZED_T:
+    if fam in (Family.GENERALIZED_T, Family.PEARSON_VII):  # R^2 = s G1 / G2
         g1 = g.gamma(0.5 * n, 1.0, size=m)
-        g2 = g.gamma(0.5 * p["m"], 1.0, size=m)
-        return np.sqrt(p["s"] * g1 / g2)
-    if fam is Family.PEARSON_VII:
-        g1 = g.gamma(0.5 * n, 1.0, size=m)
-        g2 = g.gamma(p["N"] - 0.5 * n, 1.0, size=m)
-        return np.sqrt(p["s"] * g1 / g2)
+        shape = 0.5 * p["m"] if fam is Family.GENERALIZED_T else p["N"] - 0.5 * n
+        g1 *= p["s"]
+        g1 /= g.gamma(shape, 1.0, size=m)
+        return np.sqrt(g1, out=g1)
     if fam is Family.KOTZ:
         q = (2.0 * p["N"] + n - 2.0) / (2.0 * p["s"])
         z = (g.gamma(q, 1.0, size=m) / p["r"]) ** (1.0 / p["s"])
@@ -349,8 +348,10 @@ def elliptical_sampler(spec: EllipticalSpec) -> Sampler:
 
     def draw(m: int, g: np.random.Generator) -> np.ndarray:
         u = _unit_sphere_rows(g, m, spec.n)
-        r = _radius_chunk(spec, m, g)
-        return spec.mu + (r[:, None] * u) @ a
+        u *= _radius_chunk(spec, m, g)[:, None]
+        x = u @ a
+        x += spec.mu
+        return x
 
     fp = _fingerprint(_gen_parts(spec.generator), spec.n, spec.mu, spec.sigma)
     return Sampler("elliptical", spec.n, draw, fp)
@@ -392,11 +393,15 @@ def lsm_sampler(spec: LSMixtureSpec) -> Sampler:
     s_root = spec.dispersion.sym_root
 
     def draw(m: int, g: np.random.Generator) -> np.ndarray:
-        u = _unit_sphere_rows(g, m, spec.n)
-        r = _radius_chunk(spec.base, m, g)
+        z = _unit_sphere_rows(g, m, spec.n)
+        z *= _radius_chunk(spec.base, m, g)[:, None]
         v = _mixing_chunk(spec.mixing, m, g)
-        z = r[:, None] * u
-        return spec.mu + v[:, None] * spec.gamma + np.sqrt(v)[:, None] * (z @ s_root)
+        y = z @ s_root
+        y *= np.sqrt(v)[:, None]
+        x = v[:, None] * spec.gamma
+        x += spec.mu
+        x += y  # (mu + V gamma) + sqrt(V) S z
+        return x
 
     fp = _fingerprint(
         _gen_parts(spec.base.generator), spec.n, spec.mu, spec.gamma, spec.sigma,
@@ -426,15 +431,18 @@ def _skew_normal_chunk(spec: SkewNormalSpec, m: int, g: np.random.Generator) -> 
         block = max(64, int(2.3 * (m - have)))
         w = g.standard_normal((block, n))
         eps = g.standard_normal(block)
+        # np.compress selects rows at a tenth of a boolean index's cost; the
+        # matmul takes every accepted row, whatever the chunk keeps
         if spec.parametrization is Parametrization.HALF_ROOT:
-            keep = w[(w @ alpha + eps) > 0.0]
-            keep = keep @ s_root
+            keep = np.compress((w @ alpha + eps) > 0.0, w, axis=0) @ s_root
         else:
             y = w @ s_root
-            keep = y[(y @ alpha + eps) > 0.0]
+            keep = np.compress((y @ alpha + eps) > 0.0, y, axis=0)
         rows.append(keep[: m - have])
         have += len(rows[-1])
-    return spec.mu + np.concatenate(rows, axis=0)
+    x = rows[0] if len(rows) == 1 else np.concatenate(rows, axis=0)
+    x += spec.mu
+    return x
 
 
 def skew_normal_sampler(spec: SkewNormalSpec) -> Sampler:
@@ -460,8 +468,9 @@ def smsn_sampler(spec: SkewNormalSpec, mixing: MixingLaw) -> Sampler:
 
     def draw(m: int, g: np.random.Generator) -> np.ndarray:
         x = _skew_normal_chunk(centered, m, g)
-        xi = _mixing_chunk(mixing, m, g)
-        return spec.mu + np.sqrt(mixing_weights(mixing, xi))[:, None] * x
+        x *= np.sqrt(mixing_weights(mixing, _mixing_chunk(mixing, m, g)))[:, None]
+        x += spec.mu
+        return x
 
     fp = _fingerprint(
         spec.n, spec.mu, spec.sigma, spec.alpha, spec.parametrization.value,
@@ -499,10 +508,10 @@ def _cos_sin(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _block_sums(block: np.ndarray, points: np.ndarray) -> np.ndarray:
     """(P, 2): the sums of cos and sin of t'x over the draws x of the block,
     for each row t of points."""
-    sums = np.empty((len(points), 2))
+    sums, phases = np.empty((len(points), 2)), np.empty(len(block))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is the check
         for i, t in enumerate(points):
-            cos, sin = _cos_sin(block @ t)
+            cos, sin = _cos_sin(np.matmul(block, t, out=phases))
             sums[i] = cos.sum(), sin.sum()
     return sums
 

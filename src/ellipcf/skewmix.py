@@ -44,6 +44,7 @@ from .elliptical import (
     _as_rows,
     _as_vector,
     _chunk_rows,
+    _rotate,
     _row_dots,
     char_generator_rows,
 )
@@ -99,13 +100,6 @@ def _times_ratio(g, p, den):
     if np.iscomplexobj(g):
         return _complex(g.real * p / den, g.imag * p / den)
     return g * p / den
-
-
-def _rotate(z: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # e^(i phase) z as (re, im), with the products and sums of Python's
-    # complex multiply
-    c, s = np.cos(phase), np.sin(phase)
-    return c * z.real - s * z.imag, c * z.imag + s * z.real
 
 
 # ---------------------------------------------------------------------------
@@ -433,11 +427,12 @@ def cf_star_unimodal_rows(spec: EllipticalSpec, ts) -> CFRows:
 
     def evaluate(sl: slice):
         res = star_unimodal_rows(spec.generator, spec.n, us[sl])
-        out = np.empty(len(res.value), dtype=complex)
-        for i, (t, value) in enumerate(zip(ts[sl], res.value.tolist())):
-            phase = float(t @ spec.mu)  # per row: a batched product may round otherwise
-            out[i] = complex(math.cos(phase), math.sin(phase)) * value
-        return out.real, out.imag, res.err_est, CFMethod.HANKEL.value, res.failures
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails its row
+            # per row: a batched product may round otherwise
+            phase = np.array([float(t @ spec.mu) for t in ts[sl]])
+        # as complex(value, 0.0): the products with its 0.0 set the signs of zero parts
+        value = res.value.astype(complex)
+        return (*_rotate(value, phase), res.err_est, CFMethod.HANKEL.value, res.failures)
 
     return _chunk_rows(ts, evaluate)
 
@@ -561,20 +556,18 @@ def cf_gse_rows(spec: GSESpec, ts) -> CFRows:
     scaled = spec.log_psi is not None and hasattr(spec.k_fn, "scaled")
 
     def evaluate(sl: slice):  # point by point, each point's exception at its row
-        re, im = np.full((2, len(q[sl])), np.nan)
+        z = np.full(len(q[sl]), np.nan, dtype=complex)
         failures = {}
-        for i, (qi, y, p) in enumerate(zip(q[sl].tolist(), ys[sl], phase[sl].tolist())):
+        for i, (qi, y) in enumerate(zip(q[sl].tolist(), ys[sl])):
             try:
-                rot = complex(math.cos(p), math.sin(p))
                 if scaled:
                     mant, log_scale = spec.k_fn.scaled(y)
-                    out = 2.0 * math.exp(spec.log_psi(qi) + log_scale) * mant * rot
+                    z[i] = 2.0 * math.exp(spec.log_psi(qi) + log_scale) * mant
                 else:
-                    out = 2.0 * spec.psi(qi) * spec.k_fn(y) * rot
-                re[i], im[i] = out.real, out.imag
+                    z[i] = 2.0 * spec.psi(qi) * spec.k_fn(y)
             except Exception as exc:  # raised again at its row
                 failures[i] = exc
-        return re, im, math.nan, CFMethod.CLOSED_FORM.value, failures
+        return (*_rotate(z, phase[sl]), math.nan, CFMethod.CLOSED_FORM.value, failures)
 
     return _chunk_rows(ts, evaluate)
 

@@ -543,6 +543,31 @@ class TestOverflow:
         assert rc == 3 and out == ""
         assert "at grid point t=[1e+160, 0.0]: the value is not finite" in err
 
+    @pytest.mark.parametrize("kind, route", [
+        ("elliptical", "closed"), ("elliptical", "hankel"), ("smu", "closed"), ("smu", "hankel"),
+        ("lsm", "closed"), ("skew_normal", "closed"), ("gse_skew_normal", "closed"),
+        ("smsn", "closed"),
+    ])
+    def test_overflowing_phase_exits_3(self, tmp_path, capsys, kind, route):
+        # t'mu = 1e309 overflows while t'St = 0, t'gamma = 0 and the skew scale is
+        # 0: only the phase rotation sees the overflow (stderr is compared whole,
+        # and the test run turns a RuntimeWarning into an error)
+        obj = {"schema": 1, "kind": kind, "n": 2, "mu": [10.0, 0.0], "sigma": [0, 0, 0, 1],
+               "generator": {"family": "generalized_t", "params": {"s": 3, "m": 3}},
+               "gamma": [0.0, 0.5], "alpha": [0.0, 1.0], "mixing": _INV_GAMMA}
+        fields = {"elliptical": ("generator",), "smu": ("generator",),
+                  "lsm": ("generator", "gamma", "mixing"), "skew_normal": ("alpha",),
+                  "gse_skew_normal": ("alpha",), "smsn": ("alpha", "mixing")}[kind]
+        for key in {"generator", "gamma", "alpha", "mixing"} - set(fields):
+            del obj[key]
+        spec = write_spec(tmp_path, "s.json", obj)
+        grid = json.dumps({"kind": "list", "points": [[0.5, 0.25], [1e308, 0.0]]})
+        rc = cli.main(["eval", "--spec", spec, "--grid", grid, "--routes", route])
+        out, err = capsys.readouterr()
+        assert rc == 3 and out == ""
+        assert err == ("numeric failure: at grid point t=[1e+308, 0.0]: "
+                       "the value is not finite: an intermediate overflows\n")
+
     def test_gse_overflowing_root_exits_3(self, tmp_path, capsys):
         # S^(1/2) t and a'y overflow: a failing row, not a spec error (exit 2)
         obj = {

@@ -12,6 +12,7 @@ from ellipcf.elliptical import (
     CFMethod,
     Dispersion,
     EllipticalSpec,
+    _rotate,
     cf,
     closed_form_generator,
     radial_density,
@@ -308,3 +309,34 @@ class TestSpecValidation:
         assert spec.dispersion.rank == 2
         with pytest.raises(DomainError):
             spec.dispersion.chol_factor()
+
+
+class TestRotate:
+    """_rotate, the e^(i t'mu) of every closed and hankel grid form."""
+
+    PHASE = np.array([0.0, -0.0, math.pi, -2.5, 1e6, 37.25, 1e300])
+    VALUES = [-0.0, 0.0, -1.5, 0.0, 2.0, -0.75, 0.5]
+
+    def test_real_value_real_products(self):
+        z = np.array(self.VALUES)
+        re, im = _rotate(z, self.PHASE)
+        cos = [math.cos(p) for p in self.PHASE.tolist()]
+        sin = [math.sin(p) for p in self.PHASE.tolist()]
+        assert re.tobytes() == np.array([c * v for c, v in zip(cos, self.VALUES)]).tobytes()
+        assert im.tobytes() == np.array([s * v for s, v in zip(sin, self.VALUES)]).tobytes()
+
+    def test_complex_value_python_multiply(self):
+        z = np.array([complex(v, w) for v, w in zip(self.VALUES, [0.0, -0.0, 0.0, -3.0, -0.0,
+                                                                  0.125, 1.0])])
+        re, im = _rotate(z, self.PHASE)
+        want = [complex(math.cos(p), math.sin(p)) * v
+                for p, v in zip(self.PHASE.tolist(), z.tolist())]
+        assert re.tobytes() == np.array([w.real for w in want]).tobytes()
+        assert im.tobytes() == np.array([w.imag for w in want]).tobytes()
+
+    @pytest.mark.parametrize("z", [np.array([1.0, -2.0, 0.0]),
+                                   np.array([1.0 + 1.0j, -2.0j, 0.0j])])
+    def test_non_finite_phase_is_nan_without_warning(self, z):
+        # the test run turns a RuntimeWarning into an error
+        re, im = _rotate(z, np.array([math.inf, -math.inf, math.nan]))
+        assert np.isnan(re).all() and np.isnan(im).all()
