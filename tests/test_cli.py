@@ -970,7 +970,7 @@ class TestGoldenBytes:
                '"sigma":[1,0.3,0.09,0.3,1,0.3,0.09,0.3,1],'
                '"generator":{"family":"kotz","params":{"N":1,"r":0.5,"s":1}}}')
     AXIS = '{"kind":"axis","index":0,"start":0,"stop":30,"num":61}'
-    # the rewritten chunk kernels: n = 2, Sigma = diag(4, 0.25) and power-of-two
+    # the rejection and mixture samplers: n = 2, Sigma = diag(4, 0.25) and power-of-two
     # mu, alpha and gamma, so every product of a matmul is exact
     _BASE = '"n":2,"mu":[0.5,-0.25],"sigma":[4,0,0,0.25]'
     SN_HALF = '{"schema":1,"kind":"skew_normal",' + _BASE + ',"alpha":[2,-0.5]}'
