@@ -14,6 +14,7 @@ import pytest
 import ellipcf
 from ellipcf import cli
 from ellipcf import elliptical
+from ellipcf import generators
 from ellipcf import quadrature
 from ellipcf import sampling
 from ellipcf import skewmix
@@ -424,6 +425,117 @@ class TestFieldTypes:
         assert rc == 0
         _, _, rows = parse_result_csv(capsys.readouterr().out)
         assert [row[:2] for row in rows] == [["0", "0"], ["0", "0.5"], ["0", "1"]]
+
+
+def _family_spec(family, params=None, n=2, kind="elliptical"):
+    generator = {"family": family} if params is None else {"family": family, "params": params}
+    return dict(normal_spec(n), kind=kind, generator=generator)
+
+
+def _lsm_finite(**fields):
+    return {**normal_spec(), "kind": "lsm", "gamma": [0.5, 0.25], "mixing": _FINITE, **fields}
+
+
+def _skew_kind(kind, **fields):
+    obj = {**_skew_spec([2.0, -0.5]), "kind": kind, **fields}
+    if kind == "smsn":
+        obj.setdefault("mixing", _FINITE)
+    return obj
+
+
+def _without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+_KIND_LIST = "('elliptical', 'lsm', 'gse_skew_normal', 'skew_normal', 'smsn', 'smu')"
+
+
+class TestSpecMessages:
+    """The whole stderr line of each spec error raised while a spec's
+    family, kind, fields and routes are looked up: exit 2, the message
+    naming the field or the condition."""
+
+    @pytest.mark.parametrize("spec, route, message", [
+        pytest.param(_family_spec("generalized_t", {"s": 3, "m": 3, "x": 1}), "closed",
+                     "generator.params.x: unknown parameter", id="unknown-parameter"),
+        pytest.param(_family_spec("pearson_vii", {"N": 2}), "closed",
+                     "generator.params.s: missing parameter", id="missing-parameter"),
+        pytest.param(_family_spec("generalized_t", {"s": 3, "m": 3.5}), "closed",
+                     "generator.params.m: expected an integer, got 3.5",
+                     id="parameter-not-integer"),
+        pytest.param(_family_spec("pearson_vii", {"N": 2, "s": -1}), "closed",
+                     "generator.params: pearson_vii_generator: s must be > 0",
+                     id="parameter-domain"),
+        pytest.param(_family_spec("bogus", []), "closed",
+                     "generator.params: expected an object", id="params-not-object"),
+        pytest.param(_family_spec("bogus"), "closed",
+                     "generator.family: unknown family 'bogus'", id="unknown-family"),
+        pytest.param(_family_spec(["normal"]), "closed",
+                     "generator.family: unknown family ['normal']", id="unhashable-family"),
+        pytest.param(dict(normal_spec(), kind="bogus"), "closed",
+                     f"kind: unknown kind 'bogus' (expected one of {_KIND_LIST})",
+                     id="unknown-kind"),
+        pytest.param(dict(normal_spec(), kind=["elliptical"]), "closed",
+                     f"kind: unknown kind ['elliptical'] (expected one of {_KIND_LIST})",
+                     id="unhashable-kind"),
+        pytest.param(_lsm_finite(mixing={"kind": "bogus"}), "closed",
+                     "mixing.kind: unknown mixing kind 'bogus'", id="unknown-mixing-kind"),
+        pytest.param(dict(normal_spec(), alpha=[1.0, 0.0]), "closed",
+                     "spec.alpha: unknown field", id="unknown-field"),
+        pytest.param(_skew_kind("skew_normal", generator={"family": "normal"}), "closed",
+                     "spec.generator: unknown field", id="unknown-field-skew"),
+        pytest.param(_without(_lsm_finite(), "gamma"), "closed",
+                     "spec.gamma: missing required field", id="missing-field"),
+        pytest.param(_without(_skew_kind("smsn"), "mixing"), "closed",
+                     "spec.mixing: missing required field", id="missing-field-smsn"),
+        pytest.param(_skew_kind("skew_normal", parametrization="bogus"), "closed",
+                     "parametrization: unknown value 'bogus'", id="unknown-parametrization"),
+        *[pytest.param(_skew_kind(kind), "hankel",
+                       f"routes: 'hankel' is not available for kind '{kind}'", id=f"hankel-{kind}")
+          for kind in ("skew_normal", "gse_skew_normal", "smsn")],
+        pytest.param(_family_spec("pearson_vii", {"N": 1, "s": 1}), "closed",
+                     "generator: Pearson VII requires N > n/2", id="pearson_vii-dimension"),
+        pytest.param(_family_spec("kotz", {"N": 0.5, "r": 0.5, "s": 1}, n=1), "closed",
+                     "generator: Kotz requires 2N + n > 2", id="kotz-dimension"),
+        pytest.param(_family_spec("bessel", {"a": -1, "beta": 1}), "closed",
+                     "generator: Bessel requires a > -n/2", id="bessel-dimension"),
+        pytest.param(_lsm_finite(generator={"family": "bessel", "params": {"a": -1.5, "beta": 1}}),
+                     "closed", "generator: Bessel requires a > -n/2", id="lsm-bessel-dimension"),
+        pytest.param(_family_spec("kotz", {"N": 0, "r": 0.5, "s": 1}, kind="smu"), "hankel",
+                     "generator: Kotz requires 2N + n > 2", id="smu-kotz-dimension"),
+        pytest.param(_family_spec("kotz", {"N": 2, "r": 0.5, "s": 0.75}), "closed",
+                     "routes: no closed form for Kotz with s=0.75, N=2.0; use the Hankel route",
+                     id="no-closed-form-kotz"),
+        pytest.param(_family_spec("kotz", {"N": 2, "r": 0.5, "s": 1}, kind="smu"), "hankel",
+                     "not star unimodal: g' > 0 detected on the support", id="smu-rising-profile"),
+        pytest.param(_family_spec("bessel", {"a": 0.5, "beta": 1}, kind="smu"), "hankel",
+                     "star-unimodal route requires the generator derivative g'",
+                     id="smu-no-derivative"),
+        pytest.param(_family_spec("uniform_ball", kind="smu"), "hankel",
+                     "not star unimodal: g' vanishes identically (no scale-mixture weight density)",
+                     id="smu-flat-profile"),
+    ])
+    def test_spec_error_line(self, tmp_path, capsys, spec, route, message):
+        path = write_spec(tmp_path, "s.json", spec)
+        rc = cli.main(["eval", "--spec", path, "--routes", route,
+                       "--grid", '{"kind":"list","points":[[0.5,0.25]]}'])
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"spec error: {message}\n")
+
+    @pytest.mark.parametrize("n, generator, message", [
+        pytest.param(3, lambda: generators.generalized_t_generator(2, 3.0, 3),
+                     "generator: generalized-t profile built for n=2, spec has n=3",
+                     id="generalized_t-dimension"),
+        pytest.param(2, lambda: generators.custom_generator(lambda z: (1.0 + z) ** (-0.75)),
+                     "generator: moment integral diverges (checked numerically)",
+                     id="custom-divergent-moment"),
+    ])
+    def test_library_only_dimension_error(self, n, generator, message):
+        # no spec file reaches these: the CLI builds the generalized t in the
+        # spec's dimension and has no custom family
+        with pytest.raises(DomainError) as info:
+            elliptical.EllipticalSpec(n, np.zeros(n), np.eye(n), generator())
+        assert str(info.value) == message
 
 
 def _closed_specs():
@@ -956,6 +1068,10 @@ class TestStartup:
         assert self._python(code) == ["None"]
 
 
+# n = 2, Sigma = diag(4, 0.25) and a power-of-two mu, so every product of a matmul is exact
+_BASE = '"n":2,"mu":[0.5,-0.25],"sigma":[4,0,0,0.25]'
+
+
 class TestGoldenBytes:
     """sha256 of whole CLI outputs, captured before the CSV writers moved to
     one formatter.  The numbers do not depend on the BLAS kernel or on
@@ -970,9 +1086,8 @@ class TestGoldenBytes:
                '"sigma":[1,0.3,0.09,0.3,1,0.3,0.09,0.3,1],'
                '"generator":{"family":"kotz","params":{"N":1,"r":0.5,"s":1}}}')
     AXIS = '{"kind":"axis","index":0,"start":0,"stop":30,"num":61}'
-    # the rejection and mixture samplers: n = 2, Sigma = diag(4, 0.25) and power-of-two
-    # mu, alpha and gamma, so every product of a matmul is exact
-    _BASE = '"n":2,"mu":[0.5,-0.25],"sigma":[4,0,0,0.25]'
+    # the rejection and mixture samplers and every family: _BASE, with power-of-two
+    # alpha and gamma
     SN_HALF = '{"schema":1,"kind":"skew_normal",' + _BASE + ',"alpha":[2,-0.5]}'
     SN_FULL = ('{"schema":1,"kind":"skew_normal",' + _BASE
                + ',"alpha":[2,-0.5],"parametrization":"full_sigma"}')
@@ -982,30 +1097,81 @@ class TestGoldenBytes:
     SMSN_INVGAMMA = ('{"schema":1,"kind":"smsn",' + _BASE + ',"alpha":[2,-0.5],'
                      '"mixing":{"kind":"inverse_gamma","shape":3,"scale":2}}')
     SAMPLE = ["sample", "--count", "40000", "--seed", "7"]
+    # every named family on the same law; the closed route on an axis grid to u = 30
+    FAMILY = {
+        key: ('{"schema":1,"kind":"elliptical",' + _BASE + ',"generator":{"family":"'
+              + key.split("-")[0] + '","params":' + params + '}}')
+        for key, params in [
+            ("normal", "{}"), ("uniform_ball", "{}"),
+            ("generalized_t-odd", '{"s":3,"m":3}'), ("generalized_t-even", '{"s":2,"m":4}'),
+            ("pearson_ii", '{"m":1.5}'), ("pearson_vii", '{"N":2.3,"s":1.5}'),
+            ("kotz-s0.75", '{"N":2,"r":0.5,"s":0.75}'), ("kotz-s1", '{"N":2,"r":0.5,"s":1}'),
+            ("kotz-s0.5", '{"N":1,"r":0.5,"s":0.5}'), ("bessel", '{"a":0.5,"beta":1}'),
+        ]
+    }
+    CLOSED = ["eval", "--routes", "closed",
+              "--grid", '{"kind":"axis","index":0,"start":0,"stop":15,"num":61}']
 
     @pytest.mark.parametrize("spec, args, sha256", [
         # 40000 draws (two sampler chunks), 39 cells in exponent notation
-        ("HEAVY_N3", ["sample", "--count", "40000", "--seed", "7"],
+        (HEAVY_N3, ["sample", "--count", "40000", "--seed", "7"],
          "f9d725c4421b7cc547ef9e2f4616db709e466c46d55bf092a2272f8edae242a8"),
         # closed values down to 1e-196 (24-character cells), closed abs_err empty
-        ("KOTZ_N3", ["eval", "--routes", "closed,hankel", "--grid", AXIS],
+        (KOTZ_N3, ["eval", "--routes", "closed,hankel", "--grid", AXIS],
          "fe64fa8c403964ca6df8a182ea0a14d07bc4ee68506a1ee9dd1aeaeed0f0dc34"),
-        ("KOTZ_N3", ["compare", "--routes", "closed,hankel", "--grid", AXIS],
+        (KOTZ_N3, ["compare", "--routes", "closed,hankel", "--grid", AXIS],
          "145eefa4796cea1ef2594337e351d9aa058bb475af6c67be1aadb927190dbb37"),
-        ("SN_HALF", SAMPLE,
+        (SN_HALF, SAMPLE,
          "9d5085d631a9c88b0eeb6b60110bf54330d00b85d596bbe2f98c38b86606318d"),
-        ("SN_FULL", SAMPLE,
+        (SN_FULL, SAMPLE,
          "1d71aa475c5d5281163feb1700a8ea4e8abc7fdfe917654076c9628123b33e9f"),
-        ("LSM_FINITE", SAMPLE,
+        (LSM_FINITE, SAMPLE,
          "ef6a23ed89905412b2ce98f17ad3686cf5d19cfe2ac6113df930c7df51a77fdf"),
-        ("SMSN_INVGAMMA", SAMPLE,
+        (SMSN_INVGAMMA, SAMPLE,
          "af38ee24cb3f3e5f5bdeb8407433c87f8ee46eff3668667b91e555e5a1abae50"),
+        # the radius draw of each family
+        (FAMILY["normal"], SAMPLE,
+         "0a3fbd69515554c0b5ffd85811ea9c6b2617136e0d29be3ada0873e8c1cee708"),
+        (FAMILY["uniform_ball"], SAMPLE,
+         "591c17ee920f36d51d457f25d3928423b255184fc265444ace4f163fc339f407"),
+        (FAMILY["generalized_t-odd"], SAMPLE,
+         "c2d8a316f1749660fefd55b96bf3d151e8242618959502bfd04e962820d22787"),
+        (FAMILY["pearson_ii"], SAMPLE,
+         "dadd5a0591862a0dcc0574495100ae499a49048bd5a31d982c42f34bba713ac5"),
+        (FAMILY["kotz-s0.75"], SAMPLE,
+         "1e7eaac4f7257f5186a1e98efdc9662a333b8f518e7ff8c5fd292b90df800966"),
+        (FAMILY["bessel"], SAMPLE,
+         "9e6a9bee0f6828f579d21e568040a2574838c8489f4aafcb429bb0dd227152e0"),
+        # the closed form of each family, to u = 30
+        (FAMILY["normal"], CLOSED,
+         "2ee71664b886b3d2f09fd38d4cb6a490ba674ae42c6a06bd3f10977ac49d0034"),
+        (FAMILY["uniform_ball"], CLOSED,
+         "580614eb940a3dbf29bcc27fa18e2229a4e772acbdc0c7b34e8f6e24fe118d39"),
+        (FAMILY["generalized_t-odd"], CLOSED,
+         "adb12c14cdf4ebcbb08decc911d04e1ac322b28566105ea0496bd13a3dc29ab3"),
+        (FAMILY["generalized_t-even"], CLOSED,
+         "d3efcd91197ca573a8220d91d4c4ac35223ef1de9f399fb940e568cfcb7c3f7a"),
+        (FAMILY["pearson_ii"], CLOSED,
+         "3f770e1fb1aa7ef0f76fdc3fde9b6bce775a3eac1f4b856b6428a7b7b9839d9c"),
+        (FAMILY["pearson_vii"], CLOSED,
+         "cb065355ba42aaef7c2069f4b48082ea1425629c179495fa3d80c62f70912983"),
+        (FAMILY["kotz-s1"], CLOSED,
+         "5c75eeaf5c81eef1bcad2ae8dca220e80d48c6584905ca8dac245287f6a181fb"),
+        (FAMILY["kotz-s0.5"], CLOSED,
+         "bd8acd8b0acf79ca5394b8feca4c083f61ab517b489dcf4bd308e70dc1bb8b64"),
+        (FAMILY["bessel"], CLOSED,
+         "bba13c2e9680797166bfb3945dff4737f14775c67311d68f23efbebe97294a2f"),
     ], ids=["sample", "eval", "compare", "sample-skew_normal-half_root",
             "sample-skew_normal-full_sigma", "sample-lsm-finite_discrete",
-            "sample-smsn-inverse_gamma"])
+            "sample-smsn-inverse_gamma",
+            *[f"sample-{key}" for key in ("normal", "uniform_ball", "generalized_t", "pearson_ii",
+                                          "kotz", "bessel")],
+            *[f"eval-closed-{key}" for key in ("normal", "uniform_ball", "generalized_t-odd",
+                                               "generalized_t-even", "pearson_ii", "pearson_vii",
+                                               "kotz-s1", "kotz-s0.5", "bessel")]])
     def test_output_sha256(self, tmp_path, spec, args, sha256):
         path = tmp_path / "spec.json"
-        path.write_text(getattr(self, spec))
+        path.write_text(spec)
         out = tmp_path / "out.csv"
         assert cli.main([*args, "--spec", str(path), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
