@@ -333,8 +333,10 @@ def cf_location_scale_mixture_rows(spec: LSMixtureSpec, ts, route: str = "closed
             phi, err = phi.reshape(v.shape), err.reshape(v.shape)
             # the largest estimate among a row's nodes, nan (closed form) ignored
             base_err[rows[:, 0]] = np.fmax(base_err[rows[:, 0]], np.fmax.reduce(err, axis=1))
-            vd = v * drifts[rows]
-            return _complex(np.cos(vd) * phi, np.sin(vd) * phi)
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails its row
+                vd = v * drifts[rows]
+                vd[~np.isfinite(vd)] = np.nan
+                return _complex(np.cos(vd) * phi, np.sin(vd) * phi)
 
         ev, failures = spec.mixing.expectation_rows(f, len(qs))
         abs_err = base_err + (0.0 if spec.mixing.is_exact() else _MIX_ABS_TOL)

@@ -680,6 +680,21 @@ class TestOverflow:
         assert err == ("numeric failure: at grid point t=[1e+308, 0.0]: "
                        "the value is not finite: an intermediate overflows\n")
 
+    @pytest.mark.parametrize("mixing", [_FINITE, _INV_GAMMA], ids=["finite", "inverse_gamma"])
+    @pytest.mark.parametrize("route", ["closed", "hankel"])
+    def test_lsm_overflowing_drift_exits_3(self, tmp_path, capsys, route, mixing):
+        # t'gamma = 1e309 overflows while t'St = 0 and t'mu = 0: only the drift
+        # factor e^(iV t'gamma) sees the overflow, and no numpy warning is printed
+        obj = {"schema": 1, "kind": "lsm", "n": 2, "mu": [0.0, 0.0], "sigma": [0, 0, 0, 1],
+               "gamma": [10.0, 0.0], "generator": {"family": "normal"}, "mixing": mixing}
+        spec = write_spec(tmp_path, "s.json", obj)
+        grid = json.dumps({"kind": "list", "points": [[0.5, 0.25], [1e308, 0.0]]})
+        rc = cli.main(["eval", "--spec", spec, "--grid", grid, "--routes", route])
+        out, err = capsys.readouterr()
+        assert rc == 3 and out == ""
+        assert err == ("numeric failure: at grid point t=[1e+308, 0.0]: "
+                       "the value is not finite: an intermediate overflows\n")
+
     def test_gse_overflowing_root_exits_3(self, tmp_path, capsys):
         # S^(1/2) t and a'y overflow: a failing row, not a spec error (exit 2)
         obj = {
