@@ -19,7 +19,7 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional
 
 # A CLI process runs BLAS on one thread: its only parallelism is --workers, and an
 # idle OpenBLAS pool busy-waits.  Nothing is set if numpy is already loaded; any
@@ -52,7 +52,6 @@ EXIT_NUMERIC_ERROR = 3
 EXIT_TOLERANCE_ERROR = 4
 EXIT_OUTPUT_CLOSED = 141  # 128 + SIGPIPE: the reader of the output went away
 
-_KINDS = ("elliptical", "lsm", "gse_skew_normal", "skew_normal", "smsn", "smu")
 _ROUTES = ("closed", "hankel", "mc")
 _NUMERIC_ERRORS = (ConvergenceError, ArithmeticError)  # exit 3; other errors exit 2
 
@@ -62,6 +61,12 @@ _BLOCK = 1 << 10  # grid points per formatted block of eval rows
 # ---------------------------------------------------------------------------
 # Spec parsing (strict: unknown fields are errors)
 # ---------------------------------------------------------------------------
+
+
+def _lazy(module: str):
+    """The package module skewmix or sampling, imported where first needed by
+    the import statement's machinery, so that -X importtime reports it."""
+    return getattr(__import__(__package__, fromlist=[module]), module)
 
 
 def _check_fields(obj: dict, required: set[str], optional: set[str], path: str) -> None:
@@ -106,9 +111,21 @@ def _as_float_list(value, length: int, path: str) -> np.ndarray:
         raise SpecValidationError(f"{path}: non-numeric entry") from exc
 
 
-def _parse_sigma(value, n: int, path: str) -> np.ndarray:
-    flat = _as_float_list(value, n * n, path)
-    return flat.reshape(n, n)
+def _any_dimension(constructor: Callable[..., gn.DensityGenerator]) -> Callable:
+    """A constructor whose profile serves every dimension, called as (n, *params)."""
+    return lambda n, *params: constructor(*params)
+
+
+# family name -> (constructor called as (n, *params), parameter names, integer parameters)
+_FAMILIES = {
+    "normal": (_any_dimension(gn.normal_generator), (), ()),
+    "uniform_ball": (_any_dimension(gn.uniform_ball_generator), (), ()),
+    "generalized_t": (gn.generalized_t_generator, ("s", "m"), ("m",)),
+    "pearson_ii": (_any_dimension(gn.pearson_ii_generator), ("m",), ()),
+    "pearson_vii": (_any_dimension(gn.pearson_vii_generator), ("N", "s"), ()),
+    "kotz": (_any_dimension(gn.kotz_generator), ("N", "r", "s"), ()),
+    "bessel": (_any_dimension(gn.bessel_generator), ("a", "beta"), ()),
+}
 
 
 def _parse_generator(obj, n: int, path: str = "generator") -> gn.DensityGenerator:
@@ -119,42 +136,27 @@ def _parse_generator(obj, n: int, path: str = "generator") -> gn.DensityGenerato
     params = obj.get("params", {})
     if not isinstance(params, dict):
         raise SpecValidationError(f"{path}.params: expected an object")
-
-    def need(*keys: str) -> list[float]:
-        for key in params:
-            if key not in keys:
-                raise SpecValidationError(f"{path}.params.{key}: unknown parameter")
-        for key in keys:
-            if key not in params:
-                raise SpecValidationError(f"{path}.params.{key}: missing parameter")
-        return [_number(params[key], f"{path}.params.{key}") for key in keys]
-
+    if not isinstance(family, str) or family not in _FAMILIES:
+        raise SpecValidationError(f"{path}.family: unknown family {family!r}")
+    constructor, names, integers = _FAMILIES[family]
+    for key in params:
+        if key not in names:
+            raise SpecValidationError(f"{path}.params.{key}: unknown parameter")
+    for key in names:
+        if key not in params:
+            raise SpecValidationError(f"{path}.params.{key}: missing parameter")
+    values = [
+        (_integer if key in integers else _number)(params[key], f"{path}.params.{key}")
+        for key in names
+    ]
     try:
-        if family == "normal":
-            need()
-            return gn.normal_generator()
-        if family == "uniform_ball":
-            need()
-            return gn.uniform_ball_generator()
-        if family == "generalized_t":
-            s, m = need("s", "m")
-            return gn.generalized_t_generator(n, s, _integer(m, f"{path}.params.m"))
-        if family == "pearson_ii":
-            return gn.pearson_ii_generator(*need("m"))
-        if family == "pearson_vii":
-            return gn.pearson_vii_generator(*need("N", "s"))
-        if family == "kotz":
-            return gn.kotz_generator(*need("N", "r", "s"))
-        if family == "bessel":
-            return gn.bessel_generator(*need("a", "beta"))
+        return constructor(n, *values)
     except DomainError as exc:
         raise SpecValidationError(f"{path}.params: {exc}") from exc
-    raise SpecValidationError(f"{path}.family: unknown family {family!r}")
 
 
 def _parse_mixing(obj, path: str = "mixing") -> sk.MixingLaw:
-    from . import skewmix as sk
-
+    sk = _lazy("skewmix")
     if not isinstance(obj, dict):
         raise SpecValidationError(f"{path}: expected an object")
     kind = obj.get("kind")
@@ -189,6 +191,36 @@ class ParsedSpec:
     mixing: Optional[sk.MixingLaw] = None
 
 
+def _parse_elliptical(obj: dict, n: int) -> dict:
+    mu = _as_float_list(obj["mu"], n, "mu")
+    sigma = _as_float_list(obj["sigma"], n * n, "sigma").reshape(n, n)
+    gen = _parse_generator(obj["generator"], n)
+    return {"elliptical": el.EllipticalSpec(n, mu, sigma, gen)}
+
+
+def _parse_lsm(obj: dict, n: int) -> dict:
+    mu = _as_float_list(obj["mu"], n, "mu")
+    gamma = _as_float_list(obj["gamma"], n, "gamma")
+    sigma = _as_float_list(obj["sigma"], n * n, "sigma").reshape(n, n)
+    gen = _parse_generator(obj["generator"], n)
+    mixing = _parse_mixing(obj["mixing"])
+    base = el.EllipticalSpec(n, np.zeros(n), np.eye(n), gen)
+    return {"lsm": _lazy("skewmix").LSMixtureSpec(base, mu, gamma, sigma, mixing)}
+
+
+def _parse_skew_normal(obj: dict, n: int) -> dict:
+    sk = _lazy("skewmix")
+    mu = _as_float_list(obj["mu"], n, "mu")
+    sigma = _as_float_list(obj["sigma"], n * n, "sigma").reshape(n, n)
+    alpha = _as_float_list(obj["alpha"], n, "alpha")
+    par_name = obj.get("parametrization", "half_root")
+    try:
+        par = sk.Parametrization(par_name)
+    except ValueError as exc:
+        raise SpecValidationError(f"parametrization: unknown value {par_name!r}") from exc
+    return {"skew_normal": sk.SkewNormalSpec(mu, sigma, alpha, par)}
+
+
 def load_spec(path: str) -> ParsedSpec:
     """Load and validate a distribution spec JSON file."""
     try:
@@ -208,52 +240,16 @@ def load_spec(path: str) -> ParsedSpec:
     if obj.get("schema") != 1:
         raise SpecValidationError("schema: must be 1")
     kind = obj.get("kind")
-    if kind not in _KINDS:
-        raise SpecValidationError(f"kind: unknown kind {kind!r} (expected one of {_KINDS})")
-    base_fields = {"schema", "kind", "n", "mu", "sigma"}
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise SpecValidationError(f"kind: unknown kind {kind!r} (expected one of {tuple(_KINDS)})")
+    row = _KINDS[kind]
     n = _integer(obj.get("n"), "n")
     if n < 1:
         raise SpecValidationError("n: must be >= 1")
-
     try:
-        if kind in ("elliptical", "smu"):
-            _check_fields(obj, base_fields | {"generator"}, set(), "spec")
-            mu = _as_float_list(obj["mu"], n, "mu")
-            sigma = _parse_sigma(obj["sigma"], n, "sigma")
-            gen = _parse_generator(obj["generator"], n)
-            return ParsedSpec(kind, n, sha, elliptical=el.EllipticalSpec(n, mu, sigma, gen))
-        from . import skewmix as sk
-
-        if kind == "lsm":
-            _check_fields(obj, base_fields | {"generator", "gamma", "mixing"}, set(), "spec")
-            mu = _as_float_list(obj["mu"], n, "mu")
-            gamma = _as_float_list(obj["gamma"], n, "gamma")
-            sigma = _parse_sigma(obj["sigma"], n, "sigma")
-            gen = _parse_generator(obj["generator"], n)
-            mixing = _parse_mixing(obj["mixing"])
-            base = el.EllipticalSpec(n, np.zeros(n), np.eye(n), gen)
-            return ParsedSpec(
-                kind, n, sha, lsm=sk.LSMixtureSpec(base, mu, gamma, sigma, mixing)
-            )
-        # skew-normal kinds
-        extra = {"alpha"}
-        optional = {"parametrization"}
-        if kind == "smsn":
-            extra = {"alpha", "mixing"}
-        _check_fields(obj, base_fields | extra, optional, "spec")
-        mu = _as_float_list(obj["mu"], n, "mu")
-        sigma = _parse_sigma(obj["sigma"], n, "sigma")
-        alpha = _as_float_list(obj["alpha"], n, "alpha")
-        par_name = obj.get("parametrization", "half_root")
-        try:
-            par = sk.Parametrization(par_name)
-        except ValueError as exc:
-            raise SpecValidationError(
-                f"parametrization: unknown value {par_name!r}"
-            ) from exc
-        sn = sk.SkewNormalSpec(mu, sigma, alpha, par)
-        mixing = _parse_mixing(obj["mixing"]) if kind == "smsn" else None
-        return ParsedSpec(kind, n, sha, skew_normal=sn, mixing=mixing)
+        required = {"schema", "kind", "n", "mu", "sigma", *row.fields}
+        _check_fields(obj, required, row.optional, "spec")
+        return ParsedSpec(kind, n, sha, **row.parse(obj, n))
     except DomainError as exc:
         raise SpecValidationError(str(exc)) from exc
 
@@ -315,58 +311,74 @@ def parse_grid(text: str, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Route evaluators
+# Route evaluators: the kind table
 # ---------------------------------------------------------------------------
 
 
-def _analytic_evaluator(spec: ParsedSpec, route: str) -> Callable[[np.ndarray], el.CFRows]:
-    """The closed or the hankel route: (P, n) grid -> CFRows."""
-    kind = spec.kind
-    if kind == "elliptical" or (kind, route) == ("smu", "closed"):
-        return lambda ts: el.cf_rows(spec.elliptical, ts, route=route)
-    from . import skewmix as sk
+class _Kind(NamedTuple):
+    """A spec kind: its fields beside schema, kind, n, mu and sigma, required
+    and optional; the parse of a spec object into ParsedSpec's fields; and
+    per route a builder of its evaluator of (P, n) grids (hankel None where
+    the kind has none) or of its Sampler, raising the route's spec errors."""
 
-    if kind == "lsm":
-        return lambda ts: sk.cf_location_scale_mixture_rows(spec.lsm, ts, route=route)
-    if kind == "smu":
-        sk._check_star_unimodal(spec.elliptical.generator)  # a spec error, before any point
-        return partial(sk.cf_star_unimodal_rows, spec.elliptical)
-    if route == "hankel":
-        raise SpecValidationError(f"routes: 'hankel' is not available for kind {kind!r}")
-    if kind == "skew_normal":
-        return lambda ts: sk.cf_skew_normal_rows(spec.skew_normal, ts)
-    if kind == "gse_skew_normal":
-        gse = sk.skew_normal_gse(spec.skew_normal)
-        return lambda ts: sk.cf_gse_rows(gse, ts)
-    if kind == "smsn":
-        return lambda ts: sk.cf_smsn_rows(spec.skew_normal, spec.mixing, ts)
-    raise SpecValidationError(f"kind: unsupported kind {kind!r}")
+    fields: set[str]
+    optional: set[str]
+    parse: Callable[[dict, int], dict]
+    closed: Callable[[ParsedSpec], Callable[[np.ndarray], el.CFRows]]
+    hankel: Optional[Callable[[ParsedSpec], Callable[[np.ndarray], el.CFRows]]]
+    sampler: Callable[[ParsedSpec], sp.Sampler]
 
 
-def _sampler(spec: ParsedSpec) -> sp.Sampler:
-    """The sampler of the spec's law, for sample and for the mc route; its
-    set-up (a Cholesky factor, say) raises here."""
-    from . import sampling as sp
+def _star_rows(spec: ParsedSpec) -> Callable[[np.ndarray], el.CFRows]:
+    sk = _lazy("skewmix")
+    sk._check_star_unimodal(spec.elliptical.generator)  # a spec error, before any point
+    return partial(sk.cf_star_unimodal_rows, spec.elliptical)
 
-    if spec.kind in ("elliptical", "smu"):
-        return sp.elliptical_sampler(spec.elliptical)
-    if spec.kind == "lsm":
-        return sp.lsm_sampler(spec.lsm)
-    if spec.kind in ("skew_normal", "gse_skew_normal"):
-        return sp.skew_normal_sampler(spec.skew_normal)
-    if spec.kind == "smsn":
-        return sp.smsn_sampler(spec.skew_normal, spec.mixing)
-    raise SpecValidationError(f"kind: unsupported kind {spec.kind!r}")
+
+_ELLIPTICAL = _Kind(
+    {"generator"}, set(), _parse_elliptical,
+    closed=lambda spec: partial(el.cf_rows, spec.elliptical, route="closed"),
+    hankel=lambda spec: partial(el.cf_rows, spec.elliptical, route="hankel"),
+    sampler=lambda spec: _lazy("sampling").elliptical_sampler(spec.elliptical),
+)
+_SKEW_NORMAL = _Kind(
+    {"alpha"}, {"parametrization"}, _parse_skew_normal,
+    closed=lambda spec: partial(_lazy("skewmix").cf_skew_normal_rows, spec.skew_normal),
+    hankel=None,
+    sampler=lambda spec: _lazy("sampling").skew_normal_sampler(spec.skew_normal),
+)
+_KINDS = {
+    "elliptical": _ELLIPTICAL,
+    "lsm": _Kind(
+        {"generator", "gamma", "mixing"}, set(), _parse_lsm,
+        closed=lambda spec: partial(
+            _lazy("skewmix").cf_location_scale_mixture_rows, spec.lsm, route="closed"),
+        hankel=lambda spec: partial(
+            _lazy("skewmix").cf_location_scale_mixture_rows, spec.lsm, route="hankel"),
+        sampler=lambda spec: _lazy("sampling").lsm_sampler(spec.lsm),
+    ),
+    "gse_skew_normal": _SKEW_NORMAL._replace(closed=lambda spec: partial(
+        _lazy("skewmix").cf_gse_rows, _lazy("skewmix").skew_normal_gse(spec.skew_normal))),
+    "skew_normal": _SKEW_NORMAL,
+    "smsn": _Kind(
+        {"alpha", "mixing"}, {"parametrization"},
+        lambda obj, n: {**_parse_skew_normal(obj, n), "mixing": _parse_mixing(obj["mixing"])},
+        closed=lambda spec: partial(_lazy("skewmix").cf_smsn_rows, spec.skew_normal, spec.mixing),
+        hankel=None,
+        sampler=lambda spec: _lazy("sampling").smsn_sampler(spec.skew_normal, spec.mixing),
+    ),
+    "smu": _ELLIPTICAL._replace(hankel=_star_rows),  # the star route as its hankel route
+}
 
 
 def _build_evaluators(spec: ParsedSpec, args: argparse.Namespace) -> dict[str, Callable]:
     """Route -> evaluator, each mapping a (P, n) grid to its CFRows."""
     evaluators: dict[str, Callable] = {}
     probe = np.full((1, spec.n), 0.25)
+    row = _KINDS[spec.kind]
     for route in args.routes:
         if route == "mc":
-            from . import sampling as sp
-
+            sp = _lazy("sampling")
             if args.mc_count < 1000:
                 raise SpecValidationError("mc_count: must be >= 1000 for the mc route")
             if args.mc_count > sp.MAX_COUNT:
@@ -375,11 +387,14 @@ def _build_evaluators(spec: ParsedSpec, args: argparse.Namespace) -> dict[str, C
                 )
             # the draws are made and reduced chunk by chunk when the route runs
             evaluators["mc"] = partial(
-                _sampler(spec).empirical_cf_rows,
+                row.sampler(spec).empirical_cf_rows,
                 count=args.mc_count, rng=sp.RngStream(seed=args.seed), workers=args.workers,
             )
             continue
-        evaluator = evaluators[route] = _analytic_evaluator(spec, route)
+        build = getattr(row, route)  # the closed or the hankel column
+        if build is None:
+            raise SpecValidationError(f"routes: 'hankel' is not available for kind {spec.kind!r}")
+        evaluator = evaluators[route] = build(spec)
         if route == "closed":  # availability probe: only a closed form can be missing
             error = evaluator(probe).error
             if isinstance(error, NoClosedFormError):
@@ -558,11 +573,9 @@ def run_compare(args: argparse.Namespace) -> int:
 
 
 def run_sample(args: argparse.Namespace) -> int:
-    from . import sampling as sp
-
     spec = load_spec(args.spec)
-    parts = _sampler(spec).csv(  # checks the count; draws as the output is written
-        args.mc_count, sp.RngStream(seed=args.seed), args.workers,
+    parts = _KINDS[spec.kind].sampler(spec).csv(  # checks the count; draws as it is written
+        args.mc_count, _lazy("sampling").RngStream(seed=args.seed), args.workers,
         [f"spec_sha256={spec.sha256} kind={spec.kind}"],
     )
     _write_out(args.out, parts)

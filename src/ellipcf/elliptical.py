@@ -3,8 +3,8 @@
 An elliptical law is (mu, Sigma, g): location, dispersion and a density
 generator.  Its characteristic function factors as
 exp(i t'mu) * phi(t' Sigma t) for a scalar characteristic generator phi;
-this module provides the closed forms of phi for the named families, the
-Hankel quadrature route for every generator, the uniform-sphere
+this module provides phi in closed form (from the generator's family
+record), the Hankel quadrature route for every generator, the uniform-sphere
 characteristic function, radial densities and the validated dispersion
 matrix with its roots.  Every route is named: "closed" (a closed form,
 NoClosedFormError where the family has none) or "hankel".
@@ -17,9 +17,9 @@ e^(i t'mu) with _rotate.  The hankel rows of a pass go through
 phi_hankel_rows in one call.
 
 The quadrature module is imported by the functions that integrate: the
-hankel rows of char_generator_rows, the numeric moment check of a custom
-generator and radial_density.  The closed forms of the named families run
-without it.
+hankel rows of char_generator_rows and radial_density (and, in generators,
+the dimension check of a custom generator).  The closed forms of the named
+families run without it.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DivergentIntegralError, DomainError, NoClosedFormError
-from .generators import DensityGenerator, Family, moment_exists
-from .specfun import _elementwise, bessel_j, bessel_k, gamma_fn, hyp0f1, hyp1f1
+from .errors import DomainError
+from .generators import DensityGenerator
+from .specfun import _elementwise, bessel_j, gamma_fn, hyp0f1
 
 __all__ = [
     "CFMethod",
@@ -262,34 +262,8 @@ class EllipticalSpec:
         self.dispersion = Dispersion(sigma, self.n)
         self.sigma = self.dispersion.matrix
         self.generator = generator
-        self._validate_generator_dimension()
+        generator.check_dimension(self.n)
         self.mu.setflags(write=False)
-
-    def _validate_generator_dimension(self) -> None:
-        gen, n = self.generator, self.n
-        p = gen.params
-        if gen.family is Family.GENERALIZED_T and int(p["n"]) != n:
-            raise DomainError(
-                f"generator: generalized-t profile built for n={int(p['n'])}, spec has n={n}"
-            )
-        if gen.family is Family.PEARSON_VII and not p["N"] > 0.5 * n:
-            raise DomainError("generator: Pearson VII requires N > n/2")
-        if gen.family is Family.KOTZ and not 2.0 * p["N"] + n > 2.0:
-            raise DomainError("generator: Kotz requires 2N + n > 2")
-        if gen.family is Family.BESSEL and not p["a"] > -0.5 * n:
-            raise DomainError("generator: Bessel requires a > -n/2")
-        exists = moment_exists(gen, float(n))
-        if exists is False:
-            raise DomainError("generator: moment integral diverges in this dimension")
-        if exists is None:
-            from .quadrature import moment_integral
-
-            try:
-                moment_integral(gen, n)
-            except DivergentIntegralError as exc:
-                raise DomainError(
-                    "generator: moment integral diverges (checked numerically)"
-                ) from exc
 
 
 def uniform_sphere_cf(n: int, s: float) -> float:
@@ -326,68 +300,15 @@ def radial_density(spec: EllipticalSpec, v: float) -> float:
 
 
 def closed_form_generator(gen: DensityGenerator, n: int, q: float) -> float:
-    """Closed-form characteristic generator phi(q), q = t' Sigma t.
+    """Closed-form characteristic generator phi(q), q = t' Sigma t, from the
+    generator's family record.
 
     Raises NoClosedFormError for (family, parameter) combinations without
     one; the Hankel route (route="hankel") serves every generator.
     """
     if q < 0.0:
         raise DomainError("closed_form_generator: q must be >= 0")
-    fam = gen.family
-    p = gen.params
-    if fam is Family.NORMAL:
-        return math.exp(-0.5 * q)
-    if fam is Family.UNIFORM_BALL:
-        return hyp0f1(0.5 * n + 1.0, -0.25 * q)
-    if fam is Family.GENERALIZED_T:
-        if q == 0.0:
-            return 1.0
-        s, m = p["s"], p["m"]
-        u = math.sqrt(q)
-        half_m = 0.5 * m
-        return (
-            u**half_m
-            * s ** (0.5 * half_m)
-            / (2.0 ** (half_m - 1.0) * gamma_fn(half_m))
-            * bessel_k(half_m, math.sqrt(s) * u)
-        )
-    if fam is Family.PEARSON_II:
-        return hyp0f1(0.5 * n + p["m"] + 1.0, -0.25 * q)
-    if fam is Family.PEARSON_VII:
-        if q == 0.0:
-            return 1.0
-        big_n, s = p["N"], p["s"]
-        u = math.sqrt(q)
-        return (
-            2.0 ** (0.5 * n - big_n + 1.0)
-            / gamma_fn(big_n - 0.5 * n)
-            * s ** (0.5 * big_n - 0.25 * n)
-            * u ** (big_n - 0.5 * n)
-            * bessel_k(0.5 * n - big_n, math.sqrt(s) * u)
-        )
-    if fam is Family.KOTZ:
-        big_n, r, s = p["N"], p["r"], p["s"]
-        if s == 1.0:
-            return hyp1f1(0.5 * n + big_n - 1.0, 0.5 * n, -q / (4.0 * r))
-        if s == 0.5 and big_n == 1.0:
-            # the exponent match in the Laplace-type Bessel integral only
-            # holds at N = 1; other N go through the quadrature route
-            return (
-                2.0 ** (n - 1.0)
-                * gamma_fn(0.5 * n)
-                * gamma_fn(0.5 * (n + 1.0))
-                * r ** (n + 1.0)
-                / (math.sqrt(math.pi) * gamma_fn(float(n)) * (r * r + q) ** (0.5 * (n + 1.0)))
-            )
-        raise NoClosedFormError(
-            f"no closed form for Kotz with s={s}, N={big_n}; use the Hankel route"
-        )
-    if fam is Family.BESSEL:
-        a, beta = p["a"], p["beta"]
-        return (1.0 + beta * beta * q) ** (-(0.5 * n + a))
-    raise NoClosedFormError(
-        f"no closed form for family {fam.value}; use the Hankel route"
-    )
+    return gen.closed_form(n, q)
 
 
 def char_generator_rows(

@@ -1,10 +1,12 @@
 """Density generators: radial profiles g defining elliptical distributions.
 
 A generator is the scalar map g on [0, inf) appearing in the elliptical
-density c_n |Sigma|^{-1/2} g((x-mu)' Sigma^{-1} (x-mu)).  Named families
-carry closed-form moment integrals and analytic derivatives; custom
-generators fall back to numeric treatment everywhere.  The normal, uniform
-ball, generalized t, Pearson II, Pearson VII and Kotz families also carry an
+density c_n |Sigma|^{-1/2} g((x-mu)' Sigma^{-1} (x-mu)).  Each named
+constructor also sets its family's record (see DensityGenerator), closures
+over the parameters it validates, and every other module reads the family's
+facts from there: a new family is one constructor here.  Custom generators
+fall back to numeric treatment everywhere.  The normal, uniform ball,
+generalized t, Pearson II, Pearson VII and Kotz families also carry an
 array profile with the scalar g's values bit for bit.
 """
 
@@ -17,8 +19,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError
-from .specfun import _elementwise, _power, bessel_k, gamma_fn, log_gamma_fn
+from .errors import DivergentIntegralError, DomainError, NoClosedFormError
+from .specfun import _elementwise, _power, bessel_k, gamma_fn, hyp0f1, hyp1f1, log_gamma_fn
 
 __all__ = [
     "Family",
@@ -49,12 +51,18 @@ class Family(enum.Enum):
 
 @dataclass(eq=False)
 class DensityGenerator:
-    """A density generator g with family metadata.
+    """A density generator g with its family's record.
 
     ``support_radius`` is expressed in the radius variable v, so g(z) lives
     on z in [0, support_radius**2].  ``g_prime`` is dg/dz where available
     (needed only by the star-unimodal route).  ``g_rows``, where set, is g
     on a float array, entry by entry the same values as g.
+
+    The family record: ``closed_form(n, q)``, phi(q) in dimension n
+    (NoClosedFormError where there is none); ``radius(n, size, rng)``, size
+    draws of R (None: no direct draw); ``moment(d)``, int_0^inf z^(d/2-1) g dz
+    where ``finite(d)`` holds (None: no closed form); ``check_dimension(n)``,
+    raising DomainError where the profile cannot serve dimension n.
     """
 
     family: Family
@@ -64,6 +72,11 @@ class DensityGenerator:
     support_radius: float = math.inf
     moment_cache: dict = field(default_factory=dict, repr=False)
     g_rows: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
+    closed_form: Optional[Callable[[int, float], float]] = None
+    radius: Optional[Callable[[int, int, np.random.Generator], np.ndarray]] = None
+    moment: Optional[Callable[[float], float]] = None
+    finite: Callable[[float], bool] = lambda d: True
+    check_dimension: Callable[[int], None] = lambda n: None
 
     def __call__(self, z: float) -> float:
         return self.g(z)
@@ -76,6 +89,25 @@ class DensityGenerator:
         return _elementwise(self.g, z)
 
 
+def _normalizable(finite: Callable[[float], bool], message: str) -> dict:
+    """The record's finite and check_dimension for a family whose one limit on
+    the dimension is its normalizability condition finite(d) at d = n."""
+
+    def check_dimension(n: int) -> None:
+        if not finite(n):
+            raise DomainError(message)
+
+    return {"finite": finite, "check_dimension": check_dimension}
+
+
+def _gamma_ratio_radius(rng: np.random.Generator, n: int, size: int, s: float, shape: float):
+    """R with R^2 = s G1 / G2, G1 ~ Gamma(n/2) drawn before G2 ~ Gamma(shape)."""
+    g1 = rng.gamma(0.5 * n, 1.0, size=size)
+    g1 *= s
+    g1 /= rng.gamma(shape, 1.0, size=size)
+    return np.sqrt(g1, out=g1)
+
+
 def normal_generator() -> DensityGenerator:
     """g(z) = exp(-z/2), the multivariate normal profile."""
     return DensityGenerator(
@@ -84,6 +116,9 @@ def normal_generator() -> DensityGenerator:
         g=lambda z: math.exp(-0.5 * z),
         g_prime=lambda z: -0.5 * math.exp(-0.5 * z),
         g_rows=lambda z: _elementwise(math.exp, -0.5 * z),
+        closed_form=lambda n, q: math.exp(-0.5 * q),
+        radius=lambda n, size, rng: np.sqrt(rng.chisquare(n, size=size)),
+        moment=lambda d: 2.0 ** (0.5 * d) * gamma_fn(0.5 * d),
     )
 
 
@@ -96,6 +131,9 @@ def uniform_ball_generator() -> DensityGenerator:
         g_prime=lambda z: 0.0,
         support_radius=1.0,
         g_rows=lambda z: np.where(z <= 1.0, 1.0, 0.0),
+        closed_form=lambda n, q: hyp0f1(0.5 * n + 1.0, -0.25 * q),
+        radius=lambda n, size, rng: rng.random(size) ** (1.0 / n),
+        moment=lambda d: 2.0 / d,
     )
 
 
@@ -112,12 +150,35 @@ def generalized_t_generator(n: int, s: float, m: int) -> DensityGenerator:
     if not (isinstance(n, int) and n >= 1):
         raise DomainError("generalized_t_generator: n must be a positive integer")
     e = 0.5 * (n + m)
+    p = {"n": float(n), "s": float(s), "m": float(m)}
+
+    def closed_form(n: int, q: float) -> float:
+        if q == 0.0:
+            return 1.0
+        s, m = p["s"], p["m"]
+        u, half_m = math.sqrt(q), 0.5 * m
+        return (u**half_m * s ** (0.5 * half_m) / (2.0 ** (half_m - 1.0) * gamma_fn(half_m))
+                * bessel_k(half_m, math.sqrt(s) * u))
+
+    def check_dimension(k: int) -> None:
+        if int(p["n"]) != k:
+            raise DomainError(f"generator: generalized-t profile built for n={int(p['n'])}, "
+                              f"spec has n={k}")
+
     return DensityGenerator(
         family=Family.GENERALIZED_T,
-        params={"n": float(n), "s": float(s), "m": float(m)},
+        params=p,
         g=lambda z: (1.0 + z / s) ** (-e),
         g_prime=lambda z: -(e / s) * (1.0 + z / s) ** (-e - 1.0),
         g_rows=lambda z: _power(1.0 + z / s, -e),
+        closed_form=closed_form,
+        radius=lambda n, size, rng: _gamma_ratio_radius(rng, n, size, p["s"], 0.5 * p["m"]),
+        moment=lambda d: (
+            p["s"] ** (0.5 * d) * gamma_fn(0.5 * d) * gamma_fn(0.5 * (p["n"] + p["m"] - d))
+            / gamma_fn(0.5 * (p["n"] + p["m"]))
+        ),
+        finite=lambda d: d < p["n"] + p["m"],
+        check_dimension=check_dimension,
     )
 
 
@@ -142,13 +203,19 @@ def pearson_ii_generator(m: float) -> DensityGenerator:
         out[inside] = _power(1.0 - z[inside], m)
         return out
 
+    p = {"m": float(m)}
     return DensityGenerator(
         family=Family.PEARSON_II,
-        params={"m": float(m)},
+        params=p,
         g=g,
         g_prime=g_prime,
         support_radius=1.0,
         g_rows=g_rows,
+        closed_form=lambda n, q: hyp0f1(0.5 * n + p["m"] + 1.0, -0.25 * q),
+        radius=lambda n, size, rng: np.sqrt(rng.beta(0.5 * n, p["m"] + 1.0, size=size)),
+        moment=lambda d: (
+            gamma_fn(0.5 * d) * gamma_fn(p["m"] + 1.0) / gamma_fn(0.5 * d + p["m"] + 1.0)
+        ),
     )
 
 
@@ -158,12 +225,29 @@ def pearson_vii_generator(big_n: float, s: float) -> DensityGenerator:
         raise DomainError("pearson_vii_generator: s must be > 0")
     if not big_n > 0.0:
         raise DomainError("pearson_vii_generator: N must be > 0")
+    p = {"N": float(big_n), "s": float(s)}
+
+    def closed_form(n: int, q: float) -> float:
+        if q == 0.0:
+            return 1.0
+        big_n, s = p["N"], p["s"]
+        u = math.sqrt(q)
+        return (2.0 ** (0.5 * n - big_n + 1.0) / gamma_fn(big_n - 0.5 * n)
+                * s ** (0.5 * big_n - 0.25 * n) * u ** (big_n - 0.5 * n)
+                * bessel_k(0.5 * n - big_n, math.sqrt(s) * u))
+
     return DensityGenerator(
         family=Family.PEARSON_VII,
-        params={"N": float(big_n), "s": float(s)},
+        params=p,
         g=lambda z: (1.0 + z / s) ** (-big_n),
         g_prime=lambda z: -(big_n / s) * (1.0 + z / s) ** (-big_n - 1.0),
         g_rows=lambda z: _power(1.0 + z / s, -big_n),
+        closed_form=closed_form,
+        radius=lambda n, size, rng: _gamma_ratio_radius(rng, n, size, p["s"], p["N"] - 0.5 * n),
+        moment=lambda d: (
+            p["s"] ** (0.5 * d) * gamma_fn(0.5 * d) * gamma_fn(p["N"] - 0.5 * d) / gamma_fn(p["N"])
+        ),
+        **_normalizable(lambda d: d < 2.0 * p["N"], "generator: Pearson VII requires N > n/2"),
     )
 
 
@@ -191,12 +275,38 @@ def kotz_generator(big_n: float, r: float, s: float) -> DensityGenerator:
             z = 1e-12  # one-sided limit; quadrature never probes exactly 0
         return z ** (big_n - 2.0) * math.exp(-r * z**s) * (big_n - 1.0 - r * s * z**s)
 
+    p = {"N": float(big_n), "r": float(r), "s": float(s)}
+
+    def closed_form(n: int, q: float) -> float:
+        big_n, r, s = p["N"], p["r"], p["s"]
+        if s == 1.0:
+            return hyp1f1(0.5 * n + big_n - 1.0, 0.5 * n, -q / (4.0 * r))
+        if s == 0.5 and big_n == 1.0:
+            # the exponent match in the Laplace-type Bessel integral only
+            # holds at N = 1; other N go through the quadrature route
+            return (2.0 ** (n - 1.0) * gamma_fn(0.5 * n) * gamma_fn(0.5 * (n + 1.0))
+                    * r ** (n + 1.0) / (math.sqrt(math.pi) * gamma_fn(float(n))
+                                        * (r * r + q) ** (0.5 * (n + 1.0))))
+        raise NoClosedFormError(f"no closed form for Kotz with s={s}, N={big_n}; "
+                                "use the Hankel route")
+
+    def moment(d: float) -> float:
+        q = (2.0 * p["N"] + d - 2.0) / (2.0 * p["s"])
+        return gamma_fn(q) / (p["s"] * p["r"] ** q)
+
     return DensityGenerator(
         family=Family.KOTZ,
-        params={"N": float(big_n), "r": float(r), "s": float(s)},
+        params=p,
         g=g,
         g_prime=g_prime,
         g_rows=g_rows,
+        closed_form=closed_form,
+        radius=lambda n, size, rng: np.sqrt(
+            (rng.gamma((2.0 * p["N"] + n - 2.0) / (2.0 * p["s"]), 1.0, size=size) / p["r"])
+            ** (1.0 / p["s"])
+        ),
+        moment=moment,
+        **_normalizable(lambda d: 2.0 * p["N"] + d > 2.0, "generator: Kotz requires 2N + n > 2"),
     )
 
 
@@ -212,10 +322,20 @@ def bessel_generator(a: float, beta: float) -> DensityGenerator:
         y = math.sqrt(z) / beta
         return y**a * bessel_k(a, y)
 
+    p = {"a": float(a), "beta": float(beta)}
+
     return DensityGenerator(
         family=Family.BESSEL,
-        params={"a": float(a), "beta": float(beta)},
+        params=p,
         g=g,
+        closed_form=lambda n, q: (1.0 + p["beta"] * p["beta"] * q) ** (-(0.5 * n + p["a"])),
+        radius=lambda n, size, rng: np.sqrt(
+            rng.gamma(p["a"] + 0.5 * n, 2.0 * p["beta"] ** 2, size=size)
+            * rng.chisquare(n, size=size)
+        ),
+        moment=lambda d: math.exp((d + p["a"] - 1.0) * math.log(2.0) + d * math.log(p["beta"])
+                                  + log_gamma_fn(0.5 * d) + log_gamma_fn(0.5 * d + p["a"])),
+        **_normalizable(lambda d: d > -2.0 * p["a"], "generator: Bessel requires a > -n/2"),
     )
 
 
@@ -235,79 +355,42 @@ def custom_generator(
         gz = g(v * v)
         if not gz >= 0.0:  # also catches NaN
             raise DomainError(f"custom_generator: g({v * v}) = {gz} is negative or NaN")
-    return DensityGenerator(
+
+    def closed_form(n: int, q: float) -> float:
+        raise NoClosedFormError("no closed form for family custom; use the Hankel route")
+
+    def check_dimension(n: int) -> None:  # the moment integral, checked numerically
+        from .quadrature import moment_integral  # needed by custom generators only
+
+        try:
+            moment_integral(gen, n)
+        except DivergentIntegralError as exc:
+            raise DomainError("generator: moment integral diverges (checked numerically)") from exc
+
+    gen = DensityGenerator(
         family=Family.CUSTOM,
         params={},
         g=g,
         g_prime=g_prime,
         support_radius=float(support_radius),
+        closed_form=closed_form,
+        check_dimension=check_dimension,
     )
+    return gen
 
 
 def closed_moment_integral(gen: DensityGenerator, d: float) -> Optional[float]:
     """Closed form of int_0^inf z^(d/2-1) g(z) dz, or None if unavailable.
 
     d plays the role of the dimension; radial moments use d = n + 2k.
-    Returns None for custom generators; raises nothing for nonexistent
-    moments (use moment_exists first).
+    Returns None for custom generators and inf where the moment does not
+    exist.
     """
-    p = gen.params
-    fam = gen.family
-    if fam is Family.NORMAL:
-        return 2.0 ** (0.5 * d) * gamma_fn(0.5 * d)
-    if fam is Family.UNIFORM_BALL:
-        return 2.0 / d
-    if fam is Family.GENERALIZED_T:
-        n, s, m = p["n"], p["s"], p["m"]
-        if d >= n + m:
-            return math.inf
-        return (
-            s ** (0.5 * d)
-            * gamma_fn(0.5 * d)
-            * gamma_fn(0.5 * (n + m - d))
-            / gamma_fn(0.5 * (n + m))
-        )
-    if fam is Family.PEARSON_II:
-        m = p["m"]
-        return gamma_fn(0.5 * d) * gamma_fn(m + 1.0) / gamma_fn(0.5 * d + m + 1.0)
-    if fam is Family.PEARSON_VII:
-        big_n, s = p["N"], p["s"]
-        if d >= 2.0 * big_n:
-            return math.inf
-        return (
-            s ** (0.5 * d) * gamma_fn(0.5 * d) * gamma_fn(big_n - 0.5 * d) / gamma_fn(big_n)
-        )
-    if fam is Family.KOTZ:
-        big_n, r, s = p["N"], p["r"], p["s"]
-        q = (2.0 * big_n + d - 2.0) / (2.0 * s)
-        if q <= 0.0:
-            return math.inf
-        return gamma_fn(q) / (s * r**q)
-    if fam is Family.BESSEL:
-        a, beta = p["a"], p["beta"]
-        if d <= -2.0 * a:
-            return math.inf
-        return math.exp(
-            (d + a - 1.0) * math.log(2.0)
-            + d * math.log(beta)
-            + log_gamma_fn(0.5 * d)
-            + log_gamma_fn(0.5 * d + a)
-        )
-    return None
+    if gen.moment is None:
+        return None
+    return gen.moment(d) if gen.finite(d) else math.inf
 
 
 def moment_exists(gen: DensityGenerator, d: float) -> Optional[bool]:
     """Whether int z^(d/2-1) g dz is finite; None when unknown (custom)."""
-    p = gen.params
-    fam = gen.family
-    if fam is Family.GENERALIZED_T:
-        return d < p["n"] + p["m"]
-    if fam is Family.PEARSON_VII:
-        return d < 2.0 * p["N"]
-    if fam is Family.KOTZ:
-        return 2.0 * p["N"] + d > 2.0
-    if fam is Family.BESSEL:
-        return d > -2.0 * p["a"]
-    if fam is Family.CUSTOM:
-        return None
-    return True
+    return None if gen.moment is None else gen.finite(d)

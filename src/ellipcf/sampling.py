@@ -46,7 +46,7 @@ from .elliptical import (
     radial_density,
 )
 from .errors import DomainError
-from .generators import DensityGenerator, Family
+from .generators import DensityGenerator
 from .specfun import _node_by_node
 
 if TYPE_CHECKING:  # imported by the samplers that use them
@@ -265,33 +265,12 @@ def sample_sphere(n: int, count: int, rng: RngStream, workers: int = 1) -> Sampl
     return Sampler("sphere", n, lambda m, g: _unit_sphere_rows(g, m, n)).batch(count, rng, workers)
 
 
-def _radius_chunk(
-    spec: EllipticalSpec, m: int, g: np.random.Generator
-) -> np.ndarray:
-    gen = spec.generator
-    n = spec.n
-    p = gen.params
-    fam = gen.family
-    if fam is Family.NORMAL:
-        return np.sqrt(g.chisquare(n, size=m))
-    if fam is Family.UNIFORM_BALL:
-        return g.random(m) ** (1.0 / n)
-    if fam is Family.PEARSON_II:
-        return np.sqrt(g.beta(0.5 * n, p["m"] + 1.0, size=m))
-    if fam in (Family.GENERALIZED_T, Family.PEARSON_VII):  # R^2 = s G1 / G2
-        g1 = g.gamma(0.5 * n, 1.0, size=m)
-        shape = 0.5 * p["m"] if fam is Family.GENERALIZED_T else p["N"] - 0.5 * n
-        g1 *= p["s"]
-        g1 /= g.gamma(shape, 1.0, size=m)
-        return np.sqrt(g1, out=g1)
-    if fam is Family.KOTZ:
-        q = (2.0 * p["N"] + n - 2.0) / (2.0 * p["s"])
-        z = (g.gamma(q, 1.0, size=m) / p["r"]) ** (1.0 / p["s"])
-        return np.sqrt(z)
-    if fam is Family.BESSEL:
-        v = g.gamma(p["a"] + 0.5 * n, 2.0 * p["beta"] ** 2, size=m)
-        return np.sqrt(v * g.chisquare(n, size=m))
-    # custom: numeric inversion of the radial CDF, tabulated once per n
+def _radius_chunk(spec: EllipticalSpec, m: int, g: np.random.Generator) -> np.ndarray:
+    """m radii R: the family's own draw, or for a custom generator the
+    numeric inversion of its radial CDF, tabulated once per n."""
+    gen, n = spec.generator, spec.n
+    if gen.radius is not None:
+        return gen.radius(n, m, g)
     key = ("radial_cdf", n)
     if key not in gen.moment_cache:
         pdf = lambda v: radial_density(spec, v)

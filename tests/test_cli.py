@@ -1,9 +1,11 @@
 """CLI tests: spec validation, exit-code contract, CSV schema, determinism."""
 
 import hashlib
+import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -427,27 +429,13 @@ class TestFieldTypes:
         assert [row[:2] for row in rows] == [["0", "0"], ["0", "0.5"], ["0", "1"]]
 
 
-def _family_spec(family, params=None, n=2, kind="elliptical"):
-    generator = {"family": family} if params is None else {"family": family, "params": params}
-    return dict(normal_spec(n), kind=kind, generator=generator)
-
-
-def _lsm_finite(**fields):
-    return {**normal_spec(), "kind": "lsm", "gamma": [0.5, 0.25], "mixing": _FINITE, **fields}
-
-
-def _skew_kind(kind, **fields):
-    obj = {**_skew_spec([2.0, -0.5]), "kind": kind, **fields}
-    if kind == "smsn":
-        obj.setdefault("mixing", _FINITE)
-    return obj
-
-
 def _without(obj, key):
     return {k: v for k, v in obj.items() if k != key}
 
 
 _KIND_LIST = "('elliptical', 'lsm', 'gse_skew_normal', 'skew_normal', 'smsn', 'smu')"
+_SN = _skew_spec([2.0, -0.5])
+_SMSN = dict(_SN, kind="smsn", mixing=_FINITE)
 
 
 class TestSpecMessages:
@@ -456,21 +444,21 @@ class TestSpecMessages:
     naming the field or the condition."""
 
     @pytest.mark.parametrize("spec, route, message", [
-        pytest.param(_family_spec("generalized_t", {"s": 3, "m": 3, "x": 1}), "closed",
+        pytest.param(_gen_spec("generalized_t", {"s": 3, "m": 3, "x": 1}), "closed",
                      "generator.params.x: unknown parameter", id="unknown-parameter"),
-        pytest.param(_family_spec("pearson_vii", {"N": 2}), "closed",
+        pytest.param(_gen_spec("pearson_vii", {"N": 2}), "closed",
                      "generator.params.s: missing parameter", id="missing-parameter"),
-        pytest.param(_family_spec("generalized_t", {"s": 3, "m": 3.5}), "closed",
+        pytest.param(_gen_spec("generalized_t", {"s": 3, "m": 3.5}), "closed",
                      "generator.params.m: expected an integer, got 3.5",
                      id="parameter-not-integer"),
-        pytest.param(_family_spec("pearson_vii", {"N": 2, "s": -1}), "closed",
+        pytest.param(_gen_spec("pearson_vii", {"N": 2, "s": -1}), "closed",
                      "generator.params: pearson_vii_generator: s must be > 0",
                      id="parameter-domain"),
-        pytest.param(_family_spec("bogus", []), "closed",
+        pytest.param(_gen_spec("bogus", []), "closed",
                      "generator.params: expected an object", id="params-not-object"),
-        pytest.param(_family_spec("bogus"), "closed",
+        pytest.param(_gen_spec("bogus", {}), "closed",
                      "generator.family: unknown family 'bogus'", id="unknown-family"),
-        pytest.param(_family_spec(["normal"]), "closed",
+        pytest.param(_gen_spec(["normal"], {}), "closed",
                      "generator.family: unknown family ['normal']", id="unhashable-family"),
         pytest.param(dict(normal_spec(), kind="bogus"), "closed",
                      f"kind: unknown kind 'bogus' (expected one of {_KIND_LIST})",
@@ -478,40 +466,41 @@ class TestSpecMessages:
         pytest.param(dict(normal_spec(), kind=["elliptical"]), "closed",
                      f"kind: unknown kind ['elliptical'] (expected one of {_KIND_LIST})",
                      id="unhashable-kind"),
-        pytest.param(_lsm_finite(mixing={"kind": "bogus"}), "closed",
+        pytest.param(_lsm_spec({"kind": "bogus"}), "closed",
                      "mixing.kind: unknown mixing kind 'bogus'", id="unknown-mixing-kind"),
         pytest.param(dict(normal_spec(), alpha=[1.0, 0.0]), "closed",
                      "spec.alpha: unknown field", id="unknown-field"),
-        pytest.param(_skew_kind("skew_normal", generator={"family": "normal"}), "closed",
+        pytest.param(dict(_SN, generator={"family": "normal"}), "closed",
                      "spec.generator: unknown field", id="unknown-field-skew"),
-        pytest.param(_without(_lsm_finite(), "gamma"), "closed",
+        pytest.param(_without(_lsm_spec(_FINITE), "gamma"), "closed",
                      "spec.gamma: missing required field", id="missing-field"),
-        pytest.param(_without(_skew_kind("smsn"), "mixing"), "closed",
+        pytest.param(_without(_SMSN, "mixing"), "closed",
                      "spec.mixing: missing required field", id="missing-field-smsn"),
-        pytest.param(_skew_kind("skew_normal", parametrization="bogus"), "closed",
+        pytest.param(dict(_SN, parametrization="bogus"), "closed",
                      "parametrization: unknown value 'bogus'", id="unknown-parametrization"),
-        *[pytest.param(_skew_kind(kind), "hankel",
-                       f"routes: 'hankel' is not available for kind '{kind}'", id=f"hankel-{kind}")
-          for kind in ("skew_normal", "gse_skew_normal", "smsn")],
-        pytest.param(_family_spec("pearson_vii", {"N": 1, "s": 1}), "closed",
+        *[pytest.param(spec, "hankel", f"routes: 'hankel' is not available for kind '{kind}'",
+                       id=f"hankel-{kind}")
+          for kind, spec in [("skew_normal", _SN), ("smsn", _SMSN),
+                             ("gse_skew_normal", dict(_SN, kind="gse_skew_normal"))]],
+        pytest.param(_gen_spec("pearson_vii", {"N": 1, "s": 1}), "closed",
                      "generator: Pearson VII requires N > n/2", id="pearson_vii-dimension"),
-        pytest.param(_family_spec("kotz", {"N": 0.5, "r": 0.5, "s": 1}, n=1), "closed",
-                     "generator: Kotz requires 2N + n > 2", id="kotz-dimension"),
-        pytest.param(_family_spec("bessel", {"a": -1, "beta": 1}), "closed",
+        pytest.param(dict(normal_spec(1), generator={"family": "kotz",
+                                                     "params": {"N": 0.5, "r": 0.5, "s": 1}}),
+                     "closed", "generator: Kotz requires 2N + n > 2", id="kotz-dimension"),
+        pytest.param(_gen_spec("bessel", {"a": -1, "beta": 1}), "closed",
                      "generator: Bessel requires a > -n/2", id="bessel-dimension"),
-        pytest.param(_lsm_finite(generator={"family": "bessel", "params": {"a": -1.5, "beta": 1}}),
+        pytest.param(_with(_lsm_spec(_FINITE), ["generator"],
+                           {"family": "bessel", "params": {"a": -1.5, "beta": 1}}),
                      "closed", "generator: Bessel requires a > -n/2", id="lsm-bessel-dimension"),
-        pytest.param(_family_spec("kotz", {"N": 0, "r": 0.5, "s": 1}, kind="smu"), "hankel",
-                     "generator: Kotz requires 2N + n > 2", id="smu-kotz-dimension"),
-        pytest.param(_family_spec("kotz", {"N": 2, "r": 0.5, "s": 0.75}), "closed",
+        pytest.param(_with(_gen_spec("kotz", {"N": 0, "r": 0.5, "s": 1}), ["kind"], "smu"),
+                     "hankel", "generator: Kotz requires 2N + n > 2", id="smu-kotz-dimension"),
+        pytest.param(_gen_spec("kotz", {"N": 2, "r": 0.5, "s": 0.75}), "closed",
                      "routes: no closed form for Kotz with s=0.75, N=2.0; use the Hankel route",
                      id="no-closed-form-kotz"),
-        pytest.param(_family_spec("kotz", {"N": 2, "r": 0.5, "s": 1}, kind="smu"), "hankel",
-                     "not star unimodal: g' > 0 detected on the support", id="smu-rising-profile"),
-        pytest.param(_family_spec("bessel", {"a": 0.5, "beta": 1}, kind="smu"), "hankel",
-                     "star-unimodal route requires the generator derivative g'",
+        pytest.param(_with(_gen_spec("bessel", {"a": 0.5, "beta": 1}), ["kind"], "smu"),
+                     "hankel", "star-unimodal route requires the generator derivative g'",
                      id="smu-no-derivative"),
-        pytest.param(_family_spec("uniform_ball", kind="smu"), "hankel",
+        pytest.param(_with(_gen_spec("uniform_ball", {}), ["kind"], "smu"), "hankel",
                      "not star unimodal: g' vanishes identically (no scale-mixture weight density)",
                      id="smu-flat-profile"),
     ])
@@ -1428,3 +1417,35 @@ class TestStreamedDraws:
                 finally:
                     tracemalloc.stop()
             assert peaks[1] - peaks[0] < 2 * 2**20, (name, peaks)
+
+
+class TestReadmeTables:
+    """README's kinds table and family list name what cli's tables hold."""
+
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    def test_kinds_table_matches_cli(self):
+        text = self.README.read_text()
+        head = "| kind | extra fields | routes |"
+        lines = text[text.index(head):].splitlines()[2:]
+        rows = {}
+        for line in itertools.takewhile(lambda l: l.startswith("|"), lines):
+            kind, fields, routes = (cell.strip() for cell in line.strip("|").split("|"))
+            names = re.findall(r"`(\w+)`(\?)?", fields)
+            rows[kind.strip("`")] = (
+                {name for name, optional in names if not optional},
+                {name for name, optional in names if optional},
+                {item.split()[0].rstrip("*") for item in routes.split(", ")},
+            )
+        assert rows == {
+            kind: (row.fields, row.optional,
+                   {"closed", "mc"} | ({"hankel"} if row.hankel is not None else set()))
+            for kind, row in cli._KINDS.items()
+        }
+
+    def test_family_list_matches_cli(self):
+        text = " ".join(self.README.read_text().split())
+        listed = text[text.index("Generator families"):text.index("Mixing laws:")]
+        families = {name: tuple(re.findall(r"\w+", params or ""))
+                    for name, params in re.findall(r"`(\w+)(?: \{([^}]*)\})?`", listed)}
+        assert families == {name: names for name, (_, names, _) in cli._FAMILIES.items()}
