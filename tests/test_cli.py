@@ -468,6 +468,25 @@ class TestSpecMessages:
                      id="unhashable-kind"),
         pytest.param(_lsm_spec({"kind": "bogus"}), "closed",
                      "mixing.kind: unknown mixing kind 'bogus'", id="unknown-mixing-kind"),
+        pytest.param(_lsm_spec(["degenerate"]), "closed",
+                     "mixing: expected an object", id="mixing-not-object"),
+        pytest.param(_lsm_spec({"kind": ["degenerate"], "v0": 1}), "closed",
+                     "mixing.kind: unknown mixing kind ['degenerate']",
+                     id="unhashable-mixing-kind"),
+        pytest.param(_lsm_spec(_without(_INV_GAMMA, "scale")), "closed",
+                     "mixing.scale: missing required field", id="mixing-missing-field"),
+        pytest.param(dict(_SMSN, mixing=dict(_DEGENERATE, weight=1)), "closed",
+                     "mixing.weight: unknown field", id="mixing-unknown-field"),
+        pytest.param(dict(_SMSN, mixing=dict(_FINITE, points=[0.5, "2"])), "closed",
+                     'mixing.points[1]: expected a number, got "2"', id="mixing-non-numeric"),
+        pytest.param(_lsm_spec(dict(_DEGENERATE, v0=-1)), "closed",
+                     "mixing: MixingLaw.degenerate: v0 must be >= 0", id="degenerate-domain"),
+        pytest.param(dict(_SMSN, mixing=dict(_FINITE, weights=[0.5, 0.6])), "closed",
+                     "mixing: MixingLaw.finite_discrete: weights must be >= 0 and sum to 1",
+                     id="finite_discrete-domain"),
+        pytest.param(_lsm_spec(dict(_INV_GAMMA, shape=0)), "closed",
+                     "mixing: MixingLaw.inverse_gamma: shape and scale must be > 0",
+                     id="inverse_gamma-domain"),
         pytest.param(dict(normal_spec(), alpha=[1.0, 0.0]), "closed",
                      "spec.alpha: unknown field", id="unknown-field"),
         pytest.param(dict(_SN, generator={"family": "normal"}), "closed",
@@ -1100,6 +1119,17 @@ class TestGoldenBytes:
                   '"mixing":{"kind":"finite_discrete","points":[0.5,2],"weights":[0.25,0.75]}}')
     SMSN_INVGAMMA = ('{"schema":1,"kind":"smsn",' + _BASE + ',"alpha":[2,-0.5],'
                      '"mixing":{"kind":"inverse_gamma","shape":3,"scale":2}}')
+    LSM_DEGENERATE = ('{"schema":1,"kind":"lsm",' + _BASE + ',"gamma":[0.5,0.25],'
+                      '"generator":{"family":"normal"},"mixing":{"kind":"degenerate","v0":2}}')
+    LSM_INVGAMMA = ('{"schema":1,"kind":"lsm",' + _BASE + ',"gamma":[0.5,0.25],'
+                    '"generator":{"family":"normal"},'
+                    '"mixing":{"kind":"inverse_gamma","shape":3,"scale":2}}')
+    SMSN_DEGENERATE = ('{"schema":1,"kind":"smsn",' + _BASE + ',"alpha":[2,-0.5],'
+                       '"mixing":{"kind":"degenerate","v0":2}}')
+    SMSN_FINITE = ('{"schema":1,"kind":"smsn",' + _BASE + ',"alpha":[2,-0.5],'
+                   '"mixing":{"kind":"finite_discrete","points":[0.5,2],"weights":[0.25,0.75]}}')
+    # the mixture closed routes with exact mixing, to t1 = 6
+    AXIS6 = '{"kind":"axis","index":0,"start":0,"stop":6,"num":25}'
     SAMPLE = ["sample", "--count", "40000", "--seed", "7"]
     # every named family on the same law; the closed route on an axis grid to u = 30
     FAMILY = {
@@ -1133,6 +1163,20 @@ class TestGoldenBytes:
          "ef6a23ed89905412b2ce98f17ad3686cf5d19cfe2ac6113df930c7df51a77fdf"),
         (SMSN_INVGAMMA, SAMPLE,
          "af38ee24cb3f3e5f5bdeb8407433c87f8ee46eff3668667b91e555e5a1abae50"),
+        # the draw of each mixing kind
+        (LSM_DEGENERATE, SAMPLE,
+         "7facef82165ccfcd30bfe4fdc0143133b59fcb670f44a60036730e511563e35a"),
+        (LSM_INVGAMMA, SAMPLE,
+         "951fc408aae182e512b9c848dc81ff3a6561bd45a39f117d9fe208501c2a70a8"),
+        (SMSN_DEGENERATE, SAMPLE,
+         "57709f18be38b8c017022ecbec29a96bb246390f3b6cda13192622fe51d7fa62"),
+        (SMSN_FINITE, SAMPLE,
+         "0df033ee4a7c910a4f1a7f558eca8f52aaa60a4555088ad65ccd7339fb204048"),
+        # the exact mixing sums on both routes of phi
+        (LSM_DEGENERATE, ["eval", "--routes", "closed,hankel", "--grid", AXIS6],
+         "c9e6105a47e8882f6447ecacc9c4180e5a9607aeb27ab2815b98dbbc1493f314"),
+        (LSM_FINITE, ["eval", "--routes", "closed,hankel", "--grid", AXIS6],
+         "76be15cb21ccde6df9f21b4550f1db297217d7399e2c7f4fd3e1c1fe3673bed3"),
         # the radius draw of each family
         (FAMILY["normal"], SAMPLE,
          "0a3fbd69515554c0b5ffd85811ea9c6b2617136e0d29be3ada0873e8c1cee708"),
@@ -1167,7 +1211,9 @@ class TestGoldenBytes:
          "bba13c2e9680797166bfb3945dff4737f14775c67311d68f23efbebe97294a2f"),
     ], ids=["sample", "eval", "compare", "sample-skew_normal-half_root",
             "sample-skew_normal-full_sigma", "sample-lsm-finite_discrete",
-            "sample-smsn-inverse_gamma",
+            "sample-smsn-inverse_gamma", "sample-lsm-degenerate", "sample-lsm-inverse_gamma",
+            "sample-smsn-degenerate", "sample-smsn-finite_discrete", "eval-lsm-degenerate",
+            "eval-lsm-finite_discrete",
             *[f"sample-{key}" for key in ("normal", "uniform_ball", "generalized_t", "pearson_ii",
                                           "kotz", "bessel")],
             *[f"eval-closed-{key}" for key in ("normal", "uniform_ball", "generalized_t-odd",
@@ -1179,6 +1225,23 @@ class TestGoldenBytes:
         out = tmp_path / "out.csv"
         assert cli.main([*args, "--spec", str(path), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+    # The skew-normal factor 2 exp(-q/2) Phi(iy) takes numpy's exp, whose bits
+    # follow its SIMD dispatch: the first hash is the AVX-512 dispatch's, the
+    # second that of the AVX2 and baseline dispatches.
+    @pytest.mark.parametrize("spec, hashes", [
+        (SMSN_DEGENERATE, ("443d6b561356ffcf3811f18a86ad46b2669dc3f0ecdf3a3df991a9e8b2af527d",
+                           "6ed9f9119b2aa60f3f57ff85691b776825de695804c2780f4dac1df912fe7a39")),
+        (SMSN_FINITE, ("2d5792fafe262dda8ec996a7ffaabeea77863d77781b8d509598c6910de3e7fa",
+                       "1b02055b0ead85cebd03c22c96637949c7b1d8356afddb09b1df093b34679a0c")),
+    ], ids=["eval-smsn-degenerate", "eval-smsn-finite_discrete"])
+    def test_smsn_eval_sha256(self, tmp_path, spec, hashes):
+        path = tmp_path / "spec.json"
+        path.write_text(spec)
+        out = tmp_path / "out.csv"
+        argv = ["eval", "--routes", "closed", "--grid", self.AXIS6]
+        assert cli.main([*argv, "--spec", str(path), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() in hashes
 
 
 class TestCompareGates:

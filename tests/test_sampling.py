@@ -1,5 +1,6 @@
 """Sampler tests: stochastic representations vs analytic CFs and CDFs."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -314,6 +315,22 @@ class TestSampleSMSN:
         a = sample_smsn(sn, plain, 70000, RNG, workers)
         b = sample_smsn(sn, custom, 70000, RNG, 1)
         assert np.array_equal(a.data, b.data)
+
+    def test_custom_density_draws_pinned(self):
+        # the lazily tabulated CDF of a custom mixing density, which no spec
+        # file reaches.  The table's grid comes from np.geomspace, whose bits
+        # follow numpy's SIMD dispatch: the first hash is the AVX-512
+        # dispatch's, the second that of the AVX2 and baseline dispatches.
+        sn = SkewNormalSpec([0.5, -0.25], np.diag([4.0, 0.25]), [2.0, -0.5])
+        law = MixingLaw.custom_density(lambda v: math.exp(-v), (0.0, math.inf))
+        batch = sampling.smsn_sampler(sn, law).batch(40000, RngStream(7))
+        assert hashlib.sha256(batch.data.tobytes()).hexdigest() in (
+            "739b4cfec936b8c4fdc6a1f519d4b3e1fb2a8c49f489693c57a5f37a49a6c82f",
+            "8a63981be425223d91e0ac03ce305c8972d970c12aee6f07a4dea380f19dbc70",
+        )
+        assert batch.provenance == (
+            "kind=smsn spec=03dc69cf93d6 seed=7 stream=0 count=40000 chunk=32768"
+        )
 
     def test_negative_weight_named(self):
         with pytest.raises(DomainError, match=r"k\(-2.0\)"):
