@@ -69,7 +69,9 @@ def _lazy(module: str):
     return getattr(__import__(__package__, fromlist=[module]), module)
 
 
-def _check_fields(obj: dict, required: set[str], optional: set[str], path: str) -> None:
+def _check_fields(obj: dict, required: tuple[str, ...], optional: tuple[str, ...], path: str) -> None:
+    """The first unknown field in the object's order, then the first missing
+    required field in the declared order, is an error naming it."""
     for key in obj:
         if key not in required and key not in optional:
             raise SpecValidationError(f"{path}.{key}: unknown field")
@@ -131,7 +133,7 @@ _FAMILIES = {
 def _parse_generator(obj, n: int, path: str = "generator") -> gn.DensityGenerator:
     if not isinstance(obj, dict):
         raise SpecValidationError(f"{path}: expected an object")
-    _check_fields(obj, {"family"}, {"params"}, path)
+    _check_fields(obj, ("family",), ("params",), path)
     family = obj["family"]
     params = obj.get("params", {})
     if not isinstance(params, dict):
@@ -155,29 +157,28 @@ def _parse_generator(obj, n: int, path: str = "generator") -> gn.DensityGenerato
         raise SpecValidationError(f"{path}.params: {exc}") from exc
 
 
+# mixing kind -> its fields in order, each with its parser; a kind's name is
+# that of its MixingLaw factory, which takes the fields' values in this order
+_MIXINGS = {
+    "degenerate": (("v0", _number),),
+    "finite_discrete": (("points", _number_list), ("weights", _number_list)),
+    "inverse_gamma": (("shape", _number), ("scale", _number)),
+}
+
+
 def _parse_mixing(obj, path: str = "mixing") -> sk.MixingLaw:
-    sk = _lazy("skewmix")
     if not isinstance(obj, dict):
         raise SpecValidationError(f"{path}: expected an object")
     kind = obj.get("kind")
+    if not isinstance(kind, str) or kind not in _MIXINGS:
+        raise SpecValidationError(f"{path}.kind: unknown mixing kind {kind!r}")
+    fields = _MIXINGS[kind]
+    _check_fields(obj, ("kind", *(name for name, _ in fields)), (), path)
+    values = [parse(obj[name], f"{path}.{name}") for name, parse in fields]
     try:
-        if kind == "degenerate":
-            _check_fields(obj, {"kind", "v0"}, set(), path)
-            return sk.MixingLaw.degenerate(_number(obj["v0"], f"{path}.v0"))
-        if kind == "finite_discrete":
-            _check_fields(obj, {"kind", "points", "weights"}, set(), path)
-            return sk.MixingLaw.finite_discrete(
-                _number_list(obj["points"], f"{path}.points"),
-                _number_list(obj["weights"], f"{path}.weights"),
-            )
-        if kind == "inverse_gamma":
-            _check_fields(obj, {"kind", "shape", "scale"}, set(), path)
-            return sk.MixingLaw.inverse_gamma(
-                _number(obj["shape"], f"{path}.shape"), _number(obj["scale"], f"{path}.scale")
-            )
+        return getattr(_lazy("skewmix").MixingLaw, kind)(*values)
     except DomainError as exc:
         raise SpecValidationError(f"{path}: {exc}") from exc
-    raise SpecValidationError(f"{path}.kind: unknown mixing kind {kind!r}")
 
 
 @dataclass
@@ -247,7 +248,7 @@ def load_spec(path: str) -> ParsedSpec:
     if n < 1:
         raise SpecValidationError("n: must be >= 1")
     try:
-        required = {"schema", "kind", "n", "mu", "sigma", *row.fields}
+        required = ("schema", "kind", "n", "mu", "sigma", *row.fields)
         _check_fields(obj, required, row.optional, "spec")
         return ParsedSpec(kind, n, sha, **row.parse(obj, n))
     except DomainError as exc:
@@ -271,7 +272,7 @@ def parse_grid(text: str, n: int) -> np.ndarray:
         raise SpecValidationError("grid: expected an object")
     kind = obj.get("kind")
     if kind == "axis":
-        _check_fields(obj, {"kind", "index", "start", "stop", "num"}, set(), "grid")
+        _check_fields(obj, ("kind", "index", "start", "stop", "num"), (), "grid")
         index = _integer(obj["index"], "grid.index")
         if not 0 <= index < n:
             raise SpecValidationError(f"grid.index: must be in [0, {n})")
@@ -287,7 +288,7 @@ def parse_grid(text: str, n: int) -> np.ndarray:
         points[:, index] = np.linspace(*ends, num)
         return points
     if kind == "list":
-        _check_fields(obj, {"kind", "points"}, set(), "grid")
+        _check_fields(obj, ("kind", "points"), (), "grid")
         pts = obj["points"]
         if not isinstance(pts, list) or not pts:
             raise SpecValidationError("grid.points: must be a nonempty list of vectors")
@@ -317,12 +318,12 @@ def parse_grid(text: str, n: int) -> np.ndarray:
 
 class _Kind(NamedTuple):
     """A spec kind: its fields beside schema, kind, n, mu and sigma, required
-    and optional; the parse of a spec object into ParsedSpec's fields; and
+    and optional, each in the order a missing one is named; the parse of a spec object into ParsedSpec's fields; and
     per route a builder of its evaluator of (P, n) grids (hankel None where
     the kind has none) or of its Sampler, raising the route's spec errors."""
 
-    fields: set[str]
-    optional: set[str]
+    fields: tuple[str, ...]
+    optional: tuple[str, ...]
     parse: Callable[[dict, int], dict]
     closed: Callable[[ParsedSpec], Callable[[np.ndarray], el.CFRows]]
     hankel: Optional[Callable[[ParsedSpec], Callable[[np.ndarray], el.CFRows]]]
@@ -336,13 +337,13 @@ def _star_rows(spec: ParsedSpec) -> Callable[[np.ndarray], el.CFRows]:
 
 
 _ELLIPTICAL = _Kind(
-    {"generator"}, set(), _parse_elliptical,
+    ("generator",), (), _parse_elliptical,
     closed=lambda spec: partial(el.cf_rows, spec.elliptical, route="closed"),
     hankel=lambda spec: partial(el.cf_rows, spec.elliptical, route="hankel"),
     sampler=lambda spec: _lazy("sampling").elliptical_sampler(spec.elliptical),
 )
 _SKEW_NORMAL = _Kind(
-    {"alpha"}, {"parametrization"}, _parse_skew_normal,
+    ("alpha",), ("parametrization",), _parse_skew_normal,
     closed=lambda spec: partial(_lazy("skewmix").cf_skew_normal_rows, spec.skew_normal),
     hankel=None,
     sampler=lambda spec: _lazy("sampling").skew_normal_sampler(spec.skew_normal),
@@ -350,7 +351,7 @@ _SKEW_NORMAL = _Kind(
 _KINDS = {
     "elliptical": _ELLIPTICAL,
     "lsm": _Kind(
-        {"generator", "gamma", "mixing"}, set(), _parse_lsm,
+        ("generator", "gamma", "mixing"), (), _parse_lsm,
         closed=lambda spec: partial(
             _lazy("skewmix").cf_location_scale_mixture_rows, spec.lsm, route="closed"),
         hankel=lambda spec: partial(
@@ -361,7 +362,7 @@ _KINDS = {
         _lazy("skewmix").cf_gse_rows, _lazy("skewmix").skew_normal_gse(spec.skew_normal))),
     "skew_normal": _SKEW_NORMAL,
     "smsn": _Kind(
-        {"alpha", "mixing"}, {"parametrization"},
+        ("alpha", "mixing"), ("parametrization",),
         lambda obj, n: {**_parse_skew_normal(obj, n), "mixing": _parse_mixing(obj["mixing"])},
         closed=lambda spec: partial(_lazy("skewmix").cf_smsn_rows, spec.skew_normal, spec.mixing),
         hankel=None,

@@ -341,32 +341,6 @@ def sample_elliptical(spec: EllipticalSpec, count: int, rng: RngStream, workers:
     return elliptical_sampler(spec).batch(count, rng, workers)
 
 
-def _mixing_parts(law: MixingLaw):
-    return (
-        law.kind.value,
-        law.v0,
-        law.points,
-        law.weights,
-        law.shape,
-        law.scale,
-    )
-
-
-def _mixing_chunk(law: MixingLaw, m: int, g: np.random.Generator) -> np.ndarray:
-    from .skewmix import MixingKind
-
-    if law.kind is MixingKind.DEGENERATE:
-        return np.full(m, law.v0)
-    if law.kind is MixingKind.FINITE_DISCRETE:
-        return g.choice(law.points, p=law.weights, size=m)
-    if law.kind is MixingKind.INVERSE_GAMMA:
-        return 1.0 / g.gamma(law.shape, 1.0 / law.scale, size=m)
-    # custom density: inversion of a tabulated CDF
-    if law._cdf_table is None:
-        law._cdf_table = _cdf_table(law.pdf, *law.support)
-    return _invert_from_table(law._cdf_table, g.random(m))
-
-
 def lsm_sampler(spec: LSMixtureSpec) -> Sampler:
     """Rows mu + V gamma + sqrt(V) Sigma^(1/2) Z, V independent of Z."""
     s_root = spec.dispersion.sym_root
@@ -374,7 +348,7 @@ def lsm_sampler(spec: LSMixtureSpec) -> Sampler:
     def draw(m: int, g: np.random.Generator) -> np.ndarray:
         z = _unit_sphere_rows(g, m, spec.n)
         z *= _radius_chunk(spec.base, m, g)[:, None]
-        v = _mixing_chunk(spec.mixing, m, g)
+        v = spec.mixing.draw(m, g)
         y = z @ s_root
         y *= np.sqrt(v)[:, None]
         x = v[:, None] * spec.gamma
@@ -384,7 +358,7 @@ def lsm_sampler(spec: LSMixtureSpec) -> Sampler:
 
     fp = _fingerprint(
         _gen_parts(spec.base.generator), spec.n, spec.mu, spec.gamma, spec.sigma,
-        _mixing_parts(spec.mixing),
+        spec.mixing.parts,
     )
     return Sampler("lsm", spec.n, draw, fp)
 
@@ -447,13 +421,13 @@ def smsn_sampler(spec: SkewNormalSpec, mixing: MixingLaw) -> Sampler:
 
     def draw(m: int, g: np.random.Generator) -> np.ndarray:
         x = _skew_normal_chunk(centered, m, g)
-        x *= np.sqrt(mixing_weights(mixing, _mixing_chunk(mixing, m, g)))[:, None]
+        x *= np.sqrt(mixing_weights(mixing, mixing.draw(m, g)))[:, None]
         x += spec.mu
         return x
 
     fp = _fingerprint(
         spec.n, spec.mu, spec.sigma, spec.alpha, spec.parametrization.value,
-        _mixing_parts(mixing),
+        mixing.parts,
     )
     return Sampler("smsn", spec.n, draw, fp)
 

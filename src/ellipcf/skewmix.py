@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import enum
 import math
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
@@ -64,7 +65,6 @@ if TYPE_CHECKING:  # quadrature is imported by the functions that integrate
     from .quadrature import QuadRows
 
 __all__ = [
-    "MixingKind",
     "MixingLaw",
     "LSMixtureSpec",
     "GSESpec",
@@ -107,52 +107,45 @@ def _times_ratio(g, p, den):
 # ---------------------------------------------------------------------------
 
 
-class MixingKind(enum.Enum):
-    DEGENERATE = "degenerate"
-    FINITE_DISCRETE = "finite_discrete"
-    INVERSE_GAMMA = "inverse_gamma"
-    CUSTOM_DENSITY = "custom_density"
-
-
+@dataclass(eq=False)
 class MixingLaw:
-    """Law of a nonnegative mixing variable, with an optional weight map.
+    """Law of a nonnegative mixing variable V, with an optional weight map.
 
-    Use the factory classmethods; expectations are exact sums for the
-    discrete kinds and adaptive quadrature against the density otherwise
-    (substitution v = lo + x/(1-x) for a support [lo, inf)).
+    Use the factory classmethods.  Each sets the law's record, closures over
+    the parameters it validates, and the expectations and samplers read the
+    law's facts from there: a new mixing kind is one factory here.  The
+    record: ``kind``, the factory's name; ``draw(m, generator)``, m draws of
+    V; for the exact laws, the nodes ``points`` and their ``weights`` (None:
+    one point of mass 1); for the continuous laws, the ``density`` at a float
+    and ``density_rows`` at every entry of a float array, on ``support``;
+    ``parts``, the samplers' fingerprint parts (kind, v0, points, weights,
+    shape, scale), None where the kind has no such field.  Expectations are
+    exact sums for the exact laws and adaptive quadrature against the density
+    otherwise (substitution v = lo + x/(1-x) for a support [lo, inf)).
     """
 
-    def __init__(
-        self,
-        kind: MixingKind,
-        *,
-        v0: float | None = None,
-        points: np.ndarray | None = None,
-        weights: np.ndarray | None = None,
-        shape: float | None = None,
-        scale: float | None = None,
-        density: Callable[[float], float] | None = None,
-        support: tuple[float, float] = (0.0, math.inf),
-        weight_fn: Callable[[float], float] | None = None,
-    ):
-        self.kind = kind
-        self.v0 = v0
-        self.points = points
-        self.weights = weights
-        self.shape = shape
-        self.scale = scale
-        self.density = density
-        self.support = support
-        self.weight_fn = weight_fn  # None: k(u) = u
-        self._cdf_table = None  # filled lazily by the sampler
-        if kind is MixingKind.INVERSE_GAMMA:  # log of the density's constant
-            self._log_norm = shape * math.log(scale) - math.lgamma(shape)
+    kind: str
+    draw: Callable[[int, np.random.Generator], np.ndarray]
+    parts: tuple
+    points: Optional[np.ndarray] = None
+    weights: Optional[np.ndarray] = None
+    density: Optional[Callable[[float], float]] = None
+    density_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    support: tuple[float, float] = (0.0, math.inf)
+    weight_fn: Optional[Callable[[float], float]] = None  # None: k(u) = u
 
     @classmethod
     def degenerate(cls, v0: float, weight_fn=None) -> "MixingLaw":
         if not v0 >= 0.0:
             raise DomainError("MixingLaw.degenerate: v0 must be >= 0")
-        return cls(MixingKind.DEGENERATE, v0=float(v0), weight_fn=weight_fn)
+        v0 = float(v0)
+        return cls(
+            "degenerate",
+            draw=lambda m, g: np.full(m, v0),
+            parts=("degenerate", v0, None, None, None, None),
+            points=np.array([v0]),
+            weight_fn=weight_fn,
+        )
 
     @classmethod
     def finite_discrete(cls, points, weights, weight_fn=None) -> "MixingLaw":
@@ -164,14 +157,40 @@ class MixingLaw:
             raise DomainError("MixingLaw.finite_discrete: support must be nonnegative")
         if np.any(wts < 0.0) or abs(float(wts.sum()) - 1.0) > 1e-12:
             raise DomainError("MixingLaw.finite_discrete: weights must be >= 0 and sum to 1")
-        return cls(MixingKind.FINITE_DISCRETE, points=pts, weights=wts, weight_fn=weight_fn)
+        return cls(
+            "finite_discrete",
+            draw=lambda m, g: g.choice(pts, p=wts, size=m),
+            parts=("finite_discrete", None, pts, wts, None, None),
+            points=pts,
+            weights=wts,
+            weight_fn=weight_fn,
+        )
 
     @classmethod
     def inverse_gamma(cls, shape: float, scale: float, weight_fn=None) -> "MixingLaw":
         if not (shape > 0.0 and scale > 0.0):
             raise DomainError("MixingLaw.inverse_gamma: shape and scale must be > 0")
+        shape, scale = float(shape), float(scale)
+        log_norm = shape * math.log(scale) - math.lgamma(shape)  # computed once
+
+        def pdf(v, log=math.log, exp=math.exp):
+            # b^a / Gamma(a) v^(-a-1) e^(-b/v) for v > 0; floats go through
+            # the math module, whose bits the scalar density has always had
+            return exp((log_norm - (shape + 1.0) * log(v)) - scale / v)
+
+        def pdf_rows(v: np.ndarray) -> np.ndarray:
+            out = np.zeros(v.shape)
+            pos = v > 0.0
+            out[pos] = pdf(v[pos], np.log, np.exp)
+            return out
+
         return cls(
-            MixingKind.INVERSE_GAMMA, shape=float(shape), scale=float(scale), weight_fn=weight_fn
+            "inverse_gamma",
+            draw=lambda m, g: 1.0 / g.gamma(shape, 1.0 / scale, size=m),
+            parts=("inverse_gamma", None, None, None, shape, scale),
+            density=lambda v: pdf(v) if v > 0.0 else 0.0,
+            density_rows=pdf_rows,
+            weight_fn=weight_fn,
         )
 
     @classmethod
@@ -181,9 +200,25 @@ class MixingLaw:
         lo, hi = float(support[0]), float(support[1])
         if lo < 0.0 or hi <= lo:
             raise DomainError("MixingLaw.custom_density: support must be in [0, inf)")
+
+        def pdf(v: float) -> float:
+            return 0.0 if v < lo or v > hi else density(v)
+
+        table = []  # the tabulated CDF, built at the first draw
+
+        def draw(m: int, g: np.random.Generator) -> np.ndarray:
+            from .sampling import _cdf_table, _invert_from_table  # only samplers draw
+
+            if not table:
+                table.append(_cdf_table(pdf, lo, hi))
+            return _invert_from_table(table[0], g.random(m))
+
         law = cls(
-            MixingKind.CUSTOM_DENSITY,
-            density=density,
+            "custom_density",
+            draw=draw,
+            parts=("custom_density", None, None, None, None, None),
+            density=pdf,
+            density_rows=lambda v: _elementwise(pdf, v),
             support=(lo, hi),
             weight_fn=weight_fn,
         )
@@ -196,28 +231,11 @@ class MixingLaw:
 
     def pdf(self, v):
         """Mixing density at v, a float or an array of them."""
-        if self.kind not in (MixingKind.INVERSE_GAMMA, MixingKind.CUSTOM_DENSITY):
-            raise DomainError(f"MixingLaw.pdf: {self.kind.value} has no density")
+        if self.density is None:
+            raise DomainError(f"MixingLaw.pdf: {self.kind} has no density")
         if np.ndim(v):
-            v = np.asarray(v, dtype=float)
-            if self.kind is MixingKind.CUSTOM_DENSITY:
-                return np.array([self.pdf(x) for x in v.ravel().tolist()]).reshape(v.shape)
-            out = np.zeros(v.shape)
-            pos = v > 0.0
-            out[pos] = self._inverse_gamma_pdf(v[pos], np.log, np.exp)
-            return out
-        if self.kind is MixingKind.INVERSE_GAMMA:
-            return self._inverse_gamma_pdf(v, math.log, math.exp) if v > 0.0 else 0.0
-        lo, hi = self.support
-        if v < lo or v > hi:
-            return 0.0
+            return self.density_rows(np.asarray(v, dtype=float))
         return self.density(v)
-
-    def _inverse_gamma_pdf(self, v, log, exp):
-        # b^a / Gamma(a) v^(-a-1) e^(-b/v) for v > 0, with the log of the
-        # constant computed once; floats go through the math module, whose
-        # bits the scalar density has always had
-        return exp((self._log_norm - (self.shape + 1.0) * log(v)) - self.scale / v)
 
     def expectation_rows(self, fn, count: int):
         """E[fn(rows, V)] for `count` integrands at once: (values, failures).
@@ -234,24 +252,20 @@ class MixingLaw:
         """
         failures: dict = {}
         if self.is_exact():
-            if self.kind is MixingKind.DEGENERATE:
-                points, weights = np.array([self.v0]), None
-            else:
-                points, weights = self.points, self.weights
             ids = np.arange(count)
-            vals, ok = _call_rows(fn, ids, np.tile(points, (count, 1)), failures)
-            if weights is None:
+            vals, ok = _call_rows(fn, ids, np.tile(self.points, (count, 1)), failures)
+            if self.weights is None:
                 total = vals[:, 0]
             else:
                 total = 0
-                for j, w in enumerate(weights):
+                for j, w in enumerate(self.weights):
                     total = total + w * vals[:, j]  # in point order, as sum() adds
             out = np.full(count, np.nan, dtype=np.result_type(total, float))
             out[ok] = total
             return out, failures
         from .quadrature import adaptive_rows  # continuous laws only
 
-        lo, hi = self.support if self.kind is MixingKind.CUSTOM_DENSITY else (0.0, math.inf)
+        lo, hi = self.support
         if math.isinf(hi):
             # v = lo + x/(1-x) maps [0, 1) onto [lo, inf)
             def integrand(rows, x):
@@ -280,7 +294,7 @@ class MixingLaw:
         return values[0].item()
 
     def is_exact(self) -> bool:
-        return self.kind in (MixingKind.DEGENERATE, MixingKind.FINITE_DISCRETE)
+        return self.points is not None
 
 
 # ---------------------------------------------------------------------------

@@ -530,6 +530,29 @@ class TestSpecMessages:
         assert rc == 2
         assert capsys.readouterr() == ("", f"spec error: {message}\n")
 
+    @pytest.mark.parametrize("hash_seed", ["0", "5"])
+    def test_missing_fields_named_in_declared_order(self, tmp_path, hash_seed):
+        # several fields missing at once: the first in the declared order is
+        # named, whatever order the string hash seed gives a set of them
+        point = '{"kind":"list","points":[[0.5,0.25]]}'
+        cases = [
+            (write_spec(tmp_path, "lsm.json", {"schema": 1, "kind": "lsm", "n": 2}), point),
+            (write_spec(tmp_path, "normal.json", normal_spec()), '{"kind":"axis"}'),
+            (write_spec(tmp_path, "mixing.json", _lsm_spec({"kind": "finite_discrete"})), point),
+        ]
+        code = ("import sys\nfrom ellipcf import cli\n"
+                "for spec, grid in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+                "    assert cli.main(['eval', '--spec', spec, '--grid', grid]) == 2\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code, *itertools.chain(*cases)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ("spec error: spec.mu: missing required field\n"
+                               "spec error: grid.index: missing required field\n"
+                               "spec error: mixing.points: missing required field\n")
+
     @pytest.mark.parametrize("n, generator, message", [
         pytest.param(3, lambda: generators.generalized_t_generator(2, 3.0, 3),
                      "generator: generalized-t profile built for n=2, spec has n=3",
@@ -1501,7 +1524,7 @@ class TestReadmeTables:
                 {item.split()[0].rstrip("*") for item in routes.split(", ")},
             )
         assert rows == {
-            kind: (row.fields, row.optional,
+            kind: (set(row.fields), set(row.optional),
                    {"closed", "mc"} | ({"hankel"} if row.hankel is not None else set()))
             for kind, row in cli._KINDS.items()
         }
@@ -1512,3 +1535,11 @@ class TestReadmeTables:
         families = {name: tuple(re.findall(r"\w+", params or ""))
                     for name, params in re.findall(r"`(\w+)(?: \{([^}]*)\})?`", listed)}
         assert families == {name: names for name, (_, names, _) in cli._FAMILIES.items()}
+
+    def test_mixing_list_matches_cli(self):
+        text = " ".join(self.README.read_text().split())
+        listed = text[text.index("Mixing laws:"):text.index("`parametrization` is")]
+        kinds = {name: tuple(re.findall(r"\w+", fields))
+                 for name, fields in re.findall(r"`(\w+) \{([^}]*)\}`", listed)}
+        assert kinds == {kind: tuple(name for name, _ in fields)
+                         for kind, fields in cli._MIXINGS.items()}
