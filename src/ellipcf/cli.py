@@ -69,7 +69,7 @@ def _lazy(module: str):
     return getattr(__import__(__package__, fromlist=[module]), module)
 
 
-def _check_fields(obj: dict, required: tuple[str, ...], optional: tuple[str, ...], path: str) -> None:
+def _check_fields(obj: dict, required: tuple, optional: tuple, path: str) -> None:
     """The first unknown field in the object's order, then the first missing
     required field in the declared order, is an error naming it."""
     for key in obj:
@@ -318,9 +318,10 @@ def parse_grid(text: str, n: int) -> np.ndarray:
 
 class _Kind(NamedTuple):
     """A spec kind: its fields beside schema, kind, n, mu and sigma, required
-    and optional, each in the order a missing one is named; the parse of a spec object into ParsedSpec's fields; and
-    per route a builder of its evaluator of (P, n) grids (hankel None where
-    the kind has none) or of its Sampler, raising the route's spec errors."""
+    and optional, each in the order a missing one is named; the parse of a
+    spec object into ParsedSpec's fields; and per route a builder of its
+    evaluator of (P, n) grids (hankel None where the kind has none) or of its
+    Sampler, raising the route's spec errors."""
 
     fields: tuple[str, ...]
     optional: tuple[str, ...]
