@@ -62,7 +62,9 @@ class DensityGenerator:
     (NoClosedFormError where there is none); ``radius(n, size, rng)``, size
     draws of R (None: no direct draw); ``moment(d)``, int_0^inf z^(d/2-1) g dz
     where ``finite(d)`` holds (None: no closed form); ``check_dimension(n)``,
-    raising DomainError where the profile cannot serve dimension n.
+    raising DomainError where the profile cannot serve dimension n.  A
+    custom profile's ``probe`` holds g at the radii its construction checked,
+    which tell custom profiles apart in a sampler's provenance fingerprint.
     """
 
     family: Family
@@ -77,6 +79,7 @@ class DensityGenerator:
     moment: Optional[Callable[[float], float]] = None
     finite: Callable[[float], bool] = lambda d: True
     check_dimension: Callable[[int], None] = lambda n: None
+    probe: tuple = field(default=(), repr=False)
 
     def __call__(self, z: float) -> float:
         return self.g(z)
@@ -348,6 +351,7 @@ def custom_generator(
     if not support_radius > 0.0:
         raise DomainError("custom_generator: support_radius must be > 0")
     probe_top = min(support_radius, 50.0)
+    probe = []
     for i in range(33):
         v = probe_top * i / 32.0
         if v >= support_radius:
@@ -355,6 +359,7 @@ def custom_generator(
         gz = g(v * v)
         if not gz >= 0.0:  # also catches NaN
             raise DomainError(f"custom_generator: g({v * v}) = {gz} is negative or NaN")
+        probe.append(float(gz))
 
     def closed_form(n: int, q: float) -> float:
         raise NoClosedFormError("no closed form for family custom; use the Hankel route")
@@ -375,6 +380,7 @@ def custom_generator(
         support_radius=float(support_radius),
         closed_form=closed_form,
         check_dimension=check_dimension,
+        probe=tuple(probe),
     )
     return gen
 

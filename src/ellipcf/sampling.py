@@ -4,9 +4,10 @@ Each law has a Sampler whose draw function gives the rows of one chunk from
 that chunk's counter-based Philox stream, keyed by (seed, stream id, chunk
 index).  Sampler.chunks draws the chunks on the worker pool and passes each
 one straight to a reduction, with at most 2 x workers chunks in flight, so
-memory does not grow with the draw count: the CLI reduces chunks to CSV
-text (sample) or to the cos and sin sums of the empirical CF (the mc route).
-The sample_* functions gather the chunks into one SampleBatch.  Chunks have
+memory does not grow with the draw count: Sampler.csv reduces chunks to CSV
+text (sample) and Sampler.empirical_cf_rows to the cos and sin sums of the
+empirical CF (the mc route).  Sampler.batch gathers the chunks into one
+SampleBatch; the sample_* functions are its per-law forms.  Chunks have
 a fixed size and their results come back in chunk order, so every result is
 bit-identical for any worker count, and any draw is replayable from its
 provenance line.
@@ -16,6 +17,7 @@ Mureika (1977).  It takes a whole grid in one pass over the draws, one chunk
 of draws at a time.  For every grid point a chunk gives its sums of cos and
 sin of t'x, both from one vectorized tan of the half angle.  The chunk sums
 are added in chunk order, so the result does not depend on the worker count.
+empirical_cf takes one point of it over a held batch.
 
 The skewmix module is imported by the samplers of the lsm, skew-normal and
 smsn laws, and the quadrature module by the CDF tables of custom
@@ -47,7 +49,7 @@ from .elliptical import (
 )
 from .errors import DomainError
 from .generators import DensityGenerator
-from .specfun import _node_by_node
+from .specfun import _elementwise, _node_by_node
 
 if TYPE_CHECKING:  # imported by the samplers that use them
     from .skewmix import LSMixtureSpec, MixingLaw, SkewNormalSpec
@@ -61,14 +63,11 @@ __all__ = [
     "lsm_sampler",
     "skew_normal_sampler",
     "smsn_sampler",
-    "sample_sphere",
     "sample_elliptical",
     "sample_location_scale_mixture",
     "sample_skew_normal",
     "sample_smsn",
     "empirical_cf",
-    "empirical_cf_rows",
-    "batch_to_csv",
 ]
 
 _CHUNK = 1 << 15  # rows per chunk; fixed so worker count cannot matter
@@ -218,17 +217,21 @@ class Sampler:
         workers: int = 1,
         extra_comments: Optional[list[str]] = None,
     ) -> Iterator[bytes]:
-        """The bytes batch_to_csv writes for self.batch(count, rng, workers),
-        in parts: each chunk is formatted on the worker pool as it is drawn.
+        """count draws as CSV bytes, in parts: '#' comment lines (the
+        provenance, then extra_comments), the x1..xn header, and the rows as
+        %.17g text, each chunk formatted on the worker pool as it is drawn.
         The count is checked here, before any draw."""
         head = _csv_head(self.provenance(rng, count), self.n, extra_comments)
         return itertools.chain([head], self.chunks(count, rng, workers, _csvout.rows))
 
     def empirical_cf_rows(self, ts, count: int, rng: RngStream, workers: int = 1) -> CFRows:
-        """empirical_cf_rows(self.batch(count, rng, workers), ts, workers),
-        bit for bit, without holding the batch: each chunk is reduced to its
-        cos and sin sums as it is drawn.  The count is checked even when no
-        row needs a draw (every t = 0), and then nothing is drawn."""
+        """Monte-Carlo CF estimate (1/N) sum exp(i t'X_j), abs_err = 3/sqrt(N),
+        at each row t of the (P, n) array ts from count draws, each chunk
+        reduced to its cos and sin sums as it is drawn.  The chunk sums add
+        in chunk order, so every worker count gives the same bits.  t = 0
+        gives (1, 0) exactly; the count is checked even when every row is the
+        origin, and then nothing is drawn.  A point where t'x overflows fails:
+        it and the rows after it are dropped, with an OverflowError recorded."""
 
         def block_sums(points: np.ndarray) -> Iterator[np.ndarray]:
             chunks = self.chunks(count, rng, workers, lambda rows: _block_sums(rows, points))
@@ -258,11 +261,6 @@ def _unit_sphere_rows(gen: np.random.Generator, m: int, n: int) -> np.ndarray:
         norms = _row_norms(x)
     x /= norms[:, None]
     return x
-
-
-def sample_sphere(n: int, count: int, rng: RngStream, workers: int = 1) -> SampleBatch:
-    """Uniform draws on the unit sphere surface in R^n."""
-    return Sampler("sphere", n, lambda m, g: _unit_sphere_rows(g, m, n)).batch(count, rng, workers)
 
 
 def _radius_chunk(spec: EllipticalSpec, m: int, g: np.random.Generator) -> np.ndarray:
@@ -295,9 +293,12 @@ def _cdf_table(
             if tail < 1e-11:
                 break
             hi *= 2.0
-    grid = np.unique(
-        np.concatenate([np.linspace(lo, hi, 400), np.geomspace(max(lo, hi * 1e-6), hi, 200)])
-    )
+    # the geometric part as np.geomspace builds it, but with the math module's
+    # powers, whose bits do not follow numpy's SIMD dispatch
+    start = max(lo, hi * 1e-6)
+    geo = _elementwise(lambda e: 10.0**e, np.linspace(math.log10(start), math.log10(hi), 200))
+    geo[0], geo[-1] = start, hi
+    grid = np.unique(np.concatenate([np.linspace(lo, hi, 400), geo]))
     # every segment in one lockstep call, their masses summed in grid order
     segs, _, _, failures = adaptive_rows(
         _node_by_node(pdf), len(grid) - 1, grid[:-1], grid[1:], 1e-12, 1e-10, 64
@@ -493,30 +494,15 @@ def _cf_rows(
     )
 
 
-def empirical_cf_rows(batch: SampleBatch, ts, workers: int = 1) -> CFRows:
-    """Monte-Carlo CF estimate (1/N) sum exp(i t'X_j), abs_err = 3/sqrt(N),
-    at each row t of the (P, n) array ts, in one pass over the batch.
-
-    Each thread job takes one _CHUNK block of draws.  For every grid point
-    it returns the block's sums of cos and sin of t'x.  The block sums are
-    added in block order, so the result is the same for any worker count.
-    t = 0 gives (1, 0) without a pass.  A point where t'x overflows is the
-    failing row: it and the rows after it are dropped, and an
-    OverflowError is recorded.
-    """
+def empirical_cf(batch: SampleBatch, t) -> ComplexCF:
+    """Monte-Carlo CF estimate (1/N) sum exp(i t'X_j), abs_err = 3/sqrt(N):
+    Sampler.empirical_cf_rows's sums at one point, over the batch's blocks
+    of _CHUNK draws in block order."""
 
     def block_sums(points: np.ndarray) -> Iterator[np.ndarray]:
-        starts = range(0, batch.count, _CHUNK) if len(points) else ()
-        return _ordered_map(
-            lambda s: _block_sums(batch.data[s:s + _CHUNK], points), starts, workers
-        )
+        return (_block_sums(batch.data[s:s + _CHUNK], points) for s in range(0, batch.count, _CHUNK))
 
-    return _cf_rows(ts, batch.n, batch.count, block_sums)
-
-
-def empirical_cf(batch: SampleBatch, t) -> ComplexCF:
-    """Monte-Carlo CF estimate (1/N) sum exp(i t'X_j), abs_err = 3/sqrt(N)."""
-    return empirical_cf_rows(batch, _as_vector(t, batch.n, "t")[None, :]).row(0)
+    return _cf_rows(_as_vector(t, batch.n, "t")[None, :], batch.n, batch.count, block_sums).row(0)
 
 
 def _fingerprint(*parts) -> str:
@@ -532,7 +518,9 @@ def _fingerprint(*parts) -> str:
 
 
 def _gen_parts(gen: DensityGenerator):
-    return (gen.family.value, tuple(sorted(gen.params.items())), gen.support_radius)
+    # a named family is its parameters; a custom profile adds its probe values
+    parts = (gen.family.value, tuple(sorted(gen.params.items())), gen.support_radius)
+    return parts + (gen.probe,) if gen.probe else parts
 
 
 def _provenance(kind: str, rng: RngStream, count: int, fingerprint: str = "") -> str:
@@ -548,9 +536,3 @@ def _csv_head(provenance: str, n: int, extra_comments: Optional[list[str]]) -> b
     comments = [provenance, *(extra_comments or [])]
     head = "".join(f"# {line}\n" for line in comments)
     return (head + ",".join(f"x{i + 1}" for i in range(n)) + "\n").encode()
-
-
-def batch_to_csv(batch: SampleBatch, path, extra_comments: Optional[list[str]] = None) -> None:
-    """Write the batch as CSV ('-' = stdout): '#' provenance comments, x1..xn header, rows."""
-    blocks = (_csvout.rows(batch.data[s:s + _CHUNK]) for s in range(0, batch.count, _CHUNK))
-    _csvout.write(path, itertools.chain([_csv_head(batch.provenance, batch.n, extra_comments)], blocks))

@@ -116,12 +116,14 @@ class MixingLaw:
     law's facts from there: a new mixing kind is one factory here.  The
     record: ``kind``, the factory's name; ``draw(m, generator)``, m draws of
     V; for the exact laws, the nodes ``points`` and their ``weights`` (None:
-    one point of mass 1); for the continuous laws, the ``density`` at a float
-    and ``density_rows`` at every entry of a float array, on ``support``;
+    one point of mass 1); for the continuous laws, the ``density`` at every
+    entry of a float array (of any shape, 0-d included), on ``support``;
     ``parts``, the samplers' fingerprint parts (kind, v0, points, weights,
-    shape, scale), None where the kind has no such field.  Expectations are
-    exact sums for the exact laws and adaptive quadrature against the density
-    otherwise (substitution v = lo + x/(1-x) for a support [lo, inf)).
+    shape, scale), None where the kind has no such field, then for a custom
+    density its support and its values at 32 points spread over it.
+    Expectations are exact sums for the exact laws and adaptive quadrature
+    against the density otherwise (substitution v = lo + x/(1-x) for a
+    support [lo, inf)).
     """
 
     kind: str
@@ -129,8 +131,7 @@ class MixingLaw:
     parts: tuple
     points: Optional[np.ndarray] = None
     weights: Optional[np.ndarray] = None
-    density: Optional[Callable[[float], float]] = None
-    density_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    density: Optional[Callable[[np.ndarray], np.ndarray]] = None
     support: tuple[float, float] = (0.0, math.inf)
     weight_fn: Optional[Callable[[float], float]] = None  # None: k(u) = u
 
@@ -173,23 +174,19 @@ class MixingLaw:
         shape, scale = float(shape), float(scale)
         log_norm = shape * math.log(scale) - math.lgamma(shape)  # computed once
 
-        def pdf(v, log=math.log, exp=math.exp):
-            # b^a / Gamma(a) v^(-a-1) e^(-b/v) for v > 0; floats go through
-            # the math module, whose bits the scalar density has always had
-            return exp((log_norm - (shape + 1.0) * log(v)) - scale / v)
-
-        def pdf_rows(v: np.ndarray) -> np.ndarray:
+        def density(v: np.ndarray) -> np.ndarray:
+            # b^a / Gamma(a) v^(-a-1) e^(-b/v) for v > 0, else 0
             out = np.zeros(v.shape)
             pos = v > 0.0
-            out[pos] = pdf(v[pos], np.log, np.exp)
+            w = v[pos]
+            out[pos] = np.exp((log_norm - (shape + 1.0) * np.log(w)) - scale / w)
             return out
 
         return cls(
             "inverse_gamma",
             draw=lambda m, g: 1.0 / g.gamma(shape, 1.0 / scale, size=m),
             parts=("inverse_gamma", None, None, None, shape, scale),
-            density=lambda v: pdf(v) if v > 0.0 else 0.0,
-            density_rows=pdf_rows,
+            density=density,
             weight_fn=weight_fn,
         )
 
@@ -204,6 +201,7 @@ class MixingLaw:
         def pdf(v: float) -> float:
             return 0.0 if v < lo or v > hi else density(v)
 
+        top = min(hi - lo, 50.0)  # the fingerprint's probes: interior points of [lo, lo + top]
         table = []  # the tabulated CDF, built at the first draw
 
         def draw(m: int, g: np.random.Generator) -> np.ndarray:
@@ -216,9 +214,11 @@ class MixingLaw:
         law = cls(
             "custom_density",
             draw=draw,
-            parts=("custom_density", None, None, None, None, None),
-            density=pdf,
-            density_rows=lambda v: _elementwise(pdf, v),
+            parts=(
+                "custom_density", None, None, None, None, None, (lo, hi),
+                tuple(float(pdf(lo + top * (i + 0.5) / 32.0)) for i in range(32)),
+            ),
+            density=lambda v: _elementwise(pdf, v),
             support=(lo, hi),
             weight_fn=weight_fn,
         )
@@ -233,9 +233,8 @@ class MixingLaw:
         """Mixing density at v, a float or an array of them."""
         if self.density is None:
             raise DomainError(f"MixingLaw.pdf: {self.kind} has no density")
-        if np.ndim(v):
-            return self.density_rows(np.asarray(v, dtype=float))
-        return self.density(v)
+        out = self.density(np.asarray(v, dtype=float))
+        return out if np.ndim(v) else float(out)
 
     def expectation_rows(self, fn, count: int):
         """E[fn(rows, V)] for `count` integrands at once: (values, failures).
@@ -503,11 +502,11 @@ class LinearMappedK:
         return self.inner.scaled(self._map(y))
 
 
-def _takes_rows(k_fn) -> bool:
-    # the built-in k functions, which accept stacked points
+def _innermost(k_fn):
+    # the k function behind any LinearMappedK wrappers
     while isinstance(k_fn, LinearMappedK):
         k_fn = k_fn.inner
-    return isinstance(k_fn, SkewNormalK)
+    return k_fn
 
 
 class GSESpec:
@@ -560,7 +559,8 @@ def cf_gse_rows(spec: GSESpec, ts) -> CFRows:
     q = spec.dispersion.quad_rows(ts)
     ys = _row_dots(ts[:, None, :], spec.dispersion.sym_root)
     phase = _row_dots(ts, spec.mu)
-    if spec.log_psi is not None and _takes_rows(spec.k_fn):
+    inner = _innermost(spec.k_fn)
+    if spec.log_psi is not None and isinstance(inner, SkewNormalK):  # takes stacked points
 
         def evaluate(sl: slice):
             mant, log_scale = spec.k_fn.scaled(ys[sl])
@@ -569,7 +569,8 @@ def cf_gse_rows(spec: GSESpec, ts) -> CFRows:
             return (*_rotate(z, phase[sl]), math.nan, CFMethod.CLOSED_FORM.value, {})
 
         return _chunk_rows(ts, evaluate)
-    scaled = spec.log_psi is not None and hasattr(spec.k_fn, "scaled")
+    # LinearMappedK always has a scaled method; it works only over a scaled inner k
+    scaled = spec.log_psi is not None and hasattr(inner, "scaled")
 
     def evaluate(sl: slice):  # point by point, each point's exception at its row
         z = np.full(len(q[sl]), np.nan, dtype=complex)

@@ -1536,6 +1536,12 @@ class TestReadmeTables:
                     for name, params in re.findall(r"`(\w+)(?: \{([^}]*)\})?`", listed)}
         assert families == {name: names for name, (_, names, _) in cli._FAMILIES.items()}
 
+    def test_library_block_runs(self):
+        # README's one python block, the library tour, runs as written
+        text = self.README.read_text()
+        block = text[text.index("```python\n") + len("```python\n"):]
+        exec(compile(block[:block.index("```")], "README.md", "exec"), {})
+
     def test_mixing_list_matches_cli(self):
         text = " ".join(self.README.read_text().split())
         listed = text[text.index("Mixing laws:"):text.index("`parametrization` is")]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from ellipcf import _csvout
 from ellipcf import generators as gn
 from ellipcf import sampling
 from ellipcf.elliptical import EllipticalSpec, cf, uniform_sphere_cf
@@ -24,14 +25,11 @@ from ellipcf.skewmix import (
 from ellipcf.sampling import (
     RngStream,
     SampleBatch,
-    batch_to_csv,
     empirical_cf,
-    empirical_cf_rows,
     sample_elliptical,
     sample_location_scale_mixture,
     sample_skew_normal,
     sample_smsn,
-    sample_sphere,
 )
 from ellipcf.specfun import hyp0f1
 
@@ -60,10 +58,20 @@ def std_normal_base(n):
     return EllipticalSpec(n, np.zeros(n), np.eye(n), gn.normal_generator())
 
 
-def sample_ball(n, count, rng, workers=1):
+def sphere_sampler(n):
+    # uniform draws on the unit sphere surface in R^n: the direction kernel
+    # of the elliptical and lsm samplers
+    return sampling.Sampler("sphere", n, lambda m, g: sampling._unit_sphere_rows(g, m, n))
+
+
+def ball_sampler(n):
     # uniform draws inside the unit ball: the uniform_ball law at mu = 0, Sigma = I
     spec = EllipticalSpec(n, np.zeros(n), np.eye(n), gn.uniform_ball_generator())
-    return sampling.elliptical_sampler(spec).batch(count, rng, workers)
+    return sampling.elliptical_sampler(spec)
+
+
+def sample_ball(n, count, rng, workers=1):
+    return ball_sampler(n).batch(count, rng, workers)
 
 
 def sample_radius(spec, count, rng):
@@ -73,16 +81,16 @@ def sample_radius(spec, count, rng):
 
 class TestSphereAndBall:
     def test_sphere_norms_exact(self):
-        batch = sample_sphere(3, 50000, RNG)
+        batch = sphere_sampler(3).batch(50000, RNG)
         assert np.abs(np.linalg.norm(batch.data, axis=1) - 1.0).max() <= 1e-12
 
     def test_sphere_mean_symmetric(self):
-        batch = sample_sphere(4, 100000, RNG)
+        batch = sphere_sampler(4).batch(100000, RNG)
         assert np.abs(batch.data.mean(axis=0)).max() <= 4.0 / math.sqrt(batch.count)
 
     def test_sphere_cf_matches_analytic(self):
         count = 10**6
-        batch = sample_sphere(3, count, RNG, workers=4)
+        batch = sphere_sampler(3).batch(count, RNG, workers=4)
         e = empirical_cf(batch, [2.0, 0.0, 0.0])
         want = uniform_sphere_cf(3, 4.0)
         band = 4.0 / math.sqrt(count)
@@ -318,19 +326,41 @@ class TestSampleSMSN:
 
     def test_custom_density_draws_pinned(self):
         # the lazily tabulated CDF of a custom mixing density, which no spec
-        # file reaches.  The table's grid comes from np.geomspace, whose bits
-        # follow numpy's SIMD dispatch: the first hash is the AVX-512
-        # dispatch's, the second that of the AVX2 and baseline dispatches.
+        # file reaches.  The table's geometric grid takes its powers from the
+        # math module, so one hash holds under every numpy SIMD dispatch.
         sn = SkewNormalSpec([0.5, -0.25], np.diag([4.0, 0.25]), [2.0, -0.5])
         law = MixingLaw.custom_density(lambda v: math.exp(-v), (0.0, math.inf))
         batch = sampling.smsn_sampler(sn, law).batch(40000, RngStream(7))
-        assert hashlib.sha256(batch.data.tobytes()).hexdigest() in (
-            "739b4cfec936b8c4fdc6a1f519d4b3e1fb2a8c49f489693c57a5f37a49a6c82f",
-            "8a63981be425223d91e0ac03ce305c8972d970c12aee6f07a4dea380f19dbc70",
+        assert hashlib.sha256(batch.data.tobytes()).hexdigest() == (
+            "8a63981be425223d91e0ac03ce305c8972d970c12aee6f07a4dea380f19dbc70"
         )
         assert batch.provenance == (
-            "kind=smsn spec=03dc69cf93d6 seed=7 stream=0 count=40000 chunk=32768"
+            "kind=smsn spec=bd1ad9770250 seed=7 stream=0 count=40000 chunk=32768"
         )
+
+    def test_custom_laws_fingerprinted_by_values(self):
+        # a custom generator or mixing density is named in the provenance
+        # line by its values at fixed probes: different laws differ, and the
+        # same law built twice gives the same line
+        sn = SkewNormalSpec([0.0, 0.0], np.eye(2), [1.0, 0.0])
+
+        def mixing(rate):
+            return MixingLaw.custom_density(lambda v: rate * math.exp(-rate * v), (0.0, math.inf))
+
+        def smsn(rate):
+            return sampling.smsn_sampler(sn, mixing(rate)).fingerprint
+
+        def elliptical(scale):
+            g = gn.custom_generator(lambda z: math.exp(-0.5 * z / scale))
+            return sampling.elliptical_sampler(EllipticalSpec(2, np.zeros(2), np.eye(2), g)).fingerprint
+
+        def lsm(rate):
+            spec = LSMixtureSpec(std_normal_base(2), np.zeros(2), np.zeros(2), np.eye(2), mixing(rate))
+            return sampling.lsm_sampler(spec).fingerprint
+
+        for fingerprint in (smsn, elliptical, lsm):
+            assert fingerprint(1.0) == fingerprint(1.0)
+            assert fingerprint(1.0) != fingerprint(2.0)
 
     def test_negative_weight_named(self):
         with pytest.raises(DomainError, match=r"k\(-2.0\)"):
@@ -381,11 +411,16 @@ class TestCosSinKernel:
 
 class TestEmpiricalCFRows:
     COUNT = 10**5 + 17  # two full blocks and a short one
+    RNG = RngStream(seed=5, stream_id=1)
 
     @pytest.fixture(scope="class")
-    def batch(self):
+    def sampler(self):
         spec = EllipticalSpec(2, [0.2, -0.1], [[1.0, 0.3], [0.3, 2.0]], gn.normal_generator())
-        return sample_elliptical(spec, self.COUNT, RngStream(seed=5, stream_id=1))
+        return sampling.elliptical_sampler(spec)
+
+    @pytest.fixture(scope="class")
+    def batch(self, sampler):
+        return sampler.batch(self.COUNT, self.RNG)
 
     @pytest.fixture(scope="class")
     def ts(self):
@@ -393,26 +428,29 @@ class TestEmpiricalCFRows:
         pts[[2, 6]] = 0.0  # origin rows among the others
         return pts
 
-    def test_bitwise_across_workers(self, batch, ts):
-        rows = [empirical_cf_rows(batch, ts, workers=w) for w in (1, 2, 3)]
+    def rows(self, sampler, ts, workers=1):
+        return sampler.empirical_cf_rows(ts, self.COUNT, self.RNG, workers)
+
+    def test_bitwise_across_workers(self, sampler, ts):
+        rows = [self.rows(sampler, ts, workers=w) for w in (1, 2, 3)]
         for other in rows[1:]:
             assert other.re.tobytes() == rows[0].re.tobytes()
             assert other.im.tobytes() == rows[0].im.tobytes()
 
-    def test_rows_equal_point_calls(self, batch, ts):
-        rows = empirical_cf_rows(batch, ts)
+    def test_rows_equal_point_calls(self, sampler, batch, ts):
+        rows = self.rows(sampler, ts)
         for i, t in enumerate(ts):
             assert rows.row(i) == empirical_cf(batch, t)
 
-    def test_origin_rows_exact(self, batch, ts):
-        rows = empirical_cf_rows(batch, ts)
+    def test_origin_rows_exact(self, sampler, ts):
+        rows = self.rows(sampler, ts)
         for i in (2, 6):
             assert (rows.re[i], rows.im[i]) == (1.0, 0.0)
-            assert rows.abs_err[i] == 3.0 / math.sqrt(batch.count)
+            assert rows.abs_err[i] == 3.0 / math.sqrt(self.COUNT)
         assert set(rows.method) == {"mc"}
 
-    def test_near_libm_cos_sin_over_same_blocks(self, batch, ts):
-        rows = empirical_cf_rows(batch, ts)
+    def test_near_libm_cos_sin_over_same_blocks(self, sampler, batch, ts):
+        rows = self.rows(sampler, ts)
         for i, t in enumerate(ts):
             re = im = 0.0
             for start in range(0, batch.count, sampling._CHUNK):
@@ -423,16 +461,32 @@ class TestEmpiricalCFRows:
             assert abs(rows.im[i] - im / batch.count) <= 1e-15
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_overflowing_point_fails_alone(self, batch, ts, workers):
+    def test_overflowing_point_fails_alone(self, sampler, ts, workers):
         bad = np.array([[1.7e308, 1.7e308]])
         grid = np.concatenate([ts[:4], bad, ts[4:]])
-        rows = empirical_cf_rows(batch, grid, workers=workers)
+        rows = self.rows(sampler, grid, workers=workers)
         assert len(rows) == 4 and isinstance(rows.error, OverflowError)
-        whole = empirical_cf_rows(batch, ts[:4])
+        whole = self.rows(sampler, ts[:4])
         assert rows.re.tobytes() == whole.re.tobytes()
         assert rows.im.tobytes() == whole.im.tobytes()
         with pytest.raises(OverflowError, match="t'x overflows"):
             rows.row(4)
+
+    def test_point_calls_pinned(self, batch, ts):
+        # empirical_cf's bits on the grid, origin rows included; the
+        # overflowing point raises.  np.tan's bits follow numpy's SIMD
+        # dispatch: the first hash is the AVX-512 dispatch's, the second
+        # that of the AVX2 and baseline dispatches.
+        with pytest.raises(OverflowError, match="t'x overflows"):
+            empirical_cf(batch, [1.7e308, 1.7e308])
+        h = hashlib.sha256()
+        for t in ts:
+            e = empirical_cf(batch, t)
+            h.update(np.array([e.re, e.im, e.abs_err]).tobytes())
+        assert h.hexdigest() in (
+            "6443c518726a919d077ab78339ff6a6aa743fa5cfa46fab2ab36c5ec10e2cce7",
+            "7b85de483aefaa71528f554c979141e1f0d08a68f7be5bb8d7cf19effb9605ff",
+        )
 
 
 class TestDeterminism:
@@ -452,20 +506,19 @@ class TestDeterminism:
         assert np.array_equal(a.data, b.data)
 
     def test_streams_differ(self):
-        a = sample_sphere(2, 1000, RngStream(seed=7, stream_id=0))
-        b = sample_sphere(2, 1000, RngStream(seed=7, stream_id=1))
+        a = sphere_sampler(2).batch(1000, RngStream(seed=7, stream_id=0))
+        b = sphere_sampler(2).batch(1000, RngStream(seed=7, stream_id=1))
         assert not np.array_equal(a.data, b.data)
 
     def test_provenance_recorded(self):
-        batch = sample_sphere(2, 10, RngStream(seed=31, stream_id=4))
+        batch = sphere_sampler(2).batch(10, RngStream(seed=31, stream_id=4))
         assert "seed=31" in batch.provenance and "stream=4" in batch.provenance
 
 
 class TestBatchCSV:
     def test_round_trip(self, tmp_path):
-        batch = sample_ball(2, 500, RNG)
         path = tmp_path / "batch.csv"
-        batch_to_csv(batch, path, extra_comments=["spec_sha256=abc"])
+        path.write_bytes(b"".join(ball_sampler(2).csv(500, RNG, 1, ["spec_sha256=abc"])))
         lines = path.read_text().splitlines()
         comments = [ln for ln in lines if ln.startswith("#")]
         assert any("seed=" in c for c in comments)
@@ -474,22 +527,26 @@ class TestBatchCSV:
         assert header == "x1,x2"
         rows = [ln for ln in lines if not ln.startswith("#")][1:]
         parsed = np.array([[float(v) for v in row.split(",")] for row in rows])
-        assert np.array_equal(parsed, batch.data)
+        assert np.array_equal(parsed, sample_ball(2, 500, RNG).data)
 
-    def test_block_writer_matches_per_value_format(self, tmp_path):
+    def test_block_writer_matches_per_value_format(self):
         # the block template must write exactly what f"{v:.17g}" writes,
         # also across block boundaries and on signed zero and subnormals
         edge = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, -1e300, 0.1, 1.0 / 3.0, 123456789.0, 2.5]
-        data = RngStream(seed=3).chunk_generator(0).standard_normal((70000, 2))
-        data[: len(edge), 0] = edge
-        data[-len(edge):, 1] = edge
-        batch = SampleBatch(2, len(data), data, "kind=test")
-        path = tmp_path / "block.csv"
-        batch_to_csv(batch, path)
-        expected = "# kind=test\nx1,x2\n" + "".join(
+
+        def draw(m, g):  # every chunk starts and ends with the edge values
+            rows = g.standard_normal((m, 2))
+            rows[: len(edge), 0] = edge
+            rows[-len(edge):, 1] = edge
+            return rows
+
+        sampler = sampling.Sampler("test", 2, draw)
+        rng = RngStream(seed=3)
+        data = sampler.batch(70000, rng).data
+        expected = f"# {sampler.provenance(rng, 70000)}\nx1,x2\n" + "".join(
             ",".join(f"{v:.17g}" for v in row) + "\n" for row in data
         )
-        assert path.read_text() == expected
+        assert b"".join(sampler.csv(70000, rng)).decode() == expected
 
     def test_batch_validation(self):
         with pytest.raises(DomainError):
@@ -529,22 +586,25 @@ class TestStreamedChunks:
         sampler, sample = self.samplers()[kind]
         rng = RngStream(seed=11, stream_id=3)
         streamed = sampler.empirical_cf_rows(self.GRID, self.COUNT, rng, workers)
-        whole = empirical_cf_rows(sample(self.COUNT, rng, workers), self.GRID, workers)
-        assert len(streamed) == len(whole) == 3  # the overflowing point fails
-        assert isinstance(streamed.error, OverflowError) and isinstance(whole.error, OverflowError)
+        batch = sample(self.COUNT, rng, workers)
+        whole = [empirical_cf(batch, t) for t in self.GRID[:3]]
+        with pytest.raises(OverflowError):  # the overflowing point fails
+            empirical_cf(batch, self.GRID[3])
+        assert len(streamed) == 3 and isinstance(streamed.error, OverflowError)
         for name in ("re", "im", "abs_err"):
-            assert getattr(streamed, name).tobytes() == getattr(whole, name).tobytes()
+            want = np.array([getattr(e, name) for e in whole])
+            assert getattr(streamed, name).tobytes() == want.tobytes()
         assert (streamed.re[1], streamed.im[1]) == (1.0, 0.0)
 
     @pytest.mark.parametrize("kind", ["elliptical", "lsm", "skew_normal", "smsn"])
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_csv_bytes_equal_batch(self, tmp_path, kind, workers):
-        sampler, sample = self.samplers()[kind]
+    def test_csv_bytes_equal_batch(self, kind, workers):
+        sampler, _ = self.samplers()[kind]
         rng = RngStream(seed=12)
-        path = tmp_path / "batch.csv"
-        batch_to_csv(sample(self.COUNT, rng, 1), path, ["spec_sha256=abc"])
+        batch = sampler.batch(self.COUNT, rng, 1)
+        want = f"# {batch.provenance}\n# spec_sha256=abc\nx1,x2\n".encode() + _csvout.rows(batch.data)
         streamed = b"".join(sampler.csv(self.COUNT, rng, workers, ["spec_sha256=abc"]))
-        assert streamed == path.read_bytes()
+        assert streamed == want
 
     def test_count_checked_before_any_draw(self):
         calls = []

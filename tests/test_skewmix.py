@@ -389,6 +389,22 @@ class TestGSE:
             rhs = phase * cf_gse(gse, b.T @ t).value
             assert abs(lhs - rhs) <= 1e-12
 
+    def test_affine_closure_user_k_with_log_psi(self):
+        # a user k without a scaled form, beside log_psi: its affine image
+        # wraps it in LinearMappedK, which always has a scaled method, and
+        # must still take the unscaled point path
+        sn = SkewNormalSpec([0.0, 0.0], np.eye(2), [1.0, -0.5])
+        gse = GSESpec([0.1, -0.2], [[1.0, 0.3], [0.3, 2.0]], lambda q: math.exp(-0.5 * q),
+                      _PlainK(sn.skew_direction()), log_psi=lambda q: -0.5 * q)
+        rng = np.random.default_rng(43)
+        for b in (np.eye(2), rng.normal(size=(1, 2)), rng.normal(size=(2, 2))):
+            a = rng.normal(size=len(b))
+            transformed = gse_affine(gse, a, b)
+            for t in rng.normal(size=(5, len(b))):
+                lhs = cf_gse(transformed, t).value
+                phase = complex(math.cos(float(a @ t)), math.sin(float(a @ t)))
+                assert abs(lhs - phase * cf_gse(gse, b.T @ t).value) <= 1e-12
+
     def test_stacked_k_matches_point_calls(self):
         # built-in k functions take stacked points; the GSE grid form uses
         # them in array passes and must agree bitwise with one-point calls
