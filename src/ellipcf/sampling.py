@@ -413,8 +413,8 @@ def sample_skew_normal(
 
 
 def smsn_sampler(spec: SkewNormalSpec, mixing: MixingLaw) -> Sampler:
-    """Scale mixture of skew-normals: mu + sqrt(k(xi)) X, X skew-normal(0, Sigma, alpha)."""
-    from .skewmix import SkewNormalSpec, mixing_weights
+    """Scale mixture of skew-normals: mu + sqrt(V) X, X skew-normal(0, Sigma, alpha)."""
+    from .skewmix import SkewNormalSpec
 
     centered = SkewNormalSpec(
         np.zeros(spec.n), spec.sigma, spec.alpha, spec.parametrization
@@ -422,7 +422,7 @@ def smsn_sampler(spec: SkewNormalSpec, mixing: MixingLaw) -> Sampler:
 
     def draw(m: int, g: np.random.Generator) -> np.ndarray:
         x = _skew_normal_chunk(centered, m, g)
-        x *= np.sqrt(mixing_weights(mixing, mixing.draw(m, g)))[:, None]
+        x *= np.sqrt(mixing.draw(m, g))[:, None]
         x += spec.mu
         return x
 

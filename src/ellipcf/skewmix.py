@@ -2,7 +2,9 @@
 
 Location-scale mixtures, the star-unimodal (scale-mixture-of-uniforms)
 route, generalized skew-elliptical (GSE) characteristic functions with
-their affine closure, the skew-normal CF and its scale mixtures.
+their affine closure, the skew-normal CF and its scale mixtures.  Both
+mixtures mix over one nonnegative scale variable V, whose law is a
+:class:`MixingLaw`.
 
 Skewness enters a CF only through an odd complex factor k with
 k(t) + k(-t) = 1; all evaluators here assemble that factor in log scale
@@ -86,8 +88,6 @@ __all__ = [
     "cf_smsn",
     "cf_smsn_rows",
     "smsn_split",
-    "mixing_weight",
-    "mixing_weights",
 ]
 
 _MIX_ABS_TOL = 1e-8
@@ -109,21 +109,23 @@ def _times_ratio(g, p, den):
 
 @dataclass(eq=False)
 class MixingLaw:
-    """Law of a nonnegative mixing variable V, with an optional weight map.
+    """Law of a nonnegative mixing variable V.
 
-    Use the factory classmethods.  Each sets the law's record, closures over
-    the parameters it validates, and the expectations and samplers read the
-    law's facts from there: a new mixing kind is one factory here.  The
-    record: ``kind``, the factory's name; ``draw(m, generator)``, m draws of
-    V; for the exact laws, the nodes ``points`` and their ``weights`` (None:
-    one point of mass 1); for the continuous laws, the ``density`` at every
-    entry of a float array (of any shape, 0-d included), on ``support``;
-    ``parts``, the samplers' fingerprint parts (kind, v0, points, weights,
-    shape, scale), None where the kind has no such field, then for a custom
-    density its support and its values at 32 points spread over it.
-    Expectations are exact sums for the exact laws and adaptive quadrature
-    against the density otherwise (substitution v = lo + x/(1-x) for a
-    support [lo, inf)).
+    A mixing k(U) of some other variable U is given as the law of
+    V = k(U), e.g. ``finite_discrete(k(points), weights)``.  Use the factory
+    classmethods.  Each sets the law's record, closures over the parameters
+    it validates (each finite; NaN fails every check), and the
+    expectations and samplers read the law's facts from there: a new mixing
+    kind is one factory here.  The record: ``kind``, the factory's name;
+    ``draw(m, generator)``, m draws of V; for the exact laws, the nodes
+    ``points`` and their ``weights`` (None: one point of mass 1); for the
+    continuous laws, the ``density`` at every entry of a float array (of any
+    shape, 0-d included), on ``support``; ``parts``, the samplers'
+    fingerprint parts (kind, v0, points, weights, shape, scale), None where
+    the kind has no such field, then for a custom density its support and
+    its values at 32 points spread over it.  Expectations are exact sums for
+    the exact laws and adaptive quadrature against the density otherwise
+    (substitution v = lo + x/(1-x) for a support [lo, inf)).
     """
 
     kind: str
@@ -133,10 +135,11 @@ class MixingLaw:
     weights: Optional[np.ndarray] = None
     density: Optional[Callable[[np.ndarray], np.ndarray]] = None
     support: tuple[float, float] = (0.0, math.inf)
-    weight_fn: Optional[Callable[[float], float]] = None  # None: k(u) = u
 
     @classmethod
-    def degenerate(cls, v0: float, weight_fn=None) -> "MixingLaw":
+    def degenerate(cls, v0: float) -> "MixingLaw":
+        if not math.isfinite(v0):
+            raise DomainError("MixingLaw.degenerate: v0 must be finite")
         if not v0 >= 0.0:
             raise DomainError("MixingLaw.degenerate: v0 must be >= 0")
         v0 = float(v0)
@@ -145,15 +148,16 @@ class MixingLaw:
             draw=lambda m, g: np.full(m, v0),
             parts=("degenerate", v0, None, None, None, None),
             points=np.array([v0]),
-            weight_fn=weight_fn,
         )
 
     @classmethod
-    def finite_discrete(cls, points, weights, weight_fn=None) -> "MixingLaw":
+    def finite_discrete(cls, points, weights) -> "MixingLaw":
         pts = np.asarray(points, dtype=float)
         wts = np.asarray(weights, dtype=float)
         if pts.ndim != 1 or pts.shape != wts.shape:
             raise DomainError("MixingLaw.finite_discrete: points/weights shape mismatch")
+        if not (np.isfinite(pts).all() and np.isfinite(wts).all()):
+            raise DomainError("MixingLaw.finite_discrete: points and weights must be finite")
         if np.any(pts < 0.0):
             raise DomainError("MixingLaw.finite_discrete: support must be nonnegative")
         if np.any(wts < 0.0) or abs(float(wts.sum()) - 1.0) > 1e-12:
@@ -164,22 +168,26 @@ class MixingLaw:
             parts=("finite_discrete", None, pts, wts, None, None),
             points=pts,
             weights=wts,
-            weight_fn=weight_fn,
         )
 
     @classmethod
-    def inverse_gamma(cls, shape: float, scale: float, weight_fn=None) -> "MixingLaw":
+    def inverse_gamma(cls, shape: float, scale: float) -> "MixingLaw":
+        if not (math.isfinite(shape) and math.isfinite(scale)):
+            raise DomainError("MixingLaw.inverse_gamma: shape and scale must be finite")
         if not (shape > 0.0 and scale > 0.0):
             raise DomainError("MixingLaw.inverse_gamma: shape and scale must be > 0")
         shape, scale = float(shape), float(scale)
         log_norm = shape * math.log(scale) - math.lgamma(shape)  # computed once
 
         def density(v: np.ndarray) -> np.ndarray:
-            # b^a / Gamma(a) v^(-a-1) e^(-b/v) for v > 0, else 0
+            # b^a / Gamma(a) v^(-a-1) e^(-b/v) for v > 0, else 0; log and exp
+            # from libm, so the values do not follow numpy's SIMD dispatch
             out = np.zeros(v.shape)
             pos = v > 0.0
             w = v[pos]
-            out[pos] = np.exp((log_norm - (shape + 1.0) * np.log(w)) - scale / w)
+            out[pos] = _elementwise(
+                math.exp, (log_norm - (shape + 1.0) * _elementwise(math.log, w)) - scale / w
+            )
             return out
 
         return cls(
@@ -187,15 +195,14 @@ class MixingLaw:
             draw=lambda m, g: 1.0 / g.gamma(shape, 1.0 / scale, size=m),
             parts=("inverse_gamma", None, None, None, shape, scale),
             density=density,
-            weight_fn=weight_fn,
         )
 
     @classmethod
     def custom_density(
-        cls, density: Callable[[float], float], support=(0.0, math.inf), weight_fn=None
+        cls, density: Callable[[float], float], support=(0.0, math.inf)
     ) -> "MixingLaw":
         lo, hi = float(support[0]), float(support[1])
-        if lo < 0.0 or hi <= lo:
+        if not (math.isfinite(lo) and lo >= 0.0 and hi > lo):
             raise DomainError("MixingLaw.custom_density: support must be in [0, inf)")
 
         def pdf(v: float) -> float:
@@ -220,10 +227,9 @@ class MixingLaw:
             ),
             density=lambda v: _elementwise(pdf, v),
             support=(lo, hi),
-            weight_fn=weight_fn,
         )
         total = law.expectation(lambda v: 1.0)
-        if abs(total - 1.0) > 1e-8:
+        if not abs(total - 1.0) <= 1e-8:  # a nan total fails too
             raise DomainError(
                 f"MixingLaw.custom_density: density integrates to {total!r}, not 1"
             )
@@ -497,8 +503,6 @@ class LinearMappedK:
         return self.inner(self._map(y))
 
     def scaled(self, y):
-        if not hasattr(self.inner, "scaled"):
-            raise AttributeError("inner k function has no scaled form")
         return self.inner.scaled(self._map(y))
 
 
@@ -515,7 +519,10 @@ class GSESpec:
     ``psi`` is a characteristic generator (phi from the elliptical core);
     ``k_fn`` maps R^n to complex with k(y) + k(-y) = 1 (spot-checked on a
     deterministic pseudo-random probe at construction).  ``log_psi``, when
-    supplied, enables overflow-free assembly with scaled k functions.
+    supplied with the built-in k (SkewNormalK, possibly behind
+    LinearMappedK), enables overflow-free array assembly with its scaled
+    form; with any other k it is unused, and psi(q) k(y) is evaluated
+    point by point.
     """
 
     def __init__(
@@ -551,9 +558,9 @@ def cf_gse_rows(spec: GSESpec, ts) -> CFRows:
 
     t'St, S^(1/2) t and t'mu come from one array pass.  With log_psi and a
     built-in k (SkewNormalK, possibly behind LinearMappedK) the rest is
-    array passes too, so log_psi must then accept an array of q; any other
-    psi, log_psi or k runs point by point, a point's exception failing its
-    row.
+    array passes too, assembled in log scale, so log_psi must then accept an
+    array of q; otherwise psi(q) k(y) runs point by point, a point's
+    exception failing its row.
     """
     ts = _as_rows(ts, spec.n, "t")
     q = spec.dispersion.quad_rows(ts)
@@ -569,19 +576,13 @@ def cf_gse_rows(spec: GSESpec, ts) -> CFRows:
             return (*_rotate(z, phase[sl]), math.nan, CFMethod.CLOSED_FORM.value, {})
 
         return _chunk_rows(ts, evaluate)
-    # LinearMappedK always has a scaled method; it works only over a scaled inner k
-    scaled = spec.log_psi is not None and hasattr(inner, "scaled")
 
     def evaluate(sl: slice):  # point by point, each point's exception at its row
         z = np.full(len(q[sl]), np.nan, dtype=complex)
         failures = {}
         for i, (qi, y) in enumerate(zip(q[sl].tolist(), ys[sl])):
             try:
-                if scaled:
-                    mant, log_scale = spec.k_fn.scaled(y)
-                    z[i] = 2.0 * math.exp(spec.log_psi(qi) + log_scale) * mant
-                else:
-                    z[i] = 2.0 * spec.psi(qi) * spec.k_fn(y)
+                z[i] = 2.0 * spec.psi(qi) * spec.k_fn(y)
             except Exception as exc:  # raised again at its row
                 failures[i] = exc
         return (*_rotate(z, phase[sl]), math.nan, CFMethod.CLOSED_FORM.value, failures)
@@ -705,7 +706,7 @@ def skew_normal_gse(spec: SkewNormalSpec) -> GSESpec:
 
 
 def cf_smsn_rows(spec: SkewNormalSpec, mixing: MixingLaw, ts) -> CFRows:
-    """CF of a scale mixture of skew-normals, e^(i t'mu) E[c_sn(sqrt(k(u)) t)],
+    """CF of a scale mixture of skew-normals, e^(i t'mu) E[c_sn(sqrt(V) t)],
     at each row t of the (P, n) array ts, in array passes.
 
     Exact for degenerate/finite-discrete mixing, adaptive quadrature
@@ -718,14 +719,13 @@ def cf_smsn_rows(spec: SkewNormalSpec, mixing: MixingLaw, ts) -> CFRows:
     def evaluate(sl: slice):
         qs, ys = q[sl], y[sl]
 
-        def f(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-            kv = mixing_weights(mixing, u)
-            # k = 0 is a point mass at mu, whose centered CF is 1 even where t'St
+        def f(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+            # V = 0 is a point mass at mu, whose centered CF is 1 even where t'St
             # overflows (no 0 * inf)
-            live = kv > 0.0
-            kq = np.multiply(kv, qs[rows], out=np.zeros_like(kv), where=live)
-            ky = np.multiply(np.sqrt(kv), ys[rows], out=np.zeros_like(kv), where=live)
-            return _sn_centered(kq, ky)
+            live = v > 0.0
+            vq = np.multiply(v, qs[rows], out=np.zeros_like(v), where=live)
+            vy = np.multiply(np.sqrt(v), ys[rows], out=np.zeros_like(v), where=live)
+            return _sn_centered(vq, vy)
 
         ev, failures = mixing.expectation_rows(f, len(qs))
         return (*_rotate(ev, phase[sl]), abs_err, CFMethod.CLOSED_FORM.value, failures)
@@ -738,48 +738,28 @@ def cf_smsn(spec: SkewNormalSpec, mixing: MixingLaw, t) -> ComplexCF:
     return cf_smsn_rows(spec, mixing, _as_vector(t, spec.n, "t")[None, :]).row(0)
 
 
-def mixing_weight(mixing: MixingLaw, u: float) -> float:
-    """The weight k(u) of one mixing draw; must be >= 0."""
-    kv = u if mixing.weight_fn is None else mixing.weight_fn(u)
-    if not kv >= 0.0:
-        raise DomainError(f"mixing weight k({u}) = {kv} is negative")
-    return float(kv)
-
-
-def mixing_weights(mixing: MixingLaw, us: np.ndarray) -> np.ndarray:
-    """k(u) for an array of mixing draws: one array check for the default
-    k(u) = u, a call per draw for a supplied weight function."""
-    if mixing.weight_fn is not None:
-        return np.array([mixing_weight(mixing, u) for u in us.ravel().tolist()]).reshape(us.shape)
-    bad = ~(us >= 0.0)
-    if bad.any():
-        mixing_weight(mixing, float(us.ravel()[bad.ravel().argmax()]))  # raises, naming it
-    return us
-
-
 def smsn_split(
     spec: SkewNormalSpec, mixing: MixingLaw
 ) -> tuple[Callable[[float], float], Callable[[np.ndarray], complex]]:
     """The (psi, k_n) decomposition of the scale-mixture CF.
 
-    psi(q) = E[exp(-k(u) q / 2)] is the characteristic generator of the
+    psi(q) = E[exp(-V q / 2)] is the characteristic generator of the
     mixed Gaussian part; k_n carries the whole odd factor, averaged with
     the same Gaussian damping so that 2 e^(i t'mu) psi(q) k_n(t)
     reproduces the direct expectation identically.
     """
 
     def psi(q: float) -> float:
-        return float(mixing.expectation(lambda u: math.exp(-0.5 * mixing_weight(mixing, u) * q)).real)
+        return float(mixing.expectation(lambda v: math.exp(-0.5 * v * q)).real)
 
     def k_n(t: np.ndarray) -> complex:
         t = _as_vector(t, spec.n, "t")
         (q,), (y,), _ = spec.invariants(t[None, :])
 
-        def odd_part(u: float) -> complex:
-            kv = mixing_weight(mixing, u)
-            # e^(-k q/2) (Phi(i sqrt(k) y) - 1/2), assembled in log scale
-            mant, log_scale = norm_cdf_imag_scaled(math.sqrt(kv) * y)
-            return complex(0.0, math.exp(log_scale - 0.5 * kv * q) * mant.imag)
+        def odd_part(v: float) -> complex:
+            # e^(-V q/2) (Phi(i sqrt(V) y) - 1/2), assembled in log scale
+            mant, log_scale = norm_cdf_imag_scaled(math.sqrt(v) * y)
+            return complex(0.0, math.exp(log_scale - 0.5 * v * q) * mant.imag)
 
         num = complex(mixing.expectation(odd_part))
         return 0.5 + num / psi(q)

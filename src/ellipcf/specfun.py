@@ -4,7 +4,7 @@ Bessel J of the first kind, the MacDonald function K, the hypergeometric
 series 0F1 and 1F1 (Kummer), gamma/log-gamma, Bessel-J zeros, the Dawson
 function and the standard normal CDF at a purely imaginary argument.
 
-The Dawson function, erfi and the normal CDF at iy take floats or numpy
+The Dawson function and the normal CDF at iy take floats or numpy
 arrays: Dawson's integral is one fixed sequence of array operations
 (Rybicki's sampling-theorem sum) whose value at a point does not depend on
 the array around it.
@@ -22,7 +22,6 @@ returned.
 from __future__ import annotations
 
 import math
-import sys
 import threading
 from dataclasses import dataclass
 from itertools import repeat
@@ -43,7 +42,6 @@ __all__ = [
     "hyp0f1",
     "hyp1f1",
     "dawson",
-    "erfi",
     "norm_cdf_imag",
     "norm_cdf_imag_scaled",
 ]
@@ -711,23 +709,6 @@ def _complex(re, im):
 def _first(values, mask) -> float:
     # the first entry of values where mask holds, as a float
     return float(np.asarray(values).ravel()[np.asarray(mask).ravel().argmax()])
-
-
-_EXP_MAX = math.log(sys.float_info.max)
-
-
-def erfi(x):
-    """Imaginary error function erfi(x) = 2/sqrt(pi) * exp(x^2) * D(x).
-
-    Takes a float or an array; raises OverflowError once exp(x^2) leaves
-    float range.
-    """
-    x = np.asarray(x, dtype=float)
-    over = x * x > _EXP_MAX
-    if over.any():
-        raise OverflowError(f"erfi overflows at x={_first(x, over)}")
-    out = 2.0 / math.sqrt(math.pi) * np.exp(x * x) * dawson(x)
-    return out if np.ndim(out) else float(out)
 
 
 def norm_cdf_imag_scaled(y):

@@ -436,6 +436,24 @@ def _without(obj, key):
 _KIND_LIST = "('elliptical', 'lsm', 'gse_skew_normal', 'skew_normal', 'smsn', 'smu')"
 _SN = _skew_spec([2.0, -0.5])
 _SMSN = dict(_SN, kind="smsn", mixing=_FINITE)
+# a non-finite mixing field (JSON NaN or Infinity): the mixing's spec error,
+# before any route runs or any draw is made
+_NON_FINITE_MIXINGS = [
+    ("weights-nan", dict(_FINITE, weights=[math.nan, 1.0]),
+     "MixingLaw.finite_discrete: points and weights must be finite"),
+    ("point-nan", dict(_FINITE, points=[math.nan, 2.0]),
+     "MixingLaw.finite_discrete: points and weights must be finite"),
+    ("point-inf", dict(_FINITE, points=[math.inf, 1.0]),
+     "MixingLaw.finite_discrete: points and weights must be finite"),
+    ("v0-inf", dict(_DEGENERATE, v0=math.inf), "MixingLaw.degenerate: v0 must be finite"),
+    ("v0-nan", dict(_DEGENERATE, v0=math.nan), "MixingLaw.degenerate: v0 must be finite"),
+    ("shape-inf", dict(_INV_GAMMA, shape=math.inf),
+     "MixingLaw.inverse_gamma: shape and scale must be finite"),
+]
+
+
+def _mixture_specs(mixing):
+    return [("lsm", _lsm_spec(mixing)), ("smsn", dict(_SMSN, mixing=mixing))]
 
 
 class TestSpecMessages:
@@ -501,6 +519,9 @@ class TestSpecMessages:
                        id=f"hankel-{kind}")
           for kind, spec in [("skew_normal", _SN), ("smsn", _SMSN),
                              ("gse_skew_normal", dict(_SN, kind="gse_skew_normal"))]],
+        *[pytest.param(spec, "closed", f"mixing: {message}", id=f"{kind}-{case}")
+          for case, mixing, message in _NON_FINITE_MIXINGS
+          for kind, spec in _mixture_specs(mixing)],
         pytest.param(_gen_spec("pearson_vii", {"N": 1, "s": 1}), "closed",
                      "generator: Pearson VII requires N > n/2", id="pearson_vii-dimension"),
         pytest.param(dict(normal_spec(1), generator={"family": "kotz",
@@ -529,6 +550,20 @@ class TestSpecMessages:
                        "--grid", '{"kind":"list","points":[[0.5,0.25]]}'])
         assert rc == 2
         assert capsys.readouterr() == ("", f"spec error: {message}\n")
+
+    @pytest.mark.parametrize("command", [
+        ["compare", "--routes", "closed,mc", "--mc-count", "1000",
+         "--grid", '{"kind":"list","points":[[0.5,0.25]]}'],
+        ["sample", "--count", "10"],
+    ], ids=["compare", "sample"])
+    @pytest.mark.parametrize("case, mixing, message", [
+        pytest.param(*row, id=row[0]) for row in _NON_FINITE_MIXINGS])
+    def test_non_finite_mixing_other_commands(self, tmp_path, capsys, command, case, mixing,
+                                              message):
+        for kind, spec in _mixture_specs(mixing):
+            path = write_spec(tmp_path, f"{kind}.json", spec)
+            assert cli.main([command[0], "--spec", path, *command[1:]]) == 2
+            assert capsys.readouterr() == ("", f"spec error: mixing: {message}\n")
 
     @pytest.mark.parametrize("hash_seed", ["0", "5"])
     def test_missing_fields_named_in_declared_order(self, tmp_path, hash_seed):

@@ -1,6 +1,11 @@
 """Skew/mixture tests: LSM, SMU, GSE closure, skew-normal, scale mixtures."""
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,11 +54,51 @@ class TestMixingLaw:
         with pytest.raises(DomainError):
             MixingLaw.degenerate(-1.0)
 
+    @pytest.mark.parametrize("factory, args, message", [
+        pytest.param(MixingLaw.degenerate, (math.nan,), "v0 must be finite", id="v0-nan"),
+        pytest.param(MixingLaw.degenerate, (math.inf,), "v0 must be finite", id="v0-inf"),
+        pytest.param(MixingLaw.finite_discrete, ([math.nan, 2.0], [0.5, 0.5]),
+                     "points and weights must be finite", id="point-nan"),
+        pytest.param(MixingLaw.finite_discrete, ([math.inf, 1.0], [0.5, 0.5]),
+                     "points and weights must be finite", id="point-inf"),
+        pytest.param(MixingLaw.finite_discrete, ([1.0, 2.0], [math.nan, 1.0]),
+                     "points and weights must be finite", id="weight-nan"),
+        pytest.param(MixingLaw.inverse_gamma, (math.inf, 2.0),
+                     "shape and scale must be finite", id="shape-inf"),
+        pytest.param(MixingLaw.inverse_gamma, (-math.inf, 2.0),
+                     "shape and scale must be finite", id="shape-minus-inf"),
+        pytest.param(MixingLaw.inverse_gamma, (3.0, math.nan),
+                     "shape and scale must be finite", id="scale-nan"),
+    ])
+    def test_non_finite_parameters_rejected(self, factory, args, message):
+        # NaN and infinite parameters fail at construction, before any
+        # expectation or draw reads them
+        with pytest.raises(DomainError, match=f"^MixingLaw.{factory.__name__}: {message}$"):
+            factory(*args)
+
+    def test_zero_point_is_mass_at_mu(self):
+        # V = 0 passes the construction checks and adds the CF of a point
+        # mass at mu (here 0) to the scale mixture
+        sn = SkewNormalSpec([0.0, 0.0], np.eye(2), [1.0, -0.5])
+        law = MixingLaw.finite_discrete([0.0, 2.0], [0.5, 0.5])
+        t = np.array([0.7, -0.3])
+        want = 0.5 + 0.5 * cf_skew_normal(sn, math.sqrt(2.0) * t).value
+        assert abs(cf_smsn(sn, law, t).value - want) <= 1e-15
+
     def test_custom_density_normalization_checked(self):
         with pytest.raises(DomainError):
             MixingLaw.custom_density(lambda v: math.exp(-v) * 2.0, (0.0, math.inf))
         law = MixingLaw.custom_density(lambda v: math.exp(-v), (0.0, math.inf))
         assert_allclose(law.expectation(lambda v: v), 1.0, atol=1e-8)
+
+    def test_custom_density_nan_rejected(self):
+        # a nan density integrates to nan, which must fail the unit-mass
+        # check; a support must start at a finite lower bound
+        with pytest.raises(DomainError, match="integrates to nan, not 1"):
+            MixingLaw.custom_density(lambda v: math.nan, (0.0, 1.0))
+        for support in ((math.nan, math.inf), (math.inf, math.inf), (1.0, math.nan)):
+            with pytest.raises(DomainError, match="support must be in"):
+                MixingLaw.custom_density(lambda v: math.exp(-v), support)
 
     def test_inverse_gamma_expectation(self):
         # E[V] = scale / (shape - 1)
@@ -702,3 +747,42 @@ class TestGridBuilder:
         assert rows.im.tobytes() == whole.im[:_FAIL].tobytes()
         with pytest.raises(error):
             rows.row(_FAIL)
+
+
+def _dispatch_hashes() -> dict:
+    """sha256 of the inverse-gamma density, the lsm closed rows over it (normal
+    base) and the custom-density smsn draws; none may follow numpy's SIMD
+    dispatch.  (The smsn closed rows do: dawson takes numpy's exp, cosh and
+    sinh.)"""
+    from ellipcf import sampling
+
+    def sha(*arrays):
+        return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+    law = MixingLaw.inverse_gamma(3.0, 2.0)
+    spec = LSMixtureSpec(std_normal_base(2), [0.1, -0.2], [0.5, 0.25], [[1.0, 0.3], [0.3, 2.0]], law)
+    lsm = cf_location_scale_mixture_rows(spec, np.random.default_rng(5).normal(size=(300, 2)) * 2.0)
+    sn = SkewNormalSpec([0.5, -0.25], np.diag([4.0, 0.25]), [2.0, -0.5])
+    custom = MixingLaw.custom_density(lambda v: math.exp(-v), (0.0, math.inf))
+    draws = sampling.smsn_sampler(sn, custom).batch(40000, sampling.RngStream(7)).data
+    return {
+        "density": sha(law.pdf(np.linspace(0.01, 50.0, 10**5))),
+        "lsm": sha(lsm.re, lsm.im, lsm.abs_err),
+        "custom_draws": sha(draws),
+    }
+
+
+class TestSimdDispatch:
+    def test_mixing_bytes_independent_of_dispatch(self):
+        # the same hashes in this process and in one whose numpy may not use
+        # its AVX-512 kernels (on a host without them, the same dispatch twice)
+        tests, src = Path(__file__).resolve().parent, Path(skewmix.__file__).resolve().parents[1]
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4",
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(src), str(tests),
+                                                            os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import test_skewmix; print(test_skewmix._dispatch_hashes())"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == str(_dispatch_hashes())
