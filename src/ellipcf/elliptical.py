@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError
 from .generators import DensityGenerator
-from .specfun import _elementwise, bessel_j, gamma_fn, hyp0f1
+from .specfun import _elementwise, _power, bessel_j, gamma_fn, hyp0f1
 
 __all__ = [
     "CFMethod",
@@ -283,20 +283,25 @@ def uniform_sphere_cf(n: int, s: float) -> float:
     return gamma_fn(0.5 * n) * (2.0 / x) ** half_order * bessel_j(half_order, x)
 
 
-def radial_density(spec: EllipticalSpec, v: float) -> float:
-    """Density of the generating variate R at v >= 0 (full-rank specs only)."""
-    if v < 0.0:
+def radial_density(spec: EllipticalSpec, v):
+    """Density of the generating variate R at v >= 0, a float or an array of
+    them (full-rank specs only); g sees only the entries inside the support."""
+    vs = np.asarray(v, dtype=float)
+    if (vs < 0.0).any():
         raise DomainError("radial_density: v must be >= 0")
     if spec.dispersion.rank < spec.n:
         raise DomainError("radial_density: undefined for rank-deficient sigma")
-    gen = spec.generator
-    if v > gen.support_radius:
-        return 0.0
-    from .quadrature import normalizing_constant
+    gen, n = spec.generator, spec.n
+    out = np.zeros(vs.shape)
+    inside = ~(vs > gen.support_radius)
+    if inside.any():
+        from .quadrature import normalizing_constant
 
-    n = spec.n
-    c_n = normalizing_constant(n, gen)
-    return c_n * 2.0 * math.pi ** (0.5 * n) / gamma_fn(0.5 * n) * v ** (n - 1) * gen.g(v * v)
+        lead = normalizing_constant(n, gen) * 2.0 * math.pi ** (0.5 * n) / gamma_fn(0.5 * n)
+        w = vs[inside]
+        with np.errstate(invalid="ignore", over="ignore"):  # 0 * inf is nan, as in Python
+            out[inside] = lead * _power(w, n - 1) * gen.g(w * w)
+    return out if np.ndim(v) else float(out)
 
 
 def closed_form_generator(gen: DensityGenerator, n: int, q: float) -> float:

@@ -1,13 +1,14 @@
 """Density generators: radial profiles g defining elliptical distributions.
 
-A generator is the scalar map g on [0, inf) appearing in the elliptical
-density c_n |Sigma|^{-1/2} g((x-mu)' Sigma^{-1} (x-mu)).  Each named
-constructor also sets its family's record (see DensityGenerator), closures
-over the parameters it validates, and every other module reads the family's
-facts from there: a new family is one constructor here.  Custom generators
-fall back to numeric treatment everywhere.  The normal, uniform ball,
-generalized t, Pearson II, Pearson VII and Kotz families also carry an
-array profile with the scalar g's values bit for bit.
+A generator is the map g on [0, inf) appearing in the elliptical density
+c_n |Sigma|^{-1/2} g((x-mu)' Sigma^{-1} (x-mu)), held in one form: a
+function on float arrays, evaluated entry by entry with the math module's
+values (see specfun._elementwise).  Each named constructor also sets its
+family's record (see DensityGenerator), closures over the parameters it
+validates, each finite, and every other module reads the family's facts
+from there: a new family is one constructor here.  Custom generators take
+a scalar g, called entry by entry, and fall back to numeric treatment
+everywhere.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ __all__ = [
     "kotz_generator",
     "bessel_generator",
     "custom_generator",
-    "closed_moment_integral",
-    "moment_exists",
 ]
 
 
@@ -53,10 +52,10 @@ class Family(enum.Enum):
 class DensityGenerator:
     """A density generator g with its family's record.
 
-    ``support_radius`` is expressed in the radius variable v, so g(z) lives
-    on z in [0, support_radius**2].  ``g_prime`` is dg/dz where available
-    (needed only by the star-unimodal route).  ``g_rows``, where set, is g
-    on a float array, entry by entry the same values as g.
+    ``g`` maps a float array of z to g(z) entry by entry; ``support_radius``
+    is expressed in the radius variable v, so g(z) lives on z in
+    [0, support_radius**2].  ``g_prime``, dg/dz on a float array where
+    available, serves only the star-unimodal route.
 
     The family record: ``closed_form(n, q)``, phi(q) in dimension n
     (NoClosedFormError where there is none); ``radius(n, size, rng)``, size
@@ -69,27 +68,16 @@ class DensityGenerator:
 
     family: Family
     params: dict[str, float]
-    g: Callable[[float], float]
-    g_prime: Optional[Callable[[float], float]] = None
+    g: Callable[[np.ndarray], np.ndarray]
+    g_prime: Optional[Callable[[np.ndarray], np.ndarray]] = None
     support_radius: float = math.inf
     moment_cache: dict = field(default_factory=dict, repr=False)
-    g_rows: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
     closed_form: Optional[Callable[[int, float], float]] = None
     radius: Optional[Callable[[int, int, np.random.Generator], np.ndarray]] = None
     moment: Optional[Callable[[float], float]] = None
     finite: Callable[[float], bool] = lambda d: True
     check_dimension: Callable[[int], None] = lambda n: None
     probe: tuple = field(default=(), repr=False)
-
-    def __call__(self, z: float) -> float:
-        return self.g(z)
-
-    def g_array(self, z: np.ndarray) -> np.ndarray:
-        """g at every entry of the float array z: the array profile where the
-        family has one, else g called entry by entry."""
-        if self.g_rows is not None:
-            return self.g_rows(z)
-        return _elementwise(self.g, z)
 
 
 def _normalizable(finite: Callable[[float], bool], message: str) -> dict:
@@ -101,6 +89,21 @@ def _normalizable(finite: Callable[[float], bool], message: str) -> dict:
             raise DomainError(message)
 
     return {"finite": finite, "check_dimension": check_dimension}
+
+
+def _check_finite(where: str, **params: float) -> None:
+    # checked before any other condition: NaN fails every comparison, and an
+    # infinite parameter would pass the domain checks with a silent profile
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{where}: {name} must be finite")
+
+
+def _masked(z: np.ndarray, keep: np.ndarray, fill: float, fn) -> np.ndarray:
+    # fn(z) on the entries that keep selects, fill elsewhere
+    out = np.full(z.shape, fill)
+    out[keep] = fn(z[keep])
+    return out
 
 
 def _gamma_ratio_radius(rng: np.random.Generator, n: int, size: int, s: float, shape: float):
@@ -116,9 +119,8 @@ def normal_generator() -> DensityGenerator:
     return DensityGenerator(
         family=Family.NORMAL,
         params={},
-        g=lambda z: math.exp(-0.5 * z),
-        g_prime=lambda z: -0.5 * math.exp(-0.5 * z),
-        g_rows=lambda z: _elementwise(math.exp, -0.5 * z),
+        g=lambda z: _elementwise(math.exp, -0.5 * z),
+        g_prime=lambda z: -0.5 * _elementwise(math.exp, -0.5 * z),
         closed_form=lambda n, q: math.exp(-0.5 * q),
         radius=lambda n, size, rng: np.sqrt(rng.chisquare(n, size=size)),
         moment=lambda d: 2.0 ** (0.5 * d) * gamma_fn(0.5 * d),
@@ -130,10 +132,9 @@ def uniform_ball_generator() -> DensityGenerator:
     return DensityGenerator(
         family=Family.UNIFORM_BALL,
         params={},
-        g=lambda z: 1.0 if z <= 1.0 else 0.0,
-        g_prime=lambda z: 0.0,
+        g=lambda z: np.where(z <= 1.0, 1.0, 0.0),
+        g_prime=lambda z: np.zeros(z.shape),
         support_radius=1.0,
-        g_rows=lambda z: np.where(z <= 1.0, 1.0, 0.0),
         closed_form=lambda n, q: hyp0f1(0.5 * n + 1.0, -0.25 * q),
         radius=lambda n, size, rng: rng.random(size) ** (1.0 / n),
         moment=lambda d: 2.0 / d,
@@ -146,6 +147,7 @@ def generalized_t_generator(n: int, s: float, m: int) -> DensityGenerator:
     The profile exponent involves the dimension, so n is fixed at
     construction time.
     """
+    _check_finite("generalized_t_generator", s=s)
     if not s > 0.0:
         raise DomainError("generalized_t_generator: s must be > 0")
     if not (isinstance(m, int) and m >= 1):
@@ -171,9 +173,8 @@ def generalized_t_generator(n: int, s: float, m: int) -> DensityGenerator:
     return DensityGenerator(
         family=Family.GENERALIZED_T,
         params=p,
-        g=lambda z: (1.0 + z / s) ** (-e),
-        g_prime=lambda z: -(e / s) * (1.0 + z / s) ** (-e - 1.0),
-        g_rows=lambda z: _power(1.0 + z / s, -e),
+        g=lambda z: _power(1.0 + z / s, -e),
+        g_prime=lambda z: -(e / s) * _power(1.0 + z / s, -e - 1.0),
         closed_form=closed_form,
         radius=lambda n, size, rng: _gamma_ratio_radius(rng, n, size, p["s"], 0.5 * p["m"]),
         moment=lambda d: (
@@ -187,33 +188,16 @@ def generalized_t_generator(n: int, s: float, m: int) -> DensityGenerator:
 
 def pearson_ii_generator(m: float) -> DensityGenerator:
     """g(z) = (1 - z)^m on [0, 1], m > -1."""
+    _check_finite("pearson_ii_generator", m=m)
     if not m > -1.0:
         raise DomainError("pearson_ii_generator: requires m > -1")
-
-    def g(z: float) -> float:
-        if z >= 1.0:
-            return 0.0
-        return (1.0 - z) ** m
-
-    def g_prime(z: float) -> float:
-        if z >= 1.0:
-            return 0.0
-        return -m * (1.0 - z) ** (m - 1.0)
-
-    def g_rows(z: np.ndarray) -> np.ndarray:
-        out = np.zeros(z.shape)
-        inside = ~(z >= 1.0)
-        out[inside] = _power(1.0 - z[inside], m)
-        return out
-
     p = {"m": float(m)}
     return DensityGenerator(
         family=Family.PEARSON_II,
         params=p,
-        g=g,
-        g_prime=g_prime,
+        g=lambda z: _masked(z, ~(z >= 1.0), 0.0, lambda y: _power(1.0 - y, m)),
+        g_prime=lambda z: _masked(z, ~(z >= 1.0), 0.0, lambda y: -m * _power(1.0 - y, m - 1.0)),
         support_radius=1.0,
-        g_rows=g_rows,
         closed_form=lambda n, q: hyp0f1(0.5 * n + p["m"] + 1.0, -0.25 * q),
         radius=lambda n, size, rng: np.sqrt(rng.beta(0.5 * n, p["m"] + 1.0, size=size)),
         moment=lambda d: (
@@ -224,6 +208,7 @@ def pearson_ii_generator(m: float) -> DensityGenerator:
 
 def pearson_vii_generator(big_n: float, s: float) -> DensityGenerator:
     """g(z) = (1 + z/s)^{-N}; requires N > n/2, checked once n is known."""
+    _check_finite("pearson_vii_generator", N=big_n, s=s)
     if not s > 0.0:
         raise DomainError("pearson_vii_generator: s must be > 0")
     if not big_n > 0.0:
@@ -242,9 +227,8 @@ def pearson_vii_generator(big_n: float, s: float) -> DensityGenerator:
     return DensityGenerator(
         family=Family.PEARSON_VII,
         params=p,
-        g=lambda z: (1.0 + z / s) ** (-big_n),
-        g_prime=lambda z: -(big_n / s) * (1.0 + z / s) ** (-big_n - 1.0),
-        g_rows=lambda z: _power(1.0 + z / s, -big_n),
+        g=lambda z: _power(1.0 + z / s, -big_n),
+        g_prime=lambda z: -(big_n / s) * _power(1.0 + z / s, -big_n - 1.0),
         closed_form=closed_form,
         radius=lambda n, size, rng: _gamma_ratio_radius(rng, n, size, p["s"], p["N"] - 0.5 * n),
         moment=lambda d: (
@@ -256,27 +240,20 @@ def pearson_vii_generator(big_n: float, s: float) -> DensityGenerator:
 
 def kotz_generator(big_n: float, r: float, s: float) -> DensityGenerator:
     """g(z) = z^{N-1} exp(-r z^s); N = s = 1, r = 1/2 is the normal."""
+    _check_finite("kotz_generator", N=big_n, r=r, s=s)
     if not (r > 0.0 and s > 0.0):
         raise DomainError("kotz_generator: requires r > 0 and s > 0")
 
     at_zero = 1.0 if big_n == 1.0 else (0.0 if big_n > 1.0 else math.inf)
 
-    def g(z: float) -> float:
-        if z <= 0.0:
-            return at_zero
-        return z ** (big_n - 1.0) * math.exp(-r * z**s)
+    def g(z: np.ndarray) -> np.ndarray:
+        return _masked(z, ~(z <= 0.0), at_zero, lambda y: (
+            _power(y, big_n - 1.0) * _elementwise(math.exp, -r * _power(y, s))))
 
-    def g_rows(z: np.ndarray) -> np.ndarray:
-        out = np.full(z.shape, at_zero)
-        pos = ~(z <= 0.0)
-        zp = z[pos]
-        out[pos] = _power(zp, big_n - 1.0) * _elementwise(math.exp, -r * _power(zp, s))
-        return out
-
-    def g_prime(z: float) -> float:
-        if z <= 0.0:
-            z = 1e-12  # one-sided limit; quadrature never probes exactly 0
-        return z ** (big_n - 2.0) * math.exp(-r * z**s) * (big_n - 1.0 - r * s * z**s)
+    def g_prime(z: np.ndarray) -> np.ndarray:
+        z = np.where(z <= 0.0, 1e-12, z)  # one-sided limit; quadrature never probes exactly 0
+        zs = _power(z, s)
+        return _power(z, big_n - 2.0) * _elementwise(math.exp, -r * zs) * (big_n - 1.0 - r * s * zs)
 
     p = {"N": float(big_n), "r": float(r), "s": float(s)}
 
@@ -302,7 +279,6 @@ def kotz_generator(big_n: float, r: float, s: float) -> DensityGenerator:
         params=p,
         g=g,
         g_prime=g_prime,
-        g_rows=g_rows,
         closed_form=closed_form,
         radius=lambda n, size, rng: np.sqrt(
             (rng.gamma((2.0 * p["N"] + n - 2.0) / (2.0 * p["s"]), 1.0, size=size) / p["r"])
@@ -315,6 +291,7 @@ def kotz_generator(big_n: float, r: float, s: float) -> DensityGenerator:
 
 def bessel_generator(a: float, beta: float) -> DensityGenerator:
     """g(z) = (sqrt(z)/beta)^a K_a(sqrt(z)/beta); requires a > -n/2."""
+    _check_finite("bessel_generator", a=a, beta=beta)
     if not beta > 0.0:
         raise DomainError("bessel_generator: beta must be > 0")
 
@@ -330,7 +307,7 @@ def bessel_generator(a: float, beta: float) -> DensityGenerator:
     return DensityGenerator(
         family=Family.BESSEL,
         params=p,
-        g=g,
+        g=lambda z: _elementwise(g, z),
         closed_form=lambda n, q: (1.0 + p["beta"] * p["beta"] * q) ** (-(0.5 * n + p["a"])),
         radius=lambda n, size, rng: np.sqrt(
             rng.gamma(p["a"] + 0.5 * n, 2.0 * p["beta"] ** 2, size=size)
@@ -347,7 +324,9 @@ def custom_generator(
     g_prime: Optional[Callable[[float], float]] = None,
     support_radius: float = math.inf,
 ) -> DensityGenerator:
-    """Wrap a user-supplied profile; nonnegativity is spot-checked."""
+    """Wrap a user-supplied profile: g and g_prime take and return floats,
+    and the record's forms call them entry by entry.  Nonnegativity is
+    spot-checked."""
     if not support_radius > 0.0:
         raise DomainError("custom_generator: support_radius must be > 0")
     probe_top = min(support_radius, 50.0)
@@ -375,8 +354,8 @@ def custom_generator(
     gen = DensityGenerator(
         family=Family.CUSTOM,
         params={},
-        g=g,
-        g_prime=g_prime,
+        g=lambda z: _elementwise(g, z),
+        g_prime=None if g_prime is None else lambda z: _elementwise(g_prime, z),
         support_radius=float(support_radius),
         closed_form=closed_form,
         check_dimension=check_dimension,
@@ -384,19 +363,3 @@ def custom_generator(
     )
     return gen
 
-
-def closed_moment_integral(gen: DensityGenerator, d: float) -> Optional[float]:
-    """Closed form of int_0^inf z^(d/2-1) g(z) dz, or None if unavailable.
-
-    d plays the role of the dimension; radial moments use d = n + 2k.
-    Returns None for custom generators and inf where the moment does not
-    exist.
-    """
-    if gen.moment is None:
-        return None
-    return gen.moment(d) if gen.finite(d) else math.inf
-
-
-def moment_exists(gen: DensityGenerator, d: float) -> Optional[bool]:
-    """Whether int z^(d/2-1) g dz is finite; None when unknown (custom)."""
-    return None if gen.moment is None else gen.finite(d)

@@ -12,7 +12,10 @@ next few Bessel panels of all rows still running in one adaptive_rows call,
 and applies the exit rules to all of them as array masks; a single
 frequency is the one-row case.  This evaluates the characteristic
 generator of any density generator, including user-supplied ones without
-closed forms, on a whole grid at once (phi_hankel_rows).
+closed forms, on a whole grid at once (phi_hankel_rows).  Every integrand
+here calls the generator's profile g on float arrays; the moment integral
+of a custom generator runs its windows as one-row adaptive_rows calls, and
+the named families' moments are read from their record.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .errors import (
     DomainError,
     MomentUndefinedError,
 )
-from .generators import DensityGenerator, closed_moment_integral, moment_exists
+from .generators import DensityGenerator
 from .specfun import (
     _call_rows,
     _elementwise,
@@ -346,6 +349,9 @@ def adaptive_rows(
     return out, errs, panels, failures
 
 
+# Float arithmetic as in Python: 0 * inf is nan and an overflow inf, with
+# none of numpy's RuntimeWarnings.
+@np.errstate(invalid="ignore", over="ignore")
 def moment_integral(gen: DensityGenerator, n: int) -> QuadResult:
     """int_0^inf z^(n/2-1) g(z) dz by adaptive panels, always numerically.
 
@@ -357,29 +363,35 @@ def moment_integral(gen: DensityGenerator, n: int) -> QuadResult:
     """
     # 2 * int_0^R w^(d-1) g(w^2) dw with R = support radius (maybe inf)
     g, d = gen.g, float(n)
-
-    def first_window(y: float) -> float:
-        # w = y^3 on [0, 1]: integrand 3 y^2 * y^(3(d-1)) g(y^6)
-        return 3.0 * y ** (3.0 * d - 1.0) * g(y**6)
-
-    def w_integrand(w: float) -> float:
-        return w ** (d - 1.0) * g(w * w)
-
     radius = gen.support_radius
-    win_abs, win_rel = 0.125 * _ABS_TOL, 0.125 * _REL_TOL
-    if radius <= 1.0:
-        val, err, panels = adaptive_interval(
-            lambda y: first_window(y) if y**3 < radius else 0.0,
-            0.0,
-            radius ** (1.0 / 3.0),
-            win_abs,
-            win_rel,
+
+    def first_window(y: np.ndarray) -> np.ndarray:
+        # w = y^3 on [0, 1]: integrand 3 y^2 * y^(3(d-1)) g(y^6), zero past
+        # the support edge, where g is not called
+        inside = _power(y, 3.0) < radius
+        out = np.zeros(y.shape)
+        out[inside] = 3.0 * _power(y[inside], 3.0 * d - 1.0) * g(_power(y[inside], 6.0))
+        return out
+
+    def w_integrand(w: np.ndarray) -> np.ndarray:
+        return _power(w, d - 1.0) * g(w * w)
+
+    def window(f, a: float, b: float) -> tuple[float, float, int]:
+        # one adaptive_rows row: (value, err_est, panels_used)
+        vals, errs, panels, failures = adaptive_rows(
+            lambda rows, x: f(x), 1, a, b, 0.125 * _ABS_TOL, 0.125 * _REL_TOL
         )
+        if failures:
+            raise failures[0]
+        return vals[0].item(), float(errs[0]), int(panels[0])
+
+    if radius <= 1.0:
+        val, err, panels = window(first_window, 0.0, radius ** (1.0 / 3.0))
         return QuadResult(2.0 * val, 2.0 * err, panels, 0.0)
 
-    total, err_total, panels = adaptive_interval(first_window, 0.0, 1.0, win_abs, win_rel)
+    total, err_total, panels = window(first_window, 0.0, 1.0)
     if math.isfinite(radius):
-        val, err, p = adaptive_interval(w_integrand, 1.0, radius, win_abs, win_rel)
+        val, err, p = window(w_integrand, 1.0, radius)
         return QuadResult(2.0 * (total + val), 2.0 * (err_total + err), panels + p, 0.0)
 
     lo = 1.0
@@ -387,7 +399,7 @@ def moment_integral(gen: DensityGenerator, n: int) -> QuadResult:
     flat_streak = 0
     for _ in range(100):
         hi = 2.0 * lo
-        wval, werr, p = adaptive_interval(w_integrand, lo, hi, win_abs, win_rel)
+        wval, werr, p = window(w_integrand, lo, hi)
         total += wval
         err_total += werr
         panels += p
@@ -427,7 +439,7 @@ def radial_moment(gen: DensityGenerator, n: int, k: int) -> float:
         raise DomainError("radial_moment: k must be >= 0")
     if k == 0:
         return 1.0
-    if moment_exists(gen, n + 2.0 * k) is False:
+    if gen.moment is not None and not gen.finite(n + 2.0 * k):
         raise MomentUndefinedError(
             f"E[R^{2 * k}] does not exist for family {gen.family.value} in dimension {n}"
         )
@@ -445,12 +457,13 @@ def _moment_n(gen: DensityGenerator, n: int) -> float:
     # the named families, numeric for custom generators
     key = ("moment", float(n))
     if key not in gen.moment_cache:
-        moment = closed_moment_integral(gen, float(n))
-        if moment is None:
+        if gen.moment is None:
             try:
                 moment = moment_integral(gen, n).value
             except DivergentIntegralError as exc:
                 raise DomainError("normalizing_constant: moment integral diverges") from exc
+        else:
+            moment = gen.moment(float(n)) if gen.finite(float(n)) else math.inf
         if not math.isfinite(moment):
             raise DomainError("normalizing_constant: moment integral diverges")
         gen.moment_cache[key] = moment
@@ -805,13 +818,13 @@ def phi_hankel_rows(gen: DensityGenerator, n: int, us) -> QuadRows:
     u = 0 gives exactly 1.  Below u = 1e-3 the removable u-singularity is
     sidestepped with a moment series (for generators whose moments exist).
     Every other u goes through the oscillatory engine, all of them in
-    lockstep, panel by panel, with the generator's array profile.  Each row
+    lockstep, panel by panel, with the generator's profile g.  Each row
     gets the bits it would get alone; a row whose computation raises has
     its exception in the result's failures.
     """
 
     def envelope(r: np.ndarray) -> np.ndarray:
-        return _power(r, 0.5 * n) * gen.g_array(r * r)
+        return _power(r, 0.5 * n) * gen.g(r * r)
 
     return _bessel_transform_rows(gen, n, us, 0.5 * (n - 2.0), envelope, 1.0)
 

@@ -49,7 +49,7 @@ from .elliptical import (
 )
 from .errors import DomainError
 from .generators import DensityGenerator
-from .specfun import _elementwise, _node_by_node
+from .specfun import _elementwise
 
 if TYPE_CHECKING:  # imported by the samplers that use them
     from .skewmix import LSMixtureSpec, MixingLaw, SkewNormalSpec
@@ -277,20 +277,29 @@ def _radius_chunk(spec: EllipticalSpec, m: int, g: np.random.Generator) -> np.nd
 
 
 def _cdf_table(
-    pdf: Callable[[float], float], lo: float, hi: float
+    pdf: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Tabulated CDF of a unit-mass density on [lo, hi].
+    """Tabulated CDF of a unit-mass density on [lo, hi], pdf its values at
+    every entry of a float array.
 
     An infinite hi is cut where the mass of [hi, 4 hi] drops below 1e-11,
     searching upward from max(lo, 1).
     """
-    from .quadrature import adaptive_interval, adaptive_rows
+    from .quadrature import adaptive_rows
+
+    def mass(a, b, abs_tol: float, rel_tol: float, max_panels: int) -> np.ndarray:
+        # the mass of every segment [a[i], b[i]] in one lockstep call
+        vals, _, _, failures = adaptive_rows(
+            lambda rows, x: pdf(x), np.size(a), a, b, abs_tol, rel_tol, max_panels
+        )
+        if failures:
+            raise failures[min(failures)]
+        return vals
 
     if math.isinf(hi):
         hi = max(lo, 1.0)
         while hi < 1e9:
-            tail, _, _ = adaptive_interval(pdf, hi, 4.0 * hi, 1e-13, 1e-13, 256)
-            if tail < 1e-11:
+            if mass(hi, 4.0 * hi, 1e-13, 1e-13, 256)[0] < 1e-11:
                 break
             hi *= 2.0
     # the geometric part as np.geomspace builds it, but with the math module's
@@ -299,14 +308,9 @@ def _cdf_table(
     geo = _elementwise(lambda e: 10.0**e, np.linspace(math.log10(start), math.log10(hi), 200))
     geo[0], geo[-1] = start, hi
     grid = np.unique(np.concatenate([np.linspace(lo, hi, 400), geo]))
-    # every segment in one lockstep call, their masses summed in grid order
-    segs, _, _, failures = adaptive_rows(
-        _node_by_node(pdf), len(grid) - 1, grid[:-1], grid[1:], 1e-12, 1e-10, 64
-    )
-    if failures:
-        raise failures[min(failures)]
+    # the segments' masses summed in grid order
     cdf = np.zeros_like(grid)
-    cdf[1:] = np.cumsum(segs)
+    cdf[1:] = np.cumsum(mass(grid[:-1], grid[1:], 1e-12, 1e-10, 64))
     if cdf[-1] <= 0.0:
         raise DomainError("sampling: density mass is zero on the CDF grid")
     cdf /= cdf[-1]

@@ -58,6 +58,7 @@ from .specfun import (
     _complex,
     _elementwise,
     _node_by_node,
+    _power,
     gamma_fn,
     norm_cdf_imag,
     norm_cdf_imag_scaled,
@@ -215,7 +216,7 @@ class MixingLaw:
             from .sampling import _cdf_table, _invert_from_table  # only samplers draw
 
             if not table:
-                table.append(_cdf_table(pdf, lo, hi))
+                table.append(_cdf_table(law.density, lo, hi))
             return _invert_from_table(table[0], g.random(m))
 
         law = cls(
@@ -228,7 +229,10 @@ class MixingLaw:
             density=lambda v: _elementwise(pdf, v),
             support=(lo, hi),
         )
-        total = law.expectation(lambda v: 1.0)
+        values, failures = law.expectation_rows(lambda rows, v: np.ones(v.shape), 1)
+        if failures:
+            raise failures[0]
+        total = values[0].item()
         if not abs(total - 1.0) <= 1e-8:  # a nan total fails too
             raise DomainError(
                 f"MixingLaw.custom_density: density integrates to {total!r}, not 1"
@@ -379,8 +383,7 @@ def _check_star_unimodal(gen: DensityGenerator) -> None:
     if gen.g_prime is None:
         raise DomainError("star-unimodal route requires the generator derivative g'")
     top = min(gen.support_radius**2, 400.0)
-    zs = np.geomspace(1e-8, top * (1.0 - 1e-9), 64)
-    dvals = np.array([gen.g_prime(float(z)) for z in zs])
+    dvals = gen.g_prime(np.geomspace(1e-8, top * (1.0 - 1e-9), 64))
     scale = float(np.abs(dvals).max())
     if scale == 0.0:
         raise DomainError(
@@ -405,7 +408,7 @@ def _smu_weight_density(gen: DensityGenerator, n: int, w: float) -> float:
 
     c_n = normalizing_constant(n, gen)
     lead = 4.0 * math.pi ** (0.5 * n) / (n * gamma_fn(0.5 * n)) * c_n
-    return -lead * w ** (n + 1) * gen.g_prime(w * w)
+    return -lead * w ** (n + 1) * gen.g_prime(np.array([w * w])).item()
 
 
 def star_unimodal_rows(gen: DensityGenerator, n: int, us) -> QuadRows:
@@ -414,7 +417,7 @@ def star_unimodal_rows(gen: DensityGenerator, n: int, us) -> QuadRows:
     2 c_n (2 pi)^(n/2) u^(-n/2) int_0^inf w^(n/2+1) J_(n/2)(w u) (-g'(w^2)) dw
 
     phi_hankel_rows' front end with the order n/2 and the envelope
-    -w^(n/2+1) g'(w^2), g' called entry by entry: u = 0 gives exactly 1,
+    -w^(n/2+1) g'(w^2): u = 0 gives exactly 1,
     0 < u < 1e-3 the moment series (the ball-kernel series in
     E[W^(2k)] = ((n+2k)/n) E[R^(2k)] is term by term phi_hankel's series in
     E[R^(2k)]), every other u the oscillatory engine, in lockstep.  A
@@ -424,10 +427,10 @@ def star_unimodal_rows(gen: DensityGenerator, n: int, us) -> QuadRows:
 
     _check_star_unimodal(gen)
 
-    def envelope(w: float) -> float:
-        return -(w ** (0.5 * n + 1.0)) * gen.g_prime(w * w)
+    def envelope(w: np.ndarray) -> np.ndarray:
+        return -_power(w, 0.5 * n + 1.0) * gen.g_prime(w * w)
 
-    return _bessel_transform_rows(gen, n, us, 0.5 * n, lambda w: _elementwise(envelope, w), 2.0)
+    return _bessel_transform_rows(gen, n, us, 0.5 * n, envelope, 2.0)
 
 
 def cf_star_unimodal(gen: DensityGenerator, n: int, t) -> ComplexCF:
@@ -448,11 +451,9 @@ def cf_star_unimodal_rows(spec: EllipticalSpec, ts) -> CFRows:
 
     def evaluate(sl: slice):
         res = star_unimodal_rows(spec.generator, spec.n, us[sl])
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails its row
-            # per row: a batched product may round otherwise
-            phase = np.array([float(t @ spec.mu) for t in ts[sl]])
         # as complex(value, 0.0): the products with its 0.0 set the signs of zero parts
         value = res.value.astype(complex)
+        phase = _row_dots(ts[sl], spec.mu)
         return (*_rotate(value, phase), res.err_est, CFMethod.HANKEL.value, res.failures)
 
     return _chunk_rows(ts, evaluate)

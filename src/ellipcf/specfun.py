@@ -11,7 +11,9 @@ the array around it.
 
 J_nu also has an array form (:func:`bessel_j_rows`) that runs bessel_j's
 series and Hankel expansion in lockstep over every entry, with bessel_j's
-branches and stopping rule per entry.
+branches and stopping rule per entry.  The scalar power series of J_nu,
+0F1 and 1F1 run in one loop (_sum_ratio_series), each given its term
+ratio.
 
 Every truncated series stops at a relative term size of 1e-14, within at
 most 500 terms, and reports the number of terms consumed.  Non-convergence
@@ -100,20 +102,9 @@ def _bessel_j_series(nu: float, x: float) -> SpecialValue:
     else:
         lead = half**nu / gamma_fn(nu + 1.0)
     msq = -(half * half)
-    term = 1.0
-    total = 1.0
-    small_streak = 0
-    kmin = 0.5 * x  # term magnitudes peak near k ~ x/2
-    for k in range(1, _SERIES_MAX_TERMS + 1):
-        term *= msq / (k * (nu + k))
-        total += term
-        if abs(term) <= _SERIES_REL_TOL * abs(total) and k >= kmin:
-            small_streak += 1
-            if small_streak >= 2:
-                return SpecialValue(lead * total, k, True)
-        else:
-            small_streak = 0
-    return SpecialValue(lead * total, _SERIES_MAX_TERMS, False)
+    # term magnitudes peak near k ~ x/2
+    sv = _sum_ratio_series(lambda k: msq / ((k + 1) * (nu + (k + 1))), 0.5 * x)
+    return SpecialValue(lead * sv.value, sv.terms_used, sv.converged)
 
 
 def _bessel_j_asymptotic(nu: float, x: float) -> SpecialValue:

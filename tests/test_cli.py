@@ -456,6 +456,33 @@ def _mixture_specs(mixing):
     return [("lsm", _lsm_spec(mixing)), ("smsn", dict(_SMSN, mixing=mixing))]
 
 
+# a non-finite generator parameter (JSON NaN or Infinity): the family's
+# spec error, before any route runs or any draw is made
+_NON_FINITE_GENERATORS = [
+    ("generalized_t-s-inf", "generalized_t", {"s": math.inf, "m": 3},
+     "generalized_t_generator: s must be finite"),
+    ("pearson_ii-m-inf", "pearson_ii", {"m": math.inf}, "pearson_ii_generator: m must be finite"),
+    ("pearson_vii-N-inf", "pearson_vii", {"N": math.inf, "s": 1},
+     "pearson_vii_generator: N must be finite"),
+    ("pearson_vii-s-nan", "pearson_vii", {"N": 2, "s": math.nan},
+     "pearson_vii_generator: s must be finite"),
+    ("kotz-N-nan", "kotz", {"N": math.nan, "r": 0.5, "s": 1}, "kotz_generator: N must be finite"),
+    ("kotz-r-inf", "kotz", {"N": 1, "r": math.inf, "s": 1}, "kotz_generator: r must be finite"),
+    ("kotz-s-inf", "kotz", {"N": 1, "r": 0.5, "s": math.inf}, "kotz_generator: s must be finite"),
+    ("bessel-a-nan", "bessel", {"a": math.nan, "beta": 1}, "bessel_generator: a must be finite"),
+    ("bessel-a-inf", "bessel", {"a": math.inf, "beta": 1}, "bessel_generator: a must be finite"),
+    ("bessel-beta-inf", "bessel", {"a": 0.5, "beta": math.inf},
+     "bessel_generator: beta must be finite"),
+]
+
+
+def _generator_specs(family, params):
+    generator = {"family": family, "params": params}
+    return [("elliptical", _gen_spec(family, params)),
+            ("lsm", dict(_lsm_spec(_FINITE), generator=generator)),
+            ("smu", dict(_gen_spec(family, params), kind="smu"))]
+
+
 class TestSpecMessages:
     """The whole stderr line of each spec error raised while a spec's
     family, kind, fields and routes are looked up: exit 2, the message
@@ -522,6 +549,9 @@ class TestSpecMessages:
         *[pytest.param(spec, "closed", f"mixing: {message}", id=f"{kind}-{case}")
           for case, mixing, message in _NON_FINITE_MIXINGS
           for kind, spec in _mixture_specs(mixing)],
+        *[pytest.param(spec, "hankel", f"generator.params: {message}", id=f"{kind}-{case}")
+          for case, family, params, message in _NON_FINITE_GENERATORS
+          for kind, spec in _generator_specs(family, params)],
         pytest.param(_gen_spec("pearson_vii", {"N": 1, "s": 1}), "closed",
                      "generator: Pearson VII requires N > n/2", id="pearson_vii-dimension"),
         pytest.param(dict(normal_spec(1), generator={"family": "kotz",
@@ -564,6 +594,20 @@ class TestSpecMessages:
             path = write_spec(tmp_path, f"{kind}.json", spec)
             assert cli.main([command[0], "--spec", path, *command[1:]]) == 2
             assert capsys.readouterr() == ("", f"spec error: mixing: {message}\n")
+
+    @pytest.mark.parametrize("command", [
+        ["compare", "--routes", "closed,mc", "--mc-count", "1000",
+         "--grid", '{"kind":"list","points":[[0.5,0.25]]}'],
+        ["sample", "--count", "10"],
+    ], ids=["compare", "sample"])
+    @pytest.mark.parametrize("case, family, params, message", [
+        pytest.param(*row, id=row[0]) for row in _NON_FINITE_GENERATORS])
+    def test_non_finite_generator_other_commands(self, tmp_path, capsys, command, case, family,
+                                                 params, message):
+        for kind, spec in _generator_specs(family, params):
+            path = write_spec(tmp_path, f"{kind}.json", spec)
+            assert cli.main([command[0], "--spec", path, *command[1:]]) == 2
+            assert capsys.readouterr() == ("", f"spec error: generator.params: {message}\n")
 
     @pytest.mark.parametrize("hash_seed", ["0", "5"])
     def test_missing_fields_named_in_declared_order(self, tmp_path, hash_seed):
@@ -630,7 +674,7 @@ def _star_unimodal_point(ell, t):
     # the hankel route of smu at one point: the star route at ||t||_Sigma
     u = math.sqrt(ell.dispersion.quad_rows(t[None, :])[0])
     base = skewmix.cf_star_unimodal(ell.generator, ell.n, [u, 0.0])
-    phase = float(t @ ell.mu)
+    phase = float(elliptical._row_dots(t, ell.mu))
     value = complex(math.cos(phase), math.sin(phase)) * base.re
     return elliptical.ComplexCF(value.real, value.imag, base.abs_err, base.method)
 

@@ -362,6 +362,21 @@ class TestStarUnimodal:
         else:
             assert abs(res.value - closed_form_generator(gen, 2, u * u)) <= res.err_est
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_phase_summed_in_index_order(self, n):
+        # the grid form's phase is the one of every other route, a sum in
+        # index order, never a BLAS dot, whose rounding may follow the
+        # machine's kernel; a tiny Sigma keeps every u on the moment series
+        rng = np.random.default_rng(n)
+        mu = rng.normal(size=n) * 0.37
+        spec = EllipticalSpec(n, mu, 1e-10 * np.eye(n), gn.normal_generator())
+        ts = rng.normal(size=(20000, n)) * 3.0
+        rows = cf_star_unimodal_rows(spec, ts)
+        us = np.sqrt(spec.dispersion.quad_rows(ts))
+        value = star_unimodal_rows(spec.generator, n, us).value
+        re, im = elliptical._rotate(value.astype(complex), elliptical._row_dots(ts, mu))
+        assert rows.re.tobytes() == re.tobytes() and rows.im.tobytes() == im.tobytes()
+
 
 class TestGSE:
     def test_constant_half_recovers_symmetric(self):
