@@ -9,12 +9,12 @@ characteristic function, radial densities and the validated dispersion
 matrix with its roots.  Every route is named: "closed" (a closed form,
 NoClosedFormError where the family has none) or "hankel".
 
-Every closed and hankel grid form, here and in skewmix, builds its CFRows
-with _chunk_rows: passes of _CHUNK rows, t = 0 the exact (1, 0, 0,
-"closed"), a non-finite value an OverflowError at its row, and the grid
-ending at the first failing row other than the origin.  Each one applies
-e^(i t'mu) with _rotate.  The hankel rows of a pass go through
-phi_hankel_rows in one call.
+Every closed and hankel grid form, here and in skewmix, supplies only the
+centered values of each pass to _chunk_rows, which owns the grid contract:
+it applies e^(i t'mu), gives t = 0 the exact (1, 0, 0, "closed"), fails a
+non-finite value with an OverflowError at its row and ends the grid at the
+first failing row other than the origin.  The hankel rows of a pass go
+through phi_hankel_rows in one call.
 
 The quadrature module is imported by the functions that integrate: the
 hankel rows of char_generator_rows and radial_density (and, in generators,
@@ -107,28 +107,32 @@ class CFRows:
         return ComplexCF(re, im, None if math.isnan(err) else err, CFMethod(self.method[i]))
 
 
-def _chunk_rows(ts: np.ndarray, evaluate) -> CFRows:
-    """The CF at the rows of ts, in array passes of _CHUNK rows.
+def _chunk_rows(ts, n: int, mu: np.ndarray, method: str, centered) -> CFRows:
+    """e^(i t'mu) times the centered CF at each row t of the (P, n) array
+    ts, in array passes of _CHUNK rows: the one owner of the grid contract.
 
-    evaluate(sl) returns the rows ts[sl] as (re, im, abs_err, method,
-    failures), abs_err (nan: no estimate) and method as arrays or one value
-    for all rows, and failures mapping an index within sl to its exception.
-    An exception out of evaluate itself fails every row of its pass, and a
-    row whose value is not finite fails with an OverflowError.  t = 0 gives
-    the exact 1, whatever evaluate made of it; the passes stop at the first
-    other failing row.
+    centered(t) gives the rows t of a pass as (z, abs_err, failures): z
+    real or complex, abs_err (nan: no estimate) an array or one value, and
+    failures mapping a row of the pass to its exception; an exception out
+    of centered fails every row of its pass.  t'mu comes from _row_dots,
+    the rotation from _rotate, and a row whose value is not finite fails
+    with an OverflowError.  Every row is named method but t = 0, the exact
+    (1, 0, 0, "closed") whatever centered made of it; the passes stop at
+    the first other failing row.
     """
+    ts = _as_rows(ts, n, "t")
     count = len(ts)
     re, im, abs_err = np.empty((3, count))
-    method = np.empty(count, dtype="<U6")
     at_origin = ~ts.any(axis=1)
     end, error = count, None
     for start in range(0, count, _CHUNK):
-        sl = slice(start, start + _CHUNK)
+        t = ts[start : start + _CHUNK]
+        sl = slice(start, start + len(t))
         try:
-            re[sl], im[sl], abs_err[sl], method[sl], failures = evaluate(sl)
+            z, abs_err[sl], failures = centered(t)
+            re[sl], im[sl] = _rotate(z, _row_dots(t, mu))
         except Exception as exc:  # raised again at each row of the pass
-            failures = dict.fromkeys(range(len(at_origin[sl])), exc)
+            failures = dict.fromkeys(range(len(t)), exc)
         finite = np.isfinite(re[sl]) & np.isfinite(im[sl])
         for i in np.flatnonzero(~finite).tolist():  # never a silent nan or inf
             failures.setdefault(i, OverflowError("the value is not finite: an intermediate overflows"))
@@ -137,17 +141,17 @@ def _chunk_rows(ts: np.ndarray, evaluate) -> CFRows:
             end, error = start + failed[0], failures[failed[0]]
             break
     re[at_origin], im[at_origin], abs_err[at_origin] = 1.0, 0.0, 0.0
-    method[at_origin] = CFMethod.CLOSED_FORM.value
-    return CFRows(re[:end], im[:end], abs_err[:end], method[:end], error)
+    names = np.where(at_origin[:end], CFMethod.CLOSED_FORM.value, method)
+    return CFRows(re[:end], im[:end], abs_err[:end], names, error)
 
 
 def _rotate(z: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """e^(i phase) z as (re, im), the one phase rotation of the closed and
-    hankel grid forms.  A real z gives the real products (cos z, sin z), a
-    complex z the products and sums of Python's complex multiply.  cos and
-    sin come from libm (_elementwise); a phase that is not finite (t'mu
-    overflowed) is nan, and _chunk_rows fails any row whose result is not
-    finite, so no warning is raised for one."""
+    """e^(i phase) z as (re, im), the one phase rotation of _chunk_rows.  A
+    real z gives the real products (cos z, sin z), a complex z the products
+    and sums of Python's complex multiply.  cos and sin come from libm
+    (_elementwise); a phase that is not finite (t'mu overflowed) is nan,
+    and _chunk_rows fails any row whose result is not finite, so no warning
+    is raised for one."""
     phase = np.where(np.isfinite(phase), phase, np.nan)
     c, s = _elementwise(math.cos, phase), _elementwise(math.sin, phase)
     with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf, or a sum past the range
@@ -345,19 +349,13 @@ def char_generator_rows(
 
 
 def cf_rows(spec: EllipticalSpec, ts, route: str = "closed") -> CFRows:
-    """exp(i t'mu) phi(t' Sigma t) at each row t of the (P, n) array ts, in order.
+    """exp(i t'mu) phi(t' Sigma t) at each row t of the (P, n) array ts, in
+    order: phi from one call of char_generator_rows per pass of _chunk_rows."""
 
-    The quadratic forms and phases of all rows come from one array pass,
-    and phi from one call of char_generator_rows per pass of _chunk_rows.
-    """
-    ts = _as_rows(ts, spec.n, "t")
-    q, phase = spec.dispersion.quad_rows(ts), _row_dots(ts, spec.mu)
+    def centered(t: np.ndarray):
+        return char_generator_rows(spec.generator, spec.n, spec.dispersion.quad_rows(t), route)
 
-    def evaluate(sl: slice):
-        phi, abs_err, failures = char_generator_rows(spec.generator, spec.n, q[sl], route)
-        return (*_rotate(phi, phase[sl]), abs_err, route, failures)
-
-    return _chunk_rows(ts, evaluate)
+    return _chunk_rows(ts, spec.n, spec.mu, route, centered)
 
 
 def cf(spec: EllipticalSpec, t, route: str = "closed") -> ComplexCF:

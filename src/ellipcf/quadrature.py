@@ -126,10 +126,9 @@ _NO_PANEL = np.iinfo(np.int64).max  # the sequence number of a padding slot
 def _dyadic_seeds(a: float, b: float, min_cell: float) -> tuple[float, ...]:
     # interior breakpoints halving toward the left edge down to min_cell, so
     # an integrand concentrated near `a` cannot hide between the nodes of one
-    # huge panel; halvings that would not fit in the panel budget raise
+    # huge panel (wider than 8 cells: the caller seeds no narrower one);
+    # halvings that would not fit in the panel budget raise
     width = b - a
-    if width <= 8.0 * min_cell:
-        return ()
     if not width <= min_cell * 2.0 ** (_PANEL_BUDGET - 1):
         raise ConvergenceError(
             f"integrate_bessel_oscillatory: a panel of width {width:.6g} needs more than "

@@ -14,14 +14,14 @@ The grid forms (``*_rows``) compute passes of grid points as arrays: the
 skew-normal factor through the array Dawson function, and mixing
 expectations for every point of a pass at once
 (:meth:`MixingLaw.expectation_rows`, lockstep quadrature for continuous
-laws).  Each one builds its :class:`~ellipcf.elliptical.CFRows` with
-elliptical's one builder, ``_chunk_rows`` (t = 0 exact, a non-finite
-value a failing row, the grid ending at the first failing row); the
-per-point functions are its row 0.  The star route's grid form,
-cf_star_unimodal_rows, is the hankel route of the CLI's smu kind.  Complex
-products are formed from their real parts in the order Python's complex
-arithmetic uses, so a point's value does not depend on the pass it is
-computed in.
+laws).  Each one gives the centered values of a pass to elliptical's one
+builder, ``_chunk_rows``, which applies e^(i t'mu) and keeps the grid
+contract (t = 0 exact, a non-finite value a failing row, the grid ending
+at the first failing row); the per-point functions are its row 0.  The
+star route's grid form, cf_star_unimodal_rows, is the hankel route of the
+CLI's smu kind.  Complex products are formed from their real parts in the
+order Python's complex arithmetic uses, so a point's value does not
+depend on the pass it is computed in.
 
 The quadrature module is imported by the functions that integrate:
 continuous mixing expectations, the star route and the smu weight density
@@ -44,10 +44,8 @@ from .elliptical import (
     ComplexCF,
     Dispersion,
     EllipticalSpec,
-    _as_rows,
     _as_vector,
     _chunk_rows,
-    _rotate,
     _row_dots,
     char_generator_rows,
 )
@@ -92,6 +90,12 @@ __all__ = [
 ]
 
 _MIX_ABS_TOL = 1e-8
+
+
+def _mixture_err(mixing: MixingLaw, base):
+    # a mixture row's abs_err: its base route's estimate (nan: none), plus the
+    # mixing quadrature's tolerance for a continuous law
+    return base if mixing.is_exact() else np.fmax(base, 0.0) + _MIX_ABS_TOL
 
 
 def _times_ratio(g, p, den):
@@ -332,22 +336,18 @@ class LSMixtureSpec:
 def cf_location_scale_mixture_rows(spec: LSMixtureSpec, ts, route: str = "closed") -> CFRows:
     """CF of the location-scale mixture at each row t of the (P, n) array ts.
 
-    exp(i t'mu) E[e^(iV t'gamma) phi(V t'Sigma t)]: t'Sigma t, t'gamma and
-    t'mu come from one array pass, and the mixing expectation runs for a
-    block of rows at once (MixingLaw.expectation_rows), with phi at all of
-    a round's nodes from one call of char_generator_rows.  Degenerate and
-    finite-discrete mixing are exact weighted sums; continuous mixing is
-    adaptive quadrature over the mixing density.  route ("closed" or
-    "hankel") is the route of phi.
+    exp(i t'mu) E[e^(iV t'gamma) phi(V t'Sigma t)]: the mixing expectation
+    runs for a pass of rows at once (MixingLaw.expectation_rows), with phi
+    at all of a round's nodes from one call of char_generator_rows.
+    Degenerate and finite-discrete mixing are exact weighted sums;
+    continuous mixing is adaptive quadrature over the mixing density.
+    route ("closed" or "hankel") is the route of phi.
     """
-    ts = _as_rows(ts, spec.n, "t")
     gen, n = spec.base.generator, spec.n
-    q = spec.dispersion.quad_rows(ts)
-    drift, phase = _row_dots(ts, spec.gamma), _row_dots(ts, spec.mu)
 
-    def evaluate(sl: slice):
-        qs, drifts = q[sl], drift[sl]
-        base_err = np.zeros(len(qs))
+    def centered(t: np.ndarray):
+        qs, drifts = spec.dispersion.quad_rows(t), _row_dots(t, spec.gamma)
+        base_err = np.full(len(t), np.nan)
 
         def f(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
             phi, err, failures = char_generator_rows(gen, n, v * qs[rows], route)
@@ -361,11 +361,10 @@ def cf_location_scale_mixture_rows(spec: LSMixtureSpec, ts, route: str = "closed
                 vd[~np.isfinite(vd)] = np.nan
                 return _complex(np.cos(vd) * phi, np.sin(vd) * phi)
 
-        ev, failures = spec.mixing.expectation_rows(f, len(qs))
-        abs_err = base_err + (0.0 if spec.mixing.is_exact() else _MIX_ABS_TOL)
-        return (*_rotate(ev, phase[sl]), abs_err, route, failures)
+        ev, failures = spec.mixing.expectation_rows(f, len(t))
+        return ev, _mixture_err(spec.mixing, base_err), failures
 
-    return _chunk_rows(ts, evaluate)
+    return _chunk_rows(ts, n, spec.mu, route, centered)
 
 
 def cf_location_scale_mixture(spec: LSMixtureSpec, t, route: str = "closed") -> ComplexCF:
@@ -446,17 +445,13 @@ def cf_star_unimodal_rows(spec: EllipticalSpec, ts) -> CFRows:
     """The star route of an elliptical law, e^(i t'mu) phi(t'St) with phi
     from star_unimodal_rows at u = ||t||_Sigma, at each row t of the (P, n)
     array ts: one star_unimodal_rows call per pass of _chunk_rows."""
-    ts = _as_rows(ts, spec.n, "t")
-    us = np.sqrt(spec.dispersion.quad_rows(ts))
 
-    def evaluate(sl: slice):
-        res = star_unimodal_rows(spec.generator, spec.n, us[sl])
+    def centered(t: np.ndarray):
+        res = star_unimodal_rows(spec.generator, spec.n, np.sqrt(spec.dispersion.quad_rows(t)))
         # as complex(value, 0.0): the products with its 0.0 set the signs of zero parts
-        value = res.value.astype(complex)
-        phase = _row_dots(ts[sl], spec.mu)
-        return (*_rotate(value, phase), res.err_est, CFMethod.HANKEL.value, res.failures)
+        return res.value.astype(complex), res.err_est, res.failures
 
-    return _chunk_rows(ts, evaluate)
+    return _chunk_rows(ts, spec.n, spec.mu, CFMethod.HANKEL.value, centered)
 
 
 # ---------------------------------------------------------------------------
@@ -557,38 +552,31 @@ class GSESpec:
 def cf_gse_rows(spec: GSESpec, ts) -> CFRows:
     """CF of a generalized skew-elliptical law at each row t of the (P, n) array ts.
 
-    t'St, S^(1/2) t and t'mu come from one array pass.  With log_psi and a
-    built-in k (SkewNormalK, possibly behind LinearMappedK) the rest is
-    array passes too, assembled in log scale, so log_psi must then accept an
-    array of q; otherwise psi(q) k(y) runs point by point, a point's
-    exception failing its row.
+    t'St and S^(1/2) t come from array passes.  With log_psi and a built-in
+    k (SkewNormalK, possibly behind LinearMappedK) the rest is array passes
+    too, assembled in log scale, so log_psi must then accept an array of q;
+    otherwise psi(q) k(y) runs point by point, a point's exception failing
+    its row.
     """
-    ts = _as_rows(ts, spec.n, "t")
-    q = spec.dispersion.quad_rows(ts)
-    ys = _row_dots(ts[:, None, :], spec.dispersion.sym_root)
-    phase = _row_dots(ts, spec.mu)
-    inner = _innermost(spec.k_fn)
-    if spec.log_psi is not None and isinstance(inner, SkewNormalK):  # takes stacked points
-
-        def evaluate(sl: slice):
-            mant, log_scale = spec.k_fn.scaled(ys[sl])
+    root = spec.dispersion.sym_root
+    if spec.log_psi is not None and isinstance(_innermost(spec.k_fn), SkewNormalK):
+        def centered(t: np.ndarray):  # the built-in k takes stacked points
+            mant, log_scale = spec.k_fn.scaled(_row_dots(t[:, None, :], root))
             with np.errstate(invalid="ignore"):  # -inf + inf where t'St overflows: a failing row
-                z = 2.0 * np.exp(spec.log_psi(q[sl]) + log_scale) * mant
-            return (*_rotate(z, phase[sl]), math.nan, CFMethod.CLOSED_FORM.value, {})
+                z = 2.0 * np.exp(spec.log_psi(spec.dispersion.quad_rows(t)) + log_scale) * mant
+            return z, math.nan, {}
+    else:
+        def centered(t: np.ndarray):  # point by point, each point's exception at its row
+            z, failures = np.full(len(t), np.nan, dtype=complex), {}
+            ys = _row_dots(t[:, None, :], root)
+            for i, (qi, y) in enumerate(zip(spec.dispersion.quad_rows(t).tolist(), ys)):
+                try:
+                    z[i] = 2.0 * spec.psi(qi) * spec.k_fn(y)
+                except Exception as exc:  # raised again at its row
+                    failures[i] = exc
+            return z, math.nan, failures
 
-        return _chunk_rows(ts, evaluate)
-
-    def evaluate(sl: slice):  # point by point, each point's exception at its row
-        z = np.full(len(q[sl]), np.nan, dtype=complex)
-        failures = {}
-        for i, (qi, y) in enumerate(zip(q[sl].tolist(), ys[sl])):
-            try:
-                z[i] = 2.0 * spec.psi(qi) * spec.k_fn(y)
-            except Exception as exc:  # raised again at its row
-                failures[i] = exc
-        return (*_rotate(z, phase[sl]), math.nan, CFMethod.CLOSED_FORM.value, failures)
-
-    return _chunk_rows(ts, evaluate)
+    return _chunk_rows(ts, spec.n, spec.mu, CFMethod.CLOSED_FORM.value, centered)
 
 
 def cf_gse(spec: GSESpec, t) -> ComplexCF:
@@ -659,13 +647,13 @@ class SkewNormalSpec:
             1.0 + float(alpha @ self.sigma @ alpha)
         )
 
-    def invariants(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """t'Sigma t, the skew scale y (CF factor Phi(iy)) and t'mu for each row t.
+    def invariants(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """t'Sigma t and the skew scale y (CF factor Phi(iy)) for each row t.
 
         y = a'S t = (S a)'t with a the skew direction and S the symmetric root.
         """
         y_dir = self.dispersion.sym_root @ self.skew_direction()
-        return self.dispersion.quad_rows(ts), _row_dots(ts, y_dir), _row_dots(ts, self.mu)
+        return self.dispersion.quad_rows(ts), _row_dots(ts, y_dir)
 
 
 def _sn_centered(q: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -680,14 +668,11 @@ def _sn_centered(q: np.ndarray, y: np.ndarray) -> np.ndarray:
 def cf_skew_normal_rows(spec: SkewNormalSpec, ts) -> CFRows:
     """CF of the skew-normal law, e^(i t'mu) 2 exp(-t'St/2) Phi(i y_t), at each
     row t of the (P, n) array ts, in array passes."""
-    ts = _as_rows(ts, spec.n, "t")
-    q, y, phase = spec.invariants(ts)
 
-    def evaluate(sl: slice):
-        z = _sn_centered(q[sl], y[sl])
-        return (*_rotate(z, phase[sl]), math.nan, CFMethod.CLOSED_FORM.value, {})
+    def centered(t: np.ndarray):
+        return _sn_centered(*spec.invariants(t)), math.nan, {}
 
-    return _chunk_rows(ts, evaluate)
+    return _chunk_rows(ts, spec.n, spec.mu, CFMethod.CLOSED_FORM.value, centered)
 
 
 def cf_skew_normal(spec: SkewNormalSpec, t) -> ComplexCF:
@@ -713,12 +698,9 @@ def cf_smsn_rows(spec: SkewNormalSpec, mixing: MixingLaw, ts) -> CFRows:
     Exact for degenerate/finite-discrete mixing, adaptive quadrature
     otherwise (MixingLaw.expectation_rows).
     """
-    ts = _as_rows(ts, spec.n, "t")
-    q, y, phase = spec.invariants(ts)
-    abs_err = math.nan if mixing.is_exact() else _MIX_ABS_TOL
 
-    def evaluate(sl: slice):
-        qs, ys = q[sl], y[sl]
+    def centered(t: np.ndarray):
+        qs, ys = spec.invariants(t)
 
         def f(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
             # V = 0 is a point mass at mu, whose centered CF is 1 even where t'St
@@ -728,10 +710,10 @@ def cf_smsn_rows(spec: SkewNormalSpec, mixing: MixingLaw, ts) -> CFRows:
             vy = np.multiply(np.sqrt(v), ys[rows], out=np.zeros_like(v), where=live)
             return _sn_centered(vq, vy)
 
-        ev, failures = mixing.expectation_rows(f, len(qs))
-        return (*_rotate(ev, phase[sl]), abs_err, CFMethod.CLOSED_FORM.value, failures)
+        ev, failures = mixing.expectation_rows(f, len(t))
+        return ev, _mixture_err(mixing, math.nan), failures
 
-    return _chunk_rows(ts, evaluate)
+    return _chunk_rows(ts, spec.n, spec.mu, CFMethod.CLOSED_FORM.value, centered)
 
 
 def cf_smsn(spec: SkewNormalSpec, mixing: MixingLaw, t) -> ComplexCF:
@@ -755,7 +737,7 @@ def smsn_split(
 
     def k_n(t: np.ndarray) -> complex:
         t = _as_vector(t, spec.n, "t")
-        (q,), (y,), _ = spec.invariants(t[None, :])
+        (q,), (y,) = spec.invariants(t[None, :])
 
         def odd_part(v: float) -> complex:
             # e^(-V q/2) (Phi(i sqrt(V) y) - 1/2), assembled in log scale

@@ -194,6 +194,14 @@ class TestMomentIntegral:
             res = moment_integral(gen, n)
             assert_allclose(res.value, gen.moment(float(n)), rtol=1e-8)
 
+    @pytest.mark.parametrize("radius", [2.0, 3.5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_finite_support_wider_than_one(self, n, radius):
+        # g = 1 on a ball of radius R > 1: the unit window, then the window
+        # [1, R]; 2 int_0^R w^(n-1) dw = 2 R^n / n
+        gen = gn.custom_generator(lambda z: 1.0, support_radius=radius)
+        assert_allclose(moment_integral(gen, n).value, 2.0 * radius**n / n, rtol=1e-14)
+
     def test_divergence_detected(self):
         slow = gn.custom_generator(lambda z: 1.0 / (1.0 + z))
         with pytest.raises(DivergentIntegralError):
@@ -303,6 +311,17 @@ class TestPhiHankel:
             closed = closed_form_generator(gen, n, u * u)
             assert abs(series - closed) <= 1e-7
             assert abs(c_n_route.value - closed_form_generator(gen, n, 1.5e-3**2)) <= 1e-6
+
+    @pytest.mark.parametrize("radius", [2.0, 3.5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_custom_ball_wider_than_one(self, n, radius):
+        # g = 1 on a ball of radius R is the uniform ball scaled by R:
+        # phi(u^2) is the uniform-ball closed form at q = (uR)^2
+        gen = gn.custom_generator(lambda z: 1.0, support_radius=radius)
+        for u in (0.3, 1.0, 2.5, 6.0):
+            res = phi_hankel(gen, n, u)
+            closed = closed_form_generator(gn.uniform_ball_generator(), n, (u * radius) ** 2)
+            assert abs(res.value - closed) <= res.err_est + 8.0 * np.finfo(float).eps
 
     def test_heavy_tail_small_u_uses_oscillatory(self):
         # Cauchy has no moments: the small-u path must still work

@@ -219,6 +219,22 @@ class TestLocationScaleMixture:
         expect = 0.5 * (math.exp(-0.5) + math.exp(-2.0))
         assert abs(val.value - expect) <= 1e-12
 
+    @pytest.mark.parametrize("mixing, abs_err", [
+        (MixingLaw.degenerate(2.0), math.nan),
+        (MixingLaw.finite_discrete([0.5, 2.0], [0.25, 0.75]), math.nan),
+        (MixingLaw.inverse_gamma(3.0, 2.0), 1e-8),
+    ], ids=["degenerate", "finite_discrete", "inverse_gamma"])
+    def test_closed_route_abs_err(self, mixing, abs_err):
+        # the base route's estimate (the closed form has none), plus the
+        # mixing tolerance for a continuous law: the rule of the smsn closed route
+        ts = np.array([[0.7, 0.4], [1.5, -0.3], [0.0, 2.0]])
+        spec = LSMixtureSpec(std_normal_base(2), [0.1, -0.2], [0.5, 0.25], np.eye(2), mixing)
+        lsm = cf_location_scale_mixture_rows(spec, ts, "closed")
+        smsn = cf_smsn_rows(SkewNormalSpec([0.1, -0.2], np.eye(2), [2.0, -0.5]), mixing, ts)
+        for rows in (lsm, smsn):
+            assert rows.error is None
+            assert_allclose(rows.abs_err, abs_err, rtol=0, atol=0)
+
     def test_inverse_gamma_recovers_student_t(self):
         # V ~ InvGamma(m/2, m/2) mixing of normals is the t with m df
         m = 5
@@ -750,13 +766,13 @@ class TestGridBuilder:
         inject(monkeypatch)
         real, passes = elliptical._chunk_rows, []
 
-        def spy(ts, evaluate):
-            return real(ts, lambda sl: passes.append(sl.start) or evaluate(sl))
+        def spy(ts, n, mu, method, centered):
+            return real(ts, n, mu, method, lambda t: passes.append(len(t)) or centered(t))
 
         for module in (elliptical, skewmix):
             monkeypatch.setattr(module, "_chunk_rows", spy)
         rows = form(_TS, True)
-        assert passes == [0, 4]  # the third pass is never computed
+        assert passes == [4, 4]  # the third pass is never computed
         assert len(rows) == _FAIL and isinstance(rows.error, error)
         assert rows.re.tobytes() == whole.re[:_FAIL].tobytes()
         assert rows.im.tobytes() == whole.im[:_FAIL].tobytes()

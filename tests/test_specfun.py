@@ -2,12 +2,15 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import oracles
+from ellipcf import generators as gn
 from ellipcf import specfun
+from ellipcf.elliptical import closed_form_generator
 from ellipcf.errors import ConvergenceError, DomainError
 from ellipcf.specfun import (
     bessel_j,
@@ -116,6 +119,34 @@ class TestBesselJRows:
         with pytest.raises(ConvergenceError) as scalar:
             bessel_j(0.0, 11.0)
         assert str(raised.value) == str(scalar.value)
+
+
+class TestBesselJHighOrder:
+    """Orders above 30, where the J series takes its lead in log-gamma form."""
+
+    @pytest.mark.parametrize("nu, xs", [
+        (30.5, [0.5, 5.0, 15.0]),
+        (35.0, [0.5, 5.0, 15.0, 20.0]),
+        (40.25, [0.5, 5.0, 15.0, 20.0]),
+    ])
+    def test_against_mpmath(self, nu, xs):
+        for x in xs:
+            ref = float(mpmath.besselj(nu, x))
+            assert abs(bessel_j(nu, x) - ref) <= 5e-14 * abs(ref)
+        rows = bessel_j_rows(nu, np.array(xs))
+        assert rows.tobytes() == np.array([bessel_j(nu, x) for x in xs]).tobytes()
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 5: just below the switch to the Hankel expansion the "
+        "power series loses every digit with no report; bessel_j(35, 69.5) is "
+        "1.97e8, and through hyp0f1 the uniform ball at n = 70, u = 69.5 prints "
+        "2.38e-6 where the true value is -9.0e-16",
+    )
+    def test_uniform_ball_n70_closed_form(self):
+        ref = float(mpmath.hyp0f1(36, -(69.5**2) / 4))
+        got = closed_form_generator(gn.uniform_ball_generator(), 70, 69.5**2)
+        assert abs(got - ref) <= 1e-12
 
 
 class TestBesselJZero:
