@@ -5,8 +5,8 @@ generator.  Its characteristic function factors as
 exp(i t'mu) * phi(t' Sigma t) for a scalar characteristic generator phi;
 this module provides phi in closed form (from the generator's family
 record), the Hankel quadrature route for every generator, the uniform-sphere
-characteristic function, radial densities and the validated dispersion
-matrix with its roots.  Every route is named: "closed" (a closed form,
+characteristic function (one 0F1, Omega_n(x) = 0F1(; n/2; -x^2/4)), radial
+densities and the validated dispersion matrix with its roots.  Every route is named: "closed" (a closed form,
 NoClosedFormError where the family has none) or "hankel".
 
 Every closed and hankel grid form, here and in skewmix, supplies only the
@@ -14,7 +14,9 @@ centered values of each pass to _chunk_rows, which owns the grid contract:
 it applies e^(i t'mu), gives t = 0 the exact (1, 0, 0, "closed"), fails a
 non-finite value with an OverflowError at its row and ends the grid at the
 first failing row other than the origin.  The hankel rows of a pass go
-through phi_hankel_rows in one call.
+through phi_hankel_rows in one call.  _rotate is the one phase rotation:
+it applies e^(i t'mu) here and the drift e^(iV t'gamma) of skewmix's
+location-scale mixtures.
 
 The quadrature module is imported by the functions that integrate: the
 hankel rows of char_generator_rows and radial_density (and, in generators,
@@ -33,7 +35,7 @@ import numpy as np
 
 from .errors import DomainError
 from .generators import DensityGenerator
-from .specfun import _elementwise, _power, bessel_j, gamma_fn, hyp0f1
+from .specfun import _elementwise, _power, gamma_fn, hyp0f1
 
 __all__ = [
     "CFMethod",
@@ -146,12 +148,12 @@ def _chunk_rows(ts, n: int, mu: np.ndarray, method: str, centered) -> CFRows:
 
 
 def _rotate(z: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """e^(i phase) z as (re, im), the one phase rotation of _chunk_rows.  A
-    real z gives the real products (cos z, sin z), a complex z the products
-    and sums of Python's complex multiply.  cos and sin come from libm
-    (_elementwise); a phase that is not finite (t'mu overflowed) is nan,
-    and _chunk_rows fails any row whose result is not finite, so no warning
-    is raised for one."""
+    """e^(i phase) z as (re, im), the one phase rotation (of _chunk_rows and
+    the lsm drift).  A real z gives the real products (cos z, sin z), a
+    complex z the products and sums of Python's complex multiply.  cos and
+    sin come from libm (_elementwise); a phase that is not finite (t'mu or
+    V t'gamma overflowed) is nan, and _chunk_rows fails any row whose result
+    is not finite, so no warning is raised for one."""
     phase = np.where(np.isfinite(phase), phase, np.nan)
     c, s = _elementwise(math.cos, phase), _elementwise(math.sin, phase)
     with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf, or a sum past the range
@@ -273,18 +275,15 @@ class EllipticalSpec:
 def uniform_sphere_cf(n: int, s: float) -> float:
     """CF of the uniform law on the unit sphere surface, at s = ||t||^2.
 
-    Gamma(n/2) (2/||t||)^((n-2)/2) J_((n-2)/2)(||t||); the 0F1 series form
-    is used near the origin where the Bessel form has a removable 0/0.
+    Omega_n(||t||) = Gamma(n/2) (2/||t||)^((n-2)/2) J_((n-2)/2)(||t||)
+    = 0F1(; n/2; -s/4), evaluated by hyp0f1, which takes the Bessel form
+    itself where its series would cancel.
     """
     if n < 1:
         raise DomainError("uniform_sphere_cf: n must be >= 1")
     if s < 0.0:
         raise DomainError("uniform_sphere_cf: s = ||t||^2 must be >= 0")
-    x = math.sqrt(s)
-    if x < 1e-3:
-        return hyp0f1(0.5 * n, -0.25 * s)
-    half_order = 0.5 * (n - 2.0)
-    return gamma_fn(0.5 * n) * (2.0 / x) ** half_order * bessel_j(half_order, x)
+    return hyp0f1(0.5 * n, -0.25 * s)
 
 
 def radial_density(spec: EllipticalSpec, v):

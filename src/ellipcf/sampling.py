@@ -19,10 +19,11 @@ sin of t'x, both from one vectorized tan of the half angle.  The chunk sums
 are added in chunk order, so the result does not depend on the worker count.
 empirical_cf takes one point of it over a held batch.
 
-The skewmix module is imported by the samplers of the lsm, skew-normal and
-smsn laws, and the quadrature module by the CDF tables of custom
-densities: the elliptical samplers of the named families run without
-either.
+The skew-normal and smsn samplers share one conditioning draw of centred
+rows, _skew_normal_chunk, each adding mu itself (the smsn sampler after
+scaling by sqrt(V)).  The skewmix module is imported by that draw, and the
+quadrature module by the CDF tables of custom generators and densities; no
+other sampler imports either.
 """
 
 from __future__ import annotations
@@ -376,8 +377,9 @@ def sample_location_scale_mixture(
 
 
 def _skew_normal_chunk(spec: SkewNormalSpec, m: int, g: np.random.Generator) -> np.ndarray:
-    # conditioning mechanism: keep the normal draw when the latent
-    # alpha-projection plus independent noise is positive (acceptance 1/2)
+    # m centred skew-normal rows (mu not added) by the conditioning mechanism:
+    # keep the normal draw when the latent alpha-projection plus independent
+    # noise is positive (acceptance 1/2)
     from .skewmix import Parametrization
 
     n = spec.n
@@ -398,15 +400,19 @@ def _skew_normal_chunk(spec: SkewNormalSpec, m: int, g: np.random.Generator) -> 
             keep = np.compress((y @ alpha + eps) > 0.0, y, axis=0)
         rows.append(keep[: m - have])
         have += len(rows[-1])
-    x = rows[0] if len(rows) == 1 else np.concatenate(rows, axis=0)
-    x += spec.mu
-    return x
+    return rows[0] if len(rows) == 1 else np.concatenate(rows, axis=0)
 
 
 def skew_normal_sampler(spec: SkewNormalSpec) -> Sampler:
     """Rejection draws from the skew-normal law (either parametrization)."""
+
+    def draw(m: int, g: np.random.Generator) -> np.ndarray:
+        x = _skew_normal_chunk(spec, m, g)
+        x += spec.mu
+        return x
+
     fp = _fingerprint(spec.n, spec.mu, spec.sigma, spec.alpha, spec.parametrization.value)
-    return Sampler("skew_normal", spec.n, lambda m, g: _skew_normal_chunk(spec, m, g), fp)
+    return Sampler("skew_normal", spec.n, draw, fp)
 
 
 def sample_skew_normal(
@@ -418,14 +424,9 @@ def sample_skew_normal(
 
 def smsn_sampler(spec: SkewNormalSpec, mixing: MixingLaw) -> Sampler:
     """Scale mixture of skew-normals: mu + sqrt(V) X, X skew-normal(0, Sigma, alpha)."""
-    from .skewmix import SkewNormalSpec
-
-    centered = SkewNormalSpec(
-        np.zeros(spec.n), spec.sigma, spec.alpha, spec.parametrization
-    )
 
     def draw(m: int, g: np.random.Generator) -> np.ndarray:
-        x = _skew_normal_chunk(centered, m, g)
+        x = _skew_normal_chunk(spec, m, g)
         x *= np.sqrt(mixing.draw(m, g))[:, None]
         x += spec.mu
         return x

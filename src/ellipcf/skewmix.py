@@ -24,9 +24,9 @@ order Python's complex arithmetic uses, so a point's value does not
 depend on the pass it is computed in.
 
 The quadrature module is imported by the functions that integrate:
-continuous mixing expectations, the star route and the smu weight density
-with its normalizing constant.  The skew-normal and GSE closed forms and
-the exact (degenerate, finite discrete) mixing sums run without it.
+continuous mixing expectations and the star route.  The skew-normal and GSE
+closed forms and the exact (degenerate, finite discrete) mixing sums run
+without it.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .elliptical import (
     EllipticalSpec,
     _as_vector,
     _chunk_rows,
+    _rotate,
     _row_dots,
     char_generator_rows,
 )
@@ -57,7 +58,6 @@ from .specfun import (
     _elementwise,
     _node_by_node,
     _power,
-    gamma_fn,
     norm_cdf_imag,
     norm_cdf_imag_scaled,
 )
@@ -86,7 +86,6 @@ __all__ = [
     "cf_skew_normal_rows",
     "cf_smsn",
     "cf_smsn_rows",
-    "smsn_split",
 ]
 
 _MIX_ABS_TOL = 1e-8
@@ -356,10 +355,8 @@ def cf_location_scale_mixture_rows(spec: LSMixtureSpec, ts, route: str = "closed
             phi, err = phi.reshape(v.shape), err.reshape(v.shape)
             # the largest estimate among a row's nodes, nan (closed form) ignored
             base_err[rows[:, 0]] = np.fmax(base_err[rows[:, 0]], np.fmax.reduce(err, axis=1))
-            with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails its row
-                vd = v * drifts[rows]
-                vd[~np.isfinite(vd)] = np.nan
-                return _complex(np.cos(vd) * phi, np.sin(vd) * phi)
+            with np.errstate(over="ignore", invalid="ignore"):  # _rotate: an overflow fails its row
+                return _complex(*_rotate(phi, v * drifts[rows]))
 
         ev, failures = spec.mixing.expectation_rows(f, len(t))
         return ev, _mixture_err(spec.mixing, base_err), failures
@@ -390,24 +387,6 @@ def _check_star_unimodal(gen: DensityGenerator) -> None:
         )
     if float(dvals.max()) > 1e-12 * scale:
         raise DomainError("not star unimodal: g' > 0 detected on the support")
-
-
-def _smu_weight_density(gen: DensityGenerator, n: int, w: float) -> float:
-    """Density of the radial weight W in the X = W * (uniform ball) representation.
-
-    f_W(w) = -(4 pi^(n/2) / (n Gamma(n/2))) c_n w^(n+1) g'(w^2); requires a
-    monotone nonincreasing generator (g' <= 0, not identically 0).
-    """
-    if not w > 0.0:
-        return 0.0
-    _check_star_unimodal(gen)
-    if w > gen.support_radius:
-        return 0.0
-    from .quadrature import normalizing_constant
-
-    c_n = normalizing_constant(n, gen)
-    lead = 4.0 * math.pi ** (0.5 * n) / (n * gamma_fn(0.5 * n)) * c_n
-    return -lead * w ** (n + 1) * gen.g_prime(np.array([w * w])).item()
 
 
 def star_unimodal_rows(gen: DensityGenerator, n: int, us) -> QuadRows:
@@ -720,31 +699,3 @@ def cf_smsn(spec: SkewNormalSpec, mixing: MixingLaw, t) -> ComplexCF:
     """CF of a scale mixture of skew-normals at the point t (see the rows form)."""
     return cf_smsn_rows(spec, mixing, _as_vector(t, spec.n, "t")[None, :]).row(0)
 
-
-def smsn_split(
-    spec: SkewNormalSpec, mixing: MixingLaw
-) -> tuple[Callable[[float], float], Callable[[np.ndarray], complex]]:
-    """The (psi, k_n) decomposition of the scale-mixture CF.
-
-    psi(q) = E[exp(-V q / 2)] is the characteristic generator of the
-    mixed Gaussian part; k_n carries the whole odd factor, averaged with
-    the same Gaussian damping so that 2 e^(i t'mu) psi(q) k_n(t)
-    reproduces the direct expectation identically.
-    """
-
-    def psi(q: float) -> float:
-        return float(mixing.expectation(lambda v: math.exp(-0.5 * v * q)).real)
-
-    def k_n(t: np.ndarray) -> complex:
-        t = _as_vector(t, spec.n, "t")
-        (q,), (y,) = spec.invariants(t[None, :])
-
-        def odd_part(v: float) -> complex:
-            # e^(-V q/2) (Phi(i sqrt(V) y) - 1/2), assembled in log scale
-            mant, log_scale = norm_cdf_imag_scaled(math.sqrt(v) * y)
-            return complex(0.0, math.exp(log_scale - 0.5 * v * q) * mant.imag)
-
-        num = complex(mixing.expectation(odd_part))
-        return 0.5 + num / psi(q)
-
-    return psi, k_n

@@ -39,10 +39,9 @@ from ellipcf.skewmix import (
     cf_gse,
     gse_affine,
     skew_normal_gse,
-    smsn_split,
-    _smu_weight_density,
 )
 from ellipcf.specfun import bessel_j, gamma_fn, hyp0f1
+from references import smsn_split, smu_weight_density
 
 N_GRID = (1, 2, 3, 5)
 Q_GRID = (0.01, 0.1, 1.0, 4.0, 25.0)
@@ -322,7 +321,7 @@ def test_criterion_8_smu_route(report):
         for s in (0.75, 1.5):
             gen = gn.kotz_generator(1.0, 0.5, s)  # power-exponential profile
             val, _, _ = adaptive_interval(
-                lambda x: _smu_weight_density(gen, n, x / (1.0 - x)) / (1.0 - x) ** 2,
+                lambda x: smu_weight_density(gen, n, x / (1.0 - x)) / (1.0 - x) ** 2,
                 0.0,
                 1.0 - 1e-12,
                 1e-10,

@@ -283,7 +283,7 @@ class TestSampleSkewNormal:
                 break
         else:
             pytest.fail("no seed below 1000 needs a second block")
-        got = sampling._skew_normal_chunk(sn, m, RngStream(seed).chunk_generator(0))
+        got = sn.mu + sampling._skew_normal_chunk(sn, m, RngStream(seed).chunk_generator(0))
         want = self._masked_chunk(sn, m, RngStream(seed).chunk_generator(0))
         assert got.shape == (m, 2) and got.tobytes() == want.tobytes()
 

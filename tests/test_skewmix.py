@@ -35,10 +35,9 @@ from ellipcf.skewmix import (
     cf_star_unimodal_rows,
     gse_affine,
     skew_normal_gse,
-    smsn_split,
     star_unimodal_rows,
-    _smu_weight_density,
 )
+from references import smsn_split, smu_weight_density
 
 
 def std_normal_base(n):
@@ -304,7 +303,7 @@ class TestStarUnimodal:
         ]
         for gen, n in cases:
             val, _, _ = adaptive_interval(
-                lambda x: _smu_weight_density(gen, n, x / (1.0 - x)) / (1.0 - x) ** 2,
+                lambda x: smu_weight_density(gen, n, x / (1.0 - x)) / (1.0 - x) ** 2,
                 0.0,
                 1.0 - 1e-12,
                 1e-10,
@@ -318,13 +317,13 @@ class TestStarUnimodal:
         # for the standard normal in R^1 the weight has E[W^2] = 3
         gen = gn.normal_generator()
         val, _, _ = adaptive_interval(
-            lambda w: w * w * _smu_weight_density(gen, 1, w), 0.0, 40.0, 1e-10, 1e-10, 2000
+            lambda w: w * w * smu_weight_density(gen, 1, w), 0.0, 40.0, 1e-10, 1e-10, 2000
         )
         assert_allclose(val, 3.0, rtol=1e-8)
 
     def test_flat_generator_rejected(self):
         with pytest.raises(DomainError):
-            _smu_weight_density(gn.uniform_ball_generator(), 2, 0.5)
+            smu_weight_density(gn.uniform_ball_generator(), 2, 0.5)
         with pytest.raises(DomainError):
             cf_star_unimodal(gn.pearson_ii_generator(0.0), 2, [1.0, 0.0])
 
