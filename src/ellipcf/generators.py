@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DivergentIntegralError, DomainError, NoClosedFormError
+from .errors import DomainError, NoClosedFormError
 from .specfun import _elementwise, _power, bessel_k, gamma_fn, hyp0f1, hyp1f1, log_gamma_fn
 
 __all__ = [
@@ -344,11 +344,11 @@ def custom_generator(
         raise NoClosedFormError("no closed form for family custom; use the Hankel route")
 
     def check_dimension(n: int) -> None:  # the moment integral, checked numerically
-        from .quadrature import moment_integral  # needed by custom generators only
+        from .quadrature import _moment_n  # needed by custom generators only
 
         try:
-            moment_integral(gen, n)
-        except DivergentIntegralError as exc:
+            _moment_n(gen, n)  # cached on gen, where normalizing_constant reads it
+        except DomainError as exc:
             raise DomainError("generator: moment integral diverges (checked numerically)") from exc
 
     gen = DensityGenerator(

@@ -127,9 +127,11 @@ class MixingLaw:
     shape, 0-d included), on ``support``; ``parts``, the samplers'
     fingerprint parts (kind, v0, points, weights, shape, scale), None where
     the kind has no such field, then for a custom density its support and
-    its values at 32 points spread over it.  Expectations are exact sums for
-    the exact laws and adaptive quadrature against the density otherwise
-    (substitution v = lo + x/(1-x) for a support [lo, inf)).
+    its values at 32 points spread over it; ``unit``, the scale of the
+    quadrature map, from the law's own parameters (the mode b/(a + 1) of the
+    inverse gamma, 1 otherwise).  Expectations are exact sums for the exact
+    laws and adaptive quadrature against the density otherwise (substitution
+    v = lo + unit x/(1-x) for a support [lo, inf)).
     """
 
     kind: str
@@ -139,6 +141,7 @@ class MixingLaw:
     weights: Optional[np.ndarray] = None
     density: Optional[Callable[[np.ndarray], np.ndarray]] = None
     support: tuple[float, float] = (0.0, math.inf)
+    unit: float = 1.0
 
     @classmethod
     def degenerate(cls, v0: float) -> "MixingLaw":
@@ -199,6 +202,7 @@ class MixingLaw:
             draw=lambda m, g: 1.0 / g.gamma(shape, 1.0 / scale, size=m),
             parts=("inverse_gamma", None, None, None, shape, scale),
             density=density,
+            unit=scale / (shape + 1.0),
         )
 
     @classmethod
@@ -257,8 +261,8 @@ class MixingLaw:
         rows[i, 0] names the integrand at the values v[i].  Exact sums for
         the discrete kinds, one fn call for all rows and points; otherwise
         quadrature against the density with quadrature.adaptive_rows, one fn
-        call per round (substitution v = lo + x/(1-x) for a support
-        [lo, inf)).  A row whose fn call raises, or whose quadrature error
+        call per round (substitution v = lo + unit x/(1-x) for a support
+        [lo, inf), so the nodes follow the law's scale).  A row whose fn call raises, or whose quadrature error
         exceeds _MIX_ABS_TOL (1e-8), gets its exception in failures (row ->
         exception) and a nan value; no other row changes.
         """
@@ -279,10 +283,10 @@ class MixingLaw:
 
         lo, hi = self.support
         if math.isinf(hi):
-            # v = lo + x/(1-x) maps [0, 1) onto [lo, inf)
+            # v = lo + unit x/(1-x) maps [0, 1) onto [lo, inf)
             def integrand(rows, x):
-                v = lo + x / (1.0 - x)
-                return _times_ratio(fn(rows, v), self.pdf(v), (1.0 - x) * (1.0 - x))
+                v = lo + self.unit * x / (1.0 - x)
+                return _times_ratio(fn(rows, v), self.unit * self.pdf(v), (1.0 - x) * (1.0 - x))
 
             a, b = 0.0, 1.0
         else:

@@ -149,8 +149,9 @@ def mixing_mean_mp(mixing: dict, fn):
     if kind == "inverse_gamma":
         a, b = mp.mpf(mixing["shape"]), mp.mpf(mixing["scale"])
         norm = b**a / mp.gamma(a)
-        return mp.quad(lambda v: fn(v) * norm * v ** (-a - 1) * mp.exp(-b / v),
-                       [0, 0.25, 1, 4, 16, mp.inf])
+        mode = b / (a + 1)  # cuts scaled by the mode, so the mass is seen at any scale
+        cuts = [0, *(mode * c for c in (0.01, 0.1, 0.5, 1, 2, 5, 20, 100, 1000)), mp.inf]
+        return mp.quad(lambda v: fn(v) * norm * v ** (-a - 1) * mp.exp(-b / v), cuts)
     lo, hi = (mp.mpf(x) for x in mixing["support"])
     cuts = [lo, hi] if mp.isfinite(hi) else [lo, lo + 1, lo + 4, lo + 16, hi]
     return mp.quad(lambda v: fn(v) * mixing["density"](v), cuts)

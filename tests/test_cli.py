@@ -1279,6 +1279,9 @@ class TestGoldenBytes:
          "cf4bc741127b5a6a95536d32937f9d131531803a930d51a214b86fe70028f766"),
         (LSM_FINITE, ["eval", "--routes", "closed,hankel", "--grid", AXIS6],
          "bfa868c91adca7dac78ef771f9472a5c213f3b5dbd44695a4e67f3c95a7b2be8"),
+        # the mixing quadrature over the inverse gamma, its map scaled by the law's mode
+        (LSM_INVGAMMA, ["eval", "--routes", "closed", "--grid", AXIS6],
+         "7e107973c7bc2560dc43c67d2f66ce4d457ed965d627e276e85e68abf624a560"),
         # the radius draw of each family
         (FAMILY["normal"], SAMPLE,
          "0a3fbd69515554c0b5ffd85811ea9c6b2617136e0d29be3ada0873e8c1cee708"),
@@ -1315,7 +1318,7 @@ class TestGoldenBytes:
             "sample-skew_normal-full_sigma", "sample-lsm-finite_discrete",
             "sample-smsn-inverse_gamma", "sample-lsm-degenerate", "sample-lsm-inverse_gamma",
             "sample-smsn-degenerate", "sample-smsn-finite_discrete", "eval-lsm-degenerate",
-            "eval-lsm-finite_discrete",
+            "eval-lsm-finite_discrete", "eval-lsm-inverse_gamma",
             *[f"sample-{key}" for key in ("normal", "uniform_ball", "generalized_t", "pearson_ii",
                                           "kotz", "bessel")],
             *[f"eval-closed-{key}" for key in ("normal", "uniform_ball", "generalized_t-odd",
@@ -1336,7 +1339,9 @@ class TestGoldenBytes:
                            "6ed9f9119b2aa60f3f57ff85691b776825de695804c2780f4dac1df912fe7a39")),
         (SMSN_FINITE, ("2d5792fafe262dda8ec996a7ffaabeea77863d77781b8d509598c6910de3e7fa",
                        "1b02055b0ead85cebd03c22c96637949c7b1d8356afddb09b1df093b34679a0c")),
-    ], ids=["eval-smsn-degenerate", "eval-smsn-finite_discrete"])
+        (SMSN_INVGAMMA, ("d953177a3b5634481599630c6b1b64dcb8fa707a4db2d93ede8834ce25ce2952",
+                         "c74884a26c7d63f026ba9477cd7fb897b9efdb0de85543bcfc2d146cbf81f02a")),
+    ], ids=["eval-smsn-degenerate", "eval-smsn-finite_discrete", "eval-smsn-inverse_gamma"])
     def test_smsn_eval_sha256(self, tmp_path, spec, hashes):
         path = tmp_path / "spec.json"
         path.write_text(spec)

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 import oracles
 from ellipcf import generators as gn
+from ellipcf import quadrature
 from ellipcf.elliptical import (
     CFMethod,
     Dispersion,
@@ -299,6 +300,15 @@ class TestSpecValidation:
         heavy = gn.custom_generator(lambda z: (1.0 + z) ** (-0.75))
         with pytest.raises(DomainError):
             EllipticalSpec(2, np.zeros(2), np.eye(2), heavy)
+
+    def test_custom_moment_computed_once(self, monkeypatch):
+        # the dimension check fills the cache that normalizing_constant reads
+        gen = gn.custom_generator(lambda z: math.exp(-0.5 * z))
+        EllipticalSpec(3, np.zeros(3), np.eye(3), gen)
+        assert ("moment", 3.0) in gen.moment_cache
+        monkeypatch.setattr(quadrature, "moment_integral", None)  # a second run would fail
+        want = gamma_fn(1.5) / (math.pi**1.5 * gen.moment_cache[("moment", 3.0)])
+        assert normalizing_constant(3, gen) == want
 
     def test_custom_negative_rejected(self):
         with pytest.raises(DomainError):

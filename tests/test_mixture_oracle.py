@@ -105,3 +105,54 @@ def test_custom_density_closed_route(model, density):
         rows = cf_smsn_rows(SkewNormalSpec(mu, sigma, spec["alpha"], par), law, _points(seed))
     assert rows.error is None
     _check(spec, zip(_points(seed), rows.re + 1j * rows.im, rows.abs_err))
+
+
+# Inverse-gamma laws far from scale 1, as (shape, scale, t): the mixing
+# quadrature must find the law's mass wherever its scale puts it.  With
+# Sigma = I and gamma = 0 the lsm values are about 1.0, 0.795, 0.508, 0.857
+# and 1.15e-4.
+SCALE_CASES = [
+    (3.0, 1e-6, (0.5, 0.25)),
+    (3.0, 1e6, (1e-3, 0.0)),
+    (1.2, 1e6, (1e-3, 0.0)),
+    (30.0, 1e-4, (300.0, 0.0)),
+    (3.0, 1e-3, (316.2, 0.0)),
+]
+_UNIT = {"schema": 1, "n": 2, "mu": [0.0, 0.0], "sigma": [1.0, 0.0, 0.0, 1.0]}
+SCALE_MODELS = {
+    "lsm": dict(_UNIT, kind="lsm", gamma=[0.0, 0.0], generator={"family": "normal"}),
+    "smsn": dict(_UNIT, kind="smsn", alpha=[2.0, -1.0]),
+}
+
+
+@pytest.mark.parametrize("shape, scale, t", SCALE_CASES,
+                         ids=[f"a{a:g}-b{b:g}" for a, b, _ in SCALE_CASES])
+@pytest.mark.parametrize("model", SCALE_MODELS)
+def test_inverse_gamma_at_every_scale(model, shape, scale, t):
+    spec = dict(SCALE_MODELS[model], mixing={"kind": "inverse_gamma", "shape": shape, "scale": scale})
+    law = MixingLaw.inverse_gamma(shape, scale)
+    ts = np.array([t])
+    if model == "lsm":
+        base = EllipticalSpec(2, np.zeros(2), np.eye(2), normal_generator())
+        rows = cf_location_scale_mixture_rows(
+            LSMixtureSpec(base, np.zeros(2), np.zeros(2), np.eye(2), law), ts)
+    else:
+        rows = cf_smsn_rows(SkewNormalSpec(np.zeros(2), np.eye(2), spec["alpha"]), law, ts)
+    assert rows.error is None
+    want = ORACLES[model](spec, ts[0])
+    assert abs(complex(rows.re[0], rows.im[0]) - want) <= 1e-9
+
+
+@pytest.mark.parametrize("model, scale, t", [
+    ("smsn", 1e-6, [0.5, 0.25]),
+    ("lsm", 1e6, [1e-3, 0.0]),
+])
+def test_inverse_gamma_scale_closed_meets_mc(tmp_path, capsys, model, scale, t):
+    # compare exits 4 where the closed and mc routes disagree beyond their bands
+    spec = dict(SCALE_MODELS[model], mixing={"kind": "inverse_gamma", "shape": 3.0, "scale": scale})
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    grid = json.dumps({"kind": "list", "points": [t]})
+    argv = ["compare", "--spec", str(path), "--routes", "closed,mc", "--mc-count", "100000",
+            "--grid", grid]
+    assert cli.main(argv) == 0

@@ -15,6 +15,7 @@ from ellipcf.errors import (
     ConvergenceError,
     DivergentIntegralError,
     DomainError,
+    EllipcfError,
     MomentUndefinedError,
 )
 from ellipcf.quadrature import (
@@ -404,6 +405,43 @@ class TestPhiHankel:
             phi_hankel(gn.normal_generator(), 0, 1.0)
         with pytest.raises(DomainError):
             phi_hankel(gn.normal_generator(), 2, -1.0)
+
+
+class TestHankelSilentErrors:
+    """Rows the Hankel route returns with exit 0 and an error estimate far
+    below their true error.  Each case must either raise a named error or
+    meet the closed form within err_est + 8 eps; all of them fail today."""
+
+    _ITEM_4 = pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 4: on finite support the cut, agreed and rising exit "
+        "rules stop the sum before the support edge",
+    )
+    _ITEM_5 = pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 5: at n = 30 the rows miss the closed form by 2e-8 to "
+        "6e-8 against estimates below 3e-12, and from n = 140 one panel reads "
+        "0 +- 0 where the value is 0.61",
+    )
+
+    @pytest.mark.parametrize("gen, n, u", [
+        pytest.param(gn.uniform_ball_generator(), 1, 60.2089, marks=_ITEM_4, id="ball-n1-u60.2"),
+        pytest.param(gn.pearson_ii_generator(1.0), 1, 73.44, marks=_ITEM_4, id="pearson2-n1-u73.44"),
+        pytest.param(gn.pearson_ii_generator(1.0), 2, 73.44, marks=_ITEM_4, id="pearson2-n2-u73.44"),
+        pytest.param(gn.pearson_ii_generator(1.0), 3, 80.0, marks=_ITEM_4, id="pearson2-n3-u80"),
+        pytest.param(gn.normal_generator(), 30, 4.0, marks=_ITEM_5, id="normal-n30-u4"),
+        pytest.param(gn.generalized_t_generator(30, 3.0, 3), 30, 5.0, marks=_ITEM_5,
+                     id="t-n30-u5"),
+        pytest.param(gn.normal_generator(), 140, 1.0, marks=_ITEM_5, id="normal-n140-u1"),
+        pytest.param(gn.normal_generator(), 150, 1.0, marks=_ITEM_5, id="normal-n150-u1"),
+    ])
+    def test_named_error_or_honest(self, gen, n, u):
+        try:
+            res = phi_hankel(gen, n, u)
+        except EllipcfError:
+            return
+        want = closed_form_generator(gen, n, u * u)
+        assert abs(res.value - want) <= res.err_est + 8 * np.finfo(float).eps
 
 
 class TestPhiHankelRows:
