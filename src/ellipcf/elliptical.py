@@ -6,17 +6,16 @@ exp(i t'mu) * phi(t' Sigma t) for a scalar characteristic generator phi;
 this module provides phi in closed form (from the generator's family
 record), the Hankel quadrature route for every generator, the uniform-sphere
 characteristic function (one 0F1, Omega_n(x) = 0F1(; n/2; -x^2/4)), radial
-densities and the validated dispersion matrix with its roots.  Every route is named: "closed" (a closed form,
-NoClosedFormError where the family has none) or "hankel".
+densities and the validated dispersion matrix with its roots.  Every route
+is named: "closed" (a closed form, NoClosedFormError where the family has
+none) or "hankel".
 
 Every closed and hankel grid form, here and in skewmix, supplies only the
 centered values of each pass to _chunk_rows, which owns the grid contract:
 it applies e^(i t'mu), gives t = 0 the exact (1, 0, 0, "closed"), fails a
 non-finite value with an OverflowError at its row and ends the grid at the
 first failing row other than the origin.  The hankel rows of a pass go
-through phi_hankel_rows in one call.  _rotate is the one phase rotation:
-it applies e^(i t'mu) here and the drift e^(iV t'gamma) of skewmix's
-location-scale mixtures.
+through phi_hankel_rows in one call.
 
 The quadrature module is imported by the functions that integrate: the
 hankel rows of char_generator_rows and radial_density (and, in generators,
@@ -275,9 +274,8 @@ class EllipticalSpec:
 def uniform_sphere_cf(n: int, s: float) -> float:
     """CF of the uniform law on the unit sphere surface, at s = ||t||^2.
 
-    Omega_n(||t||) = Gamma(n/2) (2/||t||)^((n-2)/2) J_((n-2)/2)(||t||)
-    = 0F1(; n/2; -s/4), evaluated by hyp0f1, which takes the Bessel form
-    itself where its series would cancel.
+    Gamma(n/2) (2/||t||)^((n-2)/2) J_((n-2)/2)(||t||) = 0F1(; n/2; -s/4), by
+    hyp0f1, which takes the Bessel form itself where the series cancels.
     """
     if n < 1:
         raise DomainError("uniform_sphere_cf: n must be >= 1")

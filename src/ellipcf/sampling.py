@@ -377,9 +377,8 @@ def sample_location_scale_mixture(
 
 
 def _skew_normal_chunk(spec: SkewNormalSpec, m: int, g: np.random.Generator) -> np.ndarray:
-    # m centred skew-normal rows (mu not added) by the conditioning mechanism:
-    # keep the normal draw when the latent alpha-projection plus independent
-    # noise is positive (acceptance 1/2)
+    # m centred rows (no mu) by conditioning: keep the normal draw when the
+    # latent alpha-projection plus independent noise is positive (acceptance 1/2)
     from .skewmix import Parametrization
 
     n = spec.n

@@ -262,9 +262,10 @@ class MixingLaw:
         the discrete kinds, one fn call for all rows and points; otherwise
         quadrature against the density with quadrature.adaptive_rows, one fn
         call per round (substitution v = lo + unit x/(1-x) for a support
-        [lo, inf), so the nodes follow the law's scale).  A row whose fn call raises, or whose quadrature error
-        exceeds _MIX_ABS_TOL (1e-8), gets its exception in failures (row ->
-        exception) and a nan value; no other row changes.
+        [lo, inf), so the nodes follow the law's scale).  A row whose fn
+        call raises, or whose quadrature error exceeds _MIX_ABS_TOL (1e-8),
+        gets its exception in failures (row -> exception) and a nan value;
+        no other row changes.
         """
         failures: dict = {}
         if self.is_exact():
@@ -359,7 +360,8 @@ def cf_location_scale_mixture_rows(spec: LSMixtureSpec, ts, route: str = "closed
             phi, err = phi.reshape(v.shape), err.reshape(v.shape)
             # the largest estimate among a row's nodes, nan (closed form) ignored
             base_err[rows[:, 0]] = np.fmax(base_err[rows[:, 0]], np.fmax.reduce(err, axis=1))
-            with np.errstate(over="ignore", invalid="ignore"):  # _rotate: an overflow fails its row
+            # an overflowed phase V t'gamma is nan in _rotate, so its row fails
+            with np.errstate(over="ignore", invalid="ignore"):
                 return _complex(*_rotate(phi, v * drifts[rows]))
 
         ev, failures = spec.mixing.expectation_rows(f, len(t))
@@ -702,4 +704,3 @@ def cf_smsn_rows(spec: SkewNormalSpec, mixing: MixingLaw, ts) -> CFRows:
 def cf_smsn(spec: SkewNormalSpec, mixing: MixingLaw, t) -> ComplexCF:
     """CF of a scale mixture of skew-normals at the point t (see the rows form)."""
     return cf_smsn_rows(spec, mixing, _as_vector(t, spec.n, "t")[None, :]).row(0)
-
