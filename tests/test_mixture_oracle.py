@@ -147,7 +147,7 @@ def test_inverse_gamma_at_every_scale(model, shape, scale, t):
     ("smsn", 1e-6, [0.5, 0.25]),
     ("lsm", 1e6, [1e-3, 0.0]),
 ])
-def test_inverse_gamma_scale_closed_meets_mc(tmp_path, capsys, model, scale, t):
+def test_inverse_gamma_scale_closed_meets_mc(tmp_path, model, scale, t):
     # compare exits 4 where the closed and mc routes disagree beyond their bands
     spec = dict(SCALE_MODELS[model], mixing={"kind": "inverse_gamma", "shape": 3.0, "scale": scale})
     path = tmp_path / "spec.json"
