@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, NoClosedFormError
+from .errors import DivergentIntegralError, DomainError, NoClosedFormError
 from .specfun import _elementwise, _power, bessel_k, gamma_fn, hyp0f1, hyp1f1, log_gamma_fn
 
 __all__ = [
@@ -349,6 +349,8 @@ def custom_generator(
         try:
             _moment_n(gen, n)  # cached on gen, where normalizing_constant reads it
         except DomainError as exc:
+            if not isinstance(exc.__cause__, DivergentIntegralError):
+                raise  # g's own errors keep their message
             raise DomainError("generator: moment integral diverges (checked numerically)") from exc
 
     gen = DensityGenerator(

@@ -453,12 +453,15 @@ def radial_moment(gen: DensityGenerator, n: int, k: int) -> float:
 
 def _moment_n(gen: DensityGenerator, n: int) -> float:
     # int_0^inf z^(n/2-1) g(z) dz, cached on the generator: closed forms for
-    # the named families, numeric for custom generators
+    # the named families, numeric for custom generators.  A divergent tail or
+    # a non-finite numeric value raises DomainError from DivergentIntegralError.
     key = ("moment", float(n))
     if key not in gen.moment_cache:
         if gen.moment is None:
             try:
                 moment = moment_integral(gen, n).value
+                if not math.isfinite(moment):
+                    raise DivergentIntegralError(f"moment integral = {moment}")
             except DivergentIntegralError as exc:
                 raise DomainError("normalizing_constant: moment integral diverges") from exc
         else:

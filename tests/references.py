@@ -14,7 +14,18 @@ import numpy as np
 from ellipcf.generators import DensityGenerator
 from ellipcf.quadrature import normalizing_constant
 from ellipcf.skewmix import MixingLaw, SkewNormalSpec, _check_star_unimodal
-from ellipcf.specfun import norm_cdf_imag_scaled
+from ellipcf.specfun import bessel_j, gamma_fn, norm_cdf_imag_scaled
+
+
+def sphere_cf_bessel(n: int, s: float) -> float:
+    """The uniform-sphere CF in its Bessel form, at s = ||t||^2 > 0:
+    Omega_n(x) = Gamma(n/2) (2/x)^((n-2)/2) J_((n-2)/2)(x) with x = ||t||.
+    The library evaluates it as 0F1(; n/2; -s/4), by the series below
+    hyp0f1's switch to J (x < 10), so there the two forms are independent.
+    """
+    x = math.sqrt(s)
+    half_order = 0.5 * (n - 2.0)
+    return gamma_fn(0.5 * n) * (2.0 / x) ** half_order * bessel_j(half_order, x)
 
 
 def smsn_split(spec: SkewNormalSpec, mixing: MixingLaw):

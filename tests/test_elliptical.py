@@ -21,7 +21,8 @@ from ellipcf.elliptical import (
 )
 from ellipcf.errors import DomainError, NoClosedFormError
 from ellipcf.quadrature import adaptive_interval, normalizing_constant
-from ellipcf.specfun import bessel_j, gamma_fn, hyp0f1
+from ellipcf.specfun import bessel_j, gamma_fn
+from references import sphere_cf_bessel
 
 J0_FIRST_ZERO = 2.404825557695766
 
@@ -54,11 +55,17 @@ class TestUniformSphereCF:
         assert abs(uniform_sphere_cf(2, J0_FIRST_ZERO**2)) < 1e-10
 
     def test_hyp0f1_form(self):
+        # the 0F1 evaluation against the Gamma (2/x)^nu J_nu form
         for n in range(1, 11):
             for s in (1e-8, 1e-4, 0.5, 4.0, 100.0, 2500.0):
-                assert (
-                    abs(uniform_sphere_cf(n, s) - hyp0f1(0.5 * n, -0.25 * s)) <= 1e-11
-                )
+                assert abs(uniform_sphere_cf(n, s) - sphere_cf_bessel(n, s)) <= 1e-11
+
+    def test_against_mpmath(self):
+        # past hyp0f1's switch both forms above are one J; here mpmath's 0F1
+        for n in (1, 2, 3, 5, 8):
+            for x in np.linspace(0.05, 60.0, 120):
+                want = oracles.hyp0f1_series(0.5 * n, -0.25 * x * x)
+                assert abs(uniform_sphere_cf(n, x * x) - want) <= 1e-11
 
     def test_one_dim_cosine(self):
         # the sphere surface in R^1 is {-1, +1}: CF is cos t
@@ -300,6 +307,23 @@ class TestSpecValidation:
         heavy = gn.custom_generator(lambda z: (1.0 + z) ** (-0.75))
         with pytest.raises(DomainError):
             EllipticalSpec(2, np.zeros(2), np.eye(2), heavy)
+
+    def test_custom_g_error_keeps_its_message(self):
+        # an error raised by g inside the moment integral is not a divergence
+        def g(z):
+            if z > 1e4:
+                raise DomainError("g: z past 1e4")
+            return (1.0 + z) ** -3
+
+        with pytest.raises(DomainError, match=r"^g: z past 1e4$"):
+            EllipticalSpec(2, np.zeros(2), np.eye(2), gn.custom_generator(g))
+
+    def test_custom_infinite_moment_diverges(self):
+        def g(z):
+            return math.inf if z > 1e4 else (1.0 + z) ** -3
+
+        with pytest.raises(DomainError, match=r"moment integral diverges \(checked numerically\)"):
+            EllipticalSpec(2, np.zeros(2), np.eye(2), gn.custom_generator(g))
 
     def test_custom_moment_computed_once(self, monkeypatch):
         # the dimension check fills the cache that normalizing_constant reads
