@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError
 from .generators import DensityGenerator
-from .specfun import _elementwise, _power, gamma_fn, hyp0f1
+from .specfun import _call_rows, _elementwise, _power, gamma_fn, hyp0f1
 
 __all__ = [
     "CFMethod",
@@ -307,14 +307,14 @@ def radial_density(spec: EllipticalSpec, v):
 
 def closed_form_generator(gen: DensityGenerator, n: int, q: float) -> float:
     """Closed-form characteristic generator phi(q), q = t' Sigma t, from the
-    generator's family record.
+    generator's family record: its one-entry call.
 
     Raises NoClosedFormError for (family, parameter) combinations without
     one; the Hankel route (route="hankel") serves every generator.
     """
     if q < 0.0:
         raise DomainError("closed_form_generator: q must be >= 0")
-    return gen.closed_form(n, q)
+    return float(gen.closed_form(n, np.array([float(q)]))[0])
 
 
 def char_generator_rows(
@@ -325,8 +325,10 @@ def char_generator_rows(
     Returns (values, abs_err, failures): abs_err is nan on the closed route
     (no estimate), and failures maps a row to the exception its computation
     raised (its value is nan); a family without a closed form fails every
-    row of the closed route with NoClosedFormError.  The closed form runs
-    point by point, the hankel route through phi_hankel_rows in one call.
+    row of the closed route with NoClosedFormError.  Each route takes qs
+    in one call: the record's array closed form through specfun._call_rows
+    (which retries row by row, so a failing row fails alone), the hankel
+    route through phi_hankel_rows.
     """
     if route not in ("closed", "hankel"):
         raise DomainError(f"char_generator_rows: unknown route {route!r}")
@@ -337,11 +339,9 @@ def char_generator_rows(
         res = phi_hankel_rows(gen, n, np.sqrt(qs))
         return res.value, res.err_est, res.failures
     values, failures = np.full(len(qs), np.nan), {}
-    for i, q in enumerate(qs.tolist()):
-        try:
-            values[i] = closed_form_generator(gen, n, q)
-        except Exception as exc:  # raised again at its row
-            failures[i] = exc
+    phi, ok = _call_rows(lambda rows, q: gen.closed_form(n, q[:, 0])[:, None],
+                         np.arange(len(qs)), qs[:, None], failures)
+    values[ok] = phi[:, 0]
     return values, np.full(len(qs), np.nan), failures
 
 

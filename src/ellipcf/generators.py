@@ -57,8 +57,9 @@ class DensityGenerator:
     [0, support_radius**2].  ``g_prime``, dg/dz on a float array where
     available, serves only the star-unimodal route.
 
-    The family record: ``closed_form(n, q)``, phi(q) in dimension n
-    (NoClosedFormError where there is none); ``radius(n, size, rng)``, size
+    The family record: ``closed_form(n, q)``, phi at every entry of the
+    float array q in dimension n, each entry's value that of its one-entry
+    call (NoClosedFormError where there is none); ``radius(n, size, rng)``, size
     draws of R (None: no direct draw); ``moment(d)``, int_0^inf z^(d/2-1) g dz
     where ``finite(d)`` holds (None: no closed form); ``check_dimension(n)``,
     raising DomainError where the profile cannot serve dimension n.  A
@@ -72,7 +73,7 @@ class DensityGenerator:
     g_prime: Optional[Callable[[np.ndarray], np.ndarray]] = None
     support_radius: float = math.inf
     moment_cache: dict = field(default_factory=dict, repr=False)
-    closed_form: Optional[Callable[[int, float], float]] = None
+    closed_form: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
     radius: Optional[Callable[[int, int, np.random.Generator], np.ndarray]] = None
     moment: Optional[Callable[[float], float]] = None
     finite: Callable[[float], bool] = lambda d: True
@@ -121,7 +122,7 @@ def normal_generator() -> DensityGenerator:
         params={},
         g=lambda z: _elementwise(math.exp, -0.5 * z),
         g_prime=lambda z: -0.5 * _elementwise(math.exp, -0.5 * z),
-        closed_form=lambda n, q: math.exp(-0.5 * q),
+        closed_form=lambda n, q: _elementwise(math.exp, -0.5 * q),
         radius=lambda n, size, rng: np.sqrt(rng.chisquare(n, size=size)),
         moment=lambda d: 2.0 ** (0.5 * d) * gamma_fn(0.5 * d),
     )
@@ -136,7 +137,7 @@ def uniform_ball_generator() -> DensityGenerator:
         g_prime=lambda z: np.zeros(z.shape),
         support_radius=1.0,
         closed_form=lambda n, q: hyp0f1(0.5 * n + 1.0, -0.25 * q),
-        radius=lambda n, size, rng: rng.random(size) ** (1.0 / n),
+        radius=lambda n, size, rng: _power(rng.random(size), 1.0 / n),
         moment=lambda d: 2.0 / d,
     )
 
@@ -157,7 +158,7 @@ def generalized_t_generator(n: int, s: float, m: int) -> DensityGenerator:
     e = 0.5 * (n + m)
     p = {"n": float(n), "s": float(s), "m": float(m)}
 
-    def closed_form(n: int, q: float) -> float:
+    def phi(q: float, n: int) -> float:
         if q == 0.0:
             return 1.0
         s, m = p["s"], p["m"]
@@ -175,7 +176,7 @@ def generalized_t_generator(n: int, s: float, m: int) -> DensityGenerator:
         params=p,
         g=lambda z: _power(1.0 + z / s, -e),
         g_prime=lambda z: -(e / s) * _power(1.0 + z / s, -e - 1.0),
-        closed_form=closed_form,
+        closed_form=lambda n, q: _elementwise(phi, q, n),
         radius=lambda n, size, rng: _gamma_ratio_radius(rng, n, size, p["s"], 0.5 * p["m"]),
         moment=lambda d: (
             p["s"] ** (0.5 * d) * gamma_fn(0.5 * d) * gamma_fn(0.5 * (p["n"] + p["m"] - d))
@@ -215,7 +216,7 @@ def pearson_vii_generator(big_n: float, s: float) -> DensityGenerator:
         raise DomainError("pearson_vii_generator: N must be > 0")
     p = {"N": float(big_n), "s": float(s)}
 
-    def closed_form(n: int, q: float) -> float:
+    def phi(q: float, n: int) -> float:
         if q == 0.0:
             return 1.0
         big_n, s = p["N"], p["s"]
@@ -229,7 +230,7 @@ def pearson_vii_generator(big_n: float, s: float) -> DensityGenerator:
         params=p,
         g=lambda z: _power(1.0 + z / s, -big_n),
         g_prime=lambda z: -(big_n / s) * _power(1.0 + z / s, -big_n - 1.0),
-        closed_form=closed_form,
+        closed_form=lambda n, q: _elementwise(phi, q, n),
         radius=lambda n, size, rng: _gamma_ratio_radius(rng, n, size, p["s"], p["N"] - 0.5 * n),
         moment=lambda d: (
             p["s"] ** (0.5 * d) * gamma_fn(0.5 * d) * gamma_fn(p["N"] - 0.5 * d) / gamma_fn(p["N"])
@@ -257,7 +258,7 @@ def kotz_generator(big_n: float, r: float, s: float) -> DensityGenerator:
 
     p = {"N": float(big_n), "r": float(r), "s": float(s)}
 
-    def closed_form(n: int, q: float) -> float:
+    def closed_form(n: int, q: np.ndarray) -> np.ndarray:
         big_n, r, s = p["N"], p["r"], p["s"]
         if s == 1.0:
             return hyp1f1(0.5 * n + big_n - 1.0, 0.5 * n, -q / (4.0 * r))
@@ -266,7 +267,7 @@ def kotz_generator(big_n: float, r: float, s: float) -> DensityGenerator:
             # holds at N = 1; other N go through the quadrature route
             return (2.0 ** (n - 1.0) * gamma_fn(0.5 * n) * gamma_fn(0.5 * (n + 1.0))
                     * r ** (n + 1.0) / (math.sqrt(math.pi) * gamma_fn(float(n))
-                                        * (r * r + q) ** (0.5 * (n + 1.0))))
+                                        * _power(r * r + q, 0.5 * (n + 1.0))))
         raise NoClosedFormError(f"no closed form for Kotz with s={s}, N={big_n}; "
                                 "use the Hankel route")
 
@@ -280,10 +281,10 @@ def kotz_generator(big_n: float, r: float, s: float) -> DensityGenerator:
         g=g,
         g_prime=g_prime,
         closed_form=closed_form,
-        radius=lambda n, size, rng: np.sqrt(
-            (rng.gamma((2.0 * p["N"] + n - 2.0) / (2.0 * p["s"]), 1.0, size=size) / p["r"])
-            ** (1.0 / p["s"])
-        ),
+        radius=lambda n, size, rng: np.sqrt(_power(
+            rng.gamma((2.0 * p["N"] + n - 2.0) / (2.0 * p["s"]), 1.0, size=size) / p["r"],
+            1.0 / p["s"],
+        )),
         moment=moment,
         **_normalizable(lambda d: 2.0 * p["N"] + d > 2.0, "generator: Kotz requires 2N + n > 2"),
     )
@@ -308,7 +309,7 @@ def bessel_generator(a: float, beta: float) -> DensityGenerator:
         family=Family.BESSEL,
         params=p,
         g=lambda z: _elementwise(g, z),
-        closed_form=lambda n, q: (1.0 + p["beta"] * p["beta"] * q) ** (-(0.5 * n + p["a"])),
+        closed_form=lambda n, q: _power(1.0 + p["beta"] * p["beta"] * q, -(0.5 * n + p["a"])),
         radius=lambda n, size, rng: np.sqrt(
             rng.gamma(p["a"] + 0.5 * n, 2.0 * p["beta"] ** 2, size=size)
             * rng.chisquare(n, size=size)
@@ -340,7 +341,7 @@ def custom_generator(
             raise DomainError(f"custom_generator: g({v * v}) = {gz} is negative or NaN")
         probe.append(float(gz))
 
-    def closed_form(n: int, q: float) -> float:
+    def closed_form(n: int, q: np.ndarray) -> np.ndarray:
         raise NoClosedFormError("no closed form for family custom; use the Hankel route")
 
     def check_dimension(n: int) -> None:  # the moment integral, checked numerically

@@ -266,22 +266,17 @@ def adaptive_rows(
 
     # per row still running: its id, its panels (bounds, value, error and
     # sequence number, one column each, padded after the initial ones),
-    # its running totals and its number of initial panels
-    if seeds is None:  # one initial panel per row
-        ids, initial = owner, np.ones(len(owner), dtype=int)
-        lo, hi, val, err = lo[:, None], hi[:, None], val[:, None], err[:, None]
-        seq = np.zeros((len(ids), 1), dtype=np.int64)
-    else:
-        ids, first, initial = np.unique(owner, return_index=True, return_counts=True)
-        row = np.repeat(np.arange(len(ids)), initial)
-        col = np.arange(len(owner)) - first[row]
-        width = int(initial.max(initial=1))
-        lo_p, hi_p = np.zeros((len(ids), width)), np.zeros((len(ids), width))
-        val_p, err_p = np.zeros((len(ids), width, val.shape[-1])), np.zeros((len(ids), width))
-        seq = np.full((len(ids), width), _NO_PANEL)
-        lo_p[row, col], hi_p[row, col], seq[row, col] = lo, hi, col
-        val_p[row, col], err_p[row, col] = val, err
-        lo, hi, val, err = lo_p, hi_p, val_p, err_p
+    # its running totals and its number of initial panels (one unseeded)
+    ids, first, initial = np.unique(owner, return_index=True, return_counts=True)
+    row = np.repeat(np.arange(len(ids)), initial)
+    col = np.arange(len(owner)) - first[row]
+    width = int(initial.max(initial=1))
+    lo_p, hi_p = np.zeros((len(ids), width)), np.zeros((len(ids), width))
+    val_p, err_p = np.zeros((len(ids), width, val.shape[-1])), np.zeros((len(ids), width))
+    seq = np.full((len(ids), width), _NO_PANEL)
+    lo_p[row, col], hi_p[row, col], seq[row, col] = lo, hi, col
+    val_p[row, col], err_p[row, col] = val, err
+    lo, hi, val, err = lo_p, hi_p, val_p, err_p
     # summed in panel order; the zero padding
     # adds exactly nothing to a sum that starts from +0.0
     total_val, total_err = 0.0 + val[:, 0], 0.0 + err[:, 0]
@@ -291,13 +286,10 @@ def adaptive_rows(
     used = initial
     tol = abs_tol[ids]
     step = 0
-    while len(ids):
+    while True:
         done = (used >= max_panels) | (
             total_err <= np.fmax(tol, rel_tol * _magnitude(total_val))
         )
-        if done.all():
-            values[ids, :total_val.shape[1]], errs[ids], panels[ids] = total_val, total_err, used
-            break
         if done.any():
             finished = ids[done]
             values[finished, :total_val.shape[1]], errs[finished], panels[finished] = (
@@ -308,6 +300,8 @@ def adaptive_rows(
                     ids, lo, hi, val, err, seq, total_val, total_err, used, initial, tol
                 )
             )
+        if not len(ids):
+            break
         # bisect each row's worst panel: largest error, then oldest
         worst = err.max(axis=1)
         j = np.where(err == worst[:, None], seq, _NO_PANEL).argmin(axis=1)

@@ -11,9 +11,9 @@ the array around it.
 
 J_nu also has an array form (:func:`bessel_j_rows`) that runs bessel_j's
 series and Hankel expansion in lockstep over every entry, with bessel_j's
-branches and stopping rule per entry.  The scalar power series of J_nu,
-0F1 and 1F1 run in one loop (_sum_ratio_series), each given its term
-ratio.
+branches and stopping rule per entry.  0F1 and 1F1 take a float or an
+array, as dawson does, and run on J's array series loop (_ratio_series_rows)
+and on bessel_j_rows; the scalar bessel_j keeps a short loop of its own.
 
 Every truncated series stops at a relative term size of 1e-14, within at
 most 500 terms, and reports the number of terms consumed.  Non-convergence
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable
 
@@ -34,7 +33,6 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "SpecialValue",
     "gamma_fn",
     "log_gamma_fn",
     "bessel_j",
@@ -47,18 +45,6 @@ __all__ = [
     "norm_cdf_imag",
     "norm_cdf_imag_scaled",
 ]
-
-
-@dataclass(frozen=True)
-class SpecialValue:
-    """A series result with its convergence diagnostics.
-
-    ``converged = False`` means the value must not be used.
-    """
-
-    value: float
-    terms_used: int
-    converged: bool
 
 
 # Every truncated series stops after two consecutive terms below this
@@ -94,20 +80,28 @@ def log_gamma_fn(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _bessel_j_series(nu: float, x: float) -> SpecialValue:
-    # J_nu(x) = (x/2)^nu / Gamma(nu+1) * sum_k (-x^2/4)^k / (k! (nu+1)_k)
+def _bessel_j_series(nu: float, x: float) -> tuple[float, int, bool]:
+    # J_nu(x) = (x/2)^nu / Gamma(nu+1) * sum_k (-x^2/4)^k / (k! (nu+1)_k),
+    # as (value, terms used, converged), with _ratio_series_rows' stopping
+    # rule (a zero term can only follow x/2 underflowing, and changes no sum)
     half = 0.5 * x
     if nu > 30.0:
         lead = math.exp(nu * math.log(half) - log_gamma_fn(nu + 1.0))
     else:
         lead = half**nu / gamma_fn(nu + 1.0)
     msq = -(half * half)
-    # term magnitudes peak near k ~ x/2
-    sv = _sum_ratio_series(lambda k: msq / ((k + 1) * (nu + (k + 1))), 0.5 * x)
-    return SpecialValue(lead * sv.value, sv.terms_used, sv.converged)
+    term = total = 1.0
+    small = False
+    for k in range(1, _SERIES_MAX_TERMS + 1):
+        term *= msq / (k * (nu + k))
+        total += term
+        was_small, small = small, abs(term) <= _SERIES_REL_TOL * abs(total) and k >= half
+        if was_small and small:  # two small terms in a row, past the peak near x/2
+            return lead * total, k, True
+    return lead * total, _SERIES_MAX_TERMS, False
 
 
-def _bessel_j_asymptotic(nu: float, x: float) -> SpecialValue:
+def _bessel_j_asymptotic(nu: float, x: float) -> tuple[float, int, bool]:
     # Hankel expansion: J_nu(x) ~ sqrt(2/(pi x)) (cos(w) P - sin(w) Q),
     # w = x - nu pi/2 - pi/4, summed to the smallest term.
     mu4 = 4.0 * nu * nu
@@ -132,7 +126,7 @@ def _bessel_j_asymptotic(nu: float, x: float) -> SpecialValue:
         if ac < 1e-18:
             break
     value = math.sqrt(2.0 / (math.pi * x)) * (math.cos(w) * p_sum - math.sin(w) * q_sum)
-    return SpecialValue(value, terms, best < 1e-10)
+    return value, terms, best < 1e-10
 
 
 def bessel_j(nu: float, x: float) -> float:
@@ -148,14 +142,12 @@ def bessel_j(nu: float, x: float) -> float:
             return 0.0
         raise DomainError("bessel_j: J_nu diverges at x=0 for nu < 0")
     if x < max(_J_SWITCH_BASE, 2.0 * abs(nu)):
-        sv = _bessel_j_series(nu, x)
+        value, terms, converged = _bessel_j_series(nu, x)
     else:
-        sv = _bessel_j_asymptotic(nu, x)
-    if not sv.converged:
-        raise ConvergenceError(
-            f"bessel_j(nu={nu}, x={x}) did not converge after {sv.terms_used} terms"
-        )
-    return sv.value
+        value, terms, converged = _bessel_j_asymptotic(nu, x)
+    if not converged:
+        raise ConvergenceError(f"bessel_j(nu={nu}, x={x}) did not converge after {terms} terms")
+    return value
 
 
 def _elementwise(fn: Callable, x: np.ndarray, *args: float) -> np.ndarray:
@@ -178,9 +170,9 @@ def _elementwise(fn: Callable, x: np.ndarray, *args: float) -> np.ndarray:
 
 def _call_rows(f, ids: np.ndarray, x: np.ndarray, failures: dict):
     # f(ids[:, None], x), the call of an array integrand (quadrature's
-    # adaptive_rows, a mixing law's exact sums); if that raises, again row by
-    # row, so that one row's
-    # failure cannot cost the others their values.  Returns the values of
+    # adaptive_rows, a mixing law's exact sums, the closed route's phi); if
+    # that raises, again row by row, so that one row's failure cannot cost
+    # the others their values.  Returns the values of
     # the rows that succeeded and their mask; a row whose call raises has
     # its exception recorded in failures, for the caller to raise at its row
     # (an id that appears more than once keeps its first exception).
@@ -215,43 +207,53 @@ def _power(x: np.ndarray, e: float) -> np.ndarray:
     return _elementwise(pow, x, e)
 
 
-# Series terms per array pass of _bessel_j_series_rows; below x = 12 the
+# Series terms per array pass of _ratio_series_rows; below x = 12 the J
 # series stops after about 30.
-_J_SERIES_BLOCK = 32
+_SERIES_BLOCK = 32
+
+
+def _ratio_series_rows(ratio: Callable, kmin: np.ndarray):
+    # (sums, converged, terms used) of 1 + t_1 + t_2 + ..., t_k = t_{k-1} r_k,
+    # where ratio(rows, ks) gives r_k for the entries still running and the
+    # k of a block.  An entry stops at a zero term (a terminating series) or
+    # after two terms in a row below _SERIES_REL_TOL of its sum from k = kmin
+    # on.  cumprod and cumsum run along a row in order, as a one-entry loop.
+    count = len(kmin)
+    value, terms = np.empty(count), np.full(count, _SERIES_MAX_TERMS)
+    converged = np.zeros(count, dtype=bool)
+    live = np.arange(count)
+    term, total, small = np.ones(count), np.ones(count), np.zeros(count, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite z sums to no convergence
+        for k0 in range(1, _SERIES_MAX_TERMS + 1, _SERIES_BLOCK):
+            if not len(live):
+                break
+            ks = np.arange(k0, min(k0 + _SERIES_BLOCK, _SERIES_MAX_TERMS + 1))
+            block = np.cumprod(np.column_stack((term, ratio(live, ks))), axis=1)[:, 1:]
+            sums = np.cumsum(np.column_stack((total, block)), axis=1)[:, 1:]
+            cond = (abs(block) <= _SERIES_REL_TOL * abs(sums)) & (ks >= kmin[live, None])
+            stop = (cond & np.column_stack((small, cond[:, :-1]))) | (block == 0.0)
+            done = stop.any(axis=1)
+            at = stop.argmax(axis=1)[done]
+            value[live[done]] = sums[done, at]
+            terms[live[done]], converged[live[done]] = ks[at], True
+            term, total, small = block[:, -1], sums[:, -1], cond[:, -1]
+            live, term, total, small = (z[~done] for z in (live, term, total, small))
+    value[live] = total
+    return value, converged, terms
 
 
 def _bessel_j_series_rows(nu: float, x: np.ndarray):
-    # _bessel_j_series at every entry of x: (values, converged, terms used).
-    # Terms come in blocks of columns; cumprod and cumsum run along a row in
-    # order, so every term and partial sum is the scalar loop's.
+    # _bessel_j_series at every entry of x: (values, converged, terms used)
     half = 0.5 * x
     if nu > 30.0:
         lead = _elementwise(math.exp, nu * _elementwise(math.log, half) - log_gamma_fn(nu + 1.0))
     else:
         lead = _power(half, nu) / gamma_fn(nu + 1.0)
-    value, terms = lead.copy(), np.full(len(x), _SERIES_MAX_TERMS)
-    converged = np.zeros(len(x), dtype=bool)
-    live = np.arange(len(x))
-    msq, kmin = -(half * half), 0.5 * x
-    term, total, small = np.ones(len(x)), np.ones(len(x)), np.zeros(len(x), dtype=bool)
-    for k0 in range(1, _SERIES_MAX_TERMS + 1, _J_SERIES_BLOCK):
-        if not len(live):
-            break
-        ks = np.arange(k0, min(k0 + _J_SERIES_BLOCK, _SERIES_MAX_TERMS + 1))
-        block = np.cumprod(np.column_stack((term, msq[:, None] / (ks * (nu + ks)))), axis=1)[:, 1:]
-        sums = np.cumsum(np.column_stack((total, block)), axis=1)[:, 1:]
-        cond = (abs(block) <= _SERIES_REL_TOL * abs(sums)) & (ks >= kmin[:, None])
-        stop = cond & np.column_stack((small, cond[:, :-1]))  # two small terms in a row
-        done = stop.any(axis=1)
-        at = stop.argmax(axis=1)[done]
-        value[live[done]] *= sums[done, at]
-        terms[live[done]], converged[live[done]] = ks[at], True
-        term, total, small = block[:, -1], sums[:, -1], cond[:, -1]
-        live, msq, kmin, term, total, small = (
-            z[~done] for z in (live, msq, kmin, term, total, small)
-        )
-    value[live] *= total
-    return value, converged, terms
+    msq = -(half * half)
+    sums, converged, terms = _ratio_series_rows(
+        lambda rows, ks: msq[rows, None] / (ks * (nu + ks)), half
+    )
+    return lead * sums, converged, terms
 
 
 # The Hankel expansion's term indices j and their constants, per column, and
@@ -570,80 +572,78 @@ def _check_not_pole(gamma: float, name: str) -> None:
         raise DomainError(f"{name}: lower parameter {gamma} is a nonpositive integer")
 
 
-def _sum_ratio_series(ratio: Callable[[int], float], kmin: float) -> SpecialValue:
-    # Sum 1 + t_1 + t_2 + ... with t_{k} = t_{k-1} * ratio(k-1); stops after
-    # two consecutive negligible terms past the term-magnitude peak.
-    term = 1.0
-    total = 1.0
-    small_streak = 0
-    for k in range(1, _SERIES_MAX_TERMS + 1):
-        term *= ratio(k - 1)
-        total += term
-        if term == 0.0:
-            return SpecialValue(total, k, True)  # terminating series
-        if abs(term) <= _SERIES_REL_TOL * abs(total) and k >= kmin:
-            small_streak += 1
-            if small_streak >= 2:
-                return SpecialValue(total, k, True)
-        else:
-            small_streak = 0
-    return SpecialValue(total, _SERIES_MAX_TERMS, False)
+def _series_rows(call: str, ratio: Callable, kmin: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    # _ratio_series_rows over the entries zs, raising at the first that does
+    # not converge; call is the function's name and parameters
+    sums, converged, terms = _ratio_series_rows(ratio, kmin)
+    if not converged.all():
+        i = (~converged).argmax()
+        raise ConvergenceError(
+            f"{call}, z={float(zs[i])}) did not converge after {int(terms[i])} terms"
+        )
+    return sums
 
 
-def hyp0f1(gamma: float, z: float) -> float:
-    """Generalized hypergeometric series 0F1(gamma; z).
+def hyp0f1(gamma: float, z):
+    """Generalized hypergeometric series 0F1(gamma; z), for a float or an
+    array z (a float gives a float).
 
     Large negative z is evaluated through Bessel J (the two functions are
-    related by an exact identity); the direct float64 series would lose all
-    accuracy to cancellation there.  An infinite z (an overflowed argument)
-    raises OverflowError.
+    related by an exact identity, DLMF 10.16.9); the direct float64 series
+    would lose all accuracy to cancellation there.  An infinite z (an
+    overflowed argument) raises OverflowError.  An error names an entry
+    that fails.
     """
     _check_not_pole(gamma, "hyp0f1")
-    if math.isinf(z):
-        raise OverflowError(f"hyp0f1: z = {z}: an intermediate overflows")
-    if z == 0.0:
-        return 1.0
-    if z < _HYP0F1_NEG_SWITCH:
-        x = 2.0 * math.sqrt(-z)
-        return gamma_fn(gamma) * (0.5 * x) ** (1.0 - gamma) * bessel_j(gamma - 1.0, x)
-    sv = _sum_ratio_series(
-        lambda k: z / ((k + 1.0) * (gamma + k)), 2.0 * math.sqrt(abs(z))
+    z = np.asarray(z, dtype=float)
+    flat = z.ravel()
+    inf = np.isinf(flat)
+    if inf.any():
+        raise OverflowError(f"hyp0f1: z = {_first(flat, inf)}: an intermediate overflows")
+    out = np.empty(flat.shape)
+    bessel = flat < _HYP0F1_NEG_SWITCH
+    if bessel.any():
+        half = np.sqrt(-flat[bessel])  # x/2 with x = 2 sqrt(-z)
+        out[bessel] = (gamma_fn(gamma) * _power(half, 1.0 - gamma)
+                       * bessel_j_rows(gamma - 1.0, 2.0 * half))
+    zs = flat[~bessel]  # z = 0 sums to exactly 1 (its first term is 0)
+    out[~bessel] = _series_rows(
+        f"hyp0f1(gamma={gamma}", lambda rows, ks: zs[rows, None] / (ks * (gamma + (ks - 1))),
+        2.0 * np.sqrt(abs(zs)), zs,
     )
-    if not sv.converged:
-        raise ConvergenceError(
-            f"hyp0f1(gamma={gamma}, z={z}) did not converge after {sv.terms_used} terms"
-        )
-    return sv.value
+    out = out.reshape(z.shape)
+    return out if out.ndim else float(out)
 
 
-def hyp1f1(alpha: float, gamma: float, z: float) -> float:
-    """Kummer's confluent hypergeometric function 1F1(alpha; gamma; z).
+def hyp1f1(alpha: float, gamma: float, z):
+    """Kummer's confluent hypergeometric function 1F1(alpha; gamma; z), for a
+    float or an array z (a float gives a float).
 
     Negative arguments go through the Kummer transform
-    1F1(a; c; z) = e^z 1F1(c-a; c; -z) to avoid cancellation.
+    1F1(a; c; z) = e^z 1F1(c-a; c; -z) to avoid cancellation.  An error
+    names the first entry that fails.
     """
     _check_not_pole(gamma, "hyp1f1")
-    if z == 0.0 or alpha == gamma:
-        return math.exp(z)
-    if alpha == 0.0:
-        return 1.0
-    if z < 0.0:
-        a2 = gamma - alpha
-        sv = _sum_ratio_series(
-            lambda k: (a2 + k) * (-z) / ((gamma + k) * (k + 1.0)), abs(z)
-        )
-        scale = math.exp(z)
+    z = np.asarray(z, dtype=float)
+    if alpha == gamma:
+        out = _elementwise(math.exp, z)
+    elif alpha == 0.0:
+        out = np.ones(z.shape)
     else:
-        sv = _sum_ratio_series(
-            lambda k: (alpha + k) * z / ((gamma + k) * (k + 1.0)), abs(z)
+        zs = z.ravel()
+        # the upper parameter (c - a for z < 0) and |z|, so one ratio serves
+        # both signs; z = 0 sums to exactly 1
+        negative = zs < 0.0
+        upper, w = np.where(negative, gamma - alpha, alpha), abs(zs)
+        out = _series_rows(
+            f"hyp1f1(alpha={alpha}, gamma={gamma}",
+            lambda rows, ks: (upper[rows, None] + (ks - 1)) * w[rows, None]
+            / ((gamma + (ks - 1)) * ks),
+            w, zs,
         )
-        scale = 1.0
-    if not sv.converged:
-        raise ConvergenceError(
-            f"hyp1f1(alpha={alpha}, gamma={gamma}, z={z}) did not converge "
-            f"after {sv.terms_used} terms"
-        )
-    return scale * sv.value
+        out[negative] *= _elementwise(math.exp, zs[negative])
+        out = out.reshape(z.shape)
+    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------

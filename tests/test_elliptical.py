@@ -15,6 +15,7 @@ from ellipcf.elliptical import (
     EllipticalSpec,
     _rotate,
     cf,
+    char_generator_rows,
     closed_form_generator,
     radial_density,
     uniform_sphere_cf,
@@ -192,6 +193,23 @@ class TestClosedFormGenerator:
         for n in (1, 2, 5):
             for gen in closed_families(n):
                 assert_allclose(closed_form_generator(gen, n, 0.0), 1.0, rtol=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_array_form_batch_independent(self, n):
+        # q = 0, both sides of 0F1's switch to Bessel J at q = 100, and 1F1
+        # series of up to 200 terms: each entry is its one-entry call
+        qs = np.concatenate([[0.0, 100.0, np.nextafter(100.0, 200.0)],
+                             np.random.default_rng(n).uniform(0.0, 400.0, 300)])
+        for gen in closed_families(n):
+            got = gen.closed_form(n, qs)
+            assert got.tolist() == [closed_form_generator(gen, n, q) for q in qs.tolist()]
+
+    def test_no_closed_form_fails_every_row(self):
+        qs = np.array([0.0, 1.0, 4.0, 200.0])
+        for gen in (gn.kotz_generator(2.0, 0.5, 0.75), gn.custom_generator(lambda z: math.exp(-z))):
+            values, _, failures = char_generator_rows(gen, 2, qs)
+            assert np.isnan(values).all() and sorted(failures) == [0, 1, 2, 3]
+            assert all(isinstance(exc, NoClosedFormError) for exc in failures.values())
 
     def test_no_closed_form_status(self):
         with pytest.raises(NoClosedFormError):

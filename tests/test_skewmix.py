@@ -781,9 +781,10 @@ class TestGridBuilder:
 
 def _dispatch_hashes() -> dict:
     """sha256 of the inverse-gamma density, the lsm closed rows over it (normal
-    base) and the custom-density smsn draws; none may follow numpy's SIMD
-    dispatch.  (The smsn closed rows do: dawson takes numpy's exp, cosh and
-    sinh.)"""
+    base), the custom-density smsn draws and the elliptical draws of the two
+    families whose radius takes a power (Kotz at s = 0.75, the ball at
+    n = 3); none may follow numpy's SIMD dispatch.  (The smsn closed rows
+    do: dawson takes numpy's exp, cosh and sinh.)"""
     from ellipcf import sampling
 
     def sha(*arrays):
@@ -795,10 +796,17 @@ def _dispatch_hashes() -> dict:
     sn = SkewNormalSpec([0.5, -0.25], np.diag([4.0, 0.25]), [2.0, -0.5])
     custom = MixingLaw.custom_density(lambda v: math.exp(-v), (0.0, math.inf))
     draws = sampling.smsn_sampler(sn, custom).batch(40000, sampling.RngStream(7)).data
+
+    def elliptical_draws(n, gen):
+        spec = EllipticalSpec(n, np.zeros(n), np.eye(n), gen)
+        return sampling.elliptical_sampler(spec).batch(40000, sampling.RngStream(7)).data
+
     return {
         "density": sha(law.pdf(np.linspace(0.01, 50.0, 10**5))),
         "lsm": sha(lsm.re, lsm.im, lsm.abs_err),
         "custom_draws": sha(draws),
+        "kotz_draws": sha(elliptical_draws(2, gn.kotz_generator(2.0, 0.5, 0.75))),
+        "ball_draws": sha(elliptical_draws(3, gn.uniform_ball_generator())),
     }
 
 

@@ -273,6 +273,15 @@ class TestHyp0F1:
     def test_positive_argument(self):
         assert_allclose(hyp0f1(2.0, 100.0), oracles.hyp0f1_series(2.0, 100.0, dps=60), rtol=1e-13)
 
+    @pytest.mark.parametrize("gamma", [0.5, 1.5])
+    def test_half_order_bessel_branch_against_mpmath(self, gamma):
+        # past the switch at z = -25, 0F1 at gamma = 1/2 and 3/2 is J at
+        # order -+1/2, which bessel_j_rows takes in closed form
+        z = np.random.default_rng(29).uniform(-2500.0, -25.01, 400)
+        with mpmath.workdps(30):
+            want = [float(mpmath.hyp0f1(gamma, mpmath.mpf(v))) for v in z.tolist()]
+        assert np.abs(hyp0f1(gamma, z) - want).max() <= 1e-14
+
 
 class TestHyp1F1:
     def test_exponential_collapse(self):
@@ -302,6 +311,50 @@ class TestHyp1F1:
     def test_pole_parameter(self):
         with pytest.raises(DomainError):
             hyp1f1(1.0, -2.0, 1.0)
+
+
+class TestArrayHypergeometric:
+    """0F1 and 1F1 on arrays: an entry's value, or the error it raises, is
+    that of its own float call whatever else is in the array."""
+
+    ZS = np.concatenate([[0.0, -25.0, np.nextafter(-25.0, 0.0), 1e-300],
+                         np.random.default_rng(29).uniform(-2500.0, 60.0, 1500)])
+
+    @staticmethod
+    def singles(f, zs):
+        out = []
+        for z in zs.tolist():
+            try:
+                out.append(f(z))
+            except ConvergenceError as exc:
+                out.append(str(exc))
+        return out
+
+    @pytest.mark.parametrize("gamma", [0.5, 0.7, 1.5, 2.0, 3.5, 5.0])
+    def test_hyp0f1_batch_independent(self, gamma):
+        singles = self.singles(lambda z: hyp0f1(gamma, z), self.ZS)
+        assert all(type(v) is float for v in singles)
+        assert hyp0f1(gamma, self.ZS).tolist() == singles
+        assert hyp0f1(gamma, self.ZS.reshape(4, -1)).ravel().tolist() == singles
+
+    @pytest.mark.parametrize("alpha, gamma", [(2.5, 1.5), (2.0, 1.5), (3.5, 2.5), (1.7, 1.0),
+                                              (0.5, 3.0), (-1.0, 2.0)])
+    def test_hyp1f1_batch_independent(self, alpha, gamma):
+        # past |z| = 500 the series cannot stop (it needs k >= |z|): those
+        # entries fail alone, and the array names the first of them
+        singles = self.singles(lambda z: hyp1f1(alpha, gamma, z), self.ZS)
+        ok = np.array([type(v) is float for v in singles])
+        assert hyp1f1(alpha, gamma, self.ZS[ok]).tolist() == [v for v, k in zip(singles, ok) if k]
+        if not ok.all():
+            with pytest.raises(ConvergenceError) as raised:
+                hyp1f1(alpha, gamma, self.ZS)
+            assert str(raised.value) == singles[(~ok).argmax()]
+
+    def test_errors_name_the_entry(self):
+        with pytest.raises(OverflowError, match="z = -inf"):
+            hyp0f1(2.0, np.array([-1.0, -math.inf]))
+        with pytest.raises(ConvergenceError, match=r"z=-900.0\) did not converge after 500 terms"):
+            hyp1f1(2.5, 1.7, np.array([-1.0, -900.0, -1000.0]))
 
 
 class TestNormCdfImag:
