@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -145,8 +145,8 @@ def uniform_ball_generator() -> DensityGenerator:
 def generalized_t_generator(n: int, s: float, m: int) -> DensityGenerator:
     """g(z) = (1 + z/s)^{-(n+m)/2}; s = m gives the multivariate t with m df.
 
-    The profile exponent involves the dimension, so n is fixed at
-    construction time.
+    The profile is Pearson VII's with N = (n+m)/2, whose record it takes.
+    The exponent involves the dimension, so n is fixed at construction time.
     """
     _check_finite("generalized_t_generator", s=s)
     if not s > 0.0:
@@ -155,34 +155,15 @@ def generalized_t_generator(n: int, s: float, m: int) -> DensityGenerator:
         raise DomainError("generalized_t_generator: m must be a positive integer")
     if not (isinstance(n, int) and n >= 1):
         raise DomainError("generalized_t_generator: n must be a positive integer")
-    e = 0.5 * (n + m)
-    p = {"n": float(n), "s": float(s), "m": float(m)}
-
-    def phi(q: float, n: int) -> float:
-        if q == 0.0:
-            return 1.0
-        s, m = p["s"], p["m"]
-        u, half_m = math.sqrt(q), 0.5 * m
-        return (u**half_m * s ** (0.5 * half_m) / (2.0 ** (half_m - 1.0) * gamma_fn(half_m))
-                * bessel_k(half_m, math.sqrt(s) * u))
 
     def check_dimension(k: int) -> None:
-        if int(p["n"]) != k:
-            raise DomainError(f"generator: generalized-t profile built for n={int(p['n'])}, "
-                              f"spec has n={k}")
+        if n != k:
+            raise DomainError(f"generator: generalized-t profile built for n={n}, spec has n={k}")
 
-    return DensityGenerator(
+    return replace(
+        pearson_vii_generator(0.5 * (n + m), s),
         family=Family.GENERALIZED_T,
-        params=p,
-        g=lambda z: _power(1.0 + z / s, -e),
-        g_prime=lambda z: -(e / s) * _power(1.0 + z / s, -e - 1.0),
-        closed_form=lambda n, q: _elementwise(phi, q, n),
-        radius=lambda n, size, rng: _gamma_ratio_radius(rng, n, size, p["s"], 0.5 * p["m"]),
-        moment=lambda d: (
-            p["s"] ** (0.5 * d) * gamma_fn(0.5 * d) * gamma_fn(0.5 * (p["n"] + p["m"] - d))
-            / gamma_fn(0.5 * (p["n"] + p["m"]))
-        ),
-        finite=lambda d: d < p["n"] + p["m"],
+        params={"n": float(n), "s": float(s), "m": float(m)},
         check_dimension=check_dimension,
     )
 
@@ -219,11 +200,10 @@ def pearson_vii_generator(big_n: float, s: float) -> DensityGenerator:
     def phi(q: float, n: int) -> float:
         if q == 0.0:
             return 1.0
-        big_n, s = p["N"], p["s"]
+        h, s = p["N"] - 0.5 * n, p["s"]
         u = math.sqrt(q)
-        return (2.0 ** (0.5 * n - big_n + 1.0) / gamma_fn(big_n - 0.5 * n)
-                * s ** (0.5 * big_n - 0.25 * n) * u ** (big_n - 0.5 * n)
-                * bessel_k(0.5 * n - big_n, math.sqrt(s) * u))
+        return (u**h * s ** (0.5 * h) / (2.0 ** (h - 1.0) * gamma_fn(h))
+                * bessel_k(h, math.sqrt(s) * u))
 
     return DensityGenerator(
         family=Family.PEARSON_VII,
@@ -263,11 +243,12 @@ def kotz_generator(big_n: float, r: float, s: float) -> DensityGenerator:
         if s == 1.0:
             return hyp1f1(0.5 * n + big_n - 1.0, 0.5 * n, -q / (4.0 * r))
         if s == 0.5 and big_n == 1.0:
-            # the exponent match in the Laplace-type Bessel integral only
-            # holds at N = 1; other N go through the quadrature route
-            return (2.0 ** (n - 1.0) * gamma_fn(0.5 * n) * gamma_fn(0.5 * (n + 1.0))
-                    * r ** (n + 1.0) / (math.sqrt(math.pi) * gamma_fn(float(n))
-                                        * _power(r * r + q, 0.5 * (n + 1.0))))
+            # the Bessel family at a = 1/2, beta = 1/r (the exponents of the
+            # Laplace-type Bessel integral match at N = 1 only; the gamma
+            # factors there are 1 by the duplication formula), as (q/r)/r
+            # in Python floats, which no extreme r makes warn
+            e = -0.5 * (n + 1.0)
+            return _elementwise(lambda v: (1.0 + v / r / r) ** e, q)
         raise NoClosedFormError(f"no closed form for Kotz with s={s}, N={big_n}; "
                                 "use the Hankel route")
 

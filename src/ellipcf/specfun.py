@@ -11,7 +11,8 @@ the array around it.
 
 J_nu also has an array form (:func:`bessel_j_rows`) that runs bessel_j's
 series and Hankel expansion in lockstep over every entry, with bessel_j's
-branches and stopping rule per entry.  0F1 and 1F1 take a float or an
+branches and stopping rule per entry; both take the orders +-1/2 in closed
+form, sqrt(2/(pi x)) times sin x or cos x.  0F1 and 1F1 take a float or an
 array, as dawson does, and run on J's array series loop (_ratio_series_rows)
 and on bessel_j_rows; the scalar bessel_j keeps a short loop of its own.
 
@@ -130,7 +131,11 @@ def _bessel_j_asymptotic(nu: float, x: float) -> tuple[float, int, bool]:
 
 
 def bessel_j(nu: float, x: float) -> float:
-    """Bessel function of the first kind, real order nu > -1, x >= 0."""
+    """Bessel function of the first kind, real order nu > -1, x >= 0.
+
+    The orders +-1/2 are sqrt(2/(pi x)) sin x and cos x; other orders take
+    the power series below x = max(12, 2|nu|) and the Hankel expansion above.
+    """
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"bessel_j: x must be finite and >= 0, got {x}")
     if nu <= -1.0:
@@ -141,6 +146,9 @@ def bessel_j(nu: float, x: float) -> float:
         if nu > 0.0:
             return 0.0
         raise DomainError("bessel_j: J_nu diverges at x=0 for nu < 0")
+    if abs(nu) == 0.5:
+        trig = math.sin if nu > 0.0 else math.cos
+        return math.sqrt(2.0 / (math.pi * x)) * trig(x)
     if x < max(_J_SWITCH_BASE, 2.0 * abs(nu)):
         value, terms, converged = _bessel_j_series(nu, x)
     else:
@@ -320,11 +328,10 @@ def _bessel_j_asymptotic_rows(nu: float, x: np.ndarray):
 def bessel_j_rows(nu: float, x) -> np.ndarray:
     """bessel_j(nu, .) at every entry of the array x, in lockstep.
 
-    Every entry takes bessel_j's branch (series below max(12, 2|nu|), the
-    Hankel expansion above) and stopping rule, so its value equals
-    bessel_j's whatever else is in the array; nu = +-1/2 is evaluated in
-    closed form, sqrt(2/(pi x)) times cos or sin.  Raises as bessel_j does,
-    naming the first entry that fails.
+    Every entry takes bessel_j's branch (the closed form at nu = +-1/2,
+    else the series below max(12, 2|nu|) and the Hankel expansion above) and
+    stopping rule, so its value equals bessel_j's whatever else is in the
+    array.  Raises as bessel_j does, naming the first entry that fails.
     """
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
@@ -590,9 +597,10 @@ def hyp0f1(gamma: float, z):
 
     Large negative z is evaluated through Bessel J (the two functions are
     related by an exact identity, DLMF 10.16.9); the direct float64 series
-    would lose all accuracy to cancellation there.  An infinite z (an
-    overflowed argument) raises OverflowError.  An error names an entry
-    that fails.
+    would lose all accuracy to cancellation there.  At gamma = 1/2 and 3/2
+    every negative z is, as cos x and sin(x)/x through J's closed form.  An
+    infinite z (an overflowed argument) raises OverflowError.  An error names
+    an entry that fails.
     """
     _check_not_pole(gamma, "hyp0f1")
     z = np.asarray(z, dtype=float)
@@ -601,7 +609,7 @@ def hyp0f1(gamma: float, z):
     if inf.any():
         raise OverflowError(f"hyp0f1: z = {_first(flat, inf)}: an intermediate overflows")
     out = np.empty(flat.shape)
-    bessel = flat < _HYP0F1_NEG_SWITCH
+    bessel = flat < (0.0 if gamma in (0.5, 1.5) else _HYP0F1_NEG_SWITCH)
     if bessel.any():
         half = np.sqrt(-flat[bessel])  # x/2 with x = 2 sqrt(-z)
         out[bessel] = (gamma_fn(gamma) * _power(half, 1.0 - gamma)

@@ -22,6 +22,9 @@ def sphere_cf_bessel(n: int, s: float) -> float:
     Omega_n(x) = Gamma(n/2) (2/x)^((n-2)/2) J_((n-2)/2)(x) with x = ||t||.
     The library evaluates it as 0F1(; n/2; -s/4), by the series below
     hyp0f1's switch to J (x < 10), so there the two forms are independent.
+    At n = 1 and 3 the order is -1/2 and 1/2, where both forms take J's
+    closed form (cos x and sin(x)/x) at every x: there the mpmath tests
+    (TestUniformSphereCF.test_against_mpmath) are the independent reference.
     """
     x = math.sqrt(s)
     half_order = 0.5 * (n - 2.0)

@@ -340,6 +340,17 @@ class TestEval:
         ])
         assert rc == 2
 
+    def test_kotz_half_closed_at_n200(self, tmp_path, capsys):
+        # Kotz (N = 1, s = 1/2) is (1 + q/r^2)^(-(n+1)/2); its gamma factors
+        # once overflowed at this n.  Here q = 1/4 and r = 1/2: 2^(-201/2)
+        obj = normal_spec(200)
+        obj["generator"] = {"family": "kotz", "params": {"N": 1.0, "r": 0.5, "s": 0.5}}
+        spec = write_spec(tmp_path, "k.json", obj)
+        grid = json.dumps({"kind": "list", "points": [[0.5] + [0.0] * 199]})
+        assert cli.main(["eval", "--spec", spec, "--routes", "closed", "--grid", grid]) == 0
+        _, _, rows = parse_result_csv(capsys.readouterr().out)
+        assert float(rows[0][200]) == 2.0**-100.5 and float(rows[0][201]) == 0.0
+
 
 def _with(obj, path, value):
     """A deep copy of obj with the entry at the key path set to value."""
@@ -1318,12 +1329,17 @@ class TestGoldenBytes:
          "d3efcd91197ca573a8220d91d4c4ac35223ef1de9f399fb940e568cfcb7c3f7a"),
         (FAMILY["pearson_ii"], CLOSED,
          "3f770e1fb1aa7ef0f76fdc3fde9b6bce775a3eac1f4b856b6428a7b7b9839d9c"),
+        # phi written once, in the t's operation order: 19 of 61 rows moved
+        # by at most 3.1e-16 relative
         (FAMILY["pearson_vii"], CLOSED,
-         "cb065355ba42aaef7c2069f4b48082ea1425629c179495fa3d80c62f70912983"),
+         "b2ee936dbcccea6bffcc189f24d3cc3e86827c23f34bb5c8bda375944c5e612e"),
         (FAMILY["kotz-s1"], CLOSED,
          "5c75eeaf5c81eef1bcad2ae8dca220e80d48c6584905ca8dac245287f6a181fb"),
+        # the Bessel family's (1 + q/r^2)^(-(n+1)/2): 42 of 61 rows moved by
+        # at most 4.1e-16 relative, the error against mpmath fell from 3.3e-16
+        # to 1.7e-16
         (FAMILY["kotz-s0.5"], CLOSED,
-         "bd8acd8b0acf79ca5394b8feca4c083f61ab517b489dcf4bd308e70dc1bb8b64"),
+         "31b53a26630c60727fb19972474ab89d0ee72ccaea8ae851155bb447bf548a92"),
         (FAMILY["bessel"], CLOSED,
          "bba13c2e9680797166bfb3945dff4737f14775c67311d68f23efbebe97294a2f"),
     ], ids=["sample", "eval", "compare", "sample-skew_normal-half_root",

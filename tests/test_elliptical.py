@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -172,11 +173,21 @@ class TestClosedFormGenerator:
                 assert abs(got - math.exp(-math.sqrt(q))) <= 1e-12
 
     def test_pearson_vii_reduces_to_generalized_t(self):
-        for (n, m, s) in [(2, 3, 2.0), (3, 1, 1.0), (5, 4, 0.6)]:
-            for q in (0.01, 1.0, 25.0):
-                pvii = closed_form_generator(gn.pearson_vii_generator(0.5 * (n + m), s), n, q)
-                gent = closed_form_generator(gn.generalized_t_generator(n, s, m), n, q)
-                assert abs(pvii - gent) <= 1e-12
+        # the t is Pearson VII with N = (n+m)/2: every part of its record is
+        # that family's, bit for bit
+        z = np.concatenate([[0.0], np.geomspace(1e-6, 1e4, 200)])
+        for n in (1, 2, 3, 5):
+            for m in (1, 3, 4):
+                t = gn.generalized_t_generator(n, 2.5, m)
+                p7 = gn.pearson_vii_generator(0.5 * (n + m), 2.5)
+                for part in ("g", "g_prime"):
+                    assert getattr(t, part)(z).tobytes() == getattr(p7, part)(z).tobytes()
+                for d in np.arange(1.0, n + m, 0.5).tolist():
+                    assert t.finite(d) and t.moment(d) == p7.moment(d)
+                assert not t.finite(float(n + m)) and not p7.finite(float(n + m))
+                draws = [gen.radius(n, 1000, np.random.default_rng(11)) for gen in (t, p7)]
+                assert draws[0].tobytes() == draws[1].tobytes()
+                assert t.closed_form(n, z).tobytes() == p7.closed_form(n, z).tobytes()
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_pearson_vii_half_integer_order_near_origin(self, n):
@@ -218,6 +229,29 @@ class TestClosedFormGenerator:
             closed_form_generator(gn.kotz_generator(2.0, 0.5, 0.5), 2, 1.0)  # s=1/2 needs N=1
         with pytest.raises(NoClosedFormError):
             closed_form_generator(gn.custom_generator(lambda z: math.exp(-z)), 2, 1.0)
+
+    # dyadic q and r make 1 + q/r^2 exact, so the power's condition number
+    # (n+1)/2 multiplies no rounding of its base
+    @pytest.mark.parametrize("n", [148, 168, 170, 200])
+    @pytest.mark.parametrize("r", [0.5, 2.0])
+    def test_kotz_half_at_high_dimension(self, n, r):
+        self._check_kotz_half(n, r, [0.0625, 0.25, 1.0, 4.0, 9.0])
+
+    @pytest.mark.parametrize("n", [2, 200])
+    def test_kotz_half_at_huge_r(self, n):
+        self._check_kotz_half(n, 1e200, [0.25, 1.0, 1e6])
+
+    @staticmethod
+    def _check_kotz_half(n, r, qs):
+        # against Gradshteyn & Ryzhik's form, gamma factors and all:
+        # 2^(n-1) Gamma(n/2) Gamma((n+1)/2) r^(n+1) / (sqrt(pi) Gamma(n) (r^2 + q)^((n+1)/2))
+        got = gn.kotz_generator(1.0, r, 0.5).closed_form(n, np.array(qs))
+        with mpmath.workdps(50):
+            mr, half = mpmath.mpf(r), mpmath.mpf(n + 1) / 2
+            want = [float(2 ** (n - 1) * mpmath.gamma(mpmath.mpf(n) / 2) * mpmath.gamma(half)
+                          * mr ** (n + 1) / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(n)
+                                             * (mr**2 + mpmath.mpf(q)) ** half)) for q in qs]
+        assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
 class TestCF:

@@ -92,12 +92,6 @@ class TestBesselJ:
         with pytest.raises(ConvergenceError):
             bessel_j(0.0, 11.0)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 5: at order +-1/2 the scalar form runs the series or "
-        "the Hankel expansion, where bessel_j_rows takes the exact "
-        "sqrt(2/(pi x)) sin or cos; it errs by up to 9e-13 near x = 12",
-    )
     @pytest.mark.parametrize("nu", [0.5, -0.5])
     def test_half_order_against_mpmath(self, nu):
         xs = np.random.default_rng(5).uniform(1e-3, 30.0, 6000).tolist()
@@ -281,6 +275,17 @@ class TestHyp0F1:
         with mpmath.workdps(30):
             want = [float(mpmath.hyp0f1(gamma, mpmath.mpf(v))) for v in z.tolist()]
         assert np.abs(hyp0f1(gamma, z) - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.5])
+    def test_half_order_before_the_switch_against_mpmath(self, gamma):
+        # on z in [-25, 0) too, gamma = 1/2 and 3/2 take J's closed form,
+        # cos x and sin(x)/x, where the series cancels to some 4e-13
+        z = np.concatenate([-np.random.default_rng(30).uniform(0.0, 25.0, 3500),
+                            [-25.0, -1e-12, -1e-300, -5e-324]])
+        z = z[z < 0.0]
+        with mpmath.workdps(30):
+            want = [float(mpmath.hyp0f1(gamma, mpmath.mpf(v))) for v in z.tolist()]
+        assert np.abs(hyp0f1(gamma, z) - want).max() <= 2e-15
 
 
 class TestHyp1F1:
