@@ -197,20 +197,19 @@ def pearson_vii_generator(big_n: float, s: float) -> DensityGenerator:
         raise DomainError("pearson_vii_generator: N must be > 0")
     p = {"N": float(big_n), "s": float(s)}
 
-    def phi(q: float, n: int) -> float:
-        if q == 0.0:
-            return 1.0
+    def phi(n: int, q: np.ndarray) -> np.ndarray:
         h, s = p["N"] - 0.5 * n, p["s"]
-        u = math.sqrt(q)
-        return (u**h * s ** (0.5 * h) / (2.0 ** (h - 1.0) * gamma_fn(h))
-                * bessel_k(h, math.sqrt(s) * u))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is nan, as in floats
+            return _masked(q, q != 0.0, 1.0, lambda q: (
+                _power(np.sqrt(q), h) * s ** (0.5 * h) / (2.0 ** (h - 1.0) * gamma_fn(h))
+                * bessel_k(h, math.sqrt(s) * np.sqrt(q))))
 
     return DensityGenerator(
         family=Family.PEARSON_VII,
         params=p,
         g=lambda z: _power(1.0 + z / s, -big_n),
         g_prime=lambda z: -(big_n / s) * _power(1.0 + z / s, -big_n - 1.0),
-        closed_form=lambda n, q: _elementwise(phi, q, n),
+        closed_form=phi,
         radius=lambda n, size, rng: _gamma_ratio_radius(rng, n, size, p["s"], p["N"] - 0.5 * n),
         moment=lambda d: (
             p["s"] ** (0.5 * d) * gamma_fn(0.5 * d) * gamma_fn(p["N"] - 0.5 * d) / gamma_fn(p["N"])
@@ -277,19 +276,20 @@ def bessel_generator(a: float, beta: float) -> DensityGenerator:
     if not beta > 0.0:
         raise DomainError("bessel_generator: beta must be > 0")
 
-    def g(z: float) -> float:
-        if z <= 0.0:
-            # y^a K_a(y) -> 2^(a-1) Gamma(a) as y -> 0 for a > 0
-            return 2.0 ** (a - 1.0) * gamma_fn(a) if a > 0.0 else math.inf
-        y = math.sqrt(z) / beta
-        return y**a * bessel_k(a, y)
+    # y^a K_a(y) -> 2^(a-1) Gamma(a) as y -> 0 for a > 0
+    at_zero = 2.0 ** (a - 1.0) * gamma_fn(a) if a > 0.0 else math.inf
+
+    def g(z: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is nan, as in floats
+            return _masked(z, ~(z <= 0.0), at_zero, lambda z: (
+                _power(np.sqrt(z) / beta, a) * bessel_k(a, np.sqrt(z) / beta)))
 
     p = {"a": float(a), "beta": float(beta)}
 
     return DensityGenerator(
         family=Family.BESSEL,
         params=p,
-        g=lambda z: _elementwise(g, z),
+        g=g,
         closed_form=lambda n, q: _power(1.0 + p["beta"] * p["beta"] * q, -(0.5 * n + p["a"])),
         radius=lambda n, size, rng: np.sqrt(
             rng.gamma(p["a"] + 0.5 * n, 2.0 * p["beta"] ** 2, size=size)

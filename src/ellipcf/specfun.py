@@ -4,17 +4,17 @@ Bessel J of the first kind, the MacDonald function K, the hypergeometric
 series 0F1 and 1F1 (Kummer), gamma/log-gamma, Bessel-J zeros, the Dawson
 function and the standard normal CDF at a purely imaginary argument.
 
-The Dawson function and the normal CDF at iy take floats or numpy
-arrays: Dawson's integral is one fixed sequence of array operations
-(Rybicki's sampling-theorem sum) whose value at a point does not depend on
-the array around it.
-
-J_nu also has an array form (:func:`bessel_j_rows`) that runs bessel_j's
-series and Hankel expansion in lockstep over every entry, with bessel_j's
-branches and stopping rule per entry; both take the orders +-1/2 in closed
-form, sqrt(2/(pi x)) times sin x or cos x.  0F1 and 1F1 take a float or an
-array, as dawson does, and run on J's array series loop (_ratio_series_rows)
-and on bessel_j_rows; the scalar bessel_j keeps a short loop of its own.
+Each function has one implementation, on arrays, and an entry's value does
+not depend on the array around it.  J is bessel_j_rows (the power series
+and Hankel's expansion; bessel_j is its one-entry call) and K is bessel_k
+(Temme's series and Steed's continued fraction): each entry runs the
+operations of a one-entry loop, in lockstep with the others, with exp,
+log, pow and the trigonometric functions from libm.  0F1 and 1F1 run on
+J's series loop (_ratio_series_rows) and on bessel_j_rows; Dawson's
+integral is one fixed sequence of array operations (Rybicki's
+sampling-theorem sum).  K, 0F1, 1F1, the Dawson function and the normal CDF
+at iy take a float or an array, a float giving a float.  The zeros of J
+come from McMahon's expansion by secant steps on J.
 
 Every truncated series stops at a relative term size of 1e-14, within at
 most 500 terms, and reports the number of terms consumed.  Non-convergence
@@ -77,85 +77,8 @@ def log_gamma_fn(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Bessel J
+# Array helpers
 # ---------------------------------------------------------------------------
-
-
-def _bessel_j_series(nu: float, x: float) -> tuple[float, int, bool]:
-    # J_nu(x) = (x/2)^nu / Gamma(nu+1) * sum_k (-x^2/4)^k / (k! (nu+1)_k),
-    # as (value, terms used, converged), with _ratio_series_rows' stopping
-    # rule (a zero term can only follow x/2 underflowing, and changes no sum)
-    half = 0.5 * x
-    if nu > 30.0:
-        lead = math.exp(nu * math.log(half) - log_gamma_fn(nu + 1.0))
-    else:
-        lead = half**nu / gamma_fn(nu + 1.0)
-    msq = -(half * half)
-    term = total = 1.0
-    small = False
-    for k in range(1, _SERIES_MAX_TERMS + 1):
-        term *= msq / (k * (nu + k))
-        total += term
-        was_small, small = small, abs(term) <= _SERIES_REL_TOL * abs(total) and k >= half
-        if was_small and small:  # two small terms in a row, past the peak near x/2
-            return lead * total, k, True
-    return lead * total, _SERIES_MAX_TERMS, False
-
-
-def _bessel_j_asymptotic(nu: float, x: float) -> tuple[float, int, bool]:
-    # Hankel expansion: J_nu(x) ~ sqrt(2/(pi x)) (cos(w) P - sin(w) Q),
-    # w = x - nu pi/2 - pi/4, summed to the smallest term.
-    mu4 = 4.0 * nu * nu
-    w = x - nu * (0.5 * math.pi) - 0.25 * math.pi
-    p_sum = 1.0
-    q_sum = 0.0
-    c = 1.0
-    best = 1.0
-    terms = 1
-    for j in range(1, 80):
-        odd = 2 * j - 1
-        c *= (mu4 - odd * odd) / (8.0 * j * x)
-        ac = abs(c)
-        if ac >= best and j > 2:
-            break  # divergence onset: optimal truncation reached
-        best = min(best, ac)
-        if j % 2 == 1:
-            q_sum += c if (j - 1) // 2 % 2 == 0 else -c
-        else:
-            p_sum += c if (j // 2) % 2 == 0 else -c
-        terms = j + 1
-        if ac < 1e-18:
-            break
-    value = math.sqrt(2.0 / (math.pi * x)) * (math.cos(w) * p_sum - math.sin(w) * q_sum)
-    return value, terms, best < 1e-10
-
-
-def bessel_j(nu: float, x: float) -> float:
-    """Bessel function of the first kind, real order nu > -1, x >= 0.
-
-    The orders +-1/2 are sqrt(2/(pi x)) sin x and cos x; other orders take
-    the power series below x = max(12, 2|nu|) and the Hankel expansion above.
-    """
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"bessel_j: x must be finite and >= 0, got {x}")
-    if nu <= -1.0:
-        raise DomainError(f"bessel_j: order must satisfy nu > -1, got {nu}")
-    if x == 0.0:
-        if nu == 0.0:
-            return 1.0
-        if nu > 0.0:
-            return 0.0
-        raise DomainError("bessel_j: J_nu diverges at x=0 for nu < 0")
-    if abs(nu) == 0.5:
-        trig = math.sin if nu > 0.0 else math.cos
-        return math.sqrt(2.0 / (math.pi * x)) * trig(x)
-    if x < max(_J_SWITCH_BASE, 2.0 * abs(nu)):
-        value, terms, converged = _bessel_j_series(nu, x)
-    else:
-        value, terms, converged = _bessel_j_asymptotic(nu, x)
-    if not converged:
-        raise ConvergenceError(f"bessel_j(nu={nu}, x={x}) did not converge after {terms} terms")
-    return value
 
 
 def _elementwise(fn: Callable, x: np.ndarray, *args: float) -> np.ndarray:
@@ -250,8 +173,15 @@ def _ratio_series_rows(ratio: Callable, kmin: np.ndarray):
     return value, converged, terms
 
 
+# ---------------------------------------------------------------------------
+# Bessel J
+# ---------------------------------------------------------------------------
+
+
 def _bessel_j_series_rows(nu: float, x: np.ndarray):
-    # _bessel_j_series at every entry of x: (values, converged, terms used)
+    # J_nu(x) = (x/2)^nu / Gamma(nu+1) * sum_k (-x^2/4)^k / (k! (nu+1)_k) at
+    # every entry of x, as (values, converged, terms used); a zero term can
+    # only follow x/2 underflowing, and changes no sum
     half = 0.5 * x
     if nu > 30.0:
         lead = _elementwise(math.exp, nu * _elementwise(math.log, half) - log_gamma_fn(nu + 1.0))
@@ -274,14 +204,15 @@ _HANKEL_SIGN = np.where((_HANKEL_J - _HANKEL_J % 2) // 2 % 2 == 0, 1.0, -1.0)
 
 
 def _bessel_j_asymptotic_rows(nu: float, x: np.ndarray):
-    # _bessel_j_asymptotic at every entry of x: (values, converged, terms used).
-    # The terms come in blocks of columns, each entry cut where the
-    # scalar loop stops: before its first term past the smallest so far
-    # (from j = 3 on), or after its first term below 1e-18.  cumprod, the
-    # running minimum and cumsum continue along a row in order, as the
-    # scalar loop multiplies, compares and adds; Q's terms sit in the even
-    # columns (odd j) and P's in the odd ones, so one cumsum over column
-    # pairs sums both.
+    # Hankel's expansion J_nu(x) ~ sqrt(2/(pi x)) (cos(w) P - sin(w) Q),
+    # w = x - nu pi/2 - pi/4, summed to its smallest term, at every entry of
+    # x: (values, converged, terms used).  The terms come in blocks of
+    # columns, each entry cut before its first term past the smallest so far
+    # (from j = 3 on), or after its first term below 1e-18; it has converged
+    # if its smallest term is below 1e-10.  cumprod, the running minimum and
+    # cumsum run along a row in order, as a one-entry loop multiplies,
+    # compares and adds; Q's terms sit in the even columns (odd j) and P's in
+    # the odd ones, so one cumsum over column pairs sums both.
     value, converged = np.empty(len(x)), np.empty(len(x), dtype=bool)
     terms = np.empty(len(x), dtype=int)
     live, xs = np.arange(len(x)), x
@@ -325,13 +256,20 @@ def _bessel_j_asymptotic_rows(nu: float, x: np.ndarray):
     return value, converged, terms
 
 
-def bessel_j_rows(nu: float, x) -> np.ndarray:
-    """bessel_j(nu, .) at every entry of the array x, in lockstep.
+def bessel_j(nu: float, x: float) -> float:
+    """Bessel function of the first kind J_nu(x) at one float x: bessel_j_rows
+    on a one-entry array, with its values and errors."""
+    return float(bessel_j_rows(nu, np.array([x], dtype=float))[0])
 
-    Every entry takes bessel_j's branch (the closed form at nu = +-1/2,
-    else the series below max(12, 2|nu|) and the Hankel expansion above) and
-    stopping rule, so its value equals bessel_j's whatever else is in the
-    array.  Raises as bessel_j does, naming the first entry that fails.
+
+def bessel_j_rows(nu: float, x) -> np.ndarray:
+    """J_nu at every entry of the array x >= 0, for real nu > -1, in lockstep.
+
+    The orders +-1/2 are sqrt(2/(pi x)) sin x and cos x; other orders take
+    the power series below x = max(12, 2|nu|) and Hankel's expansion above.
+    Each entry's branch and stopping rule are its own, so its value does not
+    depend on the rest of the array.  An error names the first entry that
+    fails.
     """
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
@@ -340,47 +278,57 @@ def bessel_j_rows(nu: float, x) -> np.ndarray:
         raise DomainError(f"bessel_j: x must be finite and >= 0, got {flat[(~ok).argmax()]}")
     if nu <= -1.0:
         raise DomainError(f"bessel_j: order must satisfy nu > -1, got {nu}")
-    zero = flat == 0.0
-    if not zero.any():
-        return _bessel_j_positive(nu, flat).reshape(x.shape)
-    if nu < 0.0:
+    positive = flat != 0.0
+    if nu < 0.0 and not positive.all():
         raise DomainError("bessel_j: J_nu diverges at x=0 for nu < 0")
     out = np.full(flat.shape, 1.0 if nu == 0.0 else 0.0)
-    out[~zero] = _bessel_j_positive(nu, flat[~zero])
+    out[positive], converged, terms = _bessel_j_terms(nu, flat[positive])
+    if not converged.all():
+        i = (~converged).argmax()
+        raise ConvergenceError(
+            f"bessel_j(nu={nu}, x={flat[positive][i]}) did not converge after {terms[i]} terms"
+        )
     return out.reshape(x.shape)
 
 
-def _bessel_j_positive(nu: float, x: np.ndarray) -> np.ndarray:
-    # bessel_j_rows on the 1-d array x > 0: each branch on its own entries
+def _bessel_j_terms(nu: float, x: np.ndarray):
+    # J_nu on the 1-d array x > 0, each branch on its own entries, as
+    # (values, converged, terms used)
     if abs(nu) == 0.5:
         trig = math.sin if nu > 0.0 else math.cos
-        return np.sqrt(2.0 / (math.pi * x)) * _elementwise(trig, x)
+        ones = np.ones(len(x), dtype=int)
+        return np.sqrt(2.0 / (math.pi * x)) * _elementwise(trig, x), ones == 1, ones
     series = x < max(_J_SWITCH_BASE, 2.0 * abs(nu))
     out, converged, terms = np.empty(len(x)), np.empty(len(x), dtype=bool), np.empty(len(x), dtype=int)
     for branch, evaluate in ((series, _bessel_j_series_rows),
                              (~series, _bessel_j_asymptotic_rows)):
-        if branch.all():
-            out, converged, terms = evaluate(nu, x)
-        elif branch.any():
+        if branch.any():
             out[branch], converged[branch], terms[branch] = evaluate(nu, x[branch])
-    if not converged.all():
-        i = (~converged).argmax()
-        raise ConvergenceError(
-            f"bessel_j(nu={nu}, x={x[i]}) did not converge after {terms[i]} terms"
-        )
-    return out
+    return out, converged, terms
 
 
 # The positive zeros of J_nu per order, each list append-only and in order.
 _JZERO_CACHE: dict[float, list[float]] = {}
 _JZERO_LOCK = threading.Lock()
+# Zeros per fill of an order's cache; secant steps a zero may take; the
+# step, relative to the zero, that ends them, and the one below which they
+# end once they stop shrinking (at the rounding noise of J's series at high
+# order); the offset of the second start.
+_JZERO_BLOCK = 32
+_JZERO_STEPS = 40
+_JZERO_REL_STEP = 1e-14
+_JZERO_NOISE_STEP = 1e-8
+_JZERO_OFFSET = 1e-2
 
 
 def bessel_j_zero(nu: float, k: int) -> float:
     """k-th positive zero of J_nu (k >= 1), for nu >= -1/2.
 
-    Half-integer orders reduce to sine/cosine zeros; the general case walks
-    forward in steps below the minimal zero spacing and bisects each bracket.
+    The orders +-1/2 have the zeros of sin and cos.  Other orders fill their
+    cache a block of zeros at a time, each from its estimate (_jzero_guesses)
+    by secant steps on J_nu, in lockstep.  A zero whose steps do not
+    converge, or end outside the midpoints to its neighbours' estimates (so
+    possibly at another zero), raises ConvergenceError naming nu and k.
     Cached per order; safe for concurrent use.
     """
     if k < 1:
@@ -392,50 +340,70 @@ def bessel_j_zero(nu: float, k: int) -> float:
     if nu == -0.5:
         return (k - 0.5) * math.pi
 
-    zeros = _JZERO_CACHE.get(nu)
-    if zeros is None:
-        zeros = _JZERO_CACHE.setdefault(nu, [])
+    zeros = _JZERO_CACHE.setdefault(nu, [])
     if len(zeros) >= k:  # lock-free read: the list is append-only
         return zeros[k - 1]
     with _JZERO_LOCK:
-        return _extend_zero_cache(zeros, nu, k)
+        while len(zeros) < k:
+            first = len(zeros) + 1
+            block, error = _jzero_block(nu, first, max(k, first + _JZERO_BLOCK - 1))
+            zeros.extend(block)
+            if error is not None and len(zeros) < k:
+                raise ConvergenceError(error)
+        return zeros[k - 1]
 
 
-def _extend_zero_cache(zeros: list[float], nu: float, k: int) -> float:
-    while len(zeros) < k:
-        lo = zeros[-1] + 1e-9 if zeros else 1e-3
-        step = 0.5  # minimal spacing of J_nu zeros exceeds this for nu >= -1/2
-        f_lo = bessel_j(nu, lo) if lo > 1e-6 else 1.0  # J_nu > 0 near 0
-        x = lo
-        bracket = None
-        for _ in range(10000):
-            x_next = x + step
-            f_next = bessel_j(nu, x_next)
-            if f_lo == 0.0:
-                bracket = (x, x)
+def _jzero_guesses(nu: float, ks: np.ndarray) -> np.ndarray:
+    # McMahon's expansion of j_{nu,k} (DLMF 10.21.19) to (8a)^-7 at every k of
+    # ks; from order 2.5 on, the first zero takes DLMF 10.21.40, the closer
+    a = (ks + (0.5 * nu - 0.25)) * math.pi
+    mu = 4.0 * nu * nu
+    e = 1.0 / (8.0 * a)
+    guess = a - (mu - 1.0) * e * (1.0 + e * e * (
+        4.0 * (7.0 * mu - 31.0) / 3.0 + e * e * (
+            32.0 * ((83.0 * mu - 982.0) * mu + 3779.0) / 15.0 + e * e * (
+                64.0 * (((6949.0 * mu - 153855.0) * mu + 1585743.0) * mu - 6277237.0) / 105.0))))
+    if nu >= 2.5:
+        t = nu ** (1.0 / 3.0)
+        guess[ks == 1] = (nu + 1.8557571 * t + 1.033150 / t - 0.00397 / nu
+                          - 0.0908 / t**5 + 0.043 / t**7)
+    return guess
+
+
+def _jzero_block(nu: float, first: int, last: int) -> tuple[list[float], str | None]:
+    # zeros first..last of J_nu by secant steps from their estimates, in
+    # lockstep; each zero's steps depend only on nu and its k.  Returns the
+    # zeros before the first that fails, and that one's error.
+    guess = _jzero_guesses(nu, np.arange(first - 1, last + 2))
+    if first == 1:
+        guess[0] = 0.0
+    lower, upper = 0.5 * (guess[:-2] + guess[1:-1]), 0.5 * (guess[1:-1] + guess[2:])
+    zeros = np.full(len(lower), math.nan)
+    live, x0, x1 = np.arange(len(lower)), guess[1:-1], guess[1:-1] + _JZERO_OFFSET
+    (f0, ok0, _), (f1, ok1, _) = _bessel_j_terms(nu, x0), _bessel_j_terms(nu, x1)
+    live, x0, f0, x1, f1 = (z[ok0 & ok1] for z in (live, x0, f0, x1, f1))
+    prev = np.full(len(live), math.inf)  # the size of each zero's last step
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # such steps fail below
+        for _ in range(_JZERO_STEPS):
+            if not len(live):
                 break
-            if f_lo * f_next < 0.0:
-                bracket = (x, x_next)
-                break
-            x, f_lo = x_next, f_next
-        if bracket is None:
-            raise ConvergenceError(
-                f"bessel_j_zero: failed to bracket zero #{len(zeros) + 1} of J_{nu}"
-            )
-        a, b = bracket
-        if a != b:
-            fa = bessel_j(nu, a)
-            for _ in range(200):
-                m = 0.5 * (a + b)
-                if b - a <= 1e-13 * max(1.0, b):
-                    break
-                fm = bessel_j(nu, m)
-                if fa * fm <= 0.0:
-                    b = m
-                else:
-                    a, fa = m, fm
-        zeros.append(0.5 * (a + b))
-    return zeros[k - 1]
+            step = np.where(f1 == 0.0, 0.0, f1 * (x1 - x0) / (f1 - f0))
+            x0, f0, x1, size = x1, f1, x1 - step, abs(step)
+            done = (size <= _JZERO_REL_STEP * x1) | (
+                (size >= 0.5 * prev) & (size <= _JZERO_NOISE_STEP * x1))
+            zeros[live[done]] = x1[done]
+            more = ~done & (x1 > 0.0) & (x1 < math.inf)
+            live, x0, f0, x1, prev = (z[more] for z in (live, x0, f0, x1, size))
+            f1, ok, _ = _bessel_j_terms(nu, x1)
+            live, x0, f0, x1, f1, prev = (z[ok] for z in (live, x0, f0, x1, f1, prev))
+    wrong = ~((zeros > lower) & (zeros < upper))
+    if not wrong.any():
+        return zeros.tolist(), None
+    i = int(wrong.argmax())
+    error = ("the secant steps did not converge" if math.isnan(zeros[i]) else
+             f"the secant steps ended at {zeros[i]}, outside ({lower[i]}, {upper[i]}) "
+             f"about its estimate {guess[i + 1]}")
+    return zeros[:i].tolist(), f"bessel_j_zero(nu={nu}, k={first + i}): {error}"
 
 
 # ---------------------------------------------------------------------------
@@ -478,95 +446,118 @@ def _temme_gammas(mu: float) -> tuple[float, float]:
     # odd and even Taylor terms (Horner in mu^2), free of the 0/0 at mu = 0
     mu2 = mu * mu
     odd = even = 0.0
-    for k in range(len(_RGAMMA_TAYLOR) - 1, -1, -1):
-        if k % 2:
-            odd = odd * mu2 + _RGAMMA_TAYLOR[k]
-        else:
-            even = even * mu2 + _RGAMMA_TAYLOR[k]
+    for c in _RGAMMA_TAYLOR[-2::-2]:
+        odd = odd * mu2 + c
+    for c in _RGAMMA_TAYLOR[::-2]:
+        even = even * mu2 + c
     return -odd, even
 
 
-def _bessel_k_temme(mu: float, x: float) -> tuple[float, float]:
-    # Temme's series (Temme 1975) for (K_mu, K_{mu+1}), |mu| <= 1/2, x <= 2
+def _bessel_k_temme(mu: float, x: np.ndarray) -> np.ndarray:
+    # Temme's series (Temme 1975) for (K_mu, K_{mu+1}), |mu| <= 1/2, at every
+    # entry of the 1-d array 0 < x <= 2, as two rows: every entry runs the
+    # operations of a one-entry loop, and keeps its sums at its first term
+    # below _K_EPS of its sum
     gam1, gam2 = _temme_gammas(mu)
     half = 0.5 * x
     pimu = math.pi * mu
     fact = pimu / math.sin(pimu) if mu != 0.0 else 1.0
-    d = -math.log(half)
+    d = -_elementwise(math.log, half)
     e = mu * d
-    fact2 = math.sinh(e) / e if e != 0.0 else 1.0
-    f = fact * (gam1 * math.cosh(e) + gam2 * fact2 * d)
-    e = math.exp(e)
+    fact2 = np.ones(len(x))
+    fact2[e != 0.0] = _elementwise(math.sinh, e[e != 0.0]) / e[e != 0.0]
+    f = fact * (gam1 * _elementwise(math.cosh, e) + gam2 * fact2 * d)
+    e = _elementwise(math.exp, e)
     p = 0.5 * e / (gam2 - mu * gam1)  # (x/2)^-mu Gamma(1+mu) / 2
     q = 0.5 / (e * (gam2 + mu * gam1))  # (x/2)^mu Gamma(1-mu) / 2
-    k_mu, k_next = f, p
-    c = 1.0
-    quarter_sq = half * half
+    k_mu, k_next, c = f.copy(), p.copy(), np.ones(len(x))
+    out, done = np.empty((2, len(x))), np.zeros(len(x), dtype=bool)
     for i in range(1, _K_MAX_TERMS):
         f = (i * f + p + q) / (i * i - mu * mu)
-        c *= quarter_sq / i
+        c *= half * half / i
         p /= i - mu
         q /= i + mu
         term = c * f
         k_mu += term
         k_next += c * (p - i * f)
-        if abs(term) < _K_EPS * abs(k_mu):
-            return k_mu, k_next / half
-    raise ConvergenceError(f"bessel_k: Temme series did not converge (mu={mu}, x={x})")
+        now = ~done & (abs(term) < _K_EPS * abs(k_mu))
+        out[:, now] = k_mu[now], k_next[now] / half[now]
+        done |= now
+        if done.all():
+            return out
+    raise ConvergenceError(f"bessel_k: Temme series did not converge (mu={mu}, x={_first(x, ~done)})")
 
 
-def _bessel_k_steed(mu: float, x: float) -> tuple[float, float]:
+def _bessel_k_steed(mu: float, x: np.ndarray) -> np.ndarray:
     # Steed's continued fraction CF2 (Thompson & Barnett 1987) for
-    # (K_mu, K_{mu+1}), |mu| <= 1/2; used for x > 2
+    # (K_mu, K_{mu+1}), |mu| <= 1/2, at every entry of the 1-d array x > 2,
+    # as _bessel_k_temme
     b = 2.0 * (1.0 + x)
-    d = 1.0 / b
-    h = delh = d
-    q1, q2 = 0.0, 1.0
+    h = delh = d = 1.0 / b
+    q1, q2 = np.zeros(len(x)), np.ones(len(x))
     a1 = 0.25 - mu * mu
     q = c = a1
     a = -a1
     s = 1.0 + q * delh
+    out, done = np.empty((2, len(x))), np.zeros(len(x), dtype=bool)
     for i in range(2, _K_MAX_TERMS):
         a -= 2.0 * (i - 1)
         c = -a * c / i
         q1, q2 = q2, (q1 - b * q2) / a
-        q += c * q2
-        b += 2.0
+        q = q + c * q2
+        b = b + 2.0
         d = 1.0 / (b + a * d)
         delh = (b * d - 1.0) * delh
-        h += delh
+        h = h + delh
         dels = q * delh
-        s += dels
-        if abs(dels) < _K_EPS * abs(s):
-            k_mu = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) / s
-            return k_mu, k_mu * (mu + x + 0.5 - a1 * h) / x
-    raise ConvergenceError(f"bessel_k: continued fraction did not converge (mu={mu}, x={x})")
+        s = s + dels
+        now = ~done & (abs(dels) < _K_EPS * abs(s))
+        if now.any():
+            xs = x[now]
+            k_mu = np.sqrt(math.pi / (2.0 * xs)) * _elementwise(math.exp, -xs) / s[now]
+            out[:, now] = k_mu, k_mu * (mu + xs + 0.5 - a1 * h[now]) / xs
+            done |= now
+            if done.all():
+                return out
+    raise ConvergenceError(
+        f"bessel_k: continued fraction did not converge (mu={mu}, x={_first(x, ~done)})")
 
 
-def bessel_k(nu: float, x: float) -> float:
-    """MacDonald function K_nu(x) for x > 0; K is even in the order.
+def bessel_k(nu: float, x):
+    """MacDonald function K_nu(x) for a float or an array x > 0 (a float
+    gives a float); K is even in the order.
 
     K_mu and K_{mu+1} at the reduced order mu = nu - round(nu), |mu| <= 1/2,
     come from Temme's series for x <= 2 and Steed's continued fraction
-    otherwise; forward recurrence, stable for K, then reaches nu.
+    otherwise, every entry in lockstep with its own stopping rule; forward
+    recurrence, stable for K, then reaches nu.  exp, log, sinh and cosh come
+    from libm, so an entry's value does not depend on the array around it;
+    an overflow gives inf, as in float arithmetic.  An error names an entry
+    that fails.
     """
-    if not x > 0.0:
-        raise DomainError(f"bessel_k: requires x > 0, got {x}")
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    bad = ~(flat > 0.0)
+    if bad.any():
+        raise DomainError(f"bessel_k: requires x > 0, got {_first(flat, bad)}")
     nu = abs(nu)
     steps = int(nu + 0.5)
     mu = nu - steps
-    # half-integer orders start from the exact K_{-1/2} = K_{1/2} =
-    # sqrt(pi/(2x)) e^-x at any x (the fraction's K_{mu+1} would round a
-    # small x away in mu + x + 1/2)
-    if mu == -0.5:
-        k_mu = k_next = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x)
-    elif x > 2.0:
-        k_mu, k_next = _bessel_k_steed(mu, x)
-    else:
-        k_mu, k_next = _bessel_k_temme(mu, x)
-    for i in range(1, steps + 1):
-        k_mu, k_next = k_next, k_mu + 2.0 * (mu + i) / x * k_next
-    return k_mu
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as in floats
+        # half-integer orders start from the exact K_{-1/2} = K_{1/2} =
+        # sqrt(pi/(2x)) e^-x at any x (the fraction's K_{mu+1} would round a
+        # small x away in mu + x + 1/2)
+        if mu == -0.5:
+            k_mu = k_next = np.sqrt(math.pi / (2.0 * flat)) * _elementwise(math.exp, -flat)
+        else:
+            k_mu, k_next = np.empty((2, len(flat)))
+            for branch, kernel in ((flat > 2.0, _bessel_k_steed), (flat <= 2.0, _bessel_k_temme)):
+                if branch.any():
+                    k_mu[branch], k_next[branch] = kernel(mu, flat[branch])
+        for i in range(1, steps + 1):
+            k_mu, k_next = k_next, k_mu + 2.0 * (mu + i) / flat * k_next
+    out = k_mu.reshape(x.shape)
+    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 from ellipcf.generators import DensityGenerator
 from ellipcf.quadrature import normalizing_constant
 from ellipcf.skewmix import MixingLaw, SkewNormalSpec, _check_star_unimodal
-from ellipcf.specfun import bessel_j, gamma_fn, norm_cdf_imag_scaled
+from ellipcf.specfun import _temme_gammas, bessel_j, gamma_fn, log_gamma_fn, norm_cdf_imag_scaled
 
 
 def sphere_cf_bessel(n: int, s: float) -> float:
@@ -69,3 +69,111 @@ def smu_weight_density(gen: DensityGenerator, n: int, w: float) -> float:
         return 0.0
     lead = 4.0 * math.pi ** (0.5 * n) / (n * math.gamma(0.5 * n)) * normalizing_constant(n, gen)
     return -lead * w ** (n + 1) * gen.g_prime(np.array([w * w])).item()
+
+
+def bessel_j_loop(nu: float, x: float) -> float:
+    """J_nu(x), x >= 0, by one-entry loops in Python floats: the operations,
+    branches and stopping rules that bessel_j_rows runs on each entry of an
+    array (the power series below max(12, 2|nu|), Hankel's expansion above,
+    the orders +-1/2 in closed form).  Returns nan where a loop does not
+    converge."""
+    if x == 0.0:
+        return 1.0 if nu == 0.0 else 0.0
+    if abs(nu) == 0.5:
+        return math.sqrt(2.0 / (math.pi * x)) * (math.sin if nu > 0.0 else math.cos)(x)
+    if x < max(12.0, 2.0 * abs(nu)):
+        half = 0.5 * x
+        if nu > 30.0:
+            lead = math.exp(nu * math.log(half) - log_gamma_fn(nu + 1.0))
+        else:
+            lead = half**nu / gamma_fn(nu + 1.0)
+        term = total = 1.0
+        small = False
+        for k in range(1, 501):
+            term *= -(half * half) / (k * (nu + k))
+            total += term
+            was_small, small = small, abs(term) <= 1e-14 * abs(total) and k >= half
+            if (was_small and small) or term == 0.0:
+                return lead * total
+        return math.nan
+    w = x - nu * (0.5 * math.pi) - 0.25 * math.pi
+    p_sum, q_sum, c, best = 1.0, 0.0, 1.0, 1.0
+    for j in range(1, 80):
+        c *= (4.0 * nu * nu - (2 * j - 1) ** 2) / (8.0 * j * x)
+        if abs(c) >= best and j > 2:
+            break  # divergence onset: optimal truncation reached
+        best = min(best, abs(c))
+        if j % 2 == 1:
+            q_sum += c if (j - 1) // 2 % 2 == 0 else -c
+        else:
+            p_sum += c if (j // 2) % 2 == 0 else -c
+        if abs(c) < 1e-18:
+            break
+    value = math.sqrt(2.0 / (math.pi * x)) * (math.cos(w) * p_sum - math.sin(w) * q_sum)
+    return value if best < 1e-10 else math.nan
+
+
+def bessel_k_loop(nu: float, x: float) -> float:
+    """K_nu(x), x > 0, by one-entry loops in Python floats: Temme's series
+    (x <= 2) or Steed's continued fraction at the reduced order, then
+    forward recurrence, the operations bessel_k runs on each entry of an
+    array.  Returns nan where a loop does not converge."""
+    nu = abs(nu)
+    steps = int(nu + 0.5)
+    mu = nu - steps
+    if mu == -0.5:
+        k_mu = k_next = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x)
+    elif x > 2.0:
+        b = 2.0 * (1.0 + x)
+        h = delh = d = 1.0 / b
+        q1, q2 = 0.0, 1.0
+        a1 = 0.25 - mu * mu
+        q = c = a1
+        a = -a1
+        s = 1.0 + q * delh
+        for i in range(2, 500):
+            a -= 2.0 * (i - 1)
+            c = -a * c / i
+            q1, q2 = q2, (q1 - b * q2) / a
+            q += c * q2
+            b += 2.0
+            d = 1.0 / (b + a * d)
+            delh = (b * d - 1.0) * delh
+            h += delh
+            dels = q * delh
+            s += dels
+            if abs(dels) < 1e-16 * abs(s):
+                break
+        else:
+            return math.nan
+        k_mu = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) / s
+        k_next = k_mu * (mu + x + 0.5 - a1 * h) / x
+    else:
+        gam1, gam2 = _temme_gammas(mu)
+        half = 0.5 * x
+        pimu = math.pi * mu
+        fact = pimu / math.sin(pimu) if mu != 0.0 else 1.0
+        d = -math.log(half)
+        e = mu * d
+        fact2 = math.sinh(e) / e if e != 0.0 else 1.0
+        f = fact * (gam1 * math.cosh(e) + gam2 * fact2 * d)
+        e = math.exp(e)
+        p = 0.5 * e / (gam2 - mu * gam1)
+        q = 0.5 / (e * (gam2 + mu * gam1))
+        k_mu, k_next, c = f, p, 1.0
+        for i in range(1, 500):
+            f = (i * f + p + q) / (i * i - mu * mu)
+            c *= half * half / i
+            p /= i - mu
+            q /= i + mu
+            term = c * f
+            k_mu += term
+            k_next += c * (p - i * f)
+            if abs(term) < 1e-16 * abs(k_mu):
+                break
+        else:
+            return math.nan
+        k_next /= half
+    for i in range(1, steps + 1):
+        k_mu, k_next = k_next, k_mu + 2.0 * (mu + i) / x * k_next
+    return k_mu

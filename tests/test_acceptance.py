@@ -8,6 +8,7 @@ is deferred to later calibration.
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -41,6 +42,7 @@ from ellipcf.skewmix import (
     skew_normal_gse,
 )
 from ellipcf.specfun import bessel_j, gamma_fn
+import oracles
 from references import smsn_split, smu_weight_density, sphere_cf_bessel
 
 N_GRID = (1, 2, 3, 5)
@@ -160,11 +162,13 @@ def test_criterion_4_special_case_reductions(report):
         for n in N_GRID
         for q in Q_GRID
     )
-    # Pearson VII at N = (n+m)/2 = generalized t
-    devs["pearson_vii->gen_t"] = max(
+    # generalized t = Pearson VII at N = (n+m)/2, whose phi comes from mpmath
+    # (the package builds the t from the Pearson VII record, so the two
+    # package forms would agree by construction)
+    devs["gen_t->pearson_vii"] = max(
         abs(
-            closed_form_generator(gn.pearson_vii_generator(0.5 * (n + m), s), n, q)
-            - closed_form_generator(gn.generalized_t_generator(n, s, m), n, q)
+            closed_form_generator(gn.generalized_t_generator(n, s, m), n, q)
+            - oracles.pearson_vii_phi_mp(n, 0.5 * (n + m), s, q)
         )
         for (n, m, s) in [(1, 3, 2.0), (2, 3, 2.0), (3, 1, 1.0), (5, 2, 0.7)]
         for q in Q_GRID
@@ -175,15 +179,22 @@ def test_criterion_4_special_case_reductions(report):
         for n in N_GRID
         for q in Q_GRID
     )
-    # two-dimensional Kotz s=1/2, N=1: general closed form vs the simple form
-    r = 1.5
-    devs["kotz_half_n2"] = max(
-        abs(
-            closed_form_generator(gn.kotz_generator(1.0, r, 0.5), 2, q)
-            - r**3 / (r * r + q) ** 1.5
+    # Kotz s=1/2, N=1 against Gradshteyn & Ryzhik's form in mpmath, gamma
+    # factors and all: 2^(n-1) Gamma(n/2) Gamma((n+1)/2) r^(n+1)
+    # / (sqrt(pi) Gamma(n) (r^2 + q)^((n+1)/2)), r^3 / (r^2 + q)^(3/2) at n = 2
+    r = mpmath.mpf(1.5)
+    with mpmath.workdps(40):
+        devs["kotz_half"] = max(
+            abs(
+                closed_form_generator(gn.kotz_generator(1.0, float(r), 0.5), n, q)
+                - float(2 ** (n - 1) * mpmath.gamma(mpmath.mpf(n) / 2)
+                        * mpmath.gamma(mpmath.mpf(n + 1) / 2) * r ** (n + 1)
+                        / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(n)
+                           * (r**2 + mpmath.mpf(q)) ** (mpmath.mpf(n + 1) / 2)))
+            )
+            for n in N_GRID
+            for q in Q_GRID
         )
-        for q in Q_GRID
-    )
     worst = max(devs.values())
     ok = worst <= 1e-10
     report(

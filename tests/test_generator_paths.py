@@ -130,10 +130,12 @@ PINNED = {
         "ca1bea067a7f7d53f942670a13d78a023895ee2618ba66cdeb591b6481ca5242"),
     "radial_density": (_densities,
         "a0458daebf3e3689be160e9b5bcbac42b362a359f12a764cc4022045e6717610"),
+    # the J zeros from secant steps (not bisection) moved the hankel and star
+    # rows by at most 1.7e-15
     "phi_hankel_rows": (_hankel,
-        "d74e76b95312882d4c6fa5160116b07f047a22078f9d86ff92e093492f619162"),
+        "88d5ea81964b9e7c13593bc12673c0c579959573a0c65a0a1e2a8feb5632f4fd"),
     "star_unimodal_rows": (_star,
-        "039e89ede11b77455b148736df1febe521df8602d851485bdbe883b2677bc95d"),
+        "e6c3aabd944501d9ef5138774042e7ccf39b191140ab6838f7bced9993b3355c"),
     "elliptical_draws": (_draws,
         "e9bbb819a76a4ca41a0afaa68934e486ab7816d2894731e535d52375bd8e80bf"),
     "custom_density_draws": (_mixing_draws,

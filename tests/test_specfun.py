@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracles
+import references
 from ellipcf import generators as gn
 from ellipcf import specfun
 from ellipcf.elliptical import closed_form_generator
@@ -105,8 +106,9 @@ class TestBesselJRows:
         rng = np.random.default_rng(int(10 * nu))
         x = np.concatenate([rng.uniform(0.0, 12.0, 400), rng.uniform(12.0, 300.0, 400), [0.0, 12.0]])
         got = bessel_j_rows(nu, x.reshape(2, -1)).ravel()
-        want = np.array([bessel_j(nu, v) for v in x.tolist()])
+        want = np.array([references.bessel_j_loop(nu, v) for v in x.tolist()])
         assert (np.abs(got - want) <= 2.0 * np.spacing(np.abs(want))).all()
+        assert got.tobytes() == np.array([bessel_j(nu, v) for v in x.tolist()]).tobytes()
 
     def test_half_orders_in_closed_form(self):
         x = np.linspace(0.01, 50.0, 500)
@@ -182,6 +184,55 @@ class TestBesselJZero:
         with pytest.raises(DomainError):
             bessel_j_zero(0.0, 0)
 
+    @pytest.mark.parametrize("nu", [0.0, 0.3, 1.0, 1.75, 2.0, 3.7, 5.0, 7.5])
+    def test_against_mpmath(self, nu):
+        for k in range(1, 61):
+            want = float(mpmath.besseljzero(nu, k))
+            assert abs(bessel_j_zero(nu, k) - want) <= 5e-13 * want
+
+    def test_independent_of_the_calls_before(self, monkeypatch):
+        # a zero's secant steps depend on nu and k only, not on the block
+        # of zeros it was computed with
+        monkeypatch.setattr(specfun, "_JZERO_CACHE", {})
+        in_order = [bessel_j_zero(2.0, k) for k in range(1, 71)]
+        monkeypatch.setattr(specfun, "_JZERO_CACHE", {})
+        assert bessel_j_zero(2.0, 70) == in_order[-1]
+        assert [bessel_j_zero(2.0, k) for k in range(1, 71)] == in_order
+
+    def test_no_convergence_names_the_zero(self, monkeypatch):
+        # a flat J gives the secant steps nothing to divide by
+        monkeypatch.setattr(specfun, "_JZERO_CACHE", {})
+        monkeypatch.setattr(specfun, "_bessel_j_terms", lambda nu, x: (
+            np.ones(len(x)), np.ones(len(x), dtype=bool), np.ones(len(x), dtype=int)))
+        with pytest.raises(ConvergenceError, match=r"bessel_j_zero\(nu=1\.0, k=1\): "
+                                                   "the secant steps did not converge"):
+            bessel_j_zero(1.0, 3)
+
+    def test_wrong_index_names_the_zero(self, monkeypatch):
+        # J_nu(x/2) has its zeros at twice J_nu's: the steps from the first
+        # zero's estimate 3.83 end far past the midpoint 5.42 to the second's
+        monkeypatch.setattr(specfun, "_JZERO_CACHE", {})
+        terms = specfun._bessel_j_terms
+        monkeypatch.setattr(specfun, "_bessel_j_terms", lambda nu, x: terms(nu, 0.5 * x))
+        with pytest.raises(ConvergenceError, match=r"bessel_j_zero\(nu=1\.0, k=1\): "
+                                                   "the secant steps ended at .*, outside"):
+            bessel_j_zero(1.0, 3)
+
+    def test_zeros_before_a_failure_are_kept(self, monkeypatch):
+        # J fails past x = 12 here: the four zeros below stay available,
+        # the fifth (14.93) raises
+        monkeypatch.setattr(specfun, "_JZERO_CACHE", {})
+        terms = specfun._bessel_j_terms
+
+        def failing_past_12(nu, x):
+            values, converged, used = terms(nu, x)
+            return values, converged & (x < 12.0), used
+
+        monkeypatch.setattr(specfun, "_bessel_j_terms", failing_past_12)
+        assert bessel_j_zero(0.0, 4) == pytest.approx(float(mpmath.besseljzero(0, 4)), rel=5e-13)
+        with pytest.raises(ConvergenceError, match=r"nu=0\.0, k=5\)"):
+            bessel_j_zero(0.0, 5)
+
 
 class TestBesselK:
     def test_half_order_closed_form(self):
@@ -233,6 +284,65 @@ class TestBesselK:
             bessel_k(1.0, 0.0)
         with pytest.raises(DomainError):
             bessel_k(1.0, -2.0)
+        with pytest.raises(DomainError, match="got -2.0"):
+            bessel_k(1.0, np.array([1.0, -2.0, 3.0]))
+
+
+class TestBesselKArrays:
+    """bessel_k on arrays: Temme's series and Steed's fraction in lockstep."""
+
+    ORDERS = [0.0, 0.3, 0.5, 1.0, 1.3, 1.5, 2.0, 2.7, 4.5, 7.0]
+
+    @staticmethod
+    def _grid():
+        # seeded arguments on both sides of the switch at x = 2, 2 itself,
+        # and the ends 1e-6 and 700
+        rng = np.random.default_rng(32)
+        return np.concatenate([[1e-6, 2.0, 700.0], rng.uniform(1e-3, 2.0, 40),
+                               rng.uniform(2.0, 40.0, 40), np.geomspace(1e-6, 700.0, 40)])
+
+    @pytest.mark.parametrize("nu", ORDERS)
+    def test_against_mpmath(self, nu):
+        x = self._grid()
+        want = [oracles.bessel_k_mp(nu, v) for v in x.tolist()]
+        assert_allclose(bessel_k(nu, x), want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("nu", ORDERS + [0.49, 2.51, 30.2])
+    def test_bits_of_the_one_entry_loops(self, nu):
+        x = self._grid()
+        want = np.array([references.bessel_k_loop(nu, v) for v in x.tolist()])
+        assert bessel_k(nu, x).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("nu", ORDERS)
+    def test_entries_equal_one_entry_calls(self, nu):
+        # an entry's bits do not depend on the batch around it
+        x = self._grid()
+        ones = np.array([bessel_k(nu, v) for v in x.tolist()])
+        whole = bessel_k(nu, x.reshape(3, -1)).ravel()
+        order = np.random.default_rng(3).permutation(len(x))
+        shuffled = np.empty(len(x))
+        shuffled[order] = bessel_k(nu, x[order])
+        halves = np.concatenate([bessel_k(nu, x[:50]), bessel_k(nu, x[50:])])
+        for got in (whole, shuffled, halves):
+            assert got.tobytes() == ones.tobytes()
+
+    def test_float_gives_float(self):
+        assert type(bessel_k(1.3, 0.5)) is float
+        assert type(bessel_k(1.3, 5.0)) is float
+        assert bessel_k(1.3, np.array(0.5)) == bessel_k(1.3, 0.5)
+        assert bessel_k(1.3, np.array([[0.5]])).shape == (1, 1)
+
+    def test_overflow_is_inf_without_warning(self):
+        # the forward recurrence overflows at a small x and a high order,
+        # to inf as float arithmetic does (RuntimeWarnings are errors here)
+        got = bessel_k(50.2, np.array([1e-300, 1.0]))
+        assert got[0] == math.inf
+        assert got[1] == bessel_k(50.2, 1.0) and math.isfinite(got[1])
+
+    def test_no_convergence_names_the_entry(self):
+        # Steed's fraction at an infinite x
+        with pytest.raises(ConvergenceError, match=r"mu=0\.3, x=inf"):
+            bessel_k(0.3, np.array([1.0, math.inf]))
 
 
 class TestHyp0F1:
