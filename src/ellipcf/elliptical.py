@@ -237,13 +237,6 @@ class Dispersion:
         sigma_t = _row_dots(ts[:, None, :], self.matrix)
         return np.maximum(_row_dots(ts, sigma_t), 0.0)
 
-    def chol_factor(self) -> np.ndarray:
-        """A with A'A = Sigma; requires full rank (used by sampling)."""
-        n = self.matrix.shape[0]
-        if self.rank < n:
-            raise DomainError(f"sigma has rank {self.rank} < {n}: no Cholesky factor")
-        return np.linalg.cholesky(self.matrix).T
-
     def inv_sym_root(self) -> np.ndarray:
         """The inverse of the symmetric root; requires full rank."""
         if self.rank < self.matrix.shape[0]:

@@ -97,6 +97,10 @@ _ABS_TOL = _REL_TOL = 1e-9
 _MAX_PANELS = 400
 _PANEL_BUDGET = 256
 _TAIL_CUTOFF = 1e-16
+# The rounding floor of the oscillatory engine's reported err_est, in units
+# of the sum of |panel values|: the rounding of J, of the envelope and of the
+# panel sums.  It enters no exit test.
+_ROUND_FLOOR = 4.0 * np.finfo(float).eps
 
 # QUADPACK's qk15 rule (Piessens et al. 1983): the 7 Gauss-Legendre nodes
 # are a subset of the 15 Kronrod nodes.  One (node, Kronrod weight, Gauss
@@ -537,7 +541,7 @@ def _oscillatory_rows(
         "id": np.arange(count), "omega": omegas, "tol": abs_tols,
         "panel_abs": abs_tols / 64.0 * omegas, "min_cell": 0.25 * omegas,
         "x_edge": support_radius * omegas, "x_prev": zero, "running": zero,
-        "quad_err": zero, "panels": np.zeros(count, dtype=int), "peak": zero,
+        "quad_err": zero, "abs_sum": zero, "panels": np.zeros(count, dtype=int), "peak": zero,
         "prev_acc": zero, "streak": np.zeros(count, dtype=int),
         "contrib": np.zeros((count, 0)), "partial": np.zeros((count, 0)),
     }
@@ -596,6 +600,7 @@ def _oscillatory_rows(
         used = np.cumsum(np.column_stack((live["panels"], p.reshape(rows, width))), axis=1)[:, 1:]
         peak = np.fmax.accumulate(np.column_stack((live["peak"], abs(val))), axis=1)[:, 1:]
         last = abs(val)
+        abs_sum = np.cumsum(np.column_stack((live["abs_sum"], last)), axis=1)[:, 1:]
 
         # (fmax and the where below take a larger of two values as Python's
         # max does, the first unless the second is larger: a nan panel sum
@@ -642,13 +647,15 @@ def _oscillatory_rows(
             j = fired[r].argmax(axis=1)
             rule = rules[:, r, j].argmax(axis=0)
             ids = live["id"][r]
-            # the rows that leave with a value: (value, err_est, tail_bound) per rule
+            # the rows that leave with a value: (value, err_est, tail_bound)
+            # per rule, err_est raised by the rounding floor
             for code, (v, e, tl) in {2: (running, quad_err, np.zeros_like(last)),
                                      3: (running, quad_err + last, last),
                                      4: (acc_at, acc_err, last)}.items():
                 on = rule == code
                 at = (r[on], j[on])
-                value[ids[on]], err_est[ids[on]], tail[ids[on]] = v[at], e[at], tl[at]
+                value[ids[on]], tail[ids[on]] = v[at], tl[at]
+                err_est[ids[on]] = e[at] + _ROUND_FLOOR * abs_sum[at]
                 panels_used[ids[on]] = used[at]
             for i, row, panel, code in zip(ids.tolist(), r.tolist(), j.tolist(), rule.tolist()):
                 if code == 0:
@@ -664,6 +671,7 @@ def _oscillatory_rows(
 
         live.update(
             x_prev=hi[:, -1], running=running[:, -1], quad_err=quad_err[:, -1],
+            abs_sum=abs_sum[:, -1],
             panels=used[:, -1], peak=peak[:, -1], prev_acc=prev_acc, streak=streak,
             contrib=contrib, partial=partial,
         )
@@ -680,7 +688,8 @@ def _oscillatory_rows(
         acc, resid = acc[:, 0], resid[:, 0]
         err = np.where(live["quad_err"] > resid * 4.0, live["quad_err"], resid * 4.0)
         ok = err <= 10.0 * np.fmax(live["tol"], _REL_TOL * abs(acc))
-        value[ids[ok]], err_est[ids[ok]], panels_used[ids[ok]] = acc[ok], err[ok], live["panels"][ok]
+        value[ids[ok]], panels_used[ids[ok]] = acc[ok], live["panels"][ok]
+        err_est[ids[ok]] = err[ok] + _ROUND_FLOOR * live["abs_sum"][ok]
         tail[ids[ok]] = abs(live["contrib"][ok, -1])
     for i in ids[~ok].tolist():
         failures[i] = ConvergenceError(no_convergence)

@@ -19,11 +19,13 @@ sin of t'x, both from one vectorized tan of the half angle.  The chunk sums
 are added in chunk order, so the result does not depend on the worker count.
 empirical_cf takes one point of it over a held batch.
 
-The skew-normal and smsn samplers share one conditioning draw of centred
-rows, _skew_normal_chunk, each adding mu itself (the smsn sampler after
-scaling by sqrt(V)).  The skewmix module is imported by that draw, and the
-quadrature module by the CDF tables of custom generators and densities; no
-other sampler imports either.
+Every sampler applies the one matrix root of the spec's Dispersion, its
+symmetric root Sigma^(1/2).  The skew-normal and smsn samplers share one
+sign-flip draw of centred rows, _skew_normal_chunk, n + 1 normals a row,
+each adding mu itself (the smsn sampler after scaling by sqrt(V)).  The
+skewmix module is imported by that draw, and the quadrature module by the
+CDF tables of custom generators and densities; no other sampler imports
+either.
 """
 
 from __future__ import annotations
@@ -145,23 +147,6 @@ def _ordered_map(fn: Callable[..., T], items: Iterable, workers: int) -> Iterato
             yield result
 
 
-def _chunk_results(
-    count: int, rng: RngStream, workers: int, job: Callable[[int, np.random.Generator], T]
-) -> Iterator[T]:
-    """job(m, generator) for each chunk of count draws, in chunk order, where
-    chunk i has m rows and rng's chunk-i generator.  The count is checked
-    here, before any chunk is drawn."""
-    if count < 1:
-        raise DomainError("count must be >= 1")
-    if count > MAX_COUNT:
-        raise DomainError(f"count must be <= 2^55 = {MAX_COUNT}, got {count}")
-
-    def run(i: int) -> T:
-        return job(min(_CHUNK, count - i * _CHUNK), rng.chunk_generator(i))
-
-    return _ordered_map(run, range((count + _CHUNK - 1) // _CHUNK), workers)
-
-
 def _gather(parts: Iterable[np.ndarray], count: int) -> np.ndarray:
     # copy each chunk into place as it arrives, so the draws are held once
     # rather than as parts plus their concatenation
@@ -199,12 +184,17 @@ class Sampler:
         reduced on workers threads, at most 2 * workers at a time.  The count
         is checked before any draw; a chunk holding a non-finite draw raises
         SampleBatch's DomainError."""
+        if count < 1:
+            raise DomainError("count must be >= 1")
+        if count > MAX_COUNT:
+            raise DomainError(f"count must be <= 2^55 = {MAX_COUNT}, got {count}")
 
-        def job(m: int, gen: np.random.Generator):
-            rows = _finite(self.draw(m, gen))
+        def job(i: int):
+            # chunk i: the rows left, at most _CHUNK, from its own generator
+            rows = _finite(self.draw(min(_CHUNK, count - i * _CHUNK), rng.chunk_generator(i)))
             return rows if reduce is None else reduce(rows)
 
-        return _chunk_results(count, rng, workers, job)
+        return _ordered_map(job, range((count + _CHUNK - 1) // _CHUNK), workers)
 
     def batch(self, count: int, rng: RngStream, workers: int = 1) -> SampleBatch:
         """All count draws as one SampleBatch."""
@@ -328,13 +318,19 @@ def _invert_from_table(table: tuple[np.ndarray, np.ndarray], u: np.ndarray) -> n
 
 
 def elliptical_sampler(spec: EllipticalSpec) -> Sampler:
-    """Rows mu + R A'U with A'A = Sigma, R and U independent."""
-    a = spec.dispersion.chol_factor()  # raises for rank-deficient sigma
+    """Rows mu + R Sigma^(1/2) U, R and U independent; Sigma must have full
+    rank, since U is uniform on the sphere of R^n."""
+    if spec.dispersion.rank < spec.n:
+        raise DomainError(
+            f"elliptical_sampler: sigma has rank {spec.dispersion.rank} < {spec.n}; "
+            "draws need full rank"
+        )
+    s_root = spec.dispersion.sym_root
 
     def draw(m: int, g: np.random.Generator) -> np.ndarray:
         u = _unit_sphere_rows(g, m, spec.n)
         u *= _radius_chunk(spec, m, g)[:, None]
-        x = u @ a
+        x = u @ s_root
         x += spec.mu
         return x
 
@@ -377,33 +373,25 @@ def sample_location_scale_mixture(
 
 
 def _skew_normal_chunk(spec: SkewNormalSpec, m: int, g: np.random.Generator) -> np.ndarray:
-    # m centred rows (no mu) by conditioning: keep the normal draw when the
-    # latent alpha-projection plus independent noise is positive (acceptance 1/2)
+    # m centred rows (no mu) by a sign flip: a normal row y and a latent
+    # alpha'y + eps with independent noise eps; the rows whose latent is not
+    # positive are negated, which is the normal conditioned on a positive
+    # latent (Azzalini and Dalla Valle 1996).  y is w for half_root, whose
+    # rows then take the root, and w Sigma^(1/2) for full_sigma.
     from .skewmix import Parametrization
 
-    n = spec.n
     s_root = spec.dispersion.sym_root
-    alpha = spec.alpha
-    rows = []
-    have = 0
-    while have < m:
-        block = max(64, int(2.3 * (m - have)))
-        w = g.standard_normal((block, n))
-        eps = g.standard_normal(block)
-        # np.compress selects rows at a tenth of a boolean index's cost; the
-        # matmul takes every accepted row, whatever the chunk keeps
-        if spec.parametrization is Parametrization.HALF_ROOT:
-            keep = np.compress((w @ alpha + eps) > 0.0, w, axis=0) @ s_root
-        else:
-            y = w @ s_root
-            keep = np.compress((y @ alpha + eps) > 0.0, y, axis=0)
-        rows.append(keep[: m - have])
-        have += len(rows[-1])
-    return rows[0] if len(rows) == 1 else np.concatenate(rows, axis=0)
+    half = spec.parametrization is Parametrization.HALF_ROOT
+    y = g.standard_normal((m, spec.n))
+    if not half:
+        y = y @ s_root
+    flip = (y @ spec.alpha + g.standard_normal(m)) <= 0.0
+    np.negative(y, out=y, where=flip[:, None])
+    return y @ s_root if half else y
 
 
 def skew_normal_sampler(spec: SkewNormalSpec) -> Sampler:
-    """Rejection draws from the skew-normal law (either parametrization)."""
+    """Sign-flip draws from the skew-normal law (either parametrization)."""
 
     def draw(m: int, g: np.random.Generator) -> np.ndarray:
         x = _skew_normal_chunk(spec, m, g)

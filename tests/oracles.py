@@ -124,6 +124,21 @@ def pearson_vii_phi_mp(n: int, big_n: float, s: float, q: float, dps: int = 40) 
         )
 
 
+def ball_phi_mp(n: int, u: float, dps: int = 40) -> float:
+    """The uniform-ball characteristic generator phi(u^2) = 0F1(; n/2 + 1; -u^2/4)
+    from mpmath's hyp0f1."""
+    with mp.workdps(dps):
+        return float(mp.hyp0f1(mp.mpf(n) / 2 + 1, -mp.mpf(u) ** 2 / 4))
+
+
+def bessel_family_phi_mp(n: int, a: float, beta: float, u: float, dps: int = 40) -> float:
+    """The Bessel family's characteristic generator phi(u^2) =
+    (1 + beta^2 u^2)^(-(n/2 + a)) in mpmath."""
+    with mp.workdps(dps):
+        a, beta, u = mp.mpf(a), mp.mpf(beta), mp.mpf(u)
+        return float((1 + beta**2 * u**2) ** (-(mp.mpf(n) / 2 + a)))
+
+
 def bessel_k_half_recurrence(half_orders: int, x: float) -> float:
     """K_{m+1/2}(x) from the exact K_{+-1/2} seeds and the upward recurrence
     K_{nu+1} = K_{nu-1} + (2 nu / x) K_nu."""

@@ -177,3 +177,23 @@ def bessel_k_loop(nu: float, x: float) -> float:
     for i in range(1, steps + 1):
         k_mu, k_next = k_next, k_mu + 2.0 * (mu + i) / x * k_next
     return k_mu
+
+
+def skew_normal_sign_flip(mu, sigma, alpha, half_root: bool, m: int, g: np.random.Generator):
+    """m skew-normal rows by the sign flip of Azzalini and Dalla Valle (1996),
+    in plain numpy: a normal row y (w, or w S for the full_sigma form, with S
+    the symmetric root of Sigma) is negated unless its latent alpha'y + eps,
+    eps an independent normal, is positive; the half_root form then takes
+    the root.  It shares only numpy's Generator with the library: w is drawn
+    first, then eps, from the generator g, and S is numpy's eigen-root.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    sigma = 0.5 * (sigma + sigma.T)
+    vals, vecs = np.linalg.eigh(sigma)
+    root = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+    root = 0.5 * (root + root.T)
+    w = g.standard_normal((m, len(sigma)))
+    eps = g.standard_normal(m)
+    y = w if half_root else w @ root
+    y = np.where((y @ np.asarray(alpha, dtype=float) + eps > 0.0)[:, None], y, -y)
+    return (y @ root if half_root else y) + np.asarray(mu, dtype=float)

@@ -231,7 +231,7 @@ def test_criterion_6_skew_machinery(report):
         abs(k(t) + k(-t) - 1.0) for t in rng.normal(size=(1000, 2)) * 3.0
     )
 
-    # CF vs rejection sampler at N = 1e6, n in {1, 2}, both parametrizations
+    # CF vs sign-flip sampler at N = 1e6, n in {1, 2}, both parametrizations
     count = 10**6
     band = 4.0 / math.sqrt(count)
     worst_mc = 0.0

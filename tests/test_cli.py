@@ -1232,7 +1232,7 @@ class TestGoldenBytes:
                '"sigma":[1,0.3,0.09,0.3,1,0.3,0.09,0.3,1],'
                '"generator":{"family":"kotz","params":{"N":1,"r":0.5,"s":1}}}')
     AXIS = '{"kind":"axis","index":0,"start":0,"stop":30,"num":61}'
-    # the rejection and mixture samplers and every family: _BASE, with power-of-two
+    # the sign-flip and mixture samplers and every family: _BASE, with power-of-two
     # alpha and gamma
     SN_HALF = '{"schema":1,"kind":"skew_normal",' + _BASE + ',"alpha":[2,-0.5]}'
     SN_FULL = ('{"schema":1,"kind":"skew_normal",' + _BASE
@@ -1273,35 +1273,37 @@ class TestGoldenBytes:
         # 40000 draws (two sampler chunks), 39 cells in exponent notation
         (HEAVY_N3, ["sample", "--count", "40000", "--seed", "7"],
          "f9d725c4421b7cc547ef9e2f4616db709e466c46d55bf092a2272f8edae242a8"),
-        # closed values down to 1e-196 (24-character cells), closed abs_err empty
+        # closed values down to 1e-196 (24-character cells), closed abs_err empty;
+        # the hankel abs_err cells carry the rounding floor
         (KOTZ_N3, ["eval", "--routes", "closed,hankel", "--grid", AXIS],
-         "fe64fa8c403964ca6df8a182ea0a14d07bc4ee68506a1ee9dd1aeaeed0f0dc34"),
+         "7c199112abebebd7596b71119964d6ce8f1a87b92e3e6dcbba1f943b45f953c1"),
         (KOTZ_N3, ["compare", "--routes", "closed,hankel", "--grid", AXIS],
          "145eefa4796cea1ef2594337e351d9aa058bb475af6c67be1aadb927190dbb37"),
         (SN_HALF, SAMPLE,
-         "9d5085d631a9c88b0eeb6b60110bf54330d00b85d596bbe2f98c38b86606318d"),
+         "09ee0f5407101592b0968c3639db86bdc824089469be257ef124285eacfbffc2"),
         (SN_FULL, SAMPLE,
-         "1d71aa475c5d5281163feb1700a8ea4e8abc7fdfe917654076c9628123b33e9f"),
+         "c160dc35901a57b7ae7250df79d21182bfb54492fc233099896151a5d247cbf3"),
         (LSM_FINITE, SAMPLE,
          "ef6a23ed89905412b2ce98f17ad3686cf5d19cfe2ac6113df930c7df51a77fdf"),
         (SMSN_INVGAMMA, SAMPLE,
-         "af38ee24cb3f3e5f5bdeb8407433c87f8ee46eff3668667b91e555e5a1abae50"),
+         "b9f42c9047df81ed00ce7900385a9c45b981fd666782ce4b06a5805cd5a7c88d"),
         # the draw of each mixing kind
         (LSM_DEGENERATE, SAMPLE,
          "7facef82165ccfcd30bfe4fdc0143133b59fcb670f44a60036730e511563e35a"),
         (LSM_INVGAMMA, SAMPLE,
          "951fc408aae182e512b9c848dc81ff3a6561bd45a39f117d9fe208501c2a70a8"),
         (SMSN_DEGENERATE, SAMPLE,
-         "57709f18be38b8c017022ecbec29a96bb246390f3b6cda13192622fe51d7fa62"),
+         "75373d79f1789563ba5e68ee9859a6ca4080b6bf465c8cf78984bd975c84934f"),
         (SMSN_FINITE, SAMPLE,
-         "0df033ee4a7c910a4f1a7f558eca8f52aaa60a4555088ad65ccd7339fb204048"),
+         "6a12bacb497457d1c203c20ea5dd9bef75ea56c26437d6525ed6a03e5ad9c28a"),
         # the exact mixing sums on both routes of phi; closed abs_err empty (no
         # estimate).  The J_0 zeros from secant steps moved the hankel rows by
-        # at most 2.1e-15, under 0.005 of their abs_err
+        # at most 2.1e-15, under 0.005 of their abs_err; their abs_err cells
+        # carry the rounding floor
         (LSM_DEGENERATE, ["eval", "--routes", "closed,hankel", "--grid", AXIS6],
-         "bfbf22abd624a2fe8c75ca31818571f554f1a18a4d853f066e8d130b1ac7e529"),
+         "67e75ce300a1b07b44472783e1f7b931932e1c21da938a1ff3be98dcf528c69b"),
         (LSM_FINITE, ["eval", "--routes", "closed,hankel", "--grid", AXIS6],
-         "3e4c5eebba31f5657a77acb0262ede9126c5dd69b2ea4356216545d0f967123a"),
+         "dfffdbbf6e3227042cfb991698c0dd8dc4abc7c1113480de6a980917d106db8d"),
         # the mixing quadrature over the inverse gamma, its map scaled by the law's mode
         (LSM_INVGAMMA, ["eval", "--routes", "closed", "--grid", AXIS6],
          "7e107973c7bc2560dc43c67d2f66ce4d457ed965d627e276e85e68abf624a560"),

@@ -306,11 +306,10 @@ class TestCF:
 
 
 class TestMatrixRoots:
-    """Roots of a validated Dispersion: A'A = Sigma (Cholesky) and S @ S = Sigma."""
+    """The one root of a validated Dispersion: S @ S = Sigma, S symmetric."""
 
     def test_identity(self):
         d = Dispersion(np.eye(3))
-        assert_allclose(d.chol_factor(), np.eye(3), atol=1e-14)
         assert_allclose(d.sym_root, np.eye(3), atol=1e-14)
 
     def test_diagonal(self):
@@ -321,8 +320,9 @@ class TestMatrixRoots:
         m = rng.normal(size=(5, 5))
         sigma = m @ m.T
         d = Dispersion(sigma)
-        a, s = d.chol_factor(), d.sym_root
-        assert np.abs(a.T @ a - sigma).max() < 1e-10
+        s = d.sym_root
+        assert d.rank == 5
+        assert np.array_equal(s, s.T)
         assert np.abs(s @ s - sigma).max() < 1e-10
 
     def test_rank_deficient(self):
@@ -330,8 +330,9 @@ class TestMatrixRoots:
         d = Dispersion(sigma)
         s = d.sym_root
         assert np.abs(s @ s - sigma).max() < 1e-10
+        assert d.rank == 1
         with pytest.raises(DomainError):
-            d.chol_factor()
+            d.inv_sym_root()
 
     def test_asymmetric_rejected(self):
         with pytest.raises(DomainError):
@@ -394,7 +395,7 @@ class TestSpecValidation:
         spec = EllipticalSpec(3, np.zeros(3), np.diag([1.0, 1.0, 0.0]), gn.normal_generator())
         assert spec.dispersion.rank == 2
         with pytest.raises(DomainError):
-            spec.dispersion.chol_factor()
+            spec.dispersion.inv_sym_root()
 
 
 class TestRotate:

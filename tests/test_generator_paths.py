@@ -131,11 +131,11 @@ PINNED = {
     "radial_density": (_densities,
         "a0458daebf3e3689be160e9b5bcbac42b362a359f12a764cc4022045e6717610"),
     # the J zeros from secant steps (not bisection) moved the hankel and star
-    # rows by at most 1.7e-15
+    # rows by at most 1.7e-15; their err_est carries the rounding floor
     "phi_hankel_rows": (_hankel,
-        "88d5ea81964b9e7c13593bc12673c0c579959573a0c65a0a1e2a8feb5632f4fd"),
+        "46e3c0458d30ef0828d991bac2170182c8c838ee1c95ee88141e1e6a365a6fb4"),
     "star_unimodal_rows": (_star,
-        "e6c3aabd944501d9ef5138774042e7ccf39b191140ab6838f7bced9993b3355c"),
+        "75e42c60d6673b91f8d6ab7e91a2be0ac2a96eaebda1c2184e5959f44eca3c1d"),
     "elliptical_draws": (_draws,
         "e9bbb819a76a4ca41a0afaa68934e486ab7816d2894731e535d52375bd8e80bf"),
     "custom_density_draws": (_mixing_draws,

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import oracles
+
 from ellipcf import generators as gn
 from ellipcf import quadrature, specfun
 from ellipcf.elliptical import closed_form_generator
@@ -368,6 +370,21 @@ class TestPhiHankel:
                 if true_err <= 10.0 * max(res.err_est, 1e-15):
                     honest += 1
         assert honest >= 0.95 * total
+
+    @pytest.mark.parametrize("gen, n, oracle", [
+        (gn.uniform_ball_generator(), 2, lambda u: oracles.ball_phi_mp(2, u)),
+        (gn.uniform_ball_generator(), 5, lambda u: oracles.ball_phi_mp(5, u)),
+        (gn.bessel_generator(0.5, 1.0), 2, lambda u: oracles.bessel_family_phi_mp(2, 0.5, 1.0, u)),
+    ], ids=["ball-n2", "ball-n5", "bessel-n2"])
+    def test_error_estimate_covers_rounding(self, gen, n, oracle):
+        # a row right to a few ulps is within its err_est: the panels' K15
+        # and G7 sums can agree to the last bit, so their difference alone
+        # may read 0
+        us = np.linspace(0.05, 12.0, 240)
+        rows = phi_hankel_rows(gen, n, us)
+        assert not rows.failures
+        errs = np.array([abs(v - oracle(u)) for v, u in zip(rows.value.tolist(), us.tolist())])
+        assert np.all(errs <= rows.err_est), us[errs > rows.err_est]
 
     @pytest.mark.xfail(
         strict=True,

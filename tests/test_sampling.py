@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+import references
 from ellipcf import _csvout
 from ellipcf import generators as gn
 from ellipcf import sampling
@@ -254,38 +255,35 @@ class TestSampleSkewNormal:
         skew = float(((x - x.mean()) ** 3).mean() / x.std() ** 3)
         assert skew > 5.0 * math.sqrt(6.0 / b.count)
 
-    @staticmethod
-    def _masked_chunk(spec, m, g):
-        # the rejection step by boolean masks and one concatenation
-        s_root, rows, have = spec.dispersion.sym_root, [], 0
-        while have < m:
-            block = max(64, int(2.3 * (m - have)))
-            w = g.standard_normal((block, spec.n))
-            eps = g.standard_normal(block)
-            if spec.parametrization is Parametrization.HALF_ROOT:
-                keep = w[(w @ spec.alpha + eps) > 0.0] @ s_root
-            else:
-                y = w @ s_root
-                keep = y[(y @ spec.alpha + eps) > 0.0]
-            rows.append(keep[: m - have])
-            have += len(rows[-1])
-        return spec.mu + np.concatenate(rows, axis=0)
+    @pytest.mark.parametrize("par", [Parametrization.HALF_ROOT, Parametrization.FULL_SIGMA])
+    def test_chunk_matches_sign_flip_formula(self, par):
+        # one chunk and a short one, bit for bit the plain-numpy sign flip
+        mu, sigma, alpha = [0.3, -0.2], [[1.0, 0.3], [0.3, 2.0]], [2.0, -0.5]
+        sn = SkewNormalSpec(mu, sigma, alpha, par)
+        half = par is Parametrization.HALF_ROOT
+        for m in (sampling._CHUNK, 61):
+            got = sn.mu + sampling._skew_normal_chunk(sn, m, RngStream(5).chunk_generator(m))
+            want = references.skew_normal_sign_flip(
+                mu, sigma, alpha, half, m, RngStream(5).chunk_generator(m)
+            )
+            assert got.shape == (m, 2) and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("par", [Parametrization.HALF_ROOT, Parametrization.FULL_SIGMA])
-    def test_multi_block_chunk_matches_masked_formula(self, par):
-        sn = SkewNormalSpec([0.3, -0.2], [[1.0, 0.3], [0.3, 2.0]], [2.0, -0.5], par)
-        m = 60
-        for seed in range(1000):  # the first seed whose first candidate block falls short
-            g = RngStream(seed).chunk_generator(0)
-            w, eps = g.standard_normal((138, 2)), g.standard_normal(138)  # int(2.3 m) rows
-            y = w if par is Parametrization.HALF_ROOT else w @ sn.dispersion.sym_root
-            if np.count_nonzero((y @ sn.alpha + eps) > 0.0) < m:
-                break
+    def test_mean(self, par):
+        # E X = mu + sqrt(2/pi) delta, delta = Sigma alpha / sqrt(1 + alpha' Sigma alpha)
+        # (full_sigma) or Sigma^(1/2) alpha / sqrt(1 + alpha' alpha) (half_root)
+        count = 2 * 10**5
+        mu, alpha = np.array([0.3, -0.2]), np.array([2.0, -0.5])
+        sigma = np.array([[1.0, 0.3], [0.3, 2.0]])
+        vals, vecs = np.linalg.eigh(sigma)
+        root = vecs @ np.diag(np.sqrt(vals)) @ vecs.T
+        if par is Parametrization.HALF_ROOT:
+            delta = root @ alpha / math.sqrt(1.0 + alpha @ alpha)
         else:
-            pytest.fail("no seed below 1000 needs a second block")
-        got = sn.mu + sampling._skew_normal_chunk(sn, m, RngStream(seed).chunk_generator(0))
-        want = self._masked_chunk(sn, m, RngStream(seed).chunk_generator(0))
-        assert got.shape == (m, 2) and got.tobytes() == want.tobytes()
+            delta = sigma @ alpha / math.sqrt(1.0 + alpha @ sigma @ alpha)
+        x = sample_skew_normal(SkewNormalSpec(mu, sigma, alpha, par), count, RNG, workers=2).data
+        se = x.std(axis=0) / math.sqrt(count)
+        assert np.all(np.abs(x.mean(axis=0) - (mu + math.sqrt(2.0 / math.pi) * delta)) <= 4.0 * se)
 
     @pytest.mark.parametrize("par", [Parametrization.HALF_ROOT, Parametrization.FULL_SIGMA])
     def test_cf_oracle_both_parametrizations(self, par):
@@ -320,7 +318,7 @@ class TestSampleSMSN:
         law = MixingLaw.custom_density(lambda v: math.exp(-v), (0.0, math.inf))
         batch = sampling.smsn_sampler(sn, law).batch(40000, RngStream(7))
         assert hashlib.sha256(batch.data.tobytes()).hexdigest() == (
-            "8a63981be425223d91e0ac03ce305c8972d970c12aee6f07a4dea380f19dbc70"
+            "ce0dcc4e0a6102fa9437b8e538477eaec853f9b97e5ea30002b60576d3beb3d2"
         )
         assert batch.provenance == (
             "kind=smsn spec=bd1ad9770250 seed=7 stream=0 count=40000 chunk=32768"
@@ -463,8 +461,8 @@ class TestEmpiricalCFRows:
             e = empirical_cf(batch, t)
             h.update(np.array([e.re, e.im, e.abs_err]).tobytes())
         assert h.hexdigest() in (
-            "6443c518726a919d077ab78339ff6a6aa743fa5cfa46fab2ab36c5ec10e2cce7",
-            "7b85de483aefaa71528f554c979141e1f0d08a68f7be5bb8d7cf19effb9605ff",
+            "2dd5db64bbf17d96145a0e78457fcad6437a38ba294ef6a8bf7d633270152c24",
+            "291315d16bb209fb01894e1ad6e16e9ac7bc1cbaa1c646ebcbadb2fa4610fd39",
         )
 
 
