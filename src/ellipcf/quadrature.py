@@ -48,6 +48,7 @@ __all__ = [
     "QuadRows",
     "adaptive_interval",
     "adaptive_rows",
+    "half_line",
     "moment_integral",
     "radial_moment",
     "normalizing_constant",
@@ -344,6 +345,14 @@ def adaptive_rows(
     out = np.empty(count, dtype=complex)
     out.real, out.imag = values[:, 0], values[:, 1]
     return out, errs, panels, failures
+
+
+def half_line(lo: float, hi: float, unit: float) -> tuple[float, Callable[[np.ndarray], np.ndarray]]:
+    """(top, to_v): v = to_v(x) = lo + unit x/(1 - x) maps [0, top] onto [lo, hi],
+    top = (hi - lo)/(unit + hi - lo), or 1 for an infinite hi; dv = unit dx/(1 - x)^2.
+    x = 1 (v = inf) is the caller's to exclude."""
+    top = 1.0 if math.isinf(hi) else (hi - lo) / (unit + (hi - lo))
+    return top, lambda x: lo + unit * x / (1.0 - x)
 
 
 # Float arithmetic as in Python: 0 * inf is nan and an overflow inf, with

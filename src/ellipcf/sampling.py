@@ -24,8 +24,8 @@ symmetric root Sigma^(1/2).  The skew-normal and smsn samplers share one
 sign-flip draw of centred rows, _skew_normal_chunk, n + 1 normals a row,
 each adding mu itself (the smsn sampler after scaling by sqrt(V)).  The
 skewmix module is imported by that draw, and the quadrature module by the
-CDF tables of custom generators and densities; no other sampler imports
-either.
+uncut CDF tables of custom laws, in x of the mixing expectations' map
+quadrature.half_line; no other sampler imports either.
 """
 
 from __future__ import annotations
@@ -262,59 +262,53 @@ def _radius_chunk(spec: EllipticalSpec, m: int, g: np.random.Generator) -> np.nd
         return gen.radius(n, m, g)
     key = ("radial_cdf", n)
     if key not in gen.moment_cache:
-        pdf = lambda v: radial_density(spec, v)
-        gen.moment_cache[key] = _cdf_table(pdf, 0.0, gen.support_radius)
+        gen.moment_cache[key] = _cdf_table(lambda v: radial_density(spec, v), 0.0, gen.support_radius, 1.0)
     return _invert_from_table(gen.moment_cache[key], g.random(m))
 
 
-def _cdf_table(
-    pdf: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _cdf_table(pdf: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, unit: float) -> tuple:
     """Tabulated CDF of a unit-mass density on [lo, hi], pdf its values at
-    every entry of a float array.
-
-    An infinite hi is cut where the mass of [hi, 4 hi] drops below 1e-11,
-    searching upward from max(lo, 1).
+    every entry of a float array: (grid, cdf, to_v), in x of quadrature's
+    half_line on [0, top], so no support is cut.  The grid: 200 points
+    growing geometrically over 15 decades from each end, then each cell
+    with over 1/1000 of the mass split into equal parts.  Each pass takes
+    the cells' masses under pdf(v) unit/(1 - x)^2 in one lockstep
+    quadrature, weight 0 at x = 1 (v = inf).
     """
-    from .quadrature import adaptive_rows
+    from .quadrature import adaptive_rows, half_line
 
-    def mass(a, b, abs_tol: float, rel_tol: float, max_panels: int) -> np.ndarray:
-        # the mass of every segment [a[i], b[i]] in one lockstep call
-        vals, _, _, failures = adaptive_rows(
-            lambda rows, x: pdf(x), np.size(a), a, b, abs_tol, rel_tol, max_panels
-        )
+    top, to_v = half_line(lo, hi, unit)
+
+    def density(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        out, inner = np.zeros(x.shape), x < 1.0
+        xi = x[inner]
+        out[inner] = pdf(to_v(xi)) * unit / ((1.0 - xi) * (1.0 - xi))
+        return out
+
+    def masses(grid: np.ndarray) -> np.ndarray:
+        mass, _, _, failures = adaptive_rows(density, len(grid) - 1, grid[:-1], grid[1:], 1e-12, 1e-10, 64)
         if failures:
             raise failures[min(failures)]
-        return vals
+        return mass
 
-    if math.isinf(hi):
-        hi = max(lo, 1.0)
-        while hi < 1e9:
-            if mass(hi, 4.0 * hi, 1e-13, 1e-13, 256)[0] < 1e-11:
-                break
-            hi *= 2.0
-    # the geometric part as np.geomspace builds it, but with the math module's
-    # powers, whose bits do not follow numpy's SIMD dispatch
-    start = max(lo, hi * 1e-6)
-    geo = _elementwise(lambda e: 10.0**e, np.linspace(math.log10(start), math.log10(hi), 200))
-    geo[0], geo[-1] = start, hi
-    grid = np.unique(np.concatenate([np.linspace(lo, hi, 400), geo]))
-    # the segments' masses summed in grid order
-    cdf = np.zeros_like(grid)
-    cdf[1:] = np.cumsum(mass(grid[:-1], grid[1:], 1e-12, 1e-10, 64))
-    if cdf[-1] <= 0.0:
+    # the math module's powers, whose bits do not follow numpy's SIMD dispatch
+    steps = top * _elementwise(lambda e: 10.0**e, np.linspace(-15.0, 0.0, 200))
+    grid = np.unique(np.concatenate([steps, top - steps]))  # 0 and top included
+    mass = masses(grid)
+    total = np.cumsum(mass)[-1]  # summed in grid order, as the cdf is
+    if not total > 0.0:
         raise DomainError("sampling: density mass is zero on the CDF grid")
-    cdf /= cdf[-1]
-    return grid, cdf
+    knots = np.concatenate(([0.0], np.cumsum(np.ceil(mass * (1e3 / total)).clip(1.0))))
+    grid = np.interp(np.arange(knots[-1] + 1.0), knots, grid)  # cell i in equal parts
+    cdf = np.concatenate(([0.0], np.cumsum(masses(grid))))  # summed in grid order
+    return grid, cdf / cdf[-1], to_v
 
 
-def _invert_from_table(table: tuple[np.ndarray, np.ndarray], u: np.ndarray) -> np.ndarray:
-    grid, cdf = table
-    idx = np.searchsorted(cdf, u, side="left").clip(1, len(grid) - 1)
-    c0, c1 = cdf[idx - 1], cdf[idx]
-    g0, g1 = grid[idx - 1], grid[idx]
-    frac = np.where(c1 > c0, (u - c0) / np.where(c1 > c0, c1 - c0, 1.0), 0.5)
-    return g0 + frac.clip(0.0, 1.0) * (g1 - g0)
+def _invert_from_table(table: tuple, u: np.ndarray) -> np.ndarray:
+    # x interpolated in the table and mapped to v; an x that rounds up to 1
+    # in the last cell of an infinite support takes the float below it
+    grid, cdf, to_v = table
+    return to_v(np.minimum(np.interp(u, cdf, grid), np.nextafter(1.0, 0.0)))
 
 
 def elliptical_sampler(spec: EllipticalSpec) -> Sampler:

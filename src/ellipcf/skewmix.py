@@ -130,8 +130,9 @@ class MixingLaw:
     its values at 32 points spread over it; ``unit``, the scale of the
     quadrature map, from the law's own parameters (the mode b/(a + 1) of the
     inverse gamma, 1 otherwise).  Expectations are exact sums for the exact
-    laws and adaptive quadrature against the density otherwise (substitution
-    v = lo + unit x/(1-x) for a support [lo, inf)).
+    laws and adaptive quadrature against the density otherwise, in x of
+    quadrature.half_line, v = lo + unit x/(1 - x), on every support; a
+    custom density's draws invert its CDF tabulated in the same x.
     """
 
     kind: str
@@ -223,7 +224,7 @@ class MixingLaw:
             from .sampling import _cdf_table, _invert_from_table  # only samplers draw
 
             if not table:
-                table.append(_cdf_table(law.density, lo, hi))
+                table.append(_cdf_table(law.density, lo, hi, law.unit))
             return _invert_from_table(table[0], g.random(m))
 
         law = cls(
@@ -261,11 +262,12 @@ class MixingLaw:
         rows[i, 0] names the integrand at the values v[i].  Exact sums for
         the discrete kinds, one fn call for all rows and points; otherwise
         quadrature against the density with quadrature.adaptive_rows, one fn
-        call per round (substitution v = lo + unit x/(1-x) for a support
-        [lo, inf), so the nodes follow the law's scale).  A row whose fn
-        call raises, or whose quadrature error exceeds _MIX_ABS_TOL (1e-8),
-        gets its exception in failures (row -> exception) and a nan value;
-        no other row changes.
+        call per round, in x of quadrature.half_line, so the nodes follow the
+        law's scale.  A row whose fn call raises, whose panels reach x = 1
+        (v = inf), or whose finite value has a quadrature error estimate over
+        _MIX_ABS_TOL (1e-8) or nan, gets its exception in failures (row ->
+        exception) and a nan value; no other row changes.  A value that is
+        not finite is left for the caller to name.
         """
         failures: dict = {}
         if self.is_exact():
@@ -280,23 +282,18 @@ class MixingLaw:
             out = np.full(count, np.nan, dtype=np.result_type(total, float))
             out[ok] = total
             return out, failures
-        from .quadrature import adaptive_rows  # continuous laws only
+        from .quadrature import adaptive_rows, half_line  # continuous laws only
 
-        lo, hi = self.support
-        if math.isinf(hi):
-            # v = lo + unit x/(1-x) maps [0, 1) onto [lo, inf)
-            def integrand(rows, x):
-                v = lo + self.unit * x / (1.0 - x)
-                return _times_ratio(fn(rows, v), self.unit * self.pdf(v), (1.0 - x) * (1.0 - x))
+        top, to_v = half_line(*self.support, self.unit)
 
-            a, b = 0.0, 1.0
-        else:
-            def integrand(rows, v):
-                return _times_ratio(fn(rows, v), self.pdf(v), 1.0)
+        def integrand(rows, x):
+            if (x == 1.0).any():
+                raise ConvergenceError("MixingLaw.expectation: the quadrature reached v = inf")
+            v = to_v(x)
+            return _times_ratio(fn(rows, v), self.unit * self.pdf(v), (1.0 - x) * (1.0 - x))
 
-            a, b = lo, hi
-        vals, errs, _, failures = adaptive_rows(integrand, count, a, b, _MIX_ABS_TOL / 4.0, 1e-12, 512)
-        for row in np.flatnonzero(errs > _MIX_ABS_TOL).tolist():
+        vals, errs, _, failures = adaptive_rows(integrand, count, 0.0, top, _MIX_ABS_TOL / 4.0, 1e-12, 512)
+        for row in np.flatnonzero(~(errs <= _MIX_ABS_TOL) & np.isfinite(vals)).tolist():
             failures[row] = ConvergenceError(
                 f"MixingLaw.expectation: quadrature error {errs[row]:.2e} exceeds {_MIX_ABS_TOL:.2e}"
             )

@@ -4,6 +4,28 @@ These deliberately avoid the package's own evaluation paths: brute-force
 high-precision series, plain bisection, Simpson integration and seeded
 recurrences.  Frozen constants in the tests were produced by these
 functions.
+
+The oracle map: each key of the CLI's tables (cli._FAMILIES, cli._KINDS
+and cli._MIXINGS) and the test that holds its closed route against an
+mpmath oracle.  tests/test_oracles.py fails on a key with no row here.
+
+    table     key              test
+    family    normal           test_closed_sweep.py::test_closed_form_against_mpmath
+    family    uniform_ball     test_closed_sweep.py::test_closed_form_against_mpmath
+    family    generalized_t    test_closed_sweep.py::test_closed_form_against_mpmath
+    family    pearson_ii       test_closed_sweep.py::test_closed_form_against_mpmath
+    family    pearson_vii      test_closed_sweep.py::test_closed_form_against_mpmath
+    family    kotz             test_closed_sweep.py::test_closed_form_against_mpmath
+    family    bessel           test_closed_sweep.py::test_closed_form_against_mpmath
+    kind      elliptical       test_mixture_oracle.py::test_unmixed_kind_closed_route
+    kind      lsm              test_mixture_oracle.py::test_spec_closed_route
+    kind      gse_skew_normal  test_mixture_oracle.py::test_unmixed_kind_closed_route
+    kind      skew_normal      test_mixture_oracle.py::test_unmixed_kind_closed_route
+    kind      smsn             test_mixture_oracle.py::test_spec_closed_route
+    kind      smu              test_mixture_oracle.py::test_unmixed_kind_closed_route
+    mixing    degenerate       test_mixture_oracle.py::test_spec_closed_route
+    mixing    finite_discrete  test_mixture_oracle.py::test_spec_closed_route
+    mixing    inverse_gamma    test_mixture_oracle.py::test_inverse_gamma_at_every_scale
 """
 
 from __future__ import annotations
@@ -208,3 +230,33 @@ def smsn_cf_mp(spec: dict, t) -> complex:
     with mp.workdps(25):
         value = mixing_mean_mp(spec["mixing"], sn)
         return complex(mp.expj(float(t @ np.asarray(spec["mu"], dtype=float))) * value)
+
+
+def radius_beta_cdf_mp(n: int, m: float, r: float, dps: int = 30):
+    """P(R <= r) for the generator g(z) = (1 + z)^(-(n + m)/2) in dimension n,
+    whose R^2/(1 + R^2) is Beta(n/2, m/2)."""
+    with mp.workdps(dps):
+        r = mp.mpf(r)
+        return mp.betainc(mp.mpf(n) / 2, mp.mpf(m) / 2, 0, r * r / (1 + r * r), regularized=True)
+
+
+def inverse_gamma_cdf_mp(a: float, b: float, v: float, dps: int = 30):
+    """P(V <= v) for V ~ InverseGamma(a, b): the regularized upper incomplete
+    gamma Q(a, b/v)."""
+    with mp.workdps(dps):
+        return mp.gammainc(mp.mpf(a), mp.mpf(b) / mp.mpf(v), mp.inf, regularized=True)
+
+
+def quantile_mp(cdf, p: float) -> float:
+    """The p-quantile of a law on (0, inf) with an increasing cdf, by plain
+    bisection on log x between 1e-30 and 1e30."""
+    a, b = math.log(1e-30), math.log(1e30)
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        if cdf(math.exp(mid)) < p:
+            a = mid
+        else:
+            b = mid
+        if b - a < 1e-13:
+            break
+    return math.exp(0.5 * (a + b))

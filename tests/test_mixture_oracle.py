@@ -70,14 +70,11 @@ def _check(spec, rows):
     assert not misses
 
 
-@pytest.mark.parametrize("mixing", MIXINGS)
-@pytest.mark.parametrize("model", MODELS)
-def test_spec_closed_route(tmp_path, capsys, model, mixing):
-    obj, seed = MIXINGS[mixing]
-    spec = dict(MODELS[model], mixing=obj)
+def _closed_rows(tmp_path, capsys, spec, points):
+    """(t, value, abs_err) per point of the CLI's closed route on spec."""
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
-    grid = json.dumps({"kind": "list", "points": _points(seed).tolist()})
+    grid = json.dumps({"kind": "list", "points": points.tolist()})
     assert cli.main(["eval", "--spec", str(path), "--routes", "closed", "--grid", grid]) == 0
     lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
     rows = []
@@ -85,7 +82,36 @@ def test_spec_closed_route(tmp_path, capsys, model, mixing):
         t1, t2, re, im, abs_err, _ = line.split(",")
         rows.append((np.array([float(t1), float(t2)]), complex(float(re), float(im)),
                      float(abs_err) if abs_err else math.nan))
-    _check(spec, rows)
+    return rows
+
+
+@pytest.mark.parametrize("mixing", MIXINGS)
+@pytest.mark.parametrize("model", MODELS)
+def test_spec_closed_route(tmp_path, capsys, model, mixing):
+    obj, seed = MIXINGS[mixing]
+    spec = dict(MODELS[model], mixing=obj)
+    _check(spec, _closed_rows(tmp_path, capsys, spec, _points(seed)))
+
+
+# The kinds without a mixing law, each as the mixture with V = 1 that an
+# oracle knows: the normal elliptical law (and smu, whose closed route is the
+# elliptical one) as an lsm with gamma = 0, the skew-normal and its
+# generalized skew-elliptical form, in either parametrization, as an smsn.
+_V1 = {"kind": "degenerate", "v0": 1}
+_NORMAL = dict(_BASE, generator={"family": "normal"})
+UNMIXED = {
+    "elliptical": (dict(_NORMAL, kind="elliptical"), dict(MODELS["lsm"], gamma=[0.0, 0.0])),
+    "smu": (dict(_NORMAL, kind="smu"), dict(MODELS["lsm"], gamma=[0.0, 0.0])),
+    **{f"{kind}-{par}": (dict(_BASE, kind=kind, alpha=[2.0, -0.5], parametrization=par),
+                         MODELS[f"smsn-{par}"])
+       for kind in ("skew_normal", "gse_skew_normal") for par in ("half_root", "full_sigma")},
+}
+
+
+@pytest.mark.parametrize("case", UNMIXED)
+def test_unmixed_kind_closed_route(tmp_path, capsys, case):
+    spec, mixture = UNMIXED[case]
+    _check(dict(mixture, mixing=_V1), _closed_rows(tmp_path, capsys, spec, _points(6)))
 
 
 @pytest.mark.parametrize("density", CUSTOM)
@@ -118,6 +144,10 @@ SCALE_CASES = [
     (30.0, 1e-4, (300.0, 0.0)),
     (3.0, 1e-3, (316.2, 0.0)),
 ]
+# The full grid of shapes and scales, one point each, where V t'Sigma t/2 = 10
+# at the mode V = b/(a + 1)
+GRID_CASES = [(a, b, (math.sqrt(20.0 * (a + 1.0) / b), 0.0))
+              for a in (0.5, 3.0, 30.0) for b in (1e-6, 1e-3, 1.0, 1e3, 1e6)]
 _UNIT = {"schema": 1, "n": 2, "mu": [0.0, 0.0], "sigma": [1.0, 0.0, 0.0, 1.0]}
 SCALE_MODELS = {
     "lsm": dict(_UNIT, kind="lsm", gamma=[0.0, 0.0], generator={"family": "normal"}),
@@ -125,8 +155,9 @@ SCALE_MODELS = {
 }
 
 
-@pytest.mark.parametrize("shape, scale, t", SCALE_CASES,
-                         ids=[f"a{a:g}-b{b:g}" for a, b, _ in SCALE_CASES])
+@pytest.mark.parametrize("shape, scale, t", SCALE_CASES + GRID_CASES,
+                         ids=[f"a{a:g}-b{b:g}" for a, b, _ in SCALE_CASES]
+                         + [f"a{a:g}-b{b:g}-mode" for a, b, _ in GRID_CASES])
 @pytest.mark.parametrize("model", SCALE_MODELS)
 def test_inverse_gamma_at_every_scale(model, shape, scale, t):
     spec = dict(SCALE_MODELS[model], mixing={"kind": "inverse_gamma", "shape": shape, "scale": scale})
@@ -156,3 +187,56 @@ def test_inverse_gamma_scale_closed_meets_mc(tmp_path, model, scale, t):
     argv = ["compare", "--spec", str(path), "--routes", "closed,mc", "--mc-count", "100000",
             "--grid", grid]
     assert cli.main(argv) == 0
+
+
+# An inverse-gamma law of shape 0.2, whose tail v^-1.2 reaches so far that at
+# t = (1e-8, 0) the mixing quadrature's panels reach x = 1 (v = inf) before
+# they meet the tolerance.  mpmath gives 0.99930351755 there.
+_HEAVY = dict(SCALE_MODELS["lsm"], mixing={"kind": "inverse_gamma", "shape": 0.2, "scale": 1.0})
+
+
+def _eval_heavy(tmp_path, capsys, t):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_HEAVY))
+    grid = json.dumps({"kind": "list", "points": [t]})
+    rc = cli.main(["eval", "--spec", str(path), "--routes", "closed", "--grid", grid])
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+def test_heavy_mixing_reaching_infinity_fails_by_name(tmp_path, capsys):
+    # exit 3 naming the point and v = inf, and no numpy warning on stderr
+    rc, out, err = _eval_heavy(tmp_path, capsys, [1e-8, 0.0])
+    assert rc == 3 and out == ""
+    assert err == ("numeric failure: at grid point t=[1e-08, 0.0]: "
+                   "MixingLaw.expectation: the quadrature reached v = inf\n")
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+def test_expectation_reaching_infinity_fails_its_row(scale):
+    # the mass of the law itself: a failed row, never a silent nan
+    law = MixingLaw.inverse_gamma(0.2, scale)
+    values, failures = law.expectation_rows(lambda rows, v: np.ones(v.shape), 1)
+    assert math.isnan(values[0])
+    assert str(failures[0]) == "MixingLaw.expectation: the quadrature reached v = inf"
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 9: the half-line map cannot resolve "
+                   "a mixing tail as heavy as v^-1.2 at t = 1e-8; the route fails by name")
+def test_heavy_mixing_at_small_t_meets_mpmath(tmp_path, capsys):
+    rc, out, _ = _eval_heavy(tmp_path, capsys, [1e-8, 0.0])
+    assert rc == 0
+    _, _, re, im, abs_err, _ = out.splitlines()[-1].split(",")
+    want = ORACLES["lsm"](_HEAVY, np.array([1e-8, 0.0]))
+    assert abs(complex(float(re), float(im)) - want) <= float(abs_err)
+
+
+def test_heavy_mixing_at_larger_t_keeps_its_value(tmp_path, capsys):
+    # at t = (1e-6, 0) the quadrature converges and prints the value it has
+    # always printed, within abs_err of mpmath (0.99560549284)
+    rc, out, _ = _eval_heavy(tmp_path, capsys, [1e-6, 0.0])
+    assert rc == 0
+    row = out.splitlines()[-1]
+    assert row == "9.9999999999999995e-07,0,0.99560549112286378,0,1e-08,closed"
+    want = ORACLES["lsm"](_HEAVY, np.array([1e-6, 0.0]))
+    assert abs(0.99560549112286378 - want) <= 1e-8

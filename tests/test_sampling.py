@@ -146,6 +146,41 @@ class TestSampleRadius:
         assert ks_two_sample(r_c, r_n) <= crit
 
 
+_PROBS = [0.05 * k for k in range(1, 20)]
+
+
+def _quantile_misses(draws, cdf_mp):
+    # |empirical CDF - p| at the exact p-quantile, for each p of _PROBS
+    x = np.sort(draws)
+    quantiles = [oracles.quantile_mp(cdf_mp, p) for p in _PROBS]
+    return [abs(np.searchsorted(x, q, side="right") / len(x) - p) for q, p in zip(quantiles, _PROBS)]
+
+
+class TestHeavyTailTables:
+    """Draws through the tabulated CDF of a custom law whose mass reaches far
+    out: a Cauchy-like radius and inverse-gamma mixing densities.  At every
+    p in 0.05, ..., 0.95 the empirical CDF of 10^5 draws at the exact
+    p-quantile is within 0.01 of p."""
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (5, 1)], ids=["n2-m1", "n5-m1"])
+    def test_custom_radius_quantiles(self, n, m):
+        # g = (1 + z)^(-(n + m)/2): R^2/(1 + R^2) ~ Beta(n/2, m/2)
+        gen = gn.custom_generator(lambda z: (1.0 + z) ** (-0.5 * (n + m)))
+        spec = EllipticalSpec(n, np.zeros(n), np.eye(n), gen)
+        r = sample_radius(spec, 10**5, RngStream(seed=17))
+        assert max(_quantile_misses(r, lambda v: oracles.radius_beta_cdf_mp(n, m, v))) <= 0.01
+
+    @pytest.mark.parametrize("shape", [0.5, 1.5], ids=["a0.5", "a1.5"])
+    def test_custom_density_quantiles(self, shape):
+        # the inverse-gamma density IG(shape, 1) as a custom mixing density
+        log_norm = -math.lgamma(shape)
+        law = MixingLaw.custom_density(
+            lambda v: math.exp(log_norm - (shape + 1.0) * math.log(v) - 1.0 / v) if v > 0.0 else 0.0
+        )
+        v = law.draw(10**5, np.random.default_rng(17))
+        assert max(_quantile_misses(v, lambda x: oracles.inverse_gamma_cdf_mp(shape, 1.0, x))) <= 0.01
+
+
 class TestSampleElliptical:
     def test_moments(self):
         sigma = np.array([[2.0, 0.5], [0.5, 1.0]])
@@ -313,12 +348,13 @@ class TestSampleSMSN:
     def test_custom_density_draws_pinned(self):
         # the lazily tabulated CDF of a custom mixing density, which no spec
         # file reaches.  The table's geometric grid takes its powers from the
-        # math module, so one hash holds under every numpy SIMD dispatch.
+        # math module and its sums run in grid order, so one hash holds under
+        # every numpy SIMD dispatch.
         sn = SkewNormalSpec([0.5, -0.25], np.diag([4.0, 0.25]), [2.0, -0.5])
         law = MixingLaw.custom_density(lambda v: math.exp(-v), (0.0, math.inf))
         batch = sampling.smsn_sampler(sn, law).batch(40000, RngStream(7))
         assert hashlib.sha256(batch.data.tobytes()).hexdigest() == (
-            "ce0dcc4e0a6102fa9437b8e538477eaec853f9b97e5ea30002b60576d3beb3d2"
+            "e7818b65c17e49105c1026d0175302d502958e81df0b34cc37645740269714c0"
         )
         assert batch.provenance == (
             "kind=smsn spec=bd1ad9770250 seed=7 stream=0 count=40000 chunk=32768"
