@@ -6,7 +6,9 @@ integrand is its one-row case (adaptive_interval).  The oscillatory
 integrator works in the Bessel argument x = omega r, splits that axis at
 consecutive Bessel zeros, integrates each inter-zero panel adaptively,
 and accelerates the alternating panel sums with an iterated Euler
-transform.
+transform on an infinite support; a finite one is summed to its edge.
+No row leaves before the panel that reaches omega r_peak, where the
+envelope peaks, and a row out of its panel budget fails by name.
 It runs a whole set of frequencies in lockstep: every round integrates the
 next few Bessel panels of all rows still running in one adaptive_rows call,
 and applies the exit rules to all of them as array masks; a single
@@ -543,15 +545,22 @@ def _oscillatory_rows(
     panels_used = np.zeros(count, dtype=int)
     failures: dict = {}
     panel_rel = min(_REL_TOL, 1e-10)
+    # r_peak maximises |envelope| on a fixed log grid of radii, skipping the
+    # radii where it raises: before x = omega r_peak the panels still grow,
+    # so no panel tells how small the rest is
+    grid = np.geomspace(1e-8, min(support_radius, 1e8), 400)
+    mag, ok = _call_rows(lambda ids, r: envelope(r), np.arange(400), grid[:, None], {})
+    r_peak = grid[ok][np.nan_to_num(abs(mag[:, 0]), nan=0.0).argmax()] if ok.any() else 0.0
+    infinite = math.isinf(support_radius)
     # the state of every row still running after `done` panels, one entry
     # (or one row of panel history) per row
     zero = np.zeros(count)
     live = {
         "id": np.arange(count), "omega": omegas, "tol": abs_tols,
         "panel_abs": abs_tols / 64.0 * omegas, "min_cell": 0.25 * omegas,
-        "x_edge": support_radius * omegas, "x_prev": zero, "running": zero,
-        "quad_err": zero, "abs_sum": zero, "panels": np.zeros(count, dtype=int), "peak": zero,
-        "prev_acc": zero, "streak": np.zeros(count, dtype=int),
+        "x_edge": support_radius * omegas, "x_peak": r_peak * omegas, "x_prev": zero,
+        "running": zero, "quad_err": zero, "abs_sum": zero, "peak": zero, "prev_acc": zero,
+        "panels": np.zeros(count, dtype=int), "streak": np.zeros(count, dtype=int),
         "contrib": np.zeros((count, 0)), "partial": np.zeros((count, 0)),
     }
 
@@ -618,16 +627,18 @@ def _oscillatory_rows(
         # (the sum stops before it), its integrand raises, the finite
         # support is exhausted (plain sum, no tail), the envelope has decayed
         # below the cutoff (geometric tail bound), the Euler-accelerated sums
-        # agree (every even k >= 10), the envelope is not decaying (k >= 16)
+        # agree (every even k >= 10, infinite support only).  The last two
+        # end a row only on a panel that reaches x = omega r_peak.
         stuck = hi <= lo
         edge = hi >= live["x_edge"][:, None]
+        past_peak = hi >= live["x_peak"][:, None]
         tol = np.fmax(live["tol"][:, None], _REL_TOL * abs(running))
         cutoff = np.fmax(_TAIL_CUTOFF * np.fmax(peak, 1e-300), 1e-300)
-        cut = (last <= cutoff) & (last <= 0.01 * tol)
+        cut = (last <= cutoff) & (last <= 0.01 * tol) & past_peak
         agreed = np.zeros((rows, width), dtype=bool)
         acc_at, acc_err = np.zeros((rows, width)), np.zeros((rows, width))
         prev_acc, streak = live["prev_acc"], live["streak"]
-        euler = [j for j, k in enumerate(ks.tolist()) if k >= 10 and k % 2 == 0]
+        euler = [j for j, k in enumerate(ks.tolist()) if k >= 10 and k % 2 == 0 and infinite]
         if euler:
             ends = ks[euler]  # each from the first largest panel so far
             starts = np.column_stack([abs(contrib[:, :k]).argmax(axis=1) for k in ends.tolist()])
@@ -640,14 +651,11 @@ def _oscillatory_rows(
             agree = (change < tol_acc) & (resid < tol_acc) & (k > 10)
             streak = np.where(agree, streak + 1, 0)
             prev_acc = acc
-            agreed[:, j] = streak >= 2
+            agreed[:, j] = (streak >= 2) & past_peak[:, j]
             acc_at[:, j] = acc
             acc_err[:, j] = np.fmax(np.fmax(resid * 4.0, change * 2.0), quad_err[:, j])
-        c = abs(np.concatenate((np.zeros((rows, 3)), contrib), axis=1))[:, done:]
-        rising = (c[:, 3:] > c[:, 2:-1]) & (c[:, 2:-1] > c[:, 1:-2]) & (c[:, 1:-2] > c[:, :-3])
-        rising &= (c[:, 3:] > peak * 0.5) & (ks >= 16)
 
-        rules = np.stack((stuck, failed, edge, cut, agreed, rising))  # (rule, row, panel)
+        rules = np.stack((stuck, failed, edge, cut, agreed))  # (rule, row, panel)
         fired = rules.any(axis=0)
         leaving = fired.any(axis=1)
         some_leave = leaving.any()
@@ -673,10 +681,6 @@ def _oscillatory_rows(
                     failures[i] = ConvergenceError(no_convergence)
                 elif code == 1:
                     failures[i] = raised[row * width + panel]
-                elif code == 5:
-                    failures[i] = ConvergenceError(
-                        "integrate_bessel_oscillatory: envelope is not decaying"
-                    )
 
         live.update(
             x_prev=hi[:, -1], running=running[:, -1], quad_err=quad_err[:, -1],
@@ -689,18 +693,7 @@ def _oscillatory_rows(
                 live[key] = live[key][~leaving]
         done += width
 
-    # rows out of panels: the accelerated sum of all their panels if it is
-    # close enough (the Euler step has run), else a ConvergenceError
-    ids, ok = live["id"], np.zeros(len(live["id"]), dtype=bool)
-    if len(ids) and done >= 10:
-        acc, resid = _euler_rows(live["partial"], np.zeros((len(ids), 1), dtype=int), [done])
-        acc, resid = acc[:, 0], resid[:, 0]
-        err = np.where(live["quad_err"] > resid * 4.0, live["quad_err"], resid * 4.0)
-        ok = err <= 10.0 * np.fmax(live["tol"], _REL_TOL * abs(acc))
-        value[ids[ok]], panels_used[ids[ok]] = acc[ok], live["panels"][ok]
-        err_est[ids[ok]] = err[ok] + _ROUND_FLOOR * live["abs_sum"][ok]
-        tail[ids[ok]] = abs(live["contrib"][ok, -1])
-    for i in ids[~ok].tolist():
+    for i in live["id"].tolist():  # out of panels
         failures[i] = ConvergenceError(no_convergence)
     return QuadRows(value, err_est, panels_used, tail, failures)
 
@@ -722,6 +715,8 @@ def integrate_bessel_oscillatory(
     """
     if not omega > 0.0:
         raise DomainError("integrate_bessel_oscillatory: omega must be > 0")
+    if not support_radius > 0.0:
+        raise DomainError("integrate_bessel_oscillatory: support_radius must be > 0")
     res = _oscillatory_rows(
         lambda r: _elementwise(f, r), nu, np.array([float(omega)]),
         np.array([_ABS_TOL]), support_radius,

@@ -86,6 +86,18 @@ class TestEval:
         assert abs(float(rows[0][2]) - math.exp(-2.0)) < 1e-12
         assert float(rows[0][3]) == 0.0
 
+    def test_hankel_normal_n2_at_high_frequency(self, tmp_path, capsys):
+        # no row leaves before its envelope's peak, and none is refused while
+        # the envelope still rises: phi = exp(-u^2/2), 0 to within abs_err
+        spec = write_spec(tmp_path, "n.json", normal_spec())
+        rc = cli.main(["eval", "--spec", spec, "--routes", "hankel",
+                       "--grid", '{"kind":"list","points":[[68.0,0.0],[150.0,0.0]]}'])
+        assert rc == 0
+        _, _, rows = parse_result_csv(capsys.readouterr().out)
+        assert len(rows) == 2
+        for row in rows:
+            assert abs(complex(float(row[2]), float(row[3]))) <= float(row[4])
+
     @pytest.mark.parametrize("kind", ["elliptical", "skew_normal"])
     @pytest.mark.parametrize(
         "sigma",
@@ -970,6 +982,19 @@ class TestCompare:
         comments, header, rows = parse_result_csv(capsys.readouterr().out)
         assert any("summary closed-hankel" in c for c in comments)
         assert header[-1] == "dev_closed_hankel"
+
+    @pytest.mark.parametrize("t", [60.2089, 150.0, 400.0])
+    def test_closed_vs_hankel_ball_n1_at_high_frequency(self, tmp_path, capsys, t):
+        # the finite support is summed out to its edge: the hankel row meets
+        # the closed form where it used to stop short and read about 0
+        obj = normal_spec(n=1)
+        obj["generator"] = {"family": "uniform_ball"}
+        spec = write_spec(tmp_path, "b.json", obj)
+        rc = cli.main([
+            "compare", "--spec", spec, "--routes", "closed,hankel",
+            "--grid", json.dumps({"kind": "list", "points": [[t]]}),
+        ])
+        assert rc == 0, capsys.readouterr().err
 
     def test_closed_vs_mc_within_band(self, tmp_path, capsys):
         obj = normal_spec()

@@ -7,6 +7,12 @@ near a zero of an oscillating phi no relative error means anything.  The
 bound is the largest error measured, 4.5e-15 (the 1-d ball and Pearson II
 near u = 10), with some room.  A case that raises today is a strict xfail
 naming the ROADMAP item that owns it; none is skipped.
+
+The Hankel slice runs the same families, n and u through phi_hankel_rows,
+and through star_unimodal_rows wherever the star route accepts the
+generator, against the same oracles: each row either fails with a named
+error or is within its own err_est + 8 eps.  Rows whose envelope peaks past
+the panel budget (u r_peak beyond about 1257) fail by name.
 """
 
 import mpmath as mp
@@ -16,7 +22,9 @@ import pytest
 import oracles
 from ellipcf import generators as gn
 from ellipcf.elliptical import closed_form_generator
-from ellipcf.errors import ConvergenceError
+from ellipcf.errors import ConvergenceError, DomainError, EllipcfError
+from ellipcf.quadrature import phi_hankel_rows
+from ellipcf.skewmix import star_unimodal_rows
 
 BOUND = 1e-14
 DIMENSIONS = (1, 2, 3, 5, 10)
@@ -59,7 +67,7 @@ FAMILIES = {
 
 _HYP1F1_LARGE_Z = pytest.mark.xfail(
     strict=True, raises=ConvergenceError,
-    reason="ROADMAP item 6: hyp1f1's series does not converge at large negative z; "
+    reason="ROADMAP item 8: hyp1f1's series does not converge at large negative z; "
     "the asymptotic form DLMF 13.7.2 is not written yet",
 )
 
@@ -79,3 +87,49 @@ def test_closed_form_against_mpmath(key, n, u):
     with mp.workdps(40):
         want = float(phi_mp(n, mp.mpf(u * u)))
     assert abs(got - want) <= BOUND
+
+
+# ---------------------------------------------------------------------------
+# The Hankel slice: the same families, n and u through the quadrature routes
+# ---------------------------------------------------------------------------
+
+_EPS = np.finfo(float).eps
+
+
+def _oracle_row(key, n):
+    _, phi_mp = FAMILIES[key]
+    with mp.workdps(40):
+        return np.array([float(phi_mp(n, mp.mpf(u * u))) for u in FREQUENCIES])
+
+
+def _star_accepts(key):
+    try:
+        star_unimodal_rows(FAMILIES[key][0](1), 1, [])
+    except DomainError:
+        return False
+    return True
+
+
+def _named_error_or_honest(rows, want):
+    # every row fails by name or is within its own error estimate
+    for i, exc in rows.failures.items():
+        assert isinstance(exc, EllipcfError), (FREQUENCIES[i], exc)
+    ok = np.array([i not in rows.failures for i in range(len(want))])
+    miss = ok & ~(abs(rows.value - want) <= rows.err_est + 8.0 * _EPS)
+    assert not miss.any(), [(FREQUENCIES[i], rows.value[i] - want[i], rows.err_est[i])
+                            for i in np.flatnonzero(miss)]
+
+
+@pytest.mark.parametrize("key, n", [pytest.param(key, n, id=f"{key}-n{n}")
+                                    for key in FAMILIES for n in DIMENSIONS])
+def test_hankel_route_named_error_or_honest(key, n):
+    _named_error_or_honest(phi_hankel_rows(FAMILIES[key][0](n), n, FREQUENCIES),
+                           _oracle_row(key, n))
+
+
+@pytest.mark.parametrize("key, n", [pytest.param(key, n, id=f"{key}-n{n}")
+                                    for key in FAMILIES if _star_accepts(key)
+                                    for n in DIMENSIONS])
+def test_star_route_named_error_or_honest(key, n):
+    _named_error_or_honest(star_unimodal_rows(FAMILIES[key][0](n), n, FREQUENCIES),
+                           _oracle_row(key, n))

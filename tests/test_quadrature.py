@@ -275,6 +275,8 @@ class TestOscillatory:
             assert abs(res.value - math.exp(-0.5 * omega * omega)) <= 1e-8
 
     def test_non_decaying_envelope_fails(self):
+        # r peaks at the end of the r_peak grid, 1e8: no exit comes before
+        # the panel budget runs out
         with pytest.raises(ConvergenceError):
             integrate_bessel_oscillatory(lambda r: r, 0.0, 1.0)
 
@@ -286,6 +288,10 @@ class TestOscillatory:
     def test_invalid_omega(self):
         with pytest.raises(DomainError):
             integrate_bessel_oscillatory(lambda r: math.exp(-r), 0.0, 0.0)
+
+    def test_invalid_support_radius(self):
+        with pytest.raises(DomainError, match="support_radius must be > 0"):
+            integrate_bessel_oscillatory(lambda r: 1.0, 0.0, 1.0, support_radius=0.0)
 
 
 class TestPhiHankel:
@@ -388,8 +394,8 @@ class TestPhiHankel:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="the integrable singularity at the Pearson II support edge is not "
-        "substituted, so err_est is far too optimistic",
+        reason="ROADMAP item 5: the integrable singularity at the Pearson II support "
+        "edge is not substituted, so err_est is far too optimistic",
     )
     def test_error_estimate_covers_pearson_ii_edge(self):
         # m = -0.7, n = 2, u = 5: true error ~4e-6 against err_est ~5e-10
@@ -397,12 +403,6 @@ class TestPhiHankel:
         res = phi_hankel(gen, 2, 5.0)
         assert abs(res.value - closed_form_generator(gen, 2, 25.0)) <= res.err_est
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=ConvergenceError,
-        reason="the not-decaying check fires while r^(n/2) g(r^2) still rises to its "
-        "peak, and a finite support edge gets no substitution",
-    )
     @pytest.mark.parametrize(
         "gen, n, u",
         [
@@ -413,7 +413,8 @@ class TestPhiHankel:
         ids=["t-n2-u200", "t-n5-u200", "ball-n3-u100"],
     )
     def test_high_frequency_matches_closed_form(self, gen, n, u):
-        # closed values: 4.13e-121 for both t cases, -2.602e-4 for the ball
+        # no row leaves before x = u r_peak, where its envelope peaks; closed
+        # values: 4.13e-121 for both t cases, -2.602e-4 for the ball
         res = phi_hankel(gen, n, u)
         assert abs(res.value - closed_form_generator(gen, n, u * u)) <= 1e-6
 
@@ -427,23 +428,18 @@ class TestPhiHankel:
 class TestHankelSilentErrors:
     """Rows the Hankel route can return with exit 0 and an error estimate far
     below their true error.  Each case must either raise a named error or
-    meet the closed form within err_est + 8 eps; the finite-support ones
-    fail today.  At n = 30 and from n = 140 J_nu's series loses its digits
-    near the first Bessel zeros, and bessel_j_zero raises naming the zero
-    it cannot find (rows on zeros taken from the lost digits missed the
-    closed form by 2e-8 to 6e-8, or read 0 +- 0 where the value is 0.61)."""
-
-    _ITEM_4 = pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 4: on finite support the cut, agreed and rising exit "
-        "rules stop the sum before the support edge",
-    )
+    meet the closed form within err_est + 8 eps.  On finite support the sum
+    runs to the edge: no panel before it bounds the rest.  At n = 30 and
+    from n = 140 J_nu's series loses its digits near the first Bessel zeros,
+    and bessel_j_zero raises naming the zero it cannot find (rows on zeros
+    taken from the lost digits missed the closed form by 2e-8 to 6e-8, or
+    read 0 +- 0 where the value is 0.61)."""
 
     @pytest.mark.parametrize("gen, n, u", [
-        pytest.param(gn.uniform_ball_generator(), 1, 60.2089, marks=_ITEM_4, id="ball-n1-u60.2"),
-        pytest.param(gn.pearson_ii_generator(1.0), 1, 73.44, marks=_ITEM_4, id="pearson2-n1-u73.44"),
-        pytest.param(gn.pearson_ii_generator(1.0), 2, 73.44, marks=_ITEM_4, id="pearson2-n2-u73.44"),
-        pytest.param(gn.pearson_ii_generator(1.0), 3, 80.0, marks=_ITEM_4, id="pearson2-n3-u80"),
+        pytest.param(gn.uniform_ball_generator(), 1, 60.2089, id="ball-n1-u60.2"),
+        pytest.param(gn.pearson_ii_generator(1.0), 1, 73.44, id="pearson2-n1-u73.44"),
+        pytest.param(gn.pearson_ii_generator(1.0), 2, 73.44, id="pearson2-n2-u73.44"),
+        pytest.param(gn.pearson_ii_generator(1.0), 3, 80.0, id="pearson2-n3-u80"),
         pytest.param(gn.normal_generator(), 30, 4.0, id="normal-n30-u4"),
         pytest.param(gn.generalized_t_generator(30, 3.0, 3), 30, 5.0, id="t-n30-u5"),
         pytest.param(gn.normal_generator(), 140, 1.0, id="normal-n140-u1"),
@@ -489,16 +485,17 @@ class TestPhiHankelRows:
             rows = phi_hankel_rows(gen, n, us[order])
             assert not rows.failures
             assert [self._bits(rows.row(i)) for i in range(len(us))] == [points[i] for i in order]
-        # a row alongside a far one (u = 1e9 leaves in its first round) computes as alone
+        # a row alongside a far one (u = 1e9 runs out of panels) computes as alone
         assert self._bits(phi_hankel_rows(gen, n, [1e9, 1.7]).row(1)) == points[self.US.index(1.7)]
 
     def test_failed_row_fails_alone(self):
-        # u = 200 runs into the pinned not-decaying defect; its neighbours do not
+        # at u = 1e4 the envelope's peak lies past the panel budget; its
+        # neighbours converge
         gen = gn.generalized_t_generator(2, 2.0, 3)
-        rows = phi_hankel_rows(gen, 2, [1.0, 200.0, 0.0, 3.0])
+        rows = phi_hankel_rows(gen, 2, [1.0, 1e4, 0.0, 3.0])
         assert list(rows.failures) == [1]
-        with pytest.raises(ConvergenceError, match="envelope is not decaying") as raised:
-            phi_hankel(gen, 2, 200.0)
+        with pytest.raises(ConvergenceError, match="no convergence within 400 panels") as raised:
+            phi_hankel(gen, 2, 1e4)
         assert str(rows.failures[1]) == str(raised.value)
         assert np.isnan(rows.value[1]) and rows.panels_used[1] == 0
         for i, u in ((0, 1.0), (2, 0.0), (3, 3.0)):
@@ -508,8 +505,8 @@ class TestPhiHankelRows:
 
     @pytest.mark.parametrize("max_panels", [9, 12, 17])
     def test_panel_budget_as_one_point_calls(self, max_panels, monkeypatch):
-        # rows that run out of panels settle on the Euler sum or fail, each
-        # as it would alone, with the same message
+        # rows that run out of panels fail, each as it would alone, with the
+        # same message
         monkeypatch.setattr(quadrature, "_MAX_PANELS", max_panels)
         gen = gn.generalized_t_generator(2, 3.0, 3)
         us = [0.3, 1.1, 4.0, 9.5, 0.0]
