@@ -16,8 +16,9 @@ frequency is the one-row case.  This evaluates the characteristic
 generator of any density generator, including user-supplied ones without
 closed forms, on a whole grid at once (phi_hankel_rows).  Every integrand
 here calls the generator's profile g on float arrays; the moment integral
-of a custom generator runs its windows as one-row adaptive_rows calls, and
-the named families' moments are read from their record.
+of a custom generator is one adaptive_rows row, and the named families'
+moments are read from their record.  half_line maps every half-line and
+singular edge these integrals meet.
 """
 
 from __future__ import annotations
@@ -349,12 +350,40 @@ def adaptive_rows(
     return out, errs, panels, failures
 
 
-def half_line(lo: float, hi: float, unit: float) -> tuple[float, Callable[[np.ndarray], np.ndarray]]:
-    """(top, to_v): v = to_v(x) = lo + unit x/(1 - x) maps [0, top] onto [lo, hi],
-    top = (hi - lo)/(unit + hi - lo), or 1 for an infinite hi; dv = unit dx/(1 - x)^2.
-    x = 1 (v = inf) is the caller's to exclude."""
-    top = 1.0 if math.isinf(hi) else (hi - lo) / (unit + (hi - lo))
-    return top, lambda x: lo + unit * x / (1.0 - x)
+def half_line(lo, hi, unit: float, p: float = 1.0):
+    """(top, to_v, seeds): to_v(s) = (v, num, den) maps [0, top] onto [lo, hi]
+    with |dv/ds| = num/den, entry by entry; p (1 to 16) is the exponent of
+    the upper edge, and seeds the breakpoints to start panels from.
+
+    Up to an infinite hi, v = lo + unit x/w^p: the map unit x/(1 - x) with
+    1 - x carried near the end as the power w^p, never by subtraction;
+    num = unit (p - (p - 1) w), den = w^p w, and v = inf where den
+    underflows.  p = 1 takes x = s, w = 1 - s and top = 1, or
+    (hi - lo)/(unit + hi - lo) for a finite hi; p > 1 takes w = s, with all
+    its digits near v = inf, and top = 1, and bounds a tail v^(-1-e) at
+    p = 1/e; its seeds s = 10^-k, k = 1..13, hide no feature out to
+    v = unit 10^(13 p) between nodes.  Up to a finite hi with p > 1 (lo, hi
+    may be arrays): v = hi - den, den = (hi - lo) w^p the carried distance
+    to hi, w = 1 - s, so (hi - v)^m is bounded at p = 1/(m + 1).
+    """
+    p = min(p, 16.0)
+    if p != 1.0 and not np.all(np.isinf(hi)):
+        def to_edge(s):
+            gap = (hi - lo) * _power(1.0 - s, p)
+            return hi - gap, (hi - lo) * p * _power(1.0 - s, p - 1.0) * gap, gap
+
+        return 1.0, to_edge, ()
+
+    @np.errstate(divide="ignore", over="ignore")
+    def to_v(s):
+        x, w = (s, 1.0 - s) if p == 1.0 else (1.0 - s, s)
+        wp = _power(w, p)
+        den = wp * w
+        return np.where(den > 0.0, lo + unit * x / wp, math.inf), unit * (p - (p - 1.0) * w), den
+
+    if p != 1.0:
+        return 1.0, to_v, tuple(10.0**-k for k in range(13, 0, -1))
+    return 1.0 if math.isinf(hi) else (hi - lo) / (unit + (hi - lo)), to_v, ()
 
 
 # Float arithmetic as in Python: 0 * inf is nan and an overflow inf, with
@@ -363,76 +392,43 @@ def half_line(lo: float, hi: float, unit: float) -> tuple[float, Callable[[np.nd
 def moment_integral(gen: DensityGenerator, n: int) -> QuadResult:
     """int_0^inf z^(n/2-1) g(z) dz by adaptive panels, always numerically.
 
-    Written in the radius variable (z = w^2) so the n = 1 endpoint is
-    regular; the first unit window additionally substitutes w = y^3 to
-    absorb any remaining algebraic singularity at the origin.  Infinite
-    support is handled with doubling windows and a geometric tail estimate;
-    a non-shrinking tail raises DivergentIntegralError.
+    Written in the radius variable (z = v^2), 2 int_0^R v^(n-1) g(v^2) dv
+    with R the support radius, so the n = 1 endpoint is regular: one
+    adaptive_rows row over half_line(0, R, 1, p), g called only inside the
+    support.  p is the generator's edge exponent on a finite support; on an
+    infinite one, h ~ v^(-1-e) far out gives p = 1/e from its log-slope at
+    v = 1e8, rounded up (so rounding cannot move p = 1), and 1 where e <= 0
+    or h has no slope there.  A divergent tail drives the panels to v = inf
+    and raises DivergentIntegralError.
     """
-    # 2 * int_0^R w^(d-1) g(w^2) dw with R = support radius (maybe inf)
-    g, d = gen.g, float(n)
-    radius = gen.support_radius
+    g, d, radius, p = gen.g, float(n), gen.support_radius, gen.edge
 
-    def first_window(y: np.ndarray) -> np.ndarray:
-        # w = y^3 on [0, 1]: integrand 3 y^2 * y^(3(d-1)) g(y^6), zero past
-        # the support edge, where g is not called
-        inside = _power(y, 3.0) < radius
-        out = np.zeros(y.shape)
-        out[inside] = 3.0 * _power(y[inside], 3.0 * d - 1.0) * g(_power(y[inside], 6.0))
+    def h(v: np.ndarray) -> np.ndarray:
+        return _power(v, d - 1.0) * g(v * v)
+
+    if math.isinf(radius):
+        try:
+            a, b = h(np.array([1e8, 2e8])).tolist()
+            e = -math.log2(b / a) - 1.0
+        except (ArithmeticError, ValueError, TypeError):  # h zero, overflowing, not real
+            e = 0.0
+        p = float(max(1, math.ceil(1.0 / e - 1e-3))) if e > 0.0 else 1.0
+    top, to_v, seeds = half_line(0.0, radius, 1.0, p)
+
+    def integrand(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
+        v, num, den = to_v(s)
+        if np.isinf(v).any():
+            raise DivergentIntegralError("moment integral: the quadrature reached v = inf")
+        out, inside = np.zeros(s.shape), v < radius
+        out[inside] = h(v[inside]) * num[inside] / den[inside]
         return out
 
-    def w_integrand(w: np.ndarray) -> np.ndarray:
-        return _power(w, d - 1.0) * g(w * w)
-
-    def window(f, a: float, b: float) -> tuple[float, float, int]:
-        # one adaptive_rows row: (value, err_est, panels_used)
-        vals, errs, panels, failures = adaptive_rows(
-            lambda rows, x: f(x), 1, a, b, 0.125 * _ABS_TOL, 0.125 * _REL_TOL
-        )
-        if failures:
-            raise failures[0]
-        return vals[0].item(), float(errs[0]), int(panels[0])
-
-    if radius <= 1.0:
-        val, err, panels = window(first_window, 0.0, radius ** (1.0 / 3.0))
-        return QuadResult(2.0 * val, 2.0 * err, panels, 0.0)
-
-    total, err_total, panels = window(first_window, 0.0, 1.0)
-    if math.isfinite(radius):
-        val, err, p = window(w_integrand, 1.0, radius)
-        return QuadResult(2.0 * (total + val), 2.0 * (err_total + err), panels + p, 0.0)
-
-    lo = 1.0
-    prev_window = None
-    flat_streak = 0
-    for _ in range(100):
-        hi = 2.0 * lo
-        wval, werr, p = window(w_integrand, lo, hi)
-        total += wval
-        err_total += werr
-        panels += p
-        thresh = 0.5 * max(_ABS_TOL, _REL_TOL * abs(total))
-        if prev_window is not None and prev_window > 0.0:
-            ratio = wval / prev_window
-            if wval >= 0.999 * prev_window and abs(wval) > thresh:
-                flat_streak += 1
-                if flat_streak >= 12:
-                    raise DivergentIntegralError(
-                        "moment integral: window contributions are not shrinking"
-                    )
-            else:
-                flat_streak = 0
-            if 0.0 <= ratio < 0.995:
-                tail = wval * ratio / (1.0 - ratio)
-                if tail < thresh:
-                    total += tail
-                    err_total += tail
-                    return QuadResult(2.0 * total, 2.0 * err_total, panels, 2.0 * tail)
-        elif abs(wval) <= 0.25 * thresh and prev_window is not None:
-            return QuadResult(2.0 * total, 2.0 * err_total, panels, 2.0 * abs(wval))
-        prev_window = wval
-        lo = hi
-    raise DivergentIntegralError("moment integral: tail bound did not converge")
+    vals, errs, panels, failures = adaptive_rows(
+        integrand, 1, 0.0, top, 0.125 * _ABS_TOL, 0.125 * _REL_TOL, seeds=[seeds]
+    )
+    if failures:
+        raise failures[0]
+    return QuadResult(2.0 * vals[0].item(), 2.0 * float(errs[0]), int(panels[0]), 0.0)
 
 
 def radial_moment(gen: DensityGenerator, n: int, k: int) -> float:
@@ -533,13 +529,16 @@ def _oscillatory_rows(
     omegas: np.ndarray,
     abs_tols: np.ndarray,
     support_radius: float,
+    edge_exponent: float = 1.0,
 ) -> QuadRows:
     # int_0^R envelope(r) J_nu(omega_i r) dr for every row i, each to its own
     # abs_tols[i]: integrate_bessel_oscillatory for all rows in lockstep.
     # envelope maps an array of radii to its values, entry by entry.  Every
     # round integrates the next few Bessel panels of every row still running;
     # the exit rules then run on each panel in turn, as array masks, and a
-    # row leaves at its first panel where one fires.
+    # row leaves at its first panel where one fires.  A panel that ends at a
+    # finite support edge is integrated through half_line with the exponent
+    # edge_exponent (p = 1: plain panels in x).
     count = len(omegas)
     value, err_est, tail = np.full(count, np.nan), np.full(count, np.nan), np.full(count, np.nan)
     panels_used = np.zeros(count, dtype=int)
@@ -565,6 +564,11 @@ def _oscillatory_rows(
     }
 
     no_convergence = f"integrate_bessel_oscillatory: no convergence within {_MAX_PANELS} panels"
+    # a row whose omega r_peak lies past the end of its last panel, j_(nu, _MAX_PANELS) <
+    # (_MAX_PANELS + nu/2 - 1/4) pi + pi (McMahon), can leave by no rule: it fails at once
+    hopeless = live["x_peak"] > (_MAX_PANELS + 0.5 * nu + 0.75) * math.pi
+    failures.update({i: ConvergenceError(no_convergence) for i in np.flatnonzero(hopeless).tolist()})
+    live = {key: z[~hopeless] for key, z in live.items()}
     done, width = 0, 1
     while len(live["id"]) and done < _MAX_PANELS:
         width = min(2 * width, _ROUND_PANELS, _MAX_PANELS - done)
@@ -576,8 +580,11 @@ def _oscillatory_rows(
             zeros.append(bessel_j_zero(nu, k) if not zeros or zeros[-1] < top else zeros[-1])
         hi = np.minimum(np.array(zeros), live["x_edge"][:, None])
         lo = np.column_stack((live["x_prev"], hi[:, :-1]))
+        # the panels that end at the edge run in half_line's s on [0, 1]
+        edged = ((hi >= live["x_edge"][:, None]) & (lo < hi)).ravel() & (edge_exponent != 1.0)
+        a, b = np.where(edged, 0.0, lo.ravel()), np.where(edged, 1.0, hi.ravel())
         cell = np.repeat(live["min_cell"], width)
-        wide = (hi - lo).ravel() > 8.0 * cell
+        wide = ((hi - lo).ravel() > 8.0 * cell) & ~edged
         seeds, unresolved = None, {}
         if wide.any():
             seeds = []
@@ -593,15 +600,28 @@ def _oscillatory_rows(
 
         def integrand(entries, x):
             # the rows share panels, and so nodes: J_nu once per distinct row
-            # of x (a single row's panels are all distinct)
+            # of x (a single row's panels are all distinct).  A panel at the
+            # edge takes its nodes from half_line, and its envelope their
+            # distance to the edge as the map carries it.
+            on = edged[entries[:, 0]]
+            if on.any():
+                x, e = x.copy(), entries[on, 0]
+                to_x = half_line(lo.ravel()[e][:, None], hi.ravel()[e][:, None], 1.0, edge_exponent)[1]
+                x[on], num, gap = to_x(x[on])
             if rows == 1 or len(x) == 1:
-                return envelope(x / omega[entries]) * bessel_j_rows(nu, x)
-            keys = np.ascontiguousarray(x).view(np.dtype((np.void, x.itemsize * x.shape[1])))
-            _, first, back = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-            return envelope(x / omega[entries]) * bessel_j_rows(nu, x[first])[back.ravel()]
+                j = bessel_j_rows(nu, x)
+            else:
+                keys = np.ascontiguousarray(x).view(np.dtype((np.void, x.itemsize * x.shape[1])))
+                _, first, back = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+                j = bessel_j_rows(nu, x[first])[back.ravel()]
+            out = envelope(x / omega[entries]) * j
+            if on.any():
+                w = omega[entries[on]]
+                out[on] = envelope(x[on] / w, gap / w) * j[on] * (num / gap)
+            return out
 
         val, err, p, raised = adaptive_rows(
-            integrand, rows * width, lo.ravel(), hi.ravel(),
+            integrand, rows * width, a, b,
             np.repeat(live["panel_abs"], width), panel_rel, _PANEL_BUDGET, seeds,
         )
         raised.update(unresolved)
@@ -760,14 +780,15 @@ _ROWS = 1 << 9
 
 def _bessel_transform_rows(
     gen: DensityGenerator, n: int, us, nu: float,
-    envelope: Callable[[np.ndarray], np.ndarray], scale: float,
+    envelope: Callable[[np.ndarray], np.ndarray], scale: float, edge: float = 1.0,
 ) -> QuadRows:
     # phi(u^2) = scale c_n (2 pi)^(n/2) u^(-nu) int_0^R envelope(r) J_nu(u r) dr
     # at every u of the array us: the front end of phi_hankel_rows and of the
     # star route's grid form.  u = 0 gives exactly 1 and 0 < u < 1e-3 the
     # moment series; every other u goes through the oscillatory engine, all
     # of them in lockstep, in passes of _ROWS rows.  envelope maps an array
-    # of radii to its values, entry by entry.
+    # of radii to its values, entry by entry; edge is the engine's exponent
+    # at a finite support edge.
     if n < 1:
         raise DomainError("phi_hankel: dimension must be >= 1")
     us = np.asarray(us, dtype=float).reshape(-1)
@@ -808,7 +829,7 @@ def _bessel_transform_rows(
     for start in range(0, len(rows), _ROWS):
         sl = slice(start, start + _ROWS)
         idx, pref = np.array(rows[sl]), np.array(prefactors[sl])
-        res = _oscillatory_rows(envelope, nu, us[idx], np.array(tols[sl]), gen.support_radius)
+        res = _oscillatory_rows(envelope, nu, us[idx], np.array(tols[sl]), gen.support_radius, edge)
         value[idx], err_est[idx] = pref * res.value, abs(pref) * res.err_est
         panels_used[idx], tail[idx] = res.panels_used, abs(pref) * res.tail_bound
         failures.update({int(idx[i]): exc for i, exc in res.failures.items()})
@@ -827,15 +848,18 @@ def phi_hankel_rows(gen: DensityGenerator, n: int, us) -> QuadRows:
     u = 0 gives exactly 1.  Below u = 1e-3 the removable u-singularity is
     sidestepped with a moment series (for generators whose moments exist).
     Every other u goes through the oscillatory engine, all of them in
-    lockstep, panel by panel, with the generator's profile g.  Each row
+    lockstep, panel by panel, with the generator's profile g and, at a
+    finite support edge, its edge exponent.  Each row
     gets the bits it would get alone; a row whose computation raises has
     its exception in the result's failures.
     """
 
-    def envelope(r: np.ndarray) -> np.ndarray:
-        return _power(r, 0.5 * n) * gen.g(r * r)
+    def envelope(r: np.ndarray, gap: Optional[np.ndarray] = None) -> np.ndarray:
+        # at the support edge R, g_edge at R^2 - r^2 = gap (2 R - gap)
+        g = gen.g(r * r) if gap is None else gen.g_edge(gap * (2.0 * gen.support_radius - gap))
+        return _power(r, 0.5 * n) * g
 
-    return _bessel_transform_rows(gen, n, us, 0.5 * (n - 2.0), envelope, 1.0)
+    return _bessel_transform_rows(gen, n, us, 0.5 * (n - 2.0), envelope, 1.0, gen.edge)
 
 
 def phi_hankel(gen: DensityGenerator, n: int, u: float) -> QuadResult:

@@ -24,7 +24,7 @@ symmetric root Sigma^(1/2).  The skew-normal and smsn samplers share one
 sign-flip draw of centred rows, _skew_normal_chunk, n + 1 normals a row,
 each adding mu itself (the smsn sampler after scaling by sqrt(V)).  The
 skewmix module is imported by that draw, and the quadrature module by the
-uncut CDF tables of custom laws, in x of the mixing expectations' map
+uncut CDF tables of custom laws, in s of the mixing expectations' map
 quadrature.half_line; no other sampler imports either.
 """
 
@@ -268,25 +268,25 @@ def _radius_chunk(spec: EllipticalSpec, m: int, g: np.random.Generator) -> np.nd
 
 def _cdf_table(pdf: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, unit: float) -> tuple:
     """Tabulated CDF of a unit-mass density on [lo, hi], pdf its values at
-    every entry of a float array: (grid, cdf, to_v), in x of quadrature's
-    half_line on [0, top], so no support is cut.  The grid: 200 points
-    growing geometrically over 15 decades from each end, then each cell
-    with over 1/1000 of the mass split into equal parts.  Each pass takes
-    the cells' masses under pdf(v) unit/(1 - x)^2 in one lockstep
-    quadrature, weight 0 at x = 1 (v = inf).
+    every entry of a float array: (grid, cdf, to_v), in s of quadrature's
+    half_line on [0, top], so no support is cut.  The grid:
+    200 points growing geometrically over 15 decades from each end, then
+    each cell with over 1/1000 of the mass split into equal parts.  The
+    cells' masses under pdf(v) |dv/ds|, weight 0 at v = inf, take one
+    lockstep quadrature, and the split cells' parts a second one.
     """
     from .quadrature import adaptive_rows, half_line
 
-    top, to_v = half_line(lo, hi, unit)
+    top, to_v, _ = half_line(lo, hi, unit)
 
-    def density(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-        out, inner = np.zeros(x.shape), x < 1.0
-        xi = x[inner]
-        out[inner] = pdf(to_v(xi)) * unit / ((1.0 - xi) * (1.0 - xi))
+    def density(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
+        v, num, den = to_v(s)
+        out, inner = np.zeros(s.shape), v < math.inf
+        out[inner] = pdf(v[inner]) * num[inner] / den[inner]
         return out
 
-    def masses(grid: np.ndarray) -> np.ndarray:
-        mass, _, _, failures = adaptive_rows(density, len(grid) - 1, grid[:-1], grid[1:], 1e-12, 1e-10, 64)
+    def masses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        mass, _, _, failures = adaptive_rows(density, len(a), a, b, 1e-12, 1e-10, 64)
         if failures:
             raise failures[min(failures)]
         return mass
@@ -294,21 +294,24 @@ def _cdf_table(pdf: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, un
     # the math module's powers, whose bits do not follow numpy's SIMD dispatch
     steps = top * _elementwise(lambda e: 10.0**e, np.linspace(-15.0, 0.0, 200))
     grid = np.unique(np.concatenate([steps, top - steps]))  # 0 and top included
-    mass = masses(grid)
+    mass = masses(grid[:-1], grid[1:])
     total = np.cumsum(mass)[-1]  # summed in grid order, as the cdf is
     if not total > 0.0:
         raise DomainError("sampling: density mass is zero on the CDF grid")
-    knots = np.concatenate(([0.0], np.cumsum(np.ceil(mass * (1e3 / total)).clip(1.0))))
+    parts = np.ceil(mass * (1e3 / total)).clip(1.0).astype(int)
+    knots = np.concatenate(([0], np.cumsum(parts)))
     grid = np.interp(np.arange(knots[-1] + 1.0), knots, grid)  # cell i in equal parts
-    cdf = np.concatenate(([0.0], np.cumsum(masses(grid))))  # summed in grid order
+    mass, split = np.repeat(mass, parts), np.repeat(parts > 1, parts)
+    mass[split] = masses(grid[:-1][split], grid[1:][split])
+    cdf = np.concatenate(([0.0], np.cumsum(mass)))  # summed in grid order
     return grid, cdf / cdf[-1], to_v
 
 
 def _invert_from_table(table: tuple, u: np.ndarray) -> np.ndarray:
-    # x interpolated in the table and mapped to v; an x that rounds up to 1
+    # s interpolated in the table and mapped to v; an s that rounds up to 1
     # in the last cell of an infinite support takes the float below it
     grid, cdf, to_v = table
-    return to_v(np.minimum(np.interp(u, cdf, grid), np.nextafter(1.0, 0.0)))
+    return to_v(np.minimum(np.interp(u, cdf, grid), np.nextafter(1.0, 0.0)))[0]
 
 
 def elliptical_sampler(spec: EllipticalSpec) -> Sampler:

@@ -127,12 +127,13 @@ class MixingLaw:
     shape, 0-d included), on ``support``; ``parts``, the samplers'
     fingerprint parts (kind, v0, points, weights, shape, scale), None where
     the kind has no such field, then for a custom density its support and
-    its values at 32 points spread over it; ``unit``, the scale of the
-    quadrature map, from the law's own parameters (the mode b/(a + 1) of the
-    inverse gamma, 1 otherwise).  Expectations are exact sums for the exact
-    laws and adaptive quadrature against the density otherwise, in x of
-    quadrature.half_line, v = lo + unit x/(1 - x), on every support; a
-    custom density's draws invert its CDF tabulated in the same x.
+    its values at 32 points spread over it; ``unit`` and ``tail``, the scale
+    and the edge exponent of the quadrature map quadrature.half_line (the
+    mode b/(a + 1) and max(1, 1/a) of the inverse gamma, whose density
+    decays like v^(-1-a); 1 and 1 otherwise).  Expectations are exact
+    sums for the exact laws and adaptive quadrature against the density
+    otherwise, in s of that map on every support; a custom density's draws
+    invert its CDF tabulated in the same s.
     """
 
     kind: str
@@ -143,6 +144,7 @@ class MixingLaw:
     density: Optional[Callable[[np.ndarray], np.ndarray]] = None
     support: tuple[float, float] = (0.0, math.inf)
     unit: float = 1.0
+    tail: float = 1.0
 
     @classmethod
     def degenerate(cls, v0: float) -> "MixingLaw":
@@ -204,6 +206,7 @@ class MixingLaw:
             parts=("inverse_gamma", None, None, None, shape, scale),
             density=density,
             unit=scale / (shape + 1.0),
+            tail=max(1.0, 1.0 / shape),
         )
 
     @classmethod
@@ -262,9 +265,9 @@ class MixingLaw:
         rows[i, 0] names the integrand at the values v[i].  Exact sums for
         the discrete kinds, one fn call for all rows and points; otherwise
         quadrature against the density with quadrature.adaptive_rows, one fn
-        call per round, in x of quadrature.half_line, so the nodes follow the
-        law's scale.  A row whose fn call raises, whose panels reach x = 1
-        (v = inf), or whose finite value has a quadrature error estimate over
+        call per round, in s of quadrature.half_line, so the nodes follow the
+        law's scale and its tail.  A row whose fn call raises, whose panels
+        reach v = inf, or whose finite value has a quadrature error estimate over
         _MIX_ABS_TOL (1e-8) or nan, gets its exception in failures (row ->
         exception) and a nan value; no other row changes.  A value that is
         not finite is left for the caller to name.
@@ -284,15 +287,17 @@ class MixingLaw:
             return out, failures
         from .quadrature import adaptive_rows, half_line  # continuous laws only
 
-        top, to_v = half_line(*self.support, self.unit)
+        top, to_v, seeds = half_line(*self.support, self.unit, self.tail)
 
-        def integrand(rows, x):
-            if (x == 1.0).any():
+        def integrand(rows, s):
+            v, num, den = to_v(s)
+            if np.isinf(v).any():
                 raise ConvergenceError("MixingLaw.expectation: the quadrature reached v = inf")
-            v = to_v(x)
-            return _times_ratio(fn(rows, v), self.unit * self.pdf(v), (1.0 - x) * (1.0 - x))
+            return _times_ratio(fn(rows, v), num * self.pdf(v), den)
 
-        vals, errs, _, failures = adaptive_rows(integrand, count, 0.0, top, _MIX_ABS_TOL / 4.0, 1e-12, 512)
+        vals, errs, _, failures = adaptive_rows(
+            integrand, count, 0.0, top, _MIX_ABS_TOL / 4.0, 1e-12, 512, [seeds] * count
+        )
         for row in np.flatnonzero(~(errs <= _MIX_ABS_TOL) & np.isfinite(vals)).tolist():
             failures[row] = ConvergenceError(
                 f"MixingLaw.expectation: quadrature error {errs[row]:.2e} exceeds {_MIX_ABS_TOL:.2e}"

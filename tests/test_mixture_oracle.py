@@ -148,6 +148,10 @@ SCALE_CASES = [
 # at the mode V = b/(a + 1)
 GRID_CASES = [(a, b, (math.sqrt(20.0 * (a + 1.0) / b), 0.0))
               for a in (0.5, 3.0, 30.0) for b in (1e-6, 1e-3, 1.0, 1e3, 1e6)]
+# Shapes below 1, whose mean diverges, down to t = 1e-12: the map's exponent
+# 1/shape keeps the tail v^(-1-shape) in reach; at shape 0.3 and t = 1e-12
+# the deficit 1 - phi is 7.4e-8, which a tail hidden between nodes would lose
+HEAVY_CASES = [(a, 1.0, (t, 0.0)) for a in (0.2, 0.3, 0.7) for t in (1e-12, 1e-8, 1e-4)]
 _UNIT = {"schema": 1, "n": 2, "mu": [0.0, 0.0], "sigma": [1.0, 0.0, 0.0, 1.0]}
 SCALE_MODELS = {
     "lsm": dict(_UNIT, kind="lsm", gamma=[0.0, 0.0], generator={"family": "normal"}),
@@ -155,9 +159,10 @@ SCALE_MODELS = {
 }
 
 
-@pytest.mark.parametrize("shape, scale, t", SCALE_CASES + GRID_CASES,
+@pytest.mark.parametrize("shape, scale, t", SCALE_CASES + GRID_CASES + HEAVY_CASES,
                          ids=[f"a{a:g}-b{b:g}" for a, b, _ in SCALE_CASES]
-                         + [f"a{a:g}-b{b:g}-mode" for a, b, _ in GRID_CASES])
+                         + [f"a{a:g}-b{b:g}-mode" for a, b, _ in GRID_CASES]
+                         + [f"a{a:g}-t{t[0]:g}" for a, _, t in HEAVY_CASES])
 @pytest.mark.parametrize("model", SCALE_MODELS)
 def test_inverse_gamma_at_every_scale(model, shape, scale, t):
     spec = dict(SCALE_MODELS[model], mixing={"kind": "inverse_gamma", "shape": shape, "scale": scale})
@@ -190,14 +195,20 @@ def test_inverse_gamma_scale_closed_meets_mc(tmp_path, model, scale, t):
 
 
 # An inverse-gamma law of shape 0.2, whose tail v^-1.2 reaches so far that at
-# t = (1e-8, 0) the mixing quadrature's panels reach x = 1 (v = inf) before
-# they meet the tolerance.  mpmath gives 0.99930351755 there.
+# t = (1e-8, 0) the plain half-line map's panels reached x = 1 (v = inf)
+# before they met the tolerance; the edge exponent p = 1/0.2 of
+# quadrature.half_line keeps its integrand bounded there.  mpmath gives
+# 0.99930351755 there.
 _HEAVY = dict(SCALE_MODELS["lsm"], mixing={"kind": "inverse_gamma", "shape": 0.2, "scale": 1.0})
+# Shape 0.01: some 0.3% of the law's mass lies past v = 1e254, out of the
+# map's reach with its exponent capped at 16, and at t = (1e-140, 0) the CF
+# still counts that mass (V t^2/2 < 1e-26 there), so the panels reach v = inf.
+_BEYOND_REACH = dict(SCALE_MODELS["lsm"], mixing={"kind": "inverse_gamma", "shape": 0.01, "scale": 1.0})
 
 
-def _eval_heavy(tmp_path, capsys, t):
+def _eval_heavy(tmp_path, capsys, t, spec=_HEAVY):
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(_HEAVY))
+    path.write_text(json.dumps(spec))
     grid = json.dumps({"kind": "list", "points": [t]})
     rc = cli.main(["eval", "--spec", str(path), "--routes", "closed", "--grid", grid])
     out, err = capsys.readouterr()
@@ -206,23 +217,22 @@ def _eval_heavy(tmp_path, capsys, t):
 
 def test_heavy_mixing_reaching_infinity_fails_by_name(tmp_path, capsys):
     # exit 3 naming the point and v = inf, and no numpy warning on stderr
-    rc, out, err = _eval_heavy(tmp_path, capsys, [1e-8, 0.0])
+    rc, out, err = _eval_heavy(tmp_path, capsys, [1e-140, 0.0], _BEYOND_REACH)
     assert rc == 3 and out == ""
-    assert err == ("numeric failure: at grid point t=[1e-08, 0.0]: "
+    assert err == ("numeric failure: at grid point t=[1e-140, 0.0]: "
                    "MixingLaw.expectation: the quadrature reached v = inf\n")
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
 def test_expectation_reaching_infinity_fails_its_row(scale):
-    # the mass of the law itself: a failed row, never a silent nan
+    # the mean of the law, which diverges (shape 0.2 < 1): a failed row,
+    # never a silent nan
     law = MixingLaw.inverse_gamma(0.2, scale)
-    values, failures = law.expectation_rows(lambda rows, v: np.ones(v.shape), 1)
+    values, failures = law.expectation_rows(lambda rows, v: v, 1)
     assert math.isnan(values[0])
     assert str(failures[0]) == "MixingLaw.expectation: the quadrature reached v = inf"
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 9: the half-line map cannot resolve "
-                   "a mixing tail as heavy as v^-1.2 at t = 1e-8; the route fails by name")
 def test_heavy_mixing_at_small_t_meets_mpmath(tmp_path, capsys):
     rc, out, _ = _eval_heavy(tmp_path, capsys, [1e-8, 0.0])
     assert rc == 0
@@ -232,11 +242,11 @@ def test_heavy_mixing_at_small_t_meets_mpmath(tmp_path, capsys):
 
 
 def test_heavy_mixing_at_larger_t_keeps_its_value(tmp_path, capsys):
-    # at t = (1e-6, 0) the quadrature converges and prints the value it has
-    # always printed, within abs_err of mpmath (0.99560549284)
+    # at t = (1e-6, 0) the edge exponent moved the printed value from
+    # 0.99560549112286378, 1.7e-9 off mpmath (0.99560549284), to within 2e-16
     rc, out, _ = _eval_heavy(tmp_path, capsys, [1e-6, 0.0])
     assert rc == 0
     row = out.splitlines()[-1]
-    assert row == "9.9999999999999995e-07,0,0.99560549112286378,0,1e-08,closed"
+    assert row == "9.9999999999999995e-07,0,0.99560549284169098,0,1e-08,closed"
     want = ORACLES["lsm"](_HEAVY, np.array([1e-6, 0.0]))
-    assert abs(0.99560549112286378 - want) <= 1e-8
+    assert abs(0.99560549284169098 - want) <= 1e-8

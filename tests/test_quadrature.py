@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import mpmath as mp
 import oracles
 
 from ellipcf import generators as gn
@@ -24,6 +25,7 @@ from ellipcf.quadrature import (
     _phi_small_u_series,
     adaptive_interval,
     adaptive_rows,
+    half_line,
     integrate_bessel_oscillatory,
     moment_integral,
     phi_hankel,
@@ -210,6 +212,61 @@ class TestMomentIntegral:
         with pytest.raises(DivergentIntegralError):
             moment_integral(slow, 2)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_heavy_tail_against_mpmath(self, n):
+        # g = (1 + z)^-(n/2 + 1/4): the integrand decays like z^-(5/4), and
+        # its log-slope gives the map's exponent p = 2; the moment is
+        # B(n/2, 1/4).  The plain map reached v = inf here.
+        gen = gn.custom_generator(lambda z: (1.0 + z) ** -(0.5 * n + 0.25))
+        res = moment_integral(gen, n)
+        with mp.workdps(30):
+            want = float(mp.beta(mp.mpf(n) / 2, mp.mpf(1) / 4))
+        assert abs(res.value - want) <= max(res.err_est, 1e-9 * want)
+
+
+class TestHalfLine:
+    S = np.array([0.0, 1e-300, 1e-17, 0.25, 0.5, 0.75, 1.0 - 2.0**-30, np.nextafter(1.0, 0.0)])
+
+    @pytest.mark.parametrize("lo, hi, unit", [(0.0, math.inf, 1.0), (2.5, math.inf, 1e-3),
+                                              (0.0, 7.0, 2.0), (1.0, 1.5, 1e6)])
+    def test_exponent_one_is_the_plain_map(self, lo, hi, unit):
+        # p = 1 is v = lo + unit x/(1 - x) with num/den = unit/(1 - x)^2,
+        # bit for bit, on [0, top]
+        top, to_v, seeds = half_line(lo, hi, unit)
+        want_top = 1.0 if math.isinf(hi) else (hi - lo) / (unit + (hi - lo))
+        assert top == want_top and seeds == ()
+        x = self.S * top
+        v, num, den = to_v(x)
+        inner = x < 1.0
+        assert v[inner].tobytes() == (lo + unit * x[inner] / (1.0 - x[inner])).tobytes()
+        assert (num == unit).all() and den.tobytes() == ((1.0 - x) * (1.0 - x)).tobytes()
+        assert np.isinf(v[~inner]).all()
+
+    def test_exponent_carries_the_tail(self):
+        # p = 5: v = unit (1 - s)/s^5 keeps every digit as s -> 0 (v -> inf),
+        # and |dv/ds| = unit (5 - 4 s)/s^6
+        top, to_v, seeds = half_line(0.0, math.inf, 0.5, 5.0)
+        assert top == 1.0 and seeds == tuple(10.0**-k for k in range(13, 0, -1))
+        s = np.array([1e-40, 1e-13, 0.3, 1.0])
+        v, num, den = to_v(s)
+        assert_allclose(v, 0.5 * (1.0 - s) / s**5, rtol=1e-15)
+        assert_allclose(num / den, 0.5 * (5.0 - 4.0 * s) / s**6, rtol=1e-15)
+        assert v[-1] == 0.0
+        assert np.isinf(to_v(np.array([1e-70]))[0]).all()  # den underflows: v = inf
+
+    def test_singular_edge_carries_the_gap(self):
+        # a finite hi with p = 2: v = hi - den with den = (hi - lo) w^2 kept
+        # below the spacing of hi, and num/den = 2 (hi - lo) w
+        top, to_v, seeds = half_line(np.array([[0.5]]), np.array([[3.0]]), 1.0, 2.0)
+        assert top == 1.0 and seeds == ()
+        s = np.array([[0.0, 0.5, 1.0 - 1e-12]])
+        v, num, den = to_v(s)
+        w = 1.0 - s
+        assert_allclose(den, 2.5 * w * w, rtol=1e-15)
+        assert den[0, -1] < np.spacing(3.0) and v[0, -1] == 3.0
+        assert_allclose(v, 3.0 - den, rtol=0.0)
+        assert_allclose(num / den, 5.0 * w, rtol=1e-15)
+
 
 class TestRadialMoment:
     def test_zeroth_is_one(self):
@@ -292,6 +349,25 @@ class TestOscillatory:
     def test_invalid_support_radius(self):
         with pytest.raises(DomainError, match="support_radius must be > 0"):
             integrate_bessel_oscillatory(lambda r: 1.0, 0.0, 1.0, support_radius=0.0)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_peak_past_the_budget_fails_before_its_first_panel(self, n):
+        # at u = 1e9, u r_peak lies past the 400th Bessel zero: no panel is
+        # integrated, g sees the 400 radii of the r_peak grid alone, and the
+        # row fails as it did after its 400 panels
+        seen = []
+
+        def g(z):
+            seen.append(z)
+            return (1.0 + z) ** -3.0
+
+        gen = gn.custom_generator(g)
+        quadrature.normalizing_constant(n, gen)  # the moment integral, cached
+        seen.clear()
+        rows = phi_hankel_rows(gen, n, [1e9])
+        assert len(seen) == 400
+        assert str(rows.failures[0]) == (
+            "integrate_bessel_oscillatory: no convergence within 400 panels")
 
 
 class TestPhiHankel:
@@ -392,13 +468,10 @@ class TestPhiHankel:
         errs = np.array([abs(v - oracle(u)) for v, u in zip(rows.value.tolist(), us.tolist())])
         assert np.all(errs <= rows.err_est), us[errs > rows.err_est]
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 5: the integrable singularity at the Pearson II support "
-        "edge is not substituted, so err_est is far too optimistic",
-    )
     def test_error_estimate_covers_pearson_ii_edge(self):
-        # m = -0.7, n = 2, u = 5: true error ~4e-6 against err_est ~5e-10
+        # m = -0.7, n = 2, u = 5: the plain last panel missed by ~4e-6 with
+        # an err_est of ~5e-10; through half_line with p = 1/(m + 1) and g
+        # at the carried distance to the edge it is within 1e-12
         gen = gn.pearson_ii_generator(-0.7)
         res = phi_hankel(gen, 2, 5.0)
         assert abs(res.value - closed_form_generator(gen, 2, 25.0)) <= res.err_est
@@ -466,6 +539,7 @@ class TestPhiHankelRows:
         (gn.kotz_generator(2.0, 0.5, 0.75), 2),
         (gn.bessel_generator(0.5, 1.0), 2),
         (gn.custom_generator(lambda z: (1.0 + z) ** -3.0), 2),
+        (gn.pearson_ii_generator(-0.5), 2),
     ]
     # u = 0, the moment series below 1e-3, dyadic seeds up to u ~ 1.6 (the
     # first Bessel panel wider than 8 cells of u/4), and the far panels
@@ -476,7 +550,7 @@ class TestPhiHankelRows:
         return (res.value, res.err_est, res.panels_used, res.tail_bound)
 
     @pytest.mark.parametrize("gen, n", CASES, ids=["normal1", "normal3", "t2", "t5", "pearson2",
-                                                    "kotz075", "bessel", "custom"])
+                                                    "kotz075", "bessel", "custom", "pearson2_edge"])
     def test_rows_equal_one_point_calls(self, gen, n):
         rng = np.random.default_rng(n)
         us = np.array(self.US + rng.uniform(0.01, 12.0, 10).tolist())
