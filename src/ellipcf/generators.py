@@ -67,7 +67,8 @@ class DensityGenerator:
     which tell custom profiles apart in a sampler's provenance fingerprint.
     Where g(z) ~ (R^2 - z)^m at a finite support edge: ``edge``, the exponent
     max(1, 1/(m + 1)) of quadrature.half_line there, and ``g_edge``, g of the
-    distance R^2 - z the map carries (1 and None for a regular edge).
+    distance R^2 - z the map carries (1 and None for a regular edge); the
+    same for g': ``prime_edge``, max(1, 1/m), and ``g_prime_edge``.
     """
 
     family: Family
@@ -84,6 +85,8 @@ class DensityGenerator:
     probe: tuple = field(default=(), repr=False)
     edge: float = 1.0
     g_edge: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    prime_edge: float = 1.0
+    g_prime_edge: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 def _normalizable(finite: Callable[[float], bool], message: str) -> dict:
@@ -192,6 +195,8 @@ def pearson_ii_generator(m: float) -> DensityGenerator:
         ),
         edge=max(1.0, 1.0 / (m + 1.0)),
         g_edge=lambda d: _power(d, m),
+        prime_edge=max(1.0, 1.0 / m) if m > 0.0 else 1.0,
+        g_prime_edge=lambda d: -m * _power(d, m - 1.0),
     )
 
 

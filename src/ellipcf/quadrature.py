@@ -5,8 +5,8 @@ advances many integrands in lockstep on arrays (adaptive_rows); a scalar
 integrand is its one-row case (adaptive_interval).  The oscillatory
 integrator works in the Bessel argument x = omega r, splits that axis at
 consecutive Bessel zeros, integrates each inter-zero panel adaptively,
-and accelerates the alternating panel sums with an iterated Euler
-transform on an infinite support; a finite one is summed to its edge.
+and extrapolates the partial sums at the zeros with Sidi's mW
+transformation on an infinite support; a finite one is summed to its edge.
 No row leaves before the panel that reaches omega r_peak, where the
 envelope peaks, and a row out of its panel budget fails by name.
 It runs a whole set of frequencies in lockstep: every round integrates the
@@ -491,26 +491,33 @@ def normalizing_constant(n: int, gen: DensityGenerator) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _euler_rows(partials: np.ndarray, starts: np.ndarray, ends) -> tuple[np.ndarray, np.ndarray]:
-    # Iterated averaging of each row's partial sums, for several spans at
-    # once: span m of row i is partials[i, starts[i, m]:ends[m]].  Returns
-    # the deepest diagonal values and the sizes of their last refinement,
-    # each (rows, spans).  After d averagings an entry depends on d + 1
-    # consecutive columns only, so one pass over the widest span serves
-    # every row and span, each read off at its own depth and end.
-    ends = np.asarray(ends)
-    length = ends - starts
-    first = int(starts.min(initial=ends.max() - 1))
-    table = partials[:, first:ends.max()]
-    at = ends - 1 - first  # the column of each span's last entry
-    diagonal = [table[:, at]]
-    for depth in range(1, int(length.max(initial=1))):
-        table = 0.5 * (table[:, :-1] + table[:, 1:])
-        diagonal.append(table[:, np.maximum(at - depth, 0)])
-    diagonal = np.stack(diagonal)
-    r, m = np.indices(length.shape)
-    last, prev = diagonal[length - 1, r, m], diagonal[np.maximum(length - 2, 0), r, m]
-    return last, abs(last - prev)
+def _mw_rows(
+    partial: np.ndarray, x: np.ndarray, start: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    # Sidi's W-algorithm in its mW form (Sidi 1988; Lucas & Stone 1995) on the
+    # partial sums F_s = partial[i, start[i] + s] at x_s = x[start[i] + s]:
+    # with t_s = 1/x_s and psi_s = F_(s+1) - F_s, M^(s) = F_s/psi_s and
+    # N^(s) = 1/psi_s, then M^(s) <- (M^(s) - M^(s+1))/(t_s - t_(s+p+1)) and
+    # N likewise at p = 0, 1, ..., and W_p = M^(0)/N^(0) at column start + p + 2.
+    # Returns W_p there (nan elsewhere, and where a psi read is 0 or not
+    # finite) and |W_p - W_(p-1)| + |W_(p-1) - W_(p-2)|: one small step alone
+    # can be a near miss.  A row's entries come from its own columns only.
+    rows, count = partial.shape
+    r = np.arange(rows)
+    span = count - int(start.min(initial=count))
+    cols = start[:, None] + np.arange(span)  # past the end: nan
+    f = np.column_stack((partial, np.full((rows, span), np.nan)))[r[:, None], cols]
+    t = 1.0 / np.concatenate((x, np.full(span, np.nan)))[cols[:, :-1]]
+    psi = f[:, 1:] - f[:, :-1]
+    m, n = f[:, :-1] / psi, 1.0 / psi
+    w = np.full((rows, count), np.nan)
+    for p in range(span - 2):
+        d = t[:, :span - 2 - p] - t[:, p + 1:]
+        m, n = (m[:, :-1] - m[:, 1:]) / d, (n[:, :-1] - n[:, 1:]) / d
+        at = start + p + 2
+        w[r[at < count], at[at < count]] = (m[:, 0] / n[:, 0])[at < count]
+    step = abs(np.diff(w, prepend=np.nan))
+    return w, step + np.pad(step[:, :-1], ((0, 0), (1, 0)), constant_values=np.nan)
 
 
 # Bessel panels per round of the oscillatory engine, from 2 doubling up to
@@ -522,7 +529,7 @@ _ROUND_PANELS = 8
 
 # Float arithmetic as in Python: an inf or nan panel passes through the sums
 # silently, with none of numpy's RuntimeWarnings.
-@np.errstate(invalid="ignore", over="ignore")
+@np.errstate(invalid="ignore", over="ignore", divide="ignore")
 def _oscillatory_rows(
     envelope: Callable[[np.ndarray], np.ndarray],
     nu: float,
@@ -558,10 +565,10 @@ def _oscillatory_rows(
         "id": np.arange(count), "omega": omegas, "tol": abs_tols,
         "panel_abs": abs_tols / 64.0 * omegas, "min_cell": 0.25 * omegas,
         "x_edge": support_radius * omegas, "x_peak": r_peak * omegas, "x_prev": zero,
-        "running": zero, "quad_err": zero, "abs_sum": zero, "peak": zero, "prev_acc": zero,
-        "panels": np.zeros(count, dtype=int), "streak": np.zeros(count, dtype=int),
-        "contrib": np.zeros((count, 0)), "partial": np.zeros((count, 0)),
+        "running": zero, "quad_err": zero, "abs_sum": zero, "peak": zero,
+        "panels": np.zeros(count, dtype=int), "partial": np.zeros((count, 0)),
     }
+    zeros = []  # the panel ends so far, every row's on an infinite support
 
     no_convergence = f"integrate_bessel_oscillatory: no convergence within {_MAX_PANELS} panels"
     # a row whose omega r_peak lies past the end of its last panel, j_(nu, _MAX_PANELS) <
@@ -572,19 +579,20 @@ def _oscillatory_rows(
     done, width = 0, 1
     while len(live["id"]) and done < _MAX_PANELS:
         width = min(2 * width, _ROUND_PANELS, _MAX_PANELS - done)
-        ks = np.arange(done + 1, done + width + 1)
         rows = len(live["id"])
         # panel j of row i is [lo[i, j], hi[i, j]], cut short at the support edge
-        zeros, top = [], live["x_edge"].max()
-        for k in ks.tolist():  # no zeros past every row's support edge
+        top = live["x_edge"].max()
+        for k in range(done + 1, done + width + 1):  # none past every row's support edge
             zeros.append(bessel_j_zero(nu, k) if not zeros or zeros[-1] < top else zeros[-1])
-        hi = np.minimum(np.array(zeros), live["x_edge"][:, None])
+        hi = np.minimum(np.array(zeros[done:]), live["x_edge"][:, None])
         lo = np.column_stack((live["x_prev"], hi[:, :-1]))
         # the panels that end at the edge run in half_line's s on [0, 1]
         edged = ((hi >= live["x_edge"][:, None]) & (lo < hi)).ravel() & (edge_exponent != 1.0)
         a, b = np.where(edged, 0.0, lo.ravel()), np.where(edged, 1.0, hi.ravel())
+        # a wide panel before the peak is seeded toward its left end, where
+        # the envelope may rise in a narrow feature; past the peak it decays
         cell = np.repeat(live["min_cell"], width)
-        wide = ((hi - lo).ravel() > 8.0 * cell) & ~edged
+        wide = ((hi - lo).ravel() > 8.0 * cell) & ~edged & (lo < live["x_peak"][:, None]).ravel()
         seeds, unresolved = None, {}
         if wide.any():
             seeds = []
@@ -631,7 +639,6 @@ def _oscillatory_rows(
             failed.flat[list(raised)] = True
 
         # each panel's state, summed panel after panel
-        contrib = np.concatenate((live["contrib"], val), axis=1)
         running = np.cumsum(np.column_stack((live["running"], val)), axis=1)[:, 1:]
         partial = np.concatenate((live["partial"], running), axis=1)
         quad_err = np.cumsum(np.column_stack((live["quad_err"], err)), axis=1)[:, 1:]
@@ -646,9 +653,9 @@ def _oscillatory_rows(
         # the exit rules, in their order at each panel: the panel is empty
         # (the sum stops before it), its integrand raises, the finite
         # support is exhausted (plain sum, no tail), the envelope has decayed
-        # below the cutoff (geometric tail bound), the Euler-accelerated sums
-        # agree (every even k >= 10, infinite support only).  The last two
-        # end a row only on a panel that reaches x = omega r_peak.
+        # below the cutoff (geometric tail bound), the mW values have settled
+        # (infinite support only).  The last two end a row only on a panel
+        # that reaches x = omega r_peak.
         stuck = hi <= lo
         edge = hi >= live["x_edge"][:, None]
         past_peak = hi >= live["x_peak"][:, None]
@@ -656,61 +663,45 @@ def _oscillatory_rows(
         cutoff = np.fmax(_TAIL_CUTOFF * np.fmax(peak, 1e-300), 1e-300)
         cut = (last <= cutoff) & (last <= 0.01 * tol) & past_peak
         agreed = np.zeros((rows, width), dtype=bool)
-        acc_at, acc_err = np.zeros((rows, width)), np.zeros((rows, width))
-        prev_acc, streak = live["prev_acc"], live["streak"]
-        euler = [j for j, k in enumerate(ks.tolist()) if k >= 10 and k % 2 == 0 and infinite]
-        if euler:
-            ends = ks[euler]  # each from the first largest panel so far
-            starts = np.column_stack([abs(contrib[:, :k]).argmax(axis=1) for k in ends.tolist()])
-            accs, resids = _euler_rows(partial, starts, ends)
-        for m, (j, k) in enumerate(zip(euler, ks[euler].tolist())):
-            acc, resid = accs[:, m], resids[:, m]
-            tol_acc = 0.25 * np.fmax(live["tol"], _REL_TOL * abs(acc))
-            change = abs(acc - prev_acc)
-            # at k = 10 there is no earlier estimate to agree with
-            agree = (change < tol_acc) & (resid < tol_acc) & (k > 10)
-            streak = np.where(agree, streak + 1, 0)
-            prev_acc = acc
-            agreed[:, j] = (streak >= 2) & past_peak[:, j]
-            acc_at[:, j] = acc
-            acc_err[:, j] = np.fmax(np.fmax(resid * 4.0, change * 2.0), quad_err[:, j])
+        w = change = running  # read by no exit on a finite support
+        if infinite:
+            # each row's W table starts four panel ends before the panel that
+            # reaches its peak, so its first exit test, on W_2, falls there
+            x = np.array(zeros)
+            start = np.maximum(np.searchsorted(x, live["x_peak"]) - 4, 0)
+            w, change = (z[:, done:] for z in _mw_rows(partial, x, start))
+            agreed = (change <= tol) & past_peak
 
         rules = np.stack((stuck, failed, edge, cut, agreed))  # (rule, row, panel)
         fired = rules.any(axis=0)
         leaving = fired.any(axis=1)
-        some_leave = leaving.any()
-        if some_leave:
-            r = np.flatnonzero(leaving)
-            j = fired[r].argmax(axis=1)
-            rule = rules[:, r, j].argmax(axis=0)
-            ids = live["id"][r]
-            # the rows that leave with a value: (value, err_est, tail_bound)
-            # per rule, err_est raised by the rounding floor
-            for code, (v, e, tl) in {2: (running, quad_err, np.zeros_like(last)),
-                                     3: (running, quad_err + last, last),
-                                     4: (acc_at, acc_err, last)}.items():
-                on = rule == code
-                at = (r[on], j[on])
-                value[ids[on]], tail[ids[on]] = v[at], tl[at]
-                err_est[ids[on]] = e[at] + _ROUND_FLOOR * abs_sum[at]
-                panels_used[ids[on]] = used[at]
-            for i, row, panel, code in zip(ids.tolist(), r.tolist(), j.tolist(), rule.tolist()):
-                if code == 0:
-                    # a panel is empty only at a support edge at x = 0, before
-                    # any panel: nothing is summed, and no panel budget helps
-                    failures[i] = ConvergenceError(no_convergence)
-                elif code == 1:
-                    failures[i] = raised[row * width + panel]
+        r = np.flatnonzero(leaving)
+        j = fired[r].argmax(axis=1)
+        rule = rules[:, r, j].argmax(axis=0)
+        ids = live["id"][r]
+        # the rows that leave with a value: (value, err_est, tail_bound)
+        # per rule, err_est raised by the rounding floor
+        for code, (v, e, tl) in {2: (running, quad_err, np.zeros_like(last)),
+                                 3: (running, quad_err + last, last),
+                                 4: (w, change + quad_err, last)}.items():
+            on = rule == code
+            at = (r[on], j[on])
+            value[ids[on]], tail[ids[on]] = v[at], tl[at]
+            err_est[ids[on]] = e[at] + _ROUND_FLOOR * abs_sum[at]
+            panels_used[ids[on]] = used[at]
+        for i, row, panel, code in zip(ids.tolist(), r.tolist(), j.tolist(), rule.tolist()):
+            if code == 0:
+                # a panel is empty only at a support edge at x = 0, before
+                # any panel: nothing is summed, and no panel budget helps
+                failures[i] = ConvergenceError(no_convergence)
+            elif code == 1:
+                failures[i] = raised[row * width + panel]
 
         live.update(
             x_prev=hi[:, -1], running=running[:, -1], quad_err=quad_err[:, -1],
-            abs_sum=abs_sum[:, -1],
-            panels=used[:, -1], peak=peak[:, -1], prev_acc=prev_acc, streak=streak,
-            contrib=contrib, partial=partial,
+            abs_sum=abs_sum[:, -1], panels=used[:, -1], peak=peak[:, -1], partial=partial,
         )
-        if some_leave:
-            for key in live:
-                live[key] = live[key][~leaving]
+        live = {key: z[~leaving] for key, z in live.items()}
         done += width
 
     for i in live["id"].tolist():  # out of panels
@@ -728,10 +719,10 @@ def integrate_bessel_oscillatory(
 
     Panels are integrated in x = omega r, as int f(x/omega) J_nu(x) dx / omega,
     between consecutive Bessel zeros; each panel is integrated adaptively,
-    and for infinite support the alternating panel sums are Euler-accelerated
-    so algebraically decaying envelopes (heavy tails) still converge in a
-    bounded panel budget.  The one-row case of the lockstep engine behind
-    phi_hankel_rows, with f called point by point.
+    and for infinite support the partial sums at the zeros are extrapolated
+    by Sidi's mW transformation, so algebraically decaying envelopes (heavy
+    tails) converge in a few panels.  The one-row case of the lockstep engine
+    behind phi_hankel_rows, with f called point by point.
     """
     if not omega > 0.0:
         raise DomainError("integrate_bessel_oscillatory: omega must be > 0")
@@ -780,7 +771,7 @@ _ROWS = 1 << 9
 
 def _bessel_transform_rows(
     gen: DensityGenerator, n: int, us, nu: float,
-    envelope: Callable[[np.ndarray], np.ndarray], scale: float, edge: float = 1.0,
+    envelope: Callable[[np.ndarray], np.ndarray], scale: float, edge: float,
 ) -> QuadRows:
     # phi(u^2) = scale c_n (2 pi)^(n/2) u^(-nu) int_0^R envelope(r) J_nu(u r) dr
     # at every u of the array us: the front end of phi_hankel_rows and of the

@@ -402,8 +402,8 @@ def star_unimodal_rows(gen: DensityGenerator, n: int, us) -> QuadRows:
 
     2 c_n (2 pi)^(n/2) u^(-n/2) int_0^inf w^(n/2+1) J_(n/2)(w u) (-g'(w^2)) dw
 
-    phi_hankel_rows' front end with the order n/2 and the envelope
-    -w^(n/2+1) g'(w^2): u = 0 gives exactly 1,
+    phi_hankel_rows' front end with the order n/2, the envelope
+    -w^(n/2+1) g'(w^2) and the edge exponent of g': u = 0 gives exactly 1,
     0 < u < 1e-3 the moment series (the ball-kernel series in
     E[W^(2k)] = ((n+2k)/n) E[R^(2k)] is term by term phi_hankel's series in
     E[R^(2k)]), every other u the oscillatory engine, in lockstep.  A
@@ -412,11 +412,14 @@ def star_unimodal_rows(gen: DensityGenerator, n: int, us) -> QuadRows:
     from .quadrature import _bessel_transform_rows
 
     _check_star_unimodal(gen)
+    radius = gen.support_radius
 
-    def envelope(w: np.ndarray) -> np.ndarray:
-        return -_power(w, 0.5 * n + 1.0) * gen.g_prime(w * w)
+    def envelope(w: np.ndarray, gap: Optional[np.ndarray] = None) -> np.ndarray:
+        # at the support edge R, g_prime_edge at R^2 - w^2 = gap (2 R - gap)
+        dg = gen.g_prime(w * w) if gap is None else gen.g_prime_edge(gap * (2.0 * radius - gap))
+        return -_power(w, 0.5 * n + 1.0) * dg
 
-    return _bessel_transform_rows(gen, n, us, 0.5 * n, envelope, 2.0)
+    return _bessel_transform_rows(gen, n, us, 0.5 * n, envelope, 2.0, gen.prime_edge)
 
 
 def cf_star_unimodal(gen: DensityGenerator, n: int, t) -> ComplexCF:

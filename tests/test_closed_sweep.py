@@ -14,7 +14,7 @@ generator, against the same oracles: each row either fails with a named
 error or is within its own err_est + 8 eps.  Rows whose envelope peaks past
 the panel budget (u r_peak beyond about 1257) fail by name.  The slice also
 runs Pearson II with m < 0 at n in {2, 3}, whose profile is singular at the
-support edge.
+support edge, and on the star route with m in {0.3, 0.5}, whose g' is.
 """
 
 import mpmath as mp
@@ -129,15 +129,19 @@ def test_hankel_route_named_error_or_honest(key, n):
                            _oracle_row(key, n))
 
 
+def _pearson_ii_row(m, n):
+    with mp.workdps(40):
+        return np.array([float(mp.hyp0f1(mp.mpf(n) / 2 + mp.mpf(m) + 1, -mp.mpf(u * u) / 4))
+                         for u in FREQUENCIES])
+
+
 @pytest.mark.parametrize("m", [-0.5, -0.7])
 @pytest.mark.parametrize("n", [2, 3])
 def test_hankel_route_at_a_singular_edge(m, n):
     # (1 - z)^m: the last panel goes through quadrature.half_line with
     # p = 1/(m + 1), and g through the distance to the edge the map carries
-    with mp.workdps(40):
-        want = np.array([float(mp.hyp0f1(mp.mpf(n) / 2 + mp.mpf(m) + 1, -mp.mpf(u * u) / 4))
-                         for u in FREQUENCIES])
-    _named_error_or_honest(phi_hankel_rows(gn.pearson_ii_generator(m), n, FREQUENCIES), want)
+    _named_error_or_honest(phi_hankel_rows(gn.pearson_ii_generator(m), n, FREQUENCIES),
+                           _pearson_ii_row(m, n))
 
 
 @pytest.mark.parametrize("key, n", [pytest.param(key, n, id=f"{key}-n{n}")
@@ -146,3 +150,12 @@ def test_hankel_route_at_a_singular_edge(m, n):
 def test_star_route_named_error_or_honest(key, n):
     _named_error_or_honest(star_unimodal_rows(FAMILIES[key][0](n), n, FREQUENCIES),
                            _oracle_row(key, n))
+
+
+@pytest.mark.parametrize("m", [0.3, 0.5])
+@pytest.mark.parametrize("n", [2, 3])
+def test_star_route_at_a_singular_edge(m, n):
+    # g' ~ -m (1 - z)^(m - 1): the last panel goes through quadrature.half_line
+    # with p = 1/m, and g' through the distance to the edge the map carries
+    _named_error_or_honest(star_unimodal_rows(gn.pearson_ii_generator(m), n, FREQUENCIES),
+                           _pearson_ii_row(m, n))

@@ -138,11 +138,18 @@ PINNED = {
     "radial_density": (_densities,
         "8dea9c441176273f3555525271bc9911f0f8032a180fb0bd45f4ef53a28e1de2"),
     # the J zeros from secant steps (not bisection) moved the hankel and star
-    # rows by at most 1.7e-15; their err_est carries the rounding floor
+    # rows by at most 1.7e-15; their err_est carries the rounding floor.  The
+    # mW transformation, and no dyadic seeds past the envelope's peak, moved
+    # 38 of 72 hankel and 22 of 36 star rows: 24 and 12 left by
+    # extrapolation before and after, 7 and 6 by the tail cutoff before and
+    # by mW after, 7 and 4 by the cutoff both times (moved at the last bits
+    # only).  Against closed forms or mpmath their worst error went from
+    # 1.5e-11 to 1.2e-11 (hankel) and from 2.6e-11 to 6.2e-12 (star), at
+    # most 0.038 of their err_est
     "phi_hankel_rows": (_hankel,
-        "106af3a34269bee578738e08effd305aac8b29848a5e128a761f5ede7a1b0858"),
+        "d389dd43481fdd9af408a551a4df2470c85dd5524fa50f61b7310a5ccb713b6e"),
     "star_unimodal_rows": (_star,
-        "1b940814006016398babfa286558cf531d1b80624c831e5dd7da7e7855e6c683"),
+        "7d546d1362b562f1a516c7ec4f27ff2e5927b1e21bd1b6c0bcb5b868d8f35186"),
     # the CDF tables live in s of quadrature.half_line, with no cut of the
     # support; the draws' KS against the exact CDFs did not move
     "elliptical_draws": (_draws,

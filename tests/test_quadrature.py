@@ -430,6 +430,23 @@ class TestPhiHankel:
             assert abs(res.value - 1.0) <= res.err_est
             assert rows.row(0) == res
 
+    @pytest.mark.parametrize("gen, n, big_n, s", [
+        (gn.generalized_t_generator(1, 1.0, 1), 1, 1.0, 1.0),
+        (gn.generalized_t_generator(2, 1.0, 1), 2, 1.5, 1.0),
+        (gn.generalized_t_generator(2, 3.0, 3), 2, 2.5, 3.0),
+        (gn.pearson_vii_generator(3.7, 2.0), 5, 3.7, 2.0),
+    ], ids=["cauchy-n1", "cauchy-n2", "t3-n2", "pearson_vii-n5"])
+    def test_heavy_tail_in_few_panels(self, gen, n, big_n, s):
+        # algebraic tails at small u: the mW transformation of the partial
+        # sums at the zeros meets the closed form within a few Bessel panels
+        # (Euler averaging took 142 to 307 Gauss-Kronrod panels here)
+        us = [0.02, 0.1, 0.32, 1.0]
+        rows = phi_hankel_rows(gen, n, us)
+        want = np.array([oracles.pearson_vii_phi_mp(n, big_n, s, u * u) for u in us])
+        assert not rows.failures
+        assert np.all(rows.panels_used <= 40), rows.panels_used
+        assert np.all(abs(rows.value - want) <= rows.err_est + 8.0 * np.finfo(float).eps)
+
     def test_error_estimate_honesty(self):
         # true error <= 10 * err_est on >= 95% of the closed-form grid
         fams = [
@@ -583,7 +600,7 @@ class TestPhiHankelRows:
         # same message
         monkeypatch.setattr(quadrature, "_MAX_PANELS", max_panels)
         gen = gn.generalized_t_generator(2, 3.0, 3)
-        us = [0.3, 1.1, 4.0, 9.5, 0.0]
+        us = [0.3, 1.1, 4.0, 9.5, 0.0, 60.0]
         rows = phi_hankel_rows(gen, 2, us)
         assert rows.failures
         for i, u in enumerate(us):
