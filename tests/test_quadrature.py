@@ -439,7 +439,6 @@ class TestPhiHankel:
     def test_heavy_tail_in_few_panels(self, gen, n, big_n, s):
         # algebraic tails at small u: the mW transformation of the partial
         # sums at the zeros meets the closed form within a few Bessel panels
-        # (Euler averaging took 142 to 307 Gauss-Kronrod panels here)
         us = [0.02, 0.1, 0.32, 1.0]
         rows = phi_hankel_rows(gen, n, us)
         want = np.array([oracles.pearson_vii_phi_mp(n, big_n, s, u * u) for u in us])
