@@ -65,10 +65,9 @@ class DensityGenerator:
     raising DomainError where the profile cannot serve dimension n.  A
     custom profile's ``probe`` holds g at the radii its construction checked,
     which tell custom profiles apart in a sampler's provenance fingerprint.
-    Where g(z) ~ (R^2 - z)^m at a finite support edge: ``edge``, the exponent
-    max(1, 1/(m + 1)) of quadrature.half_line there, and ``g_edge``, g of the
-    distance R^2 - z the map carries (1 and None for a regular edge); the
-    same for g': ``prime_edge``, max(1, 1/m), and ``g_prime_edge``.
+    Where g(z) ~ (R^2 - z)^m at a finite support edge, ``g_edge`` is g of
+    the distance R^2 - z that quadrature.half_line carries there (None: a
+    regular edge), and ``g_prime_edge`` the same for g'.
     """
 
     family: Family
@@ -83,9 +82,7 @@ class DensityGenerator:
     finite: Callable[[float], bool] = lambda d: True
     check_dimension: Callable[[int], None] = lambda n: None
     probe: tuple = field(default=(), repr=False)
-    edge: float = 1.0
     g_edge: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    prime_edge: float = 1.0
     g_prime_edge: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
@@ -193,9 +190,7 @@ def pearson_ii_generator(m: float) -> DensityGenerator:
         moment=lambda d: (
             gamma_fn(0.5 * d) * gamma_fn(p["m"] + 1.0) / gamma_fn(0.5 * d + p["m"] + 1.0)
         ),
-        edge=max(1.0, 1.0 / (m + 1.0)),
         g_edge=lambda d: _power(d, m),
-        prime_edge=max(1.0, 1.0 / m) if m > 0.0 else 1.0,
         g_prime_edge=lambda d: -m * _power(d, m - 1.0),
     )
 

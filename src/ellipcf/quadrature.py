@@ -18,7 +18,7 @@ closed forms, on a whole grid at once (phi_hankel_rows).  Every integrand
 here calls the generator's profile g on float arrays; the moment integral
 of a custom generator is one adaptive_rows row, and the named families'
 moments are read from their record.  half_line maps every half-line and
-singular edge these integrals meet.
+singular edge these integrals meet, with the exponent _end_exponent measures.
 """
 
 from __future__ import annotations
@@ -386,6 +386,22 @@ def half_line(lo, hi, unit: float, p: float = 1.0):
     return 1.0 if math.isinf(hi) else (hi - lo) / (unit + (hi - lo)), to_v, ()
 
 
+def _end_exponent(h: Callable[[np.ndarray], np.ndarray], end: float = math.inf) -> float:
+    # half_line's exponent p for an integrand h up to `end`, from its log-slope
+    # over one doubling of the distance to the end: v = 1e8 -> 2e8 on a
+    # half-line, d = 1e-8 -> 2e-8 (in units of end) below a finite edge.
+    # h ~ v^(-1-e) far out, or ~ d^(e-1) at the edge, gives p = 1/e rounded
+    # up (so rounding cannot move p = 1); 1 where e <= 0, or there is no slope.
+    infinite = math.isinf(end)
+    at = np.array([1e8, 2e8]) if infinite else end * (1.0 - np.array([1e-8, 2e-8]))
+    try:
+        a, b = h(at).tolist()
+        e = (math.log2(b / a) + 1.0) * (-1.0 if infinite else 1.0)
+        return float(max(1, math.ceil(1.0 / e - 1e-3))) if e > 0.0 else 1.0
+    except Exception:  # h zero, overflowing, not real or raising: no slope
+        return 1.0
+
+
 # Float arithmetic as in Python: 0 * inf is nan and an overflow inf, with
 # none of numpy's RuntimeWarnings.
 @np.errstate(invalid="ignore", over="ignore")
@@ -395,25 +411,16 @@ def moment_integral(gen: DensityGenerator, n: int) -> QuadResult:
     Written in the radius variable (z = v^2), 2 int_0^R v^(n-1) g(v^2) dv
     with R the support radius, so the n = 1 endpoint is regular: one
     adaptive_rows row over half_line(0, R, 1, p), g called only inside the
-    support.  p is the generator's edge exponent on a finite support; on an
-    infinite one, h ~ v^(-1-e) far out gives p = 1/e from its log-slope at
-    v = 1e8, rounded up (so rounding cannot move p = 1), and 1 where e <= 0
-    or h has no slope there.  A divergent tail drives the panels to v = inf
-    and raises DivergentIntegralError.
+    support, with p measured on the integrand at its end (_end_exponent).
+    A divergent tail drives the panels to v = inf and raises
+    DivergentIntegralError.
     """
-    g, d, radius, p = gen.g, float(n), gen.support_radius, gen.edge
+    g, d, radius = gen.g, float(n), gen.support_radius
 
     def h(v: np.ndarray) -> np.ndarray:
         return _power(v, d - 1.0) * g(v * v)
 
-    if math.isinf(radius):
-        try:
-            a, b = h(np.array([1e8, 2e8])).tolist()
-            e = -math.log2(b / a) - 1.0
-        except (ArithmeticError, ValueError, TypeError):  # h zero, overflowing, not real
-            e = 0.0
-        p = float(max(1, math.ceil(1.0 / e - 1e-3))) if e > 0.0 else 1.0
-    top, to_v, seeds = half_line(0.0, radius, 1.0, p)
+    top, to_v, seeds = half_line(0.0, radius, 1.0, _end_exponent(h, radius))
 
     def integrand(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
         v, num, den = to_v(s)
@@ -553,9 +560,11 @@ def _oscillatory_rows(
     panel_rel = min(_REL_TOL, 1e-10)
     # r_peak maximises |envelope| on a fixed log grid of radii, skipping the
     # radii where it raises: before x = omega r_peak the panels still grow,
-    # so no panel tells how small the rest is
+    # so no panel tells how small the rest is.  The grid stops where r^(nu+1),
+    # a factor of both transform envelopes, overflows: one envelope call.
     grid = np.geomspace(1e-8, min(support_radius, 1e8), 400)
-    mag, ok = _call_rows(lambda ids, r: envelope(r), np.arange(400), grid[:, None], {})
+    grid = grid[(nu + 1.0) * np.log(grid) < np.log(np.finfo(float).max)]
+    mag, ok = _call_rows(lambda ids, r: envelope(r), np.arange(len(grid)), grid[:, None], {})
     r_peak = grid[ok][np.nan_to_num(abs(mag[:, 0]), nan=0.0).argmax()] if ok.any() else 0.0
     infinite = math.isinf(support_radius)
     # the state of every row still running after `done` panels, one entry
@@ -756,30 +765,30 @@ def _phi_small_u_series(gen: DensityGenerator, n: int, u: float) -> QuadResult:
     raise ConvergenceError("small-u moment series did not converge")
 
 
-def _oscillatory_tol(prefactor: float) -> float:
-    # the engine's absolute target for an integral that prefactor multiplies
-    tol = _ABS_TOL / max(prefactor, 1.0)
-    if not tol > 0.0:
-        raise DomainError(f"phi_hankel: no positive tolerance under the prefactor {prefactor}")
-    return tol
-
-
 # Rows per pass of the oscillatory engine: bounds the memory a pass holds
 # (a round's nodes and every row's panel history).
 _ROWS = 1 << 9
 
 
 def _bessel_transform_rows(
-    gen: DensityGenerator, n: int, us, nu: float,
-    envelope: Callable[[np.ndarray], np.ndarray], scale: float, edge: float,
+    gen: DensityGenerator, n: int, us, nu: float, profile: Callable[[np.ndarray], np.ndarray],
+    edge_profile: Optional[Callable[[np.ndarray], np.ndarray]], scale: float,
 ) -> QuadRows:
-    # phi(u^2) = scale c_n (2 pi)^(n/2) u^(-nu) int_0^R envelope(r) J_nu(u r) dr
+    # phi(u^2) = scale c_n (2 pi)^(n/2) u^(-nu) int_0^R r^(nu+1) profile(r^2) J_nu(u r) dr
     # at every u of the array us: the front end of phi_hankel_rows and of the
     # star route's grid form.  u = 0 gives exactly 1 and 0 < u < 1e-3 the
     # moment series; every other u goes through the oscillatory engine, all
-    # of them in lockstep, in passes of _ROWS rows.  envelope maps an array
-    # of radii to its values, entry by entry; edge is the engine's exponent
-    # at a finite support edge.
+    # of them in lockstep, in passes of _ROWS rows.  profile maps an array of
+    # z to its values, entry by entry; edge_profile (None: a regular edge) is
+    # profile of the distance R^2 - z to a finite support edge, read there at
+    # the distance half_line carries, with p measured on the envelope.
+    radius = gen.support_radius
+
+    def envelope(r: np.ndarray, gap: Optional[np.ndarray] = None) -> np.ndarray:
+        # at the support edge R, edge_profile at R^2 - r^2 = gap (2 R - gap)
+        prof = profile(r * r) if gap is None else edge_profile(gap * (2.0 * radius - gap))
+        return _power(r, nu + 1.0) * prof
+
     if n < 1:
         raise DomainError("phi_hankel: dimension must be >= 1")
     us = np.asarray(us, dtype=float).reshape(-1)
@@ -811,16 +820,20 @@ def _bessel_transform_rows(
             if head is None:
                 head = scale * (normalizing_constant(n, gen) * (2.0 * math.pi) ** (0.5 * n))
             prefactor = head * u ** (-nu)
-            tols.append(_oscillatory_tol(prefactor))
+            tol = _ABS_TOL / max(abs(prefactor), 1.0)  # the engine's absolute target
+            if not tol > 0.0:
+                raise DomainError(f"phi_hankel: no positive tolerance under the prefactor {prefactor}")
+            tols.append(tol)
             prefactors.append(prefactor)
             rows.append(i)
         except Exception as exc:  # raised again at its row
             failures[i] = exc
 
+    edge = 1.0 if edge_profile is None else _end_exponent(lambda r: envelope(r, radius - r), radius)
     for start in range(0, len(rows), _ROWS):
         sl = slice(start, start + _ROWS)
         idx, pref = np.array(rows[sl]), np.array(prefactors[sl])
-        res = _oscillatory_rows(envelope, nu, us[idx], np.array(tols[sl]), gen.support_radius, edge)
+        res = _oscillatory_rows(envelope, nu, us[idx], np.array(tols[sl]), radius, edge)
         value[idx], err_est[idx] = pref * res.value, abs(pref) * res.err_est
         panels_used[idx], tail[idx] = res.panels_used, abs(pref) * res.tail_bound
         failures.update({int(idx[i]): exc for i, exc in res.failures.items()})
@@ -840,17 +853,11 @@ def phi_hankel_rows(gen: DensityGenerator, n: int, us) -> QuadRows:
     sidestepped with a moment series (for generators whose moments exist).
     Every other u goes through the oscillatory engine, all of them in
     lockstep, panel by panel, with the generator's profile g and, at a
-    finite support edge, its edge exponent.  Each row
-    gets the bits it would get alone; a row whose computation raises has
-    its exception in the result's failures.
+    singular support edge, its g_edge.  Each row gets the bits it would get
+    alone; a row whose computation raises has its exception in the result's
+    failures.
     """
-
-    def envelope(r: np.ndarray, gap: Optional[np.ndarray] = None) -> np.ndarray:
-        # at the support edge R, g_edge at R^2 - r^2 = gap (2 R - gap)
-        g = gen.g(r * r) if gap is None else gen.g_edge(gap * (2.0 * gen.support_radius - gap))
-        return _power(r, 0.5 * n) * g
-
-    return _bessel_transform_rows(gen, n, us, 0.5 * (n - 2.0), envelope, 1.0, gen.edge)
+    return _bessel_transform_rows(gen, n, us, 0.5 * (n - 2.0), gen.g, gen.g_edge, 1.0)
 
 
 def phi_hankel(gen: DensityGenerator, n: int, u: float) -> QuadResult:

@@ -34,6 +34,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
@@ -57,7 +58,6 @@ from .specfun import (
     _complex,
     _elementwise,
     _node_by_node,
-    _power,
     norm_cdf_imag,
     norm_cdf_imag_scaled,
 )
@@ -127,13 +127,13 @@ class MixingLaw:
     shape, 0-d included), on ``support``; ``parts``, the samplers'
     fingerprint parts (kind, v0, points, weights, shape, scale), None where
     the kind has no such field, then for a custom density its support and
-    its values at 32 points spread over it; ``unit`` and ``tail``, the scale
-    and the edge exponent of the quadrature map quadrature.half_line (the
-    mode b/(a + 1) and max(1, 1/a) of the inverse gamma, whose density
-    decays like v^(-1-a); 1 and 1 otherwise).  Expectations are exact
-    sums for the exact laws and adaptive quadrature against the density
-    otherwise, in s of that map on every support; a custom density's draws
-    invert its CDF tabulated in the same s.
+    its values at 32 points spread over it; ``unit``, the scale of the map
+    quadrature.half_line (the mode b/(a + 1) of the inverse gamma, else 1).
+    Expectations are exact sums for the exact laws and adaptive quadrature
+    against the density otherwise, in s of that map on every support, with
+    its exponent measured once on an infinite support's tail (a density
+    ~ v^(-1-a) takes 1/a rounded up); a custom density's draws invert its
+    CDF tabulated in s of the map with exponent 1.
     """
 
     kind: str
@@ -144,7 +144,6 @@ class MixingLaw:
     density: Optional[Callable[[np.ndarray], np.ndarray]] = None
     support: tuple[float, float] = (0.0, math.inf)
     unit: float = 1.0
-    tail: float = 1.0
 
     @classmethod
     def degenerate(cls, v0: float) -> "MixingLaw":
@@ -206,7 +205,6 @@ class MixingLaw:
             parts=("inverse_gamma", None, None, None, shape, scale),
             density=density,
             unit=scale / (shape + 1.0),
-            tail=max(1.0, 1.0 / shape),
         )
 
     @classmethod
@@ -265,8 +263,8 @@ class MixingLaw:
         rows[i, 0] names the integrand at the values v[i].  Exact sums for
         the discrete kinds, one fn call for all rows and points; otherwise
         quadrature against the density with quadrature.adaptive_rows, one fn
-        call per round, in s of quadrature.half_line, so the nodes follow the
-        law's scale and its tail.  A row whose fn call raises, whose panels
+        call per round, in s of the law's map (see the class), so the nodes
+        follow its scale and its tail.  A row whose fn call raises, whose panels
         reach v = inf, or whose finite value has a quadrature error estimate over
         _MIX_ABS_TOL (1e-8) or nan, gets its exception in failures (row ->
         exception) and a nan value; no other row changes.  A value that is
@@ -285,9 +283,9 @@ class MixingLaw:
             out = np.full(count, np.nan, dtype=np.result_type(total, float))
             out[ok] = total
             return out, failures
-        from .quadrature import adaptive_rows, half_line  # continuous laws only
+        from .quadrature import adaptive_rows  # continuous laws only
 
-        top, to_v, seeds = half_line(*self.support, self.unit, self.tail)
+        top, to_v, seeds = self._map
 
         def integrand(rows, s):
             v, num, den = to_v(s)
@@ -304,6 +302,13 @@ class MixingLaw:
             )
             vals[row] = np.nan
         return vals, failures
+
+    @cached_property
+    def _map(self):  # half_line over the support, p measured on an infinite one's tail
+        from .quadrature import _end_exponent, half_line
+
+        lo, hi = self.support
+        return half_line(lo, hi, self.unit, _end_exponent(self.pdf) if math.isinf(hi) else 1.0)
 
     def expectation(self, fn: Callable[[float], complex]):
         """E[fn(V)] for a scalar fn: the one-row case of expectation_rows."""
@@ -400,10 +405,10 @@ def _check_star_unimodal(gen: DensityGenerator) -> None:
 def star_unimodal_rows(gen: DensityGenerator, n: int, us) -> QuadRows:
     """phi(u^2) through the scale-mixture-of-uniforms route at every u of us.
 
-    2 c_n (2 pi)^(n/2) u^(-n/2) int_0^inf w^(n/2+1) J_(n/2)(w u) (-g'(w^2)) dw
+    -2 c_n (2 pi)^(n/2) u^(-n/2) int_0^inf w^(n/2+1) J_(n/2)(w u) g'(w^2) dw
 
-    phi_hankel_rows' front end with the order n/2, the envelope
-    -w^(n/2+1) g'(w^2) and the edge exponent of g': u = 0 gives exactly 1,
+    phi_hankel_rows' front end with the order n/2, the profile g' and, at
+    a singular support edge, its g_prime_edge: u = 0 gives exactly 1,
     0 < u < 1e-3 the moment series (the ball-kernel series in
     E[W^(2k)] = ((n+2k)/n) E[R^(2k)] is term by term phi_hankel's series in
     E[R^(2k)]), every other u the oscillatory engine, in lockstep.  A
@@ -412,14 +417,7 @@ def star_unimodal_rows(gen: DensityGenerator, n: int, us) -> QuadRows:
     from .quadrature import _bessel_transform_rows
 
     _check_star_unimodal(gen)
-    radius = gen.support_radius
-
-    def envelope(w: np.ndarray, gap: Optional[np.ndarray] = None) -> np.ndarray:
-        # at the support edge R, g_prime_edge at R^2 - w^2 = gap (2 R - gap)
-        dg = gen.g_prime(w * w) if gap is None else gen.g_prime_edge(gap * (2.0 * radius - gap))
-        return -_power(w, 0.5 * n + 1.0) * dg
-
-    return _bessel_transform_rows(gen, n, us, 0.5 * n, envelope, 2.0, gen.prime_edge)
+    return _bessel_transform_rows(gen, n, us, 0.5 * n, gen.g_prime, gen.g_prime_edge, -2.0)
 
 
 def cf_star_unimodal(gen: DensityGenerator, n: int, t) -> ComplexCF:

@@ -139,7 +139,8 @@ def _pearson_ii_row(m, n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_hankel_route_at_a_singular_edge(m, n):
     # (1 - z)^m: the last panel goes through quadrature.half_line with
-    # p = 1/(m + 1), and g through the distance to the edge the map carries
+    # p = 1/(m + 1) rounded up, measured on the envelope, and g through the
+    # distance to the edge the map carries
     _named_error_or_honest(phi_hankel_rows(gn.pearson_ii_generator(m), n, FREQUENCIES),
                            _pearson_ii_row(m, n))
 
@@ -156,6 +157,7 @@ def test_star_route_named_error_or_honest(key, n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_star_route_at_a_singular_edge(m, n):
     # g' ~ -m (1 - z)^(m - 1): the last panel goes through quadrature.half_line
-    # with p = 1/m, and g' through the distance to the edge the map carries
+    # with p = 1/m rounded up, measured on the envelope, and g' through the
+    # distance to the edge the map carries
     _named_error_or_honest(star_unimodal_rows(gn.pearson_ii_generator(m), n, FREQUENCIES),
                            _pearson_ii_row(m, n))

@@ -369,6 +369,27 @@ class TestOscillatory:
         assert str(rows.failures[0]) == (
             "integrate_bessel_oscillatory: no convergence within 400 panels")
 
+    def test_peak_grid_is_one_envelope_call_at_n140(self, monkeypatch):
+        # at n = 140 the envelope's r^70 overflows past r ~ 2.5e4: the r_peak
+        # grid stops there and takes one call of g, where a call on the whole
+        # grid raised and each of its 400 radii was retried alone.  The
+        # engine is stopped at its first Bessel zero.
+        gen, calls = gn.normal_generator(), []
+        profile = gen.g
+        gen.g = lambda z: calls.append(z.size) or profile(z)
+
+        class Stop(Exception):
+            pass
+
+        def stop(nu, k):
+            raise Stop
+
+        monkeypatch.setattr(quadrature, "bessel_j_zero", stop)
+        with pytest.raises(Stop):
+            phi_hankel_rows(gen, 140, [1.0])
+        radii = np.geomspace(1e-8, 1e8, 400)
+        assert calls == [int(np.sum(70.0 * np.log(radii) < math.log(sys.float_info.max)))]
+
 
 class TestPhiHankel:
     def test_normal_target(self):
@@ -486,8 +507,9 @@ class TestPhiHankel:
 
     def test_error_estimate_covers_pearson_ii_edge(self):
         # m = -0.7, n = 2, u = 5: the plain last panel missed by ~4e-6 with
-        # an err_est of ~5e-10; through half_line with p = 1/(m + 1) and g
-        # at the carried distance to the edge it is within 1e-12
+        # an err_est of ~5e-10; through half_line with p = 4 (1/(m + 1)
+        # rounded up) and g at the carried distance to the edge it is within
+        # 2.1e-12, a tenth of its err_est
         gen = gn.pearson_ii_generator(-0.7)
         res = phi_hankel(gen, 2, 5.0)
         assert abs(res.value - closed_form_generator(gen, 2, 25.0)) <= res.err_est
