@@ -544,6 +544,7 @@ def _oscillatory_rows(
     abs_tols: np.ndarray,
     support_radius: float,
     edge_exponent: float = 1.0,
+    power: float = 0.0,
 ) -> QuadRows:
     # int_0^R envelope(r) J_nu(omega_i r) dr for every row i, each to its own
     # abs_tols[i]: integrate_bessel_oscillatory for all rows in lockstep.
@@ -552,7 +553,8 @@ def _oscillatory_rows(
     # the exit rules then run on each panel in turn, as array masks, and a
     # row leaves at its first panel where one fires.  A panel that ends at a
     # finite support edge is integrated through half_line with the exponent
-    # edge_exponent (p = 1: plain panels in x).
+    # edge_exponent (p = 1: plain panels in x).  power > 0 declares a factor
+    # r^power of the envelope (the transform front end's r^(nu+1)).
     count = len(omegas)
     value, err_est, tail = np.full(count, np.nan), np.full(count, np.nan), np.full(count, np.nan)
     panels_used = np.zeros(count, dtype=int)
@@ -560,10 +562,10 @@ def _oscillatory_rows(
     panel_rel = min(_REL_TOL, 1e-10)
     # r_peak maximises |envelope| on a fixed log grid of radii, skipping the
     # radii where it raises: before x = omega r_peak the panels still grow,
-    # so no panel tells how small the rest is.  The grid stops where r^(nu+1),
-    # a factor of both transform envelopes, overflows: one envelope call.
+    # so no panel tells how small the rest is.  The grid stops where the
+    # declared factor r^power overflows, so that envelope takes one call.
     grid = np.geomspace(1e-8, min(support_radius, 1e8), 400)
-    grid = grid[(nu + 1.0) * np.log(grid) < np.log(np.finfo(float).max)]
+    grid = grid[power * np.log(grid) < np.log(np.finfo(float).max)]
     mag, ok = _call_rows(lambda ids, r: envelope(r), np.arange(len(grid)), grid[:, None], {})
     r_peak = grid[ok][np.nan_to_num(abs(mag[:, 0]), nan=0.0).argmax()] if ok.any() else 0.0
     infinite = math.isinf(support_radius)
@@ -833,7 +835,7 @@ def _bessel_transform_rows(
     for start in range(0, len(rows), _ROWS):
         sl = slice(start, start + _ROWS)
         idx, pref = np.array(rows[sl]), np.array(prefactors[sl])
-        res = _oscillatory_rows(envelope, nu, us[idx], np.array(tols[sl]), radius, edge)
+        res = _oscillatory_rows(envelope, nu, us[idx], np.array(tols[sl]), radius, edge, nu + 1.0)
         value[idx], err_est[idx] = pref * res.value, abs(pref) * res.err_est
         panels_used[idx], tail[idx] = res.panels_used, abs(pref) * res.tail_bound
         failures.update({int(idx[i]): exc for i, exc in res.failures.items()})

@@ -34,7 +34,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
@@ -131,9 +130,9 @@ class MixingLaw:
     quadrature.half_line (the mode b/(a + 1) of the inverse gamma, else 1).
     Expectations are exact sums for the exact laws and adaptive quadrature
     against the density otherwise, in s of that map on every support, with
-    its exponent measured once on an infinite support's tail (a density
-    ~ v^(-1-a) takes 1/a rounded up); a custom density's draws invert its
-    CDF tabulated in s of the map with exponent 1.
+    its exponent measured on an infinite support's tail at v = 1e8 unit
+    (a density ~ v^(-1-a) takes 1/a rounded up); a custom density's draws
+    invert its CDF tabulated in s of the map with exponent 1.
     """
 
     kind: str
@@ -283,9 +282,13 @@ class MixingLaw:
             out = np.full(count, np.nan, dtype=np.result_type(total, float))
             out[ok] = total
             return out, failures
-        from .quadrature import adaptive_rows  # continuous laws only
+        from .quadrature import _end_exponent, adaptive_rows, half_line  # continuous laws only
 
-        top, to_v, seeds = self._map
+        # p measured on an infinite support's tail, in v / unit: the probe
+        # then reads the tail's power wherever the law's scale puts its mass
+        lo, hi = self.support
+        tail = _end_exponent(lambda x: self.pdf(self.unit * x)) if math.isinf(hi) else 1.0
+        top, to_v, seeds = half_line(lo, hi, self.unit, tail)
 
         def integrand(rows, s):
             v, num, den = to_v(s)
@@ -302,13 +305,6 @@ class MixingLaw:
             )
             vals[row] = np.nan
         return vals, failures
-
-    @cached_property
-    def _map(self):  # half_line over the support, p measured on an infinite one's tail
-        from .quadrature import _end_exponent, half_line
-
-        lo, hi = self.support
-        return half_line(lo, hi, self.unit, _end_exponent(self.pdf) if math.isinf(hi) else 1.0)
 
     def expectation(self, fn: Callable[[float], complex]):
         """E[fn(V)] for a scalar fn: the one-row case of expectation_rows."""

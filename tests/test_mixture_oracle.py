@@ -157,6 +157,12 @@ HEAVY_CASES = [(a, 1.0, (t, 0.0)) for a in (0.2, 0.3, 0.7) for t in (1e-12, 1e-8
 # shapes 0.2 and 0.3 reached v = inf in the constructor's mass check, and
 # shape 0.5 read 0.999999994070853 at t = 1e-12 (mpmath: 0.999999999998586).
 CUSTOM_CASES = [(a, 1.0, (t, 0.0)) for a in (0.2, 0.3, 0.5) for t in (1e-12, 1e-8, 1e-4)]
+# Heavy tails at large scales, each HEAVY_CASES or CUSTOM_CASES point with
+# V and t^-2 scaled by b: the exponent is measured in v / unit, where the
+# density's e^(-b/v) no longer bends the slope.  Measured at v = 1e8 itself,
+# IG(0.2, 1e9) took exponent 1 and reached v = inf, and IG(0.5, 1e8) read
+# 7.2e-9 off.
+SCALED_CASES = [(0.2, 1e9, (1e-8 / math.sqrt(1e9), 0.0)), (0.5, 1e8, (1e-12 / 1e4, 0.0))]
 _UNIT = {"schema": 1, "n": 2, "mu": [0.0, 0.0], "sigma": [1.0, 0.0, 0.0, 1.0]}
 SCALE_MODELS = {
     "lsm": dict(_UNIT, kind="lsm", gamma=[0.0, 0.0], generator={"family": "normal"}),
@@ -172,11 +178,13 @@ def _custom_inverse_gamma(a, b):
 
 
 @pytest.mark.parametrize("shape, scale, t, make_law",
-                         [(*c, MixingLaw.inverse_gamma) for c in SCALE_CASES + GRID_CASES + HEAVY_CASES]
+                         [(*c, MixingLaw.inverse_gamma)
+                          for c in SCALE_CASES + GRID_CASES + HEAVY_CASES + SCALED_CASES]
                          + [(*c, _custom_inverse_gamma) for c in CUSTOM_CASES],
                          ids=[f"a{a:g}-b{b:g}" for a, b, _ in SCALE_CASES]
                          + [f"a{a:g}-b{b:g}-mode" for a, b, _ in GRID_CASES]
                          + [f"a{a:g}-t{t[0]:g}" for a, _, t in HEAVY_CASES]
+                         + [f"a{a:g}-b{b:g}-t{t[0]:g}" for a, b, t in SCALED_CASES]
                          + [f"custom-a{a:g}-t{t[0]:g}" for a, _, t in CUSTOM_CASES])
 @pytest.mark.parametrize("model", SCALE_MODELS)
 def test_inverse_gamma_at_every_scale(model, shape, scale, t, make_law):

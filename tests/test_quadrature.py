@@ -390,6 +390,19 @@ class TestOscillatory:
         radii = np.geomspace(1e-8, 1e8, 400)
         assert calls == [int(np.sum(70.0 * np.log(radii) < math.log(sys.float_info.max)))]
 
+    def test_peak_grid_of_any_f_reaches_1e8_at_large_order(self, monkeypatch):
+        # f here carries no r^(nu + 1), so its r_peak grid is not cut where
+        # that power overflows (r ~ 2.2e4 at nu = 70): a bump at r = 1e6
+        # stays its r_peak, which at omega = 0.01 lies past the 400th Bessel
+        # zero, and the row fails before its first panel.  Cut, r_peak read
+        # about 2.2e4 and the panels started while they still grew.
+        def no_panel(nu, k):
+            raise AssertionError("a Bessel panel was started")
+
+        monkeypatch.setattr(quadrature, "bessel_j_zero", no_panel)
+        with pytest.raises(ConvergenceError, match="no convergence within 400 panels"):
+            integrate_bessel_oscillatory(lambda r: math.exp(-math.log(r / 1e6) ** 2), 70.0, 0.01)
+
 
 class TestPhiHankel:
     def test_normal_target(self):
