@@ -18,7 +18,7 @@ closed forms, on a whole grid at once (phi_hankel_rows).  Every integrand
 here calls the generator's profile g on float arrays; the moment integral
 of a custom generator is one adaptive_rows row, and the named families'
 moments are read from their record.  half_line maps every half-line and
-singular edge these integrals meet, with the exponent _end_exponent measures.
+singular edge these integrals meet, with the unit and exponent _fit measures.
 """
 
 from __future__ import annotations
@@ -386,20 +386,38 @@ def half_line(lo, hi, unit: float, p: float = 1.0):
     return 1.0 if math.isinf(hi) else (hi - lo) / (unit + (hi - lo)), to_v, ()
 
 
-def _end_exponent(h: Callable[[np.ndarray], np.ndarray], end: float = math.inf) -> float:
-    # half_line's exponent p for an integrand h up to `end`, from its log-slope
-    # over one doubling of the distance to the end: v = 1e8 -> 2e8 on a
-    # half-line, d = 1e-8 -> 2e-8 (in units of end) below a finite edge.
+# The probes of half_line's map, in float arithmetic as in Python: a value
+# past the float range is inf, with none of numpy's RuntimeWarnings.
+@np.errstate(invalid="ignore", over="ignore")
+def _octave_probe(h: Callable[[np.ndarray], np.ndarray], lo: float, hi: float):
+    # (d, h(lo + d)) at the powers of two d = 2^k, |k| <= 128, with lo + d < hi,
+    # in one call of h, entry by entry only where that raises (those dropped)
+    d = np.ldexp(1.0, np.arange(-128, 129))  # exact, under any SIMD dispatch
+    d = d[lo + d < hi]
+    vals, ok = _call_rows(lambda ids, v: h(v), np.arange(len(d)), (lo + d)[:, None], {})
+    return d[ok], vals[:, 0]
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def _fit(h: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> tuple[float, float]:
+    # half_line's (unit, p) for an integrand h on [lo, hi].  unit: the d of
+    # _octave_probe where d h(lo + d), h's mass per unit of log distance, is
+    # largest, 1 where none is positive and finite.  p: from h's log-slope e
+    # over one doubling of the distance to the end, v - lo = 1e8 -> 2e8 units
+    # on a half-line, hi - v = 1e-8 -> 2e-8 of hi - lo below a finite edge:
     # h ~ v^(-1-e) far out, or ~ d^(e-1) at the edge, gives p = 1/e rounded
     # up (so rounding cannot move p = 1); 1 where e <= 0, or there is no slope.
-    infinite = math.isinf(end)
-    at = np.array([1e8, 2e8]) if infinite else end * (1.0 - np.array([1e-8, 2e-8]))
+    d, vals = _octave_probe(h, lo, hi)
+    mass = np.nan_to_num(d * vals, nan=0.0, posinf=0.0)
+    unit = float(d[mass.argmax()]) if mass.max(initial=0.0) > 0.0 else 1.0
+    infinite = math.isinf(hi)
+    at = lo + unit * np.array([1e8, 2e8]) if infinite else hi - (hi - lo) * np.array([1e-8, 2e-8])
     try:
         a, b = h(at).tolist()
         e = (math.log2(b / a) + 1.0) * (-1.0 if infinite else 1.0)
-        return float(max(1, math.ceil(1.0 / e - 1e-3))) if e > 0.0 else 1.0
+        return unit, float(max(1, math.ceil(1.0 / e - 1e-3))) if e > 0.0 else 1.0
     except Exception:  # h zero, overflowing, not real or raising: no slope
-        return 1.0
+        return unit, 1.0
 
 
 # Float arithmetic as in Python: 0 * inf is nan and an overflow inf, with
@@ -410,17 +428,17 @@ def moment_integral(gen: DensityGenerator, n: int) -> QuadResult:
 
     Written in the radius variable (z = v^2), 2 int_0^R v^(n-1) g(v^2) dv
     with R the support radius, so the n = 1 endpoint is regular: one
-    adaptive_rows row over half_line(0, R, 1, p), g called only inside the
-    support, with p measured on the integrand at its end (_end_exponent).
-    A divergent tail drives the panels to v = inf and raises
-    DivergentIntegralError.
+    adaptive_rows row over half_line(0, R, unit, p), g called only inside
+    the support, unit and p measured on the integrand (_fit), to a relative
+    tolerance: a moment is a positive integral at any scale.  A divergent
+    tail drives the panels to v = inf and raises DivergentIntegralError.
     """
     g, d, radius = gen.g, float(n), gen.support_radius
 
     def h(v: np.ndarray) -> np.ndarray:
         return _power(v, d - 1.0) * g(v * v)
 
-    top, to_v, seeds = half_line(0.0, radius, 1.0, _end_exponent(h, radius))
+    top, to_v, seeds = half_line(0.0, radius, *_fit(h, 0.0, radius))
 
     def integrand(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
         v, num, den = to_v(s)
@@ -431,7 +449,7 @@ def moment_integral(gen: DensityGenerator, n: int) -> QuadResult:
         return out
 
     vals, errs, panels, failures = adaptive_rows(
-        integrand, 1, 0.0, top, 0.125 * _ABS_TOL, 0.125 * _REL_TOL, seeds=[seeds]
+        integrand, 1, 0.0, top, 0.0, 0.125 * _REL_TOL, seeds=[seeds]
     )
     if failures:
         raise failures[0]
@@ -754,7 +772,7 @@ def integrate_bessel_oscillatory(
 def _phi_small_u_series(gen: DensityGenerator, n: int, u: float) -> QuadResult:
     # phi(u^2) = sum_k (-u^2/4)^k / ((n/2)_k k!) * E[R^(2k)], valid for any
     # generator possessing the needed moments; raises MomentUndefinedError
-    # otherwise so the caller can fall back to the oscillatory route.
+    # otherwise, ConvergenceError (or an overflow) where the terms do not settle.
     mqsq = -0.25 * u * u
     total = 1.0
     coeff = 1.0
@@ -779,11 +797,11 @@ def _bessel_transform_rows(
     # phi(u^2) = scale c_n (2 pi)^(n/2) u^(-nu) int_0^R r^(nu+1) profile(r^2) J_nu(u r) dr
     # at every u of the array us: the front end of phi_hankel_rows and of the
     # star route's grid form.  u = 0 gives exactly 1 and 0 < u < 1e-3 the
-    # moment series; every other u goes through the oscillatory engine, all
-    # of them in lockstep, in passes of _ROWS rows.  profile maps an array of
-    # z to its values, entry by entry; edge_profile (None: a regular edge) is
-    # profile of the distance R^2 - z to a finite support edge, read there at
-    # the distance half_line carries, with p measured on the envelope.
+    # moment series where it converges; every other u goes through the
+    # oscillatory engine, all of them in lockstep, in passes of _ROWS rows.
+    # profile maps an array of z to its values, entry by entry; edge_profile
+    # (None: a regular edge) is profile of the distance R^2 - z to a finite
+    # support edge, read there at the distance half_line carries (p by _fit).
     radius = gen.support_radius
 
     def envelope(r: np.ndarray, gap: Optional[np.ndarray] = None) -> np.ndarray:
@@ -817,8 +835,8 @@ def _bessel_transform_rows(
                 try:
                     put(i, _phi_small_u_series(gen, n, u))
                     continue
-                except MomentUndefinedError:
-                    pass  # heavy tails: only the oscillatory route is available
+                except ArithmeticError:
+                    pass  # no moments, or a series that fails: the oscillatory route
             if head is None:
                 head = scale * (normalizing_constant(n, gen) * (2.0 * math.pi) ** (0.5 * n))
             prefactor = head * u ** (-nu)
@@ -831,7 +849,7 @@ def _bessel_transform_rows(
         except Exception as exc:  # raised again at its row
             failures[i] = exc
 
-    edge = 1.0 if edge_profile is None else _end_exponent(lambda r: envelope(r, radius - r), radius)
+    edge = 1.0 if edge_profile is None else _fit(lambda r: envelope(r, radius - r), 0.0, radius)[1]
     for start in range(0, len(rows), _ROWS):
         sl = slice(start, start + _ROWS)
         idx, pref = np.array(rows[sl]), np.array(prefactors[sl])
@@ -852,7 +870,7 @@ def phi_hankel_rows(gen: DensityGenerator, n: int, us) -> QuadRows:
                int_0^inf r^(n/2) J_((n-2)/2)(r u) g(r^2) dr
 
     u = 0 gives exactly 1.  Below u = 1e-3 the removable u-singularity is
-    sidestepped with a moment series (for generators whose moments exist).
+    sidestepped with a moment series (where the moments exist and it converges).
     Every other u goes through the oscillatory engine, all of them in
     lockstep, panel by panel, with the generator's profile g and, at a
     singular support edge, its g_edge.  Each row gets the bits it would get

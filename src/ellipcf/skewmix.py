@@ -126,13 +126,13 @@ class MixingLaw:
     shape, 0-d included), on ``support``; ``parts``, the samplers'
     fingerprint parts (kind, v0, points, weights, shape, scale), None where
     the kind has no such field, then for a custom density its support and
-    its values at 32 points spread over it; ``unit``, the scale of the map
-    quadrature.half_line (the mode b/(a + 1) of the inverse gamma, else 1).
-    Expectations are exact sums for the exact laws and adaptive quadrature
-    against the density otherwise, in s of that map on every support, with
-    its exponent measured on an infinite support's tail at v = 1e8 unit
-    (a density ~ v^(-1-a) takes 1/a rounded up); a custom density's draws
-    invert its CDF tabulated in s of the map with exponent 1.
+    its values at 32 points spread over it.  Expectations are exact sums
+    for the exact laws and adaptive quadrature against the density
+    otherwise, in s of the map quadrature.half_line on every support, with
+    its scale and exponent measured on the density (quadrature._fit: the
+    scale where v pdf(v) peaks, and a tail ~ v^(-1-a) takes 1/a rounded up);
+    a custom density's draws invert its CDF tabulated in s of that map with
+    exponent 1.
     """
 
     kind: str
@@ -142,7 +142,6 @@ class MixingLaw:
     weights: Optional[np.ndarray] = None
     density: Optional[Callable[[np.ndarray], np.ndarray]] = None
     support: tuple[float, float] = (0.0, math.inf)
-    unit: float = 1.0
 
     @classmethod
     def degenerate(cls, v0: float) -> "MixingLaw":
@@ -203,7 +202,6 @@ class MixingLaw:
             draw=lambda m, g: 1.0 / g.gamma(shape, 1.0 / scale, size=m),
             parts=("inverse_gamma", None, None, None, shape, scale),
             density=density,
-            unit=scale / (shape + 1.0),
         )
 
     @classmethod
@@ -224,7 +222,7 @@ class MixingLaw:
             from .sampling import _cdf_table, _invert_from_table  # only samplers draw
 
             if not table:
-                table.append(_cdf_table(law.density, lo, hi, law.unit))
+                table.append(_cdf_table(law.density, lo, hi))
             return _invert_from_table(table[0], g.random(m))
 
         law = cls(
@@ -237,10 +235,7 @@ class MixingLaw:
             density=lambda v: _elementwise(pdf, v),
             support=(lo, hi),
         )
-        values, failures = law.expectation_rows(lambda rows, v: np.ones(v.shape), 1)
-        if failures:
-            raise failures[0]
-        total = values[0].item()
+        total = law.expectation(lambda v: 1.0)
         if not abs(total - 1.0) <= 1e-8:  # a nan total fails too
             raise DomainError(
                 f"MixingLaw.custom_density: density integrates to {total!r}, not 1"
@@ -282,13 +277,10 @@ class MixingLaw:
             out = np.full(count, np.nan, dtype=np.result_type(total, float))
             out[ok] = total
             return out, failures
-        from .quadrature import _end_exponent, adaptive_rows, half_line  # continuous laws only
+        from .quadrature import _fit, adaptive_rows, half_line  # continuous laws only
 
-        # p measured on an infinite support's tail, in v / unit: the probe
-        # then reads the tail's power wherever the law's scale puts its mass
         lo, hi = self.support
-        tail = _end_exponent(lambda x: self.pdf(self.unit * x)) if math.isinf(hi) else 1.0
-        top, to_v, seeds = half_line(lo, hi, self.unit, tail)
+        top, to_v, seeds = half_line(lo, hi, *_fit(self.pdf, lo, hi))
 
         def integrand(rows, s):
             v, num, den = to_v(s)
@@ -387,9 +379,11 @@ def cf_location_scale_mixture(spec: LSMixtureSpec, t, route: str = "closed") -> 
 def _check_star_unimodal(gen: DensityGenerator) -> None:
     if gen.g_prime is None:
         raise DomainError("star-unimodal route requires the generator derivative g'")
-    top = min(gen.support_radius**2, 400.0)
-    dvals = gen.g_prime(np.geomspace(1e-8, top * (1.0 - 1e-9), 64))
-    scale = float(np.abs(dvals).max())
+    from .quadrature import _octave_probe
+
+    # g' at the powers of two inside the support, as quadrature._fit probes
+    dvals = _octave_probe(gen.g_prime, 0.0, gen.support_radius**2)[1]
+    scale = float(np.abs(dvals).max(initial=0.0))
     if scale == 0.0:
         raise DomainError(
             "not star unimodal: g' vanishes identically (no scale-mixture weight density)"

@@ -299,6 +299,31 @@ class TestEval:
         assert abs(float(rows[0][2]) - 0.99999962521644) <= 1e-12
         assert rows[0][5] == "hankel"
 
+    def test_hankel_failing_small_u_series_falls_back(self, tmp_path, capsys):
+        # Kotz (N = 1, r = 1e-8, s = 1) is a wide normal: at u = 9e-4 its
+        # moment series does not converge in 30 terms, so the row goes
+        # through the oscillatory engine.  phi = exp(-u^2/(4 r))
+        obj = _gen_spec("kotz", {"N": 1.0, "r": 1e-8, "s": 1.0})
+        spec = write_spec(tmp_path, "k.json", obj)
+        rc = cli.main(["eval", "--spec", spec, "--routes", "hankel",
+                       "--grid", '{"kind":"list","points":[[9e-4,0.0]]}'])
+        assert rc == 0
+        _, _, rows = parse_result_csv(capsys.readouterr().out)
+        assert abs(float(rows[0][2]) - math.exp(-20.25)) <= float(rows[0][4])
+        assert rows[0][5] == "hankel"
+
+    def test_smu_star_check_at_any_scale(self, tmp_path, capsys):
+        # Kotz (N = 1, r = 1e12, s = 1) is a narrow normal, star unimodal
+        # though its g' underflows to 0 from z = 1e-9 on: the check must
+        # probe g' where it lives.  phi = exp(-1/4)
+        obj = dict(_gen_spec("kotz", {"N": 1.0, "r": 1e12, "s": 1.0}), kind="smu")
+        spec = write_spec(tmp_path, "smu.json", obj)
+        rc = cli.main(["eval", "--spec", spec, "--routes", "hankel",
+                       "--grid", '{"kind":"list","points":[[1e6,0.0]]}'])
+        assert rc == 0
+        _, _, rows = parse_result_csv(capsys.readouterr().out)
+        assert abs(float(rows[0][2]) - math.exp(-0.25)) <= float(rows[0][4])
+
     @pytest.mark.parametrize("kind", ["elliptical", "smu"])
     def test_origin_only_hankel_runs_no_quadrature(self, tmp_path, capsys, monkeypatch, kind):
         # the hankel route is always available: nothing is integrated before the grid

@@ -132,11 +132,14 @@ PINNED = {
     # named moment is off its closed form by more than 7e-11 relative.  The
     # custom generators' normalizing constants moved with them, and so the
     # radial densities (by 3.8e-11), the hankel rows (by 5.6e-11), the star
-    # rows (an err_est by 2e-27) and the draws (by 3.6e-15) built on them
+    # rows (an err_est by 2e-27) and the draws (by 3.6e-15) built on them.
+    # The map's unit is measured on the integrand (quadrature._fit), and the
+    # tolerance is relative only: no moment is off its closed form or
+    # mpmath by more than 6.8e-11 relative (Kotz N = 0.75, s = 1/2, n = 1)
     "moment_integral": (_moments,
-        "700c2d4bde5d68025a56a666ef2e185206210a9ff82ba783e973a18ab12d833f"),
+        "f678879df5eb27077df87a20462df61b7e7d9e75c47cee285ce3d65405801a05"),
     "radial_density": (_densities,
-        "8dea9c441176273f3555525271bc9911f0f8032a180fb0bd45f4ef53a28e1de2"),
+        "4cdc659813968be9cf59e0ca4c0e31eb13badda8d51bba8244a4f6e3d267d836"),
     # the J zeros from secant steps (not bisection) moved the hankel and star
     # rows by at most 1.7e-15; their err_est carries the rounding floor.  The
     # mW transformation, and no dyadic seeds past the envelope's peak, moved
@@ -145,17 +148,19 @@ PINNED = {
     # by mW after, 7 and 4 by the cutoff both times (moved at the last bits
     # only).  Against closed forms or mpmath their worst error went from
     # 1.5e-11 to 1.2e-11 (hankel) and from 2.6e-11 to 6.2e-12 (star), at
-    # most 0.038 of their err_est
+    # most 0.038 of their err_est; with the moments above, every custom
+    # row is within 0.027 of its err_est of its closed form or mpmath
     "phi_hankel_rows": (_hankel,
-        "d389dd43481fdd9af408a551a4df2470c85dd5524fa50f61b7310a5ccb713b6e"),
+        "e3d3880a97427d4fdd11dc97172fd8f52cb2fa94f735f718add620a1ce76cabc"),
     "star_unimodal_rows": (_star,
-        "7d546d1362b562f1a516c7ec4f27ff2e5927b1e21bd1b6c0bcb5b868d8f35186"),
+        "838ea86bb101de74fe6b66881b6bb3eb8fbdd1bfd9deebbc5529ff09726464da"),
     # the CDF tables live in s of quadrature.half_line, with no cut of the
-    # support; the draws' KS against the exact CDFs did not move
+    # support, and their unit measured on the density (quadrature._fit); the
+    # draws' KS against the exact CDFs did not move
     "elliptical_draws": (_draws,
-        "e8a049d71507391a14947a6aa7b61e480eb061d49e347323acb874c06796ea07"),
+        "f1fccf2dd698f336b164a8e7ca4cf9f33de798669b2257e036ef186f361ce7c9"),
     "custom_density_draws": (_mixing_draws,
-        "f4ea8cee94af1814b68936162db95736a128eb9d01530fbe985d1ea9fa70449a"),
+        "75b7fd48982f841eb8d46a478716d941f6fef64c41ebf1388deba23f15558031"),
 }
 
 

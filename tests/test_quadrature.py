@@ -442,6 +442,29 @@ class TestPhiHankel:
             closed = closed_form_generator(gn.uniform_ball_generator(), n, (u * radius) ** 2)
             assert abs(res.value - closed) <= res.err_est + 8.0 * np.finfo(float).eps
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e6])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_custom_normal_at_any_scale(self, n, scale):
+        # g = exp(-z/s) is the normal with variance s/2: phi(u^2) = exp(-s u^2/4).
+        # The moment integral must find the integrand's mass at any scale:
+        # its map's unit is measured where that mass lies
+        gen = gn.custom_generator(lambda z: math.exp(-z / scale))
+        us = np.array([0.3, 1.0, 3.0]) / math.sqrt(scale)
+        rows = phi_hankel_rows(gen, n, us)
+        assert not rows.failures
+        assert np.all(abs(rows.value - np.exp(-0.25 * scale * us * us)) <= rows.err_est)
+
+    def test_failing_small_u_series_falls_back(self):
+        # g = exp(-z/1e12): at u = 3e-6 the moment series overflows (its terms
+        # grow as (1e12 u^2)^k before they fall), so the row goes through the
+        # oscillatory engine, as a generator without moments does
+        gen = gn.custom_generator(lambda z: math.exp(-z / 1e12))
+        with pytest.raises(OverflowError):
+            _phi_small_u_series(gen, 2, 3e-6)
+        res = phi_hankel(gen, 2, 3e-6)
+        assert res.panels_used > 0
+        assert abs(res.value - math.exp(-2.25)) <= res.err_est
+
     def test_heavy_tail_small_u_uses_oscillatory(self):
         # Cauchy has no moments: the small-u path must still work
         res = phi_hankel(gn.generalized_t_generator(1, 1.0, 1), 1, 5e-4)

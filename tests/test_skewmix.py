@@ -323,6 +323,13 @@ class TestStarUnimodal:
         with pytest.raises(DomainError):
             cf_star_unimodal(gn.pearson_ii_generator(0.0), 2, [1.0, 0.0])
 
+    @pytest.mark.parametrize("big_n, s", [(-10.0, 1.0), (0.5, 12.0)])
+    def test_star_check_skips_overflowing_probes(self, big_n, s):
+        # Kotz g' = z^(N-2) e^(-z^s) (N - 1 - s z^s) < 0 here, but z^(N-2) at
+        # z = 2^-128 and z^s at z = 2^128 overflow: the check reads g' at the
+        # other powers of two it probes
+        skewmix._check_star_unimodal(gn.kotz_generator(big_n, 1.0, s))
+
     def test_increasing_generator_rejected(self):
         rising = gn.custom_generator(
             lambda z: z * math.exp(-z), g_prime=lambda z: (1.0 - z) * math.exp(-z)
