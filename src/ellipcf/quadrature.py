@@ -386,30 +386,26 @@ def half_line(lo, hi, unit: float, p: float = 1.0):
     return 1.0 if math.isinf(hi) else (hi - lo) / (unit + (hi - lo)), to_v, ()
 
 
-# The probes of half_line's map, in float arithmetic as in Python: a value
-# past the float range is inf, with none of numpy's RuntimeWarnings.
-@np.errstate(invalid="ignore", over="ignore")
-def _octave_probe(h: Callable[[np.ndarray], np.ndarray], lo: float, hi: float):
-    # (d, h(lo + d)) at the powers of two d = 2^k, |k| <= 128, with lo + d < hi,
-    # in one call of h, entry by entry only where that raises (those dropped)
-    d = np.ldexp(1.0, np.arange(-128, 129))  # exact, under any SIMD dispatch
-    d = d[lo + d < hi]
-    vals, ok = _call_rows(lambda ids, v: h(v), np.arange(len(d)), (lo + d)[:, None], {})
-    return d[ok], vals[:, 0]
+# 2^k for |k| <= 128, exact under any SIMD dispatch: the distances at which
+# _fit (and the star-unimodality check) probe a profile.
+_OCTAVES = np.ldexp(1.0, np.arange(-128, 129))
 
 
 @np.errstate(invalid="ignore", over="ignore")
 def _fit(h: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> tuple[float, float]:
-    # half_line's (unit, p) for an integrand h on [lo, hi].  unit: the d of
-    # _octave_probe where d h(lo + d), h's mass per unit of log distance, is
-    # largest, 1 where none is positive and finite.  p: from h's log-slope e
+    # half_line's (unit, p) for an integrand h on [lo, hi], probed in float
+    # arithmetic as in Python (a value past the float range is inf).  unit:
+    # the d of _OCTAVES, lo + d < hi, where d h(lo + d), h's mass per unit of
+    # log distance, is largest (one call of h, entry by entry where that
+    # raises), 1 where none is positive and finite.  p: from h's log-slope e
     # over one doubling of the distance to the end, v - lo = 1e8 -> 2e8 units
     # on a half-line, hi - v = 1e-8 -> 2e-8 of hi - lo below a finite edge:
     # h ~ v^(-1-e) far out, or ~ d^(e-1) at the edge, gives p = 1/e rounded
     # up (so rounding cannot move p = 1); 1 where e <= 0, or there is no slope.
-    d, vals = _octave_probe(h, lo, hi)
-    mass = np.nan_to_num(d * vals, nan=0.0, posinf=0.0)
-    unit = float(d[mass.argmax()]) if mass.max(initial=0.0) > 0.0 else 1.0
+    d = _OCTAVES[lo + _OCTAVES < hi]
+    vals, ok = _call_rows(lambda ids, v: h(v), np.arange(len(d)), (lo + d)[:, None], {})
+    mass = np.nan_to_num(d[ok] * vals[:, 0], nan=0.0, posinf=0.0)
+    unit = float(d[ok][mass.argmax()]) if mass.max(initial=0.0) > 0.0 else 1.0
     infinite = math.isinf(hi)
     at = lo + unit * np.array([1e8, 2e8]) if infinite else hi - (hi - lo) * np.array([1e-8, 2e-8])
     try:

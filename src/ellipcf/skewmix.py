@@ -379,10 +379,17 @@ def cf_location_scale_mixture(spec: LSMixtureSpec, t, route: str = "closed") -> 
 def _check_star_unimodal(gen: DensityGenerator) -> None:
     if gen.g_prime is None:
         raise DomainError("star-unimodal route requires the generator derivative g'")
-    from .quadrature import _octave_probe
+    from .quadrature import _OCTAVES
 
-    # g' at the powers of two inside the support, as quadrature._fit probes
-    dvals = _octave_probe(gen.g_prime, 0.0, gen.support_radius**2)[1]
+    # g' inside the support on a geometric grid from 1e-8 to min(R^2, 400),
+    # at the powers of two 2^k and at R^2 (1 - 2^k), 2^k < 1, up to its edge,
+    # leaving out the values that raise or are not finite
+    top = gen.support_radius**2
+    with np.errstate(all="ignore"):  # top - top 2^k is nan where top = inf
+        z = np.concatenate([np.geomspace(1e-8, min(top, 400.0), 64), _OCTAVES, top - top * _OCTAVES])
+        z = z[(z > 0.0) & (z < top)]
+        dvals = _call_rows(lambda ids, v: gen.g_prime(v), np.arange(len(z)), z[:, None], {})[0]
+    dvals = dvals[np.isfinite(dvals)]
     scale = float(np.abs(dvals).max(initial=0.0))
     if scale == 0.0:
         raise DomainError(

@@ -330,6 +330,18 @@ class TestStarUnimodal:
         # other powers of two it probes
         skewmix._check_star_unimodal(gn.kotz_generator(big_n, 1.0, s))
 
+    @pytest.mark.parametrize("radius, rise", [(1.0, 0.6), (1.0, 0.99), (1e-3, 0.99), (100.0, 0.99)])
+    def test_rise_near_a_finite_edge_rejected(self, radius, rise):
+        # g = (z/R^2 - rise)^2 falls, then rises over the top of its support,
+        # above every power of two below R^2: the check probes toward the edge
+        top = radius**2
+        gen = gn.custom_generator(
+            lambda z: (z / top - rise) ** 2, g_prime=lambda z: 2.0 * (z / top - rise) / top,
+            support_radius=radius,
+        )
+        with pytest.raises(DomainError, match="g' > 0 detected on the support"):
+            cf_star_unimodal(gen, 2, [1.0, 0.0])
+
     def test_increasing_generator_rejected(self):
         rising = gn.custom_generator(
             lambda z: z * math.exp(-z), g_prime=lambda z: (1.0 - z) * math.exp(-z)
