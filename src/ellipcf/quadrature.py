@@ -7,8 +7,8 @@ integrator works in the Bessel argument x = omega r, splits that axis at
 consecutive Bessel zeros, integrates each inter-zero panel adaptively,
 and extrapolates the partial sums at the zeros with Sidi's mW
 transformation on an infinite support; a finite one is summed to its edge.
-No row leaves before the panel that reaches omega r_peak, where the
-envelope peaks, and a row out of its panel budget fails by name.
+No row leaves before the panel that reaches omega r_peak, where _fit's probe
+finds the envelope's peak; a row out of its panel budget fails by name.
 It runs a whole set of frequencies in lockstep: every round integrates the
 next few Bessel panels of all rows still running in one adaptive_rows call,
 and applies the exit rules to all of them as array masks; a single
@@ -139,7 +139,7 @@ def _dyadic_seeds(a: float, b: float, min_cell: float) -> tuple[float, ...]:
     width = b - a
     if not width <= min_cell * 2.0 ** (_PANEL_BUDGET - 1):
         raise ConvergenceError(
-            f"integrate_bessel_oscillatory: a panel of width {width:.6g} needs more than "
+            f"oscillatory engine: a panel of width {width:.6g} needs more than "
             f"{_PANEL_BUDGET} subpanels to resolve cells of {min_cell:.6g}"
         )
     levels = int(math.ceil(math.log2(width / min_cell)))
@@ -395,16 +395,16 @@ _OCTAVES = np.ldexp(1.0, np.arange(-128, 129))
 def _fit(h: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> tuple[float, float]:
     # half_line's (unit, p) for an integrand h on [lo, hi], probed in float
     # arithmetic as in Python (a value past the float range is inf).  unit:
-    # the d of _OCTAVES, lo + d < hi, where d h(lo + d), h's mass per unit of
-    # log distance, is largest (one call of h, entry by entry where that
-    # raises), 1 where none is positive and finite.  p: from h's log-slope e
+    # the d of _OCTAVES, lo + d < hi, where d |h(lo + d)|, h's mass per unit
+    # of log distance, is largest (one call of h, entry by entry where that
+    # raises), 1 where none is nonzero and finite.  p: from h's log-slope e
     # over one doubling of the distance to the end, v - lo = 1e8 -> 2e8 units
     # on a half-line, hi - v = 1e-8 -> 2e-8 of hi - lo below a finite edge:
     # h ~ v^(-1-e) far out, or ~ d^(e-1) at the edge, gives p = 1/e rounded
     # up (so rounding cannot move p = 1); 1 where e <= 0, or there is no slope.
     d = _OCTAVES[lo + _OCTAVES < hi]
     vals, ok = _call_rows(lambda ids, v: h(v), np.arange(len(d)), (lo + d)[:, None], {})
-    mass = np.nan_to_num(d[ok] * vals[:, 0], nan=0.0, posinf=0.0)
+    mass = np.nan_to_num(d[ok] * abs(vals[:, 0]), nan=0.0, posinf=0.0)
     unit = float(d[ok][mass.argmax()]) if mass.max(initial=0.0) > 0.0 else 1.0
     infinite = math.isinf(hi)
     at = lo + unit * np.array([1e8, 2e8]) if infinite else hi - (hi - lo) * np.array([1e-8, 2e-8])
@@ -558,7 +558,6 @@ def _oscillatory_rows(
     abs_tols: np.ndarray,
     support_radius: float,
     edge_exponent: float = 1.0,
-    power: float = 0.0,
 ) -> QuadRows:
     # int_0^R envelope(r) J_nu(omega_i r) dr for every row i, each to its own
     # abs_tols[i]: integrate_bessel_oscillatory for all rows in lockstep.
@@ -567,21 +566,15 @@ def _oscillatory_rows(
     # the exit rules then run on each panel in turn, as array masks, and a
     # row leaves at its first panel where one fires.  A panel that ends at a
     # finite support edge is integrated through half_line with the exponent
-    # edge_exponent (p = 1: plain panels in x).  power > 0 declares a factor
-    # r^power of the envelope (the transform front end's r^(nu+1)).
+    # edge_exponent (p = 1: plain panels in x).
     count = len(omegas)
     value, err_est, tail = np.full(count, np.nan), np.full(count, np.nan), np.full(count, np.nan)
     panels_used = np.zeros(count, dtype=int)
     failures: dict = {}
     panel_rel = min(_REL_TOL, 1e-10)
-    # r_peak maximises |envelope| on a fixed log grid of radii, skipping the
-    # radii where it raises: before x = omega r_peak the panels still grow,
-    # so no panel tells how small the rest is.  The grid stops where the
-    # declared factor r^power overflows, so that envelope takes one call.
-    grid = np.geomspace(1e-8, min(support_radius, 1e8), 400)
-    grid = grid[power * np.log(grid) < np.log(np.finfo(float).max)]
-    mag, ok = _call_rows(lambda ids, r: envelope(r), np.arange(len(grid)), grid[:, None], {})
-    r_peak = grid[ok][np.nan_to_num(abs(mag[:, 0]), nan=0.0).argmax()] if ok.any() else 0.0
+    # before x = omega r_peak, the power of two where |envelope| peaks (_fit's
+    # scale of envelope/r), the panels still grow: none tells how small the rest is
+    r_peak = _fit(lambda r: envelope(r) / r, 0.0, support_radius)[0]
     infinite = math.isinf(support_radius)
     # the state of every row still running after `done` panels, one entry
     # (or one row of panel history) per row
@@ -595,11 +588,15 @@ def _oscillatory_rows(
     }
     zeros = []  # the panel ends so far, every row's on an infinite support
 
-    no_convergence = f"integrate_bessel_oscillatory: no convergence within {_MAX_PANELS} panels"
+    no_convergence = f"no convergence within {_MAX_PANELS} panels"
     # a row whose omega r_peak lies past the end of its last panel, j_(nu, _MAX_PANELS) <
     # (_MAX_PANELS + nu/2 - 1/4) pi + pi (McMahon), can leave by no rule: it fails at once
-    hopeless = live["x_peak"] > (_MAX_PANELS + 0.5 * nu + 0.75) * math.pi
-    failures.update({i: ConvergenceError(no_convergence) for i in np.flatnonzero(hopeless).tolist()})
+    reach = (_MAX_PANELS + 0.5 * nu + 0.75) * math.pi
+    hopeless = live["x_peak"] > reach
+    for i in np.flatnonzero(hopeless).tolist():
+        failures[i] = ConvergenceError(
+            f"oscillatory engine: u r_peak = {omegas[i]:.6g} * {r_peak:.6g} = {omegas[i] * r_peak:.6g}"
+            f" lies past x = {reach:.6g}, the end of panel {_MAX_PANELS}; {no_convergence}")
     live = {key: z[~hopeless] for key, z in live.items()}
     done, width = 0, 1
     while len(live["id"]) and done < _MAX_PANELS:
@@ -718,7 +715,7 @@ def _oscillatory_rows(
             if code == 0:
                 # a panel is empty only at a support edge at x = 0, before
                 # any panel: nothing is summed, and no panel budget helps
-                failures[i] = ConvergenceError(no_convergence)
+                failures[i] = ConvergenceError(f"oscillatory engine: {no_convergence}")
             elif code == 1:
                 failures[i] = raised[row * width + panel]
 
@@ -730,7 +727,7 @@ def _oscillatory_rows(
         done += width
 
     for i in live["id"].tolist():  # out of panels
-        failures[i] = ConvergenceError(no_convergence)
+        failures[i] = ConvergenceError(f"oscillatory engine: {no_convergence}")
     return QuadRows(value, err_est, panels_used, tail, failures)
 
 
@@ -849,13 +846,10 @@ def _bessel_transform_rows(
     for start in range(0, len(rows), _ROWS):
         sl = slice(start, start + _ROWS)
         idx, pref = np.array(rows[sl]), np.array(prefactors[sl])
-        res = _oscillatory_rows(envelope, nu, us[idx], np.array(tols[sl]), radius, edge, nu + 1.0)
+        res = _oscillatory_rows(envelope, nu, us[idx], np.array(tols[sl]), radius, edge)
         value[idx], err_est[idx] = pref * res.value, abs(pref) * res.err_est
         panels_used[idx], tail[idx] = res.panels_used, abs(pref) * res.tail_bound
         failures.update({int(idx[i]): exc for i, exc in res.failures.items()})
-    for i in failures:
-        value[i] = err_est[i] = tail[i] = np.nan
-        panels_used[i] = 0
     return QuadRows(value, err_est, panels_used, tail, dict(sorted(failures.items())))
 
 

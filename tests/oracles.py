@@ -7,7 +7,9 @@ functions.
 
 The oracle map: each key of the CLI's tables (cli._FAMILIES, cli._KINDS
 and cli._MIXINGS) and the test that holds its closed route against an
-mpmath oracle.  tests/test_oracles.py fails on a key with no row here.
+mpmath oracle, and each special-function kernel of ellipcf.specfun and the
+test that holds it against an oracle.  tests/test_oracles.py fails on a key
+or a kernel with no row here.
 
     table     key              test
     family    normal           test_closed_sweep.py::test_closed_form_against_mpmath
@@ -26,6 +28,14 @@ mpmath oracle.  tests/test_oracles.py fails on a key with no row here.
     mixing    degenerate       test_mixture_oracle.py::test_spec_closed_route
     mixing    finite_discrete  test_mixture_oracle.py::test_spec_closed_route
     mixing    inverse_gamma    test_mixture_oracle.py::test_inverse_gamma_at_every_scale
+    kernel    bessel_j_rows    test_specfun.py::TestBesselJRows::test_against_mpmath
+    kernel    bessel_k         test_specfun.py::TestBesselKArrays::test_against_mpmath
+    kernel    bessel_j_zero    test_specfun.py::TestBesselJZero::test_against_mpmath
+    kernel    hyp0f1           test_specfun.py::TestHyp0F1::test_against_mpmath
+    kernel    hyp1f1           test_specfun.py::TestHyp1F1::test_kummer_transform_region
+    kernel    dawson           test_specfun.py::TestArrayDawson::test_against_mpmath
+    kernel    norm_cdf_imag_scaled
+              test_specfun.py::TestArrayDawson::test_norm_cdf_imag_scaled_against_mpmath
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ the CLI's tables has one.
 tests/oracles.py computes expected values from mpmath, numpy and the math
 module alone; a helper that imported an ellipcf module would check the
 package against itself.  Its docstring maps each family, kind and mixing
-kind the CLI accepts to the test that holds it against an oracle.
+kind the CLI accepts, and each special-function kernel, to the test that
+holds it against an oracle.
 """
 
 import ast
@@ -12,7 +13,7 @@ import re
 from pathlib import Path
 
 import oracles
-from ellipcf import cli
+from ellipcf import cli, specfun
 
 ORACLES = Path(__file__).with_name("oracles.py")
 
@@ -47,20 +48,43 @@ def test_the_check_sees_an_ellipcf_import():
                    for n in _imports(ast.parse(source)))
 
 
+# specfun's public functions that are another one's values on a thin layer:
+# each and what it takes its values from
+WRAPPERS = {
+    "gamma_fn": "math.gamma", "log_gamma_fn": "math.lgamma",
+    "bessel_j": "bessel_j_rows", "norm_cdf_imag": "norm_cdf_imag_scaled",
+}
+
+
 def _oracle_map() -> dict:
-    # (table, key) -> (test file, test function), from oracles.py's docstring
-    rows = re.findall(r"^ {4}(family|kind|mixing) +(\w+) +(\S+)::(\w+)$", oracles.__doc__, re.M)
+    # (table, key) -> (test file, test path in it), from oracles.py's
+    # docstring; a row whose key is long may put its test on the next line
+    rows = re.findall(r"^ {4}(family|kind|mixing|kernel) +(\w+)\s+(\S+?)::(\S+)$",
+                      oracles.__doc__, re.M)
     return {(table, key): (path, test) for table, key, path, test in rows}
+
+
+def _unmapped(tables: dict) -> tuple[list, list]:
+    # the keys of `tables` with no row, and the rows of those tables naming no key
+    keys = {(table, key) for table, entries in tables.items() for key in entries}
+    rows = {row for row in _oracle_map() if row[0] in tables}
+    return sorted(keys - rows), sorted(rows - keys)
 
 
 def test_every_cli_key_has_an_oracle_test():
     tables = {"family": cli._FAMILIES, "kind": cli._KINDS, "mixing": cli._MIXINGS}
-    keys = {(table, key) for table, entries in tables.items() for key in entries}
-    assert sorted(keys - set(_oracle_map())) == []  # a key with no row
-    assert sorted(set(_oracle_map()) - keys) == []  # a row naming no key
+    assert _unmapped(tables) == ([], [])
+
+
+def test_every_kernel_has_an_oracle_test():
+    assert sorted(set(WRAPPERS) - set(specfun.__all__)) == []  # a wrapper that is gone
+    assert _unmapped({"kernel": set(specfun.__all__) - set(WRAPPERS)}) == ([], [])
 
 
 def test_every_mapped_test_exists():
     for path, test in set(_oracle_map().values()):
-        tree = ast.parse(Path(__file__).with_name(path).read_text())
-        assert test in {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        scope = ast.parse(Path(__file__).with_name(path).read_text())
+        *classes, name = test.split("::")
+        for cls in classes:
+            scope = next(n for n in scope.body if isinstance(n, ast.ClassDef) and n.name == cls)
+        assert name in {n.name for n in scope.body if isinstance(n, ast.FunctionDef)}

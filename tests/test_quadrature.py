@@ -332,8 +332,8 @@ class TestOscillatory:
             assert abs(res.value - math.exp(-0.5 * omega * omega)) <= 1e-8
 
     def test_non_decaying_envelope_fails(self):
-        # r peaks at the end of the r_peak grid, 1e8: no exit comes before
-        # the panel budget runs out
+        # r peaks at the largest probe radius, 2^128, far past the 400th
+        # Bessel zero: no exit can come, and the row fails before its first panel
         with pytest.raises(ConvergenceError):
             integrate_bessel_oscillatory(lambda r: r, 0.0, 1.0)
 
@@ -353,8 +353,9 @@ class TestOscillatory:
     @pytest.mark.parametrize("n", [1, 2])
     def test_peak_past_the_budget_fails_before_its_first_panel(self, n):
         # at u = 1e9, u r_peak lies past the 400th Bessel zero: no panel is
-        # integrated, g sees the 400 radii of the r_peak grid alone, and the
-        # row fails as it did after its 400 panels
+        # integrated, g sees only the radii of the peak search (the 257
+        # powers of two of _fit's probe and its two slope radii), and the
+        # row fails by name, with u r_peak in plain numbers
         seen = []
 
         def g(z):
@@ -365,15 +366,17 @@ class TestOscillatory:
         quadrature.normalizing_constant(n, gen)  # the moment integral, cached
         seen.clear()
         rows = phi_hankel_rows(gen, n, [1e9])
-        assert len(seen) == 400
+        assert len(seen) == 259
+        peak = "0.25 = 2.5e+08 lies past x = 1258.21" if n == 1 else "0.5 = 5e+08 lies past x = 1258.99"
         assert str(rows.failures[0]) == (
-            "integrate_bessel_oscillatory: no convergence within 400 panels")
+            f"oscillatory engine: u r_peak = 1e+09 * {peak}, the end of panel 400; "
+            "no convergence within 400 panels")
 
-    def test_peak_grid_is_one_envelope_call_at_n140(self, monkeypatch):
-        # at n = 140 the envelope's r^70 overflows past r ~ 2.5e4: the r_peak
-        # grid stops there and takes one call of g, where a call on the whole
-        # grid raised and each of its 400 radii was retried alone.  The
-        # engine is stopped at its first Bessel zero.
+    def test_peak_search_at_n140(self, monkeypatch):
+        # at n = 140 the envelope's r^70 overflows from r = 2^15 up: the
+        # call of g on all 257 powers of two of the peak search raises, each
+        # radius is retried alone, and the two slope radii come last.  The
+        # engine then reaches its first Bessel zero, where it is stopped.
         gen, calls = gn.normal_generator(), []
         profile = gen.g
         gen.g = lambda z: calls.append(z.size) or profile(z)
@@ -387,15 +390,14 @@ class TestOscillatory:
         monkeypatch.setattr(quadrature, "bessel_j_zero", stop)
         with pytest.raises(Stop):
             phi_hankel_rows(gen, 140, [1.0])
-        radii = np.geomspace(1e-8, 1e8, 400)
-        assert calls == [int(np.sum(70.0 * np.log(radii) < math.log(sys.float_info.max)))]
+        assert calls == [257] + [1] * 257 + [2]
 
     def test_peak_grid_of_any_f_reaches_1e8_at_large_order(self, monkeypatch):
-        # f here carries no r^(nu + 1), so its r_peak grid is not cut where
-        # that power overflows (r ~ 2.2e4 at nu = 70): a bump at r = 1e6
-        # stays its r_peak, which at omega = 0.01 lies past the 400th Bessel
-        # zero, and the row fails before its first panel.  Cut, r_peak read
-        # about 2.2e4 and the panels started while they still grew.
+        # a bump at r = 1e6 of an f with no r^(nu + 1) factor is its r_peak
+        # (the power of two 2^20), which at omega = 0.01 lies past the 400th
+        # Bessel zero, and the row fails before its first panel.  A peak
+        # search cut where r^(nu + 1) overflows (r ~ 2.2e4 at nu = 70) would
+        # read about 2.2e4 and start the panels while they still grow.
         def no_panel(nu, k):
             raise AssertionError("a Bessel panel was started")
 
@@ -442,12 +444,13 @@ class TestPhiHankel:
             closed = closed_form_generator(gn.uniform_ball_generator(), n, (u * radius) ** 2)
             assert abs(res.value - closed) <= res.err_est + 8.0 * np.finfo(float).eps
 
-    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e6])
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e6, 1e-40])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_custom_normal_at_any_scale(self, n, scale):
         # g = exp(-z/s) is the normal with variance s/2: phi(u^2) = exp(-s u^2/4).
         # The moment integral must find the integrand's mass at any scale:
-        # its map's unit is measured where that mass lies
+        # its map's unit is measured where that mass lies.  So must the
+        # engine's r_peak: at s = 1e-40 the envelope peaks near r = 1e-20
         gen = gn.custom_generator(lambda z: math.exp(-z / scale))
         us = np.array([0.3, 1.0, 3.0]) / math.sqrt(scale)
         rows = phi_hankel_rows(gen, n, us)

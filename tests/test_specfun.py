@@ -110,6 +110,17 @@ class TestBesselJRows:
         assert (np.abs(got - want) <= 2.0 * np.spacing(np.abs(want))).all()
         assert got.tobytes() == np.array([bessel_j(nu, v) for v in x.tolist()]).tobytes()
 
+    @pytest.mark.parametrize("nu", [0.0, 0.3, 1.0, 2.5, 5.0])
+    def test_against_mpmath(self, nu):
+        # seeded x on both sides of the switch at 12, and 12 itself.  The
+        # largest errors are the Hankel expansion's at x = 12 (8.6e-13 at
+        # nu = 1, 2.3e-12 at nu = 5) and the series' just below it (5e-13)
+        rng = np.random.default_rng(int(10 * nu) + 7)
+        x = np.concatenate([rng.uniform(0.0, 12.0, 150), rng.uniform(12.0, 300.0, 150), [12.0]])
+        with mpmath.workdps(30):
+            want = [float(mpmath.besselj(nu, mpmath.mpf(v))) for v in x.tolist()]
+        assert np.abs(bessel_j_rows(nu, x) - want).max() <= 3e-12
+
     def test_half_orders_in_closed_form(self):
         x = np.linspace(0.01, 50.0, 500)
         assert_allclose(bessel_j_rows(0.5, x), np.sqrt(2.0 / (np.pi * x)) * np.sin(x), rtol=0, atol=1e-15)
@@ -367,6 +378,18 @@ class TestHyp0F1:
             lhs = hyp0f1(nu + 1.0, -0.25 * x * x) * (0.5 * x) ** nu / gamma_fn(nu + 1.0)
             rhs = bessel_j(nu, x)
             assert abs(lhs - rhs) <= 1e-11 * max(abs(rhs), 1e-3)
+
+    @pytest.mark.parametrize("gamma", [0.7, 1.0, 2.0, 3.5, 6.0])
+    def test_against_mpmath(self, gamma):
+        # seeded z on both sides of the switch to Bessel J at z = -25, -25
+        # itself and z > 0: within 6e-13 of max(|0F1|, 1), the largest at
+        # gamma = 0.7 on the Bessel branch
+        rng = np.random.default_rng(int(10 * gamma))
+        z = np.concatenate([rng.uniform(-25.0, 0.0, 150), rng.uniform(-2500.0, -25.0, 150),
+                            rng.uniform(0.0, 50.0, 50), [-25.0]])
+        with mpmath.workdps(30):
+            want = np.array([float(mpmath.hyp0f1(gamma, mpmath.mpf(v))) for v in z.tolist()])
+        assert (np.abs(hyp0f1(gamma, z) - want) <= 1e-12 * np.fmax(np.abs(want), 1.0)).all()
 
     def test_pole_parameter(self):
         with pytest.raises(DomainError):
