@@ -4,9 +4,10 @@ Every panel uses the nested Gauss-Kronrod 7/15 pair, in one engine that
 advances many integrands in lockstep on arrays (adaptive_rows); a scalar
 integrand is its one-row case (adaptive_interval).  The oscillatory
 integrator works in the Bessel argument x = omega r, splits that axis at
-consecutive Bessel zeros, integrates each inter-zero panel adaptively,
-and extrapolates the partial sums at the zeros with Sidi's mW
-transformation on an infinite support; a finite one is summed to its edge.
+x_k = (k + nu/2 - 1/4) pi, McMahon's leading term for the zeros of J_nu,
+integrates each panel adaptively, and extrapolates the partial sums at
+the panel ends with Sidi's mW transformation on an infinite support; a
+finite one is summed to its edge.
 No row leaves before the panel that reaches omega r_peak, where _fit's probe
 finds the envelope's peak; a row out of its panel budget fails by name.
 It runs a whole set of frequencies in lockstep: every round integrates the
@@ -42,7 +43,6 @@ from .specfun import (
     _node_by_node,
     _power,
     bessel_j_rows,
-    bessel_j_zero,
     gamma_fn,
 )
 
@@ -581,32 +581,31 @@ def _oscillatory_rows(
     zero = np.zeros(count)
     live = {
         "id": np.arange(count), "omega": omegas, "tol": abs_tols,
-        "panel_abs": abs_tols / 64.0 * omegas, "min_cell": 0.25 * omegas,
+        "panel_abs": abs_tols / 64.0 * omegas, "min_cell": 0.25 * r_peak * omegas,
         "x_edge": support_radius * omegas, "x_peak": r_peak * omegas, "x_prev": zero,
         "running": zero, "quad_err": zero, "abs_sum": zero, "peak": zero,
         "panels": np.zeros(count, dtype=int), "partial": np.zeros((count, 0)),
     }
-    zeros = []  # the panel ends so far, every row's on an infinite support
+    # panel k ends at x_k = (k + nu/2 - 1/4) pi, McMahon's leading term for the
+    # k-th zero of J_nu (exact at nu = +-1/2): mW needs only ends of spacing pi
+    # (Sidi's D-bar transformation), not the zeros themselves
+    ends = (np.arange(1, _MAX_PANELS + 1) + 0.5 * nu - 0.25) * math.pi
 
     no_convergence = f"no convergence within {_MAX_PANELS} panels"
-    # a row whose omega r_peak lies past the end of its last panel, j_(nu, _MAX_PANELS) <
-    # (_MAX_PANELS + nu/2 - 1/4) pi + pi (McMahon), can leave by no rule: it fails at once
-    reach = (_MAX_PANELS + 0.5 * nu + 0.75) * math.pi
-    hopeless = live["x_peak"] > reach
+    # a row whose omega r_peak lies past the end of its last panel can leave by
+    # no rule: it fails at once
+    hopeless = live["x_peak"] > ends[-1]
     for i in np.flatnonzero(hopeless).tolist():
         failures[i] = ConvergenceError(
             f"oscillatory engine: u r_peak = {omegas[i]:.6g} * {r_peak:.6g} = {omegas[i] * r_peak:.6g}"
-            f" lies past x = {reach:.6g}, the end of panel {_MAX_PANELS}; {no_convergence}")
+            f" lies past x = {ends[-1]:.6g}, the end of panel {_MAX_PANELS}; {no_convergence}")
     live = {key: z[~hopeless] for key, z in live.items()}
     done, width = 0, 1
     while len(live["id"]) and done < _MAX_PANELS:
         width = min(2 * width, _ROUND_PANELS, _MAX_PANELS - done)
         rows = len(live["id"])
         # panel j of row i is [lo[i, j], hi[i, j]], cut short at the support edge
-        top = live["x_edge"].max()
-        for k in range(done + 1, done + width + 1):  # none past every row's support edge
-            zeros.append(bessel_j_zero(nu, k) if not zeros or zeros[-1] < top else zeros[-1])
-        hi = np.minimum(np.array(zeros[done:]), live["x_edge"][:, None])
+        hi = np.minimum(ends[done:done + width], live["x_edge"][:, None])
         lo = np.column_stack((live["x_prev"], hi[:, :-1]))
         # the panels that end at the edge run in half_line's s on [0, 1]
         edged = ((hi >= live["x_edge"][:, None]) & (lo < hi)).ravel() & (edge_exponent != 1.0)
@@ -689,7 +688,7 @@ def _oscillatory_rows(
         if infinite:
             # each row's W table starts four panel ends before the panel that
             # reaches its peak, so its first exit test, on W_2, falls there
-            x = np.array(zeros)
+            x = ends[:done + width]
             start = np.maximum(np.searchsorted(x, live["x_peak"]) - 4, 0)
             w, change = (z[:, done:] for z in _mw_rows(partial, x, start))
             agreed = (change <= tol) & past_peak
@@ -740,10 +739,10 @@ def integrate_bessel_oscillatory(
     """int_0^R f(r) J_nu(omega r) dr with R the (possibly infinite) support.
 
     Panels are integrated in x = omega r, as int f(x/omega) J_nu(x) dx / omega,
-    between consecutive Bessel zeros; each panel is integrated adaptively,
-    and for infinite support the partial sums at the zeros are extrapolated
-    by Sidi's mW transformation, so algebraically decaying envelopes (heavy
-    tails) converge in a few panels.  The one-row case of the lockstep engine
+    ending at x_k = (k + nu/2 - 1/4) pi; each panel is integrated adaptively,
+    and for infinite support the partial sums at the panel ends are
+    extrapolated by Sidi's mW transformation, so algebraically decaying
+    envelopes (heavy tails) converge in a few panels.  The one-row case of the lockstep engine
     behind phi_hankel_rows, with f called point by point.
     """
     if not omega > 0.0:

@@ -12,9 +12,10 @@ The Hankel slice runs the same families, n and u through phi_hankel_rows,
 and through star_unimodal_rows wherever the star route accepts the
 generator, against the same oracles: each row either fails with a named
 error or is within its own err_est + 8 eps.  Rows whose envelope peaks past
-the panel budget (u r_peak beyond about 1257) fail by name.  The slice also
-runs Pearson II with m < 0 at n in {2, 3}, whose profile is singular at the
-support edge, and on the star route with m in {0.3, 0.5}, whose g' is.
+the panel budget (u r_peak beyond x_400 = (400 + nu/2 - 1/4) pi, about 1255
+to 1262 here) fail by name.  The slice also runs Pearson II with m < 0 at n
+in {2, 3}, whose profile is singular at the support edge, and on the star
+route with m in {0.3, 0.5}, whose g' is.
 """
 
 import mpmath as mp

@@ -12,7 +12,7 @@ import mpmath as mp
 import oracles
 
 from ellipcf import generators as gn
-from ellipcf import quadrature, specfun
+from ellipcf import quadrature
 from ellipcf.elliptical import closed_form_generator
 from ellipcf.errors import (
     ConvergenceError,
@@ -32,7 +32,14 @@ from ellipcf.quadrature import (
     phi_hankel_rows,
     radial_moment,
 )
+from ellipcf.skewmix import star_unimodal_rows
 from ellipcf.specfun import bessel_j, gamma_fn, hyp1f1
+
+
+def _narrow_normal(scale):
+    # g = exp(-z/s) with its g': the normal of variance s/2
+    return gn.custom_generator(lambda z: math.exp(-z / scale),
+                               lambda z: -math.exp(-z / scale) / scale)
 
 
 class TestAdaptiveInterval:
@@ -352,10 +359,11 @@ class TestOscillatory:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_peak_past_the_budget_fails_before_its_first_panel(self, n):
-        # at u = 1e9, u r_peak lies past the 400th Bessel zero: no panel is
-        # integrated, g sees only the radii of the peak search (the 257
-        # powers of two of _fit's probe and its two slope radii), and the
-        # row fails by name, with u r_peak in plain numbers
+        # at u = 1e9, u r_peak lies past x_400 = (400 + nu/2 - 1/4) pi, the
+        # end of the last panel: no panel is integrated, g sees only the
+        # radii of the peak search (the 257 powers of two of _fit's probe and
+        # its two slope radii), and the row fails by name, with u r_peak in
+        # plain numbers
         seen = []
 
         def g(z):
@@ -367,7 +375,7 @@ class TestOscillatory:
         seen.clear()
         rows = phi_hankel_rows(gen, n, [1e9])
         assert len(seen) == 259
-        peak = "0.25 = 2.5e+08 lies past x = 1258.21" if n == 1 else "0.5 = 5e+08 lies past x = 1258.99"
+        peak = "0.25 = 2.5e+08 lies past x = 1255.07" if n == 1 else "0.5 = 5e+08 lies past x = 1255.85"
         assert str(rows.failures[0]) == (
             f"oscillatory engine: u r_peak = 1e+09 * {peak}, the end of panel 400; "
             "no convergence within 400 panels")
@@ -376,7 +384,7 @@ class TestOscillatory:
         # at n = 140 the envelope's r^70 overflows from r = 2^15 up: the
         # call of g on all 257 powers of two of the peak search raises, each
         # radius is retried alone, and the two slope radii come last.  The
-        # engine then reaches its first Bessel zero, where it is stopped.
+        # engine then reaches its first Bessel panel, where it is stopped.
         gen, calls = gn.normal_generator(), []
         profile = gen.g
         gen.g = lambda z: calls.append(z.size) or profile(z)
@@ -384,24 +392,24 @@ class TestOscillatory:
         class Stop(Exception):
             pass
 
-        def stop(nu, k):
+        def stop(*args):
             raise Stop
 
-        monkeypatch.setattr(quadrature, "bessel_j_zero", stop)
+        monkeypatch.setattr(quadrature, "adaptive_rows", stop)
         with pytest.raises(Stop):
             phi_hankel_rows(gen, 140, [1.0])
         assert calls == [257] + [1] * 257 + [2]
 
     def test_peak_grid_of_any_f_reaches_1e8_at_large_order(self, monkeypatch):
         # a bump at r = 1e6 of an f with no r^(nu + 1) factor is its r_peak
-        # (the power of two 2^20), which at omega = 0.01 lies past the 400th
-        # Bessel zero, and the row fails before its first panel.  A peak
-        # search cut where r^(nu + 1) overflows (r ~ 2.2e4 at nu = 70) would
-        # read about 2.2e4 and start the panels while they still grow.
-        def no_panel(nu, k):
+        # (the power of two 2^20), which at omega = 0.01 lies past the end of
+        # the 400th Bessel panel, and the row fails before its first panel.
+        # A peak search cut where r^(nu + 1) overflows (r ~ 2.2e4 at nu = 70)
+        # would read about 2.2e4 and start the panels while they still grow.
+        def no_panel(*args):
             raise AssertionError("a Bessel panel was started")
 
-        monkeypatch.setattr(quadrature, "bessel_j_zero", no_panel)
+        monkeypatch.setattr(quadrature, "adaptive_rows", no_panel)
         with pytest.raises(ConvergenceError, match="no convergence within 400 panels"):
             integrate_bessel_oscillatory(lambda r: math.exp(-math.log(r / 1e6) ** 2), 70.0, 0.01)
 
@@ -456,6 +464,40 @@ class TestPhiHankel:
         rows = phi_hankel_rows(gen, n, us)
         assert not rows.failures
         assert np.all(abs(rows.value - np.exp(-0.25 * scale * us * us)) <= rows.err_est)
+
+    @pytest.mark.parametrize("route", [phi_hankel_rows, star_unimodal_rows])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("gen, scale", [
+        (_narrow_normal(1e-12), 1e-12), (_narrow_normal(1e-40), 1e-40),
+        (gn.kotz_generator(1.0, 1e12, 1.0), 1e-12),
+    ], ids=["exp-1e-12", "exp-1e-40", "kotz-r1e12"])
+    def test_narrow_peak_at_small_u(self, gen, scale, n, route):
+        # a narrow normal (Kotz N = 1, r = 1e12, s = 1 is exp(-z/1e-12)) at
+        # u r_peak << 1: the first Bessel panel spans r up to about 1/u, and
+        # its seed cells, r_peak/4 wide at the left end, must resolve the
+        # peak near r = sqrt(s).  Cells of a fixed 1/4 in r sampled it as all
+        # zeros and every row read 0 +- 0.  phi(u^2) = exp(-s u^2/4)
+        us = np.array([1e-2, 1.0, 1e3])
+        rows = route(gen, n, us)
+        assert not rows.failures
+        assert np.all(abs(rows.value - np.exp(-0.25 * scale * us * us)) <= rows.err_est)
+
+    @pytest.mark.parametrize("n", [2, 10, 30, 60])
+    @pytest.mark.parametrize("gen, route, oracle", [
+        (gn.normal_generator(), phi_hankel_rows, lambda n, u: math.exp(-0.5 * u * u)),
+        (gn.uniform_ball_generator(), phi_hankel_rows, oracles.ball_phi_mp),
+        (gn.normal_generator(), star_unimodal_rows, lambda n, u: math.exp(-0.5 * u * u)),
+    ], ids=["normal-hankel", "ball-hankel", "normal-star"])
+    def test_small_u_series_at_any_n(self, gen, route, oracle, n):
+        # below u = 1e-3 the moment series carries these rows.  The engine
+        # alone is not scale-free in u^(-nu): u^(-nu) and r^(nu+1) overflow
+        # from n = 10, the first panel needs too many subpanels at u <= 1e-100,
+        # and the ball missed by up to 1.2e-7 with an err_est of 9e-16
+        us = [1e-4, 1e-8, 1e-12, 1e-20, 1e-62, 1e-100, 1e-300]
+        rows = route(gen, n, us)
+        assert not rows.failures
+        want = np.array([oracle(n, u) for u in us])
+        assert np.all(abs(rows.value - want) <= rows.err_est)
 
     def test_failing_small_u_series_falls_back(self):
         # g = exp(-z/1e12): at u = 3e-6 the moment series overflows (its terms
@@ -579,11 +621,10 @@ class TestHankelSilentErrors:
     """Rows the Hankel route can return with exit 0 and an error estimate far
     below their true error.  Each case must either raise a named error or
     meet the closed form within err_est + 8 eps.  On finite support the sum
-    runs to the edge: no panel before it bounds the rest.  At n = 30 and
-    from n = 140 J_nu's series loses its digits near the first Bessel zeros,
-    and bessel_j_zero raises naming the zero it cannot find (rows on zeros
-    taken from the lost digits missed the closed form by 2e-8 to 6e-8, or
-    read 0 +- 0 where the value is 0.61)."""
+    runs to the edge: no panel before it bounds the rest.  At n = 30
+    bessel_j_rows raises on its first panels, naming nu and x; rows whose
+    panels ended at Bessel zeros taken from J_nu's lost digits missed the
+    closed form by 2e-8 to 6e-8, or read 0 +- 0 where the value is 0.61."""
 
     @pytest.mark.parametrize("gen, n, u", [
         pytest.param(gn.uniform_ball_generator(), 1, 60.2089, id="ball-n1-u60.2"),
@@ -602,6 +643,21 @@ class TestHankelSilentErrors:
             return
         want = closed_form_generator(gen, n, u * u)
         assert abs(res.value - want) <= res.err_est + 8 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("gen, n", [
+        (gn.normal_generator(), 18), (gn.generalized_t_generator(20, 3.0, 3), 20),
+    ], ids=["normal-n18", "t-n20"])
+    def test_high_n_fails_row_by_row(self, gen, n):
+        # every row meets its closed form within err_est or holds its own
+        # named error: none escapes the call (a Bessel zero search that did
+        # not converge at nu = 8 and 9 raised out of the whole grid)
+        us = [0.5, 1.0, 2.0, 4.0, 8.0]
+        rows = phi_hankel_rows(gen, n, us)
+        for i, u in enumerate(us):
+            if i in rows.failures:
+                assert isinstance(rows.failures[i], EllipcfError)
+            else:
+                assert abs(rows.value[i] - closed_form_generator(gen, n, u * u)) <= rows.err_est[i]
 
 
 class TestPhiHankelRows:
@@ -676,25 +732,21 @@ class TestPhiHankelRows:
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_cold_warm_and_reversed_grids(self, n):
-        # an empty zero cache, a filled one and the reversed grid give the same bits
+        # each u in a call of its own (cold), the grid after it (warm) and the
+        # reversed grid give the same bits: the panel ends are one formula,
+        # with no state carried from call to call
         gen = gn.kotz_generator(2.0, 0.5, 1.0)
-        cold = {}
-        for u in self.GRID:
-            specfun._JZERO_CACHE.clear()
-            cold[u] = self._bits(phi_hankel_rows(gen, n, [u]).row(0))
-        specfun._JZERO_CACHE.clear()
+        cold = {u: self._bits(phi_hankel_rows(gen, n, [u]).row(0)) for u in self.GRID}
         warm = phi_hankel_rows(gen, n, self.GRID)
         backward = phi_hankel_rows(gen, n, self.GRID[::-1])
         assert [self._bits(warm.row(i)) for i in range(6)] == [cold[u] for u in self.GRID]
         assert [self._bits(backward.row(i)) for i in range(6)] == [cold[u] for u in self.GRID[::-1]]
-        assert len(specfun._JZERO_CACHE[0.5 * (n - 2.0)]) > 0
 
     def test_shared_by_threads(self):
-        # more threads than cores on one zero cache, started empty: every
-        # value still equals the single-threaded one
+        # more threads than cores in the engine at once, on one generator:
+        # every value still equals the single-threaded one
         gen = gn.kotz_generator(2.0, 0.5, 1.0)
         grid = [0.3 + 0.61 * i for i in range(12)]
-        specfun._JZERO_CACHE.clear()
         expected = phi_hankel_rows(gen, 2, grid).value.tolist()
         results = {}
 
@@ -703,7 +755,6 @@ class TestPhiHankelRows:
             got = phi_hankel_rows(gen, 2, order).value.tolist()
             results[idx] = dict(zip(order, got))
 
-        specfun._JZERO_CACHE.clear()
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

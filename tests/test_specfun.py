@@ -156,7 +156,7 @@ class TestBesselJHighOrder:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP item 6: just below the switch to the Hankel expansion the "
+        reason="ROADMAP item 1: just below the switch to the Hankel expansion the "
         "power series loses every digit with no report; bessel_j(35, 69.5) is "
         "1.97e8, and through hyp0f1 the uniform ball at n = 70, u = 69.5 prints "
         "2.38e-6 where the true value is -9.0e-16",
