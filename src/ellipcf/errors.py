@@ -27,10 +27,6 @@ class NoClosedFormError(EllipcfError, LookupError):
     """
 
 
-class MomentUndefinedError(EllipcfError, ArithmeticError):
-    """A requested radial moment does not exist for this generator."""
-
-
 class SpecValidationError(EllipcfError, ValueError):
     """A distribution spec (JSON or constructor arguments) failed validation.
 

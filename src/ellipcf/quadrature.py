@@ -3,19 +3,22 @@
 Every panel uses the nested Gauss-Kronrod 7/15 pair, in one engine that
 advances many integrands in lockstep on arrays (adaptive_rows); a scalar
 integrand is its one-row case (adaptive_interval).  The oscillatory
-integrator works in the Bessel argument x = omega r, splits that axis at
-x_k = (k + nu/2 - 1/4) pi, McMahon's leading term for the zeros of J_nu,
-integrates each panel adaptively, and extrapolates the partial sums at
-the panel ends with Sidi's mW transformation on an infinite support; a
-finite one is summed to its edge.
-No row leaves before the panel that reaches omega r_peak, where _fit's probe
-finds the envelope's peak; a row out of its panel budget fails by name.
-It runs a whole set of frequencies in lockstep: every round integrates the
-next few Bessel panels of all rows still running in one adaptive_rows call,
-and applies the exit rules to all of them as array masks; a single
-frequency is the one-row case.  This evaluates the characteristic
-generator of any density generator, including user-supplied ones without
-closed forms, on a whole grid at once (phi_hankel_rows).  Every integrand
+integrator works in the Bessel argument x = omega r with the kernel J_nu,
+or Omega_nu(x) = 0F1(; nu + 1; -x^2/4) = Gamma(nu + 1) (2/x)^nu J_nu(x),
+splits that axis at x_k = (k + nu/2 - 1/4) pi, McMahon's leading term for
+the zeros of J_nu, integrates each panel adaptively, and extrapolates the
+partial sums at the panel ends with Sidi's mW transformation on an
+infinite support; a finite one is summed to its edge.
+No row leaves before the panel that reaches omega r_peak, where _unit's
+probe finds the envelope's peak; a row out of its panel budget fails by
+name.  It runs a whole set of frequencies in lockstep: every round
+integrates the next few Bessel panels of all rows still running in one
+adaptive_rows call, and applies the exit rules to all of them as array
+masks; a single frequency is the one-row case.  This evaluates the
+characteristic generator of any density generator, including
+user-supplied ones without closed forms, on a whole grid at once
+(phi_hankel_rows), as the expectation of the bounded kernel Omega_nu(u R)
+over the radius R: one path for every u > 0, with no moments.  Every integrand
 here calls the generator's profile g on float arrays; the moment integral
 of a custom generator is one adaptive_rows row, and the named families'
 moments are read from their record.  half_line maps every half-line and
@@ -30,12 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DivergentIntegralError,
-    DomainError,
-    MomentUndefinedError,
-)
+from .errors import ConvergenceError, DivergentIntegralError, DomainError
 from .generators import DensityGenerator
 from .specfun import (
     _call_rows,
@@ -44,6 +42,7 @@ from .specfun import (
     _power,
     bessel_j_rows,
     gamma_fn,
+    hyp0f1,
 )
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "adaptive_rows",
     "half_line",
     "moment_integral",
-    "radial_moment",
     "normalizing_constant",
     "integrate_bessel_oscillatory",
     "phi_hankel",
@@ -134,15 +132,10 @@ _NO_PANEL = np.iinfo(np.int64).max  # the sequence number of a padding slot
 def _dyadic_seeds(a: float, b: float, min_cell: float) -> tuple[float, ...]:
     # interior breakpoints halving toward the left edge down to min_cell, so
     # an integrand concentrated near `a` cannot hide between the nodes of one
-    # huge panel (wider than 8 cells: the caller seeds no narrower one);
-    # halvings that would not fit in the panel budget raise
+    # huge panel (wider than 8 cells: the caller seeds no narrower one); at
+    # most 1100 halvings, past which width 2^-j is 0 in floats
     width = b - a
-    if not width <= min_cell * 2.0 ** (_PANEL_BUDGET - 1):
-        raise ConvergenceError(
-            f"oscillatory engine: a panel of width {width:.6g} needs more than "
-            f"{_PANEL_BUDGET} subpanels to resolve cells of {min_cell:.6g}"
-        )
-    levels = int(math.ceil(math.log2(width / min_cell)))
+    levels = math.ceil(min(math.log2(width / min_cell), 1100.0))
     return tuple(a + width * 2.0 ** (-j) for j in range(levels, 0, -1))
 
 
@@ -197,16 +190,16 @@ def adaptive_rows(
     b,
     abs_tol,
     rel_tol: float,
-    max_panels: int = 256,
+    max_panels=256,
     seeds: Optional[list] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Adaptive Gauss-Kronrod 7/15 on [a, b] for `count` integrands at once.
 
     f(rows, x) evaluates integrand rows[i, 0] at the nodes x[i] (rows is an
     integer (k, 1) array, x a (k, m) array) and returns x's shape, real or
-    complex.  a, b and abs_tol are floats, or arrays with one entry per
-    row; seeds, if given, holds each row's interior breakpoints of its
-    initial partition.  The panels of every row's initial partition take
+    complex.  a, b, abs_tol and max_panels are numbers, or arrays with one
+    entry per row; seeds, if given, holds each row's interior breakpoints of
+    its initial partition.  The panels of every row's initial partition take
     one call of f; then every round bisects the worst panel (the older one
     on a tie) of each row still above its tolerance (the summed error
     estimate against max(abs_tol, rel_tol |value|)) and under max_panels,
@@ -220,9 +213,9 @@ def adaptive_rows(
     returned estimates.
     """
     failures: dict = {}
-    a, b, abs_tol = (
+    a, b, abs_tol, max_panels = (
         np.full(count, float(v)) if np.ndim(v) == 0 else np.asarray(v, dtype=float)
-        for v in (a, b, abs_tol)
+        for v in (a, b, abs_tol, max_panels)
     )
     values = np.full((count, 2), np.nan)
     errs = np.full(count, np.nan)
@@ -292,10 +285,10 @@ def adaptive_rows(
         total_val, total_err = total_val + val[:, j], total_err + err[:, j]
     err[seq == _NO_PANEL] = -np.inf  # padding is never the worst panel
     used = initial
-    tol = abs_tol[ids]
+    tol, cap = abs_tol[ids], max_panels[ids]
     step = 0
     while True:
-        done = (used >= max_panels) | (
+        done = (used >= cap) | (
             total_err <= np.fmax(tol, rel_tol * _magnitude(total_val))
         )
         if done.any():
@@ -303,9 +296,9 @@ def adaptive_rows(
             values[finished, :total_val.shape[1]], errs[finished], panels[finished] = (
                 total_val[done], total_err[done], used[done]
             )
-            ids, lo, hi, val, err, seq, total_val, total_err, used, initial, tol = (
+            ids, lo, hi, val, err, seq, total_val, total_err, used, initial, tol, cap = (
                 z[~done] for z in (
-                    ids, lo, hi, val, err, seq, total_val, total_err, used, initial, tol
+                    ids, lo, hi, val, err, seq, total_val, total_err, used, initial, tol, cap
                 )
             )
         if not len(ids):
@@ -322,10 +315,10 @@ def adaptive_rows(
         )
         pval, perr = val[r, j], err[r, j]
         if not ok.all():
-            (ids, lo, hi, val, err, seq, total_val, total_err, used, initial, tol,
+            (ids, lo, hi, val, err, seq, total_val, total_err, used, initial, tol, cap,
              j, pb, mid, pval, perr) = (
                 z[ok] for z in (
-                    ids, lo, hi, val, err, seq, total_val, total_err, used, initial, tol,
+                    ids, lo, hi, val, err, seq, total_val, total_err, used, initial, tol, cap,
                     j, pb, mid, pval, perr,
                 )
             )
@@ -387,25 +380,32 @@ def half_line(lo, hi, unit: float, p: float = 1.0):
 
 
 # 2^k for |k| <= 128, exact under any SIMD dispatch: the distances at which
-# _fit (and the star-unimodality check) probe a profile.
+# _unit (and the star-unimodality check) probe a profile.
 _OCTAVES = np.ldexp(1.0, np.arange(-128, 129))
 
 
 @np.errstate(invalid="ignore", over="ignore")
-def _fit(h: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> tuple[float, float]:
-    # half_line's (unit, p) for an integrand h on [lo, hi], probed in float
-    # arithmetic as in Python (a value past the float range is inf).  unit:
-    # the d of _OCTAVES, lo + d < hi, where d |h(lo + d)|, h's mass per unit
-    # of log distance, is largest (one call of h, entry by entry where that
-    # raises), 1 where none is nonzero and finite.  p: from h's log-slope e
-    # over one doubling of the distance to the end, v - lo = 1e8 -> 2e8 units
-    # on a half-line, hi - v = 1e-8 -> 2e-8 of hi - lo below a finite edge:
-    # h ~ v^(-1-e) far out, or ~ d^(e-1) at the edge, gives p = 1/e rounded
-    # up (so rounding cannot move p = 1); 1 where e <= 0, or there is no slope.
+def _unit(h: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
+    # half_line's unit for an integrand h on [lo, hi], probed in float
+    # arithmetic as in Python (a value past the float range is inf): the d of
+    # _OCTAVES, lo + d < hi, where d |h(lo + d)|, h's mass per unit of log
+    # distance, is largest (one call of h, entry by entry where that raises),
+    # 1 where none is nonzero and finite
     d = _OCTAVES[lo + _OCTAVES < hi]
     vals, ok = _call_rows(lambda ids, v: h(v), np.arange(len(d)), (lo + d)[:, None], {})
     mass = np.nan_to_num(d[ok] * abs(vals[:, 0]), nan=0.0, posinf=0.0)
-    unit = float(d[ok][mass.argmax()]) if mass.max(initial=0.0) > 0.0 else 1.0
+    return float(d[ok][mass.argmax()]) if mass.max(initial=0.0) > 0.0 else 1.0
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def _fit(h: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> tuple[float, float]:
+    # half_line's (unit, p) for an integrand h on [lo, hi]: the unit of
+    # _unit, and p from h's log-slope e over one doubling of the distance to
+    # the end, v - lo = 1e8 -> 2e8 units on a half-line, hi - v = 1e-8 ->
+    # 2e-8 of hi - lo below a finite edge: h ~ v^(-1-e) far out, or
+    # ~ d^(e-1) at the edge, gives p = 1/e rounded up (so rounding cannot
+    # move p = 1); 1 where e <= 0, or there is no slope.
+    unit = _unit(h, lo, hi)
     infinite = math.isinf(hi)
     at = lo + unit * np.array([1e8, 2e8]) if infinite else hi - (hi - lo) * np.array([1e-8, 2e-8])
     try:
@@ -450,31 +450,6 @@ def moment_integral(gen: DensityGenerator, n: int) -> QuadResult:
     if failures:
         raise failures[0]
     return QuadResult(2.0 * vals[0].item(), 2.0 * float(errs[0]), int(panels[0]), 0.0)
-
-
-def radial_moment(gen: DensityGenerator, n: int, k: int) -> float:
-    """E[R^(2k)] under the radial density of the generator in dimension n.
-
-    Equals the ratio of moment integrals at dimension parameters n + 2k and
-    n: gamma ratios for the named families, quadrature for custom ones.
-    Raises MomentUndefinedError when the moment does not exist, which
-    disables the small-argument series route for that generator.
-    """
-    if k < 0:
-        raise DomainError("radial_moment: k must be >= 0")
-    if k == 0:
-        return 1.0
-    if gen.moment is not None and not gen.finite(n + 2.0 * k):
-        raise MomentUndefinedError(
-            f"E[R^{2 * k}] does not exist for family {gen.family.value} in dimension {n}"
-        )
-    try:
-        num = _moment_n(gen, n + 2 * k)
-    except DomainError as exc:
-        raise MomentUndefinedError(
-            f"E[R^{2 * k}] appears divergent for this generator (dimension {n})"
-        ) from exc
-    return num / _moment_n(gen, n)
 
 
 def _moment_n(gen: DensityGenerator, n: int) -> float:
@@ -553,28 +528,30 @@ _ROUND_PANELS = 8
 @np.errstate(invalid="ignore", over="ignore", divide="ignore")
 def _oscillatory_rows(
     envelope: Callable[[np.ndarray], np.ndarray],
+    kernel: Callable[[np.ndarray], np.ndarray],
     nu: float,
+    r_peak: float,
     omegas: np.ndarray,
     abs_tols: np.ndarray,
     support_radius: float,
     edge_exponent: float = 1.0,
 ) -> QuadRows:
-    # int_0^R envelope(r) J_nu(omega_i r) dr for every row i, each to its own
-    # abs_tols[i]: integrate_bessel_oscillatory for all rows in lockstep.
-    # envelope maps an array of radii to its values, entry by entry.  Every
-    # round integrates the next few Bessel panels of every row still running;
-    # the exit rules then run on each panel in turn, as array masks, and a
-    # row leaves at its first panel where one fires.  A panel that ends at a
-    # finite support edge is integrated through half_line with the exponent
-    # edge_exponent (p = 1: plain panels in x).
+    # int_0^R envelope(r) kernel(omega_i r) dr for every row i, each to its
+    # own abs_tols[i]: integrate_bessel_oscillatory for all rows in lockstep.
+    # kernel is J_nu or a multiple of it by a function of omega r (the panel
+    # ends are J_nu's), envelope maps an array of radii to its values, and
+    # both work entry by entry.  Before x = omega r_peak, where the envelope
+    # peaks (_unit's scale of it), the panels still grow: none tells how small
+    # the rest is.  Every round integrates the next few Bessel panels of every
+    # row still running; the exit rules then run on each panel in turn, as
+    # array masks, and a row leaves at its first panel where one fires.  A
+    # panel that ends at a finite support edge is integrated through
+    # half_line with the exponent edge_exponent (p = 1: plain panels in x).
     count = len(omegas)
     value, err_est, tail = np.full(count, np.nan), np.full(count, np.nan), np.full(count, np.nan)
     panels_used = np.zeros(count, dtype=int)
     failures: dict = {}
     panel_rel = min(_REL_TOL, 1e-10)
-    # before x = omega r_peak, the power of two where |envelope| peaks (_fit's
-    # scale of envelope/r), the panels still grow: none tells how small the rest is
-    r_peak = _fit(lambda r: envelope(r) / r, 0.0, support_radius)[0]
     infinite = math.isinf(support_radius)
     # the state of every row still running after `done` panels, one entry
     # (or one row of panel history) per row
@@ -593,12 +570,15 @@ def _oscillatory_rows(
 
     no_convergence = f"no convergence within {_MAX_PANELS} panels"
     # a row whose omega r_peak lies past the end of its last panel can leave by
-    # no rule: it fails at once
-    hopeless = live["x_peak"] > ends[-1]
+    # no rule, and one whose omega r_peak is below the normal float range
+    # has its peak where x has too few digits: both fail at once
+    hopeless = (live["x_peak"] > ends[-1]) | (live["x_peak"] < np.finfo(float).tiny)
     for i in np.flatnonzero(hopeless).tolist():
+        where = (f"lies past x = {ends[-1]:.6g}, the end of panel {_MAX_PANELS}; {no_convergence}"
+                 if live["x_peak"][i] > ends[-1] else "lies below the normal float range of x")
         failures[i] = ConvergenceError(
             f"oscillatory engine: u r_peak = {omegas[i]:.6g} * {r_peak:.6g} = {omegas[i] * r_peak:.6g}"
-            f" lies past x = {ends[-1]:.6g}, the end of panel {_MAX_PANELS}; {no_convergence}")
+            f" {where}")
     live = {key: z[~hopeless] for key, z in live.items()}
     done, width = 0, 1
     while len(live["id"]) and done < _MAX_PANELS:
@@ -611,49 +591,49 @@ def _oscillatory_rows(
         edged = ((hi >= live["x_edge"][:, None]) & (lo < hi)).ravel() & (edge_exponent != 1.0)
         a, b = np.where(edged, 0.0, lo.ravel()), np.where(edged, 1.0, hi.ravel())
         # a wide panel before the peak is seeded toward its left end, where
-        # the envelope may rise in a narrow feature; past the peak it decays
+        # the envelope may rise in a narrow feature; past the peak it decays.
+        # The seeds' panels come on top of the panel budget, which bounds
+        # the bisections.
         cell = np.repeat(live["min_cell"], width)
         wide = ((hi - lo).ravel() > 8.0 * cell) & ~edged & (lo < live["x_peak"][:, None]).ravel()
-        seeds, unresolved = None, {}
+        seeds, budget = None, _PANEL_BUDGET
         if wide.any():
-            seeds = []
-            for e, (w, *args) in enumerate(
-                zip(wide.tolist(), lo.ravel().tolist(), hi.ravel().tolist(), cell.tolist())
-            ):
-                try:
-                    seeds.append(_dyadic_seeds(*args) if w else ())
-                except ConvergenceError as exc:  # fails its row at this panel
-                    seeds.append(())
-                    unresolved[e] = exc
+            seeds = [
+                _dyadic_seeds(*args) if w else ()
+                for w, *args in zip(wide.tolist(), lo.ravel().tolist(), hi.ravel().tolist(), cell.tolist())
+            ]
+            budget = _PANEL_BUDGET + np.array([len(z) for z in seeds])
         omega = np.repeat(live["omega"], width)
 
         def integrand(entries, x):
-            # the rows share panels, and so nodes: J_nu once per distinct row
-            # of x (a single row's panels are all distinct).  A panel at the
-            # edge takes its nodes from half_line, and its envelope their
-            # distance to the edge as the map carries it.
+            # the kernel only at the nodes where the envelope is not 0, once
+            # per distinct node: the rows share panels, and so nodes (a
+            # single row's are all distinct).  A panel at the edge takes its
+            # nodes from half_line, and its envelope their distance to the
+            # edge as the map carries it.
             on = edged[entries[:, 0]]
             if on.any():
                 x, e = x.copy(), entries[on, 0]
                 to_x = half_line(lo.ravel()[e][:, None], hi.ravel()[e][:, None], 1.0, edge_exponent)[1]
                 x[on], num, gap = to_x(x[on])
-            if rows == 1 or len(x) == 1:
-                j = bessel_j_rows(nu, x)
-            else:
-                keys = np.ascontiguousarray(x).view(np.dtype((np.void, x.itemsize * x.shape[1])))
-                _, first, back = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-                j = bessel_j_rows(nu, x[first])[back.ravel()]
-            out = envelope(x / omega[entries]) * j
+            out = envelope(x / omega[entries])
             if on.any():
                 w = omega[entries[on]]
-                out[on] = envelope(x[on] / w, gap / w) * j[on] * (num / gap)
+                out[on] = envelope(x[on] / w, gap / w)
+            nonzero = out != 0.0
+            if rows == 1 or len(x) == 1:
+                out[nonzero] *= kernel(x[nonzero])
+            else:
+                nodes, back = np.unique(x[nonzero], return_inverse=True)
+                out[nonzero] *= kernel(nodes)[back]
+            if on.any():
+                out[on] *= num / gap
             return out
 
         val, err, p, raised = adaptive_rows(
             integrand, rows * width, a, b,
-            np.repeat(live["panel_abs"], width), panel_rel, _PANEL_BUDGET, seeds,
+            np.repeat(live["panel_abs"], width), panel_rel, budget, seeds,
         )
-        raised.update(unresolved)
         val, err = (val / omega).reshape(rows, width), (err / omega).reshape(rows, width)
         failed = np.zeros((rows, width), dtype=bool)
         if raised:
@@ -742,16 +722,23 @@ def integrate_bessel_oscillatory(
     ending at x_k = (k + nu/2 - 1/4) pi; each panel is integrated adaptively,
     and for infinite support the partial sums at the panel ends are
     extrapolated by Sidi's mW transformation, so algebraically decaying
-    envelopes (heavy tails) converge in a few panels.  The one-row case of the lockstep engine
-    behind phi_hankel_rows, with f called point by point.
+    envelopes (heavy tails) converge in a few panels.  No panel exit comes
+    before omega r_peak, with r_peak the power of two where |f(r)/r| peaks.
+    The engine of phi_hankel_rows with the kernel J_nu, in its one-row case,
+    with f called point by point.
     """
     if not omega > 0.0:
         raise DomainError("integrate_bessel_oscillatory: omega must be > 0")
     if not support_radius > 0.0:
         raise DomainError("integrate_bessel_oscillatory: support_radius must be > 0")
+
+    def envelope(r: np.ndarray) -> np.ndarray:
+        return _elementwise(f, r)
+
     res = _oscillatory_rows(
-        lambda r: _elementwise(f, r), nu, np.array([float(omega)]),
-        np.array([_ABS_TOL]), support_radius,
+        envelope, lambda x: bessel_j_rows(nu, x), nu,
+        _unit(lambda r: envelope(r) / r, 0.0, support_radius),
+        np.array([float(omega)]), np.array([_ABS_TOL]), support_radius,
     )
     return res.row(0)
 
@@ -761,20 +748,24 @@ def integrate_bessel_oscillatory(
 # ---------------------------------------------------------------------------
 
 
-def _phi_small_u_series(gen: DensityGenerator, n: int, u: float) -> QuadResult:
-    # phi(u^2) = sum_k (-u^2/4)^k / ((n/2)_k k!) * E[R^(2k)], valid for any
-    # generator possessing the needed moments; raises MomentUndefinedError
-    # otherwise, ConvergenceError (or an overflow) where the terms do not settle.
-    mqsq = -0.25 * u * u
-    total = 1.0
-    coeff = 1.0
-    for k in range(1, 30):
-        coeff *= mqsq / ((0.5 * n + k - 1.0) * k)
-        term = coeff * radial_moment(gen, n, k)
-        total += term
-        if abs(term) <= _REL_TOL * abs(total):
-            return QuadResult(total, abs(term) + 1e-16, 0, 0.0)
-    raise ConvergenceError("small-u moment series did not converge")
+def _pow_or_inf(x: float, e: float) -> float:
+    try:
+        return pow(x, e)
+    except OverflowError:
+        return math.inf
+
+
+def _times_power(r: np.ndarray, e: float, v: np.ndarray) -> np.ndarray:
+    # v r^e entry by entry with r^e from libm, inf where pow overflows; v
+    # itself wherever it is 0, with no power taken, so inf 0 is never formed
+    out = np.array(v, dtype=float)
+    on = out != 0.0
+    try:
+        power = _power(r[on], e)
+    except OverflowError:
+        power = _elementwise(_pow_or_inf, r[on], e)
+    out[on] *= power
+    return out
 
 
 # Rows per pass of the oscillatory engine: bounds the memory a pass holds
@@ -786,68 +777,61 @@ def _bessel_transform_rows(
     gen: DensityGenerator, n: int, us, nu: float, profile: Callable[[np.ndarray], np.ndarray],
     edge_profile: Optional[Callable[[np.ndarray], np.ndarray]], scale: float,
 ) -> QuadRows:
-    # phi(u^2) = scale c_n (2 pi)^(n/2) u^(-nu) int_0^R r^(nu+1) profile(r^2) J_nu(u r) dr
-    # at every u of the array us: the front end of phi_hankel_rows and of the
-    # star route's grid form.  u = 0 gives exactly 1 and 0 < u < 1e-3 the
-    # moment series where it converges; every other u goes through the
-    # oscillatory engine, all of them in lockstep, in passes of _ROWS rows.
-    # profile maps an array of z to its values, entry by entry; edge_profile
-    # (None: a regular edge) is profile of the distance R^2 - z to a finite
-    # support edge, read there at the distance half_line carries (p by _fit).
+    # phi(u^2) = C int_0^R r^(2 nu + 1) profile(r^2) Omega_nu(u r) dr at every
+    # u of the array us, with the bounded kernel Omega_nu(x) = 0F1(; nu + 1;
+    # -x^2/4) = Gamma(nu + 1) (2/x)^nu J_nu(x) and the constant
+    # C = scale c_n (2 pi)^(n/2) 2^(-nu) / Gamma(nu + 1): the front end of
+    # phi_hankel_rows and of the star route's grid form.  u = 0 gives exactly
+    # 1; every other u goes through the oscillatory engine, all of them in
+    # lockstep, in passes of _ROWS rows, to the absolute target _ABS_TOL on
+    # phi.  profile maps an array of z to its values, entry by entry;
+    # edge_profile (None: a regular edge) is profile of the distance R^2 - z
+    # to a finite support edge, read there at the distance half_line carries
+    # (p by _fit).  r_peak is _unit's scale of r^nu profile(r^2).
     radius = gen.support_radius
 
     def envelope(r: np.ndarray, gap: Optional[np.ndarray] = None) -> np.ndarray:
-        # at the support edge R, edge_profile at R^2 - r^2 = gap (2 R - gap)
+        # at the support edge R, edge_profile at R^2 - r^2 = gap (2 R - gap);
+        # an envelope past the float range fails its row
         prof = profile(r * r) if gap is None else edge_profile(gap * (2.0 * radius - gap))
-        return _power(r, nu + 1.0) * prof
+        out = _times_power(r, 2.0 * nu + 1.0, prof)
+        if np.isinf(out).any():
+            raise ConvergenceError(
+                f"oscillatory engine: the envelope r^{2.0 * nu + 1.0:g} p(r^2) overflows"
+                f" at r = {r[np.isinf(out)][0]:.6g}")
+        return out
 
     if n < 1:
         raise DomainError("phi_hankel: dimension must be >= 1")
     us = np.asarray(us, dtype=float).reshape(-1)
     if (us < 0.0).any():
         raise DomainError("phi_hankel: u must be >= 0")
-    count = len(us)
-    value, err_est, tail = np.full(count, np.nan), np.full(count, np.nan), np.full(count, np.nan)
-    panels_used = np.zeros(count, dtype=int)
-    failures: dict = {}
+    origin = us == 0.0
+    value, err_est, tail = (np.where(origin, v, np.nan) for v in (1.0, 0.0, 0.0))
+    panels_used = np.zeros(len(us), dtype=int)
+    rows = np.flatnonzero(~origin)
+    if not len(rows):
+        return QuadRows(value, err_est, panels_used, tail, {})
+    try:
+        c = (scale * (normalizing_constant(n, gen) * (2.0 * math.pi) ** (0.5 * n))
+             * 2.0 ** (-nu) / gamma_fn(nu + 1.0))
+    except Exception as exc:  # raised again at every row but the origin's
+        return QuadRows(value, err_est, panels_used, tail, {int(i): exc for i in rows})
 
-    def put(i, res: QuadResult):
-        value[i], err_est[i], panels_used[i], tail[i] = (
-            res.value, res.err_est, res.panels_used, res.tail_bound
-        )
+    def kernel(x: np.ndarray) -> np.ndarray:
+        return hyp0f1(nu + 1.0, -0.25 * x * x)
 
-    rows, prefactors, tols = [], [], []
-    head = None
-    for i, u in enumerate(us.tolist()):
-        try:
-            if u == 0.0:
-                put(i, QuadResult(1.0, 0.0, 0, 0.0))
-                continue
-            if u < 1e-3:
-                try:
-                    put(i, _phi_small_u_series(gen, n, u))
-                    continue
-                except ArithmeticError:
-                    pass  # no moments, or a series that fails: the oscillatory route
-            if head is None:
-                head = scale * (normalizing_constant(n, gen) * (2.0 * math.pi) ** (0.5 * n))
-            prefactor = head * u ** (-nu)
-            tol = _ABS_TOL / max(abs(prefactor), 1.0)  # the engine's absolute target
-            if not tol > 0.0:
-                raise DomainError(f"phi_hankel: no positive tolerance under the prefactor {prefactor}")
-            tols.append(tol)
-            prefactors.append(prefactor)
-            rows.append(i)
-        except Exception as exc:  # raised again at its row
-            failures[i] = exc
-
+    r_peak = _unit(lambda r: _times_power(r, nu, profile(r * r)), 0.0, radius)
     edge = 1.0 if edge_profile is None else _fit(lambda r: envelope(r, radius - r), 0.0, radius)[1]
+    tol = _ABS_TOL / max(abs(c), 1.0)  # the engine's absolute target
+    failures: dict = {}
     for start in range(0, len(rows), _ROWS):
-        sl = slice(start, start + _ROWS)
-        idx, pref = np.array(rows[sl]), np.array(prefactors[sl])
-        res = _oscillatory_rows(envelope, nu, us[idx], np.array(tols[sl]), radius, edge)
-        value[idx], err_est[idx] = pref * res.value, abs(pref) * res.err_est
-        panels_used[idx], tail[idx] = res.panels_used, abs(pref) * res.tail_bound
+        idx = rows[start:start + _ROWS]
+        res = _oscillatory_rows(
+            envelope, kernel, nu, r_peak, us[idx], np.full(len(idx), tol), radius, edge
+        )
+        value[idx], err_est[idx] = c * res.value, abs(c) * res.err_est
+        panels_used[idx], tail[idx] = res.panels_used, abs(c) * res.tail_bound
         failures.update({int(idx[i]): exc for i, exc in res.failures.items()})
     return QuadRows(value, err_est, panels_used, tail, dict(sorted(failures.items())))
 
@@ -855,16 +839,16 @@ def _bessel_transform_rows(
 def phi_hankel_rows(gen: DensityGenerator, n: int, us) -> QuadRows:
     """Characteristic generator phi(u^2) at every u of the array us.
 
-    phi(u^2) = c_n (2 pi)^(n/2) u^(-(n-2)/2) *
-               int_0^inf r^(n/2) J_((n-2)/2)(r u) g(r^2) dr
+    phi(u^2) = c_n (2 pi)^(n/2) 2^(-nu) / Gamma(nu + 1) *
+               int_0^inf r^(n-1) g(r^2) Omega_nu(u r) dr,   nu = (n-2)/2,
 
-    u = 0 gives exactly 1.  Below u = 1e-3 the removable u-singularity is
-    sidestepped with a moment series (where the moments exist and it converges).
-    Every other u goes through the oscillatory engine, all of them in
-    lockstep, panel by panel, with the generator's profile g and, at a
-    singular support edge, its g_edge.  Each row gets the bits it would get
-    alone; a row whose computation raises has its exception in the result's
-    failures.
+    the expectation of the bounded kernel Omega_nu(x) = 0F1(; n/2; -x^2/4)
+    = Gamma(nu + 1) (2/x)^nu J_nu(x) over the radius, so every u > 0 takes
+    one path.  u = 0 gives exactly 1; every other u goes through the
+    oscillatory engine, all of them in lockstep, panel by panel, with the
+    generator's profile g and, at a singular support edge, its g_edge.  Each
+    row gets the bits it would get alone; a row whose computation raises has
+    its exception in the result's failures.
     """
     return _bessel_transform_rows(gen, n, us, 0.5 * (n - 2.0), gen.g, gen.g_edge, 1.0)
 

@@ -269,16 +269,16 @@ def _radius_chunk(spec: EllipticalSpec, m: int, g: np.random.Generator) -> np.nd
 def _cdf_table(pdf: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> tuple:
     """Tabulated CDF of a unit-mass density on [lo, hi], pdf its values at
     every entry of a float array: (grid, cdf, to_v), in s of quadrature's
-    half_line on [0, top] with the scale quadrature._fit measures on pdf and
-    exponent 1, so no support is cut.  The grid:
+    half_line on [0, top] with the scale quadrature._unit measures on pdf
+    and exponent 1, so no support is cut.  The grid:
     200 points growing geometrically over 15 decades from each end, then
     each cell with over 1/1000 of the mass split into equal parts.  The
     cells' masses under pdf(v) |dv/ds|, weight 0 at v = inf, take one
     lockstep quadrature, and the split cells' parts a second one.
     """
-    from .quadrature import _fit, adaptive_rows, half_line
+    from .quadrature import _unit, adaptive_rows, half_line
 
-    top, to_v, _ = half_line(lo, hi, _fit(pdf, lo, hi)[0])
+    top, to_v, _ = half_line(lo, hi, _unit(pdf, lo, hi))
 
     def density(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
         v, num, den = to_v(s)

@@ -402,14 +402,16 @@ def _check_star_unimodal(gen: DensityGenerator) -> None:
 def star_unimodal_rows(gen: DensityGenerator, n: int, us) -> QuadRows:
     """phi(u^2) through the scale-mixture-of-uniforms route at every u of us.
 
-    -2 c_n (2 pi)^(n/2) u^(-n/2) int_0^inf w^(n/2+1) J_(n/2)(w u) g'(w^2) dw
+    -2 c_n (2 pi)^(n/2) 2^(-n/2) / Gamma(n/2 + 1) *
+        int_0^inf w^(n+1) g'(w^2) Omega_(n/2)(w u) dw,
 
-    phi_hankel_rows' front end with the order n/2, the profile g' and, at
-    a singular support edge, its g_prime_edge: u = 0 gives exactly 1,
-    0 < u < 1e-3 the moment series (the ball-kernel series in
-    E[W^(2k)] = ((n+2k)/n) E[R^(2k)] is term by term phi_hankel's series in
-    E[R^(2k)]), every other u the oscillatory engine, in lockstep.  A
-    generator that is not star unimodal raises DomainError.
+    with the bounded kernel Omega_nu(x) = 0F1(; nu + 1; -x^2/4): here the
+    uniform ball's characteristic generator in dimension n at u = x, as
+    Omega_(n/2-1) is the sphere's in phi_hankel_rows.  phi_hankel_rows'
+    front end with the order n/2, the profile g' and, at a singular support
+    edge, its g_prime_edge: u = 0 gives exactly 1, every other u the
+    oscillatory engine, in lockstep.  A generator that is not star unimodal
+    raises DomainError.
     """
     from .quadrature import _bessel_transform_rows
 

@@ -62,8 +62,9 @@ def _rows_of(tmp_path, name, spec, grid, routes):
 # substitution must not tie a row to its batch.  The univariate Cauchy at u
 # in [0.02, 1] leaves by the mW transformation, whose W table each row
 # builds from its own partial sums.  The wide Kotz (N = 1, r = 1e-8, s = 1)
-# at u in [1e-4, 1.1e-3] mixes rows of the small-u moment series with rows
-# whose series does not converge and that go through the engine instead.
+# at u in [1e-4, 1.1e-3] peaks near r = 1e4, so u r_peak runs from 1.6 to
+# 18 across the grid: each row seeds its wide panels before the peak with
+# cells of its own u r_peak/4 and leaves after its own number of panels.
 _PLANE = dict(n=2, mu=[0, 0], sigma=[1, 0, 0, 1])
 _LINE = dict(n=1, mu=[0], sigma=[1])
 HANKEL = {

@@ -286,8 +286,8 @@ class TestEval:
         assert "at grid point t=[2.0, 0.0]: hankel breakdown" in capsys.readouterr().err
 
     def test_smu_hankel_small_u_heavy_tail(self, tmp_path, capsys):
-        # E[R^4] does not exist for this t: the star route's small-u series
-        # must give way to its oscillatory integral, not fail
+        # E[R^4] does not exist for this t, which the star route's engine
+        # does not need at small u
         obj = dict(_gen_spec("generalized_t", {"s": 3.0, "m": 3}), kind="smu")
         spec = write_spec(tmp_path, "smu.json", obj)
         rc = cli.main([
@@ -300,9 +300,9 @@ class TestEval:
         assert rows[0][5] == "hankel"
 
     def test_hankel_failing_small_u_series_falls_back(self, tmp_path, capsys):
-        # Kotz (N = 1, r = 1e-8, s = 1) is a wide normal: at u = 9e-4 its
-        # moment series does not converge in 30 terms, so the row goes
-        # through the oscillatory engine.  phi = exp(-u^2/(4 r))
+        # Kotz (N = 1, r = 1e-8, s = 1) is a wide normal: at u = 9e-4 a
+        # moment series did not converge in 30 terms; the oscillatory engine
+        # meets phi = exp(-u^2/(4 r))
         obj = _gen_spec("kotz", {"N": 1.0, "r": 1e-8, "s": 1.0})
         spec = write_spec(tmp_path, "k.json", obj)
         rc = cli.main(["eval", "--spec", spec, "--routes", "hankel",
@@ -1365,11 +1365,15 @@ class TestGoldenBytes:
         # at most 3.2e-11, 0.18 of their abs_err.  r_peak read off _fit's
         # powers of two moved the 36 hankel rows at t1 >= 12.5, where
         # |phi| < 1.2e-34: their error went from at most 7.7e-12 to 7.2e-12,
-        # and the largest error/abs_err of the 61 rows stayed 0.178
+        # and the largest error/abs_err of the 61 rows stayed 0.178.  The
+        # kernel Omega_nu(u r) in place of u^(-nu) J_nu(u r) moved 60 of the
+        # 61 hankel rows (58 compare rows) by at most 3.5e-11: their error
+        # against the closed form went from at most 2.7e-11 to 3.0e-11, and
+        # their largest error/abs_err stayed 0.15
         (KOTZ_N3, ["eval", "--routes", "closed,hankel", "--grid", AXIS],
-         "66f451be65de17555cfa682706c2e389bbfb977570dab671baa62e7c62dbb0e6"),
+         "b0f7b95037052923ca83b24c8749fd37d7e11bb29ca6c60548c06db09fe08120"),
         (KOTZ_N3, ["compare", "--routes", "closed,hankel", "--grid", AXIS],
-         "90981ed6eb71c4b82f0b8016f2431906b58e6f6a197bd7360a4a57f902987b2b"),
+         "25ee190958d4c1fc6805fd34f445f9f44e612feadf835d8fbd0a83ea423bf359"),
         (SN_HALF, SAMPLE,
          "09ee0f5407101592b0968c3639db86bdc824089469be257ef124285eacfbffc2"),
         (SN_FULL, SAMPLE,

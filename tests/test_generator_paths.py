@@ -155,11 +155,19 @@ PINNED = {
     # and 23 of 36 star rows (20 values, by at most 2.6e-13); their worst
     # error against mpmath went from 1.22e-11 to 1.25e-11 (hankel) and from
     # 6.2e-12 to 5.9e-12 (star), and their largest error/err_est stayed 0.041
-    # and 0.12
+    # and 0.12.  The kernel Omega_nu(u r) in place of u^(-nu) J_nu(u r), with
+    # no moment series at u = 5e-4, moved 43 of 72 hankel rows (38 values, by
+    # at most 2.4e-13) and 30 of 36 star rows (24 values, by at most
+    # 1.1e-12).  The u = 5e-4 rows that took the series now take 8 to 19
+    # panels, and their err_est grew from 2e-16 to 2e-13 to 1e-15 to 1e-10;
+    # against mpmath (quadrature of the radial integral; closed forms for
+    # the named star rows) the worst error stayed 1.8e-11 (hankel) and
+    # 5.9e-12 (star), and the largest error/err_est went from 0.18 to 0.18
+    # and from 0.12 to 0.11
     "phi_hankel_rows": (_hankel,
-        "7a1f5df3f460215f8107be930f838206d42c7fbe7756484aa439b94b1313f06e"),
+        "5951913676649f0cdcbc9d5547da41d5c7b42ca04546475737fcbe48a73643d9"),
     "star_unimodal_rows": (_star,
-        "030ce8f34e57bc16ccaf8ca95fb8e8e2c1e57b7ae4f5e942f6107827b7c2fc05"),
+        "5cd3bcfbedee5ba3a360693def883fc38f2eaa808a0b356a3e7945865ec0c4c1"),
     # the CDF tables live in s of quadrature.half_line, with no cut of the
     # support, and their unit measured on the density (quadrature._fit); the
     # draws' KS against the exact CDFs did not move

@@ -14,15 +14,9 @@ import oracles
 from ellipcf import generators as gn
 from ellipcf import quadrature
 from ellipcf.elliptical import closed_form_generator
-from ellipcf.errors import (
-    ConvergenceError,
-    DivergentIntegralError,
-    DomainError,
-    EllipcfError,
-    MomentUndefinedError,
-)
+from ellipcf.errors import ConvergenceError, DivergentIntegralError, DomainError, EllipcfError
 from ellipcf.quadrature import (
-    _phi_small_u_series,
+    _moment_n,
     adaptive_interval,
     adaptive_rows,
     half_line,
@@ -30,7 +24,6 @@ from ellipcf.quadrature import (
     moment_integral,
     phi_hankel,
     phi_hankel_rows,
-    radial_moment,
 )
 from ellipcf.skewmix import star_unimodal_rows
 from ellipcf.specfun import bessel_j, gamma_fn, hyp1f1
@@ -276,23 +269,33 @@ class TestHalfLine:
 
 
 class TestRadialMoment:
-    def test_zeroth_is_one(self):
-        for gen in (gn.normal_generator(), gn.generalized_t_generator(2, 1.0, 1)):
-            assert radial_moment(gen, 2, 0) == 1.0
+    """E[R^(2k)] in dimension n is the ratio of the moment integrals behind
+    normalizing_constant at n + 2k and n (_moment_n): closed forms for the
+    named families, quadrature for custom ones, DomainError where the
+    integral at n + 2k diverges."""
+
+    @staticmethod
+    def radial_moment(gen, n, k):
+        return _moment_n(gen, n + 2 * k) / _moment_n(gen, n)
 
     def test_normal_chi_square_moment(self):
-        # E[R^2] = n for the normal generator
+        # E[R^2] = n for the normal generator, and for the custom normal
+        # exp(-z/2) through its numeric moment integrals
+        custom = gn.custom_generator(lambda z: math.exp(-0.5 * z))
         for n in (1, 3, 5):
-            assert_allclose(radial_moment(gn.normal_generator(), n, 1), float(n), rtol=1e-9)
+            assert_allclose(self.radial_moment(gn.normal_generator(), n, 1), float(n), rtol=1e-9)
+            assert_allclose(self.radial_moment(custom, n, 1), float(n), rtol=1e-9)
 
     def test_ball_moment(self):
-        assert_allclose(radial_moment(gn.uniform_ball_generator(), 2, 1), 0.5, rtol=1e-10)
+        assert_allclose(self.radial_moment(gn.uniform_ball_generator(), 2, 1), 0.5, rtol=1e-10)
+        custom = gn.custom_generator(lambda z: 1.0, support_radius=1.0)
+        assert_allclose(self.radial_moment(custom, 2, 1), 0.5, rtol=1e-12)
 
     def test_heavy_tail_moment_refused(self):
-        with pytest.raises(MomentUndefinedError):
-            radial_moment(gn.generalized_t_generator(2, 1.0, 1), 2, 1)
-        with pytest.raises(MomentUndefinedError):
-            radial_moment(gn.generalized_t_generator(2, 3.0, 3), 2, 2)  # 2k=4 > m=3
+        with pytest.raises(DomainError):
+            self.radial_moment(gn.generalized_t_generator(2, 1.0, 1), 2, 1)
+        with pytest.raises(DomainError):
+            self.radial_moment(gn.generalized_t_generator(2, 3.0, 3), 2, 2)  # 2k=4 > m=3
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("gen, n", [
@@ -308,12 +311,18 @@ class TestRadialMoment:
         # E[R^(2k)] is the ratio of closed moment integrals at n + 2k and n;
         # quadrature gave 0.8571428573267 for the generalized t's 6/7
         want = gen.moment(n + 2.0 * k) / gen.moment(n)
-        assert abs(radial_moment(gen, n, k) - want) <= 4.0 * np.spacing(want)
+        assert abs(self.radial_moment(gen, n, k) - want) <= 4.0 * np.spacing(want)
 
     def test_heavy_tail_detected_numerically(self):
+        # the n = 2 moment integral of (1 + z)^-1.5 converges, the n = 4 one
+        # diverges: B(1, 1/2) = 2 and then DivergentIntegralError, as
+        # DomainError, from normalizing_constant's moment integral
         cauchy_like = gn.custom_generator(lambda z: (1.0 + z) ** (-1.5))  # n=2 profile
-        with pytest.raises(MomentUndefinedError):
-            radial_moment(cauchy_like, 2, 1)
+        assert_allclose(_moment_n(cauchy_like, 2), 2.0, rtol=1e-9)
+        with pytest.raises(DomainError):
+            quadrature.normalizing_constant(4, cauchy_like)
+        with pytest.raises(DomainError):
+            self.radial_moment(cauchy_like, 2, 1)
 
 
 class TestOscillatory:
@@ -361,9 +370,8 @@ class TestOscillatory:
     def test_peak_past_the_budget_fails_before_its_first_panel(self, n):
         # at u = 1e9, u r_peak lies past x_400 = (400 + nu/2 - 1/4) pi, the
         # end of the last panel: no panel is integrated, g sees only the
-        # radii of the peak search (the 257 powers of two of _fit's probe and
-        # its two slope radii), and the row fails by name, with u r_peak in
-        # plain numbers
+        # radii of the peak search (the 257 powers of two of _unit's probe),
+        # and the row fails by name, with u r_peak in plain numbers
         seen = []
 
         def g(z):
@@ -374,17 +382,16 @@ class TestOscillatory:
         quadrature.normalizing_constant(n, gen)  # the moment integral, cached
         seen.clear()
         rows = phi_hankel_rows(gen, n, [1e9])
-        assert len(seen) == 259
+        assert len(seen) == 257
         peak = "0.25 = 2.5e+08 lies past x = 1255.07" if n == 1 else "0.5 = 5e+08 lies past x = 1255.85"
         assert str(rows.failures[0]) == (
             f"oscillatory engine: u r_peak = 1e+09 * {peak}, the end of panel 400; "
             "no convergence within 400 panels")
 
-    def test_peak_search_at_n140(self, monkeypatch):
-        # at n = 140 the envelope's r^70 overflows from r = 2^15 up: the
-        # call of g on all 257 powers of two of the peak search raises, each
-        # radius is retried alone, and the two slope radii come last.  The
-        # engine then reaches its first Bessel panel, where it is stopped.
+    @staticmethod
+    def g_calls_to_first_panel(monkeypatch, n):
+        # the sizes of the normal's g calls until the engine starts its first
+        # Bessel panel, where it is stopped
         gen, calls = gn.normal_generator(), []
         profile = gen.g
         gen.g = lambda z: calls.append(z.size) or profile(z)
@@ -397,8 +404,23 @@ class TestOscillatory:
 
         monkeypatch.setattr(quadrature, "adaptive_rows", stop)
         with pytest.raises(Stop):
-            phi_hankel_rows(gen, 140, [1.0])
-        assert calls == [257] + [1] * 257 + [2]
+            phi_hankel_rows(gen, n, [1.0])
+        return calls
+
+    def test_peak_search_at_n140(self, monkeypatch):
+        # at n = 140 the probe r^69 g(r^2) takes no power where g is 0, as
+        # from r = 2^15 up, where r^69 overflows: g is called once, on all
+        # 257 powers of two.  A pow that raised there retried each radius
+        # alone.
+        assert self.g_calls_to_first_panel(monkeypatch, 140) == [257]
+
+    def test_peak_search_at_n30_calls_g_once(self, monkeypatch):
+        # at n = 30, r^14 overflows at the top powers of two, where g is 0:
+        # the probe takes no power there, and the peak search is one call of
+        # g (259 calls when that overflow raised, so that each radius was
+        # retried alone, and a slope probe followed)
+        calls = self.g_calls_to_first_panel(monkeypatch, 30)
+        assert len(calls) <= 2 and calls == [257]
 
     def test_peak_grid_of_any_f_reaches_1e8_at_large_order(self, monkeypatch):
         # a bump at r = 1e6 of an f with no r^(nu + 1) factor is its r_peak
@@ -432,14 +454,14 @@ class TestPhiHankel:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_series_oscillatory_splice(self, n):
-        # at u = 1e-3 the moment series and the oscillatory route must agree
-        u = 1e-3
+        # around u = 1e-3, where a moment series once took over, the engine
+        # alone meets the closed form on both sides
+        us = [5e-4, 1e-3, 1.5e-3]
         for gen in (gn.normal_generator(), gn.kotz_generator(2.0, 0.5, 1.0)):
-            series = _phi_small_u_series(gen, n, u).value
-            c_n_route = phi_hankel(gen, n, 1.5e-3)  # oscillatory just above the switch
-            closed = closed_form_generator(gen, n, u * u)
-            assert abs(series - closed) <= 1e-7
-            assert abs(c_n_route.value - closed_form_generator(gen, n, 1.5e-3**2)) <= 1e-6
+            rows = phi_hankel_rows(gen, n, us)
+            assert not rows.failures and (rows.panels_used > 0).all()
+            closed = np.array([closed_form_generator(gen, n, u * u) for u in us])
+            assert np.all(abs(rows.value - closed) <= rows.err_est)
 
     @pytest.mark.parametrize("radius", [2.0, 3.5])
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -465,6 +487,15 @@ class TestPhiHankel:
         assert not rows.failures
         assert np.all(abs(rows.value - np.exp(-0.25 * scale * us * us)) <= rows.err_est)
 
+    def test_peak_below_the_float_range_of_x_fails_by_name(self):
+        # exp(-z/1e-70) peaks near r = 1e-35, so at u = 1e-300 u r_peak
+        # underflows and no node of the first panel reaches the peak: the
+        # row read 0 +- 0.  It fails by name; u = 1e-200 meets exp(-s u^2/4)
+        rows = phi_hankel_rows(_narrow_normal(1e-70), 2, [1e-300, 1e-200])
+        assert list(rows.failures) == [0]
+        assert str(rows.failures[0]).endswith("lies below the normal float range of x")
+        assert abs(rows.value[1] - 1.0) <= rows.err_est[1]
+
     @pytest.mark.parametrize("route", [phi_hankel_rows, star_unimodal_rows])
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     @pytest.mark.parametrize("gen, scale", [
@@ -489,48 +520,46 @@ class TestPhiHankel:
         (gn.normal_generator(), star_unimodal_rows, lambda n, u: math.exp(-0.5 * u * u)),
     ], ids=["normal-hankel", "ball-hankel", "normal-star"])
     def test_small_u_series_at_any_n(self, gen, route, oracle, n):
-        # below u = 1e-3 the moment series carries these rows.  The engine
-        # alone is not scale-free in u^(-nu): u^(-nu) and r^(nu+1) overflow
-        # from n = 10, the first panel needs too many subpanels at u <= 1e-100,
-        # and the ball missed by up to 1.2e-7 with an err_est of 9e-16
+        # these rows go through the engine alone, with no moment series: the
+        # kernel Omega_nu(u r) is bounded and reads 1 where u r underflows,
+        # and the first panel's dyadic seeds, down to r_peak/4 (about 1000
+        # at u = 1e-300), come on top of its panel budget.  In u^(-nu) J_nu
+        # form, u^(-nu) and r^(nu+1) overflowed from n = 10, the seeds ran
+        # out of budget at u <= 1e-100, and the ball missed by up to 1.2e-7
+        # with an err_est of 9e-16
         us = [1e-4, 1e-8, 1e-12, 1e-20, 1e-62, 1e-100, 1e-300]
         rows = route(gen, n, us)
-        assert not rows.failures
+        assert not rows.failures and (rows.panels_used > 0).all()
         want = np.array([oracle(n, u) for u in us])
         assert np.all(abs(rows.value - want) <= rows.err_est)
 
     def test_failing_small_u_series_falls_back(self):
-        # g = exp(-z/1e12): at u = 3e-6 the moment series overflows (its terms
-        # grow as (1e12 u^2)^k before they fall), so the row goes through the
-        # oscillatory engine, as a generator without moments does
+        # g = exp(-z/1e12), a wide normal, at u = 3e-6: a moment series
+        # overflowed here (its terms grow as (1e12 u^2)^k before they fall);
+        # the engine meets exp(-1e12 u^2/4)
         gen = gn.custom_generator(lambda z: math.exp(-z / 1e12))
-        with pytest.raises(OverflowError):
-            _phi_small_u_series(gen, 2, 3e-6)
         res = phi_hankel(gen, 2, 3e-6)
         assert res.panels_used > 0
         assert abs(res.value - math.exp(-2.25)) <= res.err_est
 
     def test_heavy_tail_small_u_uses_oscillatory(self):
-        # Cauchy has no moments: the small-u path must still work
+        # Cauchy has no moments, which the engine does not need
         res = phi_hankel(gn.generalized_t_generator(1, 1.0, 1), 1, 5e-4)
         assert_allclose(res.value, math.exp(-5e-4), atol=1e-6)
 
     @pytest.mark.parametrize("u", [1e-20, 1e-30, 1e-50, 1e-100, 1e-300])
     def test_heavy_tail_tiny_u_honest_or_named_failure(self, u):
-        # Pearson VII N = 2 in n = 2 has no E[R^2], so every u goes through
-        # the oscillatory engine; its first Bessel panel spans r up to ~2.4/u
-        # and must be split down to r ~ 1, where the envelope lives, or the
-        # row fails by name.  phi(u^2) = 1 to within u^2 log(1/u).
+        # Pearson VII N = 2 in n = 2 has no E[R^2]; its first Bessel panel
+        # spans r up to ~2.4/u and is split down to r ~ 1, where the
+        # envelope lives, with those seeds off the panel budget: every row
+        # is honest, none fails.  phi(u^2) = 1 to within u^2 log(1/u).
         gen = gn.pearson_vii_generator(2.0, 1.0)
         rows = phi_hankel_rows(gen, 2, [u, 1.0])
+        assert not rows.failures
         assert rows.row(1) == phi_hankel(gen, 2, 1.0)
-        try:
-            res = phi_hankel(gen, 2, u)
-        except ConvergenceError as exc:
-            assert "subpanels" in str(exc) and str(rows.failures[0]) == str(exc)
-        else:
-            assert abs(res.value - 1.0) <= res.err_est
-            assert rows.row(0) == res
+        res = phi_hankel(gen, 2, u)
+        assert abs(res.value - 1.0) <= res.err_est
+        assert rows.row(0) == res
 
     @pytest.mark.parametrize("gen, n, big_n, s", [
         (gn.generalized_t_generator(1, 1.0, 1), 1, 1.0, 1.0),
@@ -644,6 +673,30 @@ class TestHankelSilentErrors:
         want = closed_form_generator(gen, n, u * u)
         assert abs(res.value - want) <= res.err_est + 8 * np.finfo(float).eps
 
+    @pytest.mark.parametrize("route", [phi_hankel_rows, star_unimodal_rows])
+    @pytest.mark.parametrize("n", [18, 22])
+    def test_high_n_small_u_honest(self, n, route):
+        # the normal at n = 18 and 22 and u <= 1e-3: the engine evaluates
+        # its kernel only where the envelope is not 0, so the panels past
+        # the peak, where g has underflowed, never reach bessel_j_rows at
+        # x ~ 2 nu, where Hankel's expansion does not converge
+        us = [1e-300, 1e-30, 1e-8, 1e-4, 1e-3]
+        rows = route(gn.normal_generator(), n, us)
+        assert not rows.failures
+        assert np.all(abs(rows.value - np.exp(-0.5 * np.array(us) ** 2)) <= rows.err_est)
+
+    @pytest.mark.parametrize("route", [phi_hankel_rows, star_unimodal_rows])
+    def test_envelope_overflow_fails_by_name(self, route):
+        # Pearson VII with N = n/2 + 0.3 at n = 40: the envelope
+        # r^39 p(r^2) ~ r^-1.6 is no float product far out, where r^39
+        # overflows (near r = 9e7) before p underflows.  Its rows fail by
+        # name; in u^(-nu) J_nu form the row at u = 1e-12 read 4.5e-5 off
+        # with an err_est of 1.1e-9, and the tinier u raised OverflowError
+        rows = route(gn.pearson_vii_generator(20.3, 1.0), 40, [1e-300, 1e-12])
+        assert sorted(rows.failures) == [0, 1]
+        for exc in rows.failures.values():
+            assert isinstance(exc, ConvergenceError) and "overflows at r = " in str(exc)
+
     @pytest.mark.parametrize("gen, n", [
         (gn.normal_generator(), 18), (gn.generalized_t_generator(20, 3.0, 3), 20),
     ], ids=["normal-n18", "t-n20"])
@@ -674,8 +727,8 @@ class TestPhiHankelRows:
         (gn.custom_generator(lambda z: (1.0 + z) ** -3.0), 2),
         (gn.pearson_ii_generator(-0.5), 2),
     ]
-    # u = 0, the moment series below 1e-3, dyadic seeds up to u ~ 1.6 (the
-    # first Bessel panel wider than 8 cells of u/4), and the far panels
+    # u = 0, small u, dyadic seeds up to u ~ 1.6 (the first Bessel panel
+    # wider than 8 cells of u/4), and the far panels
     US = [0.0, 4e-4, 2e-3, 0.05, 0.3, 0.9, 1.7, 3.3, 6.1, 11.9]
 
     @staticmethod
