@@ -4,9 +4,8 @@ An elliptical law is (mu, Sigma, g): location, dispersion and a density
 generator.  Its characteristic function factors as
 exp(i t'mu) * phi(t' Sigma t) for a scalar characteristic generator phi;
 this module provides phi in closed form (from the generator's family
-record), the Hankel quadrature route for every generator, the uniform-sphere
-characteristic function (one 0F1, Omega_n(x) = 0F1(; n/2; -x^2/4)), radial
-densities and the validated dispersion matrix with its roots.  Every route
+record), the Hankel quadrature route for every generator, radial densities
+and the validated dispersion matrix with its roots.  Every route
 is named: "closed" (a closed form, NoClosedFormError where the family has
 none) or "hankel".
 
@@ -34,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError
 from .generators import DensityGenerator
-from .specfun import _call_rows, _elementwise, _power, gamma_fn, hyp0f1
+from .specfun import _call_rows, _elementwise, _power
 
 __all__ = [
     "CFMethod",
@@ -42,7 +41,6 @@ __all__ = [
     "CFRows",
     "Dispersion",
     "EllipticalSpec",
-    "uniform_sphere_cf",
     "radial_density",
     "closed_form_generator",
     "char_generator_rows",
@@ -264,22 +262,11 @@ class EllipticalSpec:
         self.mu.setflags(write=False)
 
 
-def uniform_sphere_cf(n: int, s: float) -> float:
-    """CF of the uniform law on the unit sphere surface, at s = ||t||^2.
-
-    Gamma(n/2) (2/||t||)^((n-2)/2) J_((n-2)/2)(||t||) = 0F1(; n/2; -s/4), by
-    hyp0f1, which takes the Bessel form itself where the series cancels.
-    """
-    if n < 1:
-        raise DomainError("uniform_sphere_cf: n must be >= 1")
-    if s < 0.0:
-        raise DomainError("uniform_sphere_cf: s = ||t||^2 must be >= 0")
-    return hyp0f1(0.5 * n, -0.25 * s)
-
-
 def radial_density(spec: EllipticalSpec, v):
     """Density of the generating variate R at v >= 0, a float or an array of
-    them (full-rank specs only); g sees only the entries inside the support."""
+    them (full-rank specs only): 2 v^(n-1) g(v^2) / M_n with the moment
+    integral M_n = int_0^inf z^(n/2-1) g(z) dz; g sees only the entries
+    inside the support."""
     vs = np.asarray(v, dtype=float)
     if (vs < 0.0).any():
         raise DomainError("radial_density: v must be >= 0")
@@ -289,9 +276,9 @@ def radial_density(spec: EllipticalSpec, v):
     out = np.zeros(vs.shape)
     inside = ~(vs > gen.support_radius)
     if inside.any():
-        from .quadrature import normalizing_constant
+        from .quadrature import _moment_n
 
-        lead = normalizing_constant(n, gen) * 2.0 * math.pi ** (0.5 * n) / gamma_fn(0.5 * n)
+        lead = 2.0 / _moment_n(gen, n)
         w = vs[inside]
         with np.errstate(invalid="ignore", over="ignore"):  # 0 * inf is nan, as in Python
             out[inside] = lead * _power(w, n - 1) * gen.g(w * w)

@@ -336,7 +336,7 @@ def custom_generator(
         from .quadrature import _moment_n  # needed by custom generators only
 
         try:
-            _moment_n(gen, n)  # cached on gen, where normalizing_constant reads it
+            _moment_n(gen, n)  # cached on gen, where every normalization reads it
         except DomainError as exc:
             if not isinstance(exc.__cause__, DivergentIntegralError):
                 raise  # g's own errors keep their message

@@ -41,7 +41,6 @@ from .specfun import (
     _node_by_node,
     _power,
     bessel_j_rows,
-    gamma_fn,
     hyp0f1,
 )
 
@@ -52,7 +51,6 @@ __all__ = [
     "adaptive_rows",
     "half_line",
     "moment_integral",
-    "normalizing_constant",
     "integrate_bessel_oscillatory",
     "phi_hankel",
     "phi_hankel_rows",
@@ -453,9 +451,11 @@ def moment_integral(gen: DensityGenerator, n: int) -> QuadResult:
 
 
 def _moment_n(gen: DensityGenerator, n: int) -> float:
-    # int_0^inf z^(n/2-1) g(z) dz, cached on the generator: closed forms for
-    # the named families, numeric for custom generators.  A divergent tail or
-    # a non-finite numeric value raises DomainError from DivergentIntegralError.
+    # M_n = int_0^inf z^(n/2-1) g(z) dz, cached on the generator: closed
+    # forms for the named families, numeric for custom generators.  Every
+    # normalization is 2/M_n: R has the density 2 r^(n-1) g(r^2) / M_n.  A
+    # divergent tail or a non-finite numeric value raises DomainError from
+    # DivergentIntegralError.
     key = ("moment", float(n))
     if key not in gen.moment_cache:
         if gen.moment is None:
@@ -464,22 +464,13 @@ def _moment_n(gen: DensityGenerator, n: int) -> float:
                 if not math.isfinite(moment):
                     raise DivergentIntegralError(f"moment integral = {moment}")
             except DivergentIntegralError as exc:
-                raise DomainError("normalizing_constant: moment integral diverges") from exc
+                raise DomainError(f"moment integral M_n diverges at n = {n}") from exc
         else:
             moment = gen.moment(float(n)) if gen.finite(float(n)) else math.inf
         if not math.isfinite(moment):
-            raise DomainError("normalizing_constant: moment integral diverges")
+            raise DomainError(f"moment integral M_n diverges at n = {n}")
         gen.moment_cache[key] = moment
     return gen.moment_cache[key]
-
-
-def normalizing_constant(n: int, gen: DensityGenerator) -> float:
-    """c_n = Gamma(n/2) pi^(-n/2) / int_0^inf z^(n/2-1) g(z) dz.
-
-    The moment integral is cached on the generator; a divergent one raises
-    DomainError.
-    """
-    return gamma_fn(0.5 * n) / (math.pi ** (0.5 * n) * _moment_n(gen, n))
 
 
 # ---------------------------------------------------------------------------
@@ -779,9 +770,9 @@ def _bessel_transform_rows(
 ) -> QuadRows:
     # phi(u^2) = C int_0^R r^(2 nu + 1) profile(r^2) Omega_nu(u r) dr at every
     # u of the array us, with the bounded kernel Omega_nu(x) = 0F1(; nu + 1;
-    # -x^2/4) = Gamma(nu + 1) (2/x)^nu J_nu(x) and the constant
-    # C = scale c_n (2 pi)^(n/2) 2^(-nu) / Gamma(nu + 1): the front end of
-    # phi_hankel_rows and of the star route's grid form.  u = 0 gives exactly
+    # -x^2/4) = Gamma(nu + 1) (2/x)^nu J_nu(x) and the constant C = scale/M_n
+    # (_moment_n): the front end of phi_hankel_rows (scale 2) and of the star
+    # route's grid form (scale -4/n).  u = 0 gives exactly
     # 1; every other u goes through the oscillatory engine, all of them in
     # lockstep, in passes of _ROWS rows, to the absolute target _ABS_TOL on
     # phi.  profile maps an array of z to its values, entry by entry;
@@ -813,8 +804,7 @@ def _bessel_transform_rows(
     if not len(rows):
         return QuadRows(value, err_est, panels_used, tail, {})
     try:
-        c = (scale * (normalizing_constant(n, gen) * (2.0 * math.pi) ** (0.5 * n))
-             * 2.0 ** (-nu) / gamma_fn(nu + 1.0))
+        c = scale / _moment_n(gen, n)
     except Exception as exc:  # raised again at every row but the origin's
         return QuadRows(value, err_est, panels_used, tail, {int(i): exc for i in rows})
 
@@ -839,18 +829,18 @@ def _bessel_transform_rows(
 def phi_hankel_rows(gen: DensityGenerator, n: int, us) -> QuadRows:
     """Characteristic generator phi(u^2) at every u of the array us.
 
-    phi(u^2) = c_n (2 pi)^(n/2) 2^(-nu) / Gamma(nu + 1) *
-               int_0^inf r^(n-1) g(r^2) Omega_nu(u r) dr,   nu = (n-2)/2,
+    phi(u^2) = E[Omega_nu(u R)]
+             = (2/M_n) int_0^inf r^(n-1) g(r^2) Omega_nu(u r) dr,   nu = (n-2)/2,
 
-    the expectation of the bounded kernel Omega_nu(x) = 0F1(; n/2; -x^2/4)
-    = Gamma(nu + 1) (2/x)^nu J_nu(x) over the radius, so every u > 0 takes
-    one path.  u = 0 gives exactly 1; every other u goes through the
+    with M_n = int_0^inf z^(n/2-1) g(z) dz: the expectation of the bounded
+    kernel Omega_nu(x) = 0F1(; n/2; -x^2/4) = Gamma(nu + 1) (2/x)^nu J_nu(x)
+    over the radius R, so every u > 0 takes one path.  u = 0 gives exactly 1; every other u goes through the
     oscillatory engine, all of them in lockstep, panel by panel, with the
     generator's profile g and, at a singular support edge, its g_edge.  Each
     row gets the bits it would get alone; a row whose computation raises has
     its exception in the result's failures.
     """
-    return _bessel_transform_rows(gen, n, us, 0.5 * (n - 2.0), gen.g, gen.g_edge, 1.0)
+    return _bessel_transform_rows(gen, n, us, 0.5 * (n - 2.0), gen.g, gen.g_edge, 2.0)
 
 
 def phi_hankel(gen: DensityGenerator, n: int, u: float) -> QuadResult:

@@ -402,10 +402,10 @@ def _check_star_unimodal(gen: DensityGenerator) -> None:
 def star_unimodal_rows(gen: DensityGenerator, n: int, us) -> QuadRows:
     """phi(u^2) through the scale-mixture-of-uniforms route at every u of us.
 
-    -2 c_n (2 pi)^(n/2) 2^(-n/2) / Gamma(n/2 + 1) *
-        int_0^inf w^(n+1) g'(w^2) Omega_(n/2)(w u) dw,
+    -(4/(n M_n)) int_0^inf w^(n+1) g'(w^2) Omega_(n/2)(w u) dw,
 
-    with the bounded kernel Omega_nu(x) = 0F1(; nu + 1; -x^2/4): here the
+    with M_n = int_0^inf z^(n/2-1) g(z) dz and the bounded kernel
+    Omega_nu(x) = 0F1(; nu + 1; -x^2/4): here the
     uniform ball's characteristic generator in dimension n at u = x, as
     Omega_(n/2-1) is the sphere's in phi_hankel_rows.  phi_hankel_rows'
     front end with the order n/2, the profile g' and, at a singular support
@@ -416,7 +416,7 @@ def star_unimodal_rows(gen: DensityGenerator, n: int, us) -> QuadRows:
     from .quadrature import _bessel_transform_rows
 
     _check_star_unimodal(gen)
-    return _bessel_transform_rows(gen, n, us, 0.5 * n, gen.g_prime, gen.g_prime_edge, -2.0)
+    return _bessel_transform_rows(gen, n, us, 0.5 * n, gen.g_prime, gen.g_prime_edge, -4.0 / n)
 
 
 def cf_star_unimodal(gen: DensityGenerator, n: int, t) -> ComplexCF:

@@ -9,8 +9,10 @@ not depend on the array around it.  J is bessel_j_rows (the power series
 and Hankel's expansion; bessel_j is its one-entry call) and K is bessel_k
 (Temme's series and Steed's continued fraction): each entry runs the
 operations of a one-entry loop, in lockstep with the others, with exp,
-log, pow and the trigonometric functions from libm.  0F1 and 1F1 run on
-J's series loop (_ratio_series_rows) and on bessel_j_rows; Dawson's
+log, pow and the trigonometric functions from libm.  0F1 and 1F1 sum
+their series on J's series loop (_ratio_series_rows); 0F1 at -x^2/4, the
+kernel Omega_nu(x), takes J (Hankel's expansion) only past J's own switch
+to it, and cos x and sin(x)/x at the orders -+1/2.  Dawson's
 integral is one fixed sequence of array operations (Rybicki's
 sampling-theorem sum).  K, 0F1, 1F1, the Dawson function and the normal CDF
 at iy take a float or an array, a float giving a float.  The zeros of J
@@ -53,13 +55,12 @@ __all__ = [
 _SERIES_REL_TOL = 1e-14
 _SERIES_MAX_TERMS = 500
 
-# Series / asymptotic switchover for J_nu.  Keeps the float64 series below
-# ~5e-13 cancellation error while the Hankel expansion is already usable.
-_J_SWITCH_BASE = 12.0
 
-# Below this the 0F1 series is evaluated directly; beyond, cancellation in
-# float64 forces the Bessel-J route (argument x = 2*sqrt(-z) >= 10).
-_HYP0F1_NEG_SWITCH = -25.0
+def _j_switch(nu: float) -> float:
+    # the x below which J_nu, and 0F1(; nu + 1; -x^2/4), take the power
+    # series, Hankel's expansion above: past 12 the float64 series loses more
+    # than ~5e-13 to cancellation while the expansion is already usable
+    return max(12.0, 2.0 * abs(nu))
 
 
 def gamma_fn(x: float) -> float:
@@ -298,7 +299,7 @@ def _bessel_j_terms(nu: float, x: np.ndarray):
         trig = math.sin if nu > 0.0 else math.cos
         ones = np.ones(len(x), dtype=int)
         return np.sqrt(2.0 / (math.pi * x)) * _elementwise(trig, x), ones == 1, ones
-    series = x < max(_J_SWITCH_BASE, 2.0 * abs(nu))
+    series = x < _j_switch(nu)
     out, converged, terms = np.empty(len(x)), np.empty(len(x), dtype=bool), np.empty(len(x), dtype=int)
     for branch, evaluate in ((series, _bessel_j_series_rows),
                              (~series, _bessel_j_asymptotic_rows)):
@@ -586,12 +587,14 @@ def hyp0f1(gamma: float, z):
     """Generalized hypergeometric series 0F1(gamma; z), for a float or an
     array z (a float gives a float).
 
-    Large negative z is evaluated through Bessel J (the two functions are
-    related by an exact identity, DLMF 10.16.9); the direct float64 series
-    would lose all accuracy to cancellation there.  At gamma = 1/2 and 3/2
-    every negative z is, as cos x and sin(x)/x through J's closed form.  An
-    infinite z (an overflowed argument) raises OverflowError.  An error names
-    an entry that fails.
+    At z = -x^2/4 < 0 this is the kernel Omega_nu(x) = Gamma(nu + 1) (2/x)^nu
+    J_nu(x), nu = gamma - 1 (DLMF 10.16.9).  Every z >= 0, and every z < 0
+    with x below J's switch max(12, 2|nu|), sums the series; past the switch,
+    where the series would lose all accuracy to cancellation, it is
+    Gamma(gamma) (x/2)^(1 - gamma) J_nu(x) by Hankel's expansion
+    (bessel_j_rows).  At gamma = 1/2 and 3/2 every z < 0 is cos x and
+    sin(x)/x.  An infinite z (an overflowed argument) raises OverflowError.
+    An error names an entry that fails.
     """
     _check_not_pole(gamma, "hyp0f1")
     z = np.asarray(z, dtype=float)
@@ -600,15 +603,21 @@ def hyp0f1(gamma: float, z):
     if inf.any():
         raise OverflowError(f"hyp0f1: z = {_first(flat, inf)}: an intermediate overflows")
     out = np.empty(flat.shape)
-    bessel = flat < (0.0 if gamma in (0.5, 1.5) else _HYP0F1_NEG_SWITCH)
+    x = 2.0 * np.sqrt(abs(flat))  # z = -x^2/4 where z < 0
+    bessel = (flat < 0.0) & (gamma in (0.5, 1.5) or x >= _j_switch(gamma - 1.0))
     if bessel.any():
-        half = np.sqrt(-flat[bessel])  # x/2 with x = 2 sqrt(-z)
-        out[bessel] = (gamma_fn(gamma) * _power(half, 1.0 - gamma)
-                       * bessel_j_rows(gamma - 1.0, 2.0 * half))
+        xs = x[bessel]
+        if gamma == 0.5:
+            out[bessel] = _elementwise(math.cos, xs)
+        elif gamma == 1.5:
+            out[bessel] = _elementwise(math.sin, xs) / xs
+        else:
+            out[bessel] = (gamma_fn(gamma) * _power(0.5 * xs, 1.0 - gamma)
+                           * bessel_j_rows(gamma - 1.0, xs))
     zs = flat[~bessel]  # z = 0 sums to exactly 1 (its first term is 0)
     out[~bessel] = _series_rows(
         f"hyp0f1(gamma={gamma}", lambda rows, ks: zs[rows, None] / (ks * (gamma + (ks - 1))),
-        2.0 * np.sqrt(abs(zs)), zs,
+        x[~bessel], zs,
     )
     out = out.reshape(z.shape)
     return out if out.ndim else float(out)

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from ellipcf.generators import DensityGenerator
-from ellipcf.quadrature import normalizing_constant
+from ellipcf.quadrature import _moment_n
 from ellipcf.skewmix import MixingLaw, SkewNormalSpec, _check_star_unimodal
 from ellipcf.specfun import _temme_gammas, bessel_j, gamma_fn, log_gamma_fn, norm_cdf_imag_scaled
 
@@ -20,10 +20,10 @@ from ellipcf.specfun import _temme_gammas, bessel_j, gamma_fn, log_gamma_fn, nor
 def sphere_cf_bessel(n: int, s: float) -> float:
     """The uniform-sphere CF in its Bessel form, at s = ||t||^2 > 0:
     Omega_n(x) = Gamma(n/2) (2/x)^((n-2)/2) J_((n-2)/2)(x) with x = ||t||.
-    The library evaluates it as 0F1(; n/2; -s/4), by the series below
-    hyp0f1's switch to J (x < 10), so there the two forms are independent.
-    At n = 1 and 3 the order is -1/2 and 1/2, where both forms take J's
-    closed form (cos x and sin(x)/x) at every x: there the mpmath tests
+    The library evaluates it as 0F1(; n/2; -s/4), by its own series below
+    J's switch (x < max(12, |n - 2|)), so there the two forms are
+    independent; at n = 1 and 3, by cos x and sin(x)/x.  Past the switch
+    both are one J: there the mpmath tests
     (TestUniformSphereCF.test_against_mpmath) are the independent reference.
     """
     x = math.sqrt(s)
@@ -58,16 +58,16 @@ def smsn_split(spec: SkewNormalSpec, mixing: MixingLaw):
 
 def smu_weight_density(gen: DensityGenerator, n: int, w: float) -> float:
     """Density of the radial weight W in the X = W * (uniform ball) form of
-    a star-unimodal law: f_W(w) = -(4 pi^(n/2) / (n Gamma(n/2))) c_n
-    w^(n+1) g'(w^2).  A generator that is not star unimodal raises
-    DomainError, as the star route does.
+    a star-unimodal law: f_W(w) = -(4/(n M_n)) w^(n+1) g'(w^2), with the
+    moment integral M_n = int_0^inf z^(n/2-1) g(z) dz.  A generator that is
+    not star unimodal raises DomainError, as the star route does.
     """
     if not w > 0.0:
         return 0.0
     _check_star_unimodal(gen)
     if w > gen.support_radius:
         return 0.0
-    lead = 4.0 * math.pi ** (0.5 * n) / (n * math.gamma(0.5 * n)) * normalizing_constant(n, gen)
+    lead = 4.0 / (n * _moment_n(gen, n))
     return -lead * w ** (n + 1) * gen.g_prime(np.array([w * w])).item()
 
 

@@ -18,7 +18,6 @@ from ellipcf.elliptical import (
     EllipticalSpec,
     cf,
     closed_form_generator,
-    uniform_sphere_cf,
 )
 from ellipcf.quadrature import adaptive_interval, phi_hankel
 from ellipcf.sampling import (
@@ -41,7 +40,7 @@ from ellipcf.skewmix import (
     gse_affine,
     skew_normal_gse,
 )
-from ellipcf.specfun import bessel_j, gamma_fn
+from ellipcf.specfun import bessel_j, gamma_fn, hyp0f1
 import oracles
 from references import smsn_split, smu_weight_density, sphere_cf_bessel
 
@@ -79,13 +78,13 @@ def closed_form_families(n):
 def test_criterion_1_schoenberg_identity(report):
     xs = np.linspace(0.1, 50.0, 500)
     worst_sinc = max(
-        abs(uniform_sphere_cf(3, x * x) - math.sin(x) / x) for x in xs
+        abs(hyp0f1(1.5, -0.25 * x * x) - math.sin(x) / x) for x in xs
     )
     worst_bessel = 0.0
     for n in range(1, 11):
         for x in xs:
             s = x * x
-            dev = abs(uniform_sphere_cf(n, s) - sphere_cf_bessel(n, s))
+            dev = abs(hyp0f1(0.5 * n, -0.25 * s) - sphere_cf_bessel(n, s))
             worst_bessel = max(worst_bessel, dev)
     ok = worst_sinc <= 1e-10 and worst_bessel <= 1e-10
     report(

@@ -1369,11 +1369,15 @@ class TestGoldenBytes:
         # kernel Omega_nu(u r) in place of u^(-nu) J_nu(u r) moved 60 of the
         # 61 hankel rows (58 compare rows) by at most 3.5e-11: their error
         # against the closed form went from at most 2.7e-11 to 3.0e-11, and
-        # their largest error/abs_err stayed 0.15
+        # their largest error/abs_err stayed 0.15.  The constant 2/M_n and
+        # the kernel's sin(x)/x moved all 60 hankel rows (60 compare rows) by
+        # at most 1.1e-16, and their abs_err cells at the last bits: their
+        # error against the closed form stayed 3.2e-11, and their largest
+        # error/abs_err 0.178
         (KOTZ_N3, ["eval", "--routes", "closed,hankel", "--grid", AXIS],
-         "b0f7b95037052923ca83b24c8749fd37d7e11bb29ca6c60548c06db09fe08120"),
+         "e4972c341e66a8125b817946412b4ad91028e9c22baf30a3f2aaef8c50bb9ec0"),
         (KOTZ_N3, ["compare", "--routes", "closed,hankel", "--grid", AXIS],
-         "25ee190958d4c1fc6805fd34f445f9f44e612feadf835d8fbd0a83ea423bf359"),
+         "ee68f52e5b6c3e68d9703fded106f0d3490fcb9c2e1796ddc300e53e7a807817"),
         (SN_HALF, SAMPLE,
          "09ee0f5407101592b0968c3639db86bdc824089469be257ef124285eacfbffc2"),
         (SN_FULL, SAMPLE,
@@ -1430,14 +1434,18 @@ class TestGoldenBytes:
         # the closed form of each family, to u = 30
         (FAMILY["normal"], CLOSED,
          "2ee71664b886b3d2f09fd38d4cb6a490ba674ae42c6a06bd3f10977ac49d0034"),
+        # 0F1 by its own series up to x = 12 (was: J's series past x = 10)
+        # moved the row at t1 = 5.25 (x = 10.5) by 1.9e-18 (ball) and at
+        # t1 = 5.75 by 8.9e-19 (Pearson II); their error against mpmath
+        # stayed 1.4e-14 and 5.4e-15
         (FAMILY["uniform_ball"], CLOSED,
-         "580614eb940a3dbf29bcc27fa18e2229a4e772acbdc0c7b34e8f6e24fe118d39"),
+         "2fd3bfda22a2aebd4041399dc277538eed5881322273593783e2fa3e6340c242"),
         (FAMILY["generalized_t-odd"], CLOSED,
          "adb12c14cdf4ebcbb08decc911d04e1ac322b28566105ea0496bd13a3dc29ab3"),
         (FAMILY["generalized_t-even"], CLOSED,
          "d3efcd91197ca573a8220d91d4c4ac35223ef1de9f399fb940e568cfcb7c3f7a"),
         (FAMILY["pearson_ii"], CLOSED,
-         "3f770e1fb1aa7ef0f76fdc3fde9b6bce775a3eac1f4b856b6428a7b7b9839d9c"),
+         "e49dafe3e483c0568908a458c32819fb5670148b41a3790f6a1eef5b7f59dfde"),
         # phi written once, in the t's operation order: 19 of 61 rows moved
         # by at most 3.1e-16 relative
         (FAMILY["pearson_vii"], CLOSED,

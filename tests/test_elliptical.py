@@ -19,11 +19,10 @@ from ellipcf.elliptical import (
     char_generator_rows,
     closed_form_generator,
     radial_density,
-    uniform_sphere_cf,
 )
 from ellipcf.errors import DomainError, NoClosedFormError
-from ellipcf.quadrature import adaptive_interval, normalizing_constant
-from ellipcf.specfun import bessel_j, gamma_fn
+from ellipcf.quadrature import _moment_n, adaptive_interval
+from ellipcf.specfun import bessel_j, gamma_fn, hyp0f1
 from references import sphere_cf_bessel
 
 J0_FIRST_ZERO = 2.404825557695766
@@ -45,69 +44,66 @@ def closed_families(n):
 
 
 class TestUniformSphereCF:
+    """The CF of the uniform law on the unit sphere of R^n at s = ||t||^2,
+    Omega_(n/2-1)(||t||) = 0F1(; n/2; -s/4): hyp0f1(n/2, -s/4)."""
+
     def test_unit_at_origin(self):
         for n in range(1, 11):
-            assert uniform_sphere_cf(n, 0.0) == 1.0
+            assert hyp0f1(0.5 * n, 0.0) == 1.0
 
     def test_three_dim_sinc(self):
         for x in np.linspace(0.05, 12.0, 60):
-            assert_allclose(uniform_sphere_cf(3, x * x), math.sin(x) / x, atol=1e-12)
+            assert_allclose(hyp0f1(1.5, -0.25 * x * x), math.sin(x) / x, atol=1e-12)
 
     def test_two_dim_bessel_zero(self):
-        assert abs(uniform_sphere_cf(2, J0_FIRST_ZERO**2)) < 1e-10
+        assert abs(hyp0f1(1.0, -0.25 * J0_FIRST_ZERO**2)) < 1e-10
 
     def test_hyp0f1_form(self):
         # the 0F1 evaluation against the Gamma (2/x)^nu J_nu form
         for n in range(1, 11):
             for s in (1e-8, 1e-4, 0.5, 4.0, 100.0, 2500.0):
-                assert abs(uniform_sphere_cf(n, s) - sphere_cf_bessel(n, s)) <= 1e-11
+                assert abs(hyp0f1(0.5 * n, -0.25 * s) - sphere_cf_bessel(n, s)) <= 1e-11
 
     def test_against_mpmath(self):
         # past hyp0f1's switch both forms above are one J; here mpmath's 0F1
         for n in (1, 2, 3, 5, 8):
             for x in np.linspace(0.05, 60.0, 120):
                 want = oracles.hyp0f1_series(0.5 * n, -0.25 * x * x)
-                assert abs(uniform_sphere_cf(n, x * x) - want) <= 1e-11
+                assert abs(hyp0f1(0.5 * n, -0.25 * x * x) - want) <= 1e-11
 
     def test_one_dim_cosine(self):
         # the sphere surface in R^1 is {-1, +1}: CF is cos t
         for x in (0.5, 2.0, 20.0):
-            assert_allclose(uniform_sphere_cf(1, x * x), math.cos(x), atol=1e-12)
+            assert_allclose(hyp0f1(0.5, -0.25 * x * x), math.cos(x), atol=1e-12)
 
 
 class TestNormalizingConstant:
+    """The moment integral M_n = int_0^inf z^(n/2-1) g(z) dz behind every
+    normalization 2/M_n (_moment_n)."""
+
     def test_normal(self):
         for n in (1, 2, 3, 5):
             assert_allclose(
-                normalizing_constant(n, gn.normal_generator()),
-                (2.0 * math.pi) ** (-0.5 * n),
-                rtol=1e-13,
+                _moment_n(gn.normal_generator(), n), 2.0 ** (0.5 * n) * gamma_fn(0.5 * n), rtol=1e-13
             )
 
     def test_uniform_ball(self):
         for n in (1, 2, 4):
-            expect = n * gamma_fn(0.5 * n) / (2.0 * math.pi ** (0.5 * n))
-            assert_allclose(normalizing_constant(n, gn.uniform_ball_generator()), expect, rtol=1e-13)
+            assert_allclose(_moment_n(gn.uniform_ball_generator(), n), 2.0 / n, rtol=1e-13)
 
     def test_kotz(self):
         n, big_n, r, s = 3, 2.0, 0.5, 1.0
         q = (2.0 * big_n + n - 2.0) / (2.0 * s)
-        expect = s * gamma_fn(0.5 * n) * r**q / (math.pi ** (0.5 * n) * gamma_fn(q))
-        assert_allclose(
-            normalizing_constant(n, gn.kotz_generator(big_n, r, s)), expect, rtol=1e-13
-        )
+        expect = gamma_fn(q) / (s * r**q)
+        assert_allclose(_moment_n(gn.kotz_generator(big_n, r, s), n), expect, rtol=1e-13)
 
     def test_custom_matches_named(self):
         custom = gn.custom_generator(lambda z: math.exp(-0.5 * z))
-        assert_allclose(
-            normalizing_constant(2, custom),
-            normalizing_constant(2, gn.normal_generator()),
-            rtol=1e-9,
-        )
+        assert_allclose(_moment_n(custom, 2), _moment_n(gn.normal_generator(), 2), rtol=1e-9)
 
     def test_divergent_rejected(self):
-        with pytest.raises(DomainError):
-            normalizing_constant(4, gn.pearson_vii_generator(1.5, 1.0))  # needs N > 2
+        with pytest.raises(DomainError, match=r"^moment integral M_n diverges at n = 4$"):
+            _moment_n(gn.pearson_vii_generator(1.5, 1.0), 4)  # needs N > 2
 
 
 class TestRadialDensity:
@@ -379,13 +375,12 @@ class TestSpecValidation:
             EllipticalSpec(2, np.zeros(2), np.eye(2), gn.custom_generator(g))
 
     def test_custom_moment_computed_once(self, monkeypatch):
-        # the dimension check fills the cache that normalizing_constant reads
+        # the dimension check fills the cache that _moment_n reads
         gen = gn.custom_generator(lambda z: math.exp(-0.5 * z))
         EllipticalSpec(3, np.zeros(3), np.eye(3), gen)
         assert ("moment", 3.0) in gen.moment_cache
         monkeypatch.setattr(quadrature, "moment_integral", None)  # a second run would fail
-        want = gamma_fn(1.5) / (math.pi**1.5 * gen.moment_cache[("moment", 3.0)])
-        assert normalizing_constant(3, gen) == want
+        assert _moment_n(gen, 3) == gen.moment_cache[("moment", 3.0)]
 
     def test_custom_negative_rejected(self):
         with pytest.raises(DomainError):

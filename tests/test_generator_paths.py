@@ -138,8 +138,12 @@ PINNED = {
     # mpmath by more than 6.8e-11 relative (Kotz N = 0.75, s = 1/2, n = 1)
     "moment_integral": (_moments,
         "f678879df5eb27077df87a20462df61b7e7d9e75c47cee285ce3d65405801a05"),
+    # the lead 2/M_n in place of c_n 2 pi^(n/2) / Gamma(n/2) moved 35 of 130
+    # densities by at most 2.2e-16; against 2 v^(n-1) g(v^2) / M_n in
+    # mpmath, from the same float g and M_n, the worst relative error went
+    # from 3.6e-16 to 2.1e-16
     "radial_density": (_densities,
-        "4cdc659813968be9cf59e0ca4c0e31eb13badda8d51bba8244a4f6e3d267d836"),
+        "11de9e3e9b2c4541b050816b120b2177d5a07d43c3169bd3aee481ee02aac55f"),
     # the J zeros from secant steps (not bisection) moved the hankel and star
     # rows by at most 1.7e-15; their err_est carries the rounding floor.  The
     # mW transformation, and no dyadic seeds past the envelope's peak, moved
@@ -163,16 +167,23 @@ PINNED = {
     # against mpmath (quadrature of the radial integral; closed forms for
     # the named star rows) the worst error stayed 1.8e-11 (hankel) and
     # 5.9e-12 (star), and the largest error/err_est went from 0.18 to 0.18
-    # and from 0.12 to 0.11
+    # and from 0.12 to 0.11.  The constants 2/M_n and -4/(n M_n), and the
+    # kernel's cos x and sin(x)/x at n = 1 and 3, moved 40 of 72 hankel rows
+    # (32 values, by at most 3.3e-16) and the err_est of 7 of 36 star rows
+    # (by at most 1.1e-18), with no panel count moved; against closed forms
+    # in mpmath the worst error stayed 1.25e-11 (hankel) and 5.9e-12 (star),
+    # and the largest error/err_est stayed 0.035 and 0.112
     "phi_hankel_rows": (_hankel,
-        "5951913676649f0cdcbc9d5547da41d5c7b42ca04546475737fcbe48a73643d9"),
+        "8ab177e0b30abbd03048890399d17bc0df89e6700d2ae7fb0ed438e5921c50f9"),
     "star_unimodal_rows": (_star,
-        "5cd3bcfbedee5ba3a360693def883fc38f2eaa808a0b356a3e7945865ec0c4c1"),
+        "48df5ce3bd7b04ec1063cfe07c2514d0dff334fb19cf2bb7e3591bb619fc5468"),
     # the CDF tables live in s of quadrature.half_line, with no cut of the
     # support, and their unit measured on the density (quadrature._fit); the
-    # draws' KS against the exact CDFs did not move
+    # draws' KS against the exact CDFs did not move.  The radial density's
+    # lead 2/M_n moved 409 of the 5000 draws at n = 3 by at most 4.4e-16
+    # (none at n = 2), and their KS against the exact CDF stayed 0.01538
     "elliptical_draws": (_draws,
-        "f1fccf2dd698f336b164a8e7ca4cf9f33de798669b2257e036ef186f361ce7c9"),
+        "1731b1a1909f13a2bfa834289d5a7da3b2f6dded72f7adacc4cc1c19e87e284a"),
     "custom_density_draws": (_mixing_draws,
         "75b7fd48982f841eb8d46a478716d941f6fef64c41ebf1388deba23f15558031"),
 }

@@ -299,3 +299,34 @@ def test_heavy_mixing_at_larger_t_keeps_its_value(tmp_path, capsys):
     assert row == "9.9999999999999995e-07,0,0.99560549284175193,0,1e-08,closed"
     want = ORACLES["lsm"](_HEAVY, np.array([1e-6, 0.0]))
     assert abs(0.99560549284175193 - want) <= 1e-8
+
+
+# An lsm with a normal base and inverse-gamma (0.3, 2) mixing on a full
+# Sigma, the CI's BLAS-kernel spec: the generalized hyperbolic skew-t, whose
+# CF has the exact form of oracles.lsm_invgamma_cf_mp.  At t = (1e-100, 0, 0)
+# and (1e-2, 0, 0) its closed route meets that form.
+_GH_SKEW_T = {"schema": 1, "kind": "lsm", "n": 3, "mu": [0.1, -0.23, 0.37],
+              "sigma": [1, 0.3, 0, 0.3, 1.5, 0.2, 0, 0.2, 2], "gamma": [0.4, 0.1, -0.3],
+              "generator": {"family": "normal"},
+              "mixing": {"kind": "inverse_gamma", "shape": 0.3, "scale": 2}}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 11: the closed route exits 3 at t = (1e-12, 0, 0) to (1e-4, 0, 0), "
+    "where the CF is well defined; at 1e-8, 'MixingLaw.expectation: quadrature error "
+    "5.83e-05 exceeds 1.00e-08' against 0.99520177279928278 + 0.0024448084511352128i",
+)
+def test_gh_skew_t_at_small_t_meets_the_bessel_k_form(tmp_path, capsys):
+    misses = []
+    for t1 in (1e-12, 1e-8, 1e-6, 1e-4):
+        t = [t1, 0.0, 0.0]
+        rc, out, err = _eval_heavy(tmp_path, capsys, t, _GH_SKEW_T)
+        if rc != 0:
+            misses.append((t1, err))
+            continue
+        *_, re, im, abs_err, _ = out.splitlines()[-1].split(",")
+        want = oracles.lsm_invgamma_cf_mp(_GH_SKEW_T, np.array(t))
+        if not abs(complex(float(re), float(im)) - want) <= float(abs_err):
+            misses.append((t1, complex(float(re), float(im)) - want))
+    assert not misses

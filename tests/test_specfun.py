@@ -381,9 +381,10 @@ class TestHyp0F1:
 
     @pytest.mark.parametrize("gamma", [0.7, 1.0, 2.0, 3.5, 6.0])
     def test_against_mpmath(self, gamma):
-        # seeded z on both sides of the switch to Bessel J at z = -25, -25
-        # itself and z > 0: within 6e-13 of max(|0F1|, 1), the largest at
-        # gamma = 0.7 on the Bessel branch
+        # seeded z on both sides of the switch to Bessel J at x = 12
+        # (z = -36), -25 and z > 0: within 2e-13 of max(|0F1|, 1), the
+        # largest at gamma = 0.7 on the series (5.6e-13 when z < -25 took
+        # J's series and its lead (x/2)^nu / Gamma(nu + 1))
         rng = np.random.default_rng(int(10 * gamma))
         z = np.concatenate([rng.uniform(-25.0, 0.0, 150), rng.uniform(-2500.0, -25.0, 150),
                             rng.uniform(0.0, 50.0, 50), [-25.0]])
@@ -402,8 +403,8 @@ class TestHyp0F1:
 
     @pytest.mark.parametrize("gamma", [0.5, 1.5])
     def test_half_order_bessel_branch_against_mpmath(self, gamma):
-        # past the switch at z = -25, 0F1 at gamma = 1/2 and 3/2 is J at
-        # order -+1/2, which bessel_j_rows takes in closed form
+        # at gamma = 1/2 and 3/2, 0F1 at z = -x^2/4 < 0 is cos x and
+        # sin(x)/x, the kernel at order -+1/2, past x = 10 as below it
         z = np.random.default_rng(29).uniform(-2500.0, -25.01, 400)
         with mpmath.workdps(30):
             want = [float(mpmath.hyp0f1(gamma, mpmath.mpf(v))) for v in z.tolist()]
@@ -411,8 +412,8 @@ class TestHyp0F1:
 
     @pytest.mark.parametrize("gamma", [0.5, 1.5])
     def test_half_order_before_the_switch_against_mpmath(self, gamma):
-        # on z in [-25, 0) too, gamma = 1/2 and 3/2 take J's closed form,
-        # cos x and sin(x)/x, where the series cancels to some 4e-13
+        # on z in [-25, 0) too, gamma = 1/2 and 3/2 take cos x and sin(x)/x,
+        # where the series cancels to some 4e-13
         z = np.concatenate([-np.random.default_rng(30).uniform(0.0, 25.0, 3500),
                             [-25.0, -1e-12, -1e-300, -5e-324]])
         z = z[z < 0.0]
