@@ -453,8 +453,8 @@ def moment_integral(gen: DensityGenerator, n: int) -> QuadResult:
 def _moment_n(gen: DensityGenerator, n: int) -> float:
     # M_n = int_0^inf z^(n/2-1) g(z) dz, cached on the generator: closed
     # forms for the named families, numeric for custom generators.  Every
-    # normalization is 2/M_n: R has the density 2 r^(n-1) g(r^2) / M_n.  A
-    # divergent tail or a non-finite numeric value raises DomainError from
+    # normalization divides by M_n: R has the density 2 r^(n-1) g(r^2) / M_n.
+    # A divergent tail or a non-finite numeric value raises DomainError from
     # DivergentIntegralError.
     key = ("moment", float(n))
     if key not in gen.moment_cache:
