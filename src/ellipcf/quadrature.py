@@ -3,8 +3,8 @@
 Every panel uses the nested Gauss-Kronrod 7/15 pair, in one engine that
 advances many integrands in lockstep on arrays (adaptive_rows); a scalar
 integrand is its one-row case (adaptive_interval).  The oscillatory
-integrator works in the Bessel argument x = omega r with the kernel J_nu,
-or Omega_nu(x) = 0F1(; nu + 1; -x^2/4) = Gamma(nu + 1) (2/x)^nu J_nu(x),
+integrator works in the Bessel argument x = omega r with the one kernel
+Omega_nu(x) = 0F1(; nu + 1; -x^2/4) = Gamma(nu + 1) (2/x)^nu J_nu(x),
 splits that axis at x_k = (k + nu/2 - 1/4) pi, McMahon's leading term for
 the zeros of J_nu, integrates each panel adaptively, and extrapolates the
 partial sums at the panel ends with Sidi's mW transformation on an
@@ -38,9 +38,9 @@ from .generators import DensityGenerator
 from .specfun import (
     _call_rows,
     _elementwise,
+    _j_over_omega,
     _node_by_node,
     _power,
-    bessel_j_rows,
     hyp0f1,
 )
 
@@ -455,20 +455,27 @@ def _moment_n(gen: DensityGenerator, n: int) -> float:
     # forms for the named families, numeric for custom generators.  Every
     # normalization divides by M_n: R has the density 2 r^(n-1) g(r^2) / M_n.
     # A divergent tail or a non-finite numeric value raises DomainError from
-    # DivergentIntegralError.
+    # DivergentIntegralError, as does a record's M_n where its finite(n)
+    # fails; where it holds, an M_n past the float range raises OverflowError.
     key = ("moment", float(n))
     if key not in gen.moment_cache:
+        diverges = f"moment integral M_n diverges at n = {n}"
         if gen.moment is None:
             try:
                 moment = moment_integral(gen, n).value
                 if not math.isfinite(moment):
                     raise DivergentIntegralError(f"moment integral = {moment}")
             except DivergentIntegralError as exc:
-                raise DomainError(f"moment integral M_n diverges at n = {n}") from exc
+                raise DomainError(diverges) from exc
+        elif not gen.finite(float(n)):
+            raise DomainError(diverges)
         else:
-            moment = gen.moment(float(n)) if gen.finite(float(n)) else math.inf
-        if not math.isfinite(moment):
-            raise DomainError(f"moment integral M_n diverges at n = {n}")
+            try:
+                moment = gen.moment(float(n))
+            except OverflowError:
+                moment = math.inf
+            if not math.isfinite(moment):
+                raise OverflowError(f"moment integral M_n overflows the float range at n = {n}")
         gen.moment_cache[key] = moment
     return gen.moment_cache[key]
 
@@ -519,19 +526,17 @@ _ROUND_PANELS = 8
 @np.errstate(invalid="ignore", over="ignore", divide="ignore")
 def _oscillatory_rows(
     envelope: Callable[[np.ndarray], np.ndarray],
-    kernel: Callable[[np.ndarray], np.ndarray],
     nu: float,
     r_peak: float,
     omegas: np.ndarray,
-    abs_tols: np.ndarray,
+    abs_tol: float,
     support_radius: float,
     edge_exponent: float = 1.0,
 ) -> QuadRows:
-    # int_0^R envelope(r) kernel(omega_i r) dr for every row i, each to its
-    # own abs_tols[i]: integrate_bessel_oscillatory for all rows in lockstep.
-    # kernel is J_nu or a multiple of it by a function of omega r (the panel
-    # ends are J_nu's), envelope maps an array of radii to its values, and
-    # both work entry by entry.  Before x = omega r_peak, where the envelope
+    # int_0^R envelope(r) Omega_nu(omega_i r) dr for every row i, each to the
+    # absolute target abs_tol, in lockstep, with the kernel Omega_nu(x) =
+    # 0F1(; nu + 1; -x^2/4) (hyp0f1); envelope maps an array of radii to its
+    # values, entry by entry.  Before x = omega r_peak, where the envelope
     # peaks (_unit's scale of it), the panels still grow: none tells how small
     # the rest is.  Every round integrates the next few Bessel panels of every
     # row still running; the exit rules then run on each panel in turn, as
@@ -548,10 +553,10 @@ def _oscillatory_rows(
     # (or one row of panel history) per row
     zero = np.zeros(count)
     live = {
-        "id": np.arange(count), "omega": omegas, "tol": abs_tols,
-        "panel_abs": abs_tols / 64.0 * omegas, "min_cell": 0.25 * r_peak * omegas,
-        "x_edge": support_radius * omegas, "x_peak": r_peak * omegas, "x_prev": zero,
-        "running": zero, "quad_err": zero, "abs_sum": zero, "peak": zero,
+        "id": np.arange(count), "omega": omegas, "panel_abs": abs_tol / 64.0 * omegas,
+        "min_cell": 0.25 * r_peak * omegas, "x_edge": support_radius * omegas,
+        "x_peak": r_peak * omegas, "x_prev": zero, "running": zero, "quad_err": zero,
+        "abs_sum": zero, "peak": zero,
         "panels": np.zeros(count, dtype=int), "partial": np.zeros((count, 0)),
     }
     # panel k ends at x_k = (k + nu/2 - 1/4) pi, McMahon's leading term for the
@@ -597,7 +602,7 @@ def _oscillatory_rows(
         omega = np.repeat(live["omega"], width)
 
         def integrand(entries, x):
-            # the kernel only at the nodes where the envelope is not 0, once
+            # Omega_nu only at the nodes where the envelope is not 0, once
             # per distinct node: the rows share panels, and so nodes (a
             # single row's are all distinct).  A panel at the edge takes its
             # nodes from half_line, and its envelope their distance to the
@@ -612,11 +617,10 @@ def _oscillatory_rows(
                 w = omega[entries[on]]
                 out[on] = envelope(x[on] / w, gap / w)
             nonzero = out != 0.0
-            if rows == 1 or len(x) == 1:
-                out[nonzero] *= kernel(x[nonzero])
-            else:
-                nodes, back = np.unique(x[nonzero], return_inverse=True)
-                out[nonzero] *= kernel(nodes)[back]
+            nodes, back = x[nonzero], slice(None)
+            if rows > 1 and len(x) > 1:
+                nodes, back = np.unique(nodes, return_inverse=True)
+            out[nonzero] *= hyp0f1(nu + 1.0, -0.25 * nodes * nodes)[back]
             if on.any():
                 out[on] *= num / gap
             return out
@@ -651,7 +655,7 @@ def _oscillatory_rows(
         stuck = hi <= lo
         edge = hi >= live["x_edge"][:, None]
         past_peak = hi >= live["x_peak"][:, None]
-        tol = np.fmax(live["tol"][:, None], _REL_TOL * abs(running))
+        tol = np.fmax(abs_tol, _REL_TOL * abs(running))
         cutoff = np.fmax(_TAIL_CUTOFF * np.fmax(peak, 1e-300), 1e-300)
         cut = (last <= cutoff) & (last <= 0.01 * tol) & past_peak
         agreed = np.zeros((rows, width), dtype=bool)
@@ -715,21 +719,24 @@ def integrate_bessel_oscillatory(
     extrapolated by Sidi's mW transformation, so algebraically decaying
     envelopes (heavy tails) converge in a few panels.  No panel exit comes
     before omega r_peak, with r_peak the power of two where |f(r)/r| peaks.
-    The engine of phi_hankel_rows with the kernel J_nu, in its one-row case,
-    with f called point by point.
+    The engine of phi_hankel_rows in its one-row case, with f called point by
+    point: J_nu(x) = (x/2)^nu / Gamma(nu + 1) Omega_nu(x), and that lead goes
+    into the envelope.
     """
     if not omega > 0.0:
         raise DomainError("integrate_bessel_oscillatory: omega must be > 0")
     if not support_radius > 0.0:
         raise DomainError("integrate_bessel_oscillatory: support_radius must be > 0")
+    if not nu > -1.0:
+        raise DomainError(f"integrate_bessel_oscillatory: order must satisfy nu > -1, got {nu}")
 
-    def envelope(r: np.ndarray) -> np.ndarray:
+    def values(r: np.ndarray) -> np.ndarray:
         return _elementwise(f, r)
 
     res = _oscillatory_rows(
-        envelope, lambda x: bessel_j_rows(nu, x), nu,
-        _unit(lambda r: envelope(r) / r, 0.0, support_radius),
-        np.array([float(omega)]), np.array([_ABS_TOL]), support_radius,
+        lambda r: values(r) * _j_over_omega(nu, 0.5 * omega * r), nu,
+        _unit(lambda r: values(r) / r, 0.0, support_radius),
+        np.array([float(omega)]), _ABS_TOL, support_radius,
     )
     return res.row(0)
 
@@ -808,18 +815,13 @@ def _bessel_transform_rows(
     except Exception as exc:  # raised again at every row but the origin's
         return QuadRows(value, err_est, panels_used, tail, {int(i): exc for i in rows})
 
-    def kernel(x: np.ndarray) -> np.ndarray:
-        return hyp0f1(nu + 1.0, -0.25 * x * x)
-
     r_peak = _unit(lambda r: _times_power(r, nu, profile(r * r)), 0.0, radius)
     edge = 1.0 if edge_profile is None else _fit(lambda r: envelope(r, radius - r), 0.0, radius)[1]
     tol = _ABS_TOL / max(abs(c), 1.0)  # the engine's absolute target
     failures: dict = {}
     for start in range(0, len(rows), _ROWS):
         idx = rows[start:start + _ROWS]
-        res = _oscillatory_rows(
-            envelope, kernel, nu, r_peak, us[idx], np.full(len(idx), tol), radius, edge
-        )
+        res = _oscillatory_rows(envelope, nu, r_peak, us[idx], tol, radius, edge)
         value[idx], err_est[idx] = c * res.value, abs(c) * res.err_est
         panels_used[idx], tail[idx] = res.panels_used, abs(c) * res.tail_bound
         failures.update({int(idx[i]): exc for i, exc in res.failures.items()})

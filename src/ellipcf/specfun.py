@@ -10,9 +10,11 @@ and Hankel's expansion; bessel_j is its one-entry call) and K is bessel_k
 (Temme's series and Steed's continued fraction): each entry runs the
 operations of a one-entry loop, in lockstep with the others, with exp,
 log, pow and the trigonometric functions from libm.  0F1 and 1F1 sum
-their series on J's series loop (_ratio_series_rows); 0F1 at -x^2/4, the
-kernel Omega_nu(x), takes J (Hankel's expansion) only past J's own switch
-to it, and cos x and sin(x)/x at the orders -+1/2.  Dawson's
+their series on one loop (_ratio_series_rows).  0F1 at -x^2/4 is the
+kernel Omega_nu(x), and J's series is Omega_nu's, with one stopping rule
+(_hyp0f1_series_rows), times its lead (x/2)^nu / Gamma(nu + 1); 0F1 takes
+J's Hankel expansion past J's switch to it, and cos x and sin(x)/x at the
+orders -+1/2.  Dawson's
 integral is one fixed sequence of array operations (Rybicki's
 sampling-theorem sum).  K, 0F1, 1F1, the Dawson function and the normal CDF
 at iy take a float or an array, a float giving a float.  The zeros of J
@@ -179,20 +181,20 @@ def _ratio_series_rows(ratio: Callable, kmin: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
+def _j_over_omega(nu: float, half: np.ndarray) -> np.ndarray:
+    # J_nu(x) / Omega_nu(x) = (x/2)^nu / Gamma(nu + 1) at every entry of half = x/2
+    if nu > 30.0:  # in log-gamma form
+        return _elementwise(math.exp, nu * _elementwise(math.log, half) - log_gamma_fn(nu + 1.0))
+    return _power(half, nu) / gamma_fn(nu + 1.0)
+
+
 def _bessel_j_series_rows(nu: float, x: np.ndarray):
-    # J_nu(x) = (x/2)^nu / Gamma(nu+1) * sum_k (-x^2/4)^k / (k! (nu+1)_k) at
+    # J_nu(x) = (x/2)^nu / Gamma(nu+1) Omega_nu(x), Omega_nu by its series, at
     # every entry of x, as (values, converged, terms used); a zero term can
     # only follow x/2 underflowing, and changes no sum
     half = 0.5 * x
-    if nu > 30.0:
-        lead = _elementwise(math.exp, nu * _elementwise(math.log, half) - log_gamma_fn(nu + 1.0))
-    else:
-        lead = _power(half, nu) / gamma_fn(nu + 1.0)
-    msq = -(half * half)
-    sums, converged, terms = _ratio_series_rows(
-        lambda rows, ks: msq[rows, None] / (ks * (nu + ks)), half
-    )
-    return lead * sums, converged, terms
+    sums, converged, terms = _hyp0f1_series_rows(nu + 1.0, -(half * half))
+    return _j_over_omega(nu, half) * sums, converged, terms
 
 
 # The Hankel expansion's term indices j and their constants, per column, and
@@ -283,13 +285,19 @@ def bessel_j_rows(nu: float, x) -> np.ndarray:
     if nu < 0.0 and not positive.all():
         raise DomainError("bessel_j: J_nu diverges at x=0 for nu < 0")
     out = np.full(flat.shape, 1.0 if nu == 0.0 else 0.0)
-    out[positive], converged, terms = _bessel_j_terms(nu, flat[positive])
+    out[positive] = _bessel_j_converged(nu, flat[positive])
+    return out.reshape(x.shape)
+
+
+def _bessel_j_converged(nu: float, x: np.ndarray) -> np.ndarray:
+    # _bessel_j_terms' values at the 1-d array x > 0, raising at the first
+    # entry that does not converge; no order check (hyp0f1 takes any order
+    # past J's switch, where Hankel's expansion holds)
+    out, converged, terms = _bessel_j_terms(nu, x)
     if not converged.all():
         i = (~converged).argmax()
-        raise ConvergenceError(
-            f"bessel_j(nu={nu}, x={flat[positive][i]}) did not converge after {terms[i]} terms"
-        )
-    return out.reshape(x.shape)
+        raise ConvergenceError(f"bessel_j(nu={nu}, x={x[i]}) did not converge after {terms[i]} terms")
+    return out
 
 
 def _bessel_j_terms(nu: float, x: np.ndarray):
@@ -571,10 +579,17 @@ def _check_not_pole(gamma: float, name: str) -> None:
         raise DomainError(f"{name}: lower parameter {gamma} is a nonpositive integer")
 
 
-def _series_rows(call: str, ratio: Callable, kmin: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    # _ratio_series_rows over the entries zs, raising at the first that does
-    # not converge; call is the function's name and parameters
-    sums, converged, terms = _ratio_series_rows(ratio, kmin)
+def _hyp0f1_series_rows(gamma: float, z: np.ndarray):
+    # _ratio_series_rows of 0F1(gamma; z) at every entry of z, the ratio of
+    # term k to k - 1 z / (k (gamma + k - 1)), terms kept past k = 2 sqrt|z|
+    return _ratio_series_rows(lambda rows, ks: z[rows, None] / (ks * (gamma + (ks - 1))),
+                              2.0 * np.sqrt(abs(z)))
+
+
+def _series_rows(call: str, zs: np.ndarray, series) -> np.ndarray:
+    # a _ratio_series_rows result's sums over the entries zs, raising at the
+    # first that does not converge; call is the function's name and parameters
+    sums, converged, terms = series
     if not converged.all():
         i = (~converged).argmax()
         raise ConvergenceError(
@@ -589,10 +604,10 @@ def hyp0f1(gamma: float, z):
 
     At z = -x^2/4 < 0 this is the kernel Omega_nu(x) = Gamma(nu + 1) (2/x)^nu
     J_nu(x), nu = gamma - 1 (DLMF 10.16.9).  Every z >= 0, and every z < 0
-    with x below J's switch max(12, 2|nu|), sums the series; past the switch,
-    where the series would lose all accuracy to cancellation, it is
-    Gamma(gamma) (x/2)^(1 - gamma) J_nu(x) by Hankel's expansion
-    (bessel_j_rows).  At gamma = 1/2 and 3/2 every z < 0 is cos x and
+    with x below J's switch max(12, 2|nu|), sums the series (J's own series
+    branch sums it too); past the switch, where it would lose all accuracy to
+    cancellation, it is Gamma(gamma) (x/2)^(1 - gamma) J_nu(x) by Hankel's
+    expansion, at any gamma.  At gamma = 1/2 and 3/2 every z < 0 is cos x and
     sin(x)/x.  An infinite z (an overflowed argument) raises OverflowError.
     An error names an entry that fails.
     """
@@ -613,12 +628,9 @@ def hyp0f1(gamma: float, z):
             out[bessel] = _elementwise(math.sin, xs) / xs
         else:
             out[bessel] = (gamma_fn(gamma) * _power(0.5 * xs, 1.0 - gamma)
-                           * bessel_j_rows(gamma - 1.0, xs))
+                           * _bessel_j_converged(gamma - 1.0, xs))
     zs = flat[~bessel]  # z = 0 sums to exactly 1 (its first term is 0)
-    out[~bessel] = _series_rows(
-        f"hyp0f1(gamma={gamma}", lambda rows, ks: zs[rows, None] / (ks * (gamma + (ks - 1))),
-        x[~bessel], zs,
-    )
+    out[~bessel] = _series_rows(f"hyp0f1(gamma={gamma}", zs, _hyp0f1_series_rows(gamma, zs))
     out = out.reshape(z.shape)
     return out if out.ndim else float(out)
 
@@ -643,12 +655,11 @@ def hyp1f1(alpha: float, gamma: float, z):
         # both signs; z = 0 sums to exactly 1
         negative = zs < 0.0
         upper, w = np.where(negative, gamma - alpha, alpha), abs(zs)
-        out = _series_rows(
-            f"hyp1f1(alpha={alpha}, gamma={gamma}",
+        out = _series_rows(f"hyp1f1(alpha={alpha}, gamma={gamma}", zs, _ratio_series_rows(
             lambda rows, ks: (upper[rows, None] + (ks - 1)) * w[rows, None]
             / ((gamma + (ks - 1)) * ks),
-            w, zs,
-        )
+            w,
+        ))
         out[negative] *= _elementwise(math.exp, zs[negative])
         out = out.reshape(z.shape)
     return out if out.ndim else float(out)

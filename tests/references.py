@@ -74,25 +74,27 @@ def smu_weight_density(gen: DensityGenerator, n: int, w: float) -> float:
 def bessel_j_loop(nu: float, x: float) -> float:
     """J_nu(x), x >= 0, by one-entry loops in Python floats: the operations,
     branches and stopping rules that bessel_j_rows runs on each entry of an
-    array (the power series below max(12, 2|nu|), Hankel's expansion above,
-    the orders +-1/2 in closed form).  Returns nan where a loop does not
-    converge."""
+    array (below max(12, 2|nu|) the series of 0F1(; nu + 1; -x^2/4) times
+    its lead, Hankel's expansion above, the orders +-1/2 in closed form).
+    Returns nan where a loop does not converge."""
     if x == 0.0:
         return 1.0 if nu == 0.0 else 0.0
     if abs(nu) == 0.5:
         return math.sqrt(2.0 / (math.pi * x)) * (math.sin if nu > 0.0 else math.cos)(x)
     if x < max(12.0, 2.0 * abs(nu)):
+        # (x/2)^nu / Gamma(nu + 1) times Omega_nu(x) = 0F1(; nu + 1; -x^2/4)
         half = 0.5 * x
         if nu > 30.0:
             lead = math.exp(nu * math.log(half) - log_gamma_fn(nu + 1.0))
         else:
             lead = half**nu / gamma_fn(nu + 1.0)
+        gamma, z = nu + 1.0, -(half * half)
         term = total = 1.0
         small = False
         for k in range(1, 501):
-            term *= -(half * half) / (k * (nu + k))
+            term *= z / (k * (gamma + (k - 1)))
             total += term
-            was_small, small = small, abs(term) <= 1e-14 * abs(total) and k >= half
+            was_small, small = small, abs(term) <= 1e-14 * abs(total) and k >= x
             if (was_small and small) or term == 0.0:
                 return lead * total
         return math.nan

@@ -854,6 +854,21 @@ class TestOverflow:
         tol = float(rows[1][4] or 0.0)
         assert abs(float(rows[1][2])) <= tol and abs(float(rows[1][3])) <= tol
 
+    @pytest.mark.parametrize("route, code", [("hankel", 3), ("closed", 0)])
+    def test_moment_past_the_float_range_exits_3(self, tmp_path, capsys, route, code):
+        # the normal's M_n = 2^(n/2) Gamma(n/2) is finite but past the float
+        # range at n = 340: a numeric failure on the Hankel route, which
+        # divides by it, naming the overflow; the closed form needs no M_n
+        n = 340
+        spec = write_spec(tmp_path, "n.json", normal_spec(n))
+        grid = json.dumps({"kind": "list", "points": [[0.5] + [0.0] * (n - 1)]})
+        rc = cli.main(["eval", "--spec", spec, "--grid", grid, "--routes", route])
+        out, err = capsys.readouterr()
+        assert rc == code
+        if code == 3:
+            assert out == "" and err.startswith("numeric failure: at grid point t=[0.5, 0.0,")
+            assert err.rstrip().endswith("moment integral M_n overflows the float range at n = 340")
+
     @pytest.mark.parametrize(
         "family, params, code",
         [("normal", {}, 0), ("uniform_ball", {}, 3), ("generalized_t", {"s": 3, "m": 3}, 3),

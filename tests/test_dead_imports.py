@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every private module-level name it defines is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -26,6 +27,37 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+def dead_helpers(sources: dict[str, str]) -> list[str]:
+    """The module-level names _x (dunders aside) that a module of sources
+    (module name -> source) defines by def, class or assignment and never
+    reads outside that definition: no Name or attribute in its own module
+    carries them, and no other module imports them."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    imported = {(node.module.lstrip("."), alias.name)
+                for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module
+                for alias in node.names}
+    dead = []
+    for module, tree in trees.items():
+        for statement in tree.body:
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                names = [statement.name]
+            elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+                targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            read = {node.id if isinstance(node, ast.Name) else node.attr
+                    for other in tree.body if other is not statement
+                    for node in ast.walk(other)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                    or isinstance(node, ast.Attribute)}
+            dead += [f"{module}.{name}" for name in names
+                     if name.startswith("_") and not name.startswith("__")
+                     and name not in read and (module, name) not in imported]
+    return sorted(dead)
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
@@ -36,3 +68,18 @@ def test_the_check_sees_an_unused_import():
               "__all__ = ['hyp0f1']\n\ndef f():\n    from .quadrature import _moment_n\n"
               "    return os.path.join\n")
     assert unused_imports(source) == ["_moment_n", "gamma_fn", "m"]
+
+
+def test_no_dead_private_helper():
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    assert dead_helpers(sources) == []
+
+
+def test_the_check_sees_a_dead_helper():
+    sources = {
+        "a": ("_LIMIT = 3\n_UNUSED: int = 4\n\ndef _loop(k):\n    return _loop(k - 1) if k else 0\n\n"
+              "def _shared():\n    return _LIMIT\n\nclass _Kept:\n    pass\n\n"
+              "def f(obj):\n    return obj._Kept\n"),
+        "b": "from .a import _shared\n\ndef g():\n    return _shared()\n",
+    }
+    assert dead_helpers(sources) == ["a._UNUSED", "a._loop"]

@@ -105,6 +105,20 @@ class TestNormalizingConstant:
         with pytest.raises(DomainError, match=r"^moment integral M_n diverges at n = 4$"):
             _moment_n(gn.pearson_vii_generator(1.5, 1.0), 4)  # needs N > 2
 
+    @pytest.mark.parametrize("n", [340, 344, 400])
+    def test_overflow_named_as_overflow(self, n):
+        # 2^(n/2) Gamma(n/2) is finite, but past the float range (n = 340),
+        # or math.gamma overflows itself (n >= 344): an OverflowError, which
+        # fails every Hankel row; a Pearson VII with N <= n/2 still diverges
+        rows = quadrature.phi_hankel_rows(gn.normal_generator(), n, [1.0, 2.0])
+        assert sorted(rows.failures) == [0, 1]
+        for exc in rows.failures.values():
+            assert type(exc) is OverflowError
+            assert str(exc) == f"moment integral M_n overflows the float range at n = {n}"
+        for big_n in (0.5 * n, 0.25 * n):
+            with pytest.raises(DomainError, match=f"^moment integral M_n diverges at n = {n}$"):
+                _moment_n(gn.pearson_vii_generator(big_n, 1.0), n)
+
 
 class TestRadialDensity:
     def test_normal_one_dim_half_normal(self):

@@ -346,6 +346,20 @@ class TestOscillatory:
                 lambda r: r * math.exp(-0.5 * r * r), 0.0, omega
             )
             assert abs(res.value - math.exp(-0.5 * omega * omega)) <= 1e-8
+        # int_0^inf r^(nu+1) exp(-r^2/2) J_nu(omega r) dr = omega^nu exp(-omega^2/2)
+        # at negative and larger orders, within err_est and rounding
+        eps = np.finfo(float).eps
+        for nu in (-0.5, 0.5, 2.5, 5.0):
+            for omega in (0.5, 3.0, 20.0):
+                res = integrate_bessel_oscillatory(
+                    lambda r: r ** (nu + 1.0) * math.exp(-0.5 * r * r), nu, omega
+                )
+                exact = omega**nu * math.exp(-0.5 * omega * omega)
+                assert abs(res.value - exact) <= res.err_est + 8.0 * eps, (nu, omega)
+
+    def test_order_at_or_below_minus_one(self):
+        with pytest.raises(DomainError, match="order must satisfy nu > -1"):
+            integrate_bessel_oscillatory(lambda r: math.exp(-r), -1.5, 1.0)
 
     def test_non_decaying_envelope_fails(self):
         # r peaks at the largest probe radius, 2^128, far past the 400th

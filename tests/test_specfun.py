@@ -398,6 +398,16 @@ class TestHyp0F1:
         with pytest.raises(DomainError):
             hyp0f1(-3.0, 1.0)
 
+    @pytest.mark.parametrize("gamma", [-0.5, -1.5, -2.7])
+    def test_negative_gamma_past_the_switch_against_mpmath(self, gamma):
+        # a gamma < 0 that is no pole takes Hankel's expansion at the order
+        # gamma - 1 < -1 past J's switch, x = 12 here; the largest error,
+        # 1.2e-11, is at gamma = -2.7 on the switch itself (z = -36)
+        z = np.array([-36.0, -100.0, -1e4])
+        with mpmath.workdps(30):
+            want = np.array([float(mpmath.hyp0f1(gamma, mpmath.mpf(v))) for v in z.tolist()])
+        assert (np.abs(hyp0f1(gamma, z) - want) <= 1e-10 * np.abs(want)).all()
+
     def test_positive_argument(self):
         assert_allclose(hyp0f1(2.0, 100.0), oracles.hyp0f1_series(2.0, 100.0, dps=60), rtol=1e-13)
 
