@@ -284,8 +284,14 @@ def parse_grid(text: str, n: int) -> np.ndarray:
             ends.append(_number(obj[key], f"grid.{key}"))
             if not math.isfinite(ends[-1]):
                 raise SpecValidationError(f"grid.{key}: non-finite value")
-        points = np.zeros((num, n))
-        points[:, index] = np.linspace(*ends, num)
+        try:
+            points = np.zeros((num, n))
+        except (MemoryError, ValueError) as exc:  # past memory, or past numpy's size limit
+            raise SpecValidationError(f"grid.num: {num} points do not fit in memory") from exc
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing span, named below
+            points[:, index] = np.linspace(*ends, num)
+        if not np.isfinite(points[:, index]).all():
+            raise SpecValidationError("grid: the span from start to stop overflows the float range")
         return points
     if kind == "list":
         _check_fields(obj, ("kind", "points"), (), "grid")

@@ -33,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -133,8 +134,10 @@ class SampleBatch:
 
 def _ordered_map(fn: Callable[..., T], items: Iterable, workers: int) -> Iterator[T]:
     """fn(item) for each item, in item order.  With workers > 1 the calls run
-    on a thread pool that holds at most 2 * workers of them at a time, taking
-    items only as earlier calls finish."""
+    on a thread pool of at most os.cpu_count() threads that holds at most
+    twice that many calls at a time, taking items only as earlier calls
+    finish."""
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         yield from map(fn, items)
         return

@@ -5,20 +5,21 @@ series 0F1 and 1F1 (Kummer), gamma/log-gamma, Bessel-J zeros, the Dawson
 function and the standard normal CDF at a purely imaginary argument.
 
 Each function has one implementation, on arrays, and an entry's value does
-not depend on the array around it.  J is bessel_j_rows (the power series
-and Hankel's expansion; bessel_j is its one-entry call) and K is bessel_k
-(Temme's series and Steed's continued fraction): each entry runs the
-operations of a one-entry loop, in lockstep with the others, with exp,
-log, pow and the trigonometric functions from libm.  0F1 and 1F1 sum
-their series on one loop (_ratio_series_rows).  0F1 at -x^2/4 is the
-kernel Omega_nu(x), and J's series is Omega_nu's, with one stopping rule
-(_hyp0f1_series_rows), times its lead (x/2)^nu / Gamma(nu + 1); 0F1 takes
-J's Hankel expansion past J's switch to it, and cos x and sin(x)/x at the
-orders -+1/2.  Dawson's
-integral is one fixed sequence of array operations (Rybicki's
-sampling-theorem sum).  K, 0F1, 1F1, the Dawson function and the normal CDF
-at iy take a float or an array, a float giving a float.  The zeros of J
-come from McMahon's expansion by secant steps on J.
+not depend on the array around it: every series, continued fraction and
+expansion is one loop that takes a term at a time for a whole array, each
+entry with the operations of a one-entry loop and its own stopping rule,
+with exp, log, pow and the trigonometric functions from libm.  J is
+bessel_j_rows (the power series and Hankel's expansion; bessel_j is its
+one-entry call) and K is bessel_k (Temme's series and Steed's continued
+fraction).  0F1 and 1F1 sum their series on one loop (_ratio_series_rows).
+0F1 at -x^2/4 is the kernel Omega_nu(x), and J's series is Omega_nu's,
+with one stopping rule (_hyp0f1_series_rows), times its lead
+(x/2)^nu / Gamma(nu + 1); 0F1 takes J's Hankel expansion past J's switch
+to it, and cos x and sin(x)/x at the orders -+1/2.  Dawson's integral is
+one fixed sequence of array operations (Rybicki's sampling-theorem sum).
+K, 0F1, 1F1, the Dawson function and the normal CDF at iy take a float or
+an array, a float giving a float.  The zeros of J come from McMahon's
+expansion by secant steps on J.
 
 Every truncated series stops at a relative term size of 1e-14, within at
 most 500 terms, and reports the number of terms consumed.  Non-convergence
@@ -141,37 +142,33 @@ def _power(x: np.ndarray, e: float) -> np.ndarray:
     return _elementwise(pow, x, e)
 
 
-# Series terms per array pass of _ratio_series_rows; below x = 12 the J
-# series stops after about 30.
-_SERIES_BLOCK = 32
-
-
 def _ratio_series_rows(ratio: Callable, kmin: np.ndarray):
     # (sums, converged, terms used) of 1 + t_1 + t_2 + ..., t_k = t_{k-1} r_k,
-    # where ratio(rows, ks) gives r_k for the entries still running and the
-    # k of a block.  An entry stops at a zero term (a terminating series) or
-    # after two terms in a row below _SERIES_REL_TOL of its sum from k = kmin
-    # on.  cumprod and cumsum run along a row in order, as a one-entry loop.
+    # where ratio(rows, k) gives r_k at the entries rows still running.  Each
+    # entry runs a one-entry loop, in lockstep with the others, and stops at
+    # a zero term (a terminating series) or after two terms in a row below
+    # _SERIES_REL_TOL of its sum from k = kmin on.
     count = len(kmin)
     value, terms = np.empty(count), np.full(count, _SERIES_MAX_TERMS)
     converged = np.zeros(count, dtype=bool)
     live = np.arange(count)
     term, total, small = np.ones(count), np.ones(count), np.zeros(count, dtype=bool)
+    last = np.fmax.reduce(kmin, initial=0.0)  # k >= kmin past it (a nan kmin has nan terms)
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite z sums to no convergence
-        for k0 in range(1, _SERIES_MAX_TERMS + 1, _SERIES_BLOCK):
+        for k in range(1, _SERIES_MAX_TERMS + 1):
             if not len(live):
                 break
-            ks = np.arange(k0, min(k0 + _SERIES_BLOCK, _SERIES_MAX_TERMS + 1))
-            block = np.cumprod(np.column_stack((term, ratio(live, ks))), axis=1)[:, 1:]
-            sums = np.cumsum(np.column_stack((total, block)), axis=1)[:, 1:]
-            cond = (abs(block) <= _SERIES_REL_TOL * abs(sums)) & (ks >= kmin[live, None])
-            stop = (cond & np.column_stack((small, cond[:, :-1]))) | (block == 0.0)
-            done = stop.any(axis=1)
-            at = stop.argmax(axis=1)[done]
-            value[live[done]] = sums[done, at]
-            terms[live[done]], converged[live[done]] = ks[at], True
-            term, total, small = block[:, -1], sums[:, -1], cond[:, -1]
-            live, term, total, small = (z[~done] for z in (live, term, total, small))
+            term = term * ratio(live, k)
+            total = total + term
+            now = abs(term) <= _SERIES_REL_TOL * abs(total)
+            if k <= last:
+                now &= k >= kmin[live]
+            stop = (now & small) | (term == 0.0)
+            if stop.any():
+                done = live[stop]
+                value[done], terms[done], converged[done] = total[stop], k, True
+                live, term, total, now = live[~stop], term[~stop], total[~stop], now[~stop]
+            small = now
     value[live] = total
     return value, converged, terms
 
@@ -197,66 +194,40 @@ def _bessel_j_series_rows(nu: float, x: np.ndarray):
     return _j_over_omega(nu, half) * sums, converged, terms
 
 
-# The Hankel expansion's term indices j and their constants, per column, and
-# its terms per array pass (at order 0 the loop runs 25 to 35 terms for x
-# from 12 to 20, and at most 23 past x = 25).
-_HANKEL_BLOCK = 24
-_HANKEL_J = np.arange(1, 80)
-_HANKEL_ODD_SQ = ((2 * _HANKEL_J - 1) ** 2).astype(float)
-_HANKEL_SIGN = np.where((_HANKEL_J - _HANKEL_J % 2) // 2 % 2 == 0, 1.0, -1.0)
-
-
 def _bessel_j_asymptotic_rows(nu: float, x: np.ndarray):
     # Hankel's expansion J_nu(x) ~ sqrt(2/(pi x)) (cos(w) P - sin(w) Q),
     # w = x - nu pi/2 - pi/4, summed to its smallest term, at every entry of
-    # x: (values, converged, terms used).  The terms come in blocks of
-    # columns, each entry cut before its first term past the smallest so far
-    # (from j = 3 on), or after its first term below 1e-18; it has converged
-    # if its smallest term is below 1e-10.  cumprod, the running minimum and
-    # cumsum run along a row in order, as a one-entry loop multiplies,
-    # compares and adds; Q's terms sit in the even columns (odd j) and P's in
-    # the odd ones, so one cumsum over column pairs sums both.
-    value, converged = np.empty(len(x)), np.empty(len(x), dtype=bool)
-    terms = np.empty(len(x), dtype=int)
-    live, xs = np.arange(len(x)), x
-    c, best, sums = np.ones(len(x)), np.ones(len(x)), np.zeros((len(x), 2))
-    sums[:, 1] = 1.0  # Q from 0, P from 1
-    tiny = np.zeros(len(x), dtype=bool)
-    for j0 in range(0, len(_HANKEL_J), _HANKEL_BLOCK):
-        if not len(live):
-            break
-        block = slice(j0, j0 + _HANKEL_BLOCK)
-        j = _HANKEL_J[block]
-        table = np.empty((len(xs), len(j) + 1))  # the carried value, then this block's
-        table[:, 0] = c
-        with np.errstate(over="ignore", invalid="ignore"):  # past the cut, unused
-            np.divide(4.0 * nu * nu - _HANKEL_ODD_SQ[block], (8.0 * j) * xs[:, None],
-                      out=table[:, 1:])
-            cj = np.cumprod(table, axis=1)[:, 1:]
-        ac = abs(cj)
-        table[:, 0], table[:, 1:] = best, ac
-        smallest = np.minimum.accumulate(table, axis=1)
-        cut = (ac >= smallest[:, :-1]) & (j > 2)  # divergence onset: stop before j
-        cut[:, 0] |= tiny
-        cut[:, 1:] |= ac[:, :-1] < 1e-18  # stop after j - 1
-        stopped = cut.any(axis=1)
-        count = np.where(stopped, cut.argmax(axis=1), len(j))
-        signed = np.zeros((len(xs), len(j) + len(j) % 2))
-        kept = np.arange(len(j)) < count[:, None]
-        signed[:, :len(j)] = np.where(kept, _HANKEL_SIGN[block] * cj, 0.0)
-        signed[:, :2] += sums
-        sums = signed.reshape(len(xs), -1, 2).cumsum(axis=1)[:, -1]
-        found = stopped | (j0 + len(j) == len(_HANKEL_J))
-        if found.any():
-            i, w = live[found], xs[found] - nu * (0.5 * math.pi) - 0.25 * math.pi
-            value[i] = np.sqrt(2.0 / (math.pi * xs[found])) * (
-                _elementwise(math.cos, w) * sums[found, 1] - _elementwise(math.sin, w) * sums[found, 0]
-            )
-            converged[i] = smallest[found, count[found]] < 1e-10
-            terms[i] = j0 + count[found] + 1
-        c, best, tiny = cj[:, -1], smallest[:, -1], ac[:, -1] < 1e-18
-        live, xs, c, best, tiny, sums = (z[~found] for z in (live, xs, c, best, tiny, sums))
-    return value, converged, terms
+    # x: (values, converged, terms used).  Each entry runs a one-entry loop,
+    # in lockstep with the others: its term c_j = c_{j-1} (4 nu^2 - (2j-1)^2)
+    # / (8 j x) goes to Q (odd j) or P (even j) with the sign (-1)^(j // 2).
+    # It stops before its first term past the smallest so far (from j = 3
+    # on), or after its first term below 1e-18, and has converged if its
+    # smallest term is below 1e-10.  P, Q and the smallest term are saved as
+    # an entry stops, and the values assembled once, after the loop.
+    pq, smallest, terms = np.empty((2, len(x))), np.empty(len(x)), np.full(len(x), 80)
+    live, xs, c, best = np.arange(len(x)), x, np.ones(len(x)), np.ones(len(x))
+    sums, tiny = np.zeros((2, len(x))), np.zeros(len(x), dtype=bool)
+    sums[0] = 1.0  # P from 1, Q from 0
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow stops its entry
+        for j in range(1, 80):
+            if not len(live):
+                break
+            c = c * ((4.0 * nu * nu - (2 * j - 1) ** 2) / ((8.0 * j) * xs))
+            ac = abs(c)
+            stop = tiny | ((ac >= best) & (j > 2))  # after j - 1, or at divergence onset
+            if stop.any():
+                done = live[stop]
+                pq[:, done], smallest[done], terms[done] = sums[:, stop], best[stop], j
+                live, xs, c, ac, best, sums = (
+                    live[~stop], xs[~stop], c[~stop], ac[~stop], best[~stop], sums[:, ~stop])
+            best = np.minimum(best, ac)
+            sums[j % 2] += (-1.0 if j // 2 % 2 else 1.0) * c
+            tiny = ac < 1e-18
+    pq[:, live], smallest[live] = sums, best
+    w = x - nu * (0.5 * math.pi) - 0.25 * math.pi
+    value = np.sqrt(2.0 / (math.pi * x)) * (
+        _elementwise(math.cos, w) * pq[0] - _elementwise(math.sin, w) * pq[1])
+    return value, smallest < 1e-10, terms
 
 
 def bessel_j(nu: float, x: float) -> float:
@@ -582,7 +553,7 @@ def _check_not_pole(gamma: float, name: str) -> None:
 def _hyp0f1_series_rows(gamma: float, z: np.ndarray):
     # _ratio_series_rows of 0F1(gamma; z) at every entry of z, the ratio of
     # term k to k - 1 z / (k (gamma + k - 1)), terms kept past k = 2 sqrt|z|
-    return _ratio_series_rows(lambda rows, ks: z[rows, None] / (ks * (gamma + (ks - 1))),
+    return _ratio_series_rows(lambda rows, k: z[rows] / (k * (gamma + (k - 1))),
                               2.0 * np.sqrt(abs(z)))
 
 
@@ -640,8 +611,9 @@ def hyp1f1(alpha: float, gamma: float, z):
     float or an array z (a float gives a float).
 
     Negative arguments go through the Kummer transform
-    1F1(a; c; z) = e^z 1F1(c-a; c; -z) to avoid cancellation.  An error
-    names the first entry that fails.
+    1F1(a; c; z) = e^z 1F1(c-a; c; -z) to avoid cancellation, unless a is a
+    negative integer: there 1F1 is a polynomial, summed as it stands.  An
+    error names the first entry that fails.
     """
     _check_not_pole(gamma, "hyp1f1")
     z = np.asarray(z, dtype=float)
@@ -651,16 +623,15 @@ def hyp1f1(alpha: float, gamma: float, z):
         out = np.ones(z.shape)
     else:
         zs = z.ravel()
-        # the upper parameter (c - a for z < 0) and |z|, so one ratio serves
-        # both signs; z = 0 sums to exactly 1
-        negative = zs < 0.0
-        upper, w = np.where(negative, gamma - alpha, alpha), abs(zs)
+        # the upper parameter (c - a where transformed) and the argument, so
+        # one ratio serves both; z = 0 sums to exactly 1
+        kummer = (zs < 0.0) & (not (alpha < 0.0 and float(alpha).is_integer()))
+        upper, w = np.where(kummer, gamma - alpha, alpha), np.where(kummer, -zs, zs)
         out = _series_rows(f"hyp1f1(alpha={alpha}, gamma={gamma}", zs, _ratio_series_rows(
-            lambda rows, ks: (upper[rows, None] + (ks - 1)) * w[rows, None]
-            / ((gamma + (ks - 1)) * ks),
-            w,
+            lambda rows, k: (upper[rows] + (k - 1)) * w[rows] / ((gamma + (k - 1)) * k),
+            abs(zs),
         ))
-        out[negative] *= _elementwise(math.exp, zs[negative])
+        out[kummer] *= _elementwise(math.exp, zs[kummer])
         out = out.reshape(z.shape)
     return out if out.ndim else float(out)
 

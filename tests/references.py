@@ -71,6 +71,23 @@ def smu_weight_density(gen: DensityGenerator, n: int, w: float) -> float:
     return -lead * w ** (n + 1) * gen.g_prime(np.array([w * w])).item()
 
 
+def ratio_series_loop(ratio, kmin: float):
+    """(sum, terms) of 1 + t_1 + t_2 + ..., t_k = t_{k-1} ratio(k), by a
+    one-entry loop in Python floats: the stopping rule of 0F1's and 1F1's
+    series, a zero term, or two terms in a row at most 1e-14 of the sum from
+    k = kmin on.  terms is the k it stops at, None if 500 terms do not stop
+    it (the sum is then the sum of all 500)."""
+    term = total = 1.0
+    small = False
+    for k in range(1, 501):
+        term *= ratio(k)
+        total += term
+        was_small, small = small, abs(term) <= 1e-14 * abs(total) and k >= kmin
+        if (was_small and small) or term == 0.0:
+            return total, k
+    return total, None
+
+
 def bessel_j_loop(nu: float, x: float) -> float:
     """J_nu(x), x >= 0, by one-entry loops in Python floats: the operations,
     branches and stopping rules that bessel_j_rows runs on each entry of an
@@ -89,15 +106,8 @@ def bessel_j_loop(nu: float, x: float) -> float:
         else:
             lead = half**nu / gamma_fn(nu + 1.0)
         gamma, z = nu + 1.0, -(half * half)
-        term = total = 1.0
-        small = False
-        for k in range(1, 501):
-            term *= z / (k * (gamma + (k - 1)))
-            total += term
-            was_small, small = small, abs(term) <= 1e-14 * abs(total) and k >= x
-            if (was_small and small) or term == 0.0:
-                return lead * total
-        return math.nan
+        total, terms = ratio_series_loop(lambda k: z / (k * (gamma + (k - 1))), x)
+        return math.nan if terms is None else lead * total
     w = x - nu * (0.5 * math.pi) - 0.25 * math.pi
     p_sum, q_sum, c, best = 1.0, 0.0, 1.0, 1.0
     for j in range(1, 80):

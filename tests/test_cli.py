@@ -210,6 +210,31 @@ class TestEval:
         assert rc == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("num", [10**17, 10**19])
+    def test_axis_past_memory_exit_2(self, tmp_path, capsys, num):
+        # 10^17 points at n = 2 are past any address space, so the
+        # allocation fails before it touches memory; 10^19 is past numpy's
+        # largest dimension
+        spec = write_spec(tmp_path, "n.json", normal_spec())
+        grid = json.dumps({"kind": "axis", "index": 0, "start": 0.0, "stop": 1.0, "num": num})
+        rc = cli.main(["eval", "--spec", spec, "--grid", grid])
+        assert rc == 2
+        assert capsys.readouterr().err == f"spec error: grid.num: {num} points do not fit in memory\n"
+
+    def test_axis_span_past_float_range_exit_2(self, tmp_path, capsys):
+        # finite ends whose difference overflows, named without numpy's warnings
+        spec = write_spec(tmp_path, "n.json", normal_spec())
+        grid = '{"kind":"axis","index":0,"start":-1e308,"stop":1e308,"num":5}'
+        rc = cli.main(["eval", "--spec", spec, "--grid", grid])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "spec error: grid: the span from start to stop overflows the float range\n")
+        # a span just inside the range keeps linspace's points
+        grid = '{"kind":"axis","index":1,"start":-8e307,"stop":8e307,"num":7}'
+        points = cli.parse_grid(grid, 2)
+        assert points[:, 1].tobytes() == np.linspace(-8e307, 8e307, 7).tobytes()
+        assert not points[:, 0].any()
+
     def test_stacked_failure_names_first_failing_point(self, tmp_path, capsys, monkeypatch):
         def breaks_above_q3(real):
             def closed_form(n, q):

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -695,6 +697,33 @@ class TestStreamedChunks:
             assert value == 2 * consumed
             assert len(taken) <= consumed + 1 + 2 * workers
         assert len(taken) == 1000
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_pool_capped_at_cpu_count(self, monkeypatch, cpus):
+        # --workers has no upper bound: the pool takes at most one thread per
+        # CPU (none past one CPU); a stand-in pool records its size and runs
+        # each call at once, so no thread starts
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, item):
+                future = Future()
+                future.set_result(fn(item))
+                return future
+
+        monkeypatch.setattr(sampling, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert list(sampling._ordered_map(lambda i: 2 * i, range(3), 100_000)) == [0, 2, 4]
+        assert sizes == ([cpus] if cpus > 1 else [])
 
 
 class TestRngStreamKeys:

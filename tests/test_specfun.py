@@ -100,14 +100,19 @@ class TestBesselJ:
 
 
 class TestBesselJRows:
-    @pytest.mark.parametrize("nu", [0.0, 1.0, 1.5, 2.5])
+    @pytest.mark.parametrize("nu", [0.0, 0.3, 1.0, 1.5, 2.5, 5.0, 7.3, -0.3])
     def test_within_2_ulp_of_bessel_j(self, nu):
-        # seeded x on both sides of the series / Hankel-expansion switch at 12
-        rng = np.random.default_rng(int(10 * nu))
-        x = np.concatenate([rng.uniform(0.0, 12.0, 400), rng.uniform(12.0, 300.0, 400), [0.0, 12.0]])
+        # seeded x on both sides of the series / Hankel-expansion switch at
+        # max(12, 2|nu|), and the switch itself: every entry is the one-entry
+        # loop's, bit for bit (x = 0 only where J_nu is finite there)
+        switch = max(12.0, 2.0 * abs(nu))
+        rng = np.random.default_rng(int(10 * nu) % 1000)
+        edge = [0.0] if nu >= 0.0 else [np.nextafter(switch, 0.0)]
+        x = np.concatenate([rng.uniform(0.0, switch, 400), rng.uniform(switch, 300.0, 400),
+                            edge, [switch]])
         got = bessel_j_rows(nu, x.reshape(2, -1)).ravel()
         want = np.array([references.bessel_j_loop(nu, v) for v in x.tolist()])
-        assert (np.abs(got - want) <= 2.0 * np.spacing(np.abs(want))).all()
+        assert got.tobytes() == want.tobytes()
         assert got.tobytes() == np.array([bessel_j(nu, v) for v in x.tolist()]).tobytes()
 
     @pytest.mark.parametrize("nu", [0.0, 0.3, 1.0, 2.5, 5.0])
@@ -456,10 +461,72 @@ class TestHyp1F1:
     def test_terminating_polynomial(self):
         # a = -1 terminates: 1F1(-1; c; z) = 1 - z/c
         assert_allclose(hyp1f1(-1.0, 2.0, 3.0), 1.0 - 3.0 / 2.0, rtol=1e-15)
+        # a negative integer a is summed as the polynomial at z < 0 too,
+        # where Kummer's transform would make it an infinite series that 500
+        # terms do not reach past |z| = 500
+        cases = [(-3.0, 2.0, -1e4), (-2.0, -0.5, -1e4), (-1.0, 0.5, -1e6), (-3.0, 2.0, -30.0),
+                 (-7.0, 1.5, -0.3), (-12.0, 3.5, -800.0), (-4.0, 0.5, 25.0)]
+        with mpmath.workdps(30):
+            want = [float(mpmath.hyp1f1(a, c, z)) for a, c, z in cases]
+        for (a, c, z), value in zip(cases, want):
+            assert abs(hyp1f1(a, c, z) - value) <= 1e-14 * abs(value)
+            assert hyp1f1(a, c, np.array([z, -z])).tolist() == [hyp1f1(a, c, z), hyp1f1(a, c, -z)]
+        assert hyp1f1(-3.0, 2.0, -30.0) == 1621.0
 
     def test_pole_parameter(self):
         with pytest.raises(DomainError):
             hyp1f1(1.0, -2.0, 1.0)
+
+
+class TestSeriesLoopBits:
+    """0F1 and 1F1 on their series: an array's values are those of the
+    one-entry loop (references.ratio_series_loop) bit for bit, and an array
+    with entries that 500 terms do not stop raises the message of the first."""
+
+    @staticmethod
+    def assert_loop_bits(f, call, zs, loop):
+        # loop(z) gives (value, terms) at each float z, terms None on failure
+        got = [loop(z) for z in zs.tolist()]
+        ok = np.array([terms is not None for _, terms in got])
+        assert ok.any() and not ok.all()
+        want = np.array([value for value, _ in got])
+        assert f(zs[ok]).tobytes() == want[ok].tobytes()
+        with pytest.raises(ConvergenceError) as raised:
+            f(zs)
+        first = float(zs[(~ok).argmax()])
+        assert str(raised.value) == f"{call}, z={first}) did not converge after 500 terms"
+
+    @pytest.mark.parametrize("gamma", [0.7, 2.0, 3.5, 41.0])
+    def test_hyp0f1_series(self, gamma):
+        # seeded z of both signs below J's switch max(12, 2|gamma - 1|) (at
+        # z = -x^2/4), z = +-0 and z past 500 terms' reach (k >= 2 sqrt z)
+        edge = 0.25 * max(12.0, 2.0 * abs(gamma - 1.0)) ** 2
+        rng = np.random.default_rng(int(10 * gamma))
+        zs = np.concatenate([[0.0, -0.0], rng.uniform(-0.99 * edge, 0.0, 300),
+                             rng.uniform(0.0, 400.0, 300), [7e4, 2e5]])
+
+        def loop(z):
+            return references.ratio_series_loop(lambda k: z / (k * (gamma + (k - 1))),
+                                                2.0 * math.sqrt(abs(z)))
+
+        self.assert_loop_bits(lambda z: hyp0f1(gamma, z), f"hyp0f1(gamma={gamma}", zs, loop)
+
+    @pytest.mark.parametrize("alpha, gamma", [(2.5, 1.5), (0.5, 3.0), (1.7, 1.0), (-1.5, 2.0),
+                                              (3.0, 0.5), (0.3, -2.5)])
+    def test_hyp1f1_series(self, alpha, gamma):
+        # seeded z of both signs, z < 0 by Kummer's transform, z = +-0 and
+        # |z| past 500 terms' reach (k >= |z|)
+        rng = np.random.default_rng(int(10 * alpha) % 1000)
+        zs = np.concatenate([[0.0, -0.0], rng.uniform(-300.0, 300.0, 400), [600.0, -700.0]])
+
+        def loop(z):
+            upper = gamma - alpha if z < 0.0 else alpha
+            value, terms = references.ratio_series_loop(
+                lambda k: (upper + (k - 1)) * abs(z) / ((gamma + (k - 1)) * k), abs(z))
+            return (value * math.exp(z) if z < 0.0 else value), terms
+
+        self.assert_loop_bits(lambda z: hyp1f1(alpha, gamma, z),
+                              f"hyp1f1(alpha={alpha}, gamma={gamma}", zs, loop)
 
 
 class TestArrayHypergeometric:
