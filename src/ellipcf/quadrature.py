@@ -720,8 +720,8 @@ def integrate_bessel_oscillatory(
     envelopes (heavy tails) converge in a few panels.  No panel exit comes
     before omega r_peak, with r_peak the power of two where |f(r)/r| peaks.
     The engine of phi_hankel_rows in its one-row case, with f called point by
-    point: J_nu(x) = (x/2)^nu / Gamma(nu + 1) Omega_nu(x), and that lead goes
-    into the envelope.
+    point: J_nu(x) = x^nu / (2^nu Gamma(nu + 1)) Omega_nu(x), and that lead
+    goes into the envelope.
     """
     if not omega > 0.0:
         raise DomainError("integrate_bessel_oscillatory: omega must be > 0")
@@ -734,7 +734,7 @@ def integrate_bessel_oscillatory(
         return _elementwise(f, r)
 
     res = _oscillatory_rows(
-        lambda r: values(r) * _j_over_omega(nu, 0.5 * omega * r), nu,
+        lambda r: values(r) * _j_over_omega(nu, omega * r), nu,
         _unit(lambda r: values(r) / r, 0.0, support_radius),
         np.array([float(omega)]), _ABS_TOL, support_radius,
     )

@@ -8,15 +8,14 @@ Each function has one implementation, on arrays, and an entry's value does
 not depend on the array around it: every series, continued fraction and
 expansion is one loop that takes a term at a time for a whole array, each
 entry with the operations of a one-entry loop and its own stopping rule,
-with exp, log, pow and the trigonometric functions from libm.  J is
-bessel_j_rows (the power series and Hankel's expansion; bessel_j is its
-one-entry call) and K is bessel_k (Temme's series and Steed's continued
-fraction).  0F1 and 1F1 sum their series on one loop (_ratio_series_rows).
-0F1 at -x^2/4 is the kernel Omega_nu(x), and J's series is Omega_nu's,
-with one stopping rule (_hyp0f1_series_rows), times its lead
-(x/2)^nu / Gamma(nu + 1); 0F1 takes J's Hankel expansion past J's switch
-to it, and cos x and sin(x)/x at the orders -+1/2.  Dawson's integral is
-one fixed sequence of array operations (Rybicki's sampling-theorem sum).
+with exp, log, pow and the trigonometric functions from libm.  0F1 at
+z = -x^2/4 < 0 is the kernel Omega_nu(x), and one function evaluates it
+(_omega_rows), with the one switch x = max(12, 2|nu|): cos x and sin(x)/x
+at the orders -+1/2, 0F1's series below the switch and Hankel's expansion
+past it.  J is its lead x^nu / (2^nu Gamma(nu + 1)) times Omega_nu.  K is
+bessel_k (Temme's series and Steed's continued fraction).  0F1 and 1F1 sum
+their series on one loop (_ratio_series_rows).  Dawson's integral is one
+fixed sequence of array operations (Rybicki's sampling-theorem sum).  J,
 K, 0F1, 1F1, the Dawson function and the normal CDF at iy take a float or
 an array, a float giving a float.  The zeros of J come from McMahon's
 expansion by secant steps on J.
@@ -42,7 +41,6 @@ __all__ = [
     "gamma_fn",
     "log_gamma_fn",
     "bessel_j",
-    "bessel_j_rows",
     "bessel_j_zero",
     "bessel_k",
     "hyp0f1",
@@ -57,13 +55,6 @@ __all__ = [
 # fraction of the running sum, and fails past this many terms.
 _SERIES_REL_TOL = 1e-14
 _SERIES_MAX_TERMS = 500
-
-
-def _j_switch(nu: float) -> float:
-    # the x below which J_nu, and 0F1(; nu + 1; -x^2/4), take the power
-    # series, Hankel's expansion above: past 12 the float64 series loses more
-    # than ~5e-13 to cancellation while the expansion is already usable
-    return max(12.0, 2.0 * abs(nu))
 
 
 def gamma_fn(x: float) -> float:
@@ -174,24 +165,35 @@ def _ratio_series_rows(ratio: Callable, kmin: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Bessel J
+# Bessel J and the kernel Omega
 # ---------------------------------------------------------------------------
 
 
-def _j_over_omega(nu: float, half: np.ndarray) -> np.ndarray:
-    # J_nu(x) / Omega_nu(x) = (x/2)^nu / Gamma(nu + 1) at every entry of half = x/2
-    if nu > 30.0:  # in log-gamma form
-        return _elementwise(math.exp, nu * _elementwise(math.log, half) - log_gamma_fn(nu + 1.0))
-    return _power(half, nu) / gamma_fn(nu + 1.0)
-
-
-def _bessel_j_series_rows(nu: float, x: np.ndarray):
-    # J_nu(x) = (x/2)^nu / Gamma(nu+1) Omega_nu(x), Omega_nu by its series, at
-    # every entry of x, as (values, converged, terms used); a zero term can
-    # only follow x/2 underflowing, and changes no sum
-    half = 0.5 * x
-    sums, converged, terms = _hyp0f1_series_rows(nu + 1.0, -(half * half))
-    return _j_over_omega(nu, half) * sums, converged, terms
+def _omega_rows(gamma: float, z: np.ndarray, x: np.ndarray):
+    # 0F1(gamma; z) at every entry of the 1-d array z, x = 2 sqrt|z| given
+    # beside it (z may have under- or overflowed), as (values, converged,
+    # terms used).  At z = -x^2/4 < 0 this is the kernel Omega_nu(x),
+    # nu = gamma - 1: cos x and sin(x)/x at gamma = 1/2 and 3/2, and past the
+    # switch x = max(12, 2|nu|), where the series would lose all accuracy to
+    # cancellation, Gamma(gamma) (x/2)^(1 - gamma) J_nu(x) by Hankel's
+    # expansion.  Every other entry sums the series, term ratio
+    # z / (k (gamma + k - 1)), terms kept past k = 2 sqrt|z|.
+    out, converged = np.empty(len(z)), np.ones(len(z), dtype=bool)
+    terms = np.ones(len(z), dtype=int)
+    bessel = (z < 0.0) & (gamma in (0.5, 1.5) or x >= max(12.0, 2.0 * abs(gamma - 1.0)))
+    if bessel.any():
+        xs = x[bessel]
+        if gamma == 0.5:
+            out[bessel] = _elementwise(math.cos, xs)
+        elif gamma == 1.5:
+            out[bessel] = _elementwise(math.sin, xs) / xs
+        else:
+            j, converged[bessel], terms[bessel] = _bessel_j_asymptotic_rows(gamma - 1.0, xs)
+            out[bessel] = gamma_fn(gamma) * _power(0.5 * xs, 1.0 - gamma) * j
+    zs = z[~bessel]  # z = 0 sums to exactly 1 (its first term is 0)
+    out[~bessel], converged[~bessel], terms[~bessel] = _ratio_series_rows(
+        lambda rows, k: zs[rows] / (k * (gamma + (k - 1))), 2.0 * np.sqrt(abs(zs)))
+    return out, converged, terms
 
 
 def _bessel_j_asymptotic_rows(nu: float, x: np.ndarray):
@@ -230,20 +232,38 @@ def _bessel_j_asymptotic_rows(nu: float, x: np.ndarray):
     return value, smallest < 1e-10, terms
 
 
-def bessel_j(nu: float, x: float) -> float:
-    """Bessel function of the first kind J_nu(x) at one float x: bessel_j_rows
-    on a one-entry array, with its values and errors."""
-    return float(bessel_j_rows(nu, np.array([x], dtype=float))[0])
+def _j_over_omega(nu: float, x: np.ndarray) -> np.ndarray:
+    # J_nu(x) / Omega_nu(x) = x^nu / (2^nu Gamma(nu + 1)) at every entry of x,
+    # formed from x itself, so that a subnormal x keeps its digits (x/2 would
+    # round them away, or reach 0)
+    if nu > 30.0:  # in log-gamma form
+        return _elementwise(
+            math.exp, nu * _elementwise(math.log, x) - (nu * math.log(2.0) + log_gamma_fn(nu + 1.0)))
+    return _power(x, nu) * (2.0**-nu / gamma_fn(nu + 1.0))
 
 
-def bessel_j_rows(nu: float, x) -> np.ndarray:
-    """J_nu at every entry of the array x >= 0, for real nu > -1, in lockstep.
+def _j_rows(nu: float, x: np.ndarray):
+    # J_nu at every entry of the 1-d array x > 0, its lead times the kernel
+    # Omega_nu, as (values, converged, terms used)
+    with np.errstate(over="ignore"):  # z is -inf past x ~ 2.7e154; the kernel takes x there
+        z = -(0.5 * x) ** 2
+    omega, converged, terms = _omega_rows(nu + 1.0, z, x)
+    return _j_over_omega(nu, x) * omega, converged, terms
 
-    The orders +-1/2 are sqrt(2/(pi x)) sin x and cos x; other orders take
-    the power series below x = max(12, 2|nu|) and Hankel's expansion above.
-    Each entry's branch and stopping rule are its own, so its value does not
-    depend on the rest of the array.  An error names the first entry that
-    fails.
+
+def bessel_j(nu: float, x):
+    """Bessel function of the first kind J_nu(x) for real nu > -1, at a float
+    or an array x >= 0 (a float gives a float): its lead
+    x^nu / (2^nu Gamma(nu + 1)) times the kernel Omega_nu(x) =
+    0F1(; nu + 1; -x^2/4) of hyp0f1 (DLMF 10.16.9), entry by entry.
+
+    The product keeps J's digits where both factors are normal floats.  For
+    nu from 2 to 30, x^nu overflows (OverflowError) past 1.3e154 at nu = 2,
+    4.5e61 at 5, 6.7e30 at 10 and 1.9e10 at 30, where Hankel's phase
+    x - (nu/2 + 1/4) pi, rounded at ulp(x), has already cost J its digits.
+    Past the switch, Omega_nu's factor (x/2)^-nu is subnormal where
+    (x/2)^nu > 2^1022: from x = 2.9e6 at nu = 50 and 2400 at nu = 100 (0
+    from 3444).  A ConvergenceError names the first entry that fails.
     """
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
@@ -256,35 +276,10 @@ def bessel_j_rows(nu: float, x) -> np.ndarray:
     if nu < 0.0 and not positive.all():
         raise DomainError("bessel_j: J_nu diverges at x=0 for nu < 0")
     out = np.full(flat.shape, 1.0 if nu == 0.0 else 0.0)
-    out[positive] = _bessel_j_converged(nu, flat[positive])
-    return out.reshape(x.shape)
-
-
-def _bessel_j_converged(nu: float, x: np.ndarray) -> np.ndarray:
-    # _bessel_j_terms' values at the 1-d array x > 0, raising at the first
-    # entry that does not converge; no order check (hyp0f1 takes any order
-    # past J's switch, where Hankel's expansion holds)
-    out, converged, terms = _bessel_j_terms(nu, x)
-    if not converged.all():
-        i = (~converged).argmax()
-        raise ConvergenceError(f"bessel_j(nu={nu}, x={x[i]}) did not converge after {terms[i]} terms")
-    return out
-
-
-def _bessel_j_terms(nu: float, x: np.ndarray):
-    # J_nu on the 1-d array x > 0, each branch on its own entries, as
-    # (values, converged, terms used)
-    if abs(nu) == 0.5:
-        trig = math.sin if nu > 0.0 else math.cos
-        ones = np.ones(len(x), dtype=int)
-        return np.sqrt(2.0 / (math.pi * x)) * _elementwise(trig, x), ones == 1, ones
-    series = x < _j_switch(nu)
-    out, converged, terms = np.empty(len(x)), np.empty(len(x), dtype=bool), np.empty(len(x), dtype=int)
-    for branch, evaluate in ((series, _bessel_j_series_rows),
-                             (~series, _bessel_j_asymptotic_rows)):
-        if branch.any():
-            out[branch], converged[branch], terms[branch] = evaluate(nu, x[branch])
-    return out, converged, terms
+    xs = flat[positive]
+    out[positive] = _series_rows(f"bessel_j(nu={nu}, x", xs, _j_rows(nu, xs))
+    out = out.reshape(x.shape)
+    return out if out.ndim else float(out)
 
 
 # The positive zeros of J_nu per order, each list append-only and in order.
@@ -360,7 +355,7 @@ def _jzero_block(nu: float, first: int, last: int) -> tuple[list[float], str | N
     lower, upper = 0.5 * (guess[:-2] + guess[1:-1]), 0.5 * (guess[1:-1] + guess[2:])
     zeros = np.full(len(lower), math.nan)
     live, x0, x1 = np.arange(len(lower)), guess[1:-1], guess[1:-1] + _JZERO_OFFSET
-    (f0, ok0, _), (f1, ok1, _) = _bessel_j_terms(nu, x0), _bessel_j_terms(nu, x1)
+    (f0, ok0, _), (f1, ok1, _) = _j_rows(nu, x0), _j_rows(nu, x1)
     live, x0, f0, x1, f1 = (z[ok0 & ok1] for z in (live, x0, f0, x1, f1))
     prev = np.full(len(live), math.inf)  # the size of each zero's last step
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # such steps fail below
@@ -374,7 +369,7 @@ def _jzero_block(nu: float, first: int, last: int) -> tuple[list[float], str | N
             zeros[live[done]] = x1[done]
             more = ~done & (x1 > 0.0) & (x1 < math.inf)
             live, x0, f0, x1, prev = (z[more] for z in (live, x0, f0, x1, size))
-            f1, ok, _ = _bessel_j_terms(nu, x1)
+            f1, ok, _ = _j_rows(nu, x1)
             live, x0, f0, x1, f1, prev = (z[ok] for z in (live, x0, f0, x1, f1, prev))
     wrong = ~((zeros > lower) & (zeros < upper))
     if not wrong.any():
@@ -550,21 +545,15 @@ def _check_not_pole(gamma: float, name: str) -> None:
         raise DomainError(f"{name}: lower parameter {gamma} is a nonpositive integer")
 
 
-def _hyp0f1_series_rows(gamma: float, z: np.ndarray):
-    # _ratio_series_rows of 0F1(gamma; z) at every entry of z, the ratio of
-    # term k to k - 1 z / (k (gamma + k - 1)), terms kept past k = 2 sqrt|z|
-    return _ratio_series_rows(lambda rows, k: z[rows] / (k * (gamma + (k - 1))),
-                              2.0 * np.sqrt(abs(z)))
-
-
 def _series_rows(call: str, zs: np.ndarray, series) -> np.ndarray:
-    # a _ratio_series_rows result's sums over the entries zs, raising at the
-    # first that does not converge; call is the function's name and parameters
+    # the values of a (values, converged, terms used) result over the entries
+    # zs, raising at the first that does not converge; call is the function's
+    # name and parameters up to the name of the argument zs gives
     sums, converged, terms = series
     if not converged.all():
         i = (~converged).argmax()
         raise ConvergenceError(
-            f"{call}, z={float(zs[i])}) did not converge after {int(terms[i])} terms"
+            f"{call}={float(zs[i])}) did not converge after {int(terms[i])} terms"
         )
     return sums
 
@@ -574,13 +563,11 @@ def hyp0f1(gamma: float, z):
     array z (a float gives a float).
 
     At z = -x^2/4 < 0 this is the kernel Omega_nu(x) = Gamma(nu + 1) (2/x)^nu
-    J_nu(x), nu = gamma - 1 (DLMF 10.16.9).  Every z >= 0, and every z < 0
-    with x below J's switch max(12, 2|nu|), sums the series (J's own series
-    branch sums it too); past the switch, where it would lose all accuracy to
-    cancellation, it is Gamma(gamma) (x/2)^(1 - gamma) J_nu(x) by Hankel's
-    expansion, at any gamma.  At gamma = 1/2 and 3/2 every z < 0 is cos x and
-    sin(x)/x.  An infinite z (an overflowed argument) raises OverflowError.
-    An error names an entry that fails.
+    J_nu(x), nu = gamma - 1 (DLMF 10.16.9), which _omega_rows evaluates:
+    the series below the switch x = max(12, 2|nu|), Hankel's expansion past
+    it, at any gamma, and cos x and sin(x)/x at gamma = 1/2 and 3/2.  Every
+    z >= 0 sums the series.  An infinite z (an overflowed argument) raises
+    OverflowError.  An error names the first entry that fails.
     """
     _check_not_pole(gamma, "hyp0f1")
     z = np.asarray(z, dtype=float)
@@ -588,21 +575,8 @@ def hyp0f1(gamma: float, z):
     inf = np.isinf(flat)
     if inf.any():
         raise OverflowError(f"hyp0f1: z = {_first(flat, inf)}: an intermediate overflows")
-    out = np.empty(flat.shape)
-    x = 2.0 * np.sqrt(abs(flat))  # z = -x^2/4 where z < 0
-    bessel = (flat < 0.0) & (gamma in (0.5, 1.5) or x >= _j_switch(gamma - 1.0))
-    if bessel.any():
-        xs = x[bessel]
-        if gamma == 0.5:
-            out[bessel] = _elementwise(math.cos, xs)
-        elif gamma == 1.5:
-            out[bessel] = _elementwise(math.sin, xs) / xs
-        else:
-            out[bessel] = (gamma_fn(gamma) * _power(0.5 * xs, 1.0 - gamma)
-                           * _bessel_j_converged(gamma - 1.0, xs))
-    zs = flat[~bessel]  # z = 0 sums to exactly 1 (its first term is 0)
-    out[~bessel] = _series_rows(f"hyp0f1(gamma={gamma}", zs, _hyp0f1_series_rows(gamma, zs))
-    out = out.reshape(z.shape)
+    out = _series_rows(f"hyp0f1(gamma={gamma}, z", flat,
+                       _omega_rows(gamma, flat, 2.0 * np.sqrt(abs(flat)))).reshape(z.shape)
     return out if out.ndim else float(out)
 
 
@@ -627,7 +601,7 @@ def hyp1f1(alpha: float, gamma: float, z):
         # one ratio serves both; z = 0 sums to exactly 1
         kummer = (zs < 0.0) & (not (alpha < 0.0 and float(alpha).is_integer()))
         upper, w = np.where(kummer, gamma - alpha, alpha), np.where(kummer, -zs, zs)
-        out = _series_rows(f"hyp1f1(alpha={alpha}, gamma={gamma}", zs, _ratio_series_rows(
+        out = _series_rows(f"hyp1f1(alpha={alpha}, gamma={gamma}, z", zs, _ratio_series_rows(
             lambda rows, k: (upper[rows] + (k - 1)) * w[rows] / ((gamma + (k - 1)) * k),
             abs(zs),
         ))

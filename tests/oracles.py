@@ -28,7 +28,7 @@ or a kernel with no row here.
     mixing    degenerate       test_mixture_oracle.py::test_spec_closed_route
     mixing    finite_discrete  test_mixture_oracle.py::test_spec_closed_route
     mixing    inverse_gamma    test_mixture_oracle.py::test_inverse_gamma_at_every_scale
-    kernel    bessel_j_rows    test_specfun.py::TestBesselJRows::test_against_mpmath
+    kernel    bessel_j         test_specfun.py::TestBesselJRows::test_against_mpmath
     kernel    bessel_k         test_specfun.py::TestBesselKArrays::test_against_mpmath
     kernel    bessel_j_zero    test_specfun.py::TestBesselJZero::test_against_mpmath
     kernel    hyp0f1           test_specfun.py::TestHyp0F1::test_against_mpmath
@@ -61,6 +61,16 @@ def bessel_j_series(nu: float, x: float, dps: int = 50) -> float:
             if abs(term) < mp.mpf(10) ** (-dps) * (abs(total) + 1):
                 break
         return float(total)
+
+
+def sphere_cf_bessel(n: int, s: float, dps: int = 30) -> float:
+    """The uniform-sphere CF in its Bessel form at s = ||t||^2 > 0,
+    Gamma(n/2) (2/x)^nu J_nu(x) with x = ||t|| and nu = (n - 2)/2, from
+    mpmath's besselj."""
+    with mp.workdps(dps):
+        x = mp.sqrt(mp.mpf(s))
+        nu = mp.mpf(n - 2) / 2
+        return float(mp.gamma(mp.mpf(n) / 2) * (2 / x) ** nu * mp.besselj(nu, x))
 
 
 def bisect_zero(f, lo: float, hi: float, iters: int = 200) -> float:

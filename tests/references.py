@@ -14,21 +14,7 @@ import numpy as np
 from ellipcf.generators import DensityGenerator
 from ellipcf.quadrature import _moment_n
 from ellipcf.skewmix import MixingLaw, SkewNormalSpec, _check_star_unimodal
-from ellipcf.specfun import _temme_gammas, bessel_j, gamma_fn, log_gamma_fn, norm_cdf_imag_scaled
-
-
-def sphere_cf_bessel(n: int, s: float) -> float:
-    """The uniform-sphere CF in its Bessel form, at s = ||t||^2 > 0:
-    Omega_n(x) = Gamma(n/2) (2/x)^((n-2)/2) J_((n-2)/2)(x) with x = ||t||.
-    The library evaluates it as 0F1(; n/2; -s/4), by its own series below
-    J's switch (x < max(12, |n - 2|)), so there the two forms are
-    independent; at n = 1 and 3, by cos x and sin(x)/x.  Past the switch
-    both are one J: there the mpmath tests
-    (TestUniformSphereCF.test_against_mpmath) are the independent reference.
-    """
-    x = math.sqrt(s)
-    half_order = 0.5 * (n - 2.0)
-    return gamma_fn(0.5 * n) * (2.0 / x) ** half_order * bessel_j(half_order, x)
+from ellipcf.specfun import _temme_gammas, gamma_fn, log_gamma_fn, norm_cdf_imag_scaled
 
 
 def smsn_split(spec: SkewNormalSpec, mixing: MixingLaw):
@@ -88,26 +74,23 @@ def ratio_series_loop(ratio, kmin: float):
     return total, None
 
 
-def bessel_j_loop(nu: float, x: float) -> float:
-    """J_nu(x), x >= 0, by one-entry loops in Python floats: the operations,
-    branches and stopping rules that bessel_j_rows runs on each entry of an
-    array (below max(12, 2|nu|) the series of 0F1(; nu + 1; -x^2/4) times
-    its lead, Hankel's expansion above, the orders +-1/2 in closed form).
-    Returns nan where a loop does not converge."""
-    if x == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
-    if abs(nu) == 0.5:
-        return math.sqrt(2.0 / (math.pi * x)) * (math.sin if nu > 0.0 else math.cos)(x)
-    if x < max(12.0, 2.0 * abs(nu)):
-        # (x/2)^nu / Gamma(nu + 1) times Omega_nu(x) = 0F1(; nu + 1; -x^2/4)
-        half = 0.5 * x
-        if nu > 30.0:
-            lead = math.exp(nu * math.log(half) - log_gamma_fn(nu + 1.0))
-        else:
-            lead = half**nu / gamma_fn(nu + 1.0)
-        gamma, z = nu + 1.0, -(half * half)
-        total, terms = ratio_series_loop(lambda k: z / (k * (gamma + (k - 1))), x)
-        return math.nan if terms is None else lead * total
+def omega_loop(gamma: float, z: float, x: float) -> float:
+    """0F1(gamma; z), x = 2 sqrt|z| given beside z, by one-entry loops in
+    Python floats: the operations, branches and stopping rules that the
+    kernel of specfun runs on each entry of an array.  At z = -x^2/4 < 0 it
+    is Omega_nu(x), nu = gamma - 1: cos x and sin(x)/x at gamma = 1/2 and
+    3/2, and past x = max(12, 2|nu|) Gamma(gamma) (x/2)^(1 - gamma) J_nu(x)
+    by Hankel's expansion; every other z sums the series.  Returns nan where
+    a loop does not converge."""
+    nu = gamma - 1.0
+    if z < 0.0 and gamma == 0.5:
+        return math.cos(x)
+    if z < 0.0 and gamma == 1.5:
+        return math.sin(x) / x
+    if z >= 0.0 or x < max(12.0, 2.0 * abs(nu)):
+        total, terms = ratio_series_loop(lambda k: z / (k * (gamma + (k - 1))),
+                                         2.0 * math.sqrt(abs(z)))
+        return math.nan if terms is None else total
     w = x - nu * (0.5 * math.pi) - 0.25 * math.pi
     p_sum, q_sum, c, best = 1.0, 0.0, 1.0, 1.0
     for j in range(1, 80):
@@ -121,8 +104,23 @@ def bessel_j_loop(nu: float, x: float) -> float:
             p_sum += c if (j // 2) % 2 == 0 else -c
         if abs(c) < 1e-18:
             break
-    value = math.sqrt(2.0 / (math.pi * x)) * (math.cos(w) * p_sum - math.sin(w) * q_sum)
-    return value if best < 1e-10 else math.nan
+    j_nu = math.sqrt(2.0 / (math.pi * x)) * (math.cos(w) * p_sum - math.sin(w) * q_sum)
+    return gamma_fn(gamma) * (0.5 * x) ** (1.0 - gamma) * j_nu if best < 1e-10 else math.nan
+
+
+def bessel_j_loop(nu: float, x: float) -> float:
+    """J_nu(x), x >= 0, by one-entry loops in Python floats: its lead
+    x^nu / (2^nu Gamma(nu + 1)) times omega_loop at z = -(x/2)^2, the
+    operations bessel_j runs on each entry of an array.  Returns nan where
+    a loop does not converge."""
+    if x == 0.0:
+        return 1.0 if nu == 0.0 else 0.0
+    if nu > 30.0:
+        lead = math.exp(nu * math.log(x) - (nu * math.log(2.0) + log_gamma_fn(nu + 1.0)))
+    else:
+        lead = x**nu * (2.0**-nu / gamma_fn(nu + 1.0))
+    half = 0.5 * x
+    return lead * omega_loop(nu + 1.0, -(half * half), x)
 
 
 def bessel_k_loop(nu: float, x: float) -> float:

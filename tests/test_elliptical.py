@@ -23,7 +23,6 @@ from ellipcf.elliptical import (
 from ellipcf.errors import DomainError, NoClosedFormError
 from ellipcf.quadrature import _moment_n, adaptive_interval
 from ellipcf.specfun import bessel_j, gamma_fn, hyp0f1
-from references import sphere_cf_bessel
 
 J0_FIRST_ZERO = 2.404825557695766
 
@@ -59,13 +58,13 @@ class TestUniformSphereCF:
         assert abs(hyp0f1(1.0, -0.25 * J0_FIRST_ZERO**2)) < 1e-10
 
     def test_hyp0f1_form(self):
-        # the 0F1 evaluation against the Gamma (2/x)^nu J_nu form
+        # the 0F1 evaluation against the Gamma (2/x)^nu J_nu form in mpmath
         for n in range(1, 11):
             for s in (1e-8, 1e-4, 0.5, 4.0, 100.0, 2500.0):
-                assert abs(hyp0f1(0.5 * n, -0.25 * s) - sphere_cf_bessel(n, s)) <= 1e-11
+                assert abs(hyp0f1(0.5 * n, -0.25 * s) - oracles.sphere_cf_bessel(n, s)) <= 1e-11
 
     def test_against_mpmath(self):
-        # past hyp0f1's switch both forms above are one J; here mpmath's 0F1
+        # the 0F1 form itself, from an mpmath series
         for n in (1, 2, 3, 5, 8):
             for x in np.linspace(0.05, 60.0, 120):
                 want = oracles.hyp0f1_series(0.5 * n, -0.25 * x * x)

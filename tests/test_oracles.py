@@ -52,7 +52,7 @@ def test_the_check_sees_an_ellipcf_import():
 # each and what it takes its values from
 WRAPPERS = {
     "gamma_fn": "math.gamma", "log_gamma_fn": "math.lgamma",
-    "bessel_j": "bessel_j_rows", "norm_cdf_imag": "norm_cdf_imag_scaled",
+    "norm_cdf_imag": "norm_cdf_imag_scaled",
 }
 
 

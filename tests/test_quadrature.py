@@ -665,7 +665,7 @@ class TestHankelSilentErrors:
     below their true error.  Each case must either raise a named error or
     meet the closed form within err_est + 8 eps.  On finite support the sum
     runs to the edge: no panel before it bounds the rest.  At n = 30
-    bessel_j_rows raises on its first panels, naming nu and x; rows whose
+    the kernel raises on its first panels, naming gamma and z; rows whose
     panels ended at Bessel zeros taken from J_nu's lost digits missed the
     closed form by 2e-8 to 6e-8, or read 0 +- 0 where the value is 0.61."""
 
@@ -692,9 +692,31 @@ class TestHankelSilentErrors:
     def test_high_n_small_u_honest(self, n, route):
         # the normal at n = 18 and 22 and u <= 1e-3: the engine evaluates
         # its kernel only where the envelope is not 0, so the panels past
-        # the peak, where g has underflowed, never reach bessel_j_rows at
+        # the peak, where g has underflowed, never reach the kernel at
         # x ~ 2 nu, where Hankel's expansion does not converge
         us = [1e-300, 1e-30, 1e-8, 1e-4, 1e-3]
+        rows = route(gn.normal_generator(), n, us)
+        assert not rows.failures
+        assert np.all(abs(rows.value - np.exp(-0.5 * np.array(us) ** 2)) <= rows.err_est)
+
+    @pytest.mark.parametrize("route", [phi_hankel_rows, star_unimodal_rows])
+    @pytest.mark.parametrize("n, us", [
+        (30, [0.5, 1.0, 2.0]), (60, [0.5, 1.0, 2.0, 4.0]), (100, [0.5, 1.0, 2.0, 4.0]),
+        (150, [0.5, 1.0, 2.0, 4.0]),
+        pytest.param(18, [0.5, 1.0, 2.0, 4.0], marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 16: the kernel does not converge at "
+            "x ~ 2 nu, 'hyp0f1(gamma=9.0, z=-68.0...) did not converge after 3 terms'")),
+        pytest.param(30, [4.0], marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 16: the kernel does not converge at "
+            "x ~ 2 nu, 'hyp0f1(gamma=15.0, z=-211.1...) did not converge after 3 terms'")),
+        pytest.param(200, [0.5, 1.0, 2.0, 4.0], marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 6: the envelope r^(2 nu + 1) p(r^2) overflows")),
+        pytest.param(303, [0.5, 1.0, 2.0, 4.0], marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 6: M_n overflows the float range")),
+    ])
+    def test_normal_at_any_n_without_an_oracle(self, route, n, us):
+        # scale mixtures of normals are consistent, so the normal's phi(u^2)
+        # is exp(-u^2/2) at every n: ROADMAP item 1's check with no oracle
         rows = route(gn.normal_generator(), n, us)
         assert not rows.failures
         assert np.all(abs(rows.value - np.exp(-0.5 * np.array(us) ** 2)) <= rows.err_est)

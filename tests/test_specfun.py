@@ -15,7 +15,6 @@ from ellipcf.elliptical import closed_form_generator
 from ellipcf.errors import ConvergenceError, DomainError
 from ellipcf.specfun import (
     bessel_j,
-    bessel_j_rows,
     bessel_j_zero,
     bessel_k,
     dawson,
@@ -103,17 +102,21 @@ class TestBesselJRows:
     @pytest.mark.parametrize("nu", [0.0, 0.3, 1.0, 1.5, 2.5, 5.0, 7.3, -0.3])
     def test_within_2_ulp_of_bessel_j(self, nu):
         # seeded x on both sides of the series / Hankel-expansion switch at
-        # max(12, 2|nu|), and the switch itself: every entry is the one-entry
-        # loop's, bit for bit (x = 0 only where J_nu is finite there)
+        # max(12, 2|nu|), and the switch itself: every entry of J and of
+        # Omega_nu = hyp0f1(nu + 1, -x^2/4) is the one-entry loop's, bit for
+        # bit (x = 0 only where J_nu is finite there)
         switch = max(12.0, 2.0 * abs(nu))
         rng = np.random.default_rng(int(10 * nu) % 1000)
         edge = [0.0] if nu >= 0.0 else [np.nextafter(switch, 0.0)]
         x = np.concatenate([rng.uniform(0.0, switch, 400), rng.uniform(switch, 300.0, 400),
                             edge, [switch]])
-        got = bessel_j_rows(nu, x.reshape(2, -1)).ravel()
+        got = bessel_j(nu, x.reshape(2, -1)).ravel()
         want = np.array([references.bessel_j_loop(nu, v) for v in x.tolist()])
         assert got.tobytes() == want.tobytes()
         assert got.tobytes() == np.array([bessel_j(nu, v) for v in x.tolist()]).tobytes()
+        z = -((0.5 * x) ** 2)
+        want = [references.omega_loop(nu + 1.0, v, 2.0 * math.sqrt(-v)) for v in z.tolist()]
+        assert hyp0f1(nu + 1.0, z).tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("nu", [0.0, 0.3, 1.0, 2.5, 5.0])
     def test_against_mpmath(self, nu):
@@ -124,24 +127,54 @@ class TestBesselJRows:
         x = np.concatenate([rng.uniform(0.0, 12.0, 150), rng.uniform(12.0, 300.0, 150), [12.0]])
         with mpmath.workdps(30):
             want = [float(mpmath.besselj(nu, mpmath.mpf(v))) for v in x.tolist()]
-        assert np.abs(bessel_j_rows(nu, x) - want).max() <= 3e-12
+        assert np.abs(bessel_j(nu, x) - want).max() <= 3e-12
 
     def test_half_orders_in_closed_form(self):
         x = np.linspace(0.01, 50.0, 500)
-        assert_allclose(bessel_j_rows(0.5, x), np.sqrt(2.0 / (np.pi * x)) * np.sin(x), rtol=0, atol=1e-15)
-        assert_allclose(bessel_j_rows(-0.5, x), np.sqrt(2.0 / (np.pi * x)) * np.cos(x), rtol=0, atol=1e-15)
+        assert_allclose(bessel_j(0.5, x), np.sqrt(2.0 / (np.pi * x)) * np.sin(x), rtol=0, atol=1e-15)
+        assert_allclose(bessel_j(-0.5, x), np.sqrt(2.0 / (np.pi * x)) * np.cos(x), rtol=0, atol=1e-15)
 
     def test_errors_as_bessel_j(self, monkeypatch):
         with pytest.raises(DomainError):
-            bessel_j_rows(0.0, [1.0, -1.0])
+            bessel_j(0.0, [1.0, -1.0])
         with pytest.raises(DomainError):
-            bessel_j_rows(-0.5, [1.0, 0.0])
+            bessel_j(-0.5, [1.0, 0.0])
         monkeypatch.setattr(specfun, "_SERIES_MAX_TERMS", 3)
         with pytest.raises(ConvergenceError) as raised:
-            bessel_j_rows(0.0, [20.0, 11.0, 5.0])
+            bessel_j(0.0, [20.0, 11.0, 5.0])
         with pytest.raises(ConvergenceError) as scalar:
             bessel_j(0.0, 11.0)
         assert str(raised.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("nu", [0.5, -0.5, 0.3, -0.3, 1.5, 2.5])
+    def test_subnormal_x_against_mpmath(self, nu):
+        # the lead x^nu / (2^nu Gamma(nu + 1)) is formed from x itself: x/2
+        # would round a subnormal x, or reach 0 (-0.3 at 5e-324 divided by it)
+        x = [5e-324, 1.5e-323, 2.5e-323, 1e-310, 3e-308, 1e-300]
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.besselj(nu, mpmath.mpf(v))) for v in x])
+        assert (np.abs([bessel_j(nu, v) for v in x] - want) <= 5e-16 * np.abs(want)).all()
+
+    @pytest.mark.parametrize("nu", [0.5, -0.5])
+    def test_half_orders_at_huge_x_against_mpmath(self, nu):
+        # z = -x^2/4 is -inf past x ~ 2.7e154: the kernel's cos x and
+        # sin(x)/x take x itself, and libm reduces it exactly
+        x = [1e155, 1e200, 1e300]
+        with mpmath.workdps(350):
+            want = np.array([float(mpmath.besselj(nu, mpmath.mpf(v))) for v in x])
+        assert (np.abs(bessel_j(nu, np.array(x)) - want) <= 5e-16 * np.abs(want)).all()
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 16: past the switch Omega_nu carries (x/2)^-nu, which leaves "
+        "the normal range where (x/2)^nu > 2^1022, so J = lead times Omega_nu loses its "
+        "digits: J_100(x) reads 0 from x = 3444",
+    )
+    def test_high_order_past_the_switch_against_mpmath(self):
+        x = np.geomspace(3e3, 5e4, 12)
+        with mpmath.workdps(30):
+            want = np.array([float(mpmath.besselj(100, mpmath.mpf(v))) for v in x.tolist()])
+        assert np.abs([bessel_j(100.0, v) for v in x.tolist()] - want).max() <= 1e-12
 
 
 class TestBesselJHighOrder:
@@ -156,7 +189,7 @@ class TestBesselJHighOrder:
         for x in xs:
             ref = float(mpmath.besselj(nu, x))
             assert abs(bessel_j(nu, x) - ref) <= 5e-14 * abs(ref)
-        rows = bessel_j_rows(nu, np.array(xs))
+        rows = bessel_j(nu, np.array(xs))
         assert rows.tobytes() == np.array([bessel_j(nu, x) for x in xs]).tobytes()
 
     @pytest.mark.xfail(
@@ -216,35 +249,38 @@ class TestBesselJZero:
         assert [bessel_j_zero(2.0, k) for k in range(1, 71)] == in_order
 
     def test_no_convergence_names_the_zero(self, monkeypatch):
-        # a flat J gives the secant steps nothing to divide by
+        # with the kernel Omega flat at 1, J is its lead x / 2, which has
+        # no positive zero: the secant steps run to x = 0
         monkeypatch.setattr(specfun, "_JZERO_CACHE", {})
-        monkeypatch.setattr(specfun, "_bessel_j_terms", lambda nu, x: (
+        monkeypatch.setattr(specfun, "_omega_rows", lambda gamma, z, x: (
             np.ones(len(x)), np.ones(len(x), dtype=bool), np.ones(len(x), dtype=int)))
         with pytest.raises(ConvergenceError, match=r"bessel_j_zero\(nu=1\.0, k=1\): "
                                                    "the secant steps did not converge"):
             bessel_j_zero(1.0, 3)
 
     def test_wrong_index_names_the_zero(self, monkeypatch):
-        # J_nu(x/2) has its zeros at twice J_nu's: the steps from the first
-        # zero's estimate 3.83 end far past the midpoint 5.42 to the second's
+        # with the kernel at x/2, J has its zeros at twice J_nu's: the steps
+        # from the first zero's estimate 3.83 end far past the midpoint 5.42
+        # to the second's
         monkeypatch.setattr(specfun, "_JZERO_CACHE", {})
-        terms = specfun._bessel_j_terms
-        monkeypatch.setattr(specfun, "_bessel_j_terms", lambda nu, x: terms(nu, 0.5 * x))
+        kernel = specfun._omega_rows
+        monkeypatch.setattr(specfun, "_omega_rows",
+                            lambda gamma, z, x: kernel(gamma, 0.25 * z, 0.5 * x))
         with pytest.raises(ConvergenceError, match=r"bessel_j_zero\(nu=1\.0, k=1\): "
                                                    "the secant steps ended at .*, outside"):
             bessel_j_zero(1.0, 3)
 
     def test_zeros_before_a_failure_are_kept(self, monkeypatch):
-        # J fails past x = 12 here: the four zeros below stay available,
-        # the fifth (14.93) raises
+        # the kernel, and so J, fails past x = 12 here: the four zeros below
+        # stay available, the fifth (14.93) raises
         monkeypatch.setattr(specfun, "_JZERO_CACHE", {})
-        terms = specfun._bessel_j_terms
+        kernel = specfun._omega_rows
 
-        def failing_past_12(nu, x):
-            values, converged, used = terms(nu, x)
+        def failing_past_12(gamma, z, x):
+            values, converged, used = kernel(gamma, z, x)
             return values, converged & (x < 12.0), used
 
-        monkeypatch.setattr(specfun, "_bessel_j_terms", failing_past_12)
+        monkeypatch.setattr(specfun, "_omega_rows", failing_past_12)
         assert bessel_j_zero(0.0, 4) == pytest.approx(float(mpmath.besseljzero(0, 4)), rel=5e-13)
         with pytest.raises(ConvergenceError, match=r"nu=0\.0, k=5\)"):
             bessel_j_zero(0.0, 5)
@@ -415,6 +451,42 @@ class TestHyp0F1:
 
     def test_positive_argument(self):
         assert_allclose(hyp0f1(2.0, 100.0), oracles.hyp0f1_series(2.0, 100.0, dps=60), rtol=1e-13)
+
+    @pytest.mark.parametrize("gamma", [172.0, 200.0, 400.0])
+    def test_large_gamma_below_the_switch_against_mpmath(self, gamma):
+        # Gamma(gamma) overflows from gamma = 171.7, and no entry here needs
+        # it: z = -x^2/4 with x seeded in (0, nu/8), below the switch at
+        # 2 nu, where the series keeps 1e-14 (toward 2 nu it cancels, item 16)
+        x = np.random.default_rng(int(gamma)).uniform(0.0, (gamma - 1.0) / 8.0, 200)
+        z = np.concatenate([-((0.5 * x) ** 2), [-0.0, -5e-324]])
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.hyp0f1(gamma, mpmath.mpf(v))) for v in z.tolist()])
+        assert (np.abs(hyp0f1(gamma, z) - want) <= 1e-14 * np.abs(want)).all()
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 16: below the switch max(12, 2 nu) the series cancels, and "
+        "past it Hankel's expansion stops after 3 terms; on the 12000-entry table "
+        "1844 entries raise and 726 are more than 2e-13 off (worst 3.8e14)",
+    )
+    def test_omega_table_against_mpmath(self):
+        # item 16's table, nu in {0, 0.5, ..., 99.5} by 60 log-spaced x in
+        # [0.05, 1300], z = -x^2/4 formed in floats and given to mpmath as
+        # that float: a seeded 2000 of its entries, of which 326 raise and
+        # 122 are silently off
+        nus, xs = np.arange(0.0, 100.0, 0.5), np.geomspace(0.05, 1300.0, 60)
+        bad = []
+        for i in np.sort(np.random.default_rng(16).choice(12000, 2000, replace=False)).tolist():
+            gamma, z = nus[i // 60] + 1.0, -0.25 * xs[i % 60] * xs[i % 60]
+            try:
+                got = hyp0f1(gamma, z)
+            except ConvergenceError:
+                got = math.nan
+            with mpmath.workdps(30):
+                want = float(mpmath.hyp0f1(gamma, mpmath.mpf(z)))
+            if not abs(got - want) <= 2e-13:
+                bad.append((gamma, z))
+        assert bad == []
 
     @pytest.mark.parametrize("gamma", [0.5, 1.5])
     def test_half_order_bessel_branch_against_mpmath(self, gamma):
