@@ -2,8 +2,10 @@
 
 Every panel uses the nested Gauss-Kronrod 7/15 pair, in one engine that
 advances many integrands in lockstep on arrays (adaptive_rows); a scalar
-integrand is its one-row case (adaptive_interval).  The oscillatory
-integrator works in the Bessel argument x = omega r with the one kernel
+integrand is its one-row case (adaptive_interval).  A row keeps its
+panels in creation order, so the first of largest error, the one it
+bisects, is the oldest on a tie.  The oscillatory integrator works in
+the Bessel argument x = omega r with the one kernel
 Omega_nu(x) = 0F1(; nu + 1; -x^2/4) = Gamma(nu + 1) (2/x)^nu J_nu(x),
 splits that axis at x_k = (k + nu/2 - 1/4) pi, McMahon's leading term for
 the zeros of J_nu, integrates each panel adaptively, and extrapolates the
@@ -124,7 +126,6 @@ _K15_G7_WEIGHTS = np.array([(wk, wg) for _, wk, wg in _K15_PAIRS])
 _K15_G7_CENTRE = np.array(
     [0.209482141084727828012999174891714, 0.417959183673469387755102040816327]
 )
-_NO_PANEL = np.iinfo(np.int64).max  # the sequence number of a padding slot
 
 
 def _dyadic_seeds(a: float, b: float, min_cell: float) -> tuple[float, ...]:
@@ -198,12 +199,16 @@ def adaptive_rows(
     complex.  a, b, abs_tol and max_panels are numbers, or arrays with one
     entry per row; seeds, if given, holds each row's interior breakpoints of
     its initial partition.  The panels of every row's initial partition take
-    one call of f; then every round bisects the worst panel (the older one
-    on a tie) of each row still above its tolerance (the summed error
+    one call of f; then every round bisects the worst panel, the oldest of
+    largest error, of each row still above its tolerance (the summed error
     estimate against max(abs_tol, rel_tol |value|)) and under max_panels,
-    with one call of f for all of them.  Sums over the nodes run
-    elementwise in node order, so each row gets the value, error and panel
-    count of its own one-row run, whatever else is in the batch.
+    with one call of f for all of them.  A row keeps its panels in the order
+    they were made, one column each: a bisected panel stays, spent, at error
+    -inf, and its halves take two new columns, so the first column of
+    largest error is the oldest.  Sums over the nodes run elementwise in
+    node order, and the totals move by (left + right) - parent, so each row
+    gets the value, error and panel count of its own one-row run, whatever
+    else is in the batch.
 
     Returns (values, errs, panels, failures).  A row whose integrand raises
     drops out: its exception is failures[row] and its value and error are
@@ -263,77 +268,57 @@ def adaptive_rows(
         val, err = val[keep], err[keep]
     val, err = val[:, 0], err[:, 0]
 
-    # per row still running: its id, its panels (bounds, value, error and
-    # sequence number, one column each, padded after the initial ones),
-    # its running totals and its number of initial panels (one unseeded)
-    ids, first, initial = np.unique(owner, return_index=True, return_counts=True)
-    row = np.repeat(np.arange(len(ids)), initial)
+    # per row still running: its id, its panels (bounds, value and error;
+    # the padding after a row's initial panels is spent too), its running
+    # totals, panel count, target and budget
+    ids, first, used = np.unique(owner, return_index=True, return_counts=True)
+    row = np.repeat(np.arange(len(ids)), used)
     col = np.arange(len(owner)) - first[row]
-    width = int(initial.max(initial=1))
-    lo_p, hi_p = np.zeros((len(ids), width)), np.zeros((len(ids), width))
-    val_p, err_p = np.zeros((len(ids), width, val.shape[-1])), np.zeros((len(ids), width))
-    seq = np.full((len(ids), width), _NO_PANEL)
-    lo_p[row, col], hi_p[row, col], seq[row, col] = lo, hi, col
-    val_p[row, col], err_p[row, col] = val, err
-    lo, hi, val, err = lo_p, hi_p, val_p, err_p
-    # summed in panel order; the zero padding
-    # adds exactly nothing to a sum that starts from +0.0
-    total_val, total_err = 0.0 + val[:, 0], 0.0 + err[:, 0]
-    for j in range(1, val.shape[1]):
-        total_val, total_err = total_val + val[:, j], total_err + err[:, j]
-    err[seq == _NO_PANEL] = -np.inf  # padding is never the worst panel
-    used = initial
-    tol, cap = abs_tol[ids], max_panels[ids]
-    step = 0
+    shape = (len(ids), int(used.max(initial=1)))
+    live = {"id": ids, "lo": np.zeros(shape), "hi": np.zeros(shape),
+            "val": np.zeros(shape + val.shape[-1:]), "err": np.zeros(shape)}
+    for key, z in (("lo", lo), ("hi", hi), ("val", val), ("err", err)):
+        live[key][row, col] = z
+    # summed in panel order; the zero padding adds exactly nothing to a sum
+    # that starts from +0.0
+    total_val, total_err = 0.0 + live["val"][:, 0], 0.0 + live["err"][:, 0]
+    for j in range(1, shape[1]):
+        total_val, total_err = total_val + live["val"][:, j], total_err + live["err"][:, j]
+    live["err"][np.arange(shape[1]) >= used[:, None]] = -np.inf
+    live.update(total_val=total_val, total_err=total_err, used=used,
+                tol=abs_tol[ids], cap=max_panels[ids])
     while True:
-        done = (used >= cap) | (
-            total_err <= np.fmax(tol, rel_tol * _magnitude(total_val))
+        done = (live["used"] >= live["cap"]) | (
+            live["total_err"] <= np.fmax(live["tol"], rel_tol * _magnitude(live["total_val"]))
         )
         if done.any():
-            finished = ids[done]
-            values[finished, :total_val.shape[1]], errs[finished], panels[finished] = (
-                total_val[done], total_err[done], used[done]
-            )
-            ids, lo, hi, val, err, seq, total_val, total_err, used, initial, tol, cap = (
-                z[~done] for z in (
-                    ids, lo, hi, val, err, seq, total_val, total_err, used, initial, tol, cap
-                )
-            )
-        if not len(ids):
+            finished = live["id"][done]
+            values[finished, :live["total_val"].shape[1]] = live["total_val"][done]
+            errs[finished], panels[finished] = live["total_err"][done], live["used"][done]
+            live = {key: z[~done] for key, z in live.items()}
+        if not len(live["id"]):
             break
-        # bisect each row's worst panel: largest error, then oldest
-        worst = err.max(axis=1)
-        j = np.where(err == worst[:, None], seq, _NO_PANEL).argmin(axis=1)
-        r = np.arange(len(ids))
-        pa, pb = lo[r, j], hi[r, j]
+        # bisect each row's worst panel, the first of largest error: it is
+        # spent, and its halves take two new columns; its value and error
+        # ride in live, so a row that fails drops them with the rest
+        r = np.arange(len(live["id"]))
+        j = live["err"].argmax(axis=1)
+        pa, pb = live["lo"][r, j, None], live["hi"][r, j, None]
         mid = 0.5 * (pa + pb)
-        pa, pb, mid = pa[:, None], pb[:, None], mid[:, None]
-        cval, cerr, ok = evaluate(
-            ids, np.concatenate((pa, mid), axis=1), np.concatenate((mid, pb), axis=1)
-        )
-        pval, perr = val[r, j], err[r, j]
+        live.update(lo=np.concatenate((live["lo"], pa, mid), axis=1),
+                    hi=np.concatenate((live["hi"], mid, pb), axis=1),
+                    parent_val=live["val"][r, j], parent_err=live["err"][r, j])
+        live["err"][r, j] = -np.inf
+        cval, cerr, ok = evaluate(live["id"], live["lo"][:, -2:], live["hi"][:, -2:])
         if not ok.all():
-            (ids, lo, hi, val, err, seq, total_val, total_err, used, initial, tol, cap,
-             j, pb, mid, pval, perr) = (
-                z[ok] for z in (
-                    ids, lo, hi, val, err, seq, total_val, total_err, used, initial, tol, cap,
-                    j, pb, mid, pval, perr,
-                )
-            )
-        total_val = total_val + ((cval[:, 0] + cval[:, 1]) - pval)
-        total_err = total_err + ((cerr[:, 0] + cerr[:, 1]) - perr)
-        used = used + 1
-        step += 1
-        # the left half takes the popped slot, the right half a new one; the
-        # halves are numbered on from the row's initial panels
-        r = np.arange(len(ids))
-        hi[r, j], val[r, j], err[r, j] = mid[:, 0], cval[:, 0], cerr[:, 0]
-        seq[r, j] = initial + 2 * step - 2
-        lo = np.concatenate((lo, mid), axis=1)
-        hi = np.concatenate((hi, pb), axis=1)
-        val = np.concatenate((val, cval[:, 1:]), axis=1)
-        err = np.concatenate((err, cerr[:, 1:]), axis=1)
-        seq = np.concatenate((seq, (initial + 2 * step - 1)[:, None]), axis=1)
+            live = {key: z[ok] for key, z in live.items()}
+        live.update(
+            total_val=live["total_val"] + ((cval[:, 0] + cval[:, 1]) - live["parent_val"]),
+            total_err=live["total_err"] + ((cerr[:, 0] + cerr[:, 1]) - live["parent_err"]),
+            used=live["used"] + 1,
+            val=np.concatenate((live["val"], cval), axis=1),
+            err=np.concatenate((live["err"], cerr), axis=1),
+        )
     if not is_complex:
         return values[:, 0].copy(), errs, panels, failures
     out = np.empty(count, dtype=complex)

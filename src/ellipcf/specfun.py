@@ -189,7 +189,11 @@ def _omega_rows(gamma: float, z: np.ndarray, x: np.ndarray):
             out[bessel] = _elementwise(math.sin, xs) / xs
         else:
             j, converged[bessel], terms[bessel] = _bessel_j_asymptotic_rows(gamma - 1.0, xs)
-            out[bessel] = gamma_fn(gamma) * _power(0.5 * xs, 1.0 - gamma) * j
+            if gamma < 171.6:
+                out[bessel] = gamma_fn(gamma) * _power(0.5 * xs, 1.0 - gamma) * j
+            else:  # Gamma(gamma) overflows from 171.62 on: in log-gamma form
+                log_half = _elementwise(math.log, 0.5 * xs)
+                out[bessel] = _elementwise(math.exp, log_gamma_fn(gamma) + (1.0 - gamma) * log_half) * j
     zs = z[~bessel]  # z = 0 sums to exactly 1 (its first term is 0)
     out[~bessel], converged[~bessel], terms[~bessel] = _ratio_series_rows(
         lambda rows, k: zs[rows] / (k * (gamma + (k - 1))), 2.0 * np.sqrt(abs(zs)))
@@ -235,11 +239,18 @@ def _bessel_j_asymptotic_rows(nu: float, x: np.ndarray):
 def _j_over_omega(nu: float, x: np.ndarray) -> np.ndarray:
     # J_nu(x) / Omega_nu(x) = x^nu / (2^nu Gamma(nu + 1)) at every entry of x,
     # formed from x itself, so that a subnormal x keeps its digits (x/2 would
-    # round them away, or reach 0)
-    if nu > 30.0:  # in log-gamma form
-        return _elementwise(
-            math.exp, nu * _elementwise(math.log, x) - (nu * math.log(2.0) + log_gamma_fn(nu + 1.0)))
-    return _power(x, nu) * (2.0**-nu / gamma_fn(nu + 1.0))
+    # round them away, or reach 0); in log-gamma form past nu = 30.  Where
+    # x^nu (or that form) overflows, OverflowError names nu and the first x.
+    log_form = nu > 30.0
+    c = nu * math.log(2.0) + log_gamma_fn(nu + 1.0) if log_form else 2.0**-nu / gamma_fn(nu + 1.0)
+
+    def lead(v: float) -> float:
+        try:
+            return math.exp(nu * math.log(v) - c) if log_form else pow(v, nu) * c
+        except OverflowError:
+            raise OverflowError(f"bessel_j(nu={nu}, x={v}): x^nu overflows the float range") from None
+
+    return _elementwise(lead, x)
 
 
 def _j_rows(nu: float, x: np.ndarray):
@@ -258,9 +269,10 @@ def bessel_j(nu: float, x):
     0F1(; nu + 1; -x^2/4) of hyp0f1 (DLMF 10.16.9), entry by entry.
 
     The product keeps J's digits where both factors are normal floats.  For
-    nu from 2 to 30, x^nu overflows (OverflowError) past 1.3e154 at nu = 2,
-    4.5e61 at 5, 6.7e30 at 10 and 1.9e10 at 30, where Hankel's phase
-    x - (nu/2 + 1/4) pi, rounded at ulp(x), has already cost J its digits.
+    nu from 2 to 30, x^nu overflows past 1.3e154 at nu = 2, 4.5e61 at 5,
+    6.7e30 at 10 and 1.9e10 at 30, where Hankel's phase x - (nu/2 + 1/4) pi,
+    rounded at ulp(x), has already cost J its digits: an OverflowError
+    names nu and the first such x.
     Past the switch, Omega_nu's factor (x/2)^-nu is subnormal where
     (x/2)^nu > 2^1022: from x = 2.9e6 at nu = 50 and 2400 at nu = 100 (0
     from 3444).  A ConvergenceError names the first entry that fails.

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from ellipcf.generators import DensityGenerator
-from ellipcf.quadrature import _moment_n
+from ellipcf.quadrature import _K15_G7_CENTRE, _K15_PAIRS, _moment_n
 from ellipcf.skewmix import MixingLaw, SkewNormalSpec, _check_star_unimodal
 from ellipcf.specfun import _temme_gammas, gamma_fn, log_gamma_fn, norm_cdf_imag_scaled
 
@@ -187,6 +187,63 @@ def bessel_k_loop(nu: float, x: float) -> float:
     for i in range(1, steps + 1):
         k_mu, k_next = k_next, k_mu + 2.0 * (mu + i) / x * k_next
     return k_mu
+
+
+def adaptive_loop(f, a: float, b: float, abs_tol: float, rel_tol: float, max_panels: int,
+                  seeds=()):
+    """(value, err_est, panels_used) of adaptive Gauss-Kronrod 7/15 on
+    [a, b], f a scalar integrand (float or complex), by a plain list of
+    panels in Python floats: the policy of quadrature.adaptive_rows.  The
+    panels start at the seeds inside (a, b); while the summed error exceeds
+    max(abs_tol, rel_tol |value|) and fewer than max_panels are used, the
+    first panel of largest error in the list (the oldest: a bisected panel
+    leaves the list, its halves go to the end) is bisected, and the totals
+    move by (left + right) - parent.  Each panel's K15 and G7 sums run over
+    the real and imaginary parts apart, in _kronrod_rows' node order (the
+    centre, then each pair f(mid - dx) + f(mid + dx)); magnitudes are
+    np.hypot's, and the totals start from +0.0 and are summed in panel
+    order."""
+    if not b > a:
+        return 0.0, 0.0, 0
+    centre = _K15_G7_CENTRE.tolist()
+    is_complex = None  # set by the first panel
+
+    def panel(lo, hi):
+        # [lo, hi, value parts, error] of one panel
+        nonlocal is_complex
+        halfw, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
+        nodes = [f(mid + halfw * 0.0)]
+        for x, _, _ in _K15_PAIRS:
+            nodes += [f(mid + halfw * -x), f(mid + halfw * x)]
+        if is_complex is None:
+            is_complex = any(isinstance(v, complex) for v in nodes)
+        value, diff = [], [0.0, 0.0]
+        for c, part in enumerate((lambda v: v.real, lambda v: v.imag)[:1 + is_complex]):
+            fv = [float(part(v)) for v in nodes]
+            kronrod, gauss = centre[0] * fv[0], centre[1] * fv[0]
+            for i, (_, wk, wg) in enumerate(_K15_PAIRS):
+                pair = fv[2 * i + 1] + fv[2 * i + 2]
+                kronrod, gauss = kronrod + wk * pair, gauss + wg * pair
+            value.append(halfw * kronrod)
+            diff[c] = kronrod - gauss
+        return lo, hi, value, halfw * float(np.hypot(*diff))
+
+    edges = [a, *[x for x in seeds if a < x < b], b]
+    panels = [panel(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    total, total_err = [0.0, 0.0][:1 + is_complex], 0.0
+    for _, _, value, err in panels:
+        total = [t + v for t, v in zip(total, value)]
+        total_err = total_err + err
+    while len(panels) < max_panels:
+        if total_err <= max(abs_tol, rel_tol * float(np.hypot(*(total + [0.0])[:2]))):
+            break
+        lo, hi, value, err = panels.pop(max(range(len(panels)), key=lambda i: panels[i][3]))
+        mid = 0.5 * (lo + hi)
+        left, right = panel(lo, mid), panel(mid, hi)
+        total = [t + ((u + v) - w) for t, u, v, w in zip(total, left[2], right[2], value)]
+        total_err = total_err + ((left[3] + right[3]) - err)
+        panels += [left, right]
+    return (complex(*total) if is_complex else total[0]), total_err, len(panels)
 
 
 def skew_normal_sign_flip(mu, sigma, alpha, half_root: bool, m: int, g: np.random.Generator):

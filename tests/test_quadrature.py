@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 import mpmath as mp
 import oracles
+import references
 
 from ellipcf import generators as gn
 from ellipcf import quadrature
@@ -137,6 +138,63 @@ class TestAdaptiveRows:
                 lo[i], hi[i], tols[i], 1e-12, 64, seeds[i],
             )
             assert (complex(vals[i]), float(errs[i]), int(panels[i])) == want
+
+    @pytest.mark.parametrize("part", ["complex", "real"])
+    def test_bitwise_equal_to_reference_loop(self, part):
+        # each row against references.adaptive_loop, a plain list of panels
+        # that is not adaptive_rows' one-row case: seeded rows with bounds,
+        # seeds, tolerances and budgets of their own, some of them binding
+        rng = np.random.default_rng(47)
+        lo = np.maximum(rng.uniform(-0.5, 1.0, 40), 0.0)  # sqrt(x) singular at 0
+        hi = lo + rng.uniform(-0.5, 3.0, 40)
+        tols = np.geomspace(1e-17, 1e-6, 40)
+        budgets = rng.integers(1, 30, 40)
+        seeds = [tuple(np.sort(rng.uniform(-1.0, 4.0, i % 4)).tolist()) for i in range(40)]
+        f = self.rows_integrand(self.PARAMS)
+        g = f if part == "complex" else lambda rows, x: f(rows, x).real
+        vals, errs, panels, failures = adaptive_rows(g, 40, lo, hi, tols, 1e-15, budgets, seeds)
+        assert not failures and (panels == 0).any()
+        assert ((panels == budgets) & (panels > 2)).sum() >= 5 and (panels < budgets).sum() >= 5
+        for i, p in enumerate(self.PARAMS.tolist()):
+            def h(x, p=p):
+                v = complex(math.sqrt(x) / (1.0 + p * x * x), x / (1.0 + p * x) - 0.25)
+                return v if part == "complex" else v.real
+
+            want = references.adaptive_loop(h, lo[i], hi[i], tols[i], 1e-15, budgets[i], seeds[i])
+            assert (vals[i].item(), float(errs[i]), int(panels[i])) == want
+
+    # integrands whose panels tie exactly in error, so the tie rule (the
+    # older panel first) decides which one a binding budget bisects: the
+    # two mirror halves of |x| and of sqrt|x|, and a step up and a step down
+    # at the same place in two panels of one width; on [0, 3] seeded at 2 the
+    # left half of [0, 2] ties with [2, 3], which is the older of the two
+    TIES = {
+        "abs": (abs, -1.0, 1.0, 0.0),
+        "sqrt_abs": (lambda x: math.sqrt(abs(x)), -1.0, 1.0, 0.0),
+        "steps": (lambda x: 1.0 if 0.35 <= x < 1.0 else -1.0 if x >= 1.35 else 0.0, 0.0, 2.0, 1.0),
+        "uneven_steps": (lambda x: 1.0 if 0.35 <= x < 2.0 else -1.0 if x >= 2.35 else 0.0,
+                         0.0, 3.0, 2.0),
+        "complex_uneven_steps": (
+            lambda x: (1.0 - 0.5j) * (1.0 if 0.35 <= x < 2.0 else -1.0 if x >= 2.35 else 0.0),
+            0.0, 3.0, 2.0,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(TIES))
+    def test_exact_error_ties_against_reference_loop(self, name):
+        h, a, b, seed = self.TIES[name]
+        budgets = np.arange(1, 30)
+
+        def f(rows, x):
+            return np.array([h(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+        vals, errs, panels, failures = adaptive_rows(
+            f, len(budgets), a, b, 0.0, 0.0, budgets, [(seed,)] * len(budgets)
+        )
+        assert not failures
+        for i, cap in enumerate(budgets.tolist()):
+            want = references.adaptive_loop(h, a, b, 0.0, 0.0, cap, (seed,))
+            assert (vals[i].item(), float(errs[i]), int(panels[i])) == want
 
     def test_real_integrand_stays_real(self):
         vals, errs, panels, _ = adaptive_rows(

@@ -164,6 +164,18 @@ class TestBesselJRows:
             want = np.array([float(mpmath.besselj(nu, mpmath.mpf(v))) for v in x])
         assert (np.abs(bessel_j(nu, np.array(x)) - want) <= 5e-16 * np.abs(want)).all()
 
+    def test_lead_overflow_names_nu_and_x(self):
+        # where the lead's x^nu (past nu = 30, its log-gamma form) leaves the
+        # float range, OverflowError names nu and the first such x, for a
+        # float and in an array's order
+        cases = [(2.0, 1e160, 1e160), (40.0, 2e9, 2e9),
+                 (2.0, np.array([[1.0, 3e200], [1e160, 5.0]]), 3e200),
+                 (40.0, np.array([1.0, 5e9, 2e9]), 5e9)]
+        for nu, x, first in cases:
+            with pytest.raises(OverflowError) as raised:
+                bessel_j(nu, x)
+            assert str(raised.value) == f"bessel_j(nu={nu}, x={first}): x^nu overflows the float range"
+
     @pytest.mark.xfail(
         strict=True,
         reason="ROADMAP item 16: past the switch Omega_nu carries (x/2)^-nu, which leaves "
@@ -462,6 +474,20 @@ class TestHyp0F1:
         with mpmath.workdps(40):
             want = np.array([float(mpmath.hyp0f1(gamma, mpmath.mpf(v))) for v in z.tolist()])
         assert (np.abs(hyp0f1(gamma, z) - want) <= 1e-14 * np.abs(want)).all()
+
+    def test_large_gamma_past_the_switch(self):
+        # Gamma(gamma) overflows from gamma = 171.62: past the switch the
+        # kernel forms Gamma(gamma) (x/2)^(1 - gamma) in log-gamma form there,
+        # so an entry Hankel's expansion sums reads its value (0 here: the
+        # true one, 1.2e-463, is below the float range), and one it does not
+        # sum raises by name (its value, -4.9e-213, is item 16's)
+        with mpmath.workdps(30):
+            assert abs(mpmath.hyp0f1(172, -1e9)) < mpmath.mpf("1e-460")
+        assert hyp0f1(172, -1e9) == 0.0
+        assert (hyp0f1(172, np.array([-1e9, -1e12])) == 0.0).all()
+        with pytest.raises(ConvergenceError) as raised:
+            hyp0f1(180, -1e6)
+        assert str(raised.value) == "hyp0f1(gamma=180, z=-1000000.0) did not converge after 3 terms"
 
     @pytest.mark.xfail(
         strict=True,
