@@ -534,49 +534,51 @@ def _oscillatory_rows(
     failures: dict = {}
     panel_rel = min(_REL_TOL, 1e-10)
     infinite = math.isinf(support_radius)
-    # the state of every row still running after `done` panels, one entry
-    # (or one row of panel history) per row
-    zero = np.zeros(count)
-    live = {
-        "id": np.arange(count), "omega": omegas, "panel_abs": abs_tol / 64.0 * omegas,
-        "min_cell": 0.25 * r_peak * omegas, "x_edge": support_radius * omegas,
-        "x_peak": r_peak * omegas, "x_prev": zero, "running": zero, "quad_err": zero,
-        "abs_sum": zero, "peak": zero,
-        "panels": np.zeros(count, dtype=int), "partial": np.zeros((count, 0)),
-    }
-    # panel k ends at x_k = (k + nu/2 - 1/4) pi, McMahon's leading term for the
-    # k-th zero of J_nu (exact at nu = +-1/2): mW needs only ends of spacing pi
-    # (Sidi's D-bar transformation), not the zeros themselves
-    ends = (np.arange(1, _MAX_PANELS + 1) + 0.5 * nu - 0.25) * math.pi
+    # panel k is [x_(k-1), x_k] with x_0 = 0 and x_k = (k + nu/2 - 1/4) pi,
+    # McMahon's leading term for the k-th zero of J_nu (exact at nu = +-1/2):
+    # mW needs only ends of spacing pi (Sidi's D-bar transformation), not the
+    # zeros themselves
+    ends = np.concatenate(([0.0], (np.arange(1, _MAX_PANELS + 1) + 0.5 * nu - 0.25) * math.pi))
 
     no_convergence = f"no convergence within {_MAX_PANELS} panels"
     # a row whose omega r_peak lies past the end of its last panel can leave by
-    # no rule, and one whose omega r_peak is below the normal float range
-    # has its peak where x has too few digits: both fail at once
-    hopeless = (live["x_peak"] > ends[-1]) | (live["x_peak"] < np.finfo(float).tiny)
+    # no rule, one whose omega r_peak is below the normal float range has its
+    # peak where x has too few digits, and one whose omega R underflows to 0
+    # has nothing to sum, and no panel budget helps: all fail at once
+    x_peak = r_peak * omegas
+    past, below = x_peak > ends[-1], x_peak < np.finfo(float).tiny
+    hopeless = past | below | (support_radius * omegas == 0.0)
     for i in np.flatnonzero(hopeless).tolist():
         where = (f"lies past x = {ends[-1]:.6g}, the end of panel {_MAX_PANELS}; {no_convergence}"
-                 if live["x_peak"][i] > ends[-1] else "lies below the normal float range of x")
+                 if past[i] else "lies below the normal float range of x")
         failures[i] = ConvergenceError(
-            f"oscillatory engine: u r_peak = {omegas[i]:.6g} * {r_peak:.6g} = {omegas[i] * r_peak:.6g}"
-            f" {where}")
-    live = {key: z[~hopeless] for key, z in live.items()}
-    done, width = 0, 1
+            f"oscillatory engine: u r_peak = {omegas[i]:.6g} * {r_peak:.6g} = {x_peak[i]:.6g} {where}"
+            if past[i] or below[i] else f"oscillatory engine: {no_convergence}")
+    # the state of every row still running: its id, omega, and one column per
+    # panel done of its value, error estimate and Gauss-Kronrod panel count,
+    # after a column of +0.0 from which every sum starts
+    ids = np.flatnonzero(~hopeless)
+    live = {"id": ids, "omega": omegas[ids], "val": np.zeros((len(ids), 1)),
+            "err": np.zeros((len(ids), 1)), "gk": np.zeros((len(ids), 1), dtype=int)}
+    done = 0
     while len(live["id"]) and done < _MAX_PANELS:
-        width = min(2 * width, _ROUND_PANELS, _MAX_PANELS - done)
+        width = min(done + 2, _ROUND_PANELS, _MAX_PANELS - done)  # 2, 4, 8, 8, ...
         rows = len(live["id"])
-        # panel j of row i is [lo[i, j], hi[i, j]], cut short at the support edge
-        hi = np.minimum(ends[done:done + width], live["x_edge"][:, None])
-        lo = np.column_stack((live["x_prev"], hi[:, :-1]))
+        x_edge, x_peak = (support_radius * live["omega"])[:, None], (r_peak * live["omega"])[:, None]
+        # panel j of row i is [lo[i, j], hi[i, j]], cut short at the support
+        # edge; x_0 = 0 stays 0.0 even where omega R is nan
+        span = ends[done:done + width + 1]
+        bounds = np.minimum(span, x_edge, out=np.zeros((rows, width + 1)), where=span > 0.0)
+        lo, hi = bounds[:, :-1], bounds[:, 1:]
         # the panels that end at the edge run in half_line's s on [0, 1]
-        edged = ((hi >= live["x_edge"][:, None]) & (lo < hi)).ravel() & (edge_exponent != 1.0)
+        edged = ((hi >= x_edge) & (lo < hi)).ravel() & (edge_exponent != 1.0)
         a, b = np.where(edged, 0.0, lo.ravel()), np.where(edged, 1.0, hi.ravel())
         # a wide panel before the peak is seeded toward its left end, where
         # the envelope may rise in a narrow feature; past the peak it decays.
-        # The seeds' panels come on top of the panel budget, which bounds
-        # the bisections.
-        cell = np.repeat(live["min_cell"], width)
-        wide = ((hi - lo).ravel() > 8.0 * cell) & ~edged & (lo < live["x_peak"][:, None]).ravel()
+        # The seeds' cells are r_peak/4 in r, and their panels come on top of
+        # the panel budget, which bounds the bisections.
+        cell = np.repeat(0.25 * r_peak * live["omega"], width)
+        wide = ((hi - lo).ravel() > 8.0 * cell) & ~edged & (lo < x_peak).ravel()
         seeds, budget = None, _PANEL_BUDGET
         if wide.any():
             seeds = [
@@ -612,48 +614,46 @@ def _oscillatory_rows(
 
         val, err, p, raised = adaptive_rows(
             integrand, rows * width, a, b,
-            np.repeat(live["panel_abs"], width), panel_rel, budget, seeds,
+            np.repeat(abs_tol / 64.0 * live["omega"], width), panel_rel, budget, seeds,
         )
         val, err = (val / omega).reshape(rows, width), (err / omega).reshape(rows, width)
-        failed = np.zeros((rows, width), dtype=bool)
-        if raised:
-            failed.flat[list(raised)] = True
+        failed = np.isin(np.arange(rows * width), list(raised)).reshape(rows, width)
+        live.update(val=np.column_stack((live["val"], val)), err=np.column_stack((live["err"], err)),
+                    gk=np.column_stack((live["gk"], p.reshape(rows, width))))
 
-        # each panel's state, summed panel after panel
-        running = np.cumsum(np.column_stack((live["running"], val)), axis=1)[:, 1:]
-        partial = np.concatenate((live["partial"], running), axis=1)
-        quad_err = np.cumsum(np.column_stack((live["quad_err"], err)), axis=1)[:, 1:]
-        used = np.cumsum(np.column_stack((live["panels"], p.reshape(rows, width))), axis=1)[:, 1:]
-        peak = np.fmax.accumulate(np.column_stack((live["peak"], abs(val))), axis=1)[:, 1:]
-        last = abs(val)
-        abs_sum = np.cumsum(np.column_stack((live["abs_sum"], last)), axis=1)[:, 1:]
+        # each panel's running totals, summed over the columns from the
+        # first: partial sums, error sums, Gauss-Kronrod panels, |value|
+        # sums and the largest |value| (fmax, as Python's max, keeps the
+        # first of two unless the second is larger, so a nan panel leaves the
+        # peak, the tolerances and the error sums as they were)
+        partial = np.cumsum(live["val"], axis=1)[:, 1:]
+        running, last = partial[:, done:], abs(val)
+        quad_err = np.cumsum(live["err"], axis=1)[:, 1 + done:]
+        used = np.cumsum(live["gk"], axis=1)[:, 1 + done:]
+        size = abs(live["val"])
+        peak = np.fmax.accumulate(size, axis=1)[:, 1 + done:]
+        abs_sum = np.cumsum(size, axis=1)[:, 1 + done:]
 
-        # (fmax and the where below take a larger of two values as Python's
-        # max does, the first unless the second is larger: a nan panel sum
-        # leaves the peak, the tolerances and the error sums as they were)
-        # the exit rules, in their order at each panel: the panel is empty
-        # (the sum stops before it), its integrand raises, the finite
-        # support is exhausted (plain sum, no tail), the envelope has decayed
-        # below the cutoff (geometric tail bound), the mW values have settled
-        # (infinite support only).  The last two end a row only on a panel
-        # that reaches x = omega r_peak.
-        stuck = hi <= lo
-        edge = hi >= live["x_edge"][:, None]
-        past_peak = hi >= live["x_peak"][:, None]
+        # the exit rules, in their order at each panel: its integrand raises,
+        # the finite support is exhausted (plain sum, no tail), the envelope
+        # has decayed below the cutoff (geometric tail bound), the mW values
+        # have settled (infinite support only).  The last two end a row only
+        # on a panel that reaches x = omega r_peak.
+        edge, past_peak = hi >= x_edge, hi >= x_peak
         tol = np.fmax(abs_tol, _REL_TOL * abs(running))
         cutoff = np.fmax(_TAIL_CUTOFF * np.fmax(peak, 1e-300), 1e-300)
         cut = (last <= cutoff) & (last <= 0.01 * tol) & past_peak
-        agreed = np.zeros((rows, width), dtype=bool)
-        w = change = running  # read by no exit on a finite support
+        # w and change are read by no exit on a finite support
+        agreed, w, change = np.zeros((rows, width), dtype=bool), running, running
         if infinite:
             # each row's W table starts four panel ends before the panel that
             # reaches its peak, so its first exit test, on W_2, falls there
-            x = ends[:done + width]
-            start = np.maximum(np.searchsorted(x, live["x_peak"]) - 4, 0)
-            w, change = (z[:, done:] for z in _mw_rows(partial, x, start))
+            xs = ends[1:done + width + 1]
+            start = np.maximum(np.searchsorted(xs, x_peak[:, 0]) - 4, 0)
+            w, change = (z[:, done:] for z in _mw_rows(partial, xs, start))
             agreed = (change <= tol) & past_peak
 
-        rules = np.stack((stuck, failed, edge, cut, agreed))  # (rule, row, panel)
+        rules = np.stack((failed, edge, cut, agreed))  # (rule, row, panel)
         fired = rules.any(axis=0)
         leaving = fired.any(axis=1)
         r = np.flatnonzero(leaving)
@@ -662,26 +662,16 @@ def _oscillatory_rows(
         ids = live["id"][r]
         # the rows that leave with a value: (value, err_est, tail_bound)
         # per rule, err_est raised by the rounding floor
-        for code, (v, e, tl) in {2: (running, quad_err, np.zeros_like(last)),
-                                 3: (running, quad_err + last, last),
-                                 4: (w, change + quad_err, last)}.items():
+        for code, (v, e, tl) in {1: (running, quad_err, np.zeros_like(last)),
+                                 2: (running, quad_err + last, last),
+                                 3: (w, change + quad_err, last)}.items():
             on = rule == code
             at = (r[on], j[on])
             value[ids[on]], tail[ids[on]] = v[at], tl[at]
             err_est[ids[on]] = e[at] + _ROUND_FLOOR * abs_sum[at]
             panels_used[ids[on]] = used[at]
-        for i, row, panel, code in zip(ids.tolist(), r.tolist(), j.tolist(), rule.tolist()):
-            if code == 0:
-                # a panel is empty only at a support edge at x = 0, before
-                # any panel: nothing is summed, and no panel budget helps
-                failures[i] = ConvergenceError(f"oscillatory engine: {no_convergence}")
-            elif code == 1:
-                failures[i] = raised[row * width + panel]
-
-        live.update(
-            x_prev=hi[:, -1], running=running[:, -1], quad_err=quad_err[:, -1],
-            abs_sum=abs_sum[:, -1], panels=used[:, -1], peak=peak[:, -1], partial=partial,
-        )
+        for i, row, panel in zip(*(z[rule == 0].tolist() for z in (ids, r, j))):
+            failures[i] = raised[row * width + panel]
         live = {key: z[~leaving] for key, z in live.items()}
         done += width
 

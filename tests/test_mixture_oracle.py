@@ -330,3 +330,47 @@ def test_gh_skew_t_at_small_t_meets_the_bessel_k_form(tmp_path, capsys):
         if not abs(complex(float(re), float(im)) - want) <= float(abs_err):
             misses.append((t1, complex(float(re), float(im)) - want))
     assert not misses
+
+
+# ROADMAP item 17's rows: an lsm with a normal base (n = 3, Sigma = I,
+# mu = 0) and IG(a, 2) mixing at t = (t1, 0, 0), on the closed and the
+# hankel route, each within its own abs_err of the generalized hyperbolic
+# skew-t form.  A row that fails today is a strict xfail naming the item.
+_ITEM17_GAMMAS = {"gamma0": [0.0, 0.0, 0.0], "gamma": [0.4, 0.1, -0.3]}
+_ITEM17_REACH = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 17: a mixing node V deep in the V^(-1-a) tail asks the hankel "
+    "route for u = sqrt(V q) past its panel budget, 'u r_peak = ... lies past "
+    "x = 1256.64, the end of panel 400'",
+)
+_ITEM17_PHASE = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 17: the phase V t'gamma turns over deep in the V^(-1-a) tail, "
+    "where the quadrature's estimate stalls, 'MixingLaw.expectation: quadrature error "
+    "1.72e-04 exceeds 1.00e-08' at a = 0.3, t1 = 1e-6",
+)
+
+
+def _item17_cases():
+    for route in ("closed", "hankel"):
+        for a in (0.3, 0.5, 0.9):
+            for gamma in _ITEM17_GAMMAS:
+                for t1 in (1e-12, 1e-6, 1e-2, 1.0, 10.0):
+                    phase = gamma == "gamma" and (a, t1) in {(0.3, 1e-12), (0.3, 1e-6), (0.5, 1e-6)}
+                    marks = _ITEM17_REACH if route == "hankel" else _ITEM17_PHASE if phase else ()
+                    yield pytest.param(route, a, gamma, t1, marks=marks,
+                                       id=f"{route}-a{a:g}-{gamma}-t{t1:g}")
+
+
+@pytest.mark.parametrize("route, shape, gamma, t1", list(_item17_cases()))
+def test_lsm_inverse_gamma_on_both_routes(route, shape, gamma, t1):
+    spec = {"n": 3, "mu": [0.0] * 3, "sigma": np.eye(3).ravel().tolist(),
+            "gamma": _ITEM17_GAMMAS[gamma], "mixing": {"shape": shape, "scale": 2.0}}
+    base = EllipticalSpec(3, np.zeros(3), np.eye(3), normal_generator())
+    lsm = LSMixtureSpec(base, np.zeros(3), spec["gamma"], np.eye(3),
+                        MixingLaw.inverse_gamma(shape, 2.0))
+    t = np.array([t1, 0.0, 0.0])
+    rows = cf_location_scale_mixture_rows(lsm, t[None, :], route)
+    assert rows.error is None, str(rows.error)
+    want = oracles.lsm_invgamma_cf_mp(spec, t)
+    assert abs(complex(rows.re[0], rows.im[0]) - want) <= rows.abs_err[0]

@@ -1,5 +1,6 @@
 """Quadrature engine tests: moment integrals, oscillatory route, phi."""
 
+import hashlib
 import math
 import sys
 import threading
@@ -426,7 +427,8 @@ class TestOscillatory:
             integrate_bessel_oscillatory(lambda r: r, 0.0, 1.0)
 
     def test_support_edge_at_zero_sums_nothing(self):
-        # R omega underflows to 0: the first panel is empty, nothing is summed
+        # R omega underflows to 0: there is nothing to sum, and the row fails
+        # before its first panel
         with pytest.raises(ConvergenceError, match="no convergence within 400 panels"):
             integrate_bessel_oscillatory(lambda r: 1.0, 0.0, 1e-30, support_radius=1e-300)
 
@@ -506,6 +508,119 @@ class TestOscillatory:
         monkeypatch.setattr(quadrature, "adaptive_rows", no_panel)
         with pytest.raises(ConvergenceError, match="no convergence within 400 panels"):
             integrate_bessel_oscillatory(lambda r: math.exp(-math.log(r / 1e6) ** 2), 70.0, 0.01)
+
+
+def _kernel_rows(f, nu, omegas, radius=math.inf):
+    # integrate_bessel_oscillatory at each omega, as QuadRows
+    out, failures = [], {}
+    for i, omega in enumerate(omegas):
+        try:
+            out.append(integrate_bessel_oscillatory(f, nu, omega, radius))
+        except Exception as exc:
+            failures[i] = exc
+            out.append(quadrature.QuadResult(math.nan, math.nan, 0, math.nan))
+    value, err_est, panels, tail = (np.array([getattr(res, key) for res in out]) for key in (
+        "value", "err_est", "panels_used", "tail_bound"))
+    return quadrature.QuadRows(value, err_est, panels, tail, failures)
+
+
+def _raising_past_3(r):
+    if r > 3.0:
+        raise ArithmeticError(f"no value at r = {r!r}")
+    return r * math.exp(-0.5 * r * r)
+
+
+class TestOscillatoryExitBits:
+    """The oscillatory engine pinned to the bit at every exit: the sha256 of
+    each case's value, err_est, panels_used and tail_bound (as bytes) and of
+    its failure messages.  The seeded u, log-uniform in [1e-3, 1e3], mix the
+    exits in one lockstep call; the named rows reach the rest.  Each case
+    also checks that its exit was taken."""
+
+    US = np.round(10.0 ** np.random.default_rng(48).uniform(-3.0, 3.0, 12), 6).tolist()
+
+    @staticmethod
+    def edge(rows):
+        # summed to the support edge: no tail
+        return not rows.failures and (rows.tail_bound == 0.0).all()
+
+    @staticmethod
+    def tail(rows):
+        # the envelope cutoff or settled mW values: a tail bound past the
+        # last panel
+        return not rows.failures and (rows.tail_bound > 0.0).any()
+
+    @staticmethod
+    def fails(*texts):
+        # row i fails with a message that holds texts[i] ("": does not fail)
+        def check(rows):
+            messages = [str(rows.failures[i]) if i in rows.failures else "" for i in range(len(texts))]
+            return all(t in m if t else not m for t, m in zip(texts, messages))
+
+        return check
+
+    BUDGET = "oscillatory engine: no convergence within 400 panels"
+    CASES = {
+        "ball": (lambda us: phi_hankel_rows(gn.uniform_ball_generator(), 3, us), US, edge,
+                 "6c9838637c7a539b11b057825a0812dac14dfa50a26c3d01de233773039ed376"),
+        # Pearson II through half_line, and on the star route
+        "pearson2_edge": (lambda us: phi_hankel_rows(gn.pearson_ii_generator(-0.5), 2, us), US,
+                          edge, "3cd8e1be711b9c43d2276cefbf6be17634b8c297fc06dcf9f9456f7aa2ba8023"),
+        "star_pearson2_edge": (
+            lambda us: star_unimodal_rows(gn.pearson_ii_generator(0.3), 2, us), US, edge,
+            "639efd7c3efa4b669dfc493479793b2bdf2e2ccfce225ea2e3f7cce08a229eb8"),
+        # the envelope cutoff
+        "normal": (lambda us: phi_hankel_rows(gn.normal_generator(), 3, us), US, tail,
+                   "6daddd799bb2ac793388674282e89b8cb628bc1e91d51e1f6149ae9a1d50370e"),
+        # settled mW values
+        "t": (lambda us: phi_hankel_rows(gn.generalized_t_generator(2, 3.0, 3), 2, us), US, tail,
+              "08043caea9f28d85c3db6f90f489d9027690adc441b07383f3f75d1131513c85"),
+        "cauchy": (lambda us: phi_hankel_rows(gn.generalized_t_generator(1, 1.0, 1), 1, us), US,
+                   tail, "fa7ebe42453b059de0262e05ade45b34227dabdc8d0aabeed4a7e953e01ca345"),
+        # an integrand that raises: f past r = 3, and the kernel at n = 18
+        "integrand_raises": (lambda us: _kernel_rows(_raising_past_3, 0.0, us), [0.5, 2.0, 30.0],
+                             fails("no value at r = ", "no value at r = ", ""),
+                             "e0f2b2b4b688a0c7492868c3adb7836317d2551d7dd3f197632a163bc6ae747a"),
+        "kernel_raises": (lambda us: phi_hankel_rows(gn.normal_generator(), 18, us),
+                          [0.5, 1.0, 2.0, 4.0], fails(*["did not converge after 3 terms"] * 4),
+                          "ad515c4175816d65525a12fc5e33a2c86e7b253e9fef3f937961433802b983c5"),
+        # cos r against J_0 resonates: no exit within the 400 panels
+        "budget": (lambda us: _kernel_rows(math.cos, 0.0, us), [1.0], fails(BUDGET),
+                   "c8f6f99973ae5a468f41770932a94914e26e76add72712f47c5581a6de20ed34"),
+        "past_x400": (lambda us: phi_hankel_rows(gn.generalized_t_generator(2, 3.0, 3), 2, us),
+                      [1.7, 1e4, 1e9], fails("", "lies past x = 1255.85", "lies past x = 1255.85"),
+                      "489a7d7224b091d86783177af5150d000d79c6926dfc9e6bac957b192bfa73b0"),
+        "below_normal_range": (lambda us: phi_hankel_rows(_narrow_normal(1e-70), 2, us),
+                               [1e-300, 1e-200], fails("below the normal float range of x", ""),
+                               "769745aa2283a41bd78a605ba2104350a70ceaff3095a0d170c33ffa5d314b02"),
+        # omega R underflows to 0
+        "edge_at_zero": (lambda us: _kernel_rows(lambda r: 1.0, 0.0, us, 1e-300), [1e-30, 1e-3],
+                         fails(BUDGET, ""),
+                         "e33f7fbcadd71bd9f7bcf6e011ef3eaed1a60a8876e03283e661e3e41c1cfb49"),
+        # a nan u, on an infinite and on a finite support
+        "nan_normal": (lambda us: phi_hankel_rows(gn.normal_generator(), 2, us), [math.nan, 1.0],
+                       fails("z=nan", ""),
+                       "db54aba75e2446de302dd8b18aa5b3b4269c812908c825e5b391468d21d60f59"),
+        "nan_pearson2": (lambda us: phi_hankel_rows(gn.pearson_ii_generator(1.5), 2, us),
+                         [math.nan, 1.0], fails("z=nan", ""),
+                         "1351a2bec75399ae5a271b7d4c4804591623380a116e8e88a148baa2dbde5524"),
+    }
+
+    @staticmethod
+    def digest(rows):
+        h = hashlib.sha256()
+        for z in (rows.value, rows.err_est, rows.panels_used.astype(np.int64), rows.tail_bound):
+            h.update(np.ascontiguousarray(z, dtype=z.dtype.newbyteorder("<")).tobytes())
+        for i, exc in sorted(rows.failures.items()):
+            h.update(f"{i} {type(exc).__name__}: {exc}\n".encode())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bits_pinned(self, case):
+        run, us, check, want = self.CASES[case]
+        rows = run(us)
+        assert check(rows)
+        assert self.digest(rows) == want
 
 
 class TestPhiHankel:
