@@ -41,9 +41,9 @@ _A, _B, _C, _D = np.ix_(*[np.arange(10)] * 4)
 _DIGITS4 = ((_A | _B << 8 | _C << 16 | _D << 24) + 0x30303030).reshape(-1)
 _ZEROS4 = ((_D == 0) * (1 + (_C == 0) * (1 + (_B == 0) * (1 + (_A == 0))))).reshape(-1)
 
-# values per cells() call in rows(): about 2 MB of work arrays, held once per
+# values per cells() call in rows(): about 1 MB of work arrays, held once per
 # thread that formats (sample formats its chunks on the worker pool)
-_BLOCK_VALUES = 1 << 13
+_BLOCK_VALUES = 1 << 12
 
 _POW10 = 10.0 ** np.arange(23)  # exact doubles
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
@@ -160,10 +160,11 @@ def join(cells_: np.ndarray) -> bytes:
     return np.compress(flat != 0, flat).tobytes()
 
 
-def rows(block: np.ndarray) -> bytes:
-    """CSV lines of a float block, as ",".join(["%.17g"] * cols) + "\\n" per row."""
+def rows(block: np.ndarray) -> list[bytes]:
+    """CSV lines of a float block, as ",".join(["%.17g"] * cols) + "\\n" per row:
+    a list of parts of about _BLOCK_VALUES values (one row at least), written in turn."""
     step = max(1, _BLOCK_VALUES // block.shape[1])
-    return b"".join([join(cells(block[i:i + step])) for i in range(0, len(block), step)])
+    return [join(cells(block[i:i + step])) for i in range(0, len(block), step)]
 
 
 def write(path, parts: Iterable[bytes]) -> None:

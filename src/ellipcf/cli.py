@@ -559,7 +559,7 @@ def run_compare(args: argparse.Namespace) -> int:
         columns.append(dev)
     table = np.column_stack(columns)
     parts = [_head(args, spec, names).encode()]
-    parts.append(_csvout.rows(table))
+    parts.extend(_csvout.rows(table))
     for (a, b) in pairs:
         parts.append(
             f"# summary {a}-{b}: max_dev={_fmt(max_dev[(a, b)])} tol={_fmt(tols[(a, b)])} "

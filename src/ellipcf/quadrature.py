@@ -543,17 +543,18 @@ def _oscillatory_rows(
     no_convergence = f"no convergence within {_MAX_PANELS} panels"
     # a row whose omega r_peak lies past the end of its last panel can leave by
     # no rule, one whose omega r_peak is below the normal float range has its
-    # peak where x has too few digits, and one whose omega R underflows to 0
-    # has nothing to sum, and no panel budget helps: all fail at once
+    # peak where x has too few digits, one whose omega is nan or whose omega R
+    # underflows to 0 has nothing to sum, and no panel budget helps: all fail at once
     x_peak = r_peak * omegas
     past, below = x_peak > ends[-1], x_peak < np.finfo(float).tiny
-    hopeless = past | below | (support_radius * omegas == 0.0)
+    hopeless = past | below | np.isnan(omegas) | (support_radius * omegas == 0.0)
     for i in np.flatnonzero(hopeless).tolist():
-        where = (f"lies past x = {ends[-1]:.6g}, the end of panel {_MAX_PANELS}; {no_convergence}"
-                 if past[i] else "lies below the normal float range of x")
+        at = f"oscillatory engine: u r_peak = {omegas[i]:.6g} * {r_peak:.6g} = {x_peak[i]:.6g}"
         failures[i] = ConvergenceError(
-            f"oscillatory engine: u r_peak = {omegas[i]:.6g} * {r_peak:.6g} = {x_peak[i]:.6g} {where}"
-            if past[i] or below[i] else f"oscillatory engine: {no_convergence}")
+            f"{at} lies past x = {ends[-1]:.6g}, the end of panel {_MAX_PANELS}; {no_convergence}"
+            if past[i] else f"{at} lies below the normal float range of x" if below[i]
+            else f"oscillatory engine: u = {omegas[i]} is not a number" if np.isnan(omegas[i])
+            else f"oscillatory engine: {no_convergence}")
     # the state of every row still running: its id, omega, and one column per
     # panel done of its value, error estimate and Gauss-Kronrod panel count,
     # after a column of +0.0 from which every sum starts

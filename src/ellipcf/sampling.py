@@ -5,12 +5,12 @@ that chunk's counter-based Philox stream, keyed by (seed, stream id, chunk
 index).  Sampler.chunks draws the chunks on the worker pool and passes each
 one straight to a reduction, with at most 2 x workers chunks in flight, so
 memory does not grow with the draw count: Sampler.csv reduces chunks to CSV
-text (sample) and Sampler.empirical_cf_rows to the cos and sin sums of the
-empirical CF (the mc route).  Sampler.batch gathers the chunks into one
-SampleBatch; the sample_* functions are its per-law forms.  Chunks have
-a fixed size and their results come back in chunk order, so every result is
-bit-identical for any worker count, and any draw is replayable from its
-provenance line.
+text in formatter blocks, never joined (sample), and Sampler.empirical_cf_rows
+to the cos and sin sums of the empirical CF (the mc route).  Sampler.batch
+gathers the chunks into one SampleBatch; the sample_* functions are its
+per-law forms.  Chunks have a fixed size and their results come back in chunk
+order, so every result is bit-identical for any worker count, and any draw is
+replayable from its provenance line.
 
 The oracle is the empirical CF (1/N) sum exp(i t'X_j) of Feuerverger and
 Mureika (1977).  It takes a whole grid in one pass over the draws, one chunk
@@ -213,10 +213,12 @@ class Sampler:
     ) -> Iterator[bytes]:
         """count draws as CSV bytes, in parts: '#' comment lines (the
         provenance, then extra_comments), the x1..xn header, and the rows as
-        %.17g text, each chunk formatted on the worker pool as it is drawn.
-        The count is checked here, before any draw."""
+        %.17g text, each chunk formatted on the worker pool as it is drawn and
+        passed on block by block: a job holds one chunk's draws, its text and
+        one formatter block.  The count is checked here, before any draw."""
         head = _csv_head(self.provenance(rng, count), self.n, extra_comments)
-        return itertools.chain([head], self.chunks(count, rng, workers, _csvout.rows))
+        texts = self.chunks(count, rng, workers, _csvout.rows)
+        return itertools.chain([head], itertools.chain.from_iterable(texts))
 
     def empirical_cf_rows(self, ts, count: int, rng: RngStream, workers: int = 1) -> CFRows:
         """Monte-Carlo CF estimate (1/N) sum exp(i t'X_j), abs_err = 3/sqrt(N),

@@ -13,7 +13,9 @@ The Hankel slice runs the same families and u, in n in {1, 2, 3, 5, 10, 18,
 30}, through phi_hankel_rows, and through star_unimodal_rows wherever the
 star route accepts the generator, against the same oracles: each row either
 fails with a named error or is within its own err_est + 8 eps.  n = 60 and
-150 stay out of it: they take about 7 s and 19 s on a 2-core VM.  Rows whose envelope peaks past
+150 stay out of it: they take about 7 s and 19 s on a 2-core VM.  Of n = 60
+it runs one row, Pearson VII at u = 17.78, on both routes: a kernel change
+(ROADMAP item 16) once made that row a silent miss.  Rows whose envelope peaks past
 the panel budget (u r_peak beyond x_400 = (400 + nu/2 - 1/4) pi, about 1255
 to 1262 here) fail by name.  The slice also runs Pearson II with m < 0 at n
 in {2, 3}, whose profile is singular at the support edge, and on the star
@@ -146,13 +148,13 @@ def _star_accepts(key):
     return True
 
 
-def _named_error_or_honest(rows, want):
+def _named_error_or_honest(rows, want, us=FREQUENCIES):
     # every row fails by name or is within its own error estimate
     for i, exc in rows.failures.items():
-        assert isinstance(exc, EllipcfError), (FREQUENCIES[i], exc)
+        assert isinstance(exc, EllipcfError), (us[i], exc)
     ok = np.array([i not in rows.failures for i in range(len(want))])
     miss = ok & ~(abs(rows.value - want) <= rows.err_est + 8.0 * _EPS)
-    assert not miss.any(), [(FREQUENCIES[i], rows.value[i] - want[i], rows.err_est[i])
+    assert not miss.any(), [(us[i], rows.value[i] - want[i], rows.err_est[i])
                             for i in np.flatnonzero(miss)]
 
 
@@ -161,6 +163,17 @@ def _named_error_or_honest(rows, want):
 def test_hankel_route_named_error_or_honest(key, n):
     _named_error_or_honest(phi_hankel_rows(FAMILIES[key][0](n), n, FREQUENCIES),
                            _oracle_row(key, n))
+
+
+@pytest.mark.parametrize("route", [phi_hankel_rows, star_unimodal_rows],
+                         ids=["hankel", "star"])
+def test_pearson_vii_n60_named_error_or_honest(route):
+    # the one row of n = 60 that a kernel change (ROADMAP item 16) once turned
+    # into a silent miss; today both routes fail it by name, in hyp0f1
+    u = FREQUENCIES[17]  # 17.78
+    with mp.workdps(40):
+        want = np.array([float(FAMILIES["pearson_vii"][1](60, mp.mpf(u * u)))])
+    _named_error_or_honest(route(FAMILIES["pearson_vii"][0](60), 60, [u]), want, [u])
 
 
 def _pearson_ii_row(m, n):

@@ -46,7 +46,7 @@ def test_matches_percent_17g(case, cols):
     values = CASES[case](np.random.default_rng(20261018))
     values = np.concatenate([values, -values])  # both signs: -0.0, -inf, ...
     block = values[: len(values) // cols * cols].reshape(-1, cols)
-    assert _csvout.rows(block) == reference(block)
+    assert b"".join(_csvout.rows(block)) == reference(block)
 
 
 def test_cells_are_fixed_width_and_end_in_separators():
@@ -61,11 +61,11 @@ def test_cells_are_fixed_width_and_end_in_separators():
 
 
 def test_empty_block():
-    assert _csvout.rows(np.empty((0, 3))) == b""
+    assert b"".join(_csvout.rows(np.empty((0, 3)))) == b""
 
 
 def test_write_to_text_only_stdout():
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        _csvout.write("-", [b"x1\n", _csvout.rows(np.array([[0.25], [-1e-300]]))])
+        _csvout.write("-", [b"x1\n", *_csvout.rows(np.array([[0.25], [-1e-300]]))])
     assert buf.getvalue() == "x1\n0.25\n-1e-300\n"

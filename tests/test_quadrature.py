@@ -560,6 +560,7 @@ class TestOscillatoryExitBits:
         return check
 
     BUDGET = "oscillatory engine: no convergence within 400 panels"
+    NAN = "oscillatory engine: u = nan is not a number"
     CASES = {
         "ball": (lambda us: phi_hankel_rows(gn.uniform_ball_generator(), 3, us), US, edge,
                  "6c9838637c7a539b11b057825a0812dac14dfa50a26c3d01de233773039ed376"),
@@ -597,13 +598,17 @@ class TestOscillatoryExitBits:
         "edge_at_zero": (lambda us: _kernel_rows(lambda r: 1.0, 0.0, us, 1e-300), [1e-30, 1e-3],
                          fails(BUDGET, ""),
                          "e33f7fbcadd71bd9f7bcf6e011ef3eaed1a60a8876e03283e661e3e41c1cfb49"),
-        # a nan u, on an infinite and on a finite support
+        # a nan u fails before its first panel, on an infinite and on a
+        # finite support, also where the envelope never sees it (the ball)
         "nan_normal": (lambda us: phi_hankel_rows(gn.normal_generator(), 2, us), [math.nan, 1.0],
-                       fails("z=nan", ""),
-                       "db54aba75e2446de302dd8b18aa5b3b4269c812908c825e5b391468d21d60f59"),
+                       fails(NAN, ""),
+                       "b01747d80af07fd059244a94c9c87f040cad79adc555fa1ec63357c5551ee494"),
         "nan_pearson2": (lambda us: phi_hankel_rows(gn.pearson_ii_generator(1.5), 2, us),
-                         [math.nan, 1.0], fails("z=nan", ""),
-                         "1351a2bec75399ae5a271b7d4c4804591623380a116e8e88a148baa2dbde5524"),
+                         [math.nan, 1.0], fails(NAN, ""),
+                         "9dcb3d1c40ec63058fc33b1ab5e05753e4d3b3dc3523ee410c6737b8aa59a93a"),
+        "nan_ball": (lambda us: phi_hankel_rows(gn.uniform_ball_generator(), 2, us),
+                     [math.nan, 1.0], fails(NAN, ""),
+                     "49b8c51796be849d1450686822809e1a8d037ff267d2dd852ed9b6cf5759fc6d"),
     }
 
     @staticmethod

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -635,15 +636,45 @@ class TestStreamedChunks:
             assert getattr(streamed, name).tobytes() == want.tobytes()
         assert (streamed.re[1], streamed.im[1]) == (1.0, 0.0)
 
-    @pytest.mark.parametrize("kind", ["elliptical", "lsm", "skew_normal", "smsn"])
+    @staticmethod
+    def wide_samplers():
+        # 4096-value formatter blocks of 1365 rows (n = 3) and 409 rows
+        # (n = 10): neither divides a chunk
+        normal3 = EllipticalSpec(3, [0.1, -0.2, 0.3], [[1.0, 0.3, 0.0], [0.3, 2.0, -0.4],
+                                                        [0.0, -0.4, 0.7]], gn.normal_generator())
+        sn10 = SkewNormalSpec(np.linspace(-1.0, 1.0, 10), np.eye(10) + 0.1,
+                              np.linspace(2.0, -1.0, 10))
+        return {"elliptical_n3": sampling.elliptical_sampler(normal3),
+                "skew_normal_n10": sampling.skew_normal_sampler(sn10)}
+
+    @pytest.mark.parametrize("kind", ["elliptical", "lsm", "skew_normal", "smsn",
+                                      "elliptical_n3", "skew_normal_n10"])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_csv_bytes_equal_batch(self, kind, workers):
-        sampler, _ = self.samplers()[kind]
+        sampler = ({k: s for k, (s, _) in self.samplers().items()} | self.wide_samplers())[kind]
         rng = RngStream(seed=12)
         batch = sampler.batch(self.COUNT, rng, 1)
-        want = f"# {batch.provenance}\n# spec_sha256=abc\nx1,x2\n".encode() + _csvout.rows(batch.data)
+        header = ",".join(f"x{i + 1}" for i in range(sampler.n))
+        want = (f"# {batch.provenance}\n# spec_sha256=abc\n{header}\n".encode()
+                + b"".join(_csvout.rows(batch.data)))
         streamed = b"".join(sampler.csv(self.COUNT, rng, workers, ["spec_sha256=abc"]))
         assert streamed == want
+
+    def test_csv_holds_one_chunk_of_text(self):
+        # streamed at one worker, the parts of three chunks are consumed as
+        # they come: the peak is one chunk's draws, its text (1.24 MB) and one
+        # formatter block, under 4.5 MB above the start
+        sampler, _ = self.samplers()["skew_normal"]
+        parts = sampler.csv(3 * sampling._CHUNK, RngStream(seed=12), 1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in parts:
+                pass
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5e6, peak
 
     def test_count_checked_before_any_draw(self):
         calls = []
