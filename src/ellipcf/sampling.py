@@ -355,8 +355,9 @@ def lsm_sampler(spec: LSMixtureSpec) -> Sampler:
         z *= _radius_chunk(spec.base, m, g)[:, None]
         v = spec.mixing.draw(m, g)
         y = z @ s_root
-        y *= np.sqrt(v)[:, None]
+        del z
         x = v[:, None] * spec.gamma
+        y *= np.sqrt(v, out=v)[:, None]
         x += spec.mu
         x += y  # (mu + V gamma) + sqrt(V) S z
         return x

@@ -169,9 +169,11 @@ class MixingLaw:
             raise DomainError("MixingLaw.finite_discrete: support must be nonnegative")
         if np.any(wts < 0.0) or abs(float(wts.sum()) - 1.0) > 1e-12:
             raise DomainError("MixingLaw.finite_discrete: weights must be >= 0 and sum to 1")
+        cdf = wts.cumsum()  # Generator.choice's draw, less its checks of p: the same bits
+        cdf /= cdf[-1]
         return cls(
             "finite_discrete",
-            draw=lambda m, g: g.choice(pts, p=wts, size=m),
+            draw=lambda m, g: pts[np.searchsorted(cdf, g.random(m), side="right")],
             parts=("finite_discrete", None, pts, wts, None, None),
             points=pts,
             weights=wts,
@@ -526,9 +528,11 @@ class GSESpec:
         self._probe_antisymmetry()
 
     def _probe_antisymmetry(self) -> None:
-        rng = np.random.default_rng(1729)
-        for _ in range(64):
-            y = rng.normal(scale=1.5, size=self.n)
+        # 64 points spread like N(0, 1.5^2) in every coordinate: Box-Muller on
+        # the R2 low-discrepancy sequence, so no random generator is imported
+        t = np.arange(1, 64 * self.n + 1).reshape(64, self.n)
+        u, w = (0.5 + t * np.array([0.7548776662466927, 0.5698402909980532])[:, None, None]) % 1.0
+        for y in 1.5 * np.sqrt(-2.0 * np.log(u)) * np.cos(2.0 * np.pi * w):
             resid = abs(self.k_fn(y) + self.k_fn(-y) - 1.0)
             if resid > 1e-10:
                 raise DomainError(
